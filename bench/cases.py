@@ -74,6 +74,7 @@ class Outcome:
 class Workload:
     name: str
     cycle: tuple  # case kinds in the stated mix, in issue order
+    cycle_s: float  # seconds one cycle takes at reference speed; sets the cycle count
     make: object  # (api, kind, rng) -> inputs dict with "start"
     run: object  # (api, case, outcome) -> None, appends failure codes
     known_defect: object  # (case, failure codes) -> bool
@@ -130,6 +131,7 @@ DECAY = Workload(
         "two_step_3", "rotated_5", "rotated_6", "rotated_7", "rotated_8",
         "two_step_4", "rotated_5", "rotated_6", "rotated_7", "rotated_8",
     ),
+    cycle_s=9.5,
     make=_make_decay,
     run=_run_decay,
     known_defect=lambda case, codes: False,
@@ -186,6 +188,7 @@ def _run_soliton(api, case, out):
 SOLITON = Workload(
     name="soliton",
     cycle=tuple(share[j % len(share)] for j in range(12) for share in _SOLITON_SHARES),
+    cycle_s=7.5,
     make=_make_soliton,
     run=_run_soliton,
     known_defect=lambda case, codes: not case.kind.startswith("two_step") and set(codes) <= DRIFT_SYMPTOMS,
@@ -269,6 +272,7 @@ def _run_metric(api, case, out):
 METRIC = Workload(
     name="metric",
     cycle=("two_step_4", "nilpotent_4", "filiform_4", "two_step_5", "nilpotent_5", "filiform_5", "criterion_11"),
+    cycle_s=9.0,
     make=_make_metric,
     run=_run_metric,
     known_defect=lambda case, codes: False,

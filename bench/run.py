@@ -4,15 +4,16 @@ Run from the repository root:
 
     python3 bench/run.py --workload decay|soliton|metric --seed N --seconds S --trace 0|1
 
-One process issues cases one after another (no threads beyond the BLAS
-default).  The package is imported from ``src/`` next to this directory.
+One process issues cases one after another, with one BLAS thread.  The
+package is imported from ``src/`` next to this directory.
 
-``--trace 0`` runs whole cycles of fresh cases for about ``--seconds``
-seconds and prints the end-to-end metrics.  ``--trace 1`` runs the first
-cycle untraced, traced and untraced again, so its counts repeat exactly for a
-seed, then times single layer functions on the start and limit brackets and
-runs ``nilflow sweep`` with ``--jobs 1`` and ``--jobs 2``; it prints the
-per-layer metrics.  Spans and results go to ``bench/out/``.  The last line of
+``--trace 0`` runs a fixed number of whole cycles of fresh cases, about
+``--seconds`` seconds at reference speed, and prints the end-to-end metrics
+with timings scaled to that speed (see ``ReferenceClock``).  ``--trace 1``
+runs the first cycle untraced, traced and untraced again, so its counts
+repeat exactly for a seed, then times single layer functions on the start and
+limit brackets and runs ``nilflow sweep`` with ``--jobs 1`` and ``--jobs 2``;
+it prints the per-layer metrics.  Spans and results go to ``bench/out/``.  The last line of
 standard output is the result object; the line before it holds the
 environment record and the details of the run.
 """
@@ -38,10 +39,16 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 OUT = ROOT / "bench" / "out"
 
+# one BLAS thread: the client is single-threaded, the machine has few cores,
+# and a fixed reduction order makes the known-defect failures repeat exactly
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 sys.path.insert(0, str(SRC))
 try:
     import numpy as np
     import scipy
+    from scipy.stats.mstats import hdquantiles
 
     import nilflow
 except ImportError as exc:
@@ -53,9 +60,10 @@ from cases import WORKLOADS, make_case, run_case  # noqa: E402
 from tracing import Api, Recorder  # noqa: E402
 
 ERRORS = (nilflow.NilflowError, np.linalg.LinAlgError)
-SETUP_REPEATS = 3
-# p90 falls inside the slowest tier of each mix; 7-14 cases of a 30-second
-# soliton run lie beyond it, but only 2-4 of a decay or metric run
+SETUP_REPEATS = 5
+# p90 falls inside the slowest tier of each mix; at --seconds 25, 11 of the
+# 108 cases of a soliton run lie beyond it, but only 3 of the 30 of a decay
+# run and 2 of the 21 of a metric run
 TAIL_PERCENTILE = 90
 PROBE_CALLS = 5
 SWEEP_ARGS = ["sweep", "--kind", "normalized", "--n", "5", "--count", "16"]
@@ -130,6 +138,72 @@ def environment(seed):
 
 
 # ---------------------------------------------------------------------------
+# reference speed
+#
+# On a host whose cores are shared, the same code runs up to twice as fast in
+# one minute as in another, and the speed switches within a second.  End-to-end
+# timings are therefore reported at a fixed reference speed: a kernel that
+# calls no nilflow code (small einsum contractions and interpreter work, the
+# shape of the flow's inner loop) is timed at the start of every case and,
+# between public calls, at least every STRETCH_S; each stretch of a case is
+# multiplied by REFERENCE_NOMINAL_S over the mean of the timings at its ends.
+# The kernel's own time is left out of the case.  A change to nilflow moves
+# the scaled figures as much as the measured ones; the measured ones stay in
+# the run details.
+
+REFERENCE_NOMINAL_S = 1.0e-3
+REFERENCE_LOOPS = 40
+STRETCH_S = 0.2
+_REFERENCE_C = np.random.default_rng(0).standard_normal((6, 6, 6))
+
+
+def reference_s():
+    """Median of five timings of the reference kernel."""
+    times = []
+    for _ in range(5):
+        t0 = time.perf_counter()
+        c = _REFERENCE_C
+        for _ in range(REFERENCE_LOOPS):
+            m = np.einsum("iak,ibk->ab", c, c) - 0.5 * np.einsum("ija,ijb->ab", c, c)
+            c = c - 1e-3 * np.einsum("ab,bjk->ajk", m, c)
+            sum(float(x) for x in m[0])
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
+
+
+def at_reference_speed(before, after):
+    """Factor that scales a time measured between two reference timings."""
+    return REFERENCE_NOMINAL_S / (0.5 * (before + after))
+
+
+class ReferenceClock:
+    """Case time, measured and at reference speed, in stretches that end at
+    the first public call returning STRETCH_S or more after they began."""
+
+    def __init__(self):
+        self.ref = reference_s()
+        self.start()
+
+    def start(self):
+        self.measured = self.scaled = 0.0
+        self.t0 = time.perf_counter()
+
+    def close(self, seconds=None):
+        """Ends the stretch; ``seconds`` replaces its measured length, for a
+        stretch spent waiting on a child process that times itself."""
+        dt = time.perf_counter() - self.t0 if seconds is None else seconds
+        ref = reference_s()
+        self.measured += dt
+        self.scaled += dt * at_reference_speed(self.ref, ref)
+        self.ref = ref
+        self.t0 = time.perf_counter()
+
+    def poll(self):
+        if time.perf_counter() - self.t0 >= STRETCH_S:
+            self.close()
+
+
+# ---------------------------------------------------------------------------
 # phases
 
 
@@ -146,14 +220,15 @@ def import_seconds():
     return float(proc.stdout)
 
 
-def setup(api, workload, seed):
+def setup(api, clock, workload, seed):
     """Import, generate the first cycle of cases and warm up on a case of the
-    cheapest kind; returns (cases, seconds)."""
-    import_s = import_seconds()
-    t0 = time.perf_counter()
+    cheapest kind; returns (cases, seconds, seconds at reference speed)."""
+    clock.start()
+    clock.close(import_seconds())
     cases = make_cycle(api, workload, seed, 0)
     run_case(api, workload, make_case(api, workload, seed + 1, 0), ERRORS)
-    return cases, import_s + time.perf_counter() - t0
+    clock.close()
+    return cases, clock.measured, clock.scaled
 
 
 def failure_record(workload, case, out):
@@ -183,24 +258,32 @@ def run_cases(api, workload, cases, recorder=None):
     return latencies, outcomes, failures
 
 
-def timed_phase(api, workload, seed, cases, seconds):
+def cycles_for(workload, seconds):
+    """Whole cycles that fill about ``seconds`` at reference speed.  The
+    count never depends on a clock, so a seed and a ``--seconds`` value always
+    give the same cases and the same failures."""
+    return max(1, round(seconds / workload.cycle_s))
+
+
+def timed_phase(api, clock, workload, seed, cases, seconds):
     """Closed loop: the next case starts when the previous one ends.  Runs
-    whole cycles of fresh cases, so every run holds the stated mix, and stops
-    at the cycle boundary nearest to ``seconds``."""
-    latencies, kinds, failures = [], [], []
-    t0 = time.perf_counter()
-    number = 0
-    while True:
-        c0 = time.perf_counter()
-        lat, _, fail = run_cases(api, workload, cases)
-        latencies += lat
-        kinds += [case.kind for case in cases]
-        failures += fail
-        now = time.perf_counter()
-        if now - t0 + (now - c0) / 2 >= seconds:
-            return latencies, kinds, failures, now - t0
-        number += 1
-        cases = make_cycle(api, workload, seed, number)
+    whole cycles of fresh cases, so every run holds the stated mix.  Returns
+    the latencies as measured and at reference speed, the kinds and the
+    failure records; ``api`` polls ``clock`` after every public call."""
+    latencies, scaled, kinds, failures = [], [], [], []
+    for number in range(cycles_for(workload, seconds)):
+        if number:
+            cases = make_cycle(api, workload, seed, number)
+        for case in cases:
+            clock.start()
+            out = run_case(api, workload, case, ERRORS)
+            clock.close()
+            latencies.append(clock.measured)
+            scaled.append(clock.scaled)
+            kinds.append(case.kind)
+            if out.failures:
+                failures.append(failure_record(workload, case, out))
+    return latencies, scaled, kinds, failures
 
 
 def layer_probe(api, recorder, brackets, seed):
@@ -245,35 +328,45 @@ def peak_rss_mb():
 
 
 def end_to_end(workload, seconds, seed):
-    api = Api()
-    setups = []
+    clock = ReferenceClock()
+    api = Api(after_call=clock.poll)
+    setups, setups_scaled = [], []
     for _ in range(SETUP_REPEATS):
-        cases, setup_s = setup(api, workload, seed)
+        cases, setup_s, setup_scaled = setup(api, clock, workload, seed)
         setups.append(setup_s)
-    latencies, kinds, failures, elapsed = timed_phase(api, workload, seed, cases, seconds)
+        setups_scaled.append(setup_scaled)
+    latencies, scaled, kinds, failures = timed_phase(api, clock, workload, seed, cases, seconds)
     q = TAIL_PERCENTILE
-    tail = float(np.percentile(latencies, q))
+    p50, tail = (float(v) for v in hdquantiles(scaled, prob=[0.5, q / 100]))
     by_kind = {}
-    for kind, lat in zip(kinds, latencies):
+    for kind, lat in zip(kinds, scaled):
         by_kind.setdefault(kind, []).append(lat)
     metrics = {
-        "setup_s": (statistics.median(setups), "s"),
-        "cases_per_s": (len(latencies) / elapsed, "1/s"),
-        "case_s_p50": (statistics.median(latencies), "s"),
+        "setup_s": (statistics.median(setups_scaled), "s"),
+        "cases_per_s": (len(scaled) / sum(scaled), "1/s"),
+        "case_s_p50": (p50, "s"),
         "case_s_tail": (tail, "s"),
         "ok_frac": (1.0 - len(failures) / len(latencies), "1"),
     }
     details = {
         "attempted": len(latencies),
         "cycles": len(latencies) // len(workload.cycle),
-        "elapsed_s": elapsed,
+        # the same figures as measured, before scaling to reference speed,
+        # with plain order statistics
+        "measured": {
+            "setup_s": statistics.median(setups),
+            "cases_per_s": len(latencies) / sum(latencies),
+            "case_s_p50": statistics.median(latencies),
+            "case_s_tail": float(np.percentile(latencies, q)),
+        },
+        "speed_vs_reference": sum(latencies) / sum(scaled),
         "fail_frac": len(failures) / len(latencies),
         "failed_cases": failures,
         # not gated: a cone projection at n >= 6 (some seeds) adds 10-40 MB
         "peak_rss_mb": peak_rss_mb(),
         "tail_percentile": q,
-        "cases_beyond_tail": sum(lat > tail for lat in latencies),
-        "setup_repeats_s": setups,
+        "cases_beyond_tail": sum(lat > tail for lat in scaled),
+        "setup_repeats_s": setups_scaled,
         "median_case_s_by_kind": {k: statistics.median(v) for k, v in sorted(by_kind.items())},
     }
     return metrics, len(latencies), failures, details
@@ -283,7 +376,7 @@ def per_layer(workload, name, seed):
     recorder = Recorder()
     plain, traced = Api(), Api(recorder)
     recorder.case = "setup"
-    cases, _ = setup(traced, workload, seed)
+    cases, _, _ = setup(traced, ReferenceClock(), workload, seed)
     # untraced, traced, untraced: the overhead compares against both neighbours
     plain_lat, _, plain_failures = run_cases(plain, workload, cases)
     first_span = len(recorder.spans)

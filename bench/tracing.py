@@ -59,12 +59,14 @@ class Recorder:
                 fh.write(json.dumps(dict(s, self_s=self_s)) + "\n")
 
 
-class _TracedModule:
-    """Forwards attribute access to a module; its functions open a span per call."""
+class _Module:
+    """Forwards attribute access to a module; its functions open a span per
+    call when there is a recorder and call ``after_call`` when they return."""
 
-    def __init__(self, module, recorder):
+    def __init__(self, module, recorder, after_call):
         self._module = module
         self._recorder = recorder
+        self._after_call = after_call
         self._layer = module.__name__.rsplit(".", 1)[-1]
 
     def __getattr__(self, attr):
@@ -72,23 +74,31 @@ class _TracedModule:
         if isinstance(value, type) or not callable(value):
             return value
         name = f"{self._layer}.{attr}"
-        recorder = self._recorder
+        recorder, after_call = self._recorder, self._after_call
 
-        def traced(*args, **kwargs):
-            with recorder.span(name):
-                return value(*args, **kwargs)
+        def wrapped(*args, **kwargs):
+            if recorder is None:
+                result = value(*args, **kwargs)
+            else:
+                with recorder.span(name):
+                    result = value(*args, **kwargs)
+            if after_call is not None:
+                after_call()
+            return result
 
-        return traced
+        return wrapped
 
 
 class Api:
-    """The layer modules, plain or traced; cases call nilflow only through this."""
+    """The layer modules, plain or wrapped; cases call nilflow only through this."""
 
-    def __init__(self, recorder: Recorder | None = None):
+    def __init__(self, recorder: Recorder | None = None, after_call=None):
         self.recorder = recorder
         for layer in LAYERS:
             module = importlib.import_module(f"nilflow.{layer}")
-            setattr(self, layer, module if recorder is None else _TracedModule(module, recorder))
+            if recorder is not None or after_call is not None:
+                module = _Module(module, recorder, after_call)
+            setattr(self, layer, module)
 
     @contextmanager
     def span(self, name):
