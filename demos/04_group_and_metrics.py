@@ -7,7 +7,7 @@ the Baker-Campbell-Hausdorff series, which terminates for nilpotent
 brackets.  Left-translating the inner product at the identity produces a
 left-invariant metric whose coefficients are polynomials in the coordinates;
 those coefficient tables are computed here two ways (closed form for 2-step,
-exact least-squares fit in general) and compared.
+exact expansion of the closed-form dexp series in general) and compared.
 
 The coefficient tables also give a computable distance between two
 structures: the sup over a ball of all metric derivatives up to order p.
@@ -52,12 +52,13 @@ def main():
     print(f"\npointwise vs table at p : {np.abs(field(p) - metric_at(heis, p)).max():.2e}")
     print("nonzero coefficient multi-indices:", sorted(field.coefficients))
 
-    # 4. for higher steps the table is fitted exactly on a lattice
+    # 4. for higher steps the table is the exact expansion of A(x)^T A(x), where
+    #    A(x) = sum_j (-1)^j ad_x^j / (j+1)! is the closed-form dexp series
     fil = filiform(4)
     fitted = metric_field_fit(fil)
     q = rng.standard_normal(4) * 0.7
-    print(f"\nfiliform(4) fit degree  : {fitted.degree}")
-    print(f"fit error at a point    : {np.abs(fitted(q) - metric_at(fil, q)).max():.2e}")
+    print(f"\nfiliform(4) table degree: {fitted.degree}")
+    print(f"table error at a point  : {np.abs(fitted(q) - metric_at(fil, q)).max():.2e}")
 
     # 5. derivative fields are exact coefficient operations
     d1 = fitted.derivative((1, 0, 0, 0))

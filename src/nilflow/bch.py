@@ -2,10 +2,14 @@
 
 For a nilpotent bracket the exp-coordinate product x . y = x + y + p(x, y) is
 a polynomial: the commutator series truncates once nested words exceed the
-nilpotency degree.  Differentials of left translations are computed with
-forward-mode dual numbers (never finite differences); the Gram matrices of the
-translated frame give the metric, whose entries are polynomials of degree at
-most 2(k - 1).
+nilpotency degree k.  Differentials of left translations come from the
+closed-form dexp series (the left-trivialized differential of exp)
+
+    A(x) = sum_{j<k} (-1)^j ad_x^j / (j + 1)!,
+
+never from finite differences.  The metric is g(x) = A(x)^T A(x); since ad_x
+is linear in x, its coefficient tables are an exact expansion of polynomial
+products, of degree at most 2(k - 1).
 """
 
 from __future__ import annotations
@@ -79,28 +83,6 @@ def _eval_series(c, depth, x, y):
     return z
 
 
-def _mu_jet(c, a, b):
-    val = np.einsum("ijk,i,j->k", c, a[0], b[0])
-    jac = np.einsum("ijk,i,jm->km", c, a[0], b[1]) + np.einsum("ijk,im,j->km", c, a[1], b[0])
-    return val, jac
-
-
-def _eval_series_jet(c, depth, x, y):
-    """Same series on dual-number vectors (value, jacobian-of-seeds) pairs."""
-    val = x[0] + y[0]
-    jac = x[1] + y[1]
-    letters = (x, y)
-    for word, coeff in _series_words(depth):
-        if len(word) == 1:
-            continue
-        acc = letters[word[-1]]
-        for idx in word[-2::-1]:
-            acc = _mu_jet(c, letters[idx], acc)
-        val = val + coeff * acc[0]
-        jac = jac + coeff * acc[1]
-    return val, jac
-
-
 def _resolve_degree(b, degree):
     if degree is None:
         degree = nilpotency_degree(b)
@@ -124,28 +106,41 @@ def bch_product(b: Bracket, x, y, degree: int | None = None) -> np.ndarray:
     return _eval_series(b.coeffs, _resolve_degree(b, degree), x, y)
 
 
+def _dexp(b, x, terms):
+    """The dexp series A(x) = sum_{j<terms} (-1)^j ad_x^j / (j + 1)!."""
+    ad = np.einsum("i,ijk->kj", x, b.coeffs)
+    out = term = np.eye(b.n)
+    for j in range(1, terms):
+        term = term @ ad * (-1.0 / (j + 1))
+        out = out + term
+    return out
+
+
 def translation_jacobian(b: Bracket, z, x, degree: int | None = None) -> np.ndarray:
-    """Differential at x of the left translation w -> z . w."""
+    """Differential at x of the left translation w -> z . w.
+
+    Left translation commutes with the left-trivialized differential of exp,
+    so this is A(z . x)^{-1} A(x) with the closed-form dexp series A; A is
+    unipotent, so the solve is exact to rounding.
+    """
     z, x = _as_vector(b, z), _as_vector(b, x)
-    n = b.n
-    jz = (z, np.zeros((n, n)))
-    jx = (x, np.eye(n))
-    _, jac = _eval_series_jet(b.coeffs, _resolve_degree(b, degree), jz, jx)
-    return jac
+    k = _resolve_degree(b, degree)
+    zx = _eval_series(b.coeffs, k, z, x)
+    return np.linalg.solve(_dexp(b, zx, k), _dexp(b, x, k))
 
 
 def left_translation_differential(b: Bracket, x, degree: int | None = None) -> np.ndarray:
     """Differential at x of translation by the inverse of x.
 
     Columns are the coordinate expressions of the left-invariant frame at x
-    pulled back to the identity; computed with dual numbers.
+    pulled back to the identity; this is the closed-form dexp series A(x).
     """
     x = _as_vector(b, x)
-    return translation_jacobian(b, -x, x, degree)
+    return _dexp(b, x, _resolve_degree(b, degree))
 
 
 def metric_at(b: Bracket, x, degree: int | None = None) -> np.ndarray:
-    """Left-invariant metric in coordinates: Gram matrix J(x)^T J(x)."""
+    """Left-invariant metric in coordinates: Gram matrix A(x)^T A(x)."""
     j = left_translation_differential(b, x, degree)
     return j.T @ j
 
@@ -260,43 +255,38 @@ def metric_field_2step(b: Bracket) -> MetricField:
     return MetricField(n, 2 if k == 2 else 0, coeffs)
 
 
-def metric_field_fit(b: Bracket, degree: int | None = None) -> MetricField:
-    """Recover the exact polynomial coefficients of the metric entries by
-    sampling metric_at on an integer lattice (scaled into [-1, 1]^n) and
-    solving the generalized Vandermonde system by least squares."""
+def _matpoly_mul(p, q):
+    """Product of matrix polynomials given as (exponents (m, n), coefficients
+    (m, r, s)); like monomials are collected and exact zeros dropped."""
+    (ep, cp), (eq, cq) = p, q
+    exps = (ep[:, None] + eq[None, :]).reshape(-1, ep.shape[1])
+    prods = (cp[:, None] @ cq[None, :]).reshape(len(exps), cp.shape[1], cq.shape[2])
+    exps, inverse = np.unique(exps, axis=0, return_inverse=True)
+    coeffs = np.zeros((len(exps),) + prods.shape[1:])
+    np.add.at(coeffs, inverse.reshape(-1), prods)
+    nonzero = np.any(coeffs != 0.0, axis=(1, 2))
+    return exps[nonzero], coeffs[nonzero]
+
+
+def metric_field_fit(b: Bracket) -> MetricField:
+    """Exact polynomial coefficients of the metric entries.
+
+    ad_x = sum_i x_i ad_{e_i} is linear in x, so the closed-form dexp series
+    A(x) and g(x) = A(x)^T A(x) are expanded as polynomial products: an exact
+    expansion, with no sampling and only nonzero coefficients stored.
+    """
     k = nilpotency_degree(b)
-    d = max(0, 2 * (k - 1))
     n = b.n
-    alphas = _multiindices(n, d)
-    if d == 0:
-        return MetricField(n, 0, {alphas[0]: metric_at(b, np.zeros(n), degree=max(1, k))})
-
-    span = np.arange(-d, d + 1) / d
-    if (2 * d + 1) ** n <= 4096:
-        pts = np.array(list(itertools.product(span, repeat=n)))
-    else:
-        rng = np.random.default_rng(2 * d + 3 * n)
-        need = 3 * len(alphas)
-        seen, rows = set(), []
-        while len(rows) < need:
-            cand = tuple(rng.integers(-d, d + 1, size=n))
-            if cand not in seen:
-                seen.add(cand)
-                rows.append(cand)
-        pts = np.array(rows, dtype=float) / d
-    if len(pts) < len(alphas):
-        raise DegreeTooHigh(f"not enough sample points ({len(pts)}) for {len(alphas)} monomials")
-
-    exps = np.array(alphas)  # (n_alpha, n)
-    vand = np.prod(pts[:, None, :] ** exps[None, :, :], axis=2)  # (n_pts, n_alpha)
-    values = np.array([metric_at(b, x, degree=max(1, k)) for x in pts])  # (n_pts, n, n)
-    sol, *_ = np.linalg.lstsq(vand, values.reshape(len(pts), n * n), rcond=None)
-    coeffs = {}
-    for row, alpha in zip(sol.reshape(len(alphas), n, n), alphas):
-        mat = 0.5 * (row + row.T)
-        if np.abs(mat).max() > 0.0:
-            coeffs[alpha] = mat
-    return MetricField(n, d, coeffs)
+    ad_x = (np.eye(n, dtype=int), np.swapaxes(b.coeffs, 1, 2))  # ad_{e_i}[k, j] = mu_ij^k
+    terms = [(np.zeros((1, n), dtype=int), np.eye(n)[None])]
+    for j in range(1, k):
+        exps, coeffs = _matpoly_mul(ad_x, terms[-1])
+        terms.append((exps, coeffs * (-1.0 / (j + 1))))
+    # the terms are homogeneous of distinct degrees, so stacking them sums A
+    a = tuple(np.concatenate(part) for part in zip(*terms))
+    exps, g = _matpoly_mul((a[0], np.swapaxes(a[1], 1, 2)), a)
+    table = {tuple(alpha.tolist()): 0.5 * (mat + mat.T) for alpha, mat in zip(exps, g)}
+    return MetricField(n, max(0, 2 * (k - 1)), table)
 
 
 def metric_convergence_distance(
@@ -308,23 +298,21 @@ def metric_convergence_distance(
 ) -> float:
     """Sup over a ball of |d^beta (g_1 - g_2)_ij| for all |beta| <= p.
 
-    Evaluated exactly from the fitted coefficient tables on 3^n lattice points
+    Evaluated from the exact expansions of both metrics on 3^n lattice points
     scaled to the ball plus 100 random interior points (seeded by default, so
-    the result is deterministic).
+    the result is deterministic).  Each derivative field is one matrix
+    product against a Vandermonde block taken from a table of coordinate
+    powers.
     """
     if b1.n != b2.n:
         raise DimensionMismatch(f"dimension mismatch: {b1.n} vs {b2.n}")
     n = b1.n
     f1 = metric_field_fit(b1)
     f2 = metric_field_fit(b2)
-    diff_coeffs = {}
-    for alpha in set(f1.coefficients) | set(f2.coefficients):
-        mat = f1.coefficients.get(alpha, 0.0) - f2.coefficients.get(alpha, 0.0)
-        mat = np.asarray(mat, dtype=float)
-        if mat.shape != (n, n):
-            mat = np.zeros((n, n))
-        diff_coeffs[alpha] = mat
-    diff = MetricField(n, max(f1.degree, f2.degree), diff_coeffs)
+    alphas = sorted(set(f1.coefficients) | set(f2.coefficients))
+    zero = np.zeros((n, n))
+    exps = np.array(alphas)
+    diff = np.array([f1.coefficients.get(a, zero) - f2.coefficients.get(a, zero) for a in alphas])
 
     lattice = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=n))) * (radius / math.sqrt(n))
     if rng is None:
@@ -334,11 +322,20 @@ def metric_convergence_distance(
     radii = radius * rng.random(100) ** (1.0 / n)
     points = np.vstack([lattice, dirs * radii[:, None]])
 
+    degree = max(f1.degree, f2.degree)
+    # powers[t, a] = x_t^a on every point; factorial[a] = a!
+    powers = np.moveaxis(points[:, :, None] ** np.arange(degree + 1), 0, -1)
+    factorial = np.cumprod(np.r_[1.0, np.arange(1.0, degree + 1)])
     worst = 0.0
     for beta in _multiindices(n, p):
-        field = diff.derivative(beta)
-        if not field.coefficients:
+        keep = np.all(exps >= beta, axis=1)
+        if not keep.any():
             continue
-        for x in points:
-            worst = max(worst, float(np.abs(field(x)).max()))
+        shifted = exps[keep] - beta
+        factor = np.prod(factorial[exps[keep]] / factorial[shifted], axis=1)
+        vand = powers[0, shifted[:, 0]]
+        for t in range(1, n):
+            vand = vand * powers[t, shifted[:, t]]
+        values = (factor[:, None] * diff[keep].reshape(-1, n * n)).T @ vand
+        worst = max(worst, float(np.abs(values).max()))
     return worst

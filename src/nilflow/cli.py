@@ -10,7 +10,8 @@ constants, an inline JSON object, or a generator spec such as
 "heisenberg:c=2", "filiform:n=4", "random2step:n=5,seed=7", "zero:n=3".
 
 Exit codes: 0 success, 1 a requested check failed, 2 bad configuration or
-input, 3 numerical failure during integration.
+input, 3 numerical failure during integration (including a flow limit that is
+no longer nilpotent).
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .exceptions import (
     BracketFormatError,
     ConfigError,
     NilflowError,
+    NotNilpotentError,
     NumericalFailure,
     ZeroBracket,
 )
@@ -333,7 +335,7 @@ def _sweep_case(index, seed_seq, args):
                 norm_bound_ok=t3.norm_bound_ok,
                 ricci_bound_ok=t3.ricci_bound_ok,
             )
-    except NumericalFailure as e:
+    except (NumericalFailure, NotNilpotentError) as e:
         record["error"] = str(e)
     return record
 
@@ -506,7 +508,8 @@ def main(argv=None) -> int:
     except (ConfigError, BracketFormatError, ZeroBracket) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except NumericalFailure as e:
+    except (NumericalFailure, NotNilpotentError) as e:
+        # a flow limit that left the nilpotent cone is a numerical failure
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
     except OSError as e:

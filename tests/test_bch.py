@@ -1,10 +1,13 @@
 """Group law in exponential coordinates and the induced metric coefficients."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilflow.algebra import gl_action
 from nilflow.bch import (
     MetricField,
     bch_product,
@@ -16,7 +19,7 @@ from nilflow.bch import (
     translation_jacobian,
 )
 from nilflow.exceptions import BracketFormatError, DegreeTooHigh, DimensionMismatch
-from nilflow.generators import filiform, heisenberg, random_two_step
+from nilflow.generators import filiform, heisenberg, random_nilpotent, random_two_step
 
 from conftest import random_sphere_bracket
 
@@ -116,6 +119,24 @@ def test_translations_are_volume_preserving(seed):
     assert np.linalg.det(translation_jacobian(b, z, x)) == pytest.approx(1.0, rel=1e-10)
 
 
+def _central_difference_jacobian(b, z, x, h=1e-5):
+    cols = [(bch_product(b, z, x + h * e) - bch_product(b, z, x - h * e)) / (2 * h) for e in np.eye(b.n)]
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize(
+    "b", [filiform(5), random_nilpotent(5, np.random.default_rng(3))], ids=["filiform5", "rotated5"]
+)
+def test_translation_differentials_match_central_differences(b):
+    # an independent path through the product's word table
+    rng = np.random.default_rng(11)
+    for z, x in rng.standard_normal((3, 2, 5)):
+        fd = _central_difference_jacobian(b, z, x)
+        assert np.allclose(translation_jacobian(b, z, x), fd, atol=1e-7)
+        fd = _central_difference_jacobian(b, -x, x)
+        assert np.allclose(left_translation_differential(b, x), fd, atol=1e-7)
+
+
 def test_heisenberg_metric_closed_form(heis):
     x1, x2 = 0.8, -1.3
     g = metric_at(heis, np.array([x1, x2, 0.4]))
@@ -161,6 +182,31 @@ def test_2step_field_matches_pointwise_metric(seed):
 def test_2step_field_rejects_higher_degree(fil4):
     with pytest.raises(DegreeTooHigh):
         metric_field_2step(fil4)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_exact_table_matches_2step_closed_form(n):
+    # the expansion stores exactly the monomials the closed form has
+    b = random_two_step(n, np.random.default_rng(1))
+    exact = metric_field_fit(b).coefficients
+    closed = metric_field_2step(b).coefficients
+    assert set(exact) == set(closed)
+    for alpha, mat in closed.items():
+        assert np.abs(exact[alpha] - mat).max() <= 1e-14, f"coefficient {alpha}"
+
+
+def test_exact_table_at_degree_5():
+    b = filiform(6)
+    field = metric_field_fit(b)
+    assert field.degree == 8
+    assert max(sum(alpha) for alpha in field.coefficients) == 8
+    rng = np.random.default_rng(6)
+    for x in rng.standard_normal((5, 6)):
+        g = metric_at(b, x)
+        assert np.abs(field(x) - g).max() <= 1e-12 * np.abs(g).max()
+    near = gl_action(np.eye(6) + 0.05 * rng.standard_normal((6, 6)) / math.sqrt(6), b)
+    d = metric_convergence_distance(b, near, radius=2.0)
+    assert math.isfinite(d) and d > 0.0
 
 
 def test_fitted_field_matches_pointwise_metric(fil4):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from nilflow.cli import main
+from nilflow.exceptions import NotNilpotentError
 from nilflow.flow import trace_from_csv
 
 SO3 = json.dumps(
@@ -206,6 +207,23 @@ def test_soliton_not_converged_exits_1(capsys):
     assert "converged: False" in capsys.readouterr().out
 
 
+CONE_EXIT = "descending central series stabilizes at a nonzero subspace"
+
+
+def _limit_left_the_cone(b, tol=None):
+    raise NotNilpotentError(CONE_EXIT)
+
+
+def test_soliton_non_nilpotent_limit_exits_3(tmp_path, capsys, monkeypatch):
+    # a normalized flow whose limit drifted off the nilpotent cone
+    monkeypatch.setattr("nilflow.cli.orbit_invariants", _limit_left_the_cone)
+    out = tmp_path / "soliton.json"
+    rc = main(["soliton", "heisenberg:c=1", "--rescale", "2", "--t-max", "5", "--out", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err == f"numerical failure: {CONE_EXIT}\n"
+
+
 # ---------------------------------------------------------------------------
 # equivalence
 
@@ -277,6 +295,17 @@ def test_sweep_unnormalized_reports_bounds(tmp_path):
     assert rc == 0
     doc = json.loads(out.read_text())
     assert all(rec["norm_bound_ok"] for rec in doc["cases"])
+
+
+def test_sweep_records_non_nilpotent_limits(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("nilflow.cli.orbit_invariants", _limit_left_the_cone)
+    out = tmp_path / "s.json"
+    rc = main(["sweep", "--n", "3", "--count", "2", "--t-max", "5", "--out", str(out)])
+    assert rc == 3
+    assert "2 case(s) failed numerically" in capsys.readouterr().err
+    doc = json.loads(out.read_text())
+    assert [rec["index"] for rec in doc["cases"]] == [0, 1]
+    assert all(rec["error"] == CONE_EXIT for rec in doc["cases"])
 
 
 # ---------------------------------------------------------------------------
