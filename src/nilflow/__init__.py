@@ -53,6 +53,7 @@ from .curvature import (
 )
 from .exceptions import (
     BadNormalization,
+    BadRate,
     BracketFormatError,
     ConfigError,
     DegreeTooHigh,

@@ -41,6 +41,11 @@ class ConfigError(NilflowError, ValueError):
     """Invalid CLI / experiment configuration."""
 
 
+class BadRate(NilflowError, TypeError, ValueError):
+    """A normalization rate r that is not None, a number, 'scalar' or a
+    callable Bracket -> float (or a callable where none is accepted)."""
+
+
 class NumericalFailure(NilflowError, RuntimeError):
     """Integration failed; carries the partial trace when one exists."""
 

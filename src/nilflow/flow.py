@@ -1,11 +1,12 @@
 """Evolution of nilpotent brackets under the structure-constant flow.
 
-The unnormalized flow mu' = delta_mu(Ric_mu) is the negative gradient flow of
-tr(Ric^2) on V_n; adding r(t) mu gives the family of rescaled flows, and
-r = tr(Ric^2) keeps ||mu|| = 2 (unit sphere of scalar curvature -1).  The
+Every flow here is mu' = delta_mu(Ric_mu) + r mu; only the rate r changes.
+r = 0 is the unnormalized flow, the negative gradient flow of tr(Ric^2) on
+V_n; r = tr(Ric^2) keeps ||mu|| = 2 (unit sphere of scalar curvature -1); a
+constant or a callable Bracket -> float gives the other rescaled flows.  The
 module also co-integrates the frame h(t) with h' = -(Ric + r I) h, integrates
-the equivalent inner-product (metric tensor) flow G' = -2 ric(G), and checks
-the structural identities satisfied along every solution.
+the equivalent inner-product (metric tensor) flow G' = -2 ric(G) - 2 r G, and
+checks the structural identities of the r = 0 flow.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from .algebra import (
 from .curvature import _ricci, riemann_at_origin
 from .exceptions import (
     BadNormalization,
+    BadRate,
+    ConfigError,
     LossOfPositivity,
     StepSizeUnderflow,
     TooFewSamples,
@@ -313,7 +316,6 @@ class FlowTrace:
     grad_norm: np.ndarray
     jacobi_residual: np.ndarray
     stats: dict = field(default_factory=dict)
-    r_param: object = None  # None | float | callable, echoes the request
     h: list | None = None
 
     def __len__(self):
@@ -379,7 +381,29 @@ def trace_from_csv(path) -> dict:
     return dict(zip(_TRACE_COLUMNS, cols))
 
 
-def _finish_trace(kind, samples, stats, n, r_kind, r_param):
+def _rate(r, callable_ok=True):
+    """Resolve a rate r into one function (coeffs, Ric) -> float.
+
+    r is None (zero), a number, "scalar" (tr Ric^2) or, when callable_ok, a
+    callable Bracket -> float; anything else raises BadRate.
+    """
+    if r is None:
+        return lambda c, ric: 0.0
+    if isinstance(r, str):
+        if r != "scalar":
+            raise BadRate(f"unknown rate {r!r}; the only string rate is 'scalar'")
+        return lambda c, ric: float(np.sum(ric * ric))
+    if isinstance(r, (int, float)):
+        value = float(r)
+        return lambda c, ric: value
+    if not callable(r):
+        raise BadRate("r must be None, a number, 'scalar' or a callable Bracket -> float")
+    if not callable_ok:
+        raise BadRate("a callable rate is not supported here; use None, a number or 'scalar'")
+    return lambda c, ric: float(r(Bracket(c)))
+
+
+def _finish_trace(kind, samples, stats, n, rate):
     times = np.array([t for t, _ in samples])
     brackets = [Bracket(y.reshape(n, n, n)) for _, y in samples]
     m = len(brackets)
@@ -397,14 +421,7 @@ def _finish_trace(kind, samples, stats, n, r_kind, r_param):
         tr_ric2[i] = np.sum(ric * ric)
         grad_norm[i] = np.linalg.norm(_delta_coeffs(c, ric))
         jac_res[i] = jacobiator_residual(b)
-        if r_kind == "zero":
-            r_values[i] = 0.0
-        elif r_kind == "scalar":
-            r_values[i] = tr_ric2[i]
-        elif r_kind == "const":
-            r_values[i] = r_param
-        else:
-            r_values[i] = r_param(b)
+        r_values[i] = rate(c, ric)
     return FlowTrace(
         kind=kind,
         times=times,
@@ -416,33 +433,23 @@ def _finish_trace(kind, samples, stats, n, r_kind, r_param):
         grad_norm=grad_norm,
         jacobi_residual=jac_res,
         stats=stats,
-        r_param=r_param,
     )
 
 
-def _make_rhs(n, r_kind, r_param):
-    def rhs(t, yflat):
-        c = yflat.reshape(n, n, n)
-        ric = _ricci(c)
-        d = _delta_coeffs(c, ric)
-        if r_kind == "scalar":
-            d = d + float(np.sum(ric * ric)) * c
-        elif r_kind == "const":
-            d = d + r_param * c
-        elif r_kind == "callable":
-            d = d + float(r_param(Bracket(c))) * c
-        return d.reshape(-1)
-
-    return rhs
-
-
-def _run_bracket_flow(b0, t_max, opts, kind, r_kind, r_param, renormalize):
+def _run_bracket_flow(b0, t_max, opts, kind, r):
+    """Integrate mu' = delta_mu(Ric_mu) + r mu; renormalize onto ||mu|| = 2
+    after accepted steps exactly when kind is "normalized"."""
+    rate = _rate(r)
     opts = opts or FlowOpts()
     n = b0.n
-    rhs = _make_rhs(n, r_kind, r_param)
     triples = list(itertools.combinations(range(n), 3))
     pairs = list(itertools.combinations(range(n), 2))
     probe_sets = _probe_directions(n)
+
+    def rhs(t, yflat):
+        c = yflat.reshape(n, n, n)
+        ric = _ricci(c)
+        return (_delta_coeffs(c, ric) + rate(c, ric) * c).reshape(-1)
 
     def post(t, y, stats):
         adjusted = None
@@ -452,7 +459,7 @@ def _run_bracket_flow(b0, t_max, opts, kind, r_kind, r_param, renormalize):
         if rel > _CONE_TRIGGER:
             stats["cone_projections"] += 1
             adjusted = _project_to_cone(c, triples, pairs, probe_sets).reshape(-1)
-        if renormalize:
+        if kind == "normalized":
             v = y if adjusted is None else adjusted
             nrm = float(np.linalg.norm(v))
             drift = abs(nrm - 2.0)
@@ -464,13 +471,13 @@ def _run_bracket_flow(b0, t_max, opts, kind, r_kind, r_param, renormalize):
 
     samples, stats = _integrate_adaptive(rhs, 0.0, b0.coeffs.reshape(-1), t_max, opts, post_accept=post)
     stats["t_final"] = samples[-1][0]
-    return _finish_trace(kind, samples, stats, n, r_kind, r_param)
+    return _finish_trace(kind, samples, stats, n, rate)
 
 
 def integrate_bracket_flow(b0: Bracket, t_max: float, opts: FlowOpts | None = None) -> FlowTrace:
     """Unnormalized flow mu' = delta_mu(Ric_mu); ||mu|| is nonincreasing and
     the solution exists for all positive time."""
-    return _run_bracket_flow(b0, t_max, opts, "unnormalized", "zero", None, renormalize=False)
+    return _run_bracket_flow(b0, t_max, opts, "unnormalized", None)
 
 
 def integrate_normalized_flow(b0: Bracket, t_max: float, opts: FlowOpts | None = None) -> FlowTrace:
@@ -485,99 +492,61 @@ def integrate_normalized_flow(b0: Bracket, t_max: float, opts: FlowOpts | None =
         raise BadNormalization(
             f"initial bracket is off the sphere ||mu|| = 2 by {drift:.3e}; rescale explicitly"
         )
-    return _run_bracket_flow(b0, t_max, opts, "normalized", "scalar", None, renormalize=True)
+    return _run_bracket_flow(b0, t_max, opts, "normalized", "scalar")
 
 
 def integrate_r_normalized(b0: Bracket, r, t_max: float, opts: FlowOpts | None = None) -> FlowTrace:
-    """Flow mu' = delta_mu(Ric_mu) + r mu for a constant or per-bracket rate.
+    """Flow mu' = delta_mu(Ric_mu) + r mu for any normalization rate r.
 
-    r may be None/0 (reproducing the unnormalized flow exactly), a float, or
-    a callable Bracket -> float.
+    r may be None or 0 (reproducing the unnormalized flow exactly), a number,
+    "scalar" (r = tr(Ric^2), without the renormalization guard of
+    `integrate_normalized_flow`), or a callable Bracket -> float.  Any other
+    r raises BadRate.  The rate at each sample is stored in `r_values`.
     """
-    if r is None or (isinstance(r, (int, float)) and float(r) == 0.0):
-        return _run_bracket_flow(b0, t_max, opts, "r", "zero", None, renormalize=False)
-    if isinstance(r, (int, float)):
-        return _run_bracket_flow(b0, t_max, opts, "r", "const", float(r), renormalize=False)
-    if not callable(r):
-        raise TypeError("r must be None, a number, or a callable Bracket -> float")
-    return _run_bracket_flow(b0, t_max, opts, "r", "callable", r, renormalize=False)
+    return _run_bracket_flow(b0, t_max, opts, "r", r)
 
 
 # ---------------------------------------------------------------------------
 # Companion frame h(t) and the equivalent inner-product flow.
 
 
-def _trace_r_kind(trace: FlowTrace, r):
-    """Resolve the rate data for co-integration: samples and their slopes."""
-    if r is None:
-        if trace.kind == "normalized":
-            return "scalar", None
-        if trace.kind == "unnormalized":
-            return "zero", None
-        rp = trace.r_param
-        if rp is None:
-            return "zero", None
-        if isinstance(rp, (int, float)):
-            return "const", float(rp)
-        return "callable", rp
-    if isinstance(r, (int, float)):
-        return ("zero", None) if float(r) == 0.0 else ("const", float(r))
-    if callable(r):
-        return "callable", r
-    raise TypeError("r must be None, a number, or a callable Bracket -> float")
-
-
-def cointegrate_h(trace: FlowTrace, r=None) -> list:
+def cointegrate_h(trace: FlowTrace) -> list:
     """Integrate h' = -(Ric_{mu(t)} + r(t) I) h, h(0) = I, along a stored trace.
 
-    Ric between samples comes from a cubic Hermite interpolant whose slopes
-    use the exact identity d/dt Ric = -1/2 laplacian(Ric) + 2 r Ric.  Returns
-    one matrix per trace sample; h(t) pulls the initial bracket onto the
-    trace: mu(t) = h(t).mu(0).
+    The rates are the trace's `r_values`.  Ric + r I between samples comes
+    from one cubic Hermite interpolant whose slopes use the exact identity
+    d/dt Ric = -1/2 laplacian(Ric) + 2 r Ric, plus dr/dt: the exact
+    2 <Ric, d/dt Ric> when the rates are tr(Ric^2) (every normalized trace),
+    else a finite difference of `r_values` (exactly 0 for r = 0).  Returns one
+    matrix per sample; h(t) pulls the initial bracket onto the trace:
+    mu(t) = h(t).mu(0).
     """
     n = trace.brackets[0].n
     m = len(trace)
     if m == 1:
         return [np.eye(n)]
-    r_kind, r_param = _trace_r_kind(trace, r)
 
+    r_vals = trace.r_values
     rics = np.empty((m, n, n))
     drics = np.empty((m, n, n))
-    r_vals = np.empty(m)
     for i, b in enumerate(trace.brackets):
         c = b.coeffs
         ric = _ricci(c)
         rics[i] = ric
-        if r_kind == "zero":
-            r_vals[i] = 0.0
-        elif r_kind == "scalar":
-            r_vals[i] = np.sum(ric * ric)
-        elif r_kind == "const":
-            r_vals[i] = r_param
-        else:
-            r_vals[i] = float(r_param(b))
         lap = _delta_transpose_coeffs(c, _delta_coeffs(c, ric))
         lap = 0.5 * (lap + lap.T)
         drics[i] = -0.5 * lap + 2.0 * r_vals[i] * ric
-
-    ric_spline = CubicHermiteSpline(trace.times, rics, drics, axis=0)
-    if r_kind == "zero":
-        r_of_t = lambda t: 0.0
-    elif r_kind == "const":
-        r_of_t = lambda t: r_param
-    elif r_kind == "scalar":
+    if np.array_equal(r_vals, trace.tr_ric2):
         dr = 2.0 * np.einsum("mij,mij->m", rics, drics)
-        r_spline = CubicHermiteSpline(trace.times, r_vals, dr)
-        r_of_t = lambda t: float(r_spline(t))
     else:
         dr = np.gradient(r_vals, trace.times)
-        r_spline = CubicHermiteSpline(trace.times, r_vals, dr)
-        r_of_t = lambda t: float(r_spline(t))
+    eye = np.eye(n)
+    spline = CubicHermiteSpline(
+        trace.times, rics + r_vals[:, None, None] * eye, drics + dr[:, None, None] * eye, axis=0
+    )
 
     def rhs(t, hflat):
-        hmat = hflat.reshape(n, n)
-        a = ric_spline(t) + r_of_t(t) * np.eye(n)
-        return (-a @ hmat).reshape(-1)
+        return (-spline(t) @ hflat.reshape(n, n)).reshape(-1)
 
     hs = [np.eye(n)]
     sub_opts = FlowOpts(rtol=1e-10, atol=1e-12)
@@ -610,10 +579,10 @@ class InnerProductTrace:
 def _ip_ricci_products(c0, g):
     """Cholesky change of basis for a fixed bracket and evolving metric G.
 
-    Returns (L, ric_nu) with G = L L^T and ric_nu the Ricci operator of the
-    pushed bracket (L^T).mu_0; the metric-flow right side is -2 L ric_nu L^T
-    and the Ricci operator of (G, mu_0) in the original frame is
-    L^{-T} ric_nu L^T.
+    Returns (L, ric_nu, c_nu) with G = L L^T and ric_nu the Ricci operator of
+    the pushed bracket c_nu = (L^T).mu_0; the metric-flow right side is
+    -2 L ric_nu L^T and the Ricci operator of (G, mu_0) in the original frame
+    is L^{-T} ric_nu L^T.
     """
     lmat = np.linalg.cholesky(g)
     h = lmat.T
@@ -633,29 +602,26 @@ def integrate_innerproduct_flow(
 ) -> InnerProductTrace:
     """Metric-tensor flow with the bracket held fixed at b0.
 
-    r follows the same convention as the bracket flows: None for the
-    unnormalized flow, "scalar" for tr(Ric^2), or a constant.  The states are
-    Gram matrices; a failed Cholesky raises LossOfPositivity with the partial
+    G' = -2 ric(G) - 2 r G, where r follows the bracket flows: None for the
+    unnormalized flow, "scalar" for tr(Ric^2), or a constant.  A callable
+    rate raises BadRate: the rate is evaluated on the pushed bracket
+    (L^T).mu_0, which is only O(n)-equivalent to mu(t).  The states are Gram
+    matrices; a failed Cholesky raises LossOfPositivity with the partial
     trace attached.
     """
+    rate = _rate(r, callable_ok=False)
     opts = opts or FlowOpts()
     n = b0.n
     c0 = b0.coeffs
-    if isinstance(r, str) and r != "scalar":
-        raise ValueError("string r must be 'scalar'")
 
     def rhs(t, gflat):
         g = gflat.reshape(n, n)
         g = 0.5 * (g + g.T)
         try:
-            lmat, ric_nu, _ = _ip_ricci_products(c0, g)
+            lmat, ric_nu, c_nu = _ip_ricci_products(c0, g)
         except np.linalg.LinAlgError:
             raise LossOfPositivity(f"metric lost positivity at t={t:.6g}", trace=None) from None
-        dg = -2.0 * lmat @ ric_nu @ lmat.T
-        if r == "scalar":
-            dg = dg - 2.0 * float(np.sum(ric_nu * ric_nu)) * g
-        elif isinstance(r, (int, float)) and r is not None:
-            dg = dg - 2.0 * float(r) * g
+        dg = -2.0 * lmat @ ric_nu @ lmat.T - 2.0 * rate(c_nu, ric_nu) * g
         return dg.reshape(-1)
 
     samples, stats = _integrate_adaptive(rhs, 0.0, np.eye(n).reshape(-1), t_max, opts)
@@ -713,9 +679,10 @@ def _interior_derivative(times, values):
 
 def verify_flow_identities(trace: FlowTrace, tolerance: float = 1e-4) -> IdentityReport:
     """Check the exact first-order identities of the unnormalized flow by
-    differentiating the stored diagnostics; requires a dense enough trace."""
-    if trace.kind != "unnormalized" and not (trace.kind == "r" and np.all(trace.r_values == 0.0)):
-        raise ValueError("flow identities hold for the unnormalized flow only")
+    differentiating the stored diagnostics; requires a dense enough trace.
+    A trace with a nonzero rate anywhere raises ConfigError."""
+    if np.any(trace.r_values):
+        raise ConfigError("flow identities hold for the unnormalized flow (r = 0) only")
     if len(trace) < 3:
         raise TooFewSamples(f"need at least 3 samples, trace has {len(trace)}")
     t = trace.times
@@ -764,10 +731,11 @@ def type3_certificate(trace: FlowTrace) -> Type3Report:
     """Certificate that curvature decays like C/t along the unnormalized flow.
 
     sup t ||mu(t)||^2 <= 2n is a theorem; the Riemann constant is estimated
-    empirically and reported, never asserted.
+    empirically and reported, never asserted.  A trace with a nonzero rate
+    anywhere raises ConfigError.
     """
-    if trace.kind not in ("unnormalized", "r"):
-        raise ValueError("type-III bounds apply to the unnormalized flow")
+    if np.any(trace.r_values):
+        raise ConfigError("type-III bounds apply to the unnormalized flow (r = 0) only")
     n = trace.brackets[0].n
     sup_riem = 0.0
     sup_ric = 0.0
@@ -826,28 +794,18 @@ def equivalence_report(
 ) -> EquivalenceReport:
     """Run the same geometry three ways and compare at shared checkpoints.
 
-    The bracket flow is integrated once; h(t) is co-integrated along it; the
-    inner-product flow is integrated independently with the bracket fixed.
-    r is None for the unnormalized flow, a constant rate, or the string
-    "scalar" for the tr(Ric^2)-normalized flow.
+    The inner-product flow is integrated with the bracket fixed; the bracket
+    flow is integrated with the same rate, and h(t) is co-integrated along
+    it.  r is None for the unnormalized flow, a constant rate, or the string
+    "scalar" for tr(Ric^2); a callable raises BadRate, as in the metric flow.
     """
     opts = opts or FlowOpts()
     grid = np.linspace(0.0, t_max, checkpoints)
     opts = replace(opts, stops=tuple(grid[1:-1]))
 
-    if isinstance(r, str):
-        if r != "scalar":
-            raise ValueError("string r must be 'scalar'")
-        trace = integrate_normalized_flow(b0, t_max, opts)
-        hs = cointegrate_h(trace)
-        ip_r = "scalar"
-    else:
-        if r is not None and not isinstance(r, (int, float)):
-            raise TypeError("equivalence supports r = None, a constant, or 'scalar'")
-        trace = integrate_r_normalized(b0, r, t_max, opts)
-        hs = cointegrate_h(trace, r)
-        ip_r = float(r) if isinstance(r, (int, float)) and float(r) != 0.0 else None
-    ip = integrate_innerproduct_flow(b0, t_max, opts, r=ip_r)
+    ip = integrate_innerproduct_flow(b0, t_max, opts, r=r)
+    trace = integrate_r_normalized(b0, r, t_max, opts)
+    hs = cointegrate_h(trace)
 
     c0 = b0.coeffs
     max_pull = 0.0

@@ -1,3 +1,8 @@
+import os
+import shutil
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -28,3 +33,34 @@ def fil4():
 def random_sphere_bracket(n, seed):
     """Random 2-step bracket on the |mu| = 2 sphere, reproducible by seed."""
     return rescale_to_norm(random_two_step(n, np.random.default_rng(seed)), 2.0)
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="session", autouse=True)
+def console_scripts(tmp_path_factory):
+    """Put launchers for the `[project.scripts]` of pyproject.toml on PATH
+    when the package is not installed, the way pip would write them."""
+    if shutil.which("nilflow") is not None or sys.version_info < (3, 11):
+        yield
+        return
+    import tomllib
+
+    project = tomllib.loads((_ROOT / "pyproject.toml").read_text())
+    src = _ROOT / project["tool"]["setuptools"]["packages"]["find"]["where"][0]
+    bindir = tmp_path_factory.mktemp("bin")
+    for name, target in project["project"]["scripts"].items():
+        module, _, func = target.partition(":")
+        launcher = bindir / name
+        launcher.write_text(
+            f"#!{sys.executable}\n"
+            "import sys\n"
+            f"sys.path.insert(0, {str(src)!r})\n"
+            f"from {module} import {func}\n"
+            f"sys.exit({func}())\n"
+        )
+        launcher.chmod(0o755)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PATH", f"{bindir}{os.pathsep}{os.environ.get('PATH', '')}")
+        yield

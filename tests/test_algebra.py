@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nilflow.algebra import (
@@ -226,12 +226,16 @@ def test_gl_action_is_an_action(seed):
 
 
 @given(seed=st.integers(0, 10_000))
+@example(seed=816)  # ||g.mu||^2 = 3.9e7, absolute residual 9.0e-9
+@example(seed=3213)
 @settings(max_examples=25, deadline=None)
 def test_gl_action_preserves_jacobi(seed):
     rng = np.random.default_rng(seed)
     b = filiform(5)
     g = np.eye(5) + 0.4 * rng.standard_normal((5, 5))
-    assert jacobiator_residual(gl_action(g, b)) < 1e-10
+    moved = gl_action(g, b)
+    # relative to ||mu||^2, the scale validate_bracket uses
+    assert jacobiator_residual(moved) < 1e-12 * max(1.0, moved.norm**2)
 
 
 # ---------------------------------------------------------------------------

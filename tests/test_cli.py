@@ -149,6 +149,15 @@ def test_flow_normalized_with_rescale(capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("check", ["identities", "type3"])
+def test_flow_check_for_another_kind_exits_2(check, capsys):
+    # both checks need r = 0; on a normalized trace they are usage errors
+    argv = ["flow", "heisenberg:c=1", "--rescale", "2", "--kind", "normalized", "--t-max", "0.5"]
+    assert main(argv + ["--check", check]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_flow_constant_rate_equilibrium(tmp_path):
     summary = tmp_path / "s.json"
     rc = main(

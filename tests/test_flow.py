@@ -153,10 +153,11 @@ def test_long_time_decay_certificate(seed):
     assert set(doc) >= {"sup_t_riemann", "sup_t_ricci", "sup_norm_ratio"}
 
 
-def test_decay_certificate_rejects_normalized(heis_sphere):
-    trace = integrate_normalized_flow(heis_sphere, 0.5)
-    with pytest.raises(ValueError):
-        type3_certificate(trace)
+def test_decay_certificate_rejects_normalized(heis, heis_sphere):
+    # the type-III theorem needs r = 0; a constant rate is rejected too
+    for trace in (integrate_normalized_flow(heis_sphere, 0.5), integrate_r_normalized(heis, 0.5, 1.0)):
+        with pytest.raises(ValueError):
+            type3_certificate(trace)
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +215,10 @@ def test_constant_rate_equilibrium():
 
 
 def test_callable_rate_records_values(heis_sphere):
-    trace = integrate_r_normalized(heis_sphere, ricci_energy, 1.0)
-    assert np.allclose(trace.r_values, trace.tr_ric2, rtol=1e-12)
+    # "scalar" is the same rate tr Ric^2, without renormalization
+    for r in (ricci_energy, "scalar"):
+        trace = integrate_r_normalized(heis_sphere, r, 1.0)
+        assert np.allclose(trace.r_values, trace.tr_ric2, rtol=1e-12)
 
 
 def test_bad_rate_type_raises(heis):
@@ -252,8 +255,10 @@ def test_innerproduct_flow_matches_exact_scal(heis):
 
 
 def test_innerproduct_flow_rejects_unknown_string(heis):
-    with pytest.raises(ValueError):
-        integrate_innerproduct_flow(heis, 1.0, r="best")
+    # a callable rate would be evaluated on (L^T).mu_0, not on mu(t)
+    for r in ("best", ricci_energy):
+        with pytest.raises(ValueError):
+            integrate_innerproduct_flow(heis, 1.0, r=r)
 
 
 def test_scalar_normalized_innerproduct_flow(heis_sphere):
