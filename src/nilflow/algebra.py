@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -96,6 +97,12 @@ class VTangent:
 @dataclass(frozen=True, eq=False)
 class Bracket(VTangent):
     """Structure constants of a (candidate) nilpotent Lie bracket."""
+
+    @cached_property
+    def degree(self) -> int:
+        """`nilpotency_degree` at the default tolerance, computed once per
+        bracket; the coefficients are frozen, so it cannot go stale."""
+        return nilpotency_degree(self)
 
 
 @dataclass(frozen=True)
@@ -209,7 +216,10 @@ def validate_bracket(b: Bracket, tol: float = DEFAULT_TOL) -> ValidationReport:
 
 
 def _gl_action_coeffs(g: np.ndarray, ginv: np.ndarray, c: np.ndarray) -> np.ndarray:
-    return np.einsum("ai,bj,kc,abc->ijk", ginv, ginv, g, c, optimize=True)
+    """(g.mu)_ijk = sum ginv_ai ginv_bj g_kc c_abc, as two batched matrix products."""
+    n = c.shape[0]
+    t = (ginv.T @ c.reshape(n, -1)).reshape(c.shape)
+    return ginv.T @ t @ g.T
 
 
 def gl_action(g: Operator, b: VTangent) -> VTangent:

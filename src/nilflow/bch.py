@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import Bracket, VTangent, nilpotency_degree
+from .algebra import Bracket
 from .exceptions import BracketFormatError, DegreeTooHigh, DimensionMismatch
 
 # ---------------------------------------------------------------------------
@@ -85,7 +85,7 @@ def _eval_series(c, depth, x, y):
 
 def _resolve_degree(b, degree):
     if degree is None:
-        degree = nilpotency_degree(b)
+        degree = b.degree
     return max(1, int(degree))
 
 
@@ -232,7 +232,7 @@ def metric_field_2step(b: Bracket) -> MetricField:
         g_ij(x) = delta_ij - 1/2 (mu_kj^i + mu_ki^j) x_k
                   + 1/4 (sum_r mu_ki^r mu_lj^r) x_k x_l
     """
-    k = nilpotency_degree(b)
+    k = b.degree
     if k > 2:
         raise DegreeTooHigh(f"closed form requires degree <= 2, bracket has degree {k}")
     n = b.n
@@ -275,7 +275,7 @@ def metric_field_fit(b: Bracket) -> MetricField:
     A(x) and g(x) = A(x)^T A(x) are expanded as polynomial products: an exact
     expansion, with no sampling and only nonzero coefficients stored.
     """
-    k = nilpotency_degree(b)
+    k = b.degree
     n = b.n
     ad_x = (np.eye(n, dtype=int), np.swapaxes(b.coeffs, 1, 2))  # ad_{e_i}[k, j] = mu_ij^k
     terms = [(np.zeros((1, n), dtype=int), np.eye(n)[None])]

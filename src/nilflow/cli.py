@@ -239,7 +239,6 @@ def cmd_flow(args) -> int:
     }
     if args.with_h:
         hs = cointegrate_h(trace)
-        trace.h = hs
         summary["h_final_det"] = float(np.linalg.det(hs[-1]))
     failed = []
     for name in args.check:

@@ -47,7 +47,11 @@ class BadRate(NilflowError, TypeError, ValueError):
 
 
 class NumericalFailure(NilflowError, RuntimeError):
-    """Integration failed; carries the partial trace when one exists."""
+    """Integration failed; carries the partial trace when one exists.
+
+    The trace is the list of accepted (t, y) samples.  For the bracket flows
+    y is the flattened frame h with mu(t) = h.mu0, not the bracket itself.
+    """
 
     def __init__(self, message, trace=None):
         super().__init__(message)

@@ -3,30 +3,34 @@
 Every flow here is mu' = delta_mu(Ric_mu) + r mu; only the rate r changes.
 r = 0 is the unnormalized flow, the negative gradient flow of tr(Ric^2) on
 V_n; r = tr(Ric^2) keeps ||mu|| = 2 (unit sphere of scalar curvature -1); a
-constant or a callable Bracket -> float gives the other rescaled flows.  The
-module also co-integrates the frame h(t) with h' = -(Ric + r I) h, integrates
-the equivalent inner-product (metric tensor) flow G' = -2 ric(G) - 2 r G, and
-checks the structural identities of the r = 0 flow.
+constant or a callable Bracket -> float gives the other rescaled flows.
+
+The bracket flows integrate the frame, not the bracket: the state is h(t),
+h(0) = I, with mu(t) = h(t).mu0, so mu(t) stays in the GL(n)-orbit of mu0,
+and nilpotent, by construction.  With X = Ric + r I and D the projection of
+h^{-1} X h onto Der(mu0), h' = -(X - h D h^{-1}) h; h D h^{-1} is a
+derivation of mu(t), so mu' is exactly the bracket flow, and at a soliton
+X - h D h^{-1} -> 0, so h converges.  The module also recovers the frame of
+h' = -(Ric + r I) h along a trace, integrates the equivalent inner-product
+(metric tensor) flow G' = -2 ric(G) - 2 r G, and checks the structural
+identities of the r = 0 flow.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from .algebra import (
     Bracket,
-    VTangent,
     _delta_coeffs,
-    _delta_transpose_coeffs,
     _gl_action_coeffs,
     bracket_to_dict,
+    derivation_basis,
     jacobiator_residual,
 )
 from .curvature import _ricci, riemann_at_origin
@@ -123,8 +127,9 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, post_accept=None):
         "nfev": 0,
         "renormalizations": 0,
         "max_norm_drift": 0.0,
+        # always 0: mu = h.mu0 cannot leave the nilpotent cone, so nothing is
+        # projected; the key stays for readers of these stats
         "cone_projections": 0,
-        "max_cone_drift": 0.0,
     }
 
     stops = sorted({float(s) for s in opts.stops if t0 < s < t_end} | {float(t_end)})
@@ -188,115 +193,6 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, post_accept=None):
 
 
 # ---------------------------------------------------------------------------
-# Projection onto the cone of nilpotent Lie brackets.
-#
-# The flow preserves that cone exactly, but it is unstable for the
-# discretized dynamics: the energy has lower critical values at non-nilpotent
-# brackets (non-Lie points, and Lie points of other types such as so(3)), so
-# roundoff transverse to the cone grows exponentially on long normalized
-# runs.  By Engel's theorem the cone is cut out by the jacobiator together
-# with the vanishing of every power trace x -> tr(ad_x^k); a Gauss-Newton
-# projection after accepted steps removes drift while it is at rounding
-# level.  The degree-k form is sampled on enough generic probe directions to
-# determine it (capped for large n, where long runs are out of scope anyway).
-
-_CONE_TRIGGER = 1e-13  # relative residual that triggers a projection
-_CONE_TARGET = 1e-15
-_MAX_PROBES = 400
-
-
-def _probe_directions(n):
-    """Deterministic unit probes, one batch per power k = 1..n."""
-    sets = []
-    rng = np.random.default_rng(1000 + n)
-    for k in range(1, n + 1):
-        count = min(math.comb(n + k - 1, k), _MAX_PROBES)
-        p = rng.standard_normal((count, n))
-        sets.append((k, p / np.linalg.norm(p, axis=1, keepdims=True)))
-    return sets
-
-
-def _jacobiator_rows(c, triples):
-    t = (
-        np.einsum("ija,akm->ijkm", c, c)
-        + np.einsum("jka,aim->ijkm", c, c)
-        + np.einsum("kia,ajm->ijkm", c, c)
-    )
-    return np.stack([t[i, j, k] for (i, j, k) in triples]).reshape(-1)
-
-
-def _jacobi_tangent_rows(c, triples):
-    n = c.shape[0]
-    rows = []
-    for (i, j, k) in triples:
-        blk = np.zeros((n, n, n, n))  # output m; input (p, q, r)
-        blk[:, i, j, :] += c[:, k, :].T
-        blk[:, j, k, :] += c[:, i, :].T
-        blk[:, k, i, :] += c[:, j, :].T
-        for m in range(n):
-            blk[m, :, k, m] += c[i, j, :]
-            blk[m, :, i, m] += c[j, k, :]
-            blk[m, :, j, m] += c[k, i, :]
-        rows.append(blk.reshape(n, -1))
-    return np.concatenate(rows, axis=0)
-
-
-def _cone_system(c, triples, probe_sets, with_tangent):
-    """Stacked residuals (and tangent rows) cutting out the nilpotent cone.
-
-    Rows of homogeneity degree k are rescaled by ||c||^(2-k) so every block
-    measures drift on the same footing as the jacobiator.
-    """
-    n = c.shape[0]
-    s = max(float(np.linalg.norm(c)), 1e-300)
-    res_blocks = []
-    tan_blocks = []
-    if triples:
-        res_blocks.append(_jacobiator_rows(c, triples))
-        if with_tangent:
-            tan_blocks.append(_jacobi_tangent_rows(c, triples))
-    for k, probes in probe_sets:
-        w = s ** (2 - k)
-        ads = np.einsum("pi,ijk->pkj", probes, c)
-        power = np.broadcast_to(np.eye(n), ads.shape).copy()  # ad^(k-1)
-        for _ in range(k - 1):
-            power = power @ ads
-        res_blocks.append(w * np.einsum("pab,pba->p", power, ads))
-        if with_tangent:
-            rows = (w * k) * np.einsum("pi,pjl->pijl", probes, power)
-            tan_blocks.append(rows.reshape(len(probes), -1))
-    res = np.concatenate(res_blocks)
-    if not with_tangent:
-        return res, None
-    return res, np.concatenate(tan_blocks, axis=0)
-
-
-def _cone_drift(c, triples, probe_sets):
-    res, _ = _cone_system(c, triples, probe_sets, with_tangent=False)
-    return float(np.linalg.norm(res)) / max(float(np.linalg.norm(c)) ** 2, 1e-300)
-
-
-def _project_to_cone(c, triples, pairs, probe_sets, max_iter=4):
-    """Minimum-norm Gauss-Newton correction back onto the nilpotent cone."""
-    n = c.shape[0]
-    for _ in range(max_iter):
-        scale = max(float(np.linalg.norm(c)) ** 2, 1e-300)
-        res, tan = _cone_system(c, triples, probe_sets, with_tangent=True)
-        if np.linalg.norm(res) <= _CONE_TARGET * scale:
-            break
-        full = tan.reshape(tan.shape[0], n, n, n)
-        a = np.stack([full[:, p, q, :] - full[:, q, p, :] for (p, q) in pairs], axis=1)
-        a = a.reshape(tan.shape[0], -1)
-        x, *_ = np.linalg.lstsq(a, -res, rcond=None)
-        corr = np.zeros((n, n, n))
-        for idx, (p, q) in enumerate(pairs):
-            corr[p, q, :] = x[idx * n : (idx + 1) * n]
-            corr[q, p, :] = -x[idx * n : (idx + 1) * n]
-        c = c + corr
-    return c
-
-
-# ---------------------------------------------------------------------------
 # Bracket flow traces.
 
 _TRACE_COLUMNS = ("t", "mu_norm", "scal", "tr_ric2", "grad_norm", "r", "jacobi_residual")
@@ -316,7 +212,8 @@ class FlowTrace:
     grad_norm: np.ndarray
     jacobi_residual: np.ndarray
     stats: dict = field(default_factory=dict)
-    h: list | None = None
+    frames: list = field(default_factory=list)  # h_i with brackets[i] = h_i.mu0
+    rate: object = field(default=None, repr=False)  # the resolved rate (coeffs, Ric) -> r
 
     def __len__(self):
         return len(self.times)
@@ -403,9 +300,34 @@ def _rate(r, callable_ok=True):
     return lambda c, ric: float(r(Bracket(c)))
 
 
-def _finish_trace(kind, samples, stats, n, rate):
+def _frame_generator(b0, rate):
+    """Generator of the frame flow for mu = h.mu0: returns h -> (h', D).
+
+    X = Ric_mu + r I and D is the projection of h^{-1} X h onto Der(mu0),
+    whose basis is orthonormal, so the projection is B^T B vec(.).  Then
+    h' = -(X - h D h^{-1}) h = -X h + h D.
+    """
+    n, c0 = b0.n, b0.coeffs
+    basis = np.array(derivation_basis(b0)).reshape(-1, n * n)
+    eye = np.eye(n)
+
+    def generator(h):
+        hinv = np.linalg.inv(h)
+        c = _gl_action_coeffs(h, hinv, c0)
+        ric = _ricci(c)
+        x = ric + rate(c, ric) * eye
+        d = (basis.T @ (basis @ (hinv @ x @ h).reshape(-1))).reshape(n, n)
+        return h @ d - x @ h, d
+
+    return generator
+
+
+def _finish_trace(kind, samples, stats, c0, rate):
+    n = c0.shape[0]
     times = np.array([t for t, _ in samples])
-    brackets = [Bracket(y.reshape(n, n, n)) for _, y in samples]
+    frames = [y.reshape(n, n) for _, y in samples]
+    brackets = [Bracket(_gl_action_coeffs(h, np.linalg.inv(h), c0)) for h in frames]
+    stats["max_cond_h"] = float(np.linalg.cond(np.array(frames)).max())
     m = len(brackets)
     mu_norm = np.empty(m)
     scal = np.empty(m)
@@ -433,45 +355,37 @@ def _finish_trace(kind, samples, stats, n, rate):
         grad_norm=grad_norm,
         jacobi_residual=jac_res,
         stats=stats,
+        frames=frames,
+        rate=rate,
     )
 
 
 def _run_bracket_flow(b0, t_max, opts, kind, r):
-    """Integrate mu' = delta_mu(Ric_mu) + r mu; renormalize onto ||mu|| = 2
-    after accepted steps exactly when kind is "normalized"."""
+    """Integrate the frame of mu' = delta_mu(Ric_mu) + r mu; renormalize onto
+    ||mu|| = 2 after accepted steps exactly when kind is "normalized"."""
     rate = _rate(r)
     opts = opts or FlowOpts()
     n = b0.n
-    triples = list(itertools.combinations(range(n), 3))
-    pairs = list(itertools.combinations(range(n), 2))
-    probe_sets = _probe_directions(n)
+    c0 = b0.coeffs
+    generator = _frame_generator(b0, rate)
 
-    def rhs(t, yflat):
-        c = yflat.reshape(n, n, n)
-        ric = _ricci(c)
-        return (_delta_coeffs(c, ric) + rate(c, ric) * c).reshape(-1)
+    def rhs(t, y):
+        return generator(y.reshape(n, n))[0].reshape(-1)
 
-    def post(t, y, stats):
-        adjusted = None
-        c = y.reshape(n, n, n)
-        rel = _cone_drift(c, triples, probe_sets)
-        stats["max_cone_drift"] = max(stats["max_cone_drift"], rel)
-        if rel > _CONE_TRIGGER:
-            stats["cone_projections"] += 1
-            adjusted = _project_to_cone(c, triples, pairs, probe_sets).reshape(-1)
-        if kind == "normalized":
-            v = y if adjusted is None else adjusted
-            nrm = float(np.linalg.norm(v))
-            drift = abs(nrm - 2.0)
-            stats["max_norm_drift"] = max(stats["max_norm_drift"], drift)
-            if drift > opts.renorm_guard and nrm > 0.0:
-                stats["renormalizations"] += 1
-                adjusted = v * (2.0 / nrm)
-        return adjusted
+    def renormalize(t, y, stats):
+        h = y.reshape(n, n)
+        nrm = float(np.linalg.norm(_gl_action_coeffs(h, np.linalg.inv(h), c0)))
+        drift = abs(nrm - 2.0)
+        stats["max_norm_drift"] = max(stats["max_norm_drift"], drift)
+        if drift > opts.renorm_guard and nrm > 0.0:
+            stats["renormalizations"] += 1
+            return y * (nrm / 2.0)  # (lambda h).mu0 = (h.mu0) / lambda
+        return None
 
-    samples, stats = _integrate_adaptive(rhs, 0.0, b0.coeffs.reshape(-1), t_max, opts, post_accept=post)
+    post = renormalize if kind == "normalized" else None
+    samples, stats = _integrate_adaptive(rhs, 0.0, np.eye(n).reshape(-1), t_max, opts, post_accept=post)
     stats["t_final"] = samples[-1][0]
-    return _finish_trace(kind, samples, stats, n, rate)
+    return _finish_trace(kind, samples, stats, c0, rate)
 
 
 def integrate_bracket_flow(b0: Bracket, t_max: float, opts: FlowOpts | None = None) -> FlowTrace:
@@ -511,50 +425,39 @@ def integrate_r_normalized(b0: Bracket, r, t_max: float, opts: FlowOpts | None =
 
 
 def cointegrate_h(trace: FlowTrace) -> list:
-    """Integrate h' = -(Ric_{mu(t)} + r(t) I) h, h(0) = I, along a stored trace.
+    """Frames h(t) of h' = -(Ric_{mu(t)} + r(t) I) h, h(0) = I, along a trace.
 
-    The rates are the trace's `r_values`.  Ric + r I between samples comes
-    from one cubic Hermite interpolant whose slopes use the exact identity
-    d/dt Ric = -1/2 laplacian(Ric) + 2 r Ric, plus dr/dt: the exact
-    2 <Ric, d/dt Ric> when the rates are tr(Ric^2) (every normalized trace),
-    else a finite difference of `r_values` (exactly 0 for r = 0).  Returns one
-    matrix per sample; h(t) pulls the initial bracket onto the trace:
-    mu(t) = h(t).mu(0).
+    The trace's `frames` f already pull the initial bracket onto it
+    (mu(t) = f(t).mu(0)), but solve f' = -(X - f D f^{-1}) f (see the module
+    docstring).  The factor a' = -D a, a(0) = I, stays in Aut(mu(0)), and
+    h = f a solves the equation above.  (f, a) is integrated in one run that
+    stops at every sample time, where f is reset to the stored frame.
+    Returns one matrix per sample; mu(t) = h(t).mu(0).
     """
-    n = trace.brackets[0].n
-    m = len(trace)
-    if m == 1:
-        return [np.eye(n)]
+    n = trace.initial_bracket.n
+    nn = n * n
+    times = trace.times
+    generator = _frame_generator(trace.initial_bracket, trace.rate)
+    hs = [trace.frames[0].copy()]
 
-    r_vals = trace.r_values
-    rics = np.empty((m, n, n))
-    drics = np.empty((m, n, n))
-    for i, b in enumerate(trace.brackets):
-        c = b.coeffs
-        ric = _ricci(c)
-        rics[i] = ric
-        lap = _delta_transpose_coeffs(c, _delta_coeffs(c, ric))
-        lap = 0.5 * (lap + lap.T)
-        drics[i] = -0.5 * lap + 2.0 * r_vals[i] * ric
-    if np.array_equal(r_vals, trace.tr_ric2):
-        dr = 2.0 * np.einsum("mij,mij->m", rics, drics)
-    else:
-        dr = np.gradient(r_vals, trace.times)
-    eye = np.eye(n)
-    spline = CubicHermiteSpline(
-        trace.times, rics + r_vals[:, None, None] * eye, drics + dr[:, None, None] * eye, axis=0
-    )
+    def rhs(t, y):
+        df, d = generator(y[:nn].reshape(n, n))
+        return np.concatenate([df.reshape(-1), (-d @ y[nn:].reshape(n, n)).reshape(-1)])
 
-    def rhs(t, hflat):
-        return (-spline(t) @ hflat.reshape(n, n)).reshape(-1)
+    def at_sample(t, y, stats):
+        if len(hs) == len(times) or t < times[len(hs)]:
+            return None
+        while len(hs) < len(times) and times[len(hs)] <= t:
+            hs.append(trace.frames[len(hs)] @ y[nn:].reshape(n, n))
+        y = y.copy()
+        y[:nn] = trace.frames[len(hs) - 1].reshape(-1)
+        return y
 
-    hs = [np.eye(n)]
-    sub_opts = FlowOpts(rtol=1e-10, atol=1e-12)
-    y = np.eye(n).reshape(-1)
-    for i in range(m - 1):
-        segs, _ = _integrate_adaptive(rhs, trace.times[i], y, trace.times[i + 1], sub_opts)
-        y = segs[-1][1]
-        hs.append(y.reshape(n, n).copy())
+    opts = FlowOpts(rtol=1e-10, atol=1e-12, stops=tuple(times[1:-1]))
+    y0 = np.concatenate([trace.frames[0].reshape(-1), np.eye(n).reshape(-1)])
+    samples, _ = _integrate_adaptive(rhs, times[0], y0, times[-1], opts, post_accept=at_sample)
+    while len(hs) < len(times):  # a stop relabelled within rounding of the last step
+        hs.append(trace.frames[len(hs)] @ samples[-1][1][nn:].reshape(n, n))
     return hs
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilflow import algebra
 from nilflow.algebra import gl_action
 from nilflow.bch import (
     MetricField,
@@ -163,6 +164,25 @@ def test_metric_left_invariance(seed):
 
 def test_metric_at_identity_is_euclidean(fil4):
     assert np.allclose(metric_at(fil4, np.zeros(4)), np.eye(4), atol=1e-14)
+
+
+def test_degree_is_computed_once_per_bracket(monkeypatch):
+    calls = []
+    original = algebra._central_series
+
+    def counting(c, tol):
+        calls.append(tol)
+        return original(c, tol)
+
+    monkeypatch.setattr(algebra, "_central_series", counting)
+    b = filiform(5)
+    rng = np.random.default_rng(4)
+    for x, y in rng.standard_normal((3, 2, 5)):
+        metric_at(b, x)
+        bch_product(b, x, y)
+        translation_jacobian(b, x, y)
+    assert len(calls) == 1
+    assert b.degree == 4
 
 
 # ---------------------------------------------------------------------------
