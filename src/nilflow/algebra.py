@@ -237,8 +237,9 @@ def gl_action(g: Operator, b: VTangent) -> VTangent:
         raise SingularMatrix(f"change of basis is singular (cond={cond:.3e})")
     if cond > 1e12:
         logger.warning("ill-conditioned change of basis: cond=%.3e", cond)
-    ginv = np.linalg.inv(g)
-    return type(b)(_gl_action_coeffs(g, ginv, b.coeffs))
+    c = _gl_action_coeffs(g, np.linalg.inv(g), b.coeffs)
+    # the products round (i, j) and (j, i) differently, by up to ~cond(g)^2 eps
+    return type(b)(0.5 * (c - c.transpose(1, 0, 2)))
 
 
 def _delta_coeffs(c: np.ndarray, alpha: np.ndarray) -> np.ndarray:

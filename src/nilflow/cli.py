@@ -10,8 +10,8 @@ constants, an inline JSON object, or a generator spec such as
 "heisenberg:c=2", "filiform:n=4", "random2step:n=5,seed=7", "zero:n=3".
 
 Exit codes: 0 success, 1 a requested check failed, 2 bad configuration or
-input, 3 numerical failure during integration (including a flow limit that is
-no longer nilpotent).
+input and every other library error, 3 numerical failure during integration
+(including a flow limit that is no longer nilpotent).
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .exceptions import (
     NilflowError,
     NotNilpotentError,
     NumericalFailure,
-    ZeroBracket,
 )
 from .flow import (
     FlowOpts,
@@ -504,14 +503,11 @@ def main(argv=None) -> int:
         args.t_max = 100.0 if args.kind == "normalized" else 5.0
     try:
         return args.func(args)
-    except (ConfigError, BracketFormatError, ZeroBracket) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except (NumericalFailure, NotNilpotentError) as e:
         # a flow limit that left the nilpotent cone is a numerical failure
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
-    except OSError as e:
+    except (NilflowError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -10,10 +10,13 @@ h(0) = I, with mu(t) = h(t).mu0, so mu(t) stays in the GL(n)-orbit of mu0,
 and nilpotent, by construction.  With X = Ric + r I and D the projection of
 h^{-1} X h onto Der(mu0), h' = -(X - h D h^{-1}) h; h D h^{-1} is a
 derivation of mu(t), so mu' is exactly the bracket flow, and at a soliton
-X - h D h^{-1} -> 0, so h converges.  The module also recovers the frame of
-h' = -(Ric + r I) h along a trace, integrates the equivalent inner-product
-(metric tensor) flow G' = -2 ric(G) - 2 r G, and checks the structural
-identities of the r = 0 flow.
+X - h D h^{-1} -> 0, so h converges.  tr(Ric^2) is homogeneous, so the
+normalized flow evaluates X on mu(t) rescaled to ||mu0||: its generator keeps
+||mu|| fixed, and each stored frame is rescaled once onto the sphere.  The
+module also recovers the frame of h' = -(Ric + r I) h along a trace,
+integrates the equivalent inner-product (metric tensor) flow
+G' = -2 ric(G) - 2 r G, and checks the structural identities of the r = 0
+flow.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .exceptions import (
     BadRate,
     ConfigError,
     LossOfPositivity,
+    NumericalFailure,
     StepSizeUnderflow,
     TooFewSamples,
 )
@@ -75,8 +79,12 @@ class FlowOpts:
     atol: float = 1e-9
     max_step: float = math.inf
     max_samples: int = 8192
-    renorm_guard: float = 1e-12
     stops: tuple = ()
+
+    def __post_init__(self):
+        # atol = 0 zeroes the error scale of a zero component: a nan step, an endless loop
+        if not all(math.isfinite(v) and v > 0.0 for v in (self.rtol, self.atol)):
+            raise ConfigError(f"rtol and atol must be finite and > 0, got {self.rtol!r}, {self.atol!r}")
 
 
 def _error_norm(err, y_old, y_new, rtol, atol):
@@ -109,14 +117,13 @@ def _thin(samples, keep_head=64):
     return head + kept
 
 
-def _integrate_adaptive(f, t0, y0, t_end, opts, post_accept=None):
+def _integrate_adaptive(f, t0, y0, t_end, opts):
     """Generic adaptive integrator.
 
     Returns (samples, stats): samples is a list of (t, y) at every accepted
-    step including t0 (thinned once it exceeds opts.max_samples); stats counts
-    accepted/rejected steps and evaluations.  `post_accept(t, y) -> y or None`
-    may adjust the state after each accepted step (renormalization guard).
-    Raises StepSizeUnderflow when the controller collapses.
+    step including t0, landing exactly on every stop in opts.stops (thinned
+    once it exceeds opts.max_samples); stats counts accepted/rejected steps
+    and evaluations.  Raises StepSizeUnderflow when the controller collapses.
     """
     rtol, atol = opts.rtol, opts.atol
     t = float(t0)
@@ -125,10 +132,10 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, post_accept=None):
         "accepted": 0,
         "rejected": 0,
         "nfev": 0,
+        # always 0: the normalized generator keeps ||mu|| fixed and mu = h.mu0
+        # cannot leave the nilpotent cone, so nothing is renormalized or
+        # projected; the keys stay for readers of these stats
         "renormalizations": 0,
-        "max_norm_drift": 0.0,
-        # always 0: mu = h.mu0 cannot leave the nilpotent cone, so nothing is
-        # projected; the key stays for readers of these stats
         "cone_projections": 0,
     }
 
@@ -174,12 +181,6 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, post_accept=None):
         if err <= 1.0:
             t, y, k1 = t_new, y_new, k[6]
             stats["accepted"] += 1
-            if post_accept is not None:
-                adjusted = post_accept(t, y, stats)
-                if adjusted is not None:
-                    y = adjusted
-                    k1 = f(t, y)
-                    stats["nfev"] += 1
             samples.append((t, y.copy()))
             if len(samples) > opts.max_samples:
                 samples = _thin(samples)
@@ -300,20 +301,25 @@ def _rate(r, callable_ok=True):
     return lambda c, ric: float(r(Bracket(c)))
 
 
-def _frame_generator(b0, rate):
+def _frame_generator(b0, rate, normalized=False):
     """Generator of the frame flow for mu = h.mu0: returns h -> (h', D).
 
     X = Ric_mu + r I and D is the projection of h^{-1} X h onto Der(mu0),
     whose basis is orthonormal, so the projection is B^T B vec(.).  Then
-    h' = -(X - h D h^{-1}) h = -X h + h D.
+    h' = -(X - h D h^{-1}) h = -X h + h D.  When normalized, X is evaluated
+    on mu rescaled to ||mu0||; then <mu', mu> = 0 for the scalar rate, and
+    the flow of h commutes with rescaling h.
     """
     n, c0 = b0.n, b0.coeffs
     basis = np.array(derivation_basis(b0)).reshape(-1, n * n)
     eye = np.eye(n)
+    norm0 = np.linalg.norm(c0)
 
     def generator(h):
         hinv = np.linalg.inv(h)
         c = _gl_action_coeffs(h, hinv, c0)
+        if normalized:
+            c = c * (norm0 / np.linalg.norm(c))
         ric = _ricci(c)
         x = ric + rate(c, ric) * eye
         d = (basis.T @ (basis @ (hinv @ x @ h).reshape(-1))).reshape(n, n)
@@ -326,7 +332,13 @@ def _finish_trace(kind, samples, stats, c0, rate):
     n = c0.shape[0]
     times = np.array([t for t, _ in samples])
     frames = [y.reshape(n, n) for _, y in samples]
-    brackets = [Bracket(_gl_action_coeffs(h, np.linalg.inv(h), c0)) for h in frames]
+    coeffs = [_gl_action_coeffs(h, np.linalg.inv(h), c0) for h in frames]
+    if kind == "normalized":
+        # (lambda h).mu0 = mu / lambda puts every sample back on ||mu|| = ||mu0||
+        lams = [np.linalg.norm(c) / np.linalg.norm(c0) for c in coeffs]
+        frames = [lam * h for lam, h in zip(lams, frames)]
+        coeffs = [c / lam for lam, c in zip(lams, coeffs)]
+    brackets = [Bracket(c) for c in coeffs]
     stats["max_cond_h"] = float(np.linalg.cond(np.array(frames)).max())
     m = len(brackets)
     mu_norm = np.empty(m)
@@ -361,31 +373,22 @@ def _finish_trace(kind, samples, stats, c0, rate):
 
 
 def _run_bracket_flow(b0, t_max, opts, kind, r):
-    """Integrate the frame of mu' = delta_mu(Ric_mu) + r mu; renormalize onto
-    ||mu|| = 2 after accepted steps exactly when kind is "normalized"."""
+    """Integrate the frame of mu' = delta_mu(Ric_mu) + r mu; the generator
+    is normalized to ||mu0|| exactly when kind is "normalized"."""
     rate = _rate(r)
     opts = opts or FlowOpts()
     n = b0.n
-    c0 = b0.coeffs
-    generator = _frame_generator(b0, rate)
+    generator = _frame_generator(b0, rate, kind == "normalized")
 
     def rhs(t, y):
-        return generator(y.reshape(n, n))[0].reshape(-1)
+        try:
+            return generator(y.reshape(n, n))[0].reshape(-1)
+        except np.linalg.LinAlgError:
+            raise NumericalFailure(f"the frame h became singular at t={t:.6g}", trace=None) from None
 
-    def renormalize(t, y, stats):
-        h = y.reshape(n, n)
-        nrm = float(np.linalg.norm(_gl_action_coeffs(h, np.linalg.inv(h), c0)))
-        drift = abs(nrm - 2.0)
-        stats["max_norm_drift"] = max(stats["max_norm_drift"], drift)
-        if drift > opts.renorm_guard and nrm > 0.0:
-            stats["renormalizations"] += 1
-            return y * (nrm / 2.0)  # (lambda h).mu0 = (h.mu0) / lambda
-        return None
-
-    post = renormalize if kind == "normalized" else None
-    samples, stats = _integrate_adaptive(rhs, 0.0, np.eye(n).reshape(-1), t_max, opts, post_accept=post)
+    samples, stats = _integrate_adaptive(rhs, 0.0, np.eye(n).reshape(-1), t_max, opts)
     stats["t_final"] = samples[-1][0]
-    return _finish_trace(kind, samples, stats, c0, rate)
+    return _finish_trace(kind, samples, stats, b0.coeffs, rate)
 
 
 def integrate_bracket_flow(b0: Bracket, t_max: float, opts: FlowOpts | None = None) -> FlowTrace:
@@ -397,9 +400,9 @@ def integrate_bracket_flow(b0: Bracket, t_max: float, opts: FlowOpts | None = No
 def integrate_normalized_flow(b0: Bracket, t_max: float, opts: FlowOpts | None = None) -> FlowTrace:
     """Scalar-curvature normalized flow mu' = delta_mu(Ric_mu) + tr(Ric^2) mu.
 
-    Requires ||mu_0|| = 2 (scal = -1) to 1e-10 and keeps the solution on that
-    sphere, renormalizing after accepted steps whenever the drift exceeds the
-    guard (counted in stats).
+    Requires ||mu_0|| = 2 (scal = -1) to 1e-10.  Ric and the rate are
+    evaluated on mu rescaled to ||mu_0||, so the flow itself keeps
+    ||mu|| = ||mu_0||, and every sample lies on that sphere to rounding.
     """
     drift = abs(b0.norm - 2.0)
     if drift > 1e-10:
@@ -413,9 +416,10 @@ def integrate_r_normalized(b0: Bracket, r, t_max: float, opts: FlowOpts | None =
     """Flow mu' = delta_mu(Ric_mu) + r mu for any normalization rate r.
 
     r may be None or 0 (reproducing the unnormalized flow exactly), a number,
-    "scalar" (r = tr(Ric^2), without the renormalization guard of
-    `integrate_normalized_flow`), or a callable Bracket -> float.  Any other
-    r raises BadRate.  The rate at each sample is stored in `r_values`.
+    "scalar" (r = tr(Ric^2) of mu itself, so unlike
+    `integrate_normalized_flow` the sphere ||mu|| = 2 repels: any drift off
+    it grows), or a callable Bracket -> float.  Any other r raises BadRate.
+    The rate at each sample is stored in `r_values`.
     """
     return _run_bracket_flow(b0, t_max, opts, "r", r)
 
@@ -430,35 +434,26 @@ def cointegrate_h(trace: FlowTrace) -> list:
     The trace's `frames` f already pull the initial bracket onto it
     (mu(t) = f(t).mu(0)), but solve f' = -(X - f D f^{-1}) f (see the module
     docstring).  The factor a' = -D a, a(0) = I, stays in Aut(mu(0)), and
-    h = f a solves the equation above.  (f, a) is integrated in one run that
-    stops at every sample time, where f is reset to the stored frame.
-    Returns one matrix per sample; mu(t) = h(t).mu(0).
+    h = f a solves the equation above.  (f, a) is integrated from (I, I) in
+    one unthinned run that stops at every sample time t_i.  Returns
+    frames[i] @ a(t_i) for each sample; mu(t) = h(t).mu(0).
     """
     n = trace.initial_bracket.n
     nn = n * n
     times = trace.times
-    generator = _frame_generator(trace.initial_bracket, trace.rate)
-    hs = [trace.frames[0].copy()]
+    generator = _frame_generator(trace.initial_bracket, trace.rate, trace.kind == "normalized")
 
     def rhs(t, y):
         df, d = generator(y[:nn].reshape(n, n))
         return np.concatenate([df.reshape(-1), (-d @ y[nn:].reshape(n, n)).reshape(-1)])
 
-    def at_sample(t, y, stats):
-        if len(hs) == len(times) or t < times[len(hs)]:
-            return None
-        while len(hs) < len(times) and times[len(hs)] <= t:
-            hs.append(trace.frames[len(hs)] @ y[nn:].reshape(n, n))
-        y = y.copy()
-        y[:nn] = trace.frames[len(hs) - 1].reshape(-1)
-        return y
-
-    opts = FlowOpts(rtol=1e-10, atol=1e-12, stops=tuple(times[1:-1]))
-    y0 = np.concatenate([trace.frames[0].reshape(-1), np.eye(n).reshape(-1)])
-    samples, _ = _integrate_adaptive(rhs, times[0], y0, times[-1], opts, post_accept=at_sample)
-    while len(hs) < len(times):  # a stop relabelled within rounding of the last step
-        hs.append(trace.frames[len(hs)] @ samples[-1][1][nn:].reshape(n, n))
-    return hs
+    opts = FlowOpts(rtol=1e-10, atol=1e-12, max_samples=math.inf, stops=tuple(times[1:-1]))
+    y0 = np.concatenate([np.eye(n).reshape(-1), np.eye(n).reshape(-1)])
+    samples, _ = _integrate_adaptive(rhs, times[0], y0, times[-1], opts)
+    # each t_i is a stop of the run; a stop within rounding of the one before
+    # relabels that sample, so take the first run sample at or after t_i
+    at = np.searchsorted([t for t, _ in samples], times)
+    return [f @ samples[j][1][nn:].reshape(n, n) for f, j in zip(trace.frames, at)]
 
 
 @dataclass

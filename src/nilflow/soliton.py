@@ -165,7 +165,7 @@ def detect_convergence(trace, tol: float = 1e-8, stat_tol: float = 1e-6) -> Conv
         )
         keep = ds > 1e-14
         # a fit is only informative when the tail actually spans some decay,
-        # not when the distances sit at renormalization jitter level
+        # not when the distances sit at rounding level
         if keep.sum() >= 3 and ds[keep].max() > 100.0 * ds[keep].min():
             ts, logd = ts[keep], np.log(ds[keep])
             slope, intercept = np.polyfit(ts, logd, 1)

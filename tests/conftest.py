@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nilflow.algebra import Bracket
 from nilflow.generators import filiform, heisenberg, random_two_step, rescale_to_norm
 
 
@@ -33,6 +34,17 @@ def fil4():
 def random_sphere_bracket(n, seed):
     """Random 2-step bracket on the |mu| = 2 sphere, reproducible by seed."""
     return rescale_to_norm(random_two_step(n, np.random.default_rng(seed)), 2.0)
+
+
+# Dixmier-Lister: [e_i, e_j] = +-e_k, 1-based; characteristically nilpotent,
+# so its GL(8)-orbit holds no nilsoliton and the normalized frame degenerates
+_DIXMIER_LISTER = {(1, 2): 5, (1, 3): 6, (1, 4): 7, (1, 5): -8, (2, 3): 8,
+                   (2, 4): 6, (2, 6): -7, (3, 4): -5, (3, 5): -7, (4, 6): -8}
+
+
+def dixmier_lister():
+    entries = {(i - 1, j - 1, abs(k) - 1): float(np.sign(k)) for (i, j), k in _DIXMIER_LISTER.items()}
+    return Bracket.from_entries(8, entries)
 
 
 _ROOT = Path(__file__).resolve().parents[1]

@@ -7,9 +7,12 @@ import sys
 import numpy as np
 import pytest
 
+from nilflow.algebra import bracket_to_dict
 from nilflow.cli import main
 from nilflow.exceptions import NotNilpotentError
 from nilflow.flow import trace_from_csv
+
+from conftest import dixmier_lister
 
 SO3 = json.dumps(
     {
@@ -158,6 +161,21 @@ def test_flow_check_for_another_kind_exits_2(check, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--atol", "0"], "finite and > 0"),  # would loop forever
+        (["--t-max", "0", "--check", "identities"], "at least 3 samples"),  # TooFewSamples
+    ],
+    ids=["zero_atol", "too_few_samples"],
+)
+def test_flow_library_errors_exit_2(extra, message, capsys):
+    assert main(["flow", "heisenberg:c=1"] + extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_flow_constant_rate_equilibrium(tmp_path):
     summary = tmp_path / "s.json"
     rc = main(
@@ -231,6 +249,13 @@ def test_soliton_non_nilpotent_limit_exits_3(tmp_path, capsys, monkeypatch):
     assert rc == 3
     err = capsys.readouterr().err
     assert err == f"numerical failure: {CONE_EXIT}\n"
+
+
+def test_soliton_frame_degenerates_exits_3(capsys):
+    # no nilsoliton in the Dixmier-Lister orbit: cond(h) grows until it fails
+    src = json.dumps(bracket_to_dict(dixmier_lister()))
+    assert main(["soliton", src, "--rescale", "2", "--t-max", "60"]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: ")
 
 
 # ---------------------------------------------------------------------------

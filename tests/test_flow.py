@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from nilflow.algebra import central_series_dims, derivation_basis, gl_action, jacobiator_residual
-from nilflow.curvature import ricci_energy
-from nilflow.exceptions import BadNormalization, TooFewSamples
+from nilflow.curvature import ricci_energy, ricci_operator
+from nilflow.exceptions import BadNormalization, ConfigError, NumericalFailure, TooFewSamples
 from nilflow.flow import (
     FlowOpts,
     cointegrate_h,
@@ -22,7 +22,7 @@ from nilflow.flow import (
 from nilflow.generators import filiform, heisenberg, random_nilpotent, rescale_to_norm, sphere_perturbation
 from nilflow.soliton import detect_convergence
 
-from conftest import random_sphere_bracket
+from conftest import dixmier_lister, random_sphere_bracket
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +86,14 @@ def test_flow_stays_on_jacobi_variety():
     b = random_sphere_bracket(5, 23)
     trace = integrate_bracket_flow(b, 2.0)
     assert max(jacobiator_residual(bb) for bb in trace.brackets) < 1e-10
+
+
+@pytest.mark.parametrize("field", ["rtol", "atol"])
+@pytest.mark.parametrize("value", [0.0, -1e-9, float("nan"), float("inf")])
+def test_tolerances_must_be_finite_and_positive(field, value):
+    # atol = 0 would give a nan initial step and a step loop that never ends
+    with pytest.raises(ConfigError, match="finite and > 0"):
+        FlowOpts(**{field: value})
 
 
 def test_trace_stats_are_reported(heis):
@@ -175,8 +183,9 @@ def test_normalized_flow_requires_the_sphere(heis):
 def test_normalized_flow_preserves_sphere_and_decreases_energy(heis_sphere):
     b = sphere_perturbation(heis_sphere, np.random.default_rng(8), eps=0.2)
     trace = integrate_normalized_flow(b, 10.0)
-    assert np.abs(trace.mu_norm - 2.0).max() < 1e-10
-    assert np.abs(trace.scal + 1.0).max() < 1e-10
+    assert np.abs(trace.mu_norm - 2.0).max() < 1e-14
+    assert np.abs(trace.scal + 1.0).max() < 1e-14
+    assert trace.stats["renormalizations"] == 0
     increases = np.diff(trace.tr_ric2)
     assert increases.max() < 1e-10, "energy must not increase along the gradient flow"
 
@@ -226,6 +235,13 @@ def test_normalized_limit_stays_in_orbit_closure(b, exact):
     assert len(derivation_basis(limit)) == len(derivation_basis(b))
 
 
+def test_orbit_without_a_soliton_fails_numerically():
+    # the limit of the Dixmier-Lister start leaves its orbit, so cond(h) grows
+    # without bound; that must end in a NumericalFailure, never a LinAlgError
+    with pytest.raises(NumericalFailure):
+        integrate_normalized_flow(rescale_to_norm(dixmier_lister()), 60.0)
+
+
 # ---------------------------------------------------------------------------
 # constant- and callable-rate variants
 
@@ -249,7 +265,8 @@ def test_constant_rate_equilibrium():
 
 
 def test_callable_rate_records_values(heis_sphere):
-    # "scalar" is the same rate tr Ric^2, without renormalization
+    # "scalar" is the same rate tr Ric^2, of mu itself rather than of mu
+    # rescaled onto the sphere as in integrate_normalized_flow
     for r in (ricci_energy, "scalar"):
         trace = integrate_r_normalized(heis_sphere, r, 1.0)
         assert np.allclose(trace.r_values, trace.tr_ric2, rtol=1e-12)
@@ -265,18 +282,65 @@ def test_bad_rate_type_raises(heis):
 
 
 @pytest.mark.parametrize("normalized", [False, True])
-def test_cointegrated_frame_pulls_the_bracket(normalized, heis_sphere):
+def test_stored_frames_pull_the_bracket(normalized):
+    b0 = rescale_to_norm(random_nilpotent(5, _rng(7)))
+    flow = integrate_normalized_flow if normalized else integrate_bracket_flow
+    trace = flow(b0, 5.0)
+    assert np.array_equal(trace.frames[0], np.eye(5))
+    for h, b in zip(trace.frames, trace.brackets):
+        assert np.abs(gl_action(h, b0).coeffs - b.coeffs).max() <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "normalized, opts",
+    [
+        pytest.param(False, FlowOpts(), id="False"),
+        pytest.param(True, FlowOpts(), id="True"),
+        # 400 steps kept in at most 128 samples: sample times are not steps
+        pytest.param(True, FlowOpts(max_step=0.005, max_samples=128), id="thinned"),
+    ],
+)
+def test_cointegrated_frame_pulls_the_bracket(normalized, opts, heis_sphere):
     b0 = sphere_perturbation(heis_sphere, np.random.default_rng(5), eps=0.2)
     if normalized:
-        trace = integrate_normalized_flow(b0, 2.0)
+        trace = integrate_normalized_flow(b0, 2.0, opts)
     else:
-        trace = integrate_bracket_flow(b0, 2.0)
+        trace = integrate_bracket_flow(b0, 2.0, opts)
+    assert len(trace) <= opts.max_samples
     hs = cointegrate_h(trace)
     assert np.array_equal(hs[0], np.eye(3))
     for i in (len(trace) // 2, len(trace) - 1):
         pulled = gl_action(hs[i], b0)
         rel = np.linalg.norm(pulled.coeffs - trace.brackets[i].coeffs) / trace.mu_norm[i]
         assert rel < 1e-5, f"pullback residual {rel:.2e} at sample {i}"
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+def test_cointegrated_frame_solves_its_equation(normalized):
+    # h' = -(Ric + r I) h by central differences; a normalized trace needs the
+    # normalized generator here too, or the repelling sphere shows by t = 10
+    b0 = sphere_perturbation(rescale_to_norm(filiform(4)), _rng(1))
+    flow = integrate_normalized_flow if normalized else integrate_bracket_flow
+    trace = flow(b0, 10.0, FlowOpts(max_step=0.02))
+    hs = cointegrate_h(trace)
+    t = trace.times
+    for i in range(1, len(trace) - 1):
+        dh = (hs[i + 1] - hs[i - 1]) / (t[i + 1] - t[i - 1])
+        ric = ricci_operator(trace.brackets[i])
+        rhs = -(ric + trace.r_values[i] * np.eye(4)) @ hs[i]
+        assert np.linalg.norm(dh - rhs) / np.linalg.norm(rhs) < 1e-2
+
+
+def test_gl_action_accepts_ill_conditioned_cointegrated_frames():
+    # cond(h) reaches ~3.6e3 by t = 5; on the last frames rounding in the moved
+    # coefficients exceeds the skew check unless gl_action antisymmetrizes them
+    b = rescale_to_norm(random_nilpotent(5, _rng(7)))
+    trace = integrate_normalized_flow(b, 5.0)
+    hs = cointegrate_h(trace)
+    assert np.linalg.cond(hs[-1]) > 1e3
+    for h, mu in zip(hs, trace.brackets):
+        # a(t) is an automorphism to the integration tolerance, amplified by cond(h)
+        assert np.linalg.norm(gl_action(h, b).coeffs - mu.coeffs) / mu.norm < 1e-6
 
 
 def test_innerproduct_flow_matches_exact_scal(heis):
@@ -317,8 +381,8 @@ def test_equivalence_filiform():
 
 def test_equivalence_normalized(heis_sphere):
     b = sphere_perturbation(heis_sphere, np.random.default_rng(2), eps=0.2)
-    # short horizon: the metric flow has no renormalization guard, so its
-    # distance to the scal = -1 slice grows like exp(2 tr(Ric^2) t)
+    # short horizon: the metric flow evaluates the rate on the metric itself,
+    # so its distance to the scal = -1 slice grows like exp(2 tr(Ric^2) t)
     rep = equivalence_report(b, 1.0, FlowOpts(max_step=0.1), r="scalar", checkpoints=11)
     assert rep.ok(1e-5), rep.to_dict()
 
