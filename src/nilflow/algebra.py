@@ -125,15 +125,19 @@ def vn_inner(a: VTangent, b: VTangent) -> float:
     return float(np.tensordot(a.coeffs, b.coeffs, axes=3))
 
 
+def _jacobiator_max(c: np.ndarray) -> np.ndarray:
+    """Max-norm of the cyclic Jacobiator; leading axes of c are batch axes."""
+    jac = (
+        np.einsum("...ija,...akm->...ijkm", c, c)
+        + np.einsum("...jka,...aim->...ijkm", c, c)
+        + np.einsum("...kia,...ajm->...ijkm", c, c)
+    )
+    return np.abs(jac).max(axis=(-4, -3, -2, -1), initial=0.0)
+
+
 def jacobiator_residual(b: VTangent) -> float:
     """Max-norm of the cyclic Jacobiator over all basis triples."""
-    c = b.coeffs
-    jac = (
-        np.einsum("ija,akm->ijkm", c, c)
-        + np.einsum("jka,aim->ijkm", c, c)
-        + np.einsum("kia,ajm->ijkm", c, c)
-    )
-    return float(np.abs(jac).max()) if jac.size else 0.0
+    return float(_jacobiator_max(b.coeffs))
 
 
 def _central_series(c: np.ndarray, tol: float):
@@ -216,10 +220,13 @@ def validate_bracket(b: Bracket, tol: float = DEFAULT_TOL) -> ValidationReport:
 
 
 def _gl_action_coeffs(g: np.ndarray, ginv: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """(g.mu)_ijk = sum ginv_ai ginv_bj g_kc c_abc, as two batched matrix products."""
-    n = c.shape[0]
-    t = (ginv.T @ c.reshape(n, -1)).reshape(c.shape)
-    return ginv.T @ t @ g.T
+    """(g.mu)_ijk = sum ginv_ai ginv_bj g_kc c_abc, as two batched matrix products;
+    leading axes of g, ginv and c are batch axes and broadcast."""
+    n = c.shape[-1]
+    ginv_t = np.swapaxes(ginv, -1, -2)
+    t = ginv_t @ c.reshape(*c.shape[:-2], n * n)
+    t = t.reshape(*t.shape[:-1], n, n)
+    return ginv_t[..., None, :, :] @ t @ np.swapaxes(g, -1, -2)[..., None, :, :]
 
 
 def gl_action(g: Operator, b: VTangent) -> VTangent:
@@ -243,10 +250,12 @@ def gl_action(g: Operator, b: VTangent) -> VTangent:
 
 
 def _delta_coeffs(c: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    t1 = np.einsum("ai,ajk->ijk", alpha, c)
-    t2 = np.einsum("aj,iak->ijk", alpha, c)
-    t3 = np.einsum("ka,ija->ijk", alpha, c)
-    return t1 + t2 - t3
+    """delta_mu(alpha) as an array; leading axes of c and alpha are batch axes.
+    The terms are summed in place, so a stack of samples holds two at a time."""
+    out = np.einsum("...ai,...ajk->...ijk", alpha, c)
+    out += np.einsum("...aj,...iak->...ijk", alpha, c)
+    out -= np.einsum("...ka,...ija->...ijk", alpha, c)
+    return out
 
 
 def delta(b: VTangent, alpha: Operator) -> VTangent:

@@ -57,9 +57,6 @@ from .flow import (
 from .generators import filiform, heisenberg, random_two_step, rescale_to_norm
 from .soliton import detect_convergence, orbit_invariants
 
-log = logging.getLogger("nilflow.cli")
-
-
 # ---------------------------------------------------------------------------
 # Bracket sources.
 
@@ -339,6 +336,8 @@ def _sweep_case(index, seed_seq, args):
 
 
 def cmd_sweep(args) -> int:
+    if args.count < 1:
+        raise ConfigError(f"--count must be at least 1, got {args.count}")
     seeds = np.random.SeedSequence(args.seed).spawn(args.count)
     if args.jobs > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
@@ -364,10 +363,10 @@ def cmd_sweep(args) -> int:
     else:
         ratios = [rec["sup_norm_ratio"] for rec in cases if "sup_norm_ratio" in rec]
         summary["worst_norm_ratio"] = max(ratios) if ratios else None
-        print(
-            f"{args.count} unnormalized flows (n = {args.n}): "
-            f"worst sup t|mu|^2 / 2n = {summary['worst_norm_ratio']:.6f}"
-        )
+        line = f"{args.count} unnormalized flows (n = {args.n})"
+        if ratios:
+            line += f": worst sup t|mu|^2 / 2n = {max(ratios):.6f}"
+        print(line)
     if errors:
         print(f"{len(errors)} case(s) failed numerically", file=sys.stderr)
     if args.out:

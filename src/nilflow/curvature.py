@@ -17,8 +17,9 @@ from .exceptions import DimensionMismatch, ZeroBracket
 
 
 def _ricci(c: np.ndarray) -> np.ndarray:
-    m1 = np.einsum("iak,ibk->ab", c, c)
-    m2 = np.einsum("ija,ijb->ab", c, c)
+    """Ricci operator as an array; leading axes of c are batch axes."""
+    m1 = np.einsum("...iak,...ibk->...ab", c, c)
+    m2 = np.einsum("...ija,...ijb->...ab", c, c)
     return -0.5 * m1 + 0.25 * m2
 
 
@@ -54,13 +55,19 @@ def ricci_sign_check(b: VTangent, tol: float = 1e-12) -> tuple:
     return bool(eigs.min() < -tol * scale), bool(eigs.max() > tol * scale)
 
 
+def _connection(c: np.ndarray) -> np.ndarray:
+    """connection_operators as an array; leading axes of c are batch axes."""
+    return 0.5 * (
+        np.einsum("...ijk->...ikj", c) - np.einsum("...ijk->...kji", c) + np.einsum("...ijk->...jik", c)
+    )
+
+
 def connection_operators(b: VTangent) -> np.ndarray:
     """Left-invariant connection: gamma[r][i, j] = <nabla_{e_r} e_j, e_i>.
 
     Each gamma[r] is skew (metric connection in an orthonormal frame).
     """
-    c = b.coeffs
-    return 0.5 * (c.transpose(0, 2, 1) - c.transpose(2, 1, 0) + c.transpose(1, 0, 2))
+    return _connection(b.coeffs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,16 +92,20 @@ class RiemannTensor:
         return np.einsum("ikjk->ij", self.entries)
 
 
+def _riemann(c: np.ndarray) -> np.ndarray:
+    """Entries of riemann_at_origin; leading axes of c are batch axes."""
+    gam = _connection(c)
+    prod = np.einsum("...iab,...jbc->...ijac", gam, gam)
+    comm = prod - np.swapaxes(prod, -4, -3)
+    adterm = np.einsum("...ija,...abc->...ijbc", c, gam)
+    # entry [i, j, k, l] = <R(e_i, e_j) e_l, e_k>
+    return comm - adterm
+
+
 def riemann_at_origin(b: VTangent) -> RiemannTensor:
     """Riemann tensor R(x,y) = [nabla_x, nabla_y] - nabla_{mu(x,y)}, lowered
     so that the Ricci contraction sum_k R_ikjk reproduces ricci_operator."""
-    gam = connection_operators(b)
-    c = b.coeffs
-    prod = np.einsum("iab,jbc->ijac", gam, gam)
-    comm = prod - prod.transpose(1, 0, 2, 3)
-    adterm = np.einsum("ija,abc->ijbc", c, gam)
-    # entry [i, j, k, l] = <R(e_i, e_j) e_l, e_k>
-    return RiemannTensor(comm - adterm)
+    return RiemannTensor(_riemann(b.coeffs))
 
 
 def ricci_energy(b: VTangent) -> float:

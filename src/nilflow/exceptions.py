@@ -50,7 +50,9 @@ class NumericalFailure(NilflowError, RuntimeError):
     """Integration failed; carries the partial trace when one exists.
 
     The trace is the list of accepted (t, y) samples.  For the bracket flows
-    y is the flattened frame h with mu(t) = h.mu0, not the bracket itself.
+    y is the flattened frame h with mu(t) = h.mu0, not the bracket itself;
+    when a frame's condition number passes 1/sqrt(eps), the trace ends at
+    the last sample before it.
     """
 
     def __init__(self, message, trace=None):

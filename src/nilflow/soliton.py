@@ -26,6 +26,7 @@ from .algebra import (
 )
 from .curvature import ricci_energy, ricci_operator
 from .exceptions import ZeroBracket
+from .flow import _sample_norms
 
 _TINY = 1e-300
 
@@ -160,9 +161,7 @@ def detect_convergence(trace, tol: float = 1e-8, stat_tol: float = 1e-6) -> Conv
     r2 = math.nan
     if window >= 3:
         ts = trace.times[-1 - window : -1]
-        ds = np.array(
-            [np.linalg.norm(b.coeffs - limit.coeffs) for b in trace.brackets[-1 - window : -1]]
-        )
+        ds = _sample_norms(trace.coeffs[-1 - window : -1] - limit.coeffs)
         keep = ds > 1e-14
         # a fit is only informative when the tail actually spans some decay,
         # not when the distances sit at rounding level

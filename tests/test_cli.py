@@ -9,7 +9,7 @@ import pytest
 
 from nilflow.algebra import bracket_to_dict
 from nilflow.cli import main
-from nilflow.exceptions import NotNilpotentError
+from nilflow.exceptions import NotNilpotentError, NumericalFailure
 from nilflow.flow import trace_from_csv
 
 from conftest import dixmier_lister
@@ -166,8 +166,12 @@ def test_flow_check_for_another_kind_exits_2(check, capsys):
     [
         (["--atol", "0"], "finite and > 0"),  # would loop forever
         (["--t-max", "0", "--check", "identities"], "at least 3 samples"),  # TooFewSamples
+        (["--t-max", "inf"], "finite time"),  # would loop forever
+        (["--t-max", "nan"], "finite time"),  # was a one-sample trace at t = 0
+        (["--t-max", "-1"], "finite time"),
+        (["--max-step", "nan"], "max_step"),  # was ignored
     ],
-    ids=["zero_atol", "too_few_samples"],
+    ids=["zero_atol", "too_few_samples", "t_max_inf", "t_max_nan", "t_max_negative", "max_step_nan"],
 )
 def test_flow_library_errors_exit_2(extra, message, capsys):
     assert main(["flow", "heisenberg:c=1"] + extra) == 2
@@ -329,6 +333,31 @@ def test_sweep_unnormalized_reports_bounds(tmp_path):
     assert rc == 0
     doc = json.loads(out.read_text())
     assert all(rec["norm_bound_ok"] for rec in doc["cases"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--kind", "unnormalized", "--count", "0"], ["--count", "-1"]],
+    ids=["zero_unnormalized", "negative"],
+)
+def test_sweep_needs_at_least_one_case(argv, capsys):
+    # a count of 0 used to format a missing ratio, -1 to overflow the seed spawn
+    assert main(["sweep", "--n", "3"] + argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--count" in err
+
+
+def test_sweep_without_ratios_prints_its_summary(tmp_path, capsys, monkeypatch):
+    def fails(b, t_max):
+        raise NumericalFailure("step size underflow")
+
+    monkeypatch.setattr("nilflow.cli.integrate_bracket_flow", fails)
+    out = tmp_path / "u.json"
+    rc = main(["sweep", "--n", "3", "--count", "2", "--kind", "unnormalized", "--out", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().out == "2 unnormalized flows (n = 3)\n"
+    assert json.loads(out.read_text())["worst_norm_ratio"] is None
 
 
 def test_sweep_records_non_nilpotent_limits(tmp_path, capsys, monkeypatch):

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from nilflow.algebra import central_series_dims, derivation_basis, gl_action, jacobiator_residual
-from nilflow.curvature import ricci_energy, ricci_operator
+from nilflow.curvature import (
+    ricci_energy,
+    ricci_energy_gradient,
+    ricci_operator,
+    riemann_at_origin,
+    scalar_curvature,
+)
 from nilflow.exceptions import BadNormalization, ConfigError, NumericalFailure, TooFewSamples
 from nilflow.flow import (
     FlowOpts,
@@ -94,6 +100,30 @@ def test_tolerances_must_be_finite_and_positive(field, value):
     # atol = 0 would give a nan initial step and a step loop that never ends
     with pytest.raises(ConfigError, match="finite and > 0"):
         FlowOpts(**{field: value})
+
+
+def test_max_step_must_be_positive():
+    # min(h, nan) keeps h, so a nan max_step used to be ignored
+    for value in (0.0, -1.0, float("nan")):
+        with pytest.raises(ConfigError, match="max_step"):
+            FlowOpts(max_step=value)
+
+
+@pytest.mark.parametrize("t_max", [float("inf"), float("nan"), -1.0], ids=["inf", "nan", "negative"])
+@pytest.mark.parametrize(
+    "flow",
+    [
+        integrate_bracket_flow,
+        integrate_normalized_flow,
+        lambda b, t: integrate_r_normalized(b, 0.5, t),
+        integrate_innerproduct_flow,
+    ],
+    ids=["unnormalized", "normalized", "rate", "metric"],
+)
+def test_integration_span_must_be_finite_and_forward(flow, t_max, heis_sphere):
+    # inf looped forever; nan and -1 gave a one-sample trace at t = 0
+    with pytest.raises(ConfigError, match="finite time"):
+        flow(heis_sphere, t_max)
 
 
 def test_trace_stats_are_reported(heis):
@@ -242,6 +272,18 @@ def test_orbit_without_a_soliton_fails_numerically():
         integrate_normalized_flow(rescale_to_norm(dixmier_lister()), 60.0)
 
 
+def test_condition_bound_ends_a_run_that_leaves_the_orbit():
+    # past cond(h) = 1/sqrt(eps) the rounding of h.mu0 reaches the size of mu:
+    # by t = 39 the unbounded run read tr Ric^2 = 3.0 instead of 15/22
+    b = rescale_to_norm(dixmier_lister())
+    assert integrate_normalized_flow(b, 20.0).tr_ric2[-1] == pytest.approx(15 / 22, abs=1e-5)
+    with pytest.raises(NumericalFailure, match="cond") as info:
+        integrate_normalized_flow(b, 39.0)
+    accepted = info.value.trace
+    assert 20.0 < accepted[-1][0] < 39.0
+    assert np.linalg.cond(accepted[-1][1].reshape(8, 8)) <= 1.0 / np.sqrt(np.finfo(float).eps)
+
+
 # ---------------------------------------------------------------------------
 # constant- and callable-rate variants
 
@@ -275,6 +317,47 @@ def test_callable_rate_records_values(heis_sphere):
 def test_bad_rate_type_raises(heis):
     with pytest.raises(TypeError):
         integrate_r_normalized(heis, "fast", 1.0)
+
+
+def _close(column, reference):
+    np.testing.assert_allclose(column, reference, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+@pytest.mark.parametrize("kind", ["unnormalized", "normalized", "callable"])
+def test_trace_columns_match_per_bracket_functions(kind, n):
+    # the batched kernels define each column as the public function of the
+    # sample's bracket; rotated starts have no zero pattern to hide behind
+    b0 = rescale_to_norm(random_nilpotent(n, _rng(n)))
+    if kind == "unnormalized":
+        trace = integrate_bracket_flow(b0, 5.0)
+    elif kind == "normalized":
+        trace = integrate_normalized_flow(b0, 5.0)
+    else:
+        trace = integrate_r_normalized(b0, lambda b: 0.05 * b.norm**2, 1.0)
+    brackets = trace.brackets
+    assert len(brackets) == len(trace) > 3
+    assert all(np.array_equal(b.coeffs, c) for b, c in zip(brackets, trace.coeffs))
+    norms = np.array([b.norm for b in brackets])
+    _close(trace.mu_norm, norms)
+    _close(trace.scal, [scalar_curvature(b) for b in brackets])
+    energies = [ricci_energy(b) for b in brackets]
+    _close(trace.tr_ric2, energies)
+    _close(trace.grad_norm, [ricci_energy_gradient(b).norm for b in brackets])
+    _close(trace.jacobi_residual, [jacobiator_residual(b) for b in brackets])
+    if kind == "callable":
+        _close(trace.r_values, [0.05 * b.norm**2 for b in brackets])
+    elif kind == "normalized":
+        _close(trace.r_values, energies)
+    else:
+        assert not np.any(trace.r_values)
+        t = trace.times
+        riemann = [riemann_at_origin(b).norm for b in brackets]
+        ricci = [np.linalg.norm(ricci_operator(b)) for b in brackets]
+        report = type3_certificate(trace)
+        _close(report.sup_t_riemann, max(t * riemann))
+        _close(report.sup_t_ricci, max(t * ricci))
+        _close(report.sup_norm_ratio, max(t * norms**2) / (2 * n))
 
 
 # ---------------------------------------------------------------------------
