@@ -126,12 +126,15 @@ def vn_inner(a: VTangent, b: VTangent) -> float:
 
 
 def _jacobiator_max(c: np.ndarray) -> np.ndarray:
-    """Max-norm of the cyclic Jacobiator; leading axes of c are batch axes."""
-    jac = (
-        np.einsum("...ija,...akm->...ijkm", c, c)
-        + np.einsum("...jka,...aim->...ijkm", c, c)
-        + np.einsum("...kia,...ajm->...ijkm", c, c)
-    )
+    """Max-norm of the cyclic Jacobiator; leading axes of c are batch axes.
+
+    T[i, j, k, m] = sum_a c[i, j, a] c[a, k, m] is one (n^2, n) @ (n, n^2)
+    product; the Jacobiator is T[i, j, k] + T[j, k, i] + T[k, i, j].
+    """
+    n = c.shape[-1]
+    lead = c.shape[:-3]
+    t = (c.reshape(*lead, n * n, n) @ c.reshape(*lead, n, n * n)).reshape(*lead, n, n, n, n)
+    jac = t + np.moveaxis(t, -2, -4) + np.moveaxis(t, -4, -2)
     return np.abs(jac).max(axis=(-4, -3, -2, -1), initial=0.0)
 
 

@@ -14,8 +14,10 @@ X - h D h^{-1} -> 0, so h converges.  tr(Ric^2) is homogeneous, so the
 normalized flow evaluates X on mu(t) rescaled to ||mu0||: its generator keeps
 ||mu|| fixed, and each stored frame is rescaled once onto the sphere.  Traces
 are arrays read by batched kernels; cond(h) > 1/sqrt(eps) raises
-NumericalFailure.  The module also recovers the frame of h' = -(Ric + r I) h
-along a trace, integrates the equivalent inner-product (metric tensor) flow
+NumericalFailure.  Every flow runs one adaptive Dormand-Prince 5(4) integrator;
+a stop is a sample of its 4th-order continuous extension, not a step end.
+The module also recovers the frame of h' = -(Ric + r I) h along a trace,
+integrates the equivalent inner-product (metric tensor) flow
 G' = -2 ric(G) - 2 r G, and checks the structural identities of the r = 0 flow.
 """
 
@@ -52,18 +54,29 @@ from .exceptions import (
 # Embedded Dormand-Prince 5(4) pair with a PI step-size controller.
 
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_BHAT = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
-_DP_E = _DP_B - _DP_BHAT
+# stage i reads row i of _DP_A; row 6 is also the 5th-order update (FSAL)
+_DP_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
+# error weights: the 5th-order row minus the embedded 4th-order weights
+_DP_E = _DP_A[6] - np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
+# 4th-order continuous extension (Dormand & Prince 1980; Hairer, Norsett &
+# Wanner, Solving ODEs I, II.6): y(t + theta h) = y + h (_DP_P @ theta^[1..4]) K
+_DP_P = np.array([
+    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0.0, 0.0, 0.0, 0.0],
+    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+    [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -74,7 +87,9 @@ _KP = 0.4 / 5
 
 @dataclass(frozen=True)
 class FlowOpts:
-    """Integrator options shared by all flows."""
+    """Integrator options shared by all flows.  Each time in `stops` gets a
+    sample of the 4th-order continuous extension of the step holding it, not
+    a step end; thinning (past `max_samples`) keeps every stop."""
 
     rtol: float = 1e-9
     atol: float = 1e-9
@@ -100,45 +115,56 @@ def _initial_step(f, t0, y0, f0, span, rtol, atol):
     scale = atol + rtol * np.abs(y0)
     d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
     d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, span)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
     f1 = f(t0 + h0, y0 + h0 * f0)
     d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2))) / h0
-    if max(d1, d2) <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
+    h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
     return min(100 * h0, h1, span)
 
 
-def _thin(samples, keep_head=64):
-    """Halve the stored density past the head, preserving the final sample."""
-    head = samples[:keep_head]
+def _dp_step(f, t, y, h, K):
+    """One Dormand-Prince step from (t, y), K[0] = f(t, y): fills the stages
+    K[1:] of the (7, N) array K (K[6] = f(t + h, y_new)); returns (y_new, err_vec)."""
+    for i in range(1, 7):
+        yi = y + h * (_DP_A[i, :i] @ K[:i])
+        K[i] = f(t + _DP_C[i] * h, yi)
+    return yi, h * (_DP_E @ K)
+
+
+def _dp_dense(y, h, K, theta):
+    """Continuous extension of the step (y, h, K) at t + theta h, 0 <= theta <= 1."""
+    return y + h * ((_DP_P @ theta ** np.arange(1, 5)) @ K)
+
+
+def _thin(samples, stops, keep_head=64):
+    """Halve the samples past the head that are not stops, keeping the last one."""
     tail = samples[keep_head:]
-    kept = tail[::2]
-    if tail and (len(tail) - 1) % 2 != 0:
-        kept.append(tail[-1])
-    return head + kept
+    free = [t for t, _ in tail if t not in stops]
+    keep = stops | set(free[::2] + free[-1:])
+    return samples[:keep_head] + [s for s in tail if s[0] in keep]
 
 
 def _integrate_adaptive(f, t0, y0, t_end, opts):
     """Generic adaptive integrator.
 
-    Returns (samples, stats): samples is a list of (t, y) at every accepted
-    step including t0, landing exactly on every stop in opts.stops (thinned
-    once it exceeds opts.max_samples); stats counts accepted/rejected steps
-    and evaluations.  Raises ConfigError unless t_end is finite and >= t0,
-    and StepSizeUnderflow when the controller collapses.
+    Returns (samples, stats): samples is a list of (t, y) at t0, at every
+    accepted step (the last ends on t_end) and at every stop in opts.stops,
+    thinned past opts.max_samples; stats counts accepted/rejected steps and
+    evaluations.  A stop is a sample of the 4th-order continuous extension
+    of the step holding it, at no extra evaluation, or, within rounding of
+    a step end, relabels that sample.  Raises ConfigError unless t_end is
+    finite and >= t0, and StepSizeUnderflow when the controller collapses.
     """
     if not (math.isfinite(t_end) and t_end >= t0):
         raise ConfigError(f"the integration must end at a finite time >= {t0:g}, got {t_end!r}")
-    rtol, atol = opts.rtol, opts.atol
+    opts = opts or FlowOpts()
     t = float(t0)
     y = np.array(y0, dtype=float)
     stats = {
         "accepted": 0,
         "rejected": 0,
         "nfev": 0,
+        "t_final": float(t_end),
         # always 0: the normalized generator keeps ||mu|| fixed and mu = h.mu0
         # cannot leave the nilpotent cone, so nothing is renormalized or
         # projected; the keys stay for readers of these stats
@@ -146,51 +172,39 @@ def _integrate_adaptive(f, t0, y0, t_end, opts):
         "cone_projections": 0,
     }
 
-    stops = sorted({float(s) for s in opts.stops if t0 < s < t_end} | {float(t_end)})
-    samples = [(t, y.copy())]
+    stop_set = {float(s) for s in opts.stops if t0 < s < t_end} | {float(t_end)}
+    stops = sorted(stop_set, reverse=True)  # popped in time order
+    samples = [(t, y)]
     if t_end <= t0:
         return samples, stats
 
-    k1 = f(t, y)
-    stats["nfev"] += 1
-    h = _initial_step(f, t, y, k1, t_end - t0, rtol, atol)
-    stats["nfev"] += 1
-    h = min(h, opts.max_step)
+    K = np.empty((7, y.size))
+    K[0] = f(t, y)
+    h = _initial_step(f, t, y, K[0], t_end - t0, opts.rtol, opts.atol)
+    stats["nfev"] += 2
     err_prev = 1e-4
-    stop_idx = 0
 
     while t < t_end:
-        while stops[stop_idx] <= t:
-            stop_idx += 1
-        next_stop = stops[stop_idx]
-        gap = next_stop - t
-        if gap <= 1e-13 * max(1.0, abs(t)):
-            # within roundoff of a checkpoint: relabel rather than step
-            t = next_stop
-            samples[-1] = (t, samples[-1][1])
-            continue
-        h = min(h, opts.max_step, gap)
+        h = min(h, opts.max_step, t_end - t)
         if h < 1e-14 * max(1.0, abs(t)):
             raise StepSizeUnderflow(f"step size underflow at t={t:.6g} (h={h:.3e})", trace=samples)
-        hitting_stop = h >= gap
-
-        k = [k1]
-        for i in range(1, 6):
-            yi = y + h * sum(a * kk for a, kk in zip(_DP_A[i], k))
-            k.append(f(t + _DP_C[i] * h, yi))
-        y_new = y + h * sum(a * kk for a, kk in zip(_DP_A[6], k))
-        t_new = next_stop if hitting_stop else t + h
-        k.append(f(t_new, y_new))
+        y_new, err_vec = _dp_step(f, t, y, h, K)
         stats["nfev"] += 6
-        err_vec = h * sum(e * kk for e, kk in zip(_DP_E, k))
-        err = _error_norm(err_vec, y, y_new, rtol, atol)
+        err = _error_norm(err_vec, y, y_new, opts.rtol, opts.atol)
 
         if err <= 1.0:
-            t, y, k1 = t_new, y_new, k[6]
+            t_new = t_end if h >= t_end - t else t + h
+            near = 1e-13 * max(1.0, abs(t_new))
+            while stops[-1] < t_new - near:
+                s = stops.pop()
+                samples.append((s, _dp_dense(y, h, K, (s - t) / h)))
+            if stops[-1] <= t_new + near:
+                t_new = stops.pop()
+            t, y, K[0] = t_new, y_new, K[6]
             stats["accepted"] += 1
-            samples.append((t, y.copy()))
+            samples.append((t, y))
             if len(samples) > opts.max_samples:
-                samples = _thin(samples)
+                samples = _thin(samples, stop_set)
             factor = _SAFETY * (err + 1e-300) ** (-_KI) * err_prev**_KP
             err_prev = max(err, 1e-4)
             h = h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
@@ -220,8 +234,18 @@ def _sample_norms(a):
     return np.sqrt(np.vecdot(flat, flat))
 
 
+class _Samples:
+    """The length of a trace and the lookup of its sample times."""
+
+    def __len__(self):
+        return len(self.times)
+
+    def index_of_time(self, t: float) -> int:
+        return int(_index_of_time(self.times, t))
+
+
 @dataclass
-class FlowTrace:
+class FlowTrace(_Samples):
     """Sampled solution of a bracket flow with per-sample diagnostics.
 
     `coeffs` (m, n, n, n) holds the structure constants of mu(times[i]) =
@@ -242,9 +266,6 @@ class FlowTrace:
     stats: dict = field(default_factory=dict)
     rate: object = field(default=None, repr=False)  # the resolved rate (coeffs, Ric) -> r
 
-    def __len__(self):
-        return len(self.times)
-
     @cached_property
     def brackets(self) -> list:
         return [Bracket(c) for c in self.coeffs]
@@ -256,9 +277,6 @@ class FlowTrace:
     @property
     def final_bracket(self) -> Bracket:
         return Bracket(self.coeffs[-1])
-
-    def index_of_time(self, t: float) -> int:
-        return int(_index_of_time(self.times, t))
 
     def to_csv(self, path) -> None:
         cols = (self.mu_norm, self.scal, self.tr_ric2, self.grad_norm, self.r_values, self.jacobi_residual)
@@ -399,7 +417,6 @@ def _run_bracket_flow(b0, t_max, opts, kind, r):
     """Integrate the frame of mu' = delta_mu(Ric_mu) + r mu; the generator
     is normalized to ||mu0|| exactly when kind is "normalized"."""
     rate = _rate(r)
-    opts = opts or FlowOpts()
     n = b0.n
     generator = _frame_generator(b0, rate, kind == "normalized")
 
@@ -410,7 +427,6 @@ def _run_bracket_flow(b0, t_max, opts, kind, r):
             raise NumericalFailure(f"the frame h became singular at t={t:.6g}", trace=None) from None
 
     samples, stats = _integrate_adaptive(rhs, 0.0, np.eye(n).reshape(-1), t_max, opts)
-    stats["t_final"] = samples[-1][0]
     return _finish_trace(kind, samples, stats, b0.coeffs, rate)
 
 
@@ -458,8 +474,8 @@ def cointegrate_h(trace: FlowTrace) -> np.ndarray:
     (mu(t) = f(t).mu(0)), but solve f' = -(X - f D f^{-1}) f (see the module
     docstring).  The factor a' = -D a, a(0) = I, stays in Aut(mu(0)), and
     h = f a solves the equation above.  (f, a) is integrated from (I, I) in
-    one unthinned run that stops at every sample time t_i.  Returns the
-    (m, n, n) array of frames[i] @ a(t_i); mu(t) = h(t).mu(0).
+    one unthinned run with a stop, so a sample, at every sample time t_i.
+    Returns the (m, n, n) array of frames[i] @ a(t_i); mu(t) = h(t).mu(0).
     """
     n = trace.initial_bracket.n
     nn = n * n
@@ -472,26 +488,17 @@ def cointegrate_h(trace: FlowTrace) -> np.ndarray:
 
     opts = FlowOpts(rtol=1e-10, atol=1e-12, max_samples=math.inf, stops=tuple(times[1:-1]))
     y0 = np.concatenate([np.eye(n).reshape(-1), np.eye(n).reshape(-1)])
-    samples, _ = _integrate_adaptive(rhs, times[0], y0, times[-1], opts)
-    # each t_i is a stop of the run; a stop within rounding of the one before
-    # relabels that sample, so take the first run sample at or after t_i
-    at = np.searchsorted([t for t, _ in samples], times)
-    return trace.frames @ np.array([samples[j][1][nn:] for j in at]).reshape(-1, n, n)
+    at = dict(_integrate_adaptive(rhs, times[0], y0, times[-1], opts)[0])
+    return trace.frames @ np.array([at[t][nn:] for t in times]).reshape(-1, n, n)
 
 
 @dataclass
-class InnerProductTrace:
+class InnerProductTrace(_Samples):
     """Sampled solution of the metric-tensor flow G' = -2 ric(G) (+ -2 r G)."""
 
     times: np.ndarray
     metrics: np.ndarray  # (m, n, n) Gram matrices
     stats: dict = field(default_factory=dict)
-
-    def __len__(self):
-        return len(self.times)
-
-    def index_of_time(self, t: float) -> int:
-        return int(_index_of_time(self.times, t))
 
 
 def _ip_ricci_products(c0, g):
@@ -529,7 +536,6 @@ def integrate_innerproduct_flow(
     trace attached.
     """
     rate = _rate(r, callable_ok=False)
-    opts = opts or FlowOpts()
     n = b0.n
     c0 = b0.coeffs
 
@@ -544,7 +550,6 @@ def integrate_innerproduct_flow(
         return dg.reshape(-1)
 
     samples, stats = _integrate_adaptive(rhs, 0.0, np.eye(n).reshape(-1), t_max, opts)
-    stats["t_final"] = samples[-1][0]
     times = np.array([t for t, _ in samples])
     g = np.array([y for _, y in samples]).reshape(-1, n, n)
     return InnerProductTrace(times=times, metrics=0.5 * (g + g.swapaxes(1, 2)), stats=stats)
@@ -674,11 +679,7 @@ class EquivalenceReport:
 
 
 def equivalence_report(
-    b0: Bracket,
-    t_max: float,
-    opts: FlowOpts | None = None,
-    r=None,
-    checkpoints: int = 26,
+    b0: Bracket, t_max: float, opts: FlowOpts | None = None, r=None, checkpoints: int = 26
 ) -> EquivalenceReport:
     """Run the same geometry three ways and compare at shared checkpoints.
 
@@ -687,9 +688,8 @@ def equivalence_report(
     it.  r is None for the unnormalized flow, a constant rate, or the string
     "scalar" for tr(Ric^2); a callable raises BadRate, as in the metric flow.
     """
-    opts = opts or FlowOpts()
     grid = np.linspace(0.0, t_max, checkpoints)
-    opts = replace(opts, stops=tuple(grid[1:-1]))
+    opts = replace(opts or FlowOpts(), stops=tuple(grid[1:-1]))
 
     ip = integrate_innerproduct_flow(b0, t_max, opts, r=r)
     trace = integrate_r_normalized(b0, r, t_max, opts)

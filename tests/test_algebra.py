@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from nilflow.algebra import (
     Bracket,
     VTangent,
+    _jacobiator_max,
     bracket_from_dict,
     bracket_to_dict,
     central_series_dims,
@@ -181,6 +182,29 @@ def test_validate_flags_non_lie():
     rep = validate_bracket(Bracket(c))
     assert not rep.nilpotent
     assert rep.jacobi_residual > 1e-3
+
+
+def _einsum_jacobiator_max(c):
+    """The cyclic Jacobiator as three einsums, the reference for the matrix product."""
+    jac = (
+        np.einsum("...ija,...akm->...ijkm", c, c)
+        + np.einsum("...jka,...aim->...ijkm", c, c)
+        + np.einsum("...kia,...ajm->...ijkm", c, c)
+    )
+    return np.abs(jac).max(axis=(-4, -3, -2, -1), initial=0.0)
+
+
+@pytest.mark.parametrize("shape", [(3, 3, 3), (6, 5, 5, 5), (2, 3, 8, 8, 8), (0, 4, 4, 4)])
+def test_jacobiator_matches_einsum_form(shape):
+    # random skew brackets break Jacobi, so every entry is a real sum
+    c = np.random.default_rng(len(shape) * 10 + shape[-1]).standard_normal(shape) * 3.0
+    c = c - c.swapaxes(-3, -2)
+    got = _jacobiator_max(c)
+    ref = _einsum_jacobiator_max(c)
+    assert got.shape == ref.shape
+    tol = 1e-13 * max(1.0, float(np.sum(c * c, axis=(-3, -2, -1), initial=0.0).max(initial=0.0)))
+    assert np.all(np.abs(got - ref) <= tol)
+    assert c.size == 0 or ref.min() > 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from nilflow import flow
 from nilflow.algebra import central_series_dims, derivation_basis, gl_action, jacobiator_residual
 from nilflow.curvature import (
     ricci_energy,
@@ -86,6 +87,75 @@ def test_sample_thinning_keeps_endpoints(heis):
     assert trace.times[0] == 0.0
     assert trace.times[-1] == pytest.approx(1.0, abs=1e-12)
     assert np.all(np.diff(trace.times) > 0.0)
+
+
+def test_thinning_keeps_stop_samples(heis):
+    # 10,000 steps thinned into at most 128 samples used to halve the stops away too
+    stops = (0.5, 7.3)
+    trace = integrate_bracket_flow(heis, 10.0, FlowOpts(max_step=1e-3, max_samples=128, stops=stops))
+    assert len(trace) <= 128
+    for t in stops:
+        assert trace.times[trace.index_of_time(t)] == t
+    assert trace.times[-1] == 10.0
+
+
+def test_off_step_stops_are_continuous_extension_samples(heis):
+    # stops no longer end steps: the run takes the same steps as without them,
+    # and each stop is one more sample, from the continuous extension
+    stops = (0.37, 2.71)
+    plain = integrate_bracket_flow(heis, 5.0)
+    trace = integrate_bracket_flow(heis, 5.0, FlowOpts(stops=stops))
+    assert trace.stats["accepted"] == plain.stats["accepted"]
+    assert len(trace) == len(plain) + len(stops)
+    at_steps = np.isin(trace.times, plain.times)
+    assert np.array_equal(trace.frames[at_steps], plain.frames)
+    for t in stops:
+        assert np.count_nonzero(trace.times == t) == 1
+        c = trace.coeffs[trace.index_of_time(t), 0, 1, 2]
+        assert c**2 == pytest.approx(1.0 / (1.0 + 3.0 * t), rel=1e-8)
+
+
+def _reference_dp_step(f, t, y, h):
+    """The Dormand-Prince step as per-stage sums in plain Python."""
+    a = (
+        (),
+        (1 / 5,),
+        (3 / 40, 9 / 40),
+        (44 / 45, -56 / 15, 32 / 9),
+        (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+        (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+        (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    )
+    c = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+    bhat = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+    k = [f(t, y)]
+    for i in range(1, 7):
+        k.append(f(t + c[i] * h, y + h * sum(ai * ki for ai, ki in zip(a[i], k))))
+    y_new = y + h * sum(ai * ki for ai, ki in zip(a[6], k))
+    err = h * sum((b - bh) * ki for b, bh, ki in zip(a[6] + (0.0,), bhat, k))
+    return y_new, err
+
+
+def test_stage_array_step_matches_per_stage_sums():
+    # only the summation order changed, so a step agrees to rounding
+    def f(t, y):
+        return np.sin(y) * y[::-1] - 0.3 * (1.0 + t) * y
+
+    t, h = 0.4, 0.15
+    y = np.linspace(-1.0, 2.0, 9)
+    K = np.empty((7, y.size))
+    K[0] = f(t, y)
+    y_new, err = flow._dp_step(f, t, y, h, K)
+    ref_y, ref_err = _reference_dp_step(f, t, y, h)
+    np.testing.assert_allclose(y_new, ref_y, rtol=1e-14, atol=0.0)
+    # the error weights cancel: compare relative to the size of the summed terms
+    scale = h * np.abs(flow._DP_E) @ np.abs(K)
+    assert np.all(np.abs(err - ref_err) <= 1e-14 * scale)
+    assert np.abs(err).max() > 0.0
+    np.testing.assert_allclose(K[6], f(t + h, y_new), rtol=1e-14)
+    # the continuous extension starts at y and ends at y_new
+    np.testing.assert_allclose(flow._dp_dense(y, h, K, 0.0), y, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(flow._dp_dense(y, h, K, 1.0), y_new, rtol=1e-14, atol=0.0)
 
 
 def test_flow_stays_on_jacobi_variety():
@@ -412,6 +482,24 @@ def test_cointegrated_frame_solves_its_equation(normalized):
         ric = ricci_operator(trace.brackets[i])
         rhs = -(ric + trace.r_values[i] * np.eye(4)) @ hs[i]
         assert np.linalg.norm(dh - rhs) / np.linalg.norm(rhs) < 1e-2
+
+
+def test_cointegrated_frame_takes_the_steps_its_tolerance_needs(monkeypatch):
+    # every sample time is a stop of the run, but stops no longer end steps:
+    # 502 samples used to cost 538 accepted steps
+    trace = integrate_bracket_flow(filiform(4), 5.0, FlowOpts(max_step=0.01))
+    accepted = []
+    integrate = flow._integrate_adaptive
+
+    def counting(*args):
+        samples, stats = integrate(*args)
+        accepted.append(stats["accepted"])
+        return samples, stats
+
+    monkeypatch.setattr(flow, "_integrate_adaptive", counting)
+    hs = cointegrate_h(trace)
+    assert len(trace) > 400 and len(hs) == len(trace)
+    assert len(accepted) == 1 and accepted[0] < len(trace)
 
 
 def test_gl_action_accepts_ill_conditioned_cointegrated_frames():
