@@ -87,8 +87,9 @@ class VTangent:
         return np.einsum("ijk,i,j->k", self.coeffs, np.asarray(x, float), np.asarray(y, float))
 
     def ad(self, x) -> Operator:
-        """Matrix of y -> value on (x, y)."""
-        return np.einsum("ijk,i->kj", self.coeffs, np.asarray(x, float))
+        """Matrix of y -> value on (x, y), from one (n, n^2) product."""
+        n = self.n
+        return (np.asarray(x, float) @ self.coeffs.reshape(n, n * n)).reshape(n, n).T
 
     def scaled(self, factor) -> "VTangent":
         return type(self)(factor * self.coeffs)
@@ -304,7 +305,7 @@ def derivation_basis(b: VTangent, tol: float = DEFAULT_TOL) -> list:
     """
     n = b.n
     a = _delta_matrix(b.coeffs)
-    _, s, vt = np.linalg.svd(a, full_matrices=True)
+    _, s, vt = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         rank = 0
     else:

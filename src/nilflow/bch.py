@@ -1,9 +1,13 @@
 """Group law in exponential coordinates and the induced left-invariant metric.
 
-For a nilpotent bracket the exp-coordinate product x . y = x + y + p(x, y) is
-a polynomial: the commutator series truncates once nested words exceed the
-nilpotency degree k.  Differentials of left translations come from the
-closed-form dexp series (the left-trivialized differential of exp)
+For a nilpotent bracket of degree k the product is the integral form of the
+Baker-Campbell-Hausdorff formula (Hall, Lie Groups, Lie Algebras, and
+Representations, Thm. 5.3), x . y = log(e^x e^y) =
+x + int_0^1 psi(e^{ad x} e^{t ad y}) y dt with psi(w) = w log w / (w - 1).
+Both series stop at ad^k = 0, so the integrand is a polynomial of degree < k
+in t, and ceil(k/2) Gauss-Legendre nodes give the product exactly.
+Differentials of left translations come from the closed-form dexp series
+(the left-trivialized differential of exp)
 
     A(x) = sum_{j<k} (-1)^j ad_x^j / (j + 1)!,
 
@@ -25,62 +29,39 @@ from .algebra import Bracket
 from .exceptions import BracketFormatError, DegreeTooHigh, DimensionMismatch
 
 # ---------------------------------------------------------------------------
-# Truncated commutator series for log(exp x exp y), as a word table.
+# Truncated matrix series and the product log(exp x exp y) in integral form.
 
 
-def _compositions(total, parts):
-    for cuts in itertools.combinations(range(1, total), parts - 1):
-        prev = 0
-        out = []
-        for c in cuts + (total,):
-            out.append(c - prev)
-            prev = c
-        yield tuple(out)
+def _series(m, coefs):
+    """sum_j coefs[j] m^j by Horner; leading axes of m are batch axes."""
+    eye = np.eye(m.shape[-1])
+    if len(coefs) == 1:
+        return coefs[0] * eye + 0.0 * m  # a constant, in the batch shape of m
+    out = coefs[-1] * m + coefs[-2] * eye
+    for a in coefs[-3::-1]:
+        out = out @ m + a * eye
+    return out
 
 
 @lru_cache(maxsize=None)
-def _series_words(depth: int):
-    """Word-coefficient table of the exp-product series, all words of length
-    <= depth.  Words are 0/1 tuples (0 = first argument, 1 = second) evaluated
-    as right-nested commutators; deeper words vanish on brackets of nilpotency
-    degree <= depth.  Linear words carry coefficient exactly 1.
-    """
-    table = {}
-    for total in range(1, depth + 1):
-        for m in range(1, total + 1):
-            sign = 1.0 if m % 2 == 1 else -1.0
-            for comp in _compositions(total, m):
-                splits = [[(p, d - p) for p in range(d + 1)] for d in comp]
-                for pq in itertools.product(*splits):
-                    word = []
-                    denom = m * total
-                    for p, q in pq:
-                        word.extend([0] * p)
-                        word.extend([1] * q)
-                        denom *= math.factorial(p) * math.factorial(q)
-                    w = tuple(word)
-                    table[w] = table.get(w, 0.0) + sign / denom
-    out = []
-    for w, coeff in sorted(table.items(), key=lambda t: (len(t[0]), t[0])):
-        if len(w) >= 2 and w[-1] == w[-2]:
-            continue  # innermost commutator vanishes identically
-        if abs(coeff) < 1e-300:
-            continue
-        out.append((w, coeff))
-    return tuple(out)
+def _rule(k):
+    """Gauss-Legendre nodes and weights on [0, 1] with ceil(k/2) nodes, exact
+    for polynomials of degree < k, and the Taylor coefficients up to N^(k-1)
+    of exp(N) and of psi(1 + N) = (1 + N) log(1 + N) / N."""
+    nodes, weights = np.polynomial.legendre.leggauss((k + 1) // 2)
+    exp_coefs = [1.0 / math.factorial(j) for j in range(k)]
+    psi_coefs = [1.0] + [(-1.0) ** (m + 1) / (m * (m + 1)) for m in range(1, k)]
+    return 0.5 * (nodes + 1.0), 0.5 * weights, exp_coefs, psi_coefs
 
 
-def _eval_series(c, depth, x, y):
-    z = x + y
-    letters = (x, y)
-    for word, coeff in _series_words(depth):
-        if len(word) == 1:
-            continue  # linear part handled above
-        acc = letters[word[-1]]
-        for idx in word[-2::-1]:
-            acc = np.einsum("ijk,i,j->k", c, letters[idx], acc)
-        z = z + coeff * acc
-    return z
+def _product(b, k, x, y):
+    """x . y = log(e^x e^y) on a bracket of nilpotency degree k, by the
+    integral formula of the module docstring on the exact Gauss rule of _rule(k)."""
+    t, w, exp_coefs, psi_coefs = _rule(k)
+    ex = _series(b.ad(x), exp_coefs)
+    ey = _series(t[:, None, None] * b.ad(y), exp_coefs)
+    m = ex @ ey - np.eye(len(x))  # N = e^{ad x} e^{t ad y} - I at every node t
+    return x + w @ (_series(m, psi_coefs) @ y)
 
 
 def _resolve_degree(b, degree):
@@ -103,17 +84,12 @@ def bch_product(b: Bracket, x, y, degree: int | None = None) -> np.ndarray:
     nilpotency computation when the caller already knows it.
     """
     x, y = _as_vector(b, x), _as_vector(b, y)
-    return _eval_series(b.coeffs, _resolve_degree(b, degree), x, y)
+    return _product(b, _resolve_degree(b, degree), x, y)
 
 
 def _dexp(b, x, terms):
     """The dexp series A(x) = sum_{j<terms} (-1)^j ad_x^j / (j + 1)!."""
-    ad = np.einsum("i,ijk->kj", x, b.coeffs)
-    out = term = np.eye(b.n)
-    for j in range(1, terms):
-        term = term @ ad * (-1.0 / (j + 1))
-        out = out + term
-    return out
+    return _series(b.ad(x), [(-1.0) ** j / math.factorial(j + 1) for j in range(terms)])
 
 
 def translation_jacobian(b: Bracket, z, x, degree: int | None = None) -> np.ndarray:
@@ -125,7 +101,7 @@ def translation_jacobian(b: Bracket, z, x, degree: int | None = None) -> np.ndar
     """
     z, x = _as_vector(b, z), _as_vector(b, x)
     k = _resolve_degree(b, degree)
-    zx = _eval_series(b.coeffs, k, z, x)
+    zx = _product(b, k, z, x)
     return np.linalg.solve(_dexp(b, zx, k), _dexp(b, x, k))
 
 

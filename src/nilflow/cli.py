@@ -242,7 +242,7 @@ def cmd_flow(args) -> int:
             rep = verify_flow_identities(trace, tolerance=args.check_tol)
             summary["identities"] = {
                 "max_rel_err_scal": rep.max_rel_err_scal,
-                "max_rel_err_norm": rep.max_rel_err_norm,
+                "max_rel_err_energy": rep.max_rel_err_energy,
                 "ok": rep.ok,
             }
             if not rep.ok:

@@ -25,7 +25,7 @@ from .algebra import (
     vn_inner,
 )
 from .curvature import ricci_energy, ricci_operator
-from .exceptions import ZeroBracket
+from .exceptions import ConfigError, ZeroBracket
 from .flow import _sample_norms
 
 _TINY = 1e-300
@@ -150,7 +150,7 @@ def detect_convergence(trace, tol: float = 1e-8, stat_tol: float = 1e-6) -> Conv
     points, e.g. because the distances already sit at rounding level).
     """
     if trace.kind != "normalized":
-        raise ValueError("convergence detection expects a normalized trace")
+        raise ConfigError("convergence detection expects a normalized trace")
     limit = trace.final_bracket
     cert = soliton_residual(limit, tol=tol)
     stat = critical_point_check(limit).stationarity

@@ -126,8 +126,8 @@ def test_criterion_06_flow_ode_identities():
     for b in starts:
         trace = integrate_bracket_flow(b, 1.0, FlowOpts(max_step=0.01))
         rep = verify_flow_identities(trace)
-        worst = max(worst, rep.max_rel_err_scal, rep.max_rel_err_norm)
-    _verdict(6, worst < 1e-4, f"max rel err of d/dt scal, d/dt |mu|^2 = {worst:.2e} (< 1e-04)")
+        worst = max(worst, rep.max_rel_err_scal, rep.max_rel_err_energy)
+    _verdict(6, worst < 1e-4, f"max rel err of d/dt scal, d/dt tr Ric^2 = {worst:.2e} (< 1e-04)")
 
 
 def test_criterion_07_three_presentations_agree():

@@ -79,21 +79,27 @@ def test_four_step_product_matches_dynkin_terms():
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=25, deadline=None)
 def test_group_axioms(seed):
-    b = filiform(5)
     rng = np.random.default_rng(seed)
-    x, y, z = rng.standard_normal((3, 5))
-    assert np.allclose(bch_product(b, x, np.zeros(5)), x, atol=1e-12)
-    assert np.allclose(bch_product(b, np.zeros(5), x), x, atol=1e-12)
-    assert np.allclose(bch_product(b, x, -x), np.zeros(5), atol=1e-12)
-    lhs = bch_product(b, bch_product(b, x, y), z)
-    rhs = bch_product(b, x, bch_product(b, y, z))
-    assert np.allclose(lhs, rhs, atol=1e-11), f"associativity off by {np.abs(lhs - rhs).max():.2e}"
+    # filiform(7) has degree 6, so its product takes three Gauss nodes
+    for b in (filiform(5), filiform(7)):
+        n = b.n
+        x, y, z = rng.standard_normal((3, n))
+        assert np.allclose(bch_product(b, x, np.zeros(n)), x, atol=1e-12)
+        assert np.allclose(bch_product(b, np.zeros(n), x), x, atol=1e-12)
+        assert np.allclose(bch_product(b, x, -x), np.zeros(n), atol=1e-12)
+        lhs = bch_product(b, bch_product(b, x, y), z)
+        rhs = bch_product(b, x, bch_product(b, y, z))
+        assert np.allclose(lhs, rhs, atol=1e-11), f"associativity off by {np.abs(lhs - rhs).max():.2e}"
 
 
 def test_degree_hint_matches_default(fil4):
     x = np.array([1.0, 0.5, -0.25, 2.0])
     y = np.array([0.1, -0.2, 0.3, -0.4])
     assert np.array_equal(bch_product(fil4, x, y, degree=3), bch_product(fil4, x, y))
+    # the zero bracket has degree 0, resolved to k = 1: the product is exactly x + y
+    zero = algebra.Bracket.zero(4)
+    assert np.array_equal(bch_product(zero, x, y, degree=1), bch_product(zero, x, y))
+    assert np.array_equal(bch_product(zero, x, y), x + y)
 
 
 def test_product_rejects_wrong_length(heis):
@@ -126,12 +132,14 @@ def _central_difference_jacobian(b, z, x, h=1e-5):
 
 
 @pytest.mark.parametrize(
-    "b", [filiform(5), random_nilpotent(5, np.random.default_rng(3))], ids=["filiform5", "rotated5"]
+    "b",
+    [filiform(5), random_nilpotent(5, np.random.default_rng(3)), filiform(7)],
+    ids=["filiform5", "rotated5", "filiform7"],
 )
 def test_translation_differentials_match_central_differences(b):
-    # an independent path through the product's word table
+    # the dexp series checked against differences of the integral-form product
     rng = np.random.default_rng(11)
-    for z, x in rng.standard_normal((3, 2, 5)):
+    for z, x in rng.standard_normal((3, 2, b.n)):
         fd = _central_difference_jacobian(b, z, x)
         assert np.allclose(translation_jacobian(b, z, x), fd, atol=1e-7)
         fd = _central_difference_jacobian(b, -x, x)

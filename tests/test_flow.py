@@ -1,5 +1,7 @@
 """Integration of the bracket flows: exact solutions, invariants, companions."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,31 @@ def test_thinning_keeps_stop_samples(heis):
     for t in stops:
         assert trace.times[trace.index_of_time(t)] == t
     assert trace.times[-1] == 10.0
+
+
+def test_thinning_keeps_the_whole_run_evenly_sampled(heis):
+    # every stretch of the run keeps samples, not only its start and its end
+    trace = integrate_bracket_flow(heis, 10.0, FlowOpts(max_step=1e-3, max_samples=128))
+    assert len(trace) <= 128
+    for lo in np.arange(0.0, 10.0, 0.5):
+        assert np.any((trace.times >= lo) & (trace.times <= lo + 0.5)), f"no sample in [{lo}, {lo + 0.5}]"
+
+
+def test_thinning_more_stops_than_samples_thins_logarithmically(heis, monkeypatch):
+    # 4,000 stops never fit in 128 samples, so thinning cannot reach the cap;
+    # it must still stop once the stride passes the step count
+    calls = []
+    original = flow._thin
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(flow, "_thin", counting)
+    stops = tuple(np.linspace(0.0, 10.0, 4002)[1:-1])
+    trace = integrate_bracket_flow(heis, 10.0, FlowOpts(max_step=1e-3, max_samples=128, stops=stops))
+    assert len(calls) <= math.ceil(math.log2(trace.stats["accepted"]))
+    assert all(trace.times[trace.index_of_time(t)] == t for t in stops)
 
 
 def test_off_step_stops_are_continuous_extension_samples(heis):
@@ -216,16 +243,24 @@ def test_diagnostic_identities_random_two_step(seed):
     report = verify_flow_identities(trace)
     assert report.ok, (
         f"scal rate off by {report.max_rel_err_scal:.2e}, "
-        f"norm rate off by {report.max_rel_err_norm:.2e}"
+        f"energy rate off by {report.max_rel_err_energy:.2e}"
     )
     assert report.max_rel_err_scal < 1e-4
-    assert report.max_rel_err_norm < 1e-4
+    assert report.max_rel_err_energy < 1e-4
 
 
 def test_diagnostic_identities_filiform():
     trace = integrate_bracket_flow(filiform(5), 1.0, FlowOpts(max_step=0.01))
     report = verify_flow_identities(trace)
-    assert report.max_rel_err_scal < 1e-4 and report.max_rel_err_norm < 1e-4
+    assert report.max_rel_err_scal < 1e-4 and report.max_rel_err_energy < 1e-4
+
+
+def test_identities_check_two_independent_rates():
+    # scal = -||mu||^2 / 4, so a ||mu||^2 identity would repeat the scal one to
+    # the last bit; the energy identity differentiates tr Ric^2 instead
+    trace = integrate_bracket_flow(random_sphere_bracket(5, 7), 1.0, FlowOpts(max_step=0.01))
+    report = verify_flow_identities(trace)
+    assert report.max_rel_err_energy != report.max_rel_err_scal
 
 
 def test_identities_need_enough_samples(heis):
@@ -581,6 +616,13 @@ def test_trace_csv_round_trip(tmp_path, heis):
     assert np.array_equal(cols["mu_norm"], trace.mu_norm)
     assert np.array_equal(cols["scal"], trace.scal)
     assert np.array_equal(cols["r"], trace.r_values)
+
+
+def test_trace_csv_rejects_a_wrong_header(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("t,mu_norm\n0.0,2.0\n")
+    with pytest.raises(ConfigError, match="unexpected trace header"):
+        trace_from_csv(path)
 
 
 def test_trace_snapshots_round_trip(tmp_path, heis):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilflow.curvature import ricci_operator
-from nilflow.exceptions import ZeroBracket
+from nilflow.exceptions import ConfigError, ZeroBracket
 from nilflow.flow import FlowOpts, integrate_bracket_flow, integrate_normalized_flow
 from nilflow.generators import (
     filiform,
@@ -142,7 +142,7 @@ def test_generic_bracket_is_not_critical():
 
 def test_detection_rejects_unnormalized_traces(heis):
     trace = integrate_bracket_flow(heis, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="normalized trace"):
         detect_convergence(trace)
 
 
