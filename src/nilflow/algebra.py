@@ -8,10 +8,11 @@ adjoint delta^t, and derivation algebras.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -126,17 +127,28 @@ def vn_inner(a: VTangent, b: VTangent) -> float:
     return float(np.tensordot(a.coeffs, b.coeffs, axes=3))
 
 
+@lru_cache(maxsize=None)
+def _cyclic_triples(n):
+    """Flat indices into (n, n, n) of (i, j, k), (j, k, i) and (k, i, j) over
+    the triples i < j < k."""
+    i, j, k = np.array(list(itertools.combinations(range(n), 3)), dtype=np.intp).reshape(-1, 3).T
+    return (i * n + j) * n + k, (j * n + k) * n + i, (k * n + i) * n + j
+
+
 def _jacobiator_max(c: np.ndarray) -> np.ndarray:
     """Max-norm of the cyclic Jacobiator; leading axes of c are batch axes.
 
     T[i, j, k, m] = sum_a c[i, j, a] c[a, k, m] is one (n^2, n) @ (n, n^2)
-    product; the Jacobiator is T[i, j, k] + T[j, k, i] + T[k, i, j].
+    product; the Jacobiator is T[i, j, k] + T[j, k, i] + T[k, i, j].  c must
+    be exactly skew in (i, j): the Jacobiator is then alternating in
+    (i, j, k), so only the triples i < j < k are read.
     """
     n = c.shape[-1]
     lead = c.shape[:-3]
-    t = (c.reshape(*lead, n * n, n) @ c.reshape(*lead, n, n * n)).reshape(*lead, n, n, n, n)
-    jac = t + np.moveaxis(t, -2, -4) + np.moveaxis(t, -4, -2)
-    return np.abs(jac).max(axis=(-4, -3, -2, -1), initial=0.0)
+    t = (c.reshape(*lead, n * n, n) @ c.reshape(*lead, n, n * n)).reshape(*lead, n**3, n)
+    ijk, jki, kij = _cyclic_triples(n)
+    jac = np.take(t, ijk, axis=-2) + np.take(t, jki, axis=-2) + np.take(t, kij, axis=-2)
+    return np.abs(jac).max(axis=(-2, -1), initial=0.0)
 
 
 def jacobiator_residual(b: VTangent) -> float:

@@ -13,7 +13,9 @@ Differentials of left translations come from the closed-form dexp series
 
 never from finite differences.  The metric is g(x) = A(x)^T A(x); since ad_x
 is linear in x, its coefficient tables are an exact expansion of polynomial
-products, of degree at most 2(k - 1).
+products, of degree at most 2(k - 1); like monomials are collected on one
+integer key per exponent row.  A `MetricField` is evaluated as one product
+of its stacked monomials x^alpha against its stacked coefficient matrices.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -136,21 +138,29 @@ class MetricField:
     """Polynomial metric g_ij(x) = sum_alpha coefficients[alpha][i, j] x^alpha.
 
     coefficients maps multi-indices (tuples of n nonnegative ints) to
-    symmetric (n, n) matrices.
+    symmetric (n, n) matrices.  A call evaluates every monomial x^alpha at
+    once and takes one product with the stacked matrices; the stacks are
+    built on the first call, so the coefficients must not change after it.
     """
 
     n: int
     degree: int
     coefficients: dict
 
+    @cached_property
+    def _table(self):
+        """Exponents (m, n) and coefficient matrices (m, n^2), in key order."""
+        n = self.n
+        exps = np.array(list(self.coefficients), dtype=int).reshape(-1, n)
+        mats = np.array(list(self.coefficients.values()), dtype=float).reshape(-1, n * n)
+        return exps, mats
+
     def __call__(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise DimensionMismatch(f"expected a vector of length {self.n}")
-        out = np.zeros((self.n, self.n))
-        for alpha, mat in self.coefficients.items():
-            out += mat * np.prod(x**np.asarray(alpha))
-        return out
+        exps, mats = self._table
+        return (np.prod(x**exps, axis=1) @ mats).reshape(self.n, self.n)
 
     def derivative(self, beta) -> "MetricField":
         """Partial derivative field d^beta g (coefficient-exact)."""
@@ -233,13 +243,18 @@ def metric_field_2step(b: Bracket) -> MetricField:
 
 def _matpoly_mul(p, q):
     """Product of matrix polynomials given as (exponents (m, n), coefficients
-    (m, r, s)); like monomials are collected and exact zeros dropped."""
+    (m, r, s)); like monomials are collected, in lexicographic order of their
+    exponents, and exact zeros dropped."""
     (ep, cp), (eq, cq) = p, q
     exps = (ep[:, None] + eq[None, :]).reshape(-1, ep.shape[1])
     prods = (cp[:, None] @ cq[None, :]).reshape(len(exps), cp.shape[1], cq.shape[2])
-    exps, inverse = np.unique(exps, axis=0, return_inverse=True)
+    # C-order keys sort as the rows do; ravel_multi_index raises, not wraps,
+    # when the key space overflows
+    keys = np.ravel_multi_index(exps.T, (int(exps.max(initial=0)) + 1,) * exps.shape[1])
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    exps = exps[first]
     coeffs = np.zeros((len(exps),) + prods.shape[1:])
-    np.add.at(coeffs, inverse.reshape(-1), prods)
+    np.add.at(coeffs, inverse, prods)
     nonzero = np.any(coeffs != 0.0, axis=(1, 2))
     return exps[nonzero], coeffs[nonzero]
 
@@ -261,7 +276,7 @@ def metric_field_fit(b: Bracket) -> MetricField:
     # the terms are homogeneous of distinct degrees, so stacking them sums A
     a = tuple(np.concatenate(part) for part in zip(*terms))
     exps, g = _matpoly_mul((a[0], np.swapaxes(a[1], 1, 2)), a)
-    table = {tuple(alpha.tolist()): 0.5 * (mat + mat.T) for alpha, mat in zip(exps, g)}
+    table = dict(zip(map(tuple, exps.tolist()), 0.5 * (g + g.swapaxes(1, 2))))
     return MetricField(n, max(0, 2 * (k - 1)), table)
 
 

@@ -13,9 +13,10 @@ derivation of mu(t), so mu' is exactly the bracket flow, and at a soliton
 X - h D h^{-1} -> 0, so h converges.  tr(Ric^2) is homogeneous, so the
 normalized flow evaluates X on mu(t) rescaled to ||mu0||: its generator keeps
 ||mu|| fixed, and each stored frame is rescaled once onto the sphere.  Traces
-are arrays read by batched kernels; cond(h) > 1/sqrt(eps) raises
-NumericalFailure.  Every flow runs one adaptive Dormand-Prince 5(4) integrator;
-a stop is a sample of its 4th-order continuous extension, not a step end.
+are arrays read by batched kernels; cond(h) > 1/sqrt(eps), or a skew part of
+h.mu0 above 1e-8 of its norm (rounding damage), raises NumericalFailure.
+Every flow runs one adaptive Dormand-Prince 5(4) integrator; a stop is a
+sample of its 4th-order continuous extension, not a step end.
 The module also recovers the frame of h' = -(Ric + r I) h along a trace,
 integrates the equivalent inner-product (metric tensor) flow
 G' = -2 ric(G) - 2 r G, and checks the structural identities of the r = 0 flow.
@@ -376,6 +377,18 @@ def _frame_generator(b0, rate, normalized=False):
 # Beyond cond(h) = 1/sqrt(eps) the rounding of mu = h.mu0, about cond(h)^2 eps
 # relative, reaches the size of mu itself.
 _MAX_COND_H = 1.0 / math.sqrt(np.finfo(float).eps)
+# h.mu0 is skew in exact arithmetic, so its skew part is rounding damage.  A
+# normalized run rescales h, and then that damage outgrows the cond(h)^2 eps
+# estimate: rotated Dixmier-Lister starts cross 1e-8 at t = 13.6-14.4 with
+# cond(h) far under _MAX_COND_H; runs that keep their orbit stay near 1e-13.
+_MAX_SKEW_DEFECT = 1e-8
+
+
+def _first_above(values, bound):
+    """Index of the first value above bound (nan counts), else len(values)."""
+    bad = np.flatnonzero(~(values <= bound))
+    return int(bad[0]) if bad.size else len(values)
+
 
 def _by_blocks(kernel, coeffs):
     """kernel(coeffs) for a kernel with n^4 entries per sample, on blocks of 2^16
@@ -389,21 +402,32 @@ def _finish_trace(kind, samples, stats, c0, rate):
     brackets h_i.mu0 (exactly antisymmetrized; a normalized trace rescales each
     frame onto ||mu|| = ||mu0||), except the rate, whose callable takes a
     Bracket.  Raises NumericalFailure, with the samples before it attached, at
-    the first frame whose condition number exceeds _MAX_COND_H."""
+    the first frame whose condition number exceeds _MAX_COND_H or whose
+    bracket has a skew defect max|c + c^T| / ||c|| above _MAX_SKEW_DEFECT."""
     n = c0.shape[0]
     times = np.array([t for t, _ in samples])
     frames = np.array([y for _, y in samples]).reshape(-1, n, n)
     cond = np.linalg.cond(frames)
-    bad = np.flatnonzero(~(cond <= _MAX_COND_H))
-    if bad.size:
-        i = bad[0]
+    i = _first_above(cond, _MAX_COND_H)
+    # h.mu0 only where h is within the bound: past it the inverse is noise
+    frames = frames[:i]
+    coeffs = _gl_action_coeffs(frames, np.linalg.inv(frames), c0)
+    norms = _sample_norms(coeffs)
+    skew = np.abs(coeffs + coeffs.swapaxes(1, 2)).max(axis=(1, 2, 3))
+    defect = skew / np.maximum(norms, np.finfo(float).tiny)
+    j = _first_above(defect, _MAX_SKEW_DEFECT)
+    if j < i:
+        msg = (f"skew defect {defect[j]:.3e} of h.mu0 at t={times[j]:.6g} exceeds "
+               f"{_MAX_SKEW_DEFECT:g}: rounding has damaged mu")
+        raise NumericalFailure(msg, trace=samples[:j])
+    if i < len(times):
         msg = f"cond(h) = {cond[i]:.3e} at t={times[i]:.6g} exceeds 1/sqrt(eps): h.mu0 has lost its precision"
         raise NumericalFailure(msg, trace=samples[:i])
     stats["max_cond_h"] = float(cond.max())
-    coeffs = _gl_action_coeffs(frames, np.linalg.inv(frames), c0)
+    stats["max_skew_defect"] = float(defect.max())
     if kind == "normalized":
         # (lambda h).mu0 = mu / lambda puts every sample back on ||mu|| = ||mu0||
-        lams = _sample_norms(coeffs) / np.linalg.norm(c0)
+        lams = norms / np.linalg.norm(c0)
         frames = lams[:, None, None] * frames
         coeffs = coeffs / lams[:, None, None, None]
     coeffs = 0.5 * (coeffs - coeffs.swapaxes(1, 2))

@@ -6,8 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nilflow.algebra import Bracket
-from nilflow.generators import filiform, heisenberg, random_two_step, rescale_to_norm
+from nilflow.algebra import Bracket, gl_action
+from nilflow.generators import filiform, heisenberg, random_orthogonal, random_two_step, rescale_to_norm
 
 
 @pytest.fixture
@@ -45,6 +45,13 @@ _DIXMIER_LISTER = {(1, 2): 5, (1, 3): 6, (1, 4): 7, (1, 5): -8, (2, 3): 8,
 def dixmier_lister():
     entries = {(i - 1, j - 1, abs(k) - 1): float(np.sign(k)) for (i, j), k in _DIXMIER_LISTER.items()}
     return Bracket.from_entries(8, entries)
+
+
+def rotated_dixmier_lister(seed):
+    """Dixmier-Lister on ||mu|| = 2 after a seeded rotation: a dense start
+    whose normalized flow must reach the same tr Ric^2, 15/22, as in its own
+    basis."""
+    return rescale_to_norm(gl_action(random_orthogonal(8, np.random.default_rng(seed)), dixmier_lister()))
 
 
 _ROOT = Path(__file__).resolve().parents[1]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilflow import algebra
+from nilflow import algebra, bch
 from nilflow.algebra import gl_action
 from nilflow.bch import (
     MetricField,
@@ -20,7 +20,7 @@ from nilflow.bch import (
     translation_jacobian,
 )
 from nilflow.exceptions import BracketFormatError, DegreeTooHigh, DimensionMismatch
-from nilflow.generators import filiform, heisenberg, random_nilpotent, random_two_step
+from nilflow.generators import filiform, heisenberg, random_nilpotent, random_two_step, sphere_perturbation
 
 from conftest import random_sphere_bracket
 
@@ -273,6 +273,67 @@ def test_field_serialization_round_trip(fil4):
     assert again.n == field.n and again.degree == field.degree
     x = np.array([0.4, 0.1, -0.7, 0.2])
     assert np.allclose(again(x), field(x), atol=1e-15)
+
+
+def _per_monomial_call(field, x):
+    # the reference evaluation: one product of powers per monomial
+    out = np.zeros((field.n, field.n))
+    for alpha, mat in field.coefficients.items():
+        out += mat * np.prod(x ** np.asarray(alpha))
+    return out
+
+
+def _reference_fields():
+    fields = [metric_field_fit(filiform(n)) for n in (4, 5, 6)]
+    for n in (5, 8):
+        rng = np.random.default_rng(n)
+        fields.append(metric_field_fit(random_two_step(n, rng)))
+        fields.append(metric_field_fit(random_nilpotent(n, rng)))
+    fields.append(MetricField.from_dict(fields[1].to_dict()))
+    return fields
+
+
+@pytest.mark.parametrize("field", _reference_fields(), ids=lambda f: f"n{f.n}-m{len(f.coefficients)}")
+def test_field_call_matches_per_monomial_sum(field):
+    rng = np.random.default_rng(field.n)
+    for x in rng.standard_normal((4, field.n)) * 1.5:
+        g = _per_monomial_call(field, x)
+        assert np.abs(field(x) - g).max() <= 1e-13 * max(1.0, np.abs(g).max())
+
+
+def test_derivative_past_the_degree_is_zero(fil4):
+    field = metric_field_fit(fil4)
+    assert field.degree == 4
+    dfield = field.derivative((3, 2, 0, 0))
+    assert dfield.coefficients == {}
+    got = dfield(np.array([0.4, -1.0, 0.3, 2.0]))
+    assert got.shape == (4, 4) and not got.any()
+
+
+def _unique_rows_matpoly_mul(p, q):
+    # the reference collection: like monomials found by np.unique on the rows
+    (ep, cp), (eq, cq) = p, q
+    exps = (ep[:, None] + eq[None, :]).reshape(-1, ep.shape[1])
+    prods = (cp[:, None] @ cq[None, :]).reshape(len(exps), cp.shape[1], cq.shape[2])
+    exps, inverse = np.unique(exps, axis=0, return_inverse=True)
+    coeffs = np.zeros((len(exps),) + prods.shape[1:])
+    np.add.at(coeffs, inverse.reshape(-1), prods)
+    nonzero = np.any(coeffs != 0.0, axis=(1, 2))
+    return exps[nonzero], coeffs[nonzero]
+
+
+@pytest.mark.parametrize(
+    "b",
+    [filiform(n) for n in range(4, 8)] + [sphere_perturbation(filiform(5), np.random.default_rng(5))],
+    ids=["filiform4", "filiform5", "filiform6", "filiform7", "dense5"],
+)
+def test_collection_matches_unique_rows(b, monkeypatch):
+    # the dense start has 462 monomials, every one collected from many products
+    got = metric_field_fit(b).coefficients
+    monkeypatch.setattr(bch, "_matpoly_mul", _unique_rows_matpoly_mul)
+    ref = metric_field_fit(b).coefficients
+    assert list(got) == list(ref)
+    assert all(np.array_equal(got[alpha], ref[alpha]) for alpha in ref)
 
 
 def test_field_from_dict_rejects_garbage():

@@ -12,7 +12,7 @@ from nilflow.cli import main
 from nilflow.exceptions import NotNilpotentError, NumericalFailure
 from nilflow.flow import trace_from_csv
 
-from conftest import dixmier_lister
+from conftest import dixmier_lister, rotated_dixmier_lister
 
 SO3 = json.dumps(
     {
@@ -260,6 +260,14 @@ def test_soliton_frame_degenerates_exits_3(capsys):
     src = json.dumps(bracket_to_dict(dixmier_lister()))
     assert main(["soliton", src, "--rescale", "2", "--t-max", "60"]) == 3
     assert capsys.readouterr().err.startswith("numerical failure: ")
+
+
+def test_soliton_rounding_damage_exits_3(capsys):
+    # a rotated Dixmier-Lister start used to end "not converged" (exit 1) on a
+    # wrong limit; the skew defect of h.mu0 now ends it as a numerical failure
+    src = json.dumps(bracket_to_dict(rotated_dixmier_lister(1)))
+    assert main(["soliton", src, "--t-max", "20"]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: skew defect")
 
 
 # ---------------------------------------------------------------------------
