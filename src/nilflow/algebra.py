@@ -44,8 +44,8 @@ class VTangent:
 
     def __post_init__(self):
         c = np.array(self.coeffs, dtype=float)
-        if c.ndim != 3 or not (c.shape[0] == c.shape[1] == c.shape[2]):
-            raise DimensionMismatch(f"expected an (n, n, n) array, got shape {c.shape}")
+        if c.ndim != 3 or not (c.shape[0] == c.shape[1] == c.shape[2]) or c.size == 0:
+            raise DimensionMismatch(f"expected an (n, n, n) array with n >= 1, got shape {c.shape}")
         if not np.all(np.isfinite(c)):
             raise BracketFormatError("structure constants must be finite")
         swapped = c.transpose(1, 0, 2)
@@ -310,10 +310,10 @@ def _delta_matrix(c: np.ndarray) -> np.ndarray:
     return a.reshape(n**3, n**2)
 
 
-def derivation_basis(b: VTangent, tol: float = DEFAULT_TOL) -> list:
+def derivation_basis(b: VTangent) -> list:
     """Orthonormal basis (trace inner product) of Der(mu) = ker delta_mu.
 
-    Nullspace via SVD with relative singular-value threshold tol.
+    Nullspace via SVD with relative singular-value threshold DEFAULT_TOL.
     """
     n = b.n
     a = _delta_matrix(b.coeffs)
@@ -321,7 +321,7 @@ def derivation_basis(b: VTangent, tol: float = DEFAULT_TOL) -> list:
     if s.size == 0 or s[0] == 0.0:
         rank = 0
     else:
-        rank = int(np.sum(s > s[0] * tol))
+        rank = int(np.sum(s > s[0] * DEFAULT_TOL))
     return [row.reshape(n, n) for row in vt[rank:]]
 
 

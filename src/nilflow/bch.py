@@ -66,12 +66,6 @@ def _product(b, k, x, y):
     return x + w @ (_series(m, psi_coefs) @ y)
 
 
-def _resolve_degree(b, degree):
-    if degree is None:
-        degree = b.degree
-    return max(1, int(degree))
-
-
 def _as_vector(b, x):
     x = np.asarray(x, dtype=float)
     if x.shape != (b.n,):
@@ -79,14 +73,13 @@ def _as_vector(b, x):
     return x
 
 
-def bch_product(b: Bracket, x, y, degree: int | None = None) -> np.ndarray:
+def bch_product(b: Bracket, x, y) -> np.ndarray:
     """Group product in exponential coordinates; exact for nilpotent brackets.
 
-    0 is the identity and -x the inverse.  `degree` short-circuits the
-    nilpotency computation when the caller already knows it.
+    0 is the identity and -x the inverse.
     """
     x, y = _as_vector(b, x), _as_vector(b, y)
-    return _product(b, _resolve_degree(b, degree), x, y)
+    return _product(b, max(1, b.degree), x, y)
 
 
 def _dexp(b, x, terms):
@@ -94,7 +87,7 @@ def _dexp(b, x, terms):
     return _series(b.ad(x), [(-1.0) ** j / math.factorial(j + 1) for j in range(terms)])
 
 
-def translation_jacobian(b: Bracket, z, x, degree: int | None = None) -> np.ndarray:
+def translation_jacobian(b: Bracket, z, x) -> np.ndarray:
     """Differential at x of the left translation w -> z . w.
 
     Left translation commutes with the left-trivialized differential of exp,
@@ -102,24 +95,24 @@ def translation_jacobian(b: Bracket, z, x, degree: int | None = None) -> np.ndar
     unipotent, so the solve is exact to rounding.
     """
     z, x = _as_vector(b, z), _as_vector(b, x)
-    k = _resolve_degree(b, degree)
+    k = max(1, b.degree)
     zx = _product(b, k, z, x)
     return np.linalg.solve(_dexp(b, zx, k), _dexp(b, x, k))
 
 
-def left_translation_differential(b: Bracket, x, degree: int | None = None) -> np.ndarray:
+def left_translation_differential(b: Bracket, x) -> np.ndarray:
     """Differential at x of translation by the inverse of x.
 
     Columns are the coordinate expressions of the left-invariant frame at x
     pulled back to the identity; this is the closed-form dexp series A(x).
     """
     x = _as_vector(b, x)
-    return _dexp(b, x, _resolve_degree(b, degree))
+    return _dexp(b, x, max(1, b.degree))
 
 
-def metric_at(b: Bracket, x, degree: int | None = None) -> np.ndarray:
+def metric_at(b: Bracket, x) -> np.ndarray:
     """Left-invariant metric in coordinates: Gram matrix A(x)^T A(x)."""
-    j = left_translation_differential(b, x, degree)
+    j = left_translation_differential(b, x)
     return j.T @ j
 
 
@@ -199,12 +192,17 @@ class MetricField:
             raw = obj["coefficients"]
         except (KeyError, TypeError, ValueError) as exc:
             raise BracketFormatError(f"malformed metric-field document: {exc}") from None
+        if not isinstance(raw, list):
+            raise BracketFormatError("metric-field 'coefficients' must be a list")
         coeffs = {}
         for entry in raw:
-            i, j = int(entry["i"]) - 1, int(entry["j"]) - 1
-            alpha = tuple(int(v) for v in entry["alpha"])
-            v = float(entry["value"])
-            if not (0 <= i <= j < n) or len(alpha) != n or min(alpha) < 0:
+            try:
+                i, j = int(entry["i"]) - 1, int(entry["j"]) - 1
+                alpha = tuple(int(v) for v in entry["alpha"])
+                v = float(entry["value"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise BracketFormatError(f"malformed metric-field entry {entry!r}: {exc}") from None
+            if not (0 <= i <= j < n) or len(alpha) != n or min(alpha) < 0 or not math.isfinite(v):
                 raise BracketFormatError(f"bad metric-field entry {entry}")
             mat = coeffs.setdefault(alpha, np.zeros((n, n)))
             mat[i, j] = v
@@ -280,20 +278,14 @@ def metric_field_fit(b: Bracket) -> MetricField:
     return MetricField(n, max(0, 2 * (k - 1)), table)
 
 
-def metric_convergence_distance(
-    b1: Bracket,
-    b2: Bracket,
-    radius: float,
-    p: int = 2,
-    rng: np.random.Generator | None = None,
-) -> float:
+def metric_convergence_distance(b1: Bracket, b2: Bracket, radius: float, p: int = 2) -> float:
     """Sup over a ball of |d^beta (g_1 - g_2)_ij| for all |beta| <= p.
 
     Evaluated from the exact expansions of both metrics on 3^n lattice points
-    scaled to the ball plus 100 random interior points (seeded by default, so
-    the result is deterministic).  Each derivative field is one matrix
-    product against a Vandermonde block taken from a table of coordinate
-    powers.
+    scaled to the ball plus 100 random interior points drawn from
+    default_rng(0), so the result is deterministic.  Each derivative field is
+    one matrix product against a Vandermonde block taken from a table of
+    coordinate powers.
     """
     if b1.n != b2.n:
         raise DimensionMismatch(f"dimension mismatch: {b1.n} vs {b2.n}")
@@ -306,8 +298,7 @@ def metric_convergence_distance(
     diff = np.array([f1.coefficients.get(a, zero) - f2.coefficients.get(a, zero) for a in alphas])
 
     lattice = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=n))) * (radius / math.sqrt(n))
-    if rng is None:
-        rng = np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     dirs = rng.standard_normal((100, n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     radii = radius * rng.random(100) ** (1.0 / n)

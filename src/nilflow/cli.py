@@ -21,7 +21,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -32,10 +31,9 @@ from .algebra import (
     bracket_to_dict,
     central_series_dims,
     load_bracket,
-    nilpotency_degree,
     validate_bracket,
 )
-from .bch import metric_field_2step, metric_field_fit
+from .bch import metric_field_fit
 from .curvature import curvature_pack
 from .exceptions import (
     BracketFormatError,
@@ -98,6 +96,13 @@ def _as_float(kw, key, default):
         raise ConfigError(f"{key}={kw[key]!r} is not a number") from None
 
 
+def _seed(seed):
+    # default_rng and SeedSequence take only nonnegative integers
+    if seed < 0:
+        raise ConfigError(f"a seed must be a nonnegative integer, got {seed}")
+    return seed
+
+
 def parse_bracket_source(src: str) -> Bracket:
     """Resolve a SOURCE argument: inline JSON, generator spec, or file path."""
     s = src.strip()
@@ -120,8 +125,11 @@ def parse_bracket_source(src: str) -> Bracket:
             c = _as_float(kw, "c", 1.0)
             return filiform(n, constants=[c] * (n - 2))
         if name == "zero":
-            return Bracket(np.zeros((_as_int(kw, "n"),) * 3))
-        rng = np.random.default_rng(_as_int(kw, "seed", 0))
+            n = _as_int(kw, "n")
+            if n < 1:
+                raise ConfigError(f"zero needs n >= 1, got {n}")
+            return Bracket(np.zeros((n,) * 3))
+        rng = np.random.default_rng(_seed(_as_int(kw, "seed", 0)))
         m = _as_int(kw, "m", 0) or None
         return random_two_step(_as_int(kw, "n"), rng, m=m, scale=_as_float(kw, "scale", 1.0))
     try:
@@ -135,7 +143,7 @@ def parse_bracket_source(src: str) -> Bracket:
 
 def _load_source(args) -> Bracket:
     b = parse_bracket_source(args.source)
-    if getattr(args, "rescale", None):
+    if args.rescale is not None:
         b = rescale_to_norm(b, args.rescale)
     return b
 
@@ -338,13 +346,8 @@ def _sweep_case(index, seed_seq, args):
 def cmd_sweep(args) -> int:
     if args.count < 1:
         raise ConfigError(f"--count must be at least 1, got {args.count}")
-    seeds = np.random.SeedSequence(args.seed).spawn(args.count)
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            cases = list(pool.map(lambda iv: _sweep_case(iv[0], iv[1], args), enumerate(seeds)))
-    else:
-        cases = [_sweep_case(i, s, args) for i, s in enumerate(seeds)]
-    cases.sort(key=lambda rec: rec["index"])
+    seeds = np.random.SeedSequence(_seed(args.seed)).spawn(args.count)
+    cases = [_sweep_case(i, s, args) for i, s in enumerate(seeds)]
 
     summary = {"kind": args.kind, "n": args.n, "count": args.count, "seed": args.seed, "cases": cases}
     errors = [rec for rec in cases if "error" in rec]
@@ -377,10 +380,10 @@ def cmd_sweep(args) -> int:
 def cmd_metric_field(args) -> int:
     b = _load_source(args)
     try:
-        degree = nilpotency_degree(b)
-    except NilflowError as e:
+        degree = b.degree
+    except NotNilpotentError as e:
         raise ConfigError(f"metric field needs a nilpotent bracket: {e}") from None
-    field = metric_field_2step(b) if degree <= 2 else metric_field_fit(b)
+    field = metric_field_fit(b)
     by_degree = {}
     for alpha, mat in field.coefficients.items():
         by_degree.setdefault(sum(alpha), 0.0)
@@ -481,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="dimension")
     p.add_argument("--count", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; has no effect")
     p.add_argument("--kind", choices=("normalized", "unnormalized"), default="normalized")
     p.add_argument("--t-max", type=float, default=None)
     p.add_argument("--out", help="write all cases and clusters as JSON ('-' for stdout)")

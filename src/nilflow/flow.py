@@ -157,7 +157,7 @@ def _integrate_adaptive(f, t0, y0, t_end, opts):
     4th-order continuous extension of the step holding it, at no extra
     evaluation, or, within rounding of a step end, relabels that sample.
     Raises ConfigError unless t_end is finite and >= t0, and
-    StepSizeUnderflow when the controller collapses.
+    StepSizeUnderflow when the controller collapses or the step is nan.
     """
     if not (math.isfinite(t_end) and t_end >= t0):
         raise ConfigError(f"the integration must end at a finite time >= {t0:g}, got {t_end!r}")
@@ -192,7 +192,8 @@ def _integrate_adaptive(f, t0, y0, t_end, opts):
 
     while t < t_end:
         h = min(h, opts.max_step, t_end - t)
-        if h < 1e-14 * max(1.0, abs(t)):
+        # not >=, so that a nan step (a nan derivative) underflows too
+        if not h >= 1e-14 * max(1.0, abs(t)):
             raise StepSizeUnderflow(f"step size underflow at t={t:.6g} (h={h:.3e})", trace=samples)
         y_new, err_vec = _dp_step(f, t, y, h, K)
         stats["nfev"] += 6
@@ -328,8 +329,9 @@ def trace_from_csv(path) -> dict:
 def _rate(r, callable_ok=True):
     """Resolve a rate r into one function (coeffs, Ric) -> float.
 
-    r is None (zero), a number, "scalar" (tr Ric^2) or, when callable_ok, a
-    callable Bracket -> float; anything else raises BadRate.
+    r is None (zero), a finite number, "scalar" (tr Ric^2) or, when
+    callable_ok, a callable Bracket -> float; anything else, and a callable
+    that returns a value that is not finite, raises BadRate.
     """
     if r is None:
         return lambda c, ric: 0.0
@@ -339,12 +341,22 @@ def _rate(r, callable_ok=True):
         return lambda c, ric: float(np.sum(ric * ric))
     if isinstance(r, (int, float)):
         value = float(r)
+        # a nan or infinite rate would make every step nan, and every step rejected
+        if not math.isfinite(value):
+            raise BadRate(f"a constant rate must be finite, got {r!r}")
         return lambda c, ric: value
     if not callable(r):
         raise BadRate("r must be None, a number, 'scalar' or a callable Bracket -> float")
     if not callable_ok:
         raise BadRate("a callable rate is not supported here; use None, a number or 'scalar'")
-    return lambda c, ric: float(r(Bracket(c)))
+
+    def rate(c, ric):
+        value = float(r(Bracket(c)))
+        if not math.isfinite(value):
+            raise BadRate(f"the rate returned {value!r}; it must be finite")
+        return value
+
+    return rate
 
 
 def _frame_generator(b0, rate, normalized=False):
@@ -490,7 +502,7 @@ def integrate_normalized_flow(b0: Bracket, t_max: float, opts: FlowOpts | None =
 def integrate_r_normalized(b0: Bracket, r, t_max: float, opts: FlowOpts | None = None) -> FlowTrace:
     """Flow mu' = delta_mu(Ric_mu) + r mu for any normalization rate r.
 
-    r may be None or 0 (reproducing the unnormalized flow exactly), a number,
+    r may be None or 0 (reproducing the unnormalized flow exactly), a finite number,
     "scalar" (r = tr(Ric^2) of mu itself, so unlike
     `integrate_normalized_flow` the sphere ||mu|| = 2 repels: any drift off
     it grows), or a callable Bracket -> float.  Any other r raises BadRate.
@@ -724,6 +736,8 @@ def equivalence_report(
     it.  r is None for the unnormalized flow, a constant rate, or the string
     "scalar" for tr(Ric^2); a callable raises BadRate, as in the metric flow.
     """
+    if checkpoints < 2:
+        raise ConfigError(f"checkpoints must be at least 2, got {checkpoints}")
     grid = np.linspace(0.0, t_max, checkpoints)
     opts = replace(opts or FlowOpts(), stops=tuple(grid[1:-1]))
 

@@ -56,27 +56,30 @@ def random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def random_nilpotent(n: int, rng: np.random.Generator, gl_spread: float = 0.5) -> Bracket:
+def _near_identity(n: int, rng: np.random.Generator, spread: float) -> np.ndarray:
+    """I + spread * G / sqrt(n) with G standard normal, redrawn until cond < 1e3."""
+    while True:
+        g = np.eye(n) + spread * rng.standard_normal((n, n)) / math.sqrt(n)
+        if np.linalg.cond(g) < 1e3:
+            return g
+
+
+def random_nilpotent(n: int, rng: np.random.Generator) -> Bracket:
     """Random 2-step bracket pushed around by a random change of basis."""
     b = random_two_step(n, rng)
-    while True:
-        g = np.eye(n) + gl_spread * rng.standard_normal((n, n)) / math.sqrt(n)
-        if np.linalg.cond(g) < 1e3:
-            return gl_action(g, b)
+    return gl_action(_near_identity(n, rng, 0.5), b)
 
 
 def rescale_to_norm(b: Bracket, target: float = 2.0) -> Bracket:
     """Scale the bracket to the sphere ||mu|| = target."""
+    if not (math.isfinite(target) and target > 0.0):
+        raise ConfigError(f"the target norm must be finite and > 0, got {target!r}")
     nrm = b.norm
     if nrm == 0.0:
         raise ZeroBracket("cannot rescale the zero bracket onto a sphere")
     return b.scaled(target / nrm)
 
 
-def sphere_perturbation(b: Bracket, rng: np.random.Generator, eps: float = 0.3, target: float = 2.0) -> Bracket:
-    """Perturb within the GL-orbit (stays nilpotent) and rescale onto the sphere."""
-    n = b.n
-    while True:
-        g = np.eye(n) + eps * rng.standard_normal((n, n)) / math.sqrt(n)
-        if np.linalg.cond(g) < 1e3:
-            return rescale_to_norm(gl_action(g, b), target)
+def sphere_perturbation(b: Bracket, rng: np.random.Generator, eps: float = 0.3) -> Bracket:
+    """Perturb within the GL-orbit (stays nilpotent) and rescale onto ||mu|| = 2."""
+    return rescale_to_norm(gl_action(_near_identity(b.n, rng, eps), b))

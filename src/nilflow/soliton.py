@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
-    DEFAULT_TOL,
     Bracket,
     central_series_dims,
     delta,
@@ -29,6 +28,8 @@ from .exceptions import ConfigError, ZeroBracket
 from .flow import _sample_norms
 
 _TINY = 1e-300
+# largest normalized-flow speed at the final bracket of a converged trace
+_STAT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -140,7 +141,7 @@ class ConvergenceReport:
         }
 
 
-def detect_convergence(trace, tol: float = 1e-8, stat_tol: float = 1e-6) -> ConvergenceReport:
+def detect_convergence(trace, tol: float = 1e-8) -> ConvergenceReport:
     """Decide whether a normalized flow trace has settled onto a soliton.
 
     The candidate limit is the final bracket.  The report never raises on a
@@ -176,8 +177,8 @@ def detect_convergence(trace, tol: float = 1e-8, stat_tol: float = 1e-6) -> Conv
 
     if not cert.is_soliton:
         verdict, reason = False, f"limit fails the soliton certificate (residual {cert.residual:.3e})"
-    elif stat > stat_tol:
-        verdict, reason = False, f"flow has not stalled (speed {stat:.3e} > {stat_tol:.1e})"
+    elif stat > _STAT_TOL:
+        verdict, reason = False, f"flow has not stalled (speed {stat:.3e} > {_STAT_TOL:.1e})"
     else:
         verdict, reason = True, "soliton certificate holds and the flow is stationary"
     return ConvergenceReport(
@@ -192,19 +193,19 @@ def detect_convergence(trace, tol: float = 1e-8, stat_tol: float = 1e-6) -> Conv
     )
 
 
-def orbit_invariants(b: Bracket, tol: float = DEFAULT_TOL) -> dict:
+def orbit_invariants(b: Bracket) -> dict:
     """Quantities constant on the orthogonal orbit of a bracket.
 
     Useful as a fingerprint for clustering flow limits: two brackets with
     different invariants cannot be isometric.
     """
     ric = ricci_operator(b)
-    dims = central_series_dims(b, tol=tol)
+    dims = central_series_dims(b)
     return {
         "ricci_spectrum": [float(v) for v in np.sort(np.linalg.eigvalsh(ric))],
         "mu_norm": float(b.norm),
         "energy": float(ricci_energy(b)),
-        "degree": nilpotency_degree(b, tol=tol),
+        "degree": nilpotency_degree(b),
         "series_dims": [int(v) for v in dims],
     }
 

@@ -27,6 +27,7 @@ from nilflow.algebra import (
 )
 from nilflow.exceptions import (
     BracketFormatError,
+    DimensionMismatch,
     NotNilpotentError,
     SingularMatrix,
 )
@@ -57,6 +58,11 @@ def test_exact_antisymmetrization_of_rounding():
     c[1, 0, 2] = -1.0 + 1e-12
     b = Bracket(c)
     assert b.coeffs[0, 1, 2] == -b.coeffs[1, 0, 2]
+
+
+def test_empty_cube_is_rejected():
+    with pytest.raises(DimensionMismatch, match="n >= 1"):
+        VTangent(np.zeros((0, 0, 0)))
 
 
 def test_coeffs_frozen(heis):

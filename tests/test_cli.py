@@ -180,6 +180,48 @@ def test_flow_library_errors_exit_2(extra, message, capsys):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["validate", "zero:n=0"], "n >= 1"),
+        (["validate", "zero:n=-1"], "n >= 1"),
+        (["validate", "random2step:n=5,seed=-1"], "nonnegative"),
+        (["sweep", "--n", "3", "--seed", "-1"], "nonnegative"),
+        (["equivalence", "heisenberg:c=1", "--checkpoints", "0"], "at least 2"),
+        (["equivalence", "heisenberg:c=1", "--checkpoints", "-1"], "at least 2"),
+        (["equivalence", "heisenberg:c=1", "--checkpoints", "1"], "at least 2"),
+        (["curvature", "heisenberg:c=1", "--rescale", "0"], "finite and > 0"),
+        (["curvature", "heisenberg:c=1", "--rescale", "-2"], "finite and > 0"),
+        (["curvature", "heisenberg:c=1", "--rescale", "nan"], "finite and > 0"),
+    ],
+    ids=["zero_n0", "zero_negative_n", "spec_negative_seed", "sweep_negative_seed",
+         "zero_checkpoints", "negative_checkpoints", "one_checkpoint",
+         "rescale_zero", "rescale_negative", "rescale_nan"],
+)
+def test_input_errors_exit_2(argv, message, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["flow", "heisenberg:c=1", "--kind", "r-const", "--rho", "nan"],
+        ["flow", "heisenberg:c=1", "--kind", "r-const", "--rho", "inf"],
+        ["equivalence", "heisenberg:c=1", "--rho", "nan"],
+    ],
+    ids=["flow_nan", "flow_inf", "equivalence_nan"],
+)
+def test_non_finite_rate_exits_2(argv):
+    # a non-finite rate can make every step nan and rejected; a subprocess with
+    # a timeout turns such a regression into a failure instead of a hung suite
+    proc = subprocess.run(["nilflow"] + argv, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "finite" in proc.stderr
+
+
 def test_flow_constant_rate_equilibrium(tmp_path):
     summary = tmp_path / "s.json"
     rc = main(
@@ -241,7 +283,7 @@ def test_soliton_not_converged_exits_1(capsys):
 CONE_EXIT = "descending central series stabilizes at a nonzero subspace"
 
 
-def _limit_left_the_cone(b, tol=None):
+def _limit_left_the_cone(b):
     raise NotNilpotentError(CONE_EXIT)
 
 

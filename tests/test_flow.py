@@ -14,7 +14,14 @@ from nilflow.curvature import (
     riemann_at_origin,
     scalar_curvature,
 )
-from nilflow.exceptions import BadNormalization, ConfigError, NumericalFailure, TooFewSamples
+from nilflow.exceptions import (
+    BadNormalization,
+    BadRate,
+    ConfigError,
+    NumericalFailure,
+    StepSizeUnderflow,
+    TooFewSamples,
+)
 from nilflow.flow import (
     FlowOpts,
     cointegrate_h,
@@ -444,6 +451,39 @@ def test_callable_rate_records_values(heis_sphere):
 def test_bad_rate_type_raises(heis):
     with pytest.raises(TypeError):
         integrate_r_normalized(heis, "fast", 1.0)
+
+
+@pytest.fixture
+def bounded_steps(monkeypatch):
+    """Fail, instead of hanging, an integration that tries 1,000 steps."""
+    calls = []
+
+    def step(*args):
+        calls.append(None)
+        assert len(calls) < 1000, "the integration does not end"
+        return dp_step(*args)
+
+    dp_step = flow._dp_step
+    monkeypatch.setattr(flow, "_dp_step", step)
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+def test_non_finite_rate_raises(r, heis, bounded_steps):
+    with pytest.raises(BadRate, match="finite"):
+        integrate_r_normalized(heis, r, 1.0)
+    with pytest.raises(BadRate, match="finite"):
+        integrate_innerproduct_flow(heis, 1.0, r=r)
+
+
+def test_callable_rate_must_stay_finite(heis):
+    with pytest.raises(BadRate, match="nan"):
+        integrate_r_normalized(heis, lambda b: math.nan, 1.0)
+
+
+def test_nan_derivative_underflows(bounded_steps):
+    # nan fails h < floor as it fails every comparison, so only `not h >= floor` stops it
+    with pytest.raises(StepSizeUnderflow, match="h=nan"):
+        flow._integrate_adaptive(lambda t, y: np.full_like(y, np.nan), 0.0, np.ones(3), 1.0, FlowOpts())
 
 
 def _close(column, reference):
