@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import logging
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -48,8 +49,15 @@ class VTangent:
             raise DimensionMismatch(f"expected an (n, n, n) array with n >= 1, got shape {c.shape}")
         if not np.all(np.isfinite(c)):
             raise BracketFormatError("structure constants must be finite")
-        swapped = c.transpose(1, 0, 2)
         scale = max(1.0, float(np.abs(c).max()))
+        # every curvature and rank threshold scales with ||mu||^2; past the
+        # float range it is inf, and so is each of them.  ||mu||^2 is at most
+        # size * scale^2, a Python product that overflows to inf silently
+        if not math.isfinite(c.size * scale * scale):
+            with np.errstate(over="ignore"):
+                if not np.isfinite(np.vdot(c, c)):
+                    raise BracketFormatError("||mu||^2 of the structure constants overflows")
+        swapped = c.transpose(1, 0, 2)
         worst = float(np.abs(c + swapped).max())
         if worst > _SKEW_ATOL * scale:
             raise BracketFormatError(

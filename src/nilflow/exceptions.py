@@ -42,8 +42,8 @@ class ConfigError(NilflowError, ValueError):
 
 
 class BadRate(NilflowError, TypeError, ValueError):
-    """A normalization rate r that is not None, a number, 'scalar' or a
-    callable Bracket -> float (or a callable where none is accepted)."""
+    """A normalization rate r that is not None, a finite real number or
+    'scalar'."""
 
 
 class NumericalFailure(NilflowError, RuntimeError):

@@ -3,7 +3,8 @@
 Every flow here is mu' = delta_mu(Ric_mu) + r mu; only the rate r changes.
 r = 0 is the unnormalized flow, the negative gradient flow of tr(Ric^2) on
 V_n; r = tr(Ric^2) keeps ||mu|| = 2 (unit sphere of scalar curvature -1); a
-constant or a callable Bracket -> float gives the other rescaled flows.
+finite constant gives the other rescaled flows.  Every rate is a function of
+Ric, evaluated on one Ricci operator or on a stack of them.
 
 The bracket flows integrate the frame, not the bracket: the state is h(t),
 h(0) = I, with mu(t) = h(t).mu0, so mu(t) stays in the GL(n)-orbit of mu0,
@@ -27,6 +28,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 
@@ -116,9 +118,14 @@ def _error_norm(err, y_old, y_new, rtol, atol):
 
 def _initial_step(f, t0, y0, f0, span, rtol, atol):
     scale = atol + rtol * np.abs(y0)
-    d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
-    d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
+    # a derivative past the float range reads as infinitely fast: d1 = inf
+    # gives h0 = 0, which the caller's step floor rejects
+    with np.errstate(over="ignore"):
+        d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
+        d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+    if h0 == 0.0:
+        return h0
     f1 = f(t0 + h0, y0 + h0 * f0)
     d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2))) / h0
     h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
@@ -278,7 +285,7 @@ class FlowTrace(_Samples):
     grad_norm: np.ndarray
     jacobi_residual: np.ndarray
     stats: dict = field(default_factory=dict)
-    rate: object = field(default=None, repr=False)  # the resolved rate (coeffs, Ric) -> r
+    rate: object = field(default=None, repr=False)  # the resolved rate Ric -> r
 
     @cached_property
     def brackets(self) -> list:
@@ -326,37 +333,24 @@ def trace_from_csv(path) -> dict:
     return dict(zip(_TRACE_COLUMNS, cols))
 
 
-def _rate(r, callable_ok=True):
-    """Resolve a rate r into one function (coeffs, Ric) -> float.
+def _rate(r):
+    """Resolve a rate r into one function Ric -> r of the Ricci operator.
 
-    r is None (zero), a finite number, "scalar" (tr Ric^2) or, when
-    callable_ok, a callable Bracket -> float; anything else, and a callable
-    that returns a value that is not finite, raises BadRate.
+    r is None (zero), a finite real number or "scalar" (tr Ric^2); anything
+    else, a callable included, raises BadRate.  Leading axes of Ric are batch
+    axes, and the function returns one rate per batch entry.
     """
-    if r is None:
-        return lambda c, ric: 0.0
     if isinstance(r, str):
         if r != "scalar":
             raise BadRate(f"unknown rate {r!r}; the only string rate is 'scalar'")
-        return lambda c, ric: float(np.sum(ric * ric))
-    if isinstance(r, (int, float)):
-        value = float(r)
-        # a nan or infinite rate would make every step nan, and every step rejected
-        if not math.isfinite(value):
-            raise BadRate(f"a constant rate must be finite, got {r!r}")
-        return lambda c, ric: value
-    if not callable(r):
-        raise BadRate("r must be None, a number, 'scalar' or a callable Bracket -> float")
-    if not callable_ok:
-        raise BadRate("a callable rate is not supported here; use None, a number or 'scalar'")
-
-    def rate(c, ric):
-        value = float(r(Bracket(c)))
-        if not math.isfinite(value):
-            raise BadRate(f"the rate returned {value!r}; it must be finite")
-        return value
-
-    return rate
+        return lambda ric: np.sum(ric * ric, axis=(-2, -1))
+    if r is not None and not isinstance(r, numbers.Real):
+        raise BadRate(f"r must be None, a real number or 'scalar', got {r!r}")
+    value = 0.0 if r is None else float(r)
+    # a nan or infinite rate would make every step nan, and every step rejected
+    if not math.isfinite(value):
+        raise BadRate(f"a constant rate must be finite, got {r!r}")
+    return lambda ric: np.full(ric.shape[:-2], value)
 
 
 def _frame_generator(b0, rate, normalized=False):
@@ -379,7 +373,7 @@ def _frame_generator(b0, rate, normalized=False):
         if normalized:
             c = c * (norm0 / np.linalg.norm(c))
         ric = _ricci(c)
-        x = ric + rate(c, ric) * eye
+        x = ric + rate(ric) * eye
         d = (basis.T @ (basis @ (hinv @ x @ h).reshape(-1))).reshape(n, n)
         return h @ d - x @ h, d
 
@@ -412,10 +406,10 @@ def _by_blocks(kernel, coeffs):
 def _finish_trace(kind, samples, stats, c0, rate):
     """FlowTrace of the frame samples: array expressions over the stacked
     brackets h_i.mu0 (exactly antisymmetrized; a normalized trace rescales each
-    frame onto ||mu|| = ||mu0||), except the rate, whose callable takes a
-    Bracket.  Raises NumericalFailure, with the samples before it attached, at
-    the first frame whose condition number exceeds _MAX_COND_H or whose
-    bracket has a skew defect max|c + c^T| / ||c|| above _MAX_SKEW_DEFECT."""
+    frame onto ||mu|| = ||mu0||).  Raises NumericalFailure, with the samples
+    before it attached, at the first frame whose condition number exceeds
+    _MAX_COND_H or whose bracket has a skew defect max|c + c^T| / ||c|| above
+    _MAX_SKEW_DEFECT."""
     n = c0.shape[0]
     times = np.array([t for t, _ in samples])
     frames = np.array([y for _, y in samples]).reshape(-1, n, n)
@@ -450,7 +444,7 @@ def _finish_trace(kind, samples, stats, c0, rate):
         times=times,
         coeffs=coeffs,
         frames=frames,
-        r_values=np.array([rate(c, r) for c, r in zip(coeffs, ric)]),
+        r_values=rate(ric),
         mu_norm=mu_norm,
         scal=-0.25 * mu_norm**2,
         tr_ric2=np.sum(ric * ric, axis=(1, 2)),
@@ -502,11 +496,11 @@ def integrate_normalized_flow(b0: Bracket, t_max: float, opts: FlowOpts | None =
 def integrate_r_normalized(b0: Bracket, r, t_max: float, opts: FlowOpts | None = None) -> FlowTrace:
     """Flow mu' = delta_mu(Ric_mu) + r mu for any normalization rate r.
 
-    r may be None or 0 (reproducing the unnormalized flow exactly), a finite number,
-    "scalar" (r = tr(Ric^2) of mu itself, so unlike
+    r may be None or 0 (reproducing the unnormalized flow exactly), a finite
+    real number, or "scalar" (r = tr(Ric^2) of mu itself, so unlike
     `integrate_normalized_flow` the sphere ||mu|| = 2 repels: any drift off
-    it grows), or a callable Bracket -> float.  Any other r raises BadRate.
-    The rate at each sample is stored in `r_values`.
+    it grows).  Any other r, a callable included, raises BadRate.  The rate
+    at each sample is stored in `r_values`.
     """
     return _run_bracket_flow(b0, t_max, opts, "r", r)
 
@@ -576,14 +570,14 @@ def integrate_innerproduct_flow(
 ) -> InnerProductTrace:
     """Metric-tensor flow with the bracket held fixed at b0.
 
-    G' = -2 ric(G) - 2 r G, where r follows the bracket flows: None for the
-    unnormalized flow, "scalar" for tr(Ric^2), or a constant.  A callable
-    rate raises BadRate: the rate is evaluated on the pushed bracket
-    (L^T).mu_0, which is only O(n)-equivalent to mu(t).  The states are Gram
+    G' = -2 ric(G) - 2 r G, where r takes the rates of the bracket flows:
+    None for the unnormalized flow, "scalar" for tr(Ric^2), or a finite
+    constant.  The rate reads the Ricci operator of the pushed bracket
+    (L^T).mu_0, which is conjugate to that of (G, mu_0).  The states are Gram
     matrices; a failed Cholesky raises LossOfPositivity with the partial
     trace attached.
     """
-    rate = _rate(r, callable_ok=False)
+    rate = _rate(r)
     n = b0.n
     c0 = b0.coeffs
 
@@ -594,7 +588,7 @@ def integrate_innerproduct_flow(
             lmat, ric_nu, c_nu = _ip_ricci_products(c0, g)
         except np.linalg.LinAlgError:
             raise LossOfPositivity(f"metric lost positivity at t={t:.6g}", trace=None) from None
-        dg = -2.0 * lmat @ ric_nu @ lmat.T - 2.0 * rate(c_nu, ric_nu) * g
+        dg = -2.0 * lmat @ ric_nu @ lmat.T - 2.0 * rate(ric_nu) * g
         return dg.reshape(-1)
 
     samples, stats = _integrate_adaptive(rhs, 0.0, np.eye(n).reshape(-1), t_max, opts)
@@ -733,8 +727,8 @@ def equivalence_report(
 
     The inner-product flow is integrated with the bracket fixed; the bracket
     flow is integrated with the same rate, and h(t) is co-integrated along
-    it.  r is None for the unnormalized flow, a constant rate, or the string
-    "scalar" for tr(Ric^2); a callable raises BadRate, as in the metric flow.
+    it.  r is any rate the bracket flows accept: None for the unnormalized
+    flow, a finite constant, or the string "scalar" for tr(Ric^2).
     """
     if checkpoints < 2:
         raise ConfigError(f"checkpoints must be at least 2, got {checkpoints}")

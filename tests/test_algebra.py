@@ -1,12 +1,17 @@
 """Bracket container, central series, GL action, and the delta operators."""
 
 import json
+import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import nilflow
 from nilflow.algebra import (
     Bracket,
     VTangent,
@@ -27,6 +32,7 @@ from nilflow.algebra import (
 )
 from nilflow.exceptions import (
     BracketFormatError,
+    ConfigError,
     DimensionMismatch,
     NotNilpotentError,
     SingularMatrix,
@@ -36,6 +42,8 @@ from nilflow.generators import (
     heisenberg,
     random_orthogonal,
     random_two_step,
+    rescale_to_norm,
+    sphere_perturbation,
 )
 
 from conftest import random_sphere_bracket
@@ -63,6 +71,37 @@ def test_exact_antisymmetrization_of_rounding():
 def test_empty_cube_is_rejected():
     with pytest.raises(DimensionMismatch, match="n >= 1"):
         VTangent(np.zeros((0, 0, 0)))
+
+
+def test_bracket_whose_norm_overflows_is_rejected():
+    # ||mu||^2 = 2e400 is inf: every threshold tol * ||mu|| would be inf too
+    with pytest.raises(BracketFormatError, match="overflows"):
+        heisenberg(1e200)
+    b = heisenberg(1e153)  # ||mu||^2 = 2e306 stays finite
+    assert b.degree == 2 and validate_bracket(b).degree == 2
+
+
+def test_sphere_perturbation_of_nan_spread_raises(heis):
+    with pytest.raises(ConfigError, match="finite"):
+        sphere_perturbation(rescale_to_norm(heis), np.random.default_rng(0), eps=math.nan)
+
+
+def test_sphere_perturbation_of_infinite_spread_raises():
+    # an inf matrix never meets the cond < 1e3 redraw bound, so a regression
+    # hangs: a subprocess with a timeout turns that into a failure
+    src = str(Path(nilflow.__file__).parents[1])  # the package need not be installed
+    code = (
+        f"import sys; sys.path.insert(0, {src!r})\n"
+        "import math, numpy as np\n"
+        "from nilflow.exceptions import ConfigError\n"
+        "from nilflow.generators import heisenberg, rescale_to_norm, sphere_perturbation\n"
+        "try:\n"
+        "    sphere_perturbation(rescale_to_norm(heisenberg()), np.random.default_rng(0), eps=math.inf)\n"
+        "except ConfigError:\n"
+        "    print('ConfigError')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stdout == "ConfigError\n"
 
 
 def test_coeffs_frozen(heis):

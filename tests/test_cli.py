@@ -222,6 +222,35 @@ def test_non_finite_rate_exits_2(argv):
     assert proc.stderr.startswith("error: ") and "finite" in proc.stderr
 
 
+@pytest.mark.parametrize("argv", [["curvature", "heisenberg:c=1e200"],
+                                  ["flow", "heisenberg:c=1e200", "--kind", "normalized", "--rescale", "2"]],
+                         ids=["curvature", "flow"])
+def test_bracket_whose_norm_overflows_exits_2(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "overflows" in err
+
+
+def test_validate_bracket_whose_norm_overflows(capsys):
+    assert main(["validate", "heisenberg:c=1e200"]) == 1
+    assert capsys.readouterr().out.startswith("invalid: ")
+    assert main(["validate", "heisenberg:c=1e153"]) == 0
+    assert "degree 2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["flow", "heisenberg:c=1", "--kind", "r-const", "--rho", "1e300"],
+     ["equivalence", "heisenberg:c=1", "--rho", "1e300"]],
+    ids=["flow", "equivalence"],
+)
+def test_rate_that_overflows_the_step_exits_3(argv, capsys):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numerical failure: ") and captured.err.count("\n") == 1
+    assert "t=0 " in captured.err
+
+
 def test_flow_constant_rate_equilibrium(tmp_path):
     summary = tmp_path / "s.json"
     rc = main(

@@ -419,7 +419,7 @@ def test_skew_defect_is_reported_on_runs_that_keep_their_orbit():
 
 
 # ---------------------------------------------------------------------------
-# constant- and callable-rate variants
+# constant and scalar rates
 
 
 def test_zero_rate_reproduces_unnormalized_bitwise(heis):
@@ -440,17 +440,40 @@ def test_constant_rate_equilibrium():
     assert np.all(trace.r_values == r)
 
 
-def test_callable_rate_records_values(heis_sphere):
-    # "scalar" is the same rate tr Ric^2, of mu itself rather than of mu
-    # rescaled onto the sphere as in integrate_normalized_flow
-    for r in (ricci_energy, "scalar"):
-        trace = integrate_r_normalized(heis_sphere, r, 1.0)
-        assert np.allclose(trace.r_values, trace.tr_ric2, rtol=1e-12)
+def test_scalar_rate_records_tr_ric2(heis_sphere):
+    # tr Ric^2 of mu itself rather than of mu rescaled onto the sphere as in
+    # integrate_normalized_flow
+    trace = integrate_r_normalized(heis_sphere, "scalar", 1.0)
+    assert np.allclose(trace.r_values, trace.tr_ric2, rtol=1e-12)
 
 
 def test_bad_rate_type_raises(heis):
-    with pytest.raises(TypeError):
-        integrate_r_normalized(heis, "fast", 1.0)
+    for r in ("fast", 1 + 0j):
+        with pytest.raises(TypeError):
+            integrate_r_normalized(heis, r, 1.0)
+
+
+def test_callable_rate_raises(heis):
+    # a rate is None, a real number or "scalar", resolved into a function of Ric
+    for r in (ricci_energy, lambda b: math.nan):
+        with pytest.raises(BadRate):
+            integrate_r_normalized(heis, r, 1.0)
+
+
+@pytest.mark.parametrize("r, same", [(np.int64(1), 1.0), (np.float32(0.5), 0.5)], ids=["int64", "float32"])
+def test_numpy_real_rates_match_floats_bitwise(r, same, heis):
+    a = integrate_r_normalized(heis, r, 1.0)
+    b = integrate_r_normalized(heis, same, 1.0)
+    assert np.array_equal(a.times, b.times) and np.array_equal(a.coeffs, b.coeffs)
+    assert np.array_equal(a.r_values, b.r_values) and np.all(a.r_values == same)
+    g = integrate_innerproduct_flow(heis, 1.0, r=r).metrics
+    assert np.array_equal(g, integrate_innerproduct_flow(heis, 1.0, r=same).metrics)
+
+
+def test_overflowing_rate_underflows_the_first_step(heis):
+    # the scaled derivative overflows to inf, so the initial step is 0
+    with pytest.raises(StepSizeUnderflow, match="t=0 "):
+        integrate_r_normalized(heis, 1e300, 1.0)
 
 
 @pytest.fixture
@@ -475,11 +498,6 @@ def test_non_finite_rate_raises(r, heis, bounded_steps):
         integrate_innerproduct_flow(heis, 1.0, r=r)
 
 
-def test_callable_rate_must_stay_finite(heis):
-    with pytest.raises(BadRate, match="nan"):
-        integrate_r_normalized(heis, lambda b: math.nan, 1.0)
-
-
 def test_nan_derivative_underflows(bounded_steps):
     # nan fails h < floor as it fails every comparison, so only `not h >= floor` stops it
     with pytest.raises(StepSizeUnderflow, match="h=nan"):
@@ -491,7 +509,7 @@ def _close(column, reference):
 
 
 @pytest.mark.parametrize("n", [3, 5, 8])
-@pytest.mark.parametrize("kind", ["unnormalized", "normalized", "callable"])
+@pytest.mark.parametrize("kind", ["unnormalized", "normalized", "constant"])
 def test_trace_columns_match_per_bracket_functions(kind, n):
     # the batched kernels define each column as the public function of the
     # sample's bracket; rotated starts have no zero pattern to hide behind
@@ -501,7 +519,7 @@ def test_trace_columns_match_per_bracket_functions(kind, n):
     elif kind == "normalized":
         trace = integrate_normalized_flow(b0, 5.0)
     else:
-        trace = integrate_r_normalized(b0, lambda b: 0.05 * b.norm**2, 1.0)
+        trace = integrate_r_normalized(b0, 0.5, 1.0)
     brackets = trace.brackets
     assert len(brackets) == len(trace) > 3
     assert all(np.array_equal(b.coeffs, c) for b, c in zip(brackets, trace.coeffs))
@@ -512,8 +530,8 @@ def test_trace_columns_match_per_bracket_functions(kind, n):
     _close(trace.tr_ric2, energies)
     _close(trace.grad_norm, [ricci_energy_gradient(b).norm for b in brackets])
     _close(trace.jacobi_residual, [jacobiator_residual(b) for b in brackets])
-    if kind == "callable":
-        _close(trace.r_values, [0.05 * b.norm**2 for b in brackets])
+    if kind == "constant":
+        assert np.all(trace.r_values == 0.5)
     elif kind == "normalized":
         _close(trace.r_values, energies)
     else:
@@ -621,7 +639,7 @@ def test_innerproduct_flow_matches_exact_scal(heis):
 
 
 def test_innerproduct_flow_rejects_unknown_string(heis):
-    # a callable rate would be evaluated on (L^T).mu_0, not on mu(t)
+    # the metric flow takes the rates of the bracket flows, and no other
     for r in ("best", ricci_energy):
         with pytest.raises(ValueError):
             integrate_innerproduct_flow(heis, 1.0, r=r)
