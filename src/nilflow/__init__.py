@@ -102,7 +102,6 @@ from .soliton import (
     critical_point_check,
     detect_convergence,
     orbit_invariants,
-    soliton_rate_identity,
     soliton_residual,
 )
 

@@ -31,6 +31,7 @@ Operator = np.ndarray
 
 DEFAULT_TOL = 1e-10
 _SKEW_ATOL = 1e-8
+_SQRT_TINY = math.sqrt(np.finfo(float).tiny)  # smallest norm whose square is normal
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,8 +89,14 @@ class VTangent:
 
     @property
     def norm(self) -> float:
-        """Norm induced by the full-array inner product (all ordered pairs)."""
-        return float(np.linalg.norm(self.coeffs))
+        """Norm induced by the full-array inner product (all ordered pairs);
+        divided by max|c| first when the sum of squares underflows."""
+        nrm = float(np.linalg.norm(self.coeffs))
+        if nrm < _SQRT_TINY:
+            m = float(np.abs(self.coeffs).max())
+            if m > 0.0:
+                nrm = m * float(np.linalg.norm(self.coeffs / m))
+        return nrm
 
     def apply(self, x, y) -> np.ndarray:
         """Evaluate the bilinear map on a pair of vectors."""

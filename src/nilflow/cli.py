@@ -20,6 +20,7 @@ import argparse
 import json
 import logging
 import os
+import re
 import sys
 
 import numpy as np
@@ -419,8 +420,20 @@ def _add_integrator(p, t_max_default):
     p.add_argument("--max-step", type=float, default=float("inf"))
 
 
+_NEGATIVE_NUMBER = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads every negative float literal as a value, "--rho -1e6" too (the
+    argparse pattern has no exponent); subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nilflow",
         description="curvature flows of nilpotent Lie bracket structure constants",
     )
@@ -463,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("soliton", help="flow to a soliton and certify the limit")
     _add_source(p)
     _add_integrator(p, 100.0)
-    p.add_argument("--tol", type=float, default=1e-8, help="certificate tolerance")
+    p.add_argument("--tol", type=float, default=1e-8, help="certificate tolerance, relative to |mu| |Ric|")
     p.add_argument("--out", help="write the report as JSON ('-' for stdout)")
     p.set_defaults(func=cmd_soliton)
 

@@ -50,9 +50,11 @@ class NumericalFailure(NilflowError, RuntimeError):
     """Integration failed; carries the partial trace when one exists.
 
     The trace is the list of accepted (t, y) samples.  For the bracket flows
-    y is the flattened frame h with mu(t) = h.mu0, not the bracket itself;
-    when a frame's condition number passes 1/sqrt(eps), the trace ends at
-    the last sample before it.
+    y is the flattened frame h with mu(t) = h.mu0, not the bracket itself.
+    Two guards cut it: when a frame's condition number passes 1/sqrt(eps),
+    or the skew defect max|c + c^T| / ||c|| of c = h.mu0 passes 1e-8
+    (rounding damage to mu), the trace ends at the last sample before the
+    first such frame.
     """
 
     def __init__(self, message, trace=None):

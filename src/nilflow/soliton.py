@@ -3,9 +3,11 @@
 A nilpotent bracket mu is a soliton metric when Ric_mu = c I + D for a scalar
 c and a derivation D of mu; those brackets are exactly the critical points of
 tr(Ric^2) restricted to spheres, and the normalized flow converges to one from
-every starting point.  The functions here project Ric onto span{I} + Der(mu),
-measure the stationarity of the normalized flow, and summarize whether a
-stored trace has settled onto such a limit.
+every starting point.  Since tr(Ric D) = 0 for every derivation D, such a c
+can only be -4 tr(Ric^2) / ||mu||^2 (Lauret, Math. Ann. 319, 2001), so the
+certificate is one closed formula.  The functions here evaluate it, measure
+the stationarity of the normalized flow, and summarize whether a stored trace
+has settled onto a soliton limit.
 """
 
 from __future__ import annotations
@@ -15,36 +17,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (
-    Bracket,
-    central_series_dims,
-    delta,
-    derivation_basis,
-    nilpotency_degree,
-    vn_inner,
-)
+from .algebra import Bracket, central_series_dims, delta, nilpotency_degree
 from .curvature import ricci_energy, ricci_operator
 from .exceptions import ConfigError, ZeroBracket
 from .flow import _sample_norms
 
 _TINY = 1e-300
-# largest normalized-flow speed at the final bracket of a converged trace
-_STAT_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class SolitonCertificate:
-    """Best decomposition Ric = c I + D with D a derivation.
+    """The decomposition Ric = c I + D with c = -4 tr(Ric^2) / ||mu||^2.
 
-    residual is ||Ric - c I - D||_F; is_soliton applies the relative
-    tolerance the certificate was computed with.  derivation_residual
-    re-checks that D actually satisfies the derivation identity.
+    residual is ||delta_mu(D)||, zero exactly when D is a derivation; on
+    ||mu|| = 2 it is the speed of the normalized flow.  is_soliton applies
+    the tolerance the certificate was computed with, relative to
+    ||mu|| ||Ric||, so the verdict does not depend on the scale of mu.
     """
 
     c: float
     derivation: np.ndarray
     residual: float
-    derivation_residual: float
     is_soliton: bool
     ricci_spectrum: np.ndarray
 
@@ -53,38 +46,31 @@ class SolitonCertificate:
             "c": self.c,
             "D": self.derivation.tolist(),
             "residual": self.residual,
-            "derivation_residual": self.derivation_residual,
             "is_soliton": self.is_soliton,
             "ricci_spectrum": self.ricci_spectrum.tolist(),
         }
 
 
 def soliton_residual(b: Bracket, tol: float = 1e-8) -> SolitonCertificate:
-    """Project Ric_b onto span{I} + Der(b) and certify the remainder.
+    """Certify Ric_b = c I + D with c = -4 tr(Ric^2) / ||mu||^2 and D = Ric - c I.
 
-    The projection solves a joint least-squares problem, so the trace
-    identity c n + tr D = scal holds automatically.
+    residual = ||delta_mu(D)|| = ||delta_mu(Ric) - c mu|| is continuous in mu;
+    no derivation basis or rank decision is involved.
     """
-    if b.norm == 0.0:
+    nrm = b.norm
+    if nrm == 0.0:
         raise ZeroBracket("the zero bracket has no soliton normalization")
-    n = b.n
     ric = ricci_operator(b)
-    ders = derivation_basis(b)
-    cols = [np.eye(n).reshape(-1)] + [d.reshape(-1) for d in ders]
-    a = np.stack(cols, axis=1)
-    x, *_ = np.linalg.lstsq(a, ric.reshape(-1), rcond=None)
-    c = float(x[0])
-    d = sum((float(x[1 + i]) * ders[i] for i in range(len(ders))), np.zeros((n, n)))
-    resid = float(np.linalg.norm(ric - c * np.eye(n) - d))
-    der_resid = float(delta(b, d).norm)
-    spectrum = np.sort(np.linalg.eigvalsh(ric))
+    ric_norm = float(np.linalg.norm(ric))
+    c = -4.0 * (ric_norm / nrm) ** 2
+    d = ric - c * np.eye(b.n)
+    resid = delta(b, d).norm
     return SolitonCertificate(
         c=c,
         derivation=d,
         residual=resid,
-        derivation_residual=der_resid,
-        is_soliton=resid < tol * max(float(np.linalg.norm(ric)), _TINY),
-        ricci_spectrum=spectrum,
+        is_soliton=resid < tol * nrm * ric_norm,
+        ricci_spectrum=np.sort(np.linalg.eigvalsh(ric)),
     )
 
 
@@ -154,7 +140,6 @@ def detect_convergence(trace, tol: float = 1e-8) -> ConvergenceReport:
         raise ConfigError("convergence detection expects a normalized trace")
     limit = trace.final_bracket
     cert = soliton_residual(limit, tol=tol)
-    stat = critical_point_check(limit).stationarity
 
     window = max(50, len(trace) // 10)
     window = min(window, len(trace) - 1)
@@ -175,17 +160,15 @@ def detect_convergence(trace, tol: float = 1e-8) -> ConvergenceReport:
             rate = float(slope)
             r2 = 1.0 - ss_res / max(ss_tot, _TINY)
 
-    if not cert.is_soliton:
-        verdict, reason = False, f"limit fails the soliton certificate (residual {cert.residual:.3e})"
-    elif stat > _STAT_TOL:
-        verdict, reason = False, f"flow has not stalled (speed {stat:.3e} > {_STAT_TOL:.1e})"
+    if cert.is_soliton:
+        reason = f"soliton certificate holds (residual {cert.residual:.3e})"
     else:
-        verdict, reason = True, "soliton certificate holds and the flow is stationary"
+        reason = f"limit fails the soliton certificate (residual {cert.residual:.3e})"
     return ConvergenceReport(
-        converged=verdict,
+        converged=cert.is_soliton,
         reason=reason,
         certificate=cert,
-        stationarity=stat,
+        stationarity=cert.residual,
         r_limit=float(trace.tr_ric2[-1]),
         decay_rate=rate,
         fit_r2=r2,
@@ -209,12 +192,3 @@ def orbit_invariants(b: Bracket) -> dict:
         "series_dims": [int(v) for v in dims],
     }
 
-
-def soliton_rate_identity(b: Bracket) -> tuple:
-    """For a certified soliton, c = -4 tr(Ric^2) / ||mu||^2.
-
-    Returns (c_from_certificate, c_from_identity); callers compare them.
-    """
-    cert = soliton_residual(b)
-    c_identity = -4.0 * ricci_energy(b) / float(vn_inner(b, b))
-    return cert.c, c_identity

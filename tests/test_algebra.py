@@ -81,6 +81,17 @@ def test_bracket_whose_norm_overflows_is_rejected():
     assert b.degree == 2 and validate_bracket(b).degree == 2
 
 
+def test_bracket_whose_norm_underflows_keeps_its_norm():
+    # ||mu||^2 = 2e-400 underflows to 0, but ||mu|| = sqrt(2) 1e-200 does not
+    assert heisenberg(1e-200).norm == pytest.approx(math.sqrt(2.0) * 1e-200, rel=1e-15)
+    assert rescale_to_norm(heisenberg(1e-200)).norm == pytest.approx(2.0, rel=1e-15)
+    assert heisenberg(0.0).norm == 0.0
+    # above the underflow range the norm is the plain one, bit for bit
+    b = random_two_step(5, np.random.default_rng(3))
+    for scale in (1.0, 1e-150, 1e150):
+        assert b.scaled(scale).norm == float(np.linalg.norm(b.scaled(scale).coeffs))
+
+
 def test_sphere_perturbation_of_nan_spread_raises(heis):
     with pytest.raises(ConfigError, match="finite"):
         sphere_perturbation(rescale_to_norm(heis), np.random.default_rng(0), eps=math.nan)

@@ -1,5 +1,6 @@
 """Command-line interface: sources, subcommands, exit codes, artifacts."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -7,8 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from nilflow.algebra import bracket_to_dict
-from nilflow.cli import main
+from nilflow.algebra import bracket_from_dict, bracket_to_dict
+from nilflow.cli import build_parser, main
 from nilflow.exceptions import NotNilpotentError, NumericalFailure
 from nilflow.flow import trace_from_csv
 
@@ -193,16 +194,45 @@ def test_flow_library_errors_exit_2(extra, message, capsys):
         (["curvature", "heisenberg:c=1", "--rescale", "0"], "finite and > 0"),
         (["curvature", "heisenberg:c=1", "--rescale", "-2"], "finite and > 0"),
         (["curvature", "heisenberg:c=1", "--rescale", "nan"], "finite and > 0"),
+        (["curvature", "heisenberg:c=1", "--rescale", "-1e6"], "finite and > 0"),
     ],
     ids=["zero_n0", "zero_negative_n", "spec_negative_seed", "sweep_negative_seed",
          "zero_checkpoints", "negative_checkpoints", "one_checkpoint",
-         "rescale_zero", "rescale_negative", "rescale_nan"],
+         "rescale_zero", "rescale_negative", "rescale_nan", "rescale_negative_exponent"],
 )
 def test_input_errors_exit_2(argv, message, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_float_options_read_negative_exponents():
+    # argparse's own negative-number pattern has no exponent: "--rho -1e6"
+    # ended in "expected one argument"
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    checked = 0
+    for command, sub in commands.choices.items():
+        source = ["--n", "3"] if command == "sweep" else ["heisenberg:c=1"]
+        for action in sub._actions:
+            if action.type is not float:
+                continue
+            for value in ("-1e6", "-2.5E-3", "-inf"):
+                args = parser.parse_args([command] + source + [action.option_strings[0], value])
+                assert getattr(args, action.dest) == float(value), (command, action.dest, value)
+            checked += 1
+    assert checked >= 20
+
+
+def test_bracket_whose_norm_underflows_rescales(tmp_path):
+    # ||mu||^2 = 2e-400 underflows; the bracket used to count as zero
+    brackets = tmp_path / "b.json"
+    argv = ["flow", "heisenberg:c=1e-200", "--kind", "normalized", "--rescale", "2"]
+    assert main(argv + ["--brackets-out", str(brackets)]) == 0
+    snapshots = json.loads(brackets.read_text())["snapshots"]
+    for snap in (snapshots[0], snapshots[-1]):
+        assert bracket_from_dict(snap["bracket"]).norm == pytest.approx(2.0, rel=1e-12)
 
 
 @pytest.mark.parametrize(
