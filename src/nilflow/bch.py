@@ -160,15 +160,13 @@ class MetricField:
         beta = tuple(int(v) for v in beta)
         if len(beta) != self.n or any(v < 0 for v in beta):
             raise DimensionMismatch(f"bad derivative multi-index {beta}")
+        exps, mats = self._table
+        keep = np.all(exps >= beta, axis=1)
         coeffs = {}
-        for alpha, mat in self.coefficients.items():
-            if any(a < bta for a, bta in zip(alpha, beta)):
-                continue
-            factor = 1.0
-            for a, bta in zip(alpha, beta):
-                factor *= math.factorial(a) / math.factorial(a - bta)
-            new_alpha = tuple(a - bta for a, bta in zip(alpha, beta))
-            coeffs[new_alpha] = coeffs.get(new_alpha, 0.0) + factor * mat
+        # alpha -> alpha - beta is one to one on the kept rows: nothing to merge
+        for alpha, mat in zip(exps[keep].tolist(), mats[keep]):
+            key = tuple(a - bta for a, bta in zip(alpha, beta))
+            coeffs[key] = math.prod(map(math.perm, alpha, beta)) * mat.reshape(self.n, self.n)
         return MetricField(self.n, max(0, self.degree - sum(beta)), coeffs)
 
     def to_dict(self) -> dict:

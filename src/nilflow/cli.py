@@ -22,6 +22,7 @@ import logging
 import os
 import re
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -185,19 +186,7 @@ def cmd_validate(args) -> int:
     for msg in report.messages:
         print(f"  - {msg}")
     if args.out:
-        _write_json(
-            args.out,
-            {
-                "n": b.n,
-                "mu_norm": b.norm,
-                "skew_ok": report.skew_ok,
-                "jacobi_residual": report.jacobi_residual,
-                "nilpotent": report.nilpotent,
-                "degree": report.degree,
-                "valid": valid,
-                "messages": list(report.messages),
-            },
-        )
+        _write_json(args.out, {"n": b.n, "mu_norm": b.norm, **asdict(report), "valid": valid})
     return 0 if valid else 1
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Operator, VTangent, _delta_coeffs, _delta_transpose_coeffs
-from .exceptions import DimensionMismatch, ZeroBracket
+from .exceptions import BadNormalization, DimensionMismatch, ZeroBracket
 
 
 def _ricci(c: np.ndarray) -> np.ndarray:
@@ -162,11 +162,17 @@ class CurvaturePack:
 
 
 def curvature_pack(b: VTangent) -> CurvaturePack:
+    """Raises BadNormalization when tr(Ric^2), quartic in mu, underflows for
+    a nonzero bracket: tr Ric = -||mu||^2 / 4 makes it at least
+    ||mu||^4 / (16 n), never zero."""
     ric = ricci_operator(b)
+    energy = float(np.sum(ric * ric))
+    if energy < np.finfo(float).tiny and b.norm > 0.0:
+        raise BadNormalization(f"tr Ric^2 underflows at ||mu|| = {b.norm:.3e}; rescale explicitly")
     return CurvaturePack(
         ricci=ric,
         spectrum=np.linalg.eigvalsh(ric),
         scal=scalar_curvature(b),
         ricci_norm=float(np.linalg.norm(ric)),
-        energy=float(np.sum(ric * ric)),
+        energy=energy,
     )

@@ -164,7 +164,9 @@ def _integrate_adaptive(f, t0, y0, t_end, opts):
     4th-order continuous extension of the step holding it, at no extra
     evaluation, or, within rounding of a step end, relabels that sample.
     Raises ConfigError unless t_end is finite and >= t0, and
-    StepSizeUnderflow when the controller collapses or the step is nan.
+    StepSizeUnderflow when the controller collapses or the step is nan; every
+    NumericalFailure, one raised by f included, carries the samples accepted
+    before it.
     """
     if not (math.isfinite(t_end) and t_end >= t0):
         raise ConfigError(f"the integration must end at a finite time >= {t0:g}, got {t_end!r}")
@@ -191,47 +193,52 @@ def _integrate_adaptive(f, t0, y0, t_end, opts):
     if t_end <= t0:
         return samples, stats
 
-    K = np.empty((7, y.size))
-    K[0] = f(t, y)
-    h = _initial_step(f, t, y, K[0], t_end - t0, opts.rtol, opts.atol)
-    stats["nfev"] += 2
-    err_prev = 1e-4
+    try:
+        K = np.empty((7, y.size))
+        K[0] = f(t, y)
+        h = _initial_step(f, t, y, K[0], t_end - t0, opts.rtol, opts.atol)
+        stats["nfev"] += 2
+        err_prev = 1e-4
 
-    while t < t_end:
-        h = min(h, opts.max_step, t_end - t)
-        # not >=, so that a nan step (a nan derivative) underflows too
-        if not h >= 1e-14 * max(1.0, abs(t)):
-            raise StepSizeUnderflow(f"step size underflow at t={t:.6g} (h={h:.3e})", trace=samples)
-        y_new, err_vec = _dp_step(f, t, y, h, K)
-        stats["nfev"] += 6
-        err = _error_norm(err_vec, y, y_new, opts.rtol, opts.atol)
+        while t < t_end:
+            h = min(h, opts.max_step, t_end - t)
+            # not >=, so that a nan step (a nan derivative) underflows too
+            if not h >= 1e-14 * max(1.0, abs(t)):
+                raise StepSizeUnderflow(f"step size underflow at t={t:.6g} (h={h:.3e})")
+            y_new, err_vec = _dp_step(f, t, y, h, K)
+            stats["nfev"] += 6
+            err = _error_norm(err_vec, y, y_new, opts.rtol, opts.atol)
 
-        if err <= 1.0:
-            t_new = t_end if h >= t_end - t else t + h
-            near = 1e-13 * max(1.0, abs(t_new))
-            while stops[-1] < t_new - near:
-                s = stops.pop()
-                samples.append((s, _dp_dense(y, h, K, (s - t) / h)))
-                steps.append(0)
-            at_stop = stops[-1] <= t_new + near
-            if at_stop:
-                t_new = stops.pop()
-            t, y, K[0] = t_new, y_new, K[6]
-            stats["accepted"] += 1
-            step = 0 if at_stop else stats["accepted"]
-            if step % stride == 0:
-                samples.append((t, y))
-                steps.append(step)
-            # a stride past the step count would drop nothing more
-            if len(samples) > opts.max_samples and stride <= stats["accepted"]:
-                stride *= 2
-                samples, steps = _thin(samples, steps, stride)
-            factor = _SAFETY * (err + 1e-300) ** (-_KI) * err_prev**_KP
-            err_prev = max(err, 1e-4)
-            h = h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-        else:
-            stats["rejected"] += 1
-            h = h * max(_MIN_FACTOR, _SAFETY * err**-0.2)
+            if err <= 1.0:
+                t_new = t_end if h >= t_end - t else t + h
+                near = 1e-13 * max(1.0, abs(t_new))
+                while stops[-1] < t_new - near:
+                    s = stops.pop()
+                    samples.append((s, _dp_dense(y, h, K, (s - t) / h)))
+                    steps.append(0)
+                at_stop = stops[-1] <= t_new + near
+                if at_stop:
+                    t_new = stops.pop()
+                t, y, K[0] = t_new, y_new, K[6]
+                stats["accepted"] += 1
+                step = 0 if at_stop else stats["accepted"]
+                if step % stride == 0:
+                    samples.append((t, y))
+                    steps.append(step)
+                # a stride past the step count would drop nothing more
+                if len(samples) > opts.max_samples and stride <= stats["accepted"]:
+                    stride *= 2
+                    samples, steps = _thin(samples, steps, stride)
+                factor = _SAFETY * (err + 1e-300) ** (-_KI) * err_prev**_KP
+                err_prev = max(err, 1e-4)
+                h = h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+            else:
+                stats["rejected"] += 1
+                h = h * max(_MIN_FACTOR, _SAFETY * err**-0.2)
+    except NumericalFailure as exc:
+        if exc.trace is None:
+            exc.trace = samples
+        raise
     return samples, stats
 
 
@@ -466,7 +473,7 @@ def _run_bracket_flow(b0, t_max, opts, kind, r):
         try:
             return generator(y.reshape(n, n))[0].reshape(-1)
         except np.linalg.LinAlgError:
-            raise NumericalFailure(f"the frame h became singular at t={t:.6g}", trace=None) from None
+            raise NumericalFailure(f"the frame h became singular at t={t:.6g}") from None
 
     samples, stats = _integrate_adaptive(rhs, 0.0, np.eye(n).reshape(-1), t_max, opts)
     return _finish_trace(kind, samples, stats, b0.coeffs, rate)
@@ -528,7 +535,7 @@ def cointegrate_h(trace: FlowTrace) -> np.ndarray:
         df, d = generator(y[:nn].reshape(n, n))
         return np.concatenate([df.reshape(-1), (-d @ y[nn:].reshape(n, n)).reshape(-1)])
 
-    opts = FlowOpts(rtol=1e-10, atol=1e-12, max_samples=math.inf, stops=tuple(times[1:-1]))
+    opts = FlowOpts(rtol=1e-10, atol=1e-12, stops=tuple(times[1:-1]))
     y0 = np.concatenate([np.eye(n).reshape(-1), np.eye(n).reshape(-1)])
     at = dict(_integrate_adaptive(rhs, times[0], y0, times[-1], opts)[0])
     return trace.frames @ np.array([at[t][nn:] for t in times]).reshape(-1, n, n)
@@ -587,7 +594,7 @@ def integrate_innerproduct_flow(
         try:
             lmat, ric_nu, c_nu = _ip_ricci_products(c0, g)
         except np.linalg.LinAlgError:
-            raise LossOfPositivity(f"metric lost positivity at t={t:.6g}", trace=None) from None
+            raise LossOfPositivity(f"metric lost positivity at t={t:.6g}") from None
         dg = -2.0 * lmat @ ric_nu @ lmat.T - 2.0 * rate(ric_nu) * g
         return dg.reshape(-1)
 

@@ -13,7 +13,7 @@ has settled onto a soliton limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -115,16 +115,7 @@ class ConvergenceReport:
     window: int
 
     def to_dict(self) -> dict:
-        return {
-            "converged": self.converged,
-            "reason": self.reason,
-            "certificate": self.certificate.to_dict(),
-            "stationarity": self.stationarity,
-            "r_limit": self.r_limit,
-            "decay_rate": self.decay_rate,
-            "fit_r2": self.fit_r2,
-            "window": self.window,
-        }
+        return {**asdict(self), "certificate": self.certificate.to_dict()}
 
 
 def detect_convergence(trace, tol: float = 1e-8) -> ConvergenceReport:

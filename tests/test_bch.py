@@ -256,13 +256,16 @@ def test_fitted_field_linear_terms(fil4):
 
 
 def test_field_derivative_matches_finite_differences(fil4):
-    field = metric_field_fit(fil4)
-    dfield = field.derivative((1, 0, 0, 0))
-    x = np.array([0.3, -0.2, 0.5, 0.1])
-    eps = 1e-6
-    step = np.array([eps, 0, 0, 0])
-    fd = (field(x + step) - field(x - step)) / (2 * eps)
-    assert np.allclose(dfield(x), fd, atol=1e-7)
+    # a degree-3 bracket and a degree-4 one (a metric fit of degree 6)
+    for b in (fil4, sphere_perturbation(filiform(5), np.random.default_rng(3))):
+        field = metric_field_fit(b)
+        x = np.array([0.3, -0.2, 0.5, 0.1, -0.4])[: b.n]
+        eps = 1e-6
+        for t in range(b.n):
+            beta = tuple(int(i == t) for i in range(b.n))
+            step = eps * np.array(beta, dtype=float)
+            fd = (field(x + step) - field(x - step)) / (2 * eps)
+            assert np.allclose(field.derivative(beta)(x), fd, atol=1e-7)
 
 
 def test_field_serialization_round_trip(fil4):

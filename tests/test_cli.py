@@ -83,6 +83,16 @@ def test_validate_report_file(tmp_path):
     assert doc["degree"] == 4
 
 
+def test_validate_document_keys(capsys):
+    # the document is the ValidationReport's fields plus n, mu_norm and valid
+    assert main(["validate", "filiform:n=5", "--out", "-"]) == 0
+    out = capsys.readouterr().out
+    doc = json.loads(out[out.index("{") :])
+    assert sorted(doc) == [
+        "degree", "jacobi_residual", "messages", "mu_norm", "n", "nilpotent", "skew_ok", "valid",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # curvature
 
@@ -98,6 +108,15 @@ def test_curvature_json(tmp_path):
     assert main(["curvature", "heisenberg:c=1", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["scal"] == pytest.approx(-0.5)
+
+
+@pytest.mark.parametrize("c", ["1e-160", "1e-150"])
+def test_curvature_of_a_bracket_whose_ricci_underflows_exits_2(c, capsys):
+    # Ric is quadratic and tr Ric^2 quartic in mu: neither may print as 0
+    assert main(["curvature", f"heisenberg:c={c}"]) == 2
+    assert "underflows" in capsys.readouterr().err
+    assert main(["curvature", f"heisenberg:c={c}", "--rescale", "2"]) == 0
+    assert main(["flow", f"heisenberg:c={c}", "--rescale", "2", "--t-max", "1"]) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from nilflow.exceptions import (
     BadNormalization,
     BadRate,
     ConfigError,
+    LossOfPositivity,
     NumericalFailure,
     StepSizeUnderflow,
     TooFewSamples,
@@ -636,6 +637,40 @@ def test_innerproduct_flow_matches_exact_scal(heis):
     assert innerproduct_scal(heis, g) == pytest.approx(-0.125, rel=1e-8)
     assert np.allclose(g, g.T)
     assert np.all(np.linalg.eigvalsh(g) > 0.0)
+
+
+def test_loss_of_positivity_carries_the_accepted_samples(heis_sphere):
+    # the scalar rate drives the metric off its sphere until its Cholesky fails
+    opts = FlowOpts(max_step=0.05)
+    with pytest.raises(LossOfPositivity, match="positivity") as info:
+        integrate_innerproduct_flow(heis_sphere, 5.0, opts, r="scalar")
+    accepted = info.value.trace
+    assert accepted is not None and len(accepted) > 60
+    assert accepted[0][0] == 0.0 and 3.0 < accepted[-1][0] < 3.4
+    assert np.all(np.linalg.eigvalsh(accepted[-1][1].reshape(3, 3)) > 0.0)
+
+
+def test_singular_frame_carries_the_accepted_samples(heis, monkeypatch):
+    real = flow._frame_generator
+
+    def failing_after(*args):
+        generator = real(*args)
+        calls = []
+
+        def gen(h):
+            calls.append(None)
+            if len(calls) > 40:
+                raise np.linalg.LinAlgError("singular")
+            return generator(h)
+
+        return gen
+
+    monkeypatch.setattr(flow, "_frame_generator", failing_after)
+    with pytest.raises(NumericalFailure, match="singular") as info:
+        integrate_bracket_flow(heis, 1.0)
+    accepted = info.value.trace
+    assert accepted is not None and len(accepted) > 1
+    assert accepted[0][0] == 0.0 and accepted[-1][0] < 1.0
 
 
 def test_innerproduct_flow_rejects_unknown_string(heis):

@@ -216,6 +216,11 @@ def test_random_two_step_limits(seed):
     doc = report.to_dict()
     json.dumps(doc)
     assert doc["converged"] is True
+    # every field of the report, the certificate as its own document
+    assert sorted(doc) == [
+        "certificate", "converged", "decay_rate", "fit_r2", "r_limit", "reason", "stationarity", "window",
+    ]
+    assert doc["certificate"] == report.certificate.to_dict()
 
 
 def test_decay_rate_is_negative_when_fitted():
