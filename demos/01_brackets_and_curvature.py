@@ -33,7 +33,7 @@ def describe(name, b):
     report = validate_bracket(b)
     print(f"\n--- {name} (n = {b.n}) ---")
     print(f"norm |mu|           : {b.norm:.6f}")
-    print(f"skew / jacobi / nil : {report.skew_ok} / {report.jacobi_residual:.1e} / {report.nilpotent}")
+    print(f"jacobi / nil        : {report.jacobi_residual:.1e} / {report.nilpotent}")
     print(f"nilpotency degree   : {report.degree}")
     print(f"central series dims : {central_series_dims(b)}")
     print(f"scal                : {scalar_curvature(b):.6f}   (= -|mu|^2/4)")

@@ -97,9 +97,7 @@ from .generators import (
 )
 from .soliton import (
     ConvergenceReport,
-    CriticalPointReport,
     SolitonCertificate,
-    critical_point_check,
     detect_convergence,
     orbit_invariants,
     soliton_residual,

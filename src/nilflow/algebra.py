@@ -1,9 +1,9 @@
 """Nilpotent Lie brackets on R^n as structure-constant arrays.
 
 A bracket mu is stored as the dense cube C with C[i, j, k] = <mu(e_i, e_j), e_k>,
-skew-symmetric in (i, j).  This module provides validation (skewness, Jacobi,
-nilpotency), the GL(n) change-of-basis action, its linearization delta and the
-adjoint delta^t, and derivation algebras.
+skew-symmetric in (i, j) by construction.  This module provides validation
+(Jacobi, nilpotency), the GL(n) change-of-basis action, its linearization
+delta and the adjoint delta^t, and derivation algebras.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ Operator = np.ndarray
 DEFAULT_TOL = 1e-10
 _SKEW_ATOL = 1e-8
 _SQRT_TINY = math.sqrt(np.finfo(float).tiny)  # smallest norm whose square is normal
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,7 +125,6 @@ class Bracket(VTangent):
 
 @dataclass(frozen=True)
 class ValidationReport:
-    skew_ok: bool
     jacobi_residual: float
     nilpotent: bool
     degree: int | None
@@ -219,30 +219,24 @@ def central_series_dims(b: VTangent, tol: float = DEFAULT_TOL) -> list:
 
 
 def validate_bracket(b: Bracket, tol: float = DEFAULT_TOL) -> ValidationReport:
-    """Check skewness, the Jacobi identity, and nilpotency.
+    """Check the Jacobi identity and nilpotency.
 
     The Jacobi threshold is tol on the unit-norm-scaled bracket, i.e. the raw
     residual is compared against tol * max(1, ||mu||^2).
     """
-    c = b.coeffs
-    skew_res = float(np.abs(c + c.transpose(1, 0, 2)).max())
-    skew_ok = skew_res <= tol
     jac = jacobiator_residual(b)
     scale = max(1.0, b.norm**2)
     jacobi_ok = jac <= tol * scale
     messages = []
-    if not skew_ok:
-        messages.append(f"skew residual {skew_res:.3e} exceeds {tol:.1e}")
     if not jacobi_ok:
         messages.append(f"jacobi residual {jac:.3e} exceeds {tol * scale:.1e}")
-    dims, degree = _central_series(c, tol)
+    dims, degree = _central_series(b.coeffs, tol)
     nilpotent = degree is not None
     if not nilpotent:
         messages.append(f"central series stabilizes at dimension {dims[-1]}")
-    if jacobi_ok and nilpotent and skew_ok:
+    if jacobi_ok and nilpotent:
         messages.append(f"valid nilpotent bracket of degree {degree}")
     return ValidationReport(
-        skew_ok=skew_ok,
         jacobi_residual=jac,
         nilpotent=nilpotent and jacobi_ok,
         degree=degree if jacobi_ok else None,
@@ -385,9 +379,9 @@ def bracket_from_dict(obj: dict) -> Bracket:
         if (i, j, k) in seen:
             raise BracketFormatError(f"entry {idx}: duplicate triple (i={i}, j={j}, k={k})")
         seen.add((i, j, k))
-        value = float(value)
-        if not np.isfinite(value):
-            raise BracketFormatError(f"entry {idx}: value must be finite")
+        # bool is an int subclass; an int past the float range is not finite
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= _FLOAT_MAX:
+            raise BracketFormatError(f"entry {idx}: value must be a finite number")
         c[i - 1, j - 1, k - 1] = value
         c[j - 1, i - 1, k - 1] = -value
     return Bracket(c)

@@ -718,13 +718,9 @@ class EquivalenceReport:
     max_pullback_residual: float
     max_gram_residual: float
     max_scal_mismatch: float
-    times: np.ndarray
 
     def ok(self, tol: float) -> bool:
         return max(self.max_pullback_residual, self.max_gram_residual) < tol
-
-    def to_dict(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if k != "times"}
 
 
 def equivalence_report(
@@ -757,5 +753,4 @@ def equivalence_report(
         max_pullback_residual=float(pullback.max()),
         max_gram_residual=float(gram.max()),
         max_scal_mismatch=float(scal_mismatch.max()),
-        times=grid,
     )

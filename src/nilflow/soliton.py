@@ -5,9 +5,8 @@ c and a derivation D of mu; those brackets are exactly the critical points of
 tr(Ric^2) restricted to spheres, and the normalized flow converges to one from
 every starting point.  Since tr(Ric D) = 0 for every derivation D, such a c
 can only be -4 tr(Ric^2) / ||mu||^2 (Lauret, Math. Ann. 319, 2001), so the
-certificate is one closed formula.  The functions here evaluate it, measure
-the stationarity of the normalized flow, and summarize whether a stored trace
-has settled onto a soliton limit.
+certificate is one closed formula.  The functions here evaluate it and
+summarize whether a stored trace has settled onto a soliton limit.
 """
 
 from __future__ import annotations
@@ -21,9 +20,6 @@ from .algebra import Bracket, central_series_dims, delta, nilpotency_degree
 from .curvature import ricci_energy, ricci_operator
 from .exceptions import ConfigError, ZeroBracket
 from .flow import _sample_norms
-
-_TINY = 1e-300
-
 
 @dataclass(frozen=True)
 class SolitonCertificate:
@@ -75,40 +71,12 @@ def soliton_residual(b: Bracket, tol: float = 1e-8) -> SolitonCertificate:
 
 
 @dataclass(frozen=True)
-class CriticalPointReport:
-    """Stationarity of the normalized flow at a bracket on the sphere.
-
-    stationarity = ||delta(Ric) + tr(Ric^2) mu||, the speed of the normalized
-    flow; ratio divides by the unconstrained gradient norm so 0 means exactly
-    critical and 1 means the motion is not constrained by the sphere at all.
-    """
-
-    stationarity: float
-    gradient_norm: float
-    ratio: float
-
-
-def critical_point_check(b: Bracket) -> CriticalPointReport:
-    ric = ricci_operator(b)
-    grad = delta(b, ric).coeffs  # negative gradient of the energy
-    rhs = grad + float(np.sum(ric * ric)) * b.coeffs
-    gnorm = float(np.linalg.norm(grad))
-    snorm = float(np.linalg.norm(rhs))
-    return CriticalPointReport(
-        stationarity=snorm,
-        gradient_norm=gnorm,
-        ratio=snorm / max(gnorm, _TINY),
-    )
-
-
-@dataclass(frozen=True)
 class ConvergenceReport:
     """Verdict on whether a normalized trace has reached a soliton limit."""
 
     converged: bool
     reason: str
     certificate: SolitonCertificate
-    stationarity: float
     r_limit: float
     decay_rate: float
     fit_r2: float
@@ -122,10 +90,10 @@ def detect_convergence(trace, tol: float = 1e-8) -> ConvergenceReport:
     """Decide whether a normalized flow trace has settled onto a soliton.
 
     The candidate limit is the final bracket.  The report never raises on a
-    non-converged trace: it carries the certificate, the final normalized-flow
-    speed, and an exponential fit of the distance to the limit over the
-    trailing window (rate and r^2 are nan when the tail has too few usable
-    points, e.g. because the distances already sit at rounding level).
+    non-converged trace: it carries the certificate and an exponential fit of
+    the distance to the limit over the trailing window (rate and r^2 are nan
+    when the tail has too few usable points, e.g. because the distances
+    already sit at rounding level).
     """
     if trace.kind != "normalized":
         raise ConfigError("convergence detection expects a normalized trace")
@@ -149,7 +117,7 @@ def detect_convergence(trace, tol: float = 1e-8) -> ConvergenceReport:
             ss_res = float(np.sum((logd - pred) ** 2))
             ss_tot = float(np.sum((logd - logd.mean()) ** 2))
             rate = float(slope)
-            r2 = 1.0 - ss_res / max(ss_tot, _TINY)
+            r2 = 1.0 - ss_res / max(ss_tot, 1e-300)
 
     if cert.is_soliton:
         reason = f"soliton certificate holds (residual {cert.residual:.3e})"
@@ -159,7 +127,6 @@ def detect_convergence(trace, tol: float = 1e-8) -> ConvergenceReport:
         converged=cert.is_soliton,
         reason=reason,
         certificate=cert,
-        stationarity=cert.residual,
         r_limit=float(trace.tr_ric2[-1]),
         decay_rate=rate,
         fit_r2=r2,

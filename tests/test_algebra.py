@@ -172,6 +172,11 @@ def test_file_round_trip(tmp_path, heis):
             "duplicate",
         ),
         ({"n": 3, "entries": [{"i": 1, "j": 2, "k": 3, "value": float("nan")}]}, "finite"),
+        ({"n": 3, "entries": [{"i": 1, "j": 2, "k": 3, "value": 10**400}]}, "finite"),
+        *(
+            ({"n": 3, "entries": [{"i": 1, "j": 2, "k": 3, "value": v}]}, "must be a finite number")
+            for v in ("abc", None, [1], True, "1.5")
+        ),
     ],
 )
 def test_dict_rejects_malformed(doc, fragment):
@@ -227,7 +232,7 @@ def test_random_two_step_is_two_step(n, seed):
 
 def test_validate_report(heis):
     rep = validate_bracket(heis)
-    assert rep.skew_ok and rep.nilpotent and rep.degree == 2
+    assert rep.nilpotent and rep.degree == 2
     assert rep.jacobi_residual == 0.0
 
 

@@ -55,6 +55,14 @@ def test_validate_flags_bad_documents(capsys):
     assert "invalid" in capsys.readouterr().out
 
 
+def test_bracket_value_that_is_not_a_number(capsys):
+    # float("abc") ended in a traceback; test_algebra covers the other values
+    src = '{"n": 3, "entries": [{"i": 1, "j": 2, "k": 3, "value": "abc"}]}'
+    assert main(["validate", src]) == 1
+    assert capsys.readouterr().out.startswith("invalid: entry 0: value must be a finite number")
+    assert main(["curvature", src]) == 2
+
+
 def test_unparseable_json_is_a_usage_error(capsys):
     assert main(["validate", '{"n": 3,']) == 2
     # ... while outside validate a bad document is a usage error too
@@ -89,7 +97,7 @@ def test_validate_document_keys(capsys):
     out = capsys.readouterr().out
     doc = json.loads(out[out.index("{") :])
     assert sorted(doc) == [
-        "degree", "jacobi_residual", "messages", "mu_norm", "n", "nilpotent", "skew_ok", "valid",
+        "degree", "jacobi_residual", "messages", "mu_norm", "n", "nilpotent", "valid",
     ]
 
 
@@ -214,10 +222,22 @@ def test_flow_library_errors_exit_2(extra, message, capsys):
         (["curvature", "heisenberg:c=1", "--rescale", "-2"], "finite and > 0"),
         (["curvature", "heisenberg:c=1", "--rescale", "nan"], "finite and > 0"),
         (["curvature", "heisenberg:c=1", "--rescale", "-1e6"], "finite and > 0"),
+        (["validate", "heisenberg:c=1", "--tol", "-1"], "--tol must be finite and > 0"),
+        (["validate", "heisenberg:c=1", "--tol", "nan"], "--tol must be finite and > 0"),
+        (["validate", "heisenberg:c=1", "--tol", "0"], "--tol must be finite and > 0"),
+        (["soliton", "heisenberg:c=1", "--rescale", "2", "--tol", "nan"], "--tol must be finite and > 0"),
+        (["soliton", "heisenberg:c=1", "--rescale", "2", "--tol", "-1"], "--tol must be finite and > 0"),
+        (["equivalence", "heisenberg:c=1", "--tol", "nan"], "--tol must be finite and > 0"),
+        (["equivalence", "heisenberg:c=1", "--tol", "-1"], "--tol must be finite and > 0"),
+        (["flow", "heisenberg:c=1", "--check-tol", "nan"], "--check-tol must be finite and > 0"),
+        (["flow", "heisenberg:c=1", "--check-tol", "-1"], "--check-tol must be finite and > 0"),
     ],
     ids=["zero_n0", "zero_negative_n", "spec_negative_seed", "sweep_negative_seed",
          "zero_checkpoints", "negative_checkpoints", "one_checkpoint",
-         "rescale_zero", "rescale_negative", "rescale_nan", "rescale_negative_exponent"],
+         "rescale_zero", "rescale_negative", "rescale_nan", "rescale_negative_exponent",
+         "validate_tol_negative", "validate_tol_nan", "validate_tol_zero",
+         "soliton_tol_nan", "soliton_tol_negative", "equivalence_tol_nan", "equivalence_tol_negative",
+         "flow_check_tol_nan", "flow_check_tol_negative"],
 )
 def test_input_errors_exit_2(argv, message, capsys):
     assert main(argv) == 2

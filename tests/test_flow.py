@@ -692,12 +692,12 @@ def test_scalar_normalized_innerproduct_flow(heis_sphere):
 
 def test_equivalence_unnormalized(heis_sphere):
     rep = equivalence_report(heis_sphere, 2.0, checkpoints=11)
-    assert rep.ok(1e-5), rep.to_dict()
+    assert rep.ok(1e-5), rep
 
 
 def test_equivalence_filiform():
     rep = equivalence_report(rescale_to_norm(filiform(4)), 2.0, checkpoints=11)
-    assert rep.ok(1e-5), rep.to_dict()
+    assert rep.ok(1e-5), rep
 
 
 def test_equivalence_normalized(heis_sphere):
@@ -705,12 +705,12 @@ def test_equivalence_normalized(heis_sphere):
     # short horizon: the metric flow evaluates the rate on the metric itself,
     # so its distance to the scal = -1 slice grows like exp(2 tr(Ric^2) t)
     rep = equivalence_report(b, 1.0, FlowOpts(max_step=0.1), r="scalar", checkpoints=11)
-    assert rep.ok(1e-5), rep.to_dict()
+    assert rep.ok(1e-5), rep
 
 
 def test_equivalence_constant_rate(heis_sphere):
     rep = equivalence_report(heis_sphere, 1.0, r=0.5, checkpoints=6)
-    assert rep.ok(1e-5), rep.to_dict()
+    assert rep.ok(1e-5), rep
 
 
 def test_equivalence_rejects_callable(heis_sphere):
