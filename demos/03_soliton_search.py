@@ -19,6 +19,7 @@ from nilflow import (
     detect_convergence,
     filiform,
     integrate_normalized_flow,
+    orbit_invariants,
     rescale_to_norm,
     soliton_residual,
     sphere_perturbation,
@@ -50,12 +51,12 @@ def main():
         rep = detect_convergence(trace)
         print(f"  {t_max:6.1f}  {str(rep.converged):>9}  {rep.certificate.residual:9.2e}")
     print(f"  verdict: {rep.reason}")
-    spec = ", ".join(f"{v:+.4f}" for v in np.sort(rep.certificate.ricci_spectrum))
+    limit = trace.final_bracket
+    spec = ", ".join(f"{v:+.4f}" for v in orbit_invariants(limit)["ricci_spectrum"])
     print(f"  limit Ricci spectrum: [{spec}]   r_limit = {rep.r_limit:.6f}")
 
     # 4. on |mu| = 2, c = -4 tr Ric^2 / |mu|^2 is minus the limit rate, and
     #    the residual |delta(D)| is the speed of the normalized flow
-    limit = trace.final_bracket
     cert = soliton_residual(limit)
     print(f"\nc = {cert.c:.9f} vs -r_limit = {-rep.r_limit:.9f}")
     print(f"residual (flow speed) {cert.residual:.3e}")

@@ -80,7 +80,6 @@ from .flow import (
     integrate_bracket_flow,
     integrate_innerproduct_flow,
     integrate_normalized_flow,
-    integrate_r_normalized,
     trace_from_csv,
     type3_certificate,
     verify_flow_identities,

@@ -128,6 +128,7 @@ class ValidationReport:
     jacobi_residual: float
     nilpotent: bool
     degree: int | None
+    series_dims: list  # [dim C^0, dim C^1, ...], as in central_series_dims
     messages: tuple
 
 
@@ -240,6 +241,7 @@ def validate_bracket(b: Bracket, tol: float = DEFAULT_TOL) -> ValidationReport:
         jacobi_residual=jac,
         nilpotent=nilpotent and jacobi_ok,
         degree=degree if jacobi_ok else None,
+        series_dims=dims,
         messages=tuple(messages),
     )
 

@@ -32,7 +32,6 @@ from .algebra import (
     Bracket,
     bracket_from_dict,
     bracket_to_dict,
-    central_series_dims,
     load_bracket,
     validate_bracket,
 )
@@ -51,7 +50,6 @@ from .flow import (
     equivalence_report,
     integrate_bracket_flow,
     integrate_normalized_flow,
-    integrate_r_normalized,
     type3_certificate,
     verify_flow_identities,
 )
@@ -178,14 +176,13 @@ def cmd_validate(args) -> int:
     print(f"n = {b.n}   |mu| = {b.norm:.12g}")
     print(f"jacobi residual:  {report.jacobi_residual:.3e}")
     if report.degree is not None:
-        dims = central_series_dims(b, tol=args.tol)
-        print(f"nilpotent:        yes (degree {report.degree}, series dims {dims})")
+        print(f"nilpotent:        yes (degree {report.degree}, series dims {report.series_dims})")
     else:
         print("nilpotent:        NO")
     for msg in report.messages:
         print(f"  - {msg}")
     if args.out:
-        _write_json(args.out, {"n": b.n, "mu_norm": b.norm, **asdict(report), "valid": report.nilpotent})
+        _write_json(args.out, {"n": b.n, "mu_norm": b.norm, **asdict(report)})
     return 0 if report.nilpotent else 1
 
 
@@ -203,17 +200,10 @@ def cmd_curvature(args) -> int:
 
 
 def _run_flow(args, b):
-    t_max = args.t_max
     opts = _flow_opts(args)
     if args.kind == "normalized":
-        if abs(b.norm - 2.0) > 1e-10:
-            raise ConfigError(
-                f"normalized flow needs |mu| = 2, got {b.norm:.6g}; pass --rescale 2"
-            )
-        return integrate_normalized_flow(b, t_max, opts)
-    if args.kind == "unnormalized":
-        return integrate_bracket_flow(b, t_max, opts)
-    return integrate_r_normalized(b, args.rho, t_max, opts)
+        return integrate_normalized_flow(b, args.t_max, opts)
+    return integrate_bracket_flow(b, args.t_max, opts, r=args.rho if args.kind == "r-const" else None)
 
 
 def cmd_flow(args) -> int:
@@ -222,7 +212,6 @@ def cmd_flow(args) -> int:
     summary = {
         "kind": trace.kind,
         "samples": len(trace),
-        "t_final": trace.stats["t_final"],
         "mu_norm_final": float(trace.mu_norm[-1]),
         "scal_final": float(trace.scal[-1]),
         "tr_ric2_final": float(trace.tr_ric2[-1]),
@@ -250,7 +239,7 @@ def cmd_flow(args) -> int:
             if not (rep.norm_bound_ok and rep.ricci_bound_ok):
                 failed.append(name)
     print(
-        f"{trace.kind} flow to t = {summary['t_final']:.6g}: "
+        f"{trace.kind} flow to t = {trace.stats['t_final']:.6g}: "
         f"|mu| = {summary['mu_norm_final']:.6g}, scal = {summary['scal_final']:.6g}, "
         f"tr Ric^2 = {summary['tr_ric2_final']:.6g} "
         f"({summary['samples']} samples, {trace.stats['accepted']} steps)"
@@ -268,21 +257,20 @@ def cmd_flow(args) -> int:
 
 
 def cmd_soliton(args) -> int:
-    b = _load_source(args)
-    if abs(b.norm - 2.0) > 1e-10:
-        raise ConfigError(f"soliton search flows on |mu| = 2, got {b.norm:.6g}; pass --rescale 2")
-    trace = integrate_normalized_flow(b, args.t_max, _flow_opts(args))
+    trace = integrate_normalized_flow(_load_source(args), args.t_max, _flow_opts(args))
     report = detect_convergence(trace, tol=args.tol)
+    # raises NotNilpotentError (exit 3) when the limit left the nilpotent cone
+    invariants = orbit_invariants(trace.final_bracket)
     cert = report.certificate
     print(f"converged: {report.converged}  ({report.reason})")
     print(f"c = {cert.c:.9g}   residual = {cert.residual:.3e}   r_limit = {report.r_limit:.9g}")
-    print(f"ricci spectrum: {np.array2string(cert.ricci_spectrum, precision=6)}")
+    print(f"ricci spectrum: {np.array2string(np.array(invariants['ricci_spectrum']), precision=6)}")
     if not np.isnan(report.decay_rate):
         print(f"tail decay rate {report.decay_rate:.4g} (r^2 = {report.fit_r2:.4f})")
     if args.out:
         payload = report.to_dict()
         payload["limit_bracket"] = bracket_to_dict(trace.final_bracket)
-        payload["invariants"] = orbit_invariants(trace.final_bracket)
+        payload["invariants"] = invariants
         _write_json(args.out, payload)
     return 0 if report.converged else 1
 
@@ -514,7 +502,8 @@ def main(argv=None) -> int:
         # a flow limit that left the nilpotent cone is a numerical failure
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
-    except (NilflowError, OSError) as e:
+    # numpy refuses a bracket too large to allocate with a MemoryError
+    except (NilflowError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

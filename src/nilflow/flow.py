@@ -88,18 +88,21 @@ _KI = 0.7 / 5  # PI controller exponents for a 5th-order pair
 _KP = 0.4 / 5
 
 
+# Past this many samples a trace is thinned (see FlowOpts).
+_MAX_SAMPLES = 8192
+
+
 @dataclass(frozen=True)
 class FlowOpts:
     """Integrator options shared by all flows.  Each time in `stops` gets a
     sample of the 4th-order continuous extension of the step holding it, not
-    a step end.  Past `max_samples` the step samples are thinned to a doubling
-    stride over the whole run; stops count against `max_samples` but are never
-    thinned, so a run with more stops than `max_samples` returns them all."""
+    a step end.  Past 8192 samples the step samples are thinned to a doubling
+    stride over the whole run; stops count against that cap but are never
+    thinned, so a run with more stops than the cap returns them all."""
 
     rtol: float = 1e-9
     atol: float = 1e-9
     max_step: float = math.inf
-    max_samples: int = 8192
     stops: tuple = ()
 
     def __post_init__(self):
@@ -158,7 +161,7 @@ def _integrate_adaptive(f, t0, y0, t_end, opts):
 
     Returns (samples, stats): samples is a list of (t, y) at t0, at every
     accepted step (the last ends on t_end) and at every stop in opts.stops;
-    past opts.max_samples only every stride-th step is kept, and the stride
+    past _MAX_SAMPLES only every stride-th step is kept, and the stride
     doubles whenever the samples pass the cap again.  stats counts
     accepted/rejected steps and evaluations.  A stop is a sample of the
     4th-order continuous extension of the step holding it, at no extra
@@ -226,7 +229,7 @@ def _integrate_adaptive(f, t0, y0, t_end, opts):
                     samples.append((t, y))
                     steps.append(step)
                 # a stride past the step count would drop nothing more
-                if len(samples) > opts.max_samples and stride <= stats["accepted"]:
+                if len(samples) > _MAX_SAMPLES and stride <= stats["accepted"]:
                     stride *= 2
                     samples, steps = _thin(samples, steps, stride)
                 factor = _SAFETY * (err + 1e-300) ** (-_KI) * err_prev**_KP
@@ -479,10 +482,18 @@ def _run_bracket_flow(b0, t_max, opts, kind, r):
     return _finish_trace(kind, samples, stats, b0.coeffs, rate)
 
 
-def integrate_bracket_flow(b0: Bracket, t_max: float, opts: FlowOpts | None = None) -> FlowTrace:
-    """Unnormalized flow mu' = delta_mu(Ric_mu); ||mu|| is nonincreasing and
-    the solution exists for all positive time."""
-    return _run_bracket_flow(b0, t_max, opts, "unnormalized", None)
+def integrate_bracket_flow(b0: Bracket, t_max: float, opts: FlowOpts | None = None, r=None) -> FlowTrace:
+    """Flow mu' = delta_mu(Ric_mu) + r mu for any rate r.
+
+    r is None for the unnormalized flow (r = 0: ||mu|| is nonincreasing and
+    the solution exists for all positive time), a finite real number, or
+    "scalar" (r = tr(Ric^2) of mu itself, so unlike
+    `integrate_normalized_flow` the sphere ||mu|| = 2 repels: any drift off it
+    grows).  Any other r, a callable included, raises BadRate.  The trace's
+    kind is "unnormalized" for r = None and "r" otherwise; the rate at each
+    sample is stored in `r_values`.
+    """
+    return _run_bracket_flow(b0, t_max, opts, "unnormalized" if r is None else "r", r)
 
 
 def integrate_normalized_flow(b0: Bracket, t_max: float, opts: FlowOpts | None = None) -> FlowTrace:
@@ -495,21 +506,10 @@ def integrate_normalized_flow(b0: Bracket, t_max: float, opts: FlowOpts | None =
     drift = abs(b0.norm - 2.0)
     if drift > 1e-10:
         raise BadNormalization(
-            f"initial bracket is off the sphere ||mu|| = 2 by {drift:.3e}; rescale explicitly"
+            f"the normalized flow needs ||mu|| = 2, got {b0.norm:.6g} (off by {drift:.3e}); "
+            "rescale with rescale_to_norm, or pass --rescale 2"
         )
     return _run_bracket_flow(b0, t_max, opts, "normalized", "scalar")
-
-
-def integrate_r_normalized(b0: Bracket, r, t_max: float, opts: FlowOpts | None = None) -> FlowTrace:
-    """Flow mu' = delta_mu(Ric_mu) + r mu for any normalization rate r.
-
-    r may be None or 0 (reproducing the unnormalized flow exactly), a finite
-    real number, or "scalar" (r = tr(Ric^2) of mu itself, so unlike
-    `integrate_normalized_flow` the sphere ||mu|| = 2 repels: any drift off
-    it grows).  Any other r, a callable included, raises BadRate.  The rate
-    at each sample is stored in `r_values`.
-    """
-    return _run_bracket_flow(b0, t_max, opts, "r", r)
 
 
 # ---------------------------------------------------------------------------
@@ -739,7 +739,7 @@ def equivalence_report(
     opts = replace(opts or FlowOpts(), stops=tuple(grid[1:-1]))
 
     ip = integrate_innerproduct_flow(b0, t_max, opts, r=r)
-    trace = integrate_r_normalized(b0, r, t_max, opts)
+    trace = integrate_bracket_flow(b0, t_max, opts, r=r)
     hs = cointegrate_h(trace)
     pulled = _gl_action_coeffs(hs, np.linalg.inv(hs), b0.coeffs)
     pullback = _sample_norms(trace.coeffs - pulled) / np.maximum(trace.mu_norm, 1e-300)

@@ -35,7 +35,6 @@ class SolitonCertificate:
     derivation: np.ndarray
     residual: float
     is_soliton: bool
-    ricci_spectrum: np.ndarray
 
     def to_dict(self) -> dict:
         return {
@@ -43,7 +42,6 @@ class SolitonCertificate:
             "D": self.derivation.tolist(),
             "residual": self.residual,
             "is_soliton": self.is_soliton,
-            "ricci_spectrum": self.ricci_spectrum.tolist(),
         }
 
 
@@ -66,7 +64,6 @@ def soliton_residual(b: Bracket, tol: float = 1e-8) -> SolitonCertificate:
         derivation=d,
         residual=resid,
         is_soliton=resid < tol * nrm * ric_norm,
-        ricci_spectrum=np.sort(np.linalg.eigvalsh(ric)),
     )
 
 

@@ -233,6 +233,7 @@ def test_random_two_step_is_two_step(n, seed):
 def test_validate_report(heis):
     rep = validate_bracket(heis)
     assert rep.nilpotent and rep.degree == 2
+    assert rep.series_dims == central_series_dims(heis) == [3, 1, 0]
     assert rep.jacobi_residual == 0.0
 
 

@@ -18,7 +18,7 @@ def test_public_names():
         "connection_operators", "curvature_pack", "delta", "delta_transpose", "derivation_basis",
         "detect_convergence", "equivalence_report", "filiform", "gl_action", "heisenberg",
         "innerproduct_scal", "integrate_bracket_flow", "integrate_innerproduct_flow",
-        "integrate_normalized_flow", "integrate_r_normalized", "jacobiator_residual", "laplacian_delta",
+        "integrate_normalized_flow", "jacobiator_residual", "laplacian_delta",
         "left_translation_differential", "load_bracket", "metric_at", "metric_convergence_distance",
         "metric_field_2step", "metric_field_fit", "moment_map", "nilpotency_degree", "orbit_invariants",
         "random_nilpotent", "random_orthogonal", "random_skew", "random_two_step", "rescale_to_norm",

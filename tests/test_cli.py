@@ -92,13 +92,27 @@ def test_validate_report_file(tmp_path):
 
 
 def test_validate_document_keys(capsys):
-    # the document is the ValidationReport's fields plus n, mu_norm and valid
+    # the document is the ValidationReport's fields plus n and mu_norm
     assert main(["validate", "filiform:n=5", "--out", "-"]) == 0
     out = capsys.readouterr().out
     doc = json.loads(out[out.index("{") :])
     assert sorted(doc) == [
-        "degree", "jacobi_residual", "messages", "mu_norm", "n", "nilpotent", "valid",
+        "degree", "jacobi_residual", "messages", "mu_norm", "n", "nilpotent", "series_dims",
     ]
+    assert doc["series_dims"] == [5, 3, 2, 1, 0]
+    assert "series dims [5, 3, 2, 1, 0]" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["curvature", "zero:n=100000"], ["validate", '{"n": 100000, "entries": []}']],
+    ids=["curvature", "validate"],
+)
+def test_bracket_too_large_to_allocate_exits_2(argv, capsys):
+    # n = 100000 asks numpy for 7.11 PiB, which it refuses before allocating
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +355,22 @@ def test_flow_constant_rate_equilibrium(tmp_path):
     assert doc["mu_norm_final"] == pytest.approx(np.sqrt(2.0), rel=1e-9)
 
 
+def test_flow_summary_document_keys(tmp_path):
+    # one key per value: the end time is stats["t_final"] only
+    summary = tmp_path / "s.json"
+    assert main(["flow", "heisenberg:c=1", "--t-max", "1", "--summary-out", str(summary)]) == 0
+    doc = json.loads(summary.read_text())
+    assert sorted(doc) == [
+        "grad_norm_final", "kind", "max_jacobi_residual", "mu_norm_final", "samples", "scal_final",
+        "stats", "tr_ric2_final",
+    ]
+    assert sorted(doc["stats"]) == [
+        "accepted", "cone_projections", "max_cond_h", "max_skew_defect", "nfev", "rejected",
+        "renormalizations", "t_final",
+    ]
+    assert doc["stats"]["t_final"] == 1.0
+
+
 def test_flow_with_h(tmp_path):
     summary = tmp_path / "s.json"
     rc = main(
@@ -368,6 +398,19 @@ def test_soliton_converges_and_reports(tmp_path, capsys):
     assert np.allclose(doc["invariants"]["ricci_spectrum"], [-1.0, -1.0, 1.0], atol=1e-6)
 
 
+def test_soliton_document_keys(tmp_path):
+    # the Ricci spectrum is an orbit invariant, not part of the certificate
+    out = tmp_path / "soliton.json"
+    assert main(["soliton", "heisenberg:c=1", "--rescale", "2", "--t-max", "1", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert sorted(doc) == [
+        "certificate", "converged", "decay_rate", "fit_r2", "invariants", "limit_bracket", "r_limit",
+        "reason", "window",
+    ]
+    assert sorted(doc["certificate"]) == ["D", "c", "is_soliton", "residual"]
+    assert sorted(doc["invariants"]) == ["degree", "energy", "mu_norm", "ricci_spectrum", "series_dims"]
+
+
 def test_soliton_requires_the_sphere(capsys):
     assert main(["soliton", "heisenberg:c=1", "--t-max", "1"]) == 2
 
@@ -385,11 +428,14 @@ def _limit_left_the_cone(b):
     raise NotNilpotentError(CONE_EXIT)
 
 
-def test_soliton_non_nilpotent_limit_exits_3(tmp_path, capsys, monkeypatch):
-    # a normalized flow whose limit drifted off the nilpotent cone
+@pytest.mark.parametrize("with_out", [True, False], ids=["with_out", "without_out"])
+def test_soliton_non_nilpotent_limit_exits_3(with_out, tmp_path, capsys, monkeypatch):
+    # a normalized flow whose limit drifted off the nilpotent cone; the limit
+    # was checked only when --out asked for its invariants
     monkeypatch.setattr("nilflow.cli.orbit_invariants", _limit_left_the_cone)
+    argv = ["soliton", "heisenberg:c=1", "--rescale", "2", "--t-max", "5"]
     out = tmp_path / "soliton.json"
-    rc = main(["soliton", "heisenberg:c=1", "--rescale", "2", "--t-max", "5", "--out", str(out)])
+    rc = main(argv + ["--out", str(out)] if with_out else argv)
     assert rc == 3
     err = capsys.readouterr().err
     assert err == f"numerical failure: {CONE_EXIT}\n"

@@ -31,7 +31,6 @@ from nilflow.flow import (
     integrate_bracket_flow,
     integrate_innerproduct_flow,
     integrate_normalized_flow,
-    integrate_r_normalized,
     trace_from_csv,
     type3_certificate,
     verify_flow_identities,
@@ -91,33 +90,39 @@ def test_stops_give_exact_sample_times(heis):
         trace.index_of_time(0.37)
 
 
-def test_sample_thinning_keeps_endpoints(heis):
-    trace = integrate_bracket_flow(heis, 1.0, FlowOpts(max_step=1e-3, max_samples=128))
+@pytest.fixture
+def cap_128(monkeypatch):
+    """Thin traces past 128 samples instead of 8192."""
+    monkeypatch.setattr(flow, "_MAX_SAMPLES", 128)
+
+
+def test_sample_thinning_keeps_endpoints(heis, cap_128):
+    trace = integrate_bracket_flow(heis, 1.0, FlowOpts(max_step=1e-3))
     assert len(trace) <= 128
     assert trace.times[0] == 0.0
     assert trace.times[-1] == pytest.approx(1.0, abs=1e-12)
     assert np.all(np.diff(trace.times) > 0.0)
 
 
-def test_thinning_keeps_stop_samples(heis):
+def test_thinning_keeps_stop_samples(heis, cap_128):
     # 1,000 steps thinned into at most 128 samples used to halve the stops away too
     stops = (0.5, 7.3)
-    trace = integrate_bracket_flow(heis, 10.0, FlowOpts(max_step=1e-2, max_samples=128, stops=stops))
+    trace = integrate_bracket_flow(heis, 10.0, FlowOpts(max_step=1e-2, stops=stops))
     assert len(trace) <= 128
     for t in stops:
         assert trace.times[trace.index_of_time(t)] == t
     assert trace.times[-1] == 10.0
 
 
-def test_thinning_keeps_the_whole_run_evenly_sampled(heis):
+def test_thinning_keeps_the_whole_run_evenly_sampled(heis, cap_128):
     # every stretch of the run keeps samples, not only its start and its end
-    trace = integrate_bracket_flow(heis, 10.0, FlowOpts(max_step=1e-2, max_samples=128))
+    trace = integrate_bracket_flow(heis, 10.0, FlowOpts(max_step=1e-2))
     assert len(trace) <= 128
     for lo in np.arange(0.0, 10.0, 0.5):
         assert np.any((trace.times >= lo) & (trace.times <= lo + 0.5)), f"no sample in [{lo}, {lo + 0.5}]"
 
 
-def test_thinning_more_stops_than_samples_thins_logarithmically(heis, monkeypatch):
+def test_thinning_more_stops_than_samples_thins_logarithmically(heis, monkeypatch, cap_128):
     # 4,000 stops never fit in 128 samples, so thinning cannot reach the cap;
     # it must still stop once the stride passes the step count
     calls = []
@@ -129,7 +134,7 @@ def test_thinning_more_stops_than_samples_thins_logarithmically(heis, monkeypatc
 
     monkeypatch.setattr(flow, "_thin", counting)
     stops = tuple(np.linspace(0.0, 10.0, 4002)[1:-1])
-    trace = integrate_bracket_flow(heis, 10.0, FlowOpts(max_step=1e-2, max_samples=128, stops=stops))
+    trace = integrate_bracket_flow(heis, 10.0, FlowOpts(max_step=1e-2, stops=stops))
     assert len(calls) <= math.ceil(math.log2(trace.stats["accepted"]))
     assert all(trace.times[trace.index_of_time(t)] == t for t in stops)
 
@@ -220,7 +225,7 @@ def test_max_step_must_be_positive():
     [
         integrate_bracket_flow,
         integrate_normalized_flow,
-        lambda b, t: integrate_r_normalized(b, 0.5, t),
+        lambda b, t: integrate_bracket_flow(b, t, r=0.5),
         integrate_innerproduct_flow,
     ],
     ids=["unnormalized", "normalized", "rate", "metric"],
@@ -285,7 +290,7 @@ def test_identities_reject_normalized_traces(heis_sphere):
 
 
 def test_identities_accept_zero_rate_traces(heis):
-    trace = integrate_r_normalized(heis, 0.0, 1.0, FlowOpts(max_step=0.02))
+    trace = integrate_bracket_flow(heis, 1.0, FlowOpts(max_step=0.02), r=0.0)
     assert verify_flow_identities(trace).ok
 
 
@@ -309,7 +314,7 @@ def test_long_time_decay_certificate(seed):
 
 def test_decay_certificate_rejects_normalized(heis, heis_sphere):
     # the type-III theorem needs r = 0; a constant rate is rejected too
-    for trace in (integrate_normalized_flow(heis_sphere, 0.5), integrate_r_normalized(heis, 0.5, 1.0)):
+    for trace in (integrate_normalized_flow(heis_sphere, 0.5), integrate_bracket_flow(heis, 1.0, r=0.5)):
         with pytest.raises(ValueError):
             type3_certificate(trace)
 
@@ -425,17 +430,17 @@ def test_skew_defect_is_reported_on_runs_that_keep_their_orbit():
 
 def test_zero_rate_reproduces_unnormalized_bitwise(heis):
     a = integrate_bracket_flow(heis, 2.0)
-    b = integrate_r_normalized(heis, None, 2.0)
+    b = integrate_bracket_flow(heis, 2.0, r=0.0)
     assert np.array_equal(a.times, b.times)
     assert all(np.array_equal(x.coeffs, y.coeffs) for x, y in zip(a.brackets, b.brackets))
-    assert b.kind == "r"
+    assert (a.kind, b.kind) == ("unnormalized", "r")
 
 
 def test_constant_rate_equilibrium():
     # mu' = delta(Ric) + r mu fixes the Heisenberg bracket with c = sqrt(2r/3)
     r = 1.5
     b = heisenberg(np.sqrt(2.0 * r / 3.0))
-    trace = integrate_r_normalized(b, r, 5.0)
+    trace = integrate_bracket_flow(b, 5.0, r=r)
     drift = max(np.abs(bb.coeffs - b.coeffs).max() for bb in trace.brackets)
     assert drift < 1e-11, f"equilibrium drifted by {drift:.2e}"
     assert np.all(trace.r_values == r)
@@ -444,27 +449,27 @@ def test_constant_rate_equilibrium():
 def test_scalar_rate_records_tr_ric2(heis_sphere):
     # tr Ric^2 of mu itself rather than of mu rescaled onto the sphere as in
     # integrate_normalized_flow
-    trace = integrate_r_normalized(heis_sphere, "scalar", 1.0)
+    trace = integrate_bracket_flow(heis_sphere, 1.0, r="scalar")
     assert np.allclose(trace.r_values, trace.tr_ric2, rtol=1e-12)
 
 
 def test_bad_rate_type_raises(heis):
     for r in ("fast", 1 + 0j):
         with pytest.raises(TypeError):
-            integrate_r_normalized(heis, r, 1.0)
+            integrate_bracket_flow(heis, 1.0, r=r)
 
 
 def test_callable_rate_raises(heis):
     # a rate is None, a real number or "scalar", resolved into a function of Ric
     for r in (ricci_energy, lambda b: math.nan):
         with pytest.raises(BadRate):
-            integrate_r_normalized(heis, r, 1.0)
+            integrate_bracket_flow(heis, 1.0, r=r)
 
 
 @pytest.mark.parametrize("r, same", [(np.int64(1), 1.0), (np.float32(0.5), 0.5)], ids=["int64", "float32"])
 def test_numpy_real_rates_match_floats_bitwise(r, same, heis):
-    a = integrate_r_normalized(heis, r, 1.0)
-    b = integrate_r_normalized(heis, same, 1.0)
+    a = integrate_bracket_flow(heis, 1.0, r=r)
+    b = integrate_bracket_flow(heis, 1.0, r=same)
     assert np.array_equal(a.times, b.times) and np.array_equal(a.coeffs, b.coeffs)
     assert np.array_equal(a.r_values, b.r_values) and np.all(a.r_values == same)
     g = integrate_innerproduct_flow(heis, 1.0, r=r).metrics
@@ -474,7 +479,7 @@ def test_numpy_real_rates_match_floats_bitwise(r, same, heis):
 def test_overflowing_rate_underflows_the_first_step(heis):
     # the scaled derivative overflows to inf, so the initial step is 0
     with pytest.raises(StepSizeUnderflow, match="t=0 "):
-        integrate_r_normalized(heis, 1e300, 1.0)
+        integrate_bracket_flow(heis, 1.0, r=1e300)
 
 
 @pytest.fixture
@@ -494,7 +499,7 @@ def bounded_steps(monkeypatch):
 @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
 def test_non_finite_rate_raises(r, heis, bounded_steps):
     with pytest.raises(BadRate, match="finite"):
-        integrate_r_normalized(heis, r, 1.0)
+        integrate_bracket_flow(heis, 1.0, r=r)
     with pytest.raises(BadRate, match="finite"):
         integrate_innerproduct_flow(heis, 1.0, r=r)
 
@@ -520,7 +525,7 @@ def test_trace_columns_match_per_bracket_functions(kind, n):
     elif kind == "normalized":
         trace = integrate_normalized_flow(b0, 5.0)
     else:
-        trace = integrate_r_normalized(b0, 0.5, 1.0)
+        trace = integrate_bracket_flow(b0, 1.0, r=0.5)
     brackets = trace.brackets
     assert len(brackets) == len(trace) > 3
     assert all(np.array_equal(b.coeffs, c) for b, c in zip(brackets, trace.coeffs))
@@ -561,21 +566,23 @@ def test_stored_frames_pull_the_bracket(normalized):
 
 
 @pytest.mark.parametrize(
-    "normalized, opts",
+    "normalized, max_step, cap",
     [
-        pytest.param(False, FlowOpts(), id="False"),
-        pytest.param(True, FlowOpts(), id="True"),
+        pytest.param(False, math.inf, 8192, id="False"),
+        pytest.param(True, math.inf, 8192, id="True"),
         # 400 steps kept in at most 128 samples: sample times are not steps
-        pytest.param(True, FlowOpts(max_step=0.005, max_samples=128), id="thinned"),
+        pytest.param(True, 0.005, 128, id="thinned"),
     ],
 )
-def test_cointegrated_frame_pulls_the_bracket(normalized, opts, heis_sphere):
+def test_cointegrated_frame_pulls_the_bracket(normalized, max_step, cap, heis_sphere, monkeypatch):
+    monkeypatch.setattr(flow, "_MAX_SAMPLES", cap)
     b0 = sphere_perturbation(heis_sphere, np.random.default_rng(5), eps=0.2)
+    opts = FlowOpts(max_step=max_step)
     if normalized:
         trace = integrate_normalized_flow(b0, 2.0, opts)
     else:
         trace = integrate_bracket_flow(b0, 2.0, opts)
-    assert len(trace) <= opts.max_samples
+    assert len(trace) <= cap
     hs = cointegrate_h(trace)
     assert np.array_equal(hs[0], np.eye(3))
     for i in (len(trace) // 2, len(trace) - 1):
