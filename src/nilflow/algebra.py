@@ -247,13 +247,13 @@ def validate_bracket(b: Bracket, tol: float = DEFAULT_TOL) -> ValidationReport:
 
 
 def _gl_action_coeffs(g: np.ndarray, ginv: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """(g.mu)_ijk = sum ginv_ai ginv_bj g_kc c_abc, as two batched matrix products;
-    leading axes of g, ginv and c are batch axes and broadcast."""
+    """(g.mu)_ijk = sum ginv_ai ginv_bj g_kc c_abc, as three matrix products, one
+    per index; leading axes of g, ginv and c are batch axes and broadcast."""
     n = c.shape[-1]
-    ginv_t = np.swapaxes(ginv, -1, -2)
+    ginv_t = ginv.mT
     t = ginv_t @ c.reshape(*c.shape[:-2], n * n)
     t = t.reshape(*t.shape[:-1], n, n)
-    return ginv_t[..., None, :, :] @ t @ np.swapaxes(g, -1, -2)[..., None, :, :]
+    return ginv_t[..., None, :, :] @ t @ g.mT[..., None, :, :]
 
 
 def gl_action(g: Operator, b: VTangent) -> VTangent:

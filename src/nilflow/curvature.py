@@ -17,10 +17,18 @@ from .exceptions import BadNormalization, DimensionMismatch, ZeroBracket
 
 
 def _ricci(c: np.ndarray) -> np.ndarray:
-    """Ricci operator as an array; leading axes of c are batch axes."""
-    m1 = np.einsum("...iak,...ibk->...ab", c, c)
-    m2 = np.einsum("...ija,...ijb->...ab", c, c)
-    return -0.5 * m1 + 0.25 * m2
+    """Ricci operator as an array; leading axes of c are batch axes.
+
+    Two products of 2-D views, 1/4 C^T C - 1/2 A A^T, with C[(i, j), a] = c_ija
+    and A[a, (i, k)] = c_iak.
+    """
+    n = c.shape[-1]
+    cols = c.reshape(*c.shape[:-3], n * n, n)
+    rows = c.swapaxes(-3, -2).reshape(*c.shape[:-3], n, n * n)
+    ric = rows @ rows.mT
+    ric *= -0.5
+    ric += 0.25 * (cols.mT @ cols)
+    return ric
 
 
 def ricci_operator(b: VTangent) -> Operator:

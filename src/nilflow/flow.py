@@ -367,25 +367,28 @@ def _frame_generator(b0, rate, normalized=False):
     """Generator of the frame flow for mu = h.mu0: returns h -> (h', D).
 
     X = Ric_mu + r I and D is the projection of h^{-1} X h onto Der(mu0),
-    whose basis is orthonormal, so the projection is B^T B vec(.).  Then
+    whose basis B is orthonormal, so the projection is one product with the
+    projector P = B^T B, built once per flow.  Then
     h' = -(X - h D h^{-1}) h = -X h + h D.  When normalized, X is evaluated
     on mu rescaled to ||mu0||; then <mu', mu> = 0 for the scalar rate, and
-    the flow of h commutes with rescaling h.
+    the flow of h commutes with rescaling h.  One call is a few plain matrix
+    products: the GL action, the two of _ricci, the projection and h'.
     """
     n, c0 = b0.n, b0.coeffs
     basis = np.array(derivation_basis(b0)).reshape(-1, n * n)
-    eye = np.eye(n)
+    proj = basis.T @ basis
     norm0 = np.linalg.norm(c0)
 
     def generator(h):
         hinv = np.linalg.inv(h)
         c = _gl_action_coeffs(h, hinv, c0)
         if normalized:
-            c = c * (norm0 / np.linalg.norm(c))
-        ric = _ricci(c)
-        x = ric + rate(ric) * eye
-        d = (basis.T @ (basis @ (hinv @ x @ h).reshape(-1))).reshape(n, n)
-        return h @ d - x @ h, d
+            c *= norm0 / np.linalg.norm(c)
+        x = _ricci(c)
+        x.reshape(-1)[:: n + 1] += rate(x)
+        xh = x @ h
+        d = (proj @ (hinv @ xh).reshape(-1)).reshape(n, n)
+        return h @ d - xh, d
 
     return generator
 

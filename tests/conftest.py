@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from nilflow.algebra import Bracket, gl_action
-from nilflow.generators import filiform, heisenberg, random_orthogonal, random_two_step, rescale_to_norm
+from nilflow.generators import (
+    filiform,
+    heisenberg,
+    random_nilpotent,
+    random_orthogonal,
+    random_two_step,
+    rescale_to_norm,
+)
 
 
 @pytest.fixture
@@ -29,6 +36,14 @@ def heis_sphere():
 @pytest.fixture
 def fil4():
     return filiform(4)
+
+
+def dense_starts(n, seed):
+    """Rotated random_nilpotent, random_two_step and filiform brackets of
+    dimension n: dense starts, with no zero pattern for a kernel to lean on."""
+    rng = np.random.default_rng(seed)
+    starts = (random_nilpotent(n, rng), random_two_step(n, rng), filiform(n))
+    return [gl_action(random_orthogonal(n, rng), b) for b in starts]
 
 
 def random_sphere_bracket(n, seed):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from nilflow.algebra import delta, delta_transpose, gl_action, vn_inner
 from nilflow.curvature import (
+    _ricci,
     curvature_pack,
     laplacian_delta,
     moment_map,
@@ -26,7 +27,7 @@ from nilflow.generators import (
     random_two_step,
 )
 
-from conftest import random_sphere_bracket
+from conftest import dense_starts, random_sphere_bracket
 
 
 def test_heisenberg_ricci_exact(heis):
@@ -45,6 +46,17 @@ def test_filiform4_ricci(fil4):
 def test_ricci_form_agrees_with_operator(seed):
     b = random_sphere_bracket(5, seed)
     assert np.allclose(ricci_form(b), ricci_operator(b), atol=1e-12)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_stacked_ricci_matches_the_form_on_each_sample(n):
+    # _ricci takes leading batch axes; ricci_form is an independent contraction
+    starts = dense_starts(n, 100 + n)
+    stack = _ricci(np.array([b.coeffs for b in starts]))
+    assert stack.shape == (len(starts), n, n)
+    for ric, b in zip(stack, starts):
+        ref = ricci_form(b)
+        assert np.abs(ric - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -35,10 +35,17 @@ from nilflow.flow import (
     type3_certificate,
     verify_flow_identities,
 )
-from nilflow.generators import filiform, heisenberg, random_nilpotent, rescale_to_norm, sphere_perturbation
+from nilflow.generators import (
+    filiform,
+    heisenberg,
+    random_nilpotent,
+    random_orthogonal,
+    rescale_to_norm,
+    sphere_perturbation,
+)
 from nilflow.soliton import detect_convergence
 
-from conftest import dixmier_lister, random_sphere_bracket, rotated_dixmier_lister
+from conftest import dense_starts, dixmier_lister, random_sphere_bracket, rotated_dixmier_lister
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +203,42 @@ def test_stage_array_step_matches_per_stage_sums():
     # the continuous extension starts at y and ends at y_new
     np.testing.assert_allclose(flow._dp_dense(y, h, K, 0.0), y, rtol=1e-14, atol=0.0)
     np.testing.assert_allclose(flow._dp_dense(y, h, K, 1.0), y_new, rtol=1e-14, atol=0.0)
+
+
+def _reference_generator(b0, r, normalized, h):
+    """h -> (h', D) of the frame flow from public functions: D is the
+    least-squares projection of h^{-1} X h onto the span of derivation_basis(b0)."""
+    n = b0.n
+    mu = gl_action(h, b0)
+    if normalized:
+        mu = rescale_to_norm(mu, b0.norm)
+    ric = ricci_operator(mu)
+    rate = 0.0 if r is None else ricci_energy(mu) if r == "scalar" else r
+    x = ric + rate * np.eye(n)
+    y = np.linalg.solve(h, x @ h)
+    basis = np.array([e.reshape(-1) for e in derivation_basis(b0)])
+    coef = np.linalg.lstsq(basis.T, y.reshape(-1), rcond=None)[0]
+    d = (basis.T @ coef).reshape(n, n)
+    return h @ d - x @ h, d
+
+
+@pytest.mark.parametrize("r, normalized", [(None, False), (0.7, False), ("scalar", True)],
+                         ids=["unnormalized", "constant", "normalized"])
+@pytest.mark.parametrize("n", range(3, 9))
+def test_frame_generator_matches_public_functions(n, r, normalized):
+    rng = np.random.default_rng(200 + n)
+    for b0 in dense_starts(n, 300 + n):
+        if normalized:
+            b0 = rescale_to_norm(b0)
+        generator = flow._frame_generator(b0, flow._rate(r), normalized)
+        for _ in range(2):
+            # cond(h) <= 4
+            h = random_orthogonal(n, rng) @ np.diag(rng.uniform(0.5, 2.0, n)) @ random_orthogonal(n, rng)
+            dh, d = generator(h)
+            ref_dh, ref_d = _reference_generator(b0, r, normalized, h)
+            # h' = h D - X h cancels at a soliton: compare relative to its terms
+            assert np.abs(dh - ref_dh).max() <= 1e-12 * np.abs(h @ ref_d).max()
+            assert np.abs(d - ref_d).max() <= 1e-12 * np.abs(ref_d).max()
 
 
 def test_flow_stays_on_jacobi_variety():
