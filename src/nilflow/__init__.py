@@ -58,7 +58,6 @@ from .exceptions import (
     ConfigError,
     DegreeTooHigh,
     DimensionMismatch,
-    LossOfPositivity,
     NilflowError,
     NotNilpotentError,
     NumericalFailure,

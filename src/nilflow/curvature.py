@@ -20,11 +20,12 @@ def _ricci(c: np.ndarray) -> np.ndarray:
     """Ricci operator as an array; leading axes of c are batch axes.
 
     Two products of 2-D views, 1/4 C^T C - 1/2 A A^T, with C[(i, j), a] = c_ija
-    and A[a, (i, k)] = c_iak.
+    and A[a, (i, k)] = c_iak.  As c_iak = -c_aik, A is minus the plain
+    (n, n^2) view of c, and A A^T reads that view without a copy.
     """
     n = c.shape[-1]
     cols = c.reshape(*c.shape[:-3], n * n, n)
-    rows = c.swapaxes(-3, -2).reshape(*c.shape[:-3], n, n * n)
+    rows = c.reshape(*c.shape[:-3], n, n * n)
     ric = rows @ rows.mT
     ric *= -0.5
     ric += 0.25 * (cols.mT @ cols)

@@ -50,7 +50,9 @@ class NumericalFailure(NilflowError, RuntimeError):
     """Integration failed; carries the partial trace when one exists.
 
     The trace is the list of accepted (t, y) samples.  For the bracket flows
-    y is the flattened frame h with mu(t) = h.mu0, not the bracket itself.
+    y is the flattened frame h with mu(t) = h.mu0, not the bracket itself;
+    for the metric flow it is the lower triangle of the factor L of
+    G = L L^T, with log L_ii in place of L_ii.
     Two guards cut it: when a frame's condition number passes 1/sqrt(eps),
     or the skew defect max|c + c^T| / ||c|| of c = h.mu0 passes 1e-8
     (rounding damage to mu), the trace ends at the last sample before the
@@ -64,7 +66,3 @@ class NumericalFailure(NilflowError, RuntimeError):
 
 class StepSizeUnderflow(NumericalFailure):
     """Adaptive step size collapsed below the resolution limit."""
-
-
-class LossOfPositivity(NumericalFailure):
-    """Evolving inner product stopped being positive definite."""

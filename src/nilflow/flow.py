@@ -21,6 +21,9 @@ sample of its 4th-order continuous extension, not a step end.
 The module also recovers the frame of h' = -(Ric + r I) h along a trace,
 integrates the equivalent inner-product (metric tensor) flow
 G' = -2 ric(G) - 2 r G, and checks the structural identities of the r = 0 flow.
+The metric flow's state is the factor of G = L L^T, as the strict lower part
+of L and log diag L, so G stays positive definite by construction and its
+right side needs no Cholesky factorization.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ from .exceptions import (
     BadNormalization,
     BadRate,
     ConfigError,
-    LossOfPositivity,
     NumericalFailure,
     StepSizeUnderflow,
     TooFewSamples,
@@ -115,20 +117,20 @@ class FlowOpts:
 
 
 def _error_norm(err, y_old, y_new, rtol, atol):
-    scale = atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new))
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
+    q = err / (atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new)))
+    return math.sqrt(np.vecdot(q, q) / q.size)
 
 
 def _initial_step(f, t0, y0, f0, span, rtol, atol):
     scale = atol + rtol * np.abs(y0)
     # a derivative past the float range reads as infinitely fast: d1 = inf
-    # gives h0 = 0, which the caller's step floor rejects
+    # gives h0 = 0, which the caller's step floor rejects, also from y0 = 0
     with np.errstate(over="ignore"):
         d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
         d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
+    if d1 == math.inf:
+        return 0.0
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
-    if h0 == 0.0:
-        return h0
     f1 = f(t0 + h0, y0 + h0 * f0)
     d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2))) / h0
     h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
@@ -138,10 +140,11 @@ def _initial_step(f, t0, y0, f0, span, rtol, atol):
 def _dp_step(f, t, y, h, K):
     """One Dormand-Prince step from (t, y), K[0] = f(t, y): fills the stages
     K[1:] of the (7, N) array K (K[6] = f(t + h, y_new)); returns (y_new, err_vec)."""
+    a = h * _DP_A
     for i in range(1, 7):
-        yi = y + h * (_DP_A[i, :i] @ K[:i])
+        yi = y + a[i, :i] @ K[:i]
         K[i] = f(t + _DP_C[i] * h, yi)
-    return yi, h * (_DP_E @ K)
+    return yi, (h * _DP_E) @ K
 
 
 def _dp_dense(y, h, K, theta):
@@ -343,6 +346,12 @@ def trace_from_csv(path) -> dict:
     return dict(zip(_TRACE_COLUMNS, cols))
 
 
+def _tr_ric2(ric):
+    """tr(Ric^2) of each Ricci operator; leading axes of ric are batch axes."""
+    flat = ric.reshape(*ric.shape[:-2], -1)
+    return np.vecdot(flat, flat)
+
+
 def _rate(r):
     """Resolve a rate r into one function Ric -> r of the Ricci operator.
 
@@ -353,7 +362,7 @@ def _rate(r):
     if isinstance(r, str):
         if r != "scalar":
             raise BadRate(f"unknown rate {r!r}; the only string rate is 'scalar'")
-        return lambda ric: np.sum(ric * ric, axis=(-2, -1))
+        return _tr_ric2
     if r is not None and not isinstance(r, numbers.Real):
         raise BadRate(f"r must be None, a real number or 'scalar', got {r!r}")
     value = 0.0 if r is None else float(r)
@@ -370,21 +379,22 @@ def _frame_generator(b0, rate, normalized=False):
     whose basis B is orthonormal, so the projection is one product with the
     projector P = B^T B, built once per flow.  Then
     h' = -(X - h D h^{-1}) h = -X h + h D.  When normalized, X is evaluated
-    on mu rescaled to ||mu0||; then <mu', mu> = 0 for the scalar rate, and
-    the flow of h commutes with rescaling h.  One call is a few plain matrix
+    on mu rescaled to ||mu0||, that is Ric_mu times ||mu0||^2 / ||mu||^2, as
+    Ric is quadratic in mu; then <mu', mu> = 0 for the scalar rate, and the
+    flow of h commutes with rescaling h.  One call is a few plain matrix
     products: the GL action, the two of _ricci, the projection and h'.
     """
     n, c0 = b0.n, b0.coeffs
     basis = np.array(derivation_basis(b0)).reshape(-1, n * n)
     proj = basis.T @ basis
-    norm0 = np.linalg.norm(c0)
+    norm0_sq = np.vdot(c0, c0)
 
     def generator(h):
         hinv = np.linalg.inv(h)
         c = _gl_action_coeffs(h, hinv, c0)
-        if normalized:
-            c *= norm0 / np.linalg.norm(c)
         x = _ricci(c)
+        if normalized:
+            x *= norm0_sq / np.vdot(c, c)
         x.reshape(-1)[:: n + 1] += rate(x)
         xh = x @ h
         d = (proj @ (hinv @ xh).reshape(-1)).reshape(n, n)
@@ -460,7 +470,7 @@ def _finish_trace(kind, samples, stats, c0, rate):
         r_values=rate(ric),
         mu_norm=mu_norm,
         scal=-0.25 * mu_norm**2,
-        tr_ric2=np.sum(ric * ric, axis=(1, 2)),
+        tr_ric2=_tr_ric2(ric),
         grad_norm=_sample_norms(_delta_coeffs(coeffs, ric)),
         jacobi_residual=_by_blocks(_jacobiator_max, coeffs),
         stats=stats,
@@ -553,26 +563,58 @@ class InnerProductTrace(_Samples):
     stats: dict = field(default_factory=dict)
 
 
-def _ip_ricci_products(c0, g):
-    """Cholesky change of basis for a fixed bracket and evolving metric G.
-
-    Returns (L, ric_nu, c_nu) with G = L L^T and ric_nu the Ricci operator of
-    the pushed bracket c_nu = (L^T).mu_0; the metric-flow right side is
-    -2 L ric_nu L^T and the Ricci operator of (G, mu_0) in the original frame
-    is L^{-T} ric_nu L^T.  Leading axes of G are batch axes.
-    """
-    lmat = np.linalg.cholesky(g)
-    h = np.swapaxes(lmat, -1, -2)
-    hinv = np.linalg.inv(h)
-    c_nu = _gl_action_coeffs(h, hinv, c0)
-    return lmat, _ricci(c_nu), c_nu
-
-
 def innerproduct_scal(b0: Bracket, g: np.ndarray):
     """Scalar curvature of the metric G paired with the fixed bracket b0; a
     stack of metrics (leading axes of G) gives an array of values."""
-    _, _, c_nu = _ip_ricci_products(b0.coeffs, np.asarray(g, float))
+    # (G, mu_0) is isometric to (I, (L^T).mu_0) for G = L L^T
+    h = np.linalg.cholesky(np.asarray(g, float)).mT
+    c_nu = _gl_action_coeffs(h, np.linalg.inv(h), b0.coeffs)
     return -0.25 * np.sum(c_nu * c_nu, axis=(-3, -2, -1))
+
+
+# log of the smallest normal float: below it exp underflows and 1 / exp overflows
+_LOG_TINY = math.log(np.finfo(float).tiny)
+
+
+def _metric_flow(b0, rate):
+    """The metric flow G' = -2 ric(G) - 2 r G on the factor of G = L L^T.
+
+    The state y holds the lower triangle of L row by row, with log L_ii in
+    place of L_ii, so L(0) = I is y = 0 and G stays positive definite.
+    Returns (rhs, factor): factor(y) is L, and rhs(t, y) is y' for
+    L' = L Phi(M), where M = -2 (ric_nu + r I), ric_nu is the Ricci operator
+    of the pushed bracket (L^T).mu_0, and Phi keeps the strict lower part of
+    M and half its diagonal; then (log L_ii)' = M_ii / 2.  As
+    L (Phi + Phi^T) L^T = L M L^T = -2 L ric_nu L^T - 2 r G, G follows the
+    metric flow for every rate.  A factor with some L_ii = exp(y_i) below
+    the normal range, where 1 / L_ii overflows, raises NumericalFailure.
+    """
+    n, c0 = b0.n, b0.coeffs
+    lower = np.flatnonzero(np.tri(n, dtype=bool))  # flat positions of the state in L
+    logdiag = np.flatnonzero(lower % (n + 1) == 0)  # state entries holding log L_ii
+    # Phi(M) = (ric_nu + r I) * weights: -2 below the diagonal, -1 on it
+    weights = -2.0 * np.tri(n)
+    weights.reshape(-1)[:: n + 1] = -1.0
+
+    def factor(y):
+        lmat = np.zeros(n * n)
+        lmat[lower] = y
+        lmat[:: n + 1] = np.exp(lmat[:: n + 1])
+        return lmat.reshape(n, n)
+
+    def rhs(t, y):
+        if y[logdiag].min() < _LOG_TINY:
+            raise NumericalFailure(f"the metric factor became singular at t={t:.6g}")
+        lmat = factor(y)
+        h = lmat.T
+        x = _ricci(_gl_action_coeffs(h, np.linalg.inv(h), c0))
+        x.reshape(-1)[:: n + 1] += rate(x)
+        phi = x * weights
+        dy = (lmat @ phi).reshape(-1)[lower]
+        dy[logdiag] = phi.reshape(-1)[:: n + 1]
+        return dy
+
+    return rhs, factor
 
 
 def integrate_innerproduct_flow(
@@ -583,28 +625,20 @@ def integrate_innerproduct_flow(
     G' = -2 ric(G) - 2 r G, where r takes the rates of the bracket flows:
     None for the unnormalized flow, "scalar" for tr(Ric^2), or a finite
     constant.  The rate reads the Ricci operator of the pushed bracket
-    (L^T).mu_0, which is conjugate to that of (G, mu_0).  The states are Gram
-    matrices; a failed Cholesky raises LossOfPositivity with the partial
-    trace attached.
+    (L^T).mu_0, which is conjugate to that of (G, mu_0).  The state is the
+    factor L of G = L L^T, as its strict lower part and log diag L, so
+    `rtol` and `atol` apply to those entries, and every G is positive
+    definite; `metrics` holds the symmetric Gram matrices L L^T.  A factor
+    that becomes numerically singular raises NumericalFailure with the
+    partial trace attached.
     """
-    rate = _rate(r)
     n = b0.n
-    c0 = b0.coeffs
-
-    def rhs(t, gflat):
-        g = gflat.reshape(n, n)
-        g = 0.5 * (g + g.T)
-        try:
-            lmat, ric_nu, c_nu = _ip_ricci_products(c0, g)
-        except np.linalg.LinAlgError:
-            raise LossOfPositivity(f"metric lost positivity at t={t:.6g}") from None
-        dg = -2.0 * lmat @ ric_nu @ lmat.T - 2.0 * rate(ric_nu) * g
-        return dg.reshape(-1)
-
-    samples, stats = _integrate_adaptive(rhs, 0.0, np.eye(n).reshape(-1), t_max, opts)
+    rhs, factor = _metric_flow(b0, _rate(r))
+    samples, stats = _integrate_adaptive(rhs, 0.0, np.zeros(n * (n + 1) // 2), t_max, opts)
     times = np.array([t for t, _ in samples])
-    g = np.array([y for _, y in samples]).reshape(-1, n, n)
-    return InnerProductTrace(times=times, metrics=0.5 * (g + g.swapaxes(1, 2)), stats=stats)
+    lmat = np.array([factor(y) for _, y in samples])
+    g = lmat @ lmat.mT
+    return InnerProductTrace(times=times, metrics=0.5 * (g + g.mT), stats=stats)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ def test_public_names():
         "BadNormalization", "BadRate", "Bracket", "BracketFormatError", "ConfigError",
         "ConvergenceReport", "CurvaturePack", "DEFAULT_TOL", "DegreeTooHigh", "DimensionMismatch",
         "EquivalenceReport", "FlowOpts", "FlowTrace", "IdentityReport", "InnerProductTrace",
-        "LossOfPositivity", "MetricField", "NilflowError", "NotNilpotentError", "NumericalFailure",
+        "MetricField", "NilflowError", "NotNilpotentError", "NumericalFailure",
         "RiemannTensor", "SingularMatrix", "SolitonCertificate", "StepSizeUnderflow", "TooFewSamples",
         "Type3Report", "VTangent", "ValidationReport", "ZeroBracket",
         "bch_product", "bracket_from_dict", "bracket_to_dict", "central_series_dims", "cointegrate_h",

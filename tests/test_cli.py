@@ -503,6 +503,14 @@ def test_equivalence_normalized_mode(tmp_path):
     assert doc["max_gram_residual"] < 1e-5
 
 
+def test_equivalence_normalized_at_the_defaults(capsys):
+    # a metric flow on G itself lost the small eigen-directions of filiform(4)
+    # (residual 1.1e-3) and the positivity of Heisenberg's G (exit 3)
+    assert main(["equivalence", "filiform:n=4", "--rescale", "2", "--normalized"]) == 0
+    assert "agreement within 1e-05: yes" in capsys.readouterr().out
+    assert main(["equivalence", "heisenberg:c=1", "--rescale", "2", "--normalized"]) in (0, 1)
+
+
 # ---------------------------------------------------------------------------
 # sweep
 

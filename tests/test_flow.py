@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nilflow import flow
-from nilflow.algebra import central_series_dims, derivation_basis, gl_action, jacobiator_residual
+from nilflow.algebra import Bracket, central_series_dims, derivation_basis, gl_action, jacobiator_residual
 from nilflow.curvature import (
     ricci_energy,
     ricci_energy_gradient,
@@ -18,7 +18,6 @@ from nilflow.exceptions import (
     BadNormalization,
     BadRate,
     ConfigError,
-    LossOfPositivity,
     NumericalFailure,
     StepSizeUnderflow,
     TooFewSamples,
@@ -239,6 +238,33 @@ def test_frame_generator_matches_public_functions(n, r, normalized):
             # h' = h D - X h cancels at a soliton: compare relative to its terms
             assert np.abs(dh - ref_dh).max() <= 1e-12 * np.abs(h @ ref_d).max()
             assert np.abs(d - ref_d).max() <= 1e-12 * np.abs(ref_d).max()
+
+
+@pytest.mark.parametrize("r", [None, 0.5, "scalar"], ids=["unnormalized", "constant", "scalar"])
+@pytest.mark.parametrize("n", range(3, 9))
+def test_metric_flow_matches_public_functions(n, r):
+    # the factor's right side, mapped to G' = L' L^T + L L'^T, is -2 ric(G) - 2 r G
+    rng = np.random.default_rng(400 + n)
+    lower = np.tri(n, dtype=bool)
+    for b0 in dense_starts(n, 500 + n):
+        rhs, factor = flow._metric_flow(b0, flow._rate(r))
+        for _ in range(2):
+            # cond(L) <= 4
+            upper = np.linalg.qr(random_orthogonal(n, rng) @ np.diag(rng.uniform(0.5, 2.0, n)))[1]
+            lmat = upper.T * np.sign(np.diag(upper))
+            state = lmat.copy()
+            state[np.diag_indices(n)] = np.log(np.diag(lmat))
+            state = state[lower]
+            np.testing.assert_allclose(factor(state), lmat, rtol=1e-14, atol=1e-15)
+            dl = np.zeros((n, n))
+            dl[lower] = rhs(0.0, state)
+            dl[np.diag_indices(n)] *= np.diag(lmat)
+            mu = gl_action(lmat.T, b0)
+            rate = 0.0 if r is None else ricci_energy(mu) if r == "scalar" else r
+            g = lmat @ lmat.T
+            ref = -2.0 * lmat @ ricci_operator(mu) @ lmat.T - 2.0 * rate * g
+            dg = dl @ lmat.T + lmat @ dl.T
+            assert np.abs(dg - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_flow_stays_on_jacobi_variety():
@@ -523,6 +549,9 @@ def test_overflowing_rate_underflows_the_first_step(heis):
     # the scaled derivative overflows to inf, so the initial step is 0
     with pytest.raises(StepSizeUnderflow, match="t=0 "):
         integrate_bracket_flow(heis, 1.0, r=1e300)
+    # the metric factor starts at 0, and the initial step must not ignore d1
+    with pytest.raises(StepSizeUnderflow, match="t=0 "):
+        integrate_innerproduct_flow(heis, 1.0, r=1e300)
 
 
 @pytest.fixture
@@ -689,15 +718,27 @@ def test_innerproduct_flow_matches_exact_scal(heis):
     assert np.all(np.linalg.eigvalsh(g) > 0.0)
 
 
-def test_loss_of_positivity_carries_the_accepted_samples(heis_sphere):
-    # the scalar rate drives the metric off its sphere until its Cholesky fails
-    opts = FlowOpts(max_step=0.05)
-    with pytest.raises(LossOfPositivity, match="positivity") as info:
-        integrate_innerproduct_flow(heis_sphere, 5.0, opts, r="scalar")
+def test_scalar_rate_metric_flow_stays_positive_definite(heis_sphere):
+    # the scalar rate drives G off its slice scal = -1, and G degenerates like
+    # exp(-2tD); integrated on its factor, G stays positive definite to the end
+    ip = integrate_innerproduct_flow(heis_sphere, 5.0, FlowOpts(max_step=0.05), r="scalar")
+    assert ip.times[-1] == 5.0
+    assert np.all(np.linalg.eigvalsh(ip.metrics) > 0.0)
+    early = ip.metrics[ip.times <= 3.0]
+    assert np.abs(innerproduct_scal(heis_sphere, early) + 1.0).max() <= 1e-6
+
+
+def test_singular_metric_factor_carries_the_accepted_samples():
+    # on the abelian bracket G = exp(-2rt) I; log L_ii = -rt passes
+    # log(tiny) = -708.4 at t = 0.708, where exp underflows and the factor is singular
+    abelian = Bracket(np.zeros((3, 3, 3)))
+    with pytest.raises(NumericalFailure, match="metric factor became singular") as info:
+        integrate_innerproduct_flow(abelian, 1.0, r=1000.0)
     accepted = info.value.trace
-    assert accepted is not None and len(accepted) > 60
-    assert accepted[0][0] == 0.0 and 3.0 < accepted[-1][0] < 3.4
-    assert np.all(np.linalg.eigvalsh(accepted[-1][1].reshape(3, 3)) > 0.0)
+    assert accepted is not None and len(accepted) > 1
+    assert accepted[0][0] == 0.0 and accepted[-1][0] < 0.7084
+    t, y = accepted[-1]
+    np.testing.assert_allclose(y, [-1000.0 * t, 0.0, -1000.0 * t, 0.0, 0.0, -1000.0 * t], rtol=1e-12)
 
 
 def test_singular_frame_carries_the_accepted_samples(heis, monkeypatch):
