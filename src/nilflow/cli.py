@@ -199,16 +199,9 @@ def cmd_curvature(args) -> int:
     return 0
 
 
-def _run_flow(args, b):
-    opts = _flow_opts(args)
-    if args.kind == "normalized":
-        return integrate_normalized_flow(b, args.t_max, opts)
-    return integrate_bracket_flow(b, args.t_max, opts, r=args.rho if args.kind == "r-const" else None)
-
-
 def cmd_flow(args) -> int:
-    b = _load_source(args)
-    trace = _run_flow(args, b)
+    r = {"normalized": "scalar", "r-const": args.rho}.get(args.kind)
+    trace = integrate_bracket_flow(_load_source(args), args.t_max, _flow_opts(args), r=r)
     summary = {
         "kind": trace.kind,
         "samples": len(trace),

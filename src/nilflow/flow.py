@@ -2,22 +2,24 @@
 
 Every flow here is mu' = delta_mu(Ric_mu) + r mu; only the rate r changes.
 r = 0 is the unnormalized flow, the negative gradient flow of tr(Ric^2) on
-V_n; r = tr(Ric^2) keeps ||mu|| = 2 (unit sphere of scalar curvature -1); a
-finite constant gives the other rescaled flows.  Every rate is a function of
-Ric, evaluated on one Ricci operator or on a stack of them.
+V_n; r = tr(Ric^2), the rate "scalar", keeps ||mu|| = 2 (unit sphere of
+scalar curvature -1); a finite constant gives the other rescaled flows.
+Every rate is a function of Ric, evaluated on one Ricci operator or on a
+stack of them.  The rate alone decides the normalization: tr(Ric^2) is
+homogeneous, so every flow with the scalar rate evaluates X = Ric + r I on
+the bracket rescaled to ||mu0|| and keeps ||mu|| fixed by itself.
 
 The bracket flows integrate the frame, not the bracket: the state is h(t),
 h(0) = I, with mu(t) = h(t).mu0, so mu(t) stays in the GL(n)-orbit of mu0,
-and nilpotent, by construction.  With X = Ric + r I and D the projection of
-h^{-1} X h onto Der(mu0), h' = -(X - h D h^{-1}) h; h D h^{-1} is a
-derivation of mu(t), so mu' is exactly the bracket flow, and at a soliton
-X - h D h^{-1} -> 0, so h converges.  tr(Ric^2) is homogeneous, so the
-normalized flow evaluates X on mu(t) rescaled to ||mu0||: its generator keeps
-||mu|| fixed, and each stored frame is rescaled once onto the sphere.  Traces
-are arrays read by batched kernels; cond(h) > 1/sqrt(eps), or a skew part of
-h.mu0 above 1e-8 of its norm (rounding damage), raises NumericalFailure.
-Every flow runs one adaptive Dormand-Prince 5(4) integrator; a stop is a
-sample of its 4th-order continuous extension, not a step end.
+and nilpotent, by construction.  With D the projection of h^{-1} X h onto
+Der(mu0), h' = -(X - h D h^{-1}) h; h D h^{-1} is a derivation of mu(t), so
+mu' is exactly the bracket flow, and at a soliton X - h D h^{-1} -> 0, so h
+converges.  Each stored frame of a normalized run is rescaled once onto the
+sphere.  Traces are arrays read by batched kernels; cond(h) > 1/sqrt(eps),
+or a skew part of h.mu0 above 1e-8 of its norm (rounding damage), raises
+NumericalFailure.  Every flow runs one adaptive Dormand-Prince 5(4)
+integrator; a stop is a sample of its 4th-order continuous extension, not a
+step end.
 The module also recovers the frame of h' = -(Ric + r I) h along a trace,
 integrates the equivalent inner-product (metric tensor) flow
 G' = -2 ric(G) - 2 r G, and checks the structural identities of the r = 0 flow.
@@ -298,7 +300,7 @@ class FlowTrace(_Samples):
     grad_norm: np.ndarray
     jacobi_residual: np.ndarray
     stats: dict = field(default_factory=dict)
-    rate: object = field(default=None, repr=False)  # the resolved rate Ric -> r
+    rate: object = field(default=None, repr=False)  # the rate r as passed to the flow
 
     @cached_property
     def brackets(self) -> list:
@@ -352,51 +354,65 @@ def _tr_ric2(ric):
     return np.vecdot(flat, flat)
 
 
-def _rate(r):
-    """Resolve a rate r into one function Ric -> r of the Ricci operator.
+def _rate(r, b0):
+    """Resolve a rate r into (rate, norm_sq) for the start b0.
 
-    r is None (zero), a finite real number or "scalar" (tr Ric^2); anything
-    else, a callable included, raises BadRate.  Leading axes of Ric are batch
-    axes, and the function returns one rate per batch entry.
+    rate is one function Ric -> r; leading axes of Ric are batch axes, and a
+    constant rate returns a float.  r is None (zero), a finite real number or
+    "scalar" (tr Ric^2); anything else, a callable included, raises BadRate.
+    norm_sq is None but for "scalar", the normalized flow: it is ||mu0||^2,
+    and ||mu0|| must be 2 to 1e-10 (else BadNormalization).
     """
     if isinstance(r, str):
         if r != "scalar":
             raise BadRate(f"unknown rate {r!r}; the only string rate is 'scalar'")
-        return _tr_ric2
+        drift = abs(b0.norm - 2.0)
+        if drift > 1e-10:
+            raise BadNormalization(
+                f"the normalized flow needs ||mu|| = 2, got {b0.norm:.6g} (off by {drift:.3e}); "
+                "rescale with rescale_to_norm, or pass --rescale 2"
+            )
+        return _tr_ric2, np.vdot(b0.coeffs, b0.coeffs)
     if r is not None and not isinstance(r, numbers.Real):
         raise BadRate(f"r must be None, a real number or 'scalar', got {r!r}")
     value = 0.0 if r is None else float(r)
     # a nan or infinite rate would make every step nan, and every step rejected
     if not math.isfinite(value):
         raise BadRate(f"a constant rate must be finite, got {r!r}")
-    return lambda ric: np.full(ric.shape[:-2], value)
+    return (lambda ric: value), None
 
 
-def _frame_generator(b0, rate, normalized=False):
+def _shifted_ricci(h, hinv, c0, rate, norm_sq):
+    """X = Ric + r I of mu = h.mu0 (hinv is h^{-1}), on which the frame and
+    the metric flows both build their right sides.  With norm_sq, Ric is that
+    of mu rescaled to ||mu||^2 = norm_sq, Ric_mu norm_sq / ||mu||^2, and the
+    rate reads that Ric."""
+    c = _gl_action_coeffs(h, hinv, c0)
+    x = _ricci(c)
+    if norm_sq is not None:
+        x *= norm_sq / np.vdot(c, c)
+    x.reshape(-1)[:: x.shape[-1] + 1] += rate(x)
+    return x
+
+
+def _frame_generator(b0, rate, norm_sq):
     """Generator of the frame flow for mu = h.mu0: returns h -> (h', D).
 
-    X = Ric_mu + r I and D is the projection of h^{-1} X h onto Der(mu0),
-    whose basis B is orthonormal, so the projection is one product with the
-    projector P = B^T B, built once per flow.  Then
-    h' = -(X - h D h^{-1}) h = -X h + h D.  When normalized, X is evaluated
-    on mu rescaled to ||mu0||, that is Ric_mu times ||mu0||^2 / ||mu||^2, as
-    Ric is quadratic in mu; then <mu', mu> = 0 for the scalar rate, and the
+    X = _shifted_ricci(...) and D is the projection of h^{-1} X h onto
+    Der(mu0), whose basis B is orthonormal, so the projection is one product
+    with the projector P = B^T B, built once per flow.  Then
+    h' = -(X - h D h^{-1}) h = -X h + h D.  For the scalar rate X is
+    evaluated on the sphere ||mu|| = ||mu0||; then <mu', mu> = 0, and the
     flow of h commutes with rescaling h.  One call is a few plain matrix
     products: the GL action, the two of _ricci, the projection and h'.
     """
     n, c0 = b0.n, b0.coeffs
     basis = np.array(derivation_basis(b0)).reshape(-1, n * n)
     proj = basis.T @ basis
-    norm0_sq = np.vdot(c0, c0)
 
     def generator(h):
         hinv = np.linalg.inv(h)
-        c = _gl_action_coeffs(h, hinv, c0)
-        x = _ricci(c)
-        if normalized:
-            x *= norm0_sq / np.vdot(c, c)
-        x.reshape(-1)[:: n + 1] += rate(x)
-        xh = x @ h
+        xh = _shifted_ricci(h, hinv, c0, rate, norm_sq) @ h
         d = (proj @ (hinv @ xh).reshape(-1)).reshape(n, n)
         return h @ d - xh, d
 
@@ -426,7 +442,7 @@ def _by_blocks(kernel, coeffs):
     return np.concatenate([kernel(coeffs[i : i + step]) for i in range(0, len(coeffs), step)])
 
 
-def _finish_trace(kind, samples, stats, c0, rate):
+def _finish_trace(kind, samples, stats, c0, rate, r):
     """FlowTrace of the frame samples: array expressions over the stacked
     brackets h_i.mu0 (exactly antisymmetrized; a normalized trace rescales each
     frame onto ||mu|| = ||mu0||).  Raises NumericalFailure, with the samples
@@ -467,23 +483,32 @@ def _finish_trace(kind, samples, stats, c0, rate):
         times=times,
         coeffs=coeffs,
         frames=frames,
-        r_values=rate(ric),
+        r_values=np.full(len(times), rate(ric)),
         mu_norm=mu_norm,
         scal=-0.25 * mu_norm**2,
         tr_ric2=_tr_ric2(ric),
         grad_norm=_sample_norms(_delta_coeffs(coeffs, ric)),
         jacobi_residual=_by_blocks(_jacobiator_max, coeffs),
         stats=stats,
-        rate=rate,
+        rate=r,
     )
 
 
-def _run_bracket_flow(b0, t_max, opts, kind, r):
-    """Integrate the frame of mu' = delta_mu(Ric_mu) + r mu; the generator
-    is normalized to ||mu0|| exactly when kind is "normalized"."""
-    rate = _rate(r)
+def integrate_bracket_flow(b0: Bracket, t_max: float, opts: FlowOpts | None = None, r=None) -> FlowTrace:
+    """Flow mu' = delta_mu(Ric_mu) + r mu for any rate r.
+
+    r is None for the unnormalized flow (r = 0: ||mu|| is nonincreasing and
+    the solution exists for all positive time), a finite real number, or
+    "scalar" for the normalized flow, r = tr(Ric^2), which requires
+    ||mu_0|| = 2 to 1e-10 (else BadNormalization) and keeps every sample on
+    that sphere to rounding.  Any other r, a callable included, raises
+    BadRate.  The trace's kind is "unnormalized" for r = None, "normalized"
+    for "scalar" and "r" otherwise; the rate at each sample is stored in
+    `r_values`.
+    """
+    rate, norm_sq = _rate(r, b0)
     n = b0.n
-    generator = _frame_generator(b0, rate, kind == "normalized")
+    generator = _frame_generator(b0, rate, norm_sq)
 
     def rhs(t, y):
         try:
@@ -492,37 +517,14 @@ def _run_bracket_flow(b0, t_max, opts, kind, r):
             raise NumericalFailure(f"the frame h became singular at t={t:.6g}") from None
 
     samples, stats = _integrate_adaptive(rhs, 0.0, np.eye(n).reshape(-1), t_max, opts)
-    return _finish_trace(kind, samples, stats, b0.coeffs, rate)
-
-
-def integrate_bracket_flow(b0: Bracket, t_max: float, opts: FlowOpts | None = None, r=None) -> FlowTrace:
-    """Flow mu' = delta_mu(Ric_mu) + r mu for any rate r.
-
-    r is None for the unnormalized flow (r = 0: ||mu|| is nonincreasing and
-    the solution exists for all positive time), a finite real number, or
-    "scalar" (r = tr(Ric^2) of mu itself, so unlike
-    `integrate_normalized_flow` the sphere ||mu|| = 2 repels: any drift off it
-    grows).  Any other r, a callable included, raises BadRate.  The trace's
-    kind is "unnormalized" for r = None and "r" otherwise; the rate at each
-    sample is stored in `r_values`.
-    """
-    return _run_bracket_flow(b0, t_max, opts, "unnormalized" if r is None else "r", r)
+    kind = "unnormalized" if r is None else "r" if norm_sq is None else "normalized"
+    return _finish_trace(kind, samples, stats, b0.coeffs, rate, r)
 
 
 def integrate_normalized_flow(b0: Bracket, t_max: float, opts: FlowOpts | None = None) -> FlowTrace:
-    """Scalar-curvature normalized flow mu' = delta_mu(Ric_mu) + tr(Ric^2) mu.
-
-    Requires ||mu_0|| = 2 (scal = -1) to 1e-10.  Ric and the rate are
-    evaluated on mu rescaled to ||mu_0||, so the flow itself keeps
-    ||mu|| = ||mu_0||, and every sample lies on that sphere to rounding.
-    """
-    drift = abs(b0.norm - 2.0)
-    if drift > 1e-10:
-        raise BadNormalization(
-            f"the normalized flow needs ||mu|| = 2, got {b0.norm:.6g} (off by {drift:.3e}); "
-            "rescale with rescale_to_norm, or pass --rescale 2"
-        )
-    return _run_bracket_flow(b0, t_max, opts, "normalized", "scalar")
+    """Scalar-curvature normalized flow mu' = delta_mu(Ric_mu) + tr(Ric^2) mu,
+    the same as `integrate_bracket_flow(b0, t_max, opts, r="scalar")`."""
+    return integrate_bracket_flow(b0, t_max, opts, r="scalar")
 
 
 # ---------------------------------------------------------------------------
@@ -539,10 +541,11 @@ def cointegrate_h(trace: FlowTrace) -> np.ndarray:
     one unthinned run with a stop, so a sample, at every sample time t_i.
     Returns the (m, n, n) array of frames[i] @ a(t_i); mu(t) = h(t).mu(0).
     """
-    n = trace.initial_bracket.n
+    b0 = trace.initial_bracket
+    n = b0.n
     nn = n * n
     times = trace.times
-    generator = _frame_generator(trace.initial_bracket, trace.rate, trace.kind == "normalized")
+    generator = _frame_generator(b0, *_rate(trace.rate, b0))
 
     def rhs(t, y):
         df, d = generator(y[:nn].reshape(n, n))
@@ -576,23 +579,24 @@ def innerproduct_scal(b0: Bracket, g: np.ndarray):
 _LOG_TINY = math.log(np.finfo(float).tiny)
 
 
-def _metric_flow(b0, rate):
+def _metric_flow(b0, rate, norm_sq):
     """The metric flow G' = -2 ric(G) - 2 r G on the factor of G = L L^T.
 
     The state y holds the lower triangle of L row by row, with log L_ii in
     place of L_ii, so L(0) = I is y = 0 and G stays positive definite.
     Returns (rhs, factor): factor(y) is L, and rhs(t, y) is y' for
-    L' = L Phi(M), where M = -2 (ric_nu + r I), ric_nu is the Ricci operator
-    of the pushed bracket (L^T).mu_0, and Phi keeps the strict lower part of
+    L' = L Phi(M), where M = -2 X, X = ric_nu + r I is _shifted_ricci of the
+    pushed bracket nu = (L^T).mu_0, and Phi keeps the strict lower part of
     M and half its diagonal; then (log L_ii)' = M_ii / 2.  As
     L (Phi + Phi^T) L^T = L M L^T = -2 L ric_nu L^T - 2 r G, G follows the
-    metric flow for every rate.  A factor with some L_ii = exp(y_i) below
-    the normal range, where 1 / L_ii overflows, raises NumericalFailure.
+    metric flow for every rate; the scalar rate keeps scal(G) fixed.  A
+    factor with some L_ii = exp(y_i) below the normal range, where 1 / L_ii
+    overflows, raises NumericalFailure.
     """
     n, c0 = b0.n, b0.coeffs
     lower = np.flatnonzero(np.tri(n, dtype=bool))  # flat positions of the state in L
     logdiag = np.flatnonzero(lower % (n + 1) == 0)  # state entries holding log L_ii
-    # Phi(M) = (ric_nu + r I) * weights: -2 below the diagonal, -1 on it
+    # Phi(M) = X * weights: -2 below the diagonal, -1 on it
     weights = -2.0 * np.tri(n)
     weights.reshape(-1)[:: n + 1] = -1.0
 
@@ -607,9 +611,7 @@ def _metric_flow(b0, rate):
             raise NumericalFailure(f"the metric factor became singular at t={t:.6g}")
         lmat = factor(y)
         h = lmat.T
-        x = _ricci(_gl_action_coeffs(h, np.linalg.inv(h), c0))
-        x.reshape(-1)[:: n + 1] += rate(x)
-        phi = x * weights
+        phi = _shifted_ricci(h, np.linalg.inv(h), c0, rate, norm_sq) * weights
         dy = (lmat @ phi).reshape(-1)[lower]
         dy[logdiag] = phi.reshape(-1)[:: n + 1]
         return dy
@@ -625,15 +627,16 @@ def integrate_innerproduct_flow(
     G' = -2 ric(G) - 2 r G, where r takes the rates of the bracket flows:
     None for the unnormalized flow, "scalar" for tr(Ric^2), or a finite
     constant.  The rate reads the Ricci operator of the pushed bracket
-    (L^T).mu_0, which is conjugate to that of (G, mu_0).  The state is the
-    factor L of G = L L^T, as its strict lower part and log diag L, so
-    `rtol` and `atol` apply to those entries, and every G is positive
-    definite; `metrics` holds the symmetric Gram matrices L L^T.  A factor
-    that becomes numerically singular raises NumericalFailure with the
-    partial trace attached.
+    (L^T).mu_0, which is conjugate to that of (G, mu_0); "scalar" is the
+    normalized flow, as in `integrate_bracket_flow`, so G keeps
+    scal(G, mu_0) = -1.  The state is the factor L of G = L L^T, as its
+    strict lower part and log diag L, so `rtol` and `atol` apply to those
+    entries, and every G is positive definite; `metrics` holds the symmetric
+    Gram matrices L L^T.  A factor that becomes numerically singular raises
+    NumericalFailure with the partial trace attached.
     """
     n = b0.n
-    rhs, factor = _metric_flow(b0, _rate(r))
+    rhs, factor = _metric_flow(b0, *_rate(r, b0))
     samples, stats = _integrate_adaptive(rhs, 0.0, np.zeros(n * (n + 1) // 2), t_max, opts)
     times = np.array([t for t, _ in samples])
     lmat = np.array([factor(y) for _, y in samples])
@@ -768,7 +771,8 @@ def equivalence_report(
     The inner-product flow is integrated with the bracket fixed; the bracket
     flow is integrated with the same rate, and h(t) is co-integrated along
     it.  r is any rate the bracket flows accept: None for the unnormalized
-    flow, a finite constant, or the string "scalar" for tr(Ric^2).
+    flow, a finite constant, or the string "scalar" for the normalized flow
+    on ||b0|| = 2.
     """
     if checkpoints < 2:
         raise ConfigError(f"checkpoints must be at least 2, got {checkpoints}")

@@ -232,6 +232,7 @@ def test_flow_library_errors_exit_2(extra, message, capsys):
         (["equivalence", "heisenberg:c=1", "--checkpoints", "0"], "at least 2"),
         (["equivalence", "heisenberg:c=1", "--checkpoints", "-1"], "at least 2"),
         (["equivalence", "heisenberg:c=1", "--checkpoints", "1"], "at least 2"),
+        (["equivalence", "heisenberg:c=1", "--normalized"], "--rescale 2"),
         (["curvature", "heisenberg:c=1", "--rescale", "0"], "finite and > 0"),
         (["curvature", "heisenberg:c=1", "--rescale", "-2"], "finite and > 0"),
         (["curvature", "heisenberg:c=1", "--rescale", "nan"], "finite and > 0"),
@@ -247,7 +248,7 @@ def test_flow_library_errors_exit_2(extra, message, capsys):
         (["flow", "heisenberg:c=1", "--check-tol", "-1"], "--check-tol must be finite and > 0"),
     ],
     ids=["zero_n0", "zero_negative_n", "spec_negative_seed", "sweep_negative_seed",
-         "zero_checkpoints", "negative_checkpoints", "one_checkpoint",
+         "zero_checkpoints", "negative_checkpoints", "one_checkpoint", "equivalence_normalized_off_sphere",
          "rescale_zero", "rescale_negative", "rescale_nan", "rescale_negative_exponent",
          "validate_tol_negative", "validate_tol_nan", "validate_tol_zero",
          "soliton_tol_nan", "soliton_tol_negative", "equivalence_tol_nan", "equivalence_tol_negative",
@@ -505,10 +506,12 @@ def test_equivalence_normalized_mode(tmp_path):
 
 def test_equivalence_normalized_at_the_defaults(capsys):
     # a metric flow on G itself lost the small eigen-directions of filiform(4)
-    # (residual 1.1e-3) and the positivity of Heisenberg's G (exit 3)
-    assert main(["equivalence", "filiform:n=4", "--rescale", "2", "--normalized"]) == 0
-    assert "agreement within 1e-05: yes" in capsys.readouterr().out
-    assert main(["equivalence", "heisenberg:c=1", "--rescale", "2", "--normalized"]) in (0, 1)
+    # (residual 1.1e-3) and the positivity of Heisenberg's G (exit 3); with the
+    # scalar rate read on G itself, scal = -1 repelled, and random2step:n=5,seed=3
+    # read a Gram residual of 0.10
+    for spec in ("filiform:n=4", "heisenberg:c=1", "random2step:n=5,seed=3"):
+        assert main(["equivalence", spec, "--rescale", "2", "--normalized"]) == 0, spec
+        assert "agreement within 1e-05: yes" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
