@@ -259,29 +259,43 @@ def _gl_action_coeffs(g: np.ndarray, ginv: np.ndarray, c: np.ndarray) -> np.ndar
 def gl_action(g: Operator, b: VTangent) -> VTangent:
     """Change-of-basis action (g.mu)(x, y) = g mu(g^{-1} x, g^{-1} y).
 
-    Raises SingularMatrix for non-invertible g; warns when the condition
-    number exceeds 1e12.
+    Raises SingularMatrix for non-invertible g, or one with a non-finite
+    entry; warns when the condition number exceeds 1e12.  One SVD
+    g = U S V^T gives both the condition number and g^{-1} = V S^{-1} U^T.
     """
     g = np.asarray(g, dtype=float)
     n = b.n
     if g.shape != (n, n):
         raise DimensionMismatch(f"operator shape {g.shape} does not match n={n}")
-    cond = np.linalg.cond(g)
-    if not np.isfinite(cond) or cond > 1e15:
+    # LAPACK's SVD does not return on some matrices with an inf entry
+    if not np.isfinite(g).all():
+        raise SingularMatrix("change of basis has a non-finite entry")
+    u, s, vt = np.linalg.svd(g)
+    smin = float(s[-1])
+    cond = float(s[0]) / smin if smin > 0.0 else math.inf
+    if not cond <= 1e15:
         raise SingularMatrix(f"change of basis is singular (cond={cond:.3e})")
     if cond > 1e12:
         logger.warning("ill-conditioned change of basis: cond=%.3e", cond)
-    c = _gl_action_coeffs(g, np.linalg.inv(g), b.coeffs)
+    c = _gl_action_coeffs(g, (vt.T / s) @ u.T, b.coeffs)
     # the products round (i, j) and (j, i) differently, by up to ~cond(g)^2 eps
     return type(b)(0.5 * (c - c.transpose(1, 0, 2)))
 
 
 def _delta_coeffs(c: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """delta_mu(alpha) as an array; leading axes of c and alpha are batch axes.
-    The terms are summed in place, so a stack of samples holds two at a time."""
-    out = np.einsum("...ai,...ajk->...ijk", alpha, c)
-    out += np.einsum("...aj,...iak->...ijk", alpha, c)
-    out -= np.einsum("...ka,...ija->...ijk", alpha, c)
+
+    Three matrix products, one per index of c that alpha acts on: alpha^T
+    times the (n, n^2) view of c, alpha^T times each c_i, and the (n^2, n)
+    view times alpha^T.  The terms are summed in place, so a stack of
+    samples holds two at a time."""
+    n = c.shape[-1]
+    at = alpha.mT
+    t = at @ c.reshape(*c.shape[:-3], n, n * n)
+    out = t.reshape(*t.shape[:-1], n, n)
+    out += at[..., None, :, :] @ c
+    t = c.reshape(*c.shape[:-3], n * n, n) @ at
+    out -= t.reshape(*t.shape[:-2], n, n, n)
     return out
 
 

@@ -102,13 +102,22 @@ class RiemannTensor:
 
 
 def _riemann(c: np.ndarray) -> np.ndarray:
-    """Entries of riemann_at_origin; leading axes of c are batch axes."""
+    """Entries of riemann_at_origin; leading axes of c are batch axes.
+
+    Two (n^2, n) @ (n, n^2) products: one gives every product gam_i gam_j of
+    the connection operators, the other sum_a c_ija gam_a = nabla_{mu(e_i, e_j)}.
+    """
+    n = c.shape[-1]
+    lead = c.shape[:-3]
     gam = _connection(c)
-    prod = np.einsum("...iab,...jbc->...ijac", gam, gam)
-    comm = prod - np.swapaxes(prod, -4, -3)
-    adterm = np.einsum("...ija,...abc->...ijbc", c, gam)
+    rows = gam.reshape(*lead, n * n, n)  # [(i, a), b]
+    cols = gam.swapaxes(-3, -2).reshape(*lead, n, n * n)  # [b, (j, d)]
+    prod = (rows @ cols).reshape(*lead, n, n, n, n).swapaxes(-3, -2)  # [i, j, a, d] = (gam_i gam_j)_ad
+    adterm = (c.reshape(*lead, n * n, n) @ gam.reshape(*lead, n, n * n)).reshape(*lead, n, n, n, n)
     # entry [i, j, k, l] = <R(e_i, e_j) e_l, e_k>
-    return comm - adterm
+    out = prod - prod.swapaxes(-4, -3)
+    out -= adterm
+    return out
 
 
 def riemann_at_origin(b: VTangent) -> RiemannTensor:

@@ -382,37 +382,53 @@ def _rate(r, b0):
     return (lambda ric: value), None
 
 
-def _shifted_ricci(h, hinv, c0, rate, norm_sq):
-    """X = Ric + r I of mu = h.mu0 (hinv is h^{-1}), on which the frame and
-    the metric flows both build their right sides.  With norm_sq, Ric is that
-    of mu rescaled to ||mu||^2 = norm_sq, Ric_mu norm_sq / ||mu||^2, and the
-    rate reads that Ric."""
-    c = _gl_action_coeffs(h, hinv, c0)
-    x = _ricci(c)
-    if norm_sq is not None:
-        x *= norm_sq / np.vdot(c, c)
-    x.reshape(-1)[:: x.shape[-1] + 1] += rate(x)
-    return x
+def _shifted_ricci(c0, rate, norm_sq):
+    """Kernel (h, hinv) -> X = Ric + r I of mu = h.mu0 (hinv is h^{-1}), on
+    which the frame and the metric flows both build their right sides.  With
+    norm_sq, Ric is that of mu rescaled to ||mu||^2 = norm_sq,
+    Ric_mu norm_sq / ||mu||^2, and the rate reads that Ric.  One call is
+    straight-line 2-D products on views of mu0 taken once, the same products
+    in the same order as _gl_action_coeffs and _ricci, so X is bit-identical
+    to theirs without the batch-axis handling of a stack."""
+    n = c0.shape[-1]
+    c0_rows = c0.reshape(n, n * n)
+
+    def kernel(h, hinv):
+        w = hinv.T
+        c = w @ (w @ c0_rows).reshape(n, n, n) @ h.T
+        rows = c.reshape(n, n * n)
+        cols = c.reshape(n * n, n)
+        x = rows @ rows.T
+        x *= -0.5
+        x += 0.25 * (cols.T @ cols)
+        if norm_sq is not None:
+            x *= norm_sq / np.vdot(c, c)
+        x.reshape(-1)[:: n + 1] += rate(x)
+        return x
+
+    return kernel
 
 
 def _frame_generator(b0, rate, norm_sq):
     """Generator of the frame flow for mu = h.mu0: returns h -> (h', D).
 
-    X = _shifted_ricci(...) and D is the projection of h^{-1} X h onto
-    Der(mu0), whose basis B is orthonormal, so the projection is one product
-    with the projector P = B^T B, built once per flow.  Then
-    h' = -(X - h D h^{-1}) h = -X h + h D.  For the scalar rate X is
-    evaluated on the sphere ||mu|| = ||mu0||; then <mu', mu> = 0, and the
-    flow of h commutes with rescaling h.  One call is a few plain matrix
-    products: the GL action, the two of _ricci, the projection and h'.
+    X is the _shifted_ricci kernel at (h, h^{-1}) and D is the projection of
+    h^{-1} X h onto Der(mu0), whose basis B is orthonormal, so the projection
+    is one product with the projector P = B^T B; the kernel and P are built
+    once per flow.  Then h' = -(X - h D h^{-1}) h = -X h + h D.  For the
+    scalar rate X is evaluated on the sphere ||mu|| = ||mu0||; then
+    <mu', mu> = 0, and the flow of h commutes with rescaling h.  One call is
+    a few plain matrix products: the GL action, the two of Ricci, the
+    projection and h'.
     """
     n, c0 = b0.n, b0.coeffs
     basis = np.array(derivation_basis(b0)).reshape(-1, n * n)
     proj = basis.T @ basis
+    shifted_ricci = _shifted_ricci(c0, rate, norm_sq)
 
     def generator(h):
         hinv = np.linalg.inv(h)
-        xh = _shifted_ricci(h, hinv, c0, rate, norm_sq) @ h
+        xh = shifted_ricci(h, hinv) @ h
         d = (proj @ (hinv @ xh).reshape(-1)).reshape(n, n)
         return h @ d - xh, d
 
@@ -585,9 +601,10 @@ def _metric_flow(b0, rate, norm_sq):
     The state y holds the lower triangle of L row by row, with log L_ii in
     place of L_ii, so L(0) = I is y = 0 and G stays positive definite.
     Returns (rhs, factor): factor(y) is L, and rhs(t, y) is y' for
-    L' = L Phi(M), where M = -2 X, X = ric_nu + r I is _shifted_ricci of the
-    pushed bracket nu = (L^T).mu_0, and Phi keeps the strict lower part of
-    M and half its diagonal; then (log L_ii)' = M_ii / 2.  As
+    L' = L Phi(M), where M = -2 X, X = ric_nu + r I is the _shifted_ricci
+    kernel at h = L^T, for the pushed bracket nu = (L^T).mu_0, and Phi keeps
+    the strict lower part of M and half its diagonal; then
+    (log L_ii)' = M_ii / 2.  As
     L (Phi + Phi^T) L^T = L M L^T = -2 L ric_nu L^T - 2 r G, G follows the
     metric flow for every rate; the scalar rate keeps scal(G) fixed.  A
     factor with some L_ii = exp(y_i) below the normal range, where 1 / L_ii
@@ -599,6 +616,7 @@ def _metric_flow(b0, rate, norm_sq):
     # Phi(M) = X * weights: -2 below the diagonal, -1 on it
     weights = -2.0 * np.tri(n)
     weights.reshape(-1)[:: n + 1] = -1.0
+    shifted_ricci = _shifted_ricci(c0, rate, norm_sq)
 
     def factor(y):
         lmat = np.zeros(n * n)
@@ -611,7 +629,7 @@ def _metric_flow(b0, rate, norm_sq):
             raise NumericalFailure(f"the metric factor became singular at t={t:.6g}")
         lmat = factor(y)
         h = lmat.T
-        phi = _shifted_ricci(h, np.linalg.inv(h), c0, rate, norm_sq) * weights
+        phi = shifted_ricci(h, np.linalg.inv(h)) * weights
         dy = (lmat @ phi).reshape(-1)[lower]
         dy[logdiag] = phi.reshape(-1)[:: n + 1]
         return dy

@@ -15,6 +15,8 @@ import nilflow
 from nilflow.algebra import (
     Bracket,
     VTangent,
+    _delta_coeffs,
+    _delta_matrix,
     _jacobiator_max,
     bracket_from_dict,
     bracket_to_dict,
@@ -46,7 +48,7 @@ from nilflow.generators import (
     sphere_perturbation,
 )
 
-from conftest import random_sphere_bracket
+from conftest import dense_starts, random_sphere_bracket
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +290,29 @@ def test_gl_action_swap(heis):
 def test_gl_action_singular(heis):
     with pytest.raises(SingularMatrix):
         gl_action(np.diag([1.0, 1.0, 1e-17]), heis)
+    # a zero smallest singular value reads as an infinite condition number
+    with pytest.raises(SingularMatrix, match="cond=inf"):
+        gl_action(np.zeros((3, 3)), heis)
+
+
+def test_gl_action_of_a_non_finite_matrix_raises():
+    # LAPACK's full SVD does not return on diag(inf, 1, 1), so a regression
+    # hangs: a subprocess with a timeout turns that into a failure
+    src = str(Path(nilflow.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r})\n"
+        "import numpy as np\n"
+        "from nilflow.algebra import gl_action\n"
+        "from nilflow.exceptions import SingularMatrix\n"
+        "from nilflow.generators import heisenberg\n"
+        "for v in (np.inf, -np.inf, np.nan):\n"
+        "    try:\n"
+        "        gl_action(np.diag([v, 1.0, 1.0]), heisenberg())\n"
+        "    except SingularMatrix:\n"
+        "        print('SingularMatrix')\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stdout == 3 * "SingularMatrix\n"
 
 
 @given(seed=st.integers(0, 10_000))
@@ -330,6 +355,20 @@ def test_gl_action_preserves_jacobi(seed):
 
 def test_delta_of_identity_is_bracket(heis):
     assert np.allclose(delta(heis, np.eye(3)).coeffs, heis.coeffs)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_stacked_delta_matches_the_delta_matrix_on_each_sample(n):
+    # _delta_coeffs takes leading batch axes; _delta_matrix is an independent path
+    rng = np.random.default_rng(800 + n)
+    starts = dense_starts(n, 900 + n)
+    alphas = rng.standard_normal((len(starts), n, n))
+    stack = _delta_coeffs(np.array([b.coeffs for b in starts]), alphas)
+    assert stack.shape == (len(starts), n, n, n)
+    for out, b, alpha in zip(stack, starts, alphas):
+        ref = (_delta_matrix(b.coeffs) @ alpha.reshape(-1)).reshape(n, n, n)
+        assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.array_equal(delta(b, alpha).coeffs, out)
 
 
 def test_delta_transpose_is_adjoint(rng):

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from nilflow.algebra import delta, delta_transpose, gl_action, vn_inner
 from nilflow.curvature import (
+    _connection,
     _ricci,
+    _riemann,
     curvature_pack,
     laplacian_delta,
     moment_map,
@@ -57,6 +59,27 @@ def test_stacked_ricci_matches_the_form_on_each_sample(n):
     for ric, b in zip(stack, starts):
         ref = ricci_form(b)
         assert np.abs(ric - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def _einsum_riemann(c):
+    """R(e_i, e_j) = [gam_i, gam_j] - gam_{mu(e_i, e_j)} as two einsums, the
+    reference for the matrix products of _riemann."""
+    gam = _connection(c)
+    prod = np.einsum("...iab,...jbc->...ijac", gam, gam)
+    adterm = np.einsum("...ija,...abc->...ijbc", c, gam)
+    return prod - np.swapaxes(prod, -4, -3) - adterm
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_stacked_riemann_matches_the_einsum_form_on_each_sample(n):
+    # _riemann takes leading batch axes; a single bracket takes the same path
+    starts = dense_starts(n, 700 + n)
+    stack = _riemann(np.array([b.coeffs for b in starts]))
+    assert stack.shape == (len(starts), n, n, n, n)
+    for r, b in zip(stack, starts):
+        ref = _einsum_riemann(b.coeffs)
+        assert np.abs(r - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert np.array_equal(riemann_at_origin(b).entries, r)
 
 
 @pytest.mark.parametrize("seed", range(6))

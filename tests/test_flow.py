@@ -6,8 +6,16 @@ import numpy as np
 import pytest
 
 from nilflow import flow
-from nilflow.algebra import Bracket, central_series_dims, derivation_basis, gl_action, jacobiator_residual
+from nilflow.algebra import (
+    Bracket,
+    _gl_action_coeffs,
+    central_series_dims,
+    derivation_basis,
+    gl_action,
+    jacobiator_residual,
+)
 from nilflow.curvature import (
+    _ricci,
     ricci_energy,
     ricci_energy_gradient,
     ricci_operator,
@@ -222,6 +230,19 @@ def _reference_generator(b0, r, h):
     return h @ d - x @ h, d
 
 
+def _assert_kernel_is_bitwise_the_stacked_path(b0, r, h):
+    """The single-frame kernel of the right sides equals _gl_action_coeffs and
+    _ricci, the kernels of stacked frames, bit for bit."""
+    rate, norm_sq = flow._rate(r, b0)
+    hinv = np.linalg.inv(h)
+    c = _gl_action_coeffs(h, hinv, b0.coeffs)
+    ref = _ricci(c)
+    if norm_sq is not None:
+        ref *= norm_sq / np.vdot(c, c)
+    ref.reshape(-1)[:: b0.n + 1] += rate(ref)
+    assert np.array_equal(flow._shifted_ricci(b0.coeffs, rate, norm_sq)(h, hinv), ref)
+
+
 @pytest.mark.parametrize("r", [None, 0.7, "scalar"], ids=["unnormalized", "constant", "normalized"])
 @pytest.mark.parametrize("n", range(3, 9))
 def test_frame_generator_matches_public_functions(n, r):
@@ -233,6 +254,7 @@ def test_frame_generator_matches_public_functions(n, r):
         for _ in range(2):
             # cond(h) <= 4
             h = random_orthogonal(n, rng) @ np.diag(rng.uniform(0.5, 2.0, n)) @ random_orthogonal(n, rng)
+            _assert_kernel_is_bitwise_the_stacked_path(b0, r, h)
             dh, d = generator(h)
             ref_dh, ref_d = _reference_generator(b0, r, h)
             # h' = h D - X h cancels at a soliton: compare relative to its terms
@@ -255,6 +277,7 @@ def test_metric_flow_matches_public_functions(n, r):
             # cond(L) <= 4
             upper = np.linalg.qr(random_orthogonal(n, rng) @ np.diag(rng.uniform(0.5, 2.0, n)))[1]
             lmat = upper.T * np.sign(np.diag(upper))
+            _assert_kernel_is_bitwise_the_stacked_path(b0, r, lmat.T)
             state = lmat.copy()
             state[np.diag_indices(n)] = np.log(np.diag(lmat))
             state = state[lower]
