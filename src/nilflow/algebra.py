@@ -118,8 +118,8 @@ class Bracket(VTangent):
 
     @cached_property
     def degree(self) -> int:
-        """`nilpotency_degree` at the default tolerance, computed once per
-        bracket; the coefficients are frozen, so it cannot go stale."""
+        """`nilpotency_degree`, computed once per bracket; the coefficients
+        are frozen, so it cannot go stale."""
         return nilpotency_degree(self)
 
 
@@ -135,6 +135,14 @@ class ValidationReport:
 def _require_same_n(a, b):
     if a.n != b.n:
         raise DimensionMismatch(f"dimension mismatch: {a.n} vs {b.n}")
+
+
+def _as_array(a, shape, what) -> np.ndarray:
+    """a as a float array of the given shape; DimensionMismatch names it `what`."""
+    a = np.asarray(a, dtype=float)
+    if a.shape != shape:
+        raise DimensionMismatch(f"{what} shape {a.shape} does not match {shape}")
+    return a
 
 
 def vn_inner(a: VTangent, b: VTangent) -> float:
@@ -201,21 +209,26 @@ def _central_series(c: np.ndarray, tol: float):
     return dims, None
 
 
-def nilpotency_degree(b: VTangent, tol: float = DEFAULT_TOL) -> int:
+def _nilpotent_series(c: np.ndarray):
+    """(dims, degree) of _central_series at DEFAULT_TOL; NotNilpotentError if it has no degree."""
+    dims, degree = _central_series(c, DEFAULT_TOL)
+    if degree is None:
+        raise NotNilpotentError("descending central series stabilizes at a nonzero subspace")
+    return dims, degree
+
+
+def nilpotency_degree(b: VTangent) -> int:
     """Degree of nilpotency via the descending central series.
 
     C^0 = R^n, C^{m+1} = mu(R^n, C^m); the degree is the first m with
-    C^m = 0 (0 for the zero bracket by convention).  Raises
-    NotNilpotentError if the series stabilizes at a nonzero subspace.
+    C^m = 0 (0 for the zero bracket by convention), ranks at DEFAULT_TOL.
+    Raises NotNilpotentError if the series stabilizes at a nonzero subspace.
     """
-    _, degree = _central_series(b.coeffs, tol)
-    if degree is None:
-        raise NotNilpotentError("descending central series stabilizes at a nonzero subspace")
-    return degree
+    return _nilpotent_series(b.coeffs)[1]
 
 
-def central_series_dims(b: VTangent, tol: float = DEFAULT_TOL) -> list:
-    dims, _ = _central_series(b.coeffs, tol)
+def central_series_dims(b: VTangent) -> list:
+    dims, _ = _central_series(b.coeffs, DEFAULT_TOL)
     return dims
 
 
@@ -263,10 +276,7 @@ def gl_action(g: Operator, b: VTangent) -> VTangent:
     entry; warns when the condition number exceeds 1e12.  One SVD
     g = U S V^T gives both the condition number and g^{-1} = V S^{-1} U^T.
     """
-    g = np.asarray(g, dtype=float)
-    n = b.n
-    if g.shape != (n, n):
-        raise DimensionMismatch(f"operator shape {g.shape} does not match n={n}")
+    g = _as_array(g, (b.n, b.n), "operator")
     # LAPACK's SVD does not return on some matrices with an inf entry
     if not np.isfinite(g).all():
         raise SingularMatrix("change of basis has a non-finite entry")
@@ -304,10 +314,7 @@ def delta(b: VTangent, alpha: Operator) -> VTangent:
 
     Its kernel is the derivation algebra; delta_mu(I) = mu.
     """
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (b.n, b.n):
-        raise DimensionMismatch(f"operator shape {alpha.shape} does not match n={b.n}")
-    return VTangent(_delta_coeffs(b.coeffs, alpha))
+    return VTangent(_delta_coeffs(b.coeffs, _as_array(alpha, (b.n, b.n), "operator")))
 
 
 def _delta_transpose_coeffs(c: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .algebra import Bracket
+from .algebra import Bracket, _as_array, _require_same_n
 from .exceptions import BracketFormatError, DegreeTooHigh, DimensionMismatch
 
 # ---------------------------------------------------------------------------
@@ -66,19 +66,12 @@ def _product(b, k, x, y):
     return x + w @ (_series(m, psi_coefs) @ y)
 
 
-def _as_vector(b, x):
-    x = np.asarray(x, dtype=float)
-    if x.shape != (b.n,):
-        raise DimensionMismatch(f"expected a vector of length {b.n}, got shape {x.shape}")
-    return x
-
-
 def bch_product(b: Bracket, x, y) -> np.ndarray:
     """Group product in exponential coordinates; exact for nilpotent brackets.
 
     0 is the identity and -x the inverse.
     """
-    x, y = _as_vector(b, x), _as_vector(b, y)
+    x, y = _as_array(x, (b.n,), "vector"), _as_array(y, (b.n,), "vector")
     return _product(b, max(1, b.degree), x, y)
 
 
@@ -94,7 +87,7 @@ def translation_jacobian(b: Bracket, z, x) -> np.ndarray:
     so this is A(z . x)^{-1} A(x) with the closed-form dexp series A; A is
     unipotent, so the solve is exact to rounding.
     """
-    z, x = _as_vector(b, z), _as_vector(b, x)
+    z, x = _as_array(z, (b.n,), "vector"), _as_array(x, (b.n,), "vector")
     k = max(1, b.degree)
     zx = _product(b, k, z, x)
     return np.linalg.solve(_dexp(b, zx, k), _dexp(b, x, k))
@@ -106,7 +99,7 @@ def left_translation_differential(b: Bracket, x) -> np.ndarray:
     Columns are the coordinate expressions of the left-invariant frame at x
     pulled back to the identity; this is the closed-form dexp series A(x).
     """
-    x = _as_vector(b, x)
+    x = _as_array(x, (b.n,), "vector")
     return _dexp(b, x, max(1, b.degree))
 
 
@@ -149,9 +142,7 @@ class MetricField:
         return exps, mats
 
     def __call__(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise DimensionMismatch(f"expected a vector of length {self.n}")
+        x = _as_array(x, (self.n,), "vector")
         exps, mats = self._table
         return (np.prod(x**exps, axis=1) @ mats).reshape(self.n, self.n)
 
@@ -285,8 +276,7 @@ def metric_convergence_distance(b1: Bracket, b2: Bracket, radius: float, p: int 
     one matrix product against a Vandermonde block taken from a table of
     coordinate powers.
     """
-    if b1.n != b2.n:
-        raise DimensionMismatch(f"dimension mismatch: {b1.n} vs {b2.n}")
+    _require_same_n(b1, b2)
     n = b1.n
     f1 = metric_field_fit(b1)
     f2 = metric_field_fit(b2)

@@ -77,24 +77,16 @@ def _spec_kwargs(text):
     return out
 
 
-def _as_int(kw, key, default=None):
+def _spec_value(kw, key, cast, default=None):
+    """kw[key] read by cast (int or float), or default when absent; None makes key required."""
     if key not in kw:
         if default is None:
-            raise ConfigError(f"generator spec needs {key}=<int>")
+            raise ConfigError(f"generator spec needs {key}=<{cast.__name__}>")
         return default
     try:
-        return int(kw[key])
+        return cast(kw[key])
     except ValueError:
-        raise ConfigError(f"{key}={kw[key]!r} is not an integer") from None
-
-
-def _as_float(kw, key, default):
-    if key not in kw:
-        return default
-    try:
-        return float(kw[key])
-    except ValueError:
-        raise ConfigError(f"{key}={kw[key]!r} is not a number") from None
+        raise ConfigError(f"{key}={kw[key]!r} is not a valid {cast.__name__}") from None
 
 
 def _seed(seed):
@@ -120,19 +112,20 @@ def parse_bracket_source(src: str) -> Bracket:
         if unknown:
             raise ConfigError(f"unknown option(s) {sorted(unknown)} for generator {name!r}")
         if name == "heisenberg":
-            return heisenberg(_as_float(kw, "c", 1.0))
+            return heisenberg(_spec_value(kw, "c", float, 1.0))
         if name == "filiform":
-            n = _as_int(kw, "n")
-            c = _as_float(kw, "c", 1.0)
+            n = _spec_value(kw, "n", int)
+            c = _spec_value(kw, "c", float, 1.0)
             return filiform(n, constants=[c] * (n - 2))
         if name == "zero":
-            n = _as_int(kw, "n")
+            n = _spec_value(kw, "n", int)
             if n < 1:
                 raise ConfigError(f"zero needs n >= 1, got {n}")
             return Bracket(np.zeros((n,) * 3))
-        rng = np.random.default_rng(_seed(_as_int(kw, "seed", 0)))
-        m = _as_int(kw, "m", 0) or None
-        return random_two_step(_as_int(kw, "n"), rng, m=m, scale=_as_float(kw, "scale", 1.0))
+        rng = np.random.default_rng(_seed(_spec_value(kw, "seed", int, 0)))
+        m = _spec_value(kw, "m", int, 0) or None
+        n, scale = _spec_value(kw, "n", int), _spec_value(kw, "scale", float, 1.0)
+        return random_two_step(n, rng, m=m, scale=scale)
     try:
         return load_bracket(s)
     except FileNotFoundError:
@@ -200,8 +193,7 @@ def cmd_curvature(args) -> int:
 
 
 def cmd_flow(args) -> int:
-    r = {"normalized": "scalar", "r-const": args.rho}.get(args.kind)
-    trace = integrate_bracket_flow(_load_source(args), args.t_max, _flow_opts(args), r=r)
+    trace = integrate_bracket_flow(_load_source(args), args.t_max, _flow_opts(args), r=args.rate)
     summary = {
         "kind": trace.kind,
         "samples": len(trace),
@@ -270,8 +262,7 @@ def cmd_soliton(args) -> int:
 
 def cmd_equivalence(args) -> int:
     b = _load_source(args)
-    r = "scalar" if args.normalized else args.rho
-    rep = equivalence_report(b, args.t_max, _flow_opts(args), r=r, checkpoints=args.checkpoints)
+    rep = equivalence_report(b, args.t_max, _flow_opts(args), r=args.rate, checkpoints=args.checkpoints)
     print(f"max pullback residual |mu(t) - h(t).mu0| / |mu|:  {rep.max_pullback_residual:.3e}")
     print(f"max gram residual     |G(t) - h^T h| / |G|:       {rep.max_gram_residual:.3e}")
     print(f"max scal mismatch (bracket vs inner-product):     {rep.max_scal_mismatch:.3e}")
@@ -371,12 +362,11 @@ def cmd_metric_field(args) -> int:
 # Parser.
 
 
-def _add_source(p, rescale_default=None):
+def _add_source(p):
     p.add_argument("source", help="bracket file, inline JSON, or generator spec")
     p.add_argument(
         "--rescale",
         type=float,
-        default=rescale_default,
         metavar="NORM",
         help="rescale the bracket to this norm before use",
     )
@@ -389,11 +379,19 @@ def _add_integrator(p, t_max_default):
     p.add_argument("--max-step", type=float, default=float("inf"))
 
 
+def _add_rate(p):
+    def rate(text):
+        return text if text == "scalar" else float(text)
+
+    text = "r of mu' = delta_mu(Ric) + r mu: 'scalar' (the normalized flow) or a constant; 0 if absent"
+    p.add_argument("--rate", type=rate, metavar="{scalar,R}", help=text)
+
+
 _NEGATIVE_NUMBER = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE)
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads every negative float literal as a value, "--rho -1e6" too (the
+    """Reads every negative float literal as a value, "--rate -1e6" too (the
     argparse pattern has no exponent); subparsers inherit the class."""
 
     def __init__(self, *args, **kwargs):
@@ -422,12 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("flow", help="integrate a bracket flow")
     _add_source(p)
     _add_integrator(p, 1.0)
-    p.add_argument(
-        "--kind",
-        choices=("unnormalized", "normalized", "r-const"),
-        default="unnormalized",
-    )
-    p.add_argument("--rho", type=float, default=0.0, help="constant rate for --kind r-const")
+    _add_rate(p)
     p.add_argument("--with-h", action="store_true", help="co-integrate the frame h(t)")
     p.add_argument(
         "--check",
@@ -456,9 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_integrator(p, 5.0)
     p.add_argument("--tol", type=float, default=1e-5)
     p.add_argument("--checkpoints", type=int, default=26)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--normalized", action="store_true", help="use the tr(Ric^2)-normalized flow")
-    group.add_argument("--rho", type=float, default=None, help="constant normalization rate")
+    _add_rate(p)
     p.add_argument("--out", help="write the residuals as JSON ('-' for stdout)")
     p.set_defaults(func=cmd_equivalence)
 

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Operator, VTangent, _delta_coeffs, _delta_transpose_coeffs
-from .exceptions import BadNormalization, DimensionMismatch, ZeroBracket
+from .algebra import Operator, VTangent, _as_array, _delta_coeffs, _delta_transpose_coeffs
+from .exceptions import BadNormalization, ZeroBracket
 
 
 def _ricci(c: np.ndarray) -> np.ndarray:
@@ -54,14 +54,14 @@ def scalar_curvature(b: VTangent) -> float:
     return -0.25 * b.norm**2
 
 
-def ricci_sign_check(b: VTangent, tol: float = 1e-12) -> tuple:
+def ricci_sign_check(b: VTangent) -> tuple:
     """(has_negative_direction, has_positive_direction) from the Ricci spectrum.
 
-    Every nonzero nilpotent bracket has both.
+    An eigenvalue counts beyond 1e-12 of the largest |eigenvalue|; every nonzero nilpotent bracket has both.
     """
     eigs = np.linalg.eigvalsh(ricci_operator(b))
-    scale = max(float(np.abs(eigs).max()), 1e-300)
-    return bool(eigs.min() < -tol * scale), bool(eigs.max() > tol * scale)
+    tol = 1e-12 * max(float(np.abs(eigs).max()), 1e-300)
+    return bool(eigs.min() < -tol), bool(eigs.max() > tol)
 
 
 def _connection(c: np.ndarray) -> np.ndarray:
@@ -143,11 +143,8 @@ def laplacian_delta(b: VTangent, alpha: Operator) -> Operator:
 
     Along the unnormalized flow, d/dt Ric = -1/2 laplacian_delta(b, Ric).
     """
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (b.n, b.n):
-        raise DimensionMismatch(f"operator shape {alpha.shape} does not match n={b.n}")
     c = b.coeffs
-    out = _delta_transpose_coeffs(c, _delta_coeffs(c, alpha))
+    out = _delta_transpose_coeffs(c, _delta_coeffs(c, _as_array(alpha, (b.n, b.n), "operator")))
     return 0.5 * (out + out.T)
 
 

@@ -289,7 +289,6 @@ class FlowTrace(_Samples):
     column.  `brackets`, a list of `Bracket`, is built on first access.
     """
 
-    kind: str  # "unnormalized" | "normalized" | "r"
     times: np.ndarray
     coeffs: np.ndarray
     frames: np.ndarray
@@ -301,6 +300,11 @@ class FlowTrace(_Samples):
     jacobi_residual: np.ndarray
     stats: dict = field(default_factory=dict)
     rate: object = field(default=None, repr=False)  # the rate r as passed to the flow
+
+    @property
+    def kind(self) -> str:
+        """"unnormalized" for r = None, "normalized" for "scalar", "r" for a constant."""
+        return "unnormalized" if self.rate is None else "normalized" if isinstance(self.rate, str) else "r"
 
     @cached_property
     def brackets(self) -> list:
@@ -337,13 +341,20 @@ class FlowTrace(_Samples):
 
 
 def trace_from_csv(path) -> dict:
-    """Parse a trace CSV back into column arrays (no bracket snapshots)."""
+    """Parse a trace CSV back into column arrays (no bracket snapshots); ConfigError if malformed."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if tuple(header) != _TRACE_COLUMNS:
             raise ConfigError(f"unexpected trace header {header}")
-        rows = [[float(v) for v in row] for row in reader]
+        rows = []
+        for row in reader:
+            if len(row) != len(_TRACE_COLUMNS):
+                raise ConfigError(f"line {reader.line_num} of the trace has {len(row)} fields, not 7")
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise ConfigError(f"line {reader.line_num} of the trace: {exc}") from None
     cols = np.array(rows).T if rows else np.zeros((len(_TRACE_COLUMNS), 0))
     return dict(zip(_TRACE_COLUMNS, cols))
 
@@ -458,10 +469,11 @@ def _by_blocks(kernel, coeffs):
     return np.concatenate([kernel(coeffs[i : i + step]) for i in range(0, len(coeffs), step)])
 
 
-def _finish_trace(kind, samples, stats, c0, rate, r):
-    """FlowTrace of the frame samples: array expressions over the stacked
-    brackets h_i.mu0 (exactly antisymmetrized; a normalized trace rescales each
-    frame onto ||mu|| = ||mu0||).  Raises NumericalFailure, with the samples
+def _finish_trace(samples, stats, c0, r, rate, norm_sq):
+    """FlowTrace of the frame samples of a flow of rate r, which _rate resolved
+    into (rate, norm_sq): array expressions over the stacked brackets h_i.mu0
+    (exactly antisymmetrized; with norm_sq each frame is rescaled onto
+    ||mu|| = ||mu0||).  Raises NumericalFailure, with the samples
     before it attached, at the first frame whose condition number exceeds
     _MAX_COND_H or whose bracket has a skew defect max|c + c^T| / ||c|| above
     _MAX_SKEW_DEFECT."""
@@ -486,7 +498,7 @@ def _finish_trace(kind, samples, stats, c0, rate, r):
         raise NumericalFailure(msg, trace=samples[:i])
     stats["max_cond_h"] = float(cond.max())
     stats["max_skew_defect"] = float(defect.max())
-    if kind == "normalized":
+    if norm_sq is not None:
         # (lambda h).mu0 = mu / lambda puts every sample back on ||mu|| = ||mu0||
         lams = norms / np.linalg.norm(c0)
         frames = lams[:, None, None] * frames
@@ -495,7 +507,6 @@ def _finish_trace(kind, samples, stats, c0, rate, r):
     ric = _ricci(coeffs)
     mu_norm = _sample_norms(coeffs)
     return FlowTrace(
-        kind=kind,
         times=times,
         coeffs=coeffs,
         frames=frames,
@@ -518,9 +529,8 @@ def integrate_bracket_flow(b0: Bracket, t_max: float, opts: FlowOpts | None = No
     "scalar" for the normalized flow, r = tr(Ric^2), which requires
     ||mu_0|| = 2 to 1e-10 (else BadNormalization) and keeps every sample on
     that sphere to rounding.  Any other r, a callable included, raises
-    BadRate.  The trace's kind is "unnormalized" for r = None, "normalized"
-    for "scalar" and "r" otherwise; the rate at each sample is stored in
-    `r_values`.
+    BadRate.  The trace keeps r as `rate`, from which its `kind` follows,
+    and the rate at each sample in `r_values`.
     """
     rate, norm_sq = _rate(r, b0)
     n = b0.n
@@ -533,8 +543,7 @@ def integrate_bracket_flow(b0: Bracket, t_max: float, opts: FlowOpts | None = No
             raise NumericalFailure(f"the frame h became singular at t={t:.6g}") from None
 
     samples, stats = _integrate_adaptive(rhs, 0.0, np.eye(n).reshape(-1), t_max, opts)
-    kind = "unnormalized" if r is None else "r" if norm_sq is None else "normalized"
-    return _finish_trace(kind, samples, stats, b0.coeffs, rate, r)
+    return _finish_trace(samples, stats, b0.coeffs, r, rate, norm_sq)
 
 
 def integrate_normalized_flow(b0: Bracket, t_max: float, opts: FlowOpts | None = None) -> FlowTrace:
@@ -800,7 +809,10 @@ def equivalence_report(
     ip = integrate_innerproduct_flow(b0, t_max, opts, r=r)
     trace = integrate_bracket_flow(b0, t_max, opts, r=r)
     hs = cointegrate_h(trace)
-    pulled = _gl_action_coeffs(hs, np.linalg.inv(hs), b0.coeffs)
+    try:
+        pulled = _gl_action_coeffs(hs, np.linalg.inv(hs), b0.coeffs)
+    except np.linalg.LinAlgError:
+        raise NumericalFailure("a cointegrated frame h(t) became singular") from None
     pullback = _sample_norms(trace.coeffs - pulled) / np.maximum(trace.mu_norm, 1e-300)
 
     i = _index_of_time(trace.times, grid)

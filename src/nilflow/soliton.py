@@ -16,8 +16,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .algebra import Bracket, central_series_dims, delta, nilpotency_degree
-from .curvature import ricci_energy, ricci_operator
+from .algebra import Bracket, _nilpotent_series, delta
+from .curvature import ricci_operator
 from .exceptions import ConfigError, ZeroBracket
 from .flow import _sample_norms
 
@@ -135,15 +135,15 @@ def orbit_invariants(b: Bracket) -> dict:
     """Quantities constant on the orthogonal orbit of a bracket.
 
     Useful as a fingerprint for clustering flow limits: two brackets with
-    different invariants cannot be isometric.
+    different invariants cannot be isometric; a non-nilpotent b raises NotNilpotentError.
     """
     ric = ricci_operator(b)
-    dims = central_series_dims(b)
+    dims, degree = _nilpotent_series(b.coeffs)
     return {
         "ricci_spectrum": [float(v) for v in np.sort(np.linalg.eigvalsh(ric))],
         "mu_norm": float(b.norm),
-        "energy": float(ricci_energy(b)),
-        "degree": nilpotency_degree(b),
+        "energy": float(np.sum(ric * ric)),  # ricci_energy(b), from the Ricci operator above
+        "degree": degree,
         "series_dims": [int(v) for v in dims],
     }
 

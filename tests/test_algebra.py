@@ -38,6 +38,7 @@ from nilflow.exceptions import (
     DimensionMismatch,
     NotNilpotentError,
     SingularMatrix,
+    ZeroBracket,
 )
 from nilflow.generators import (
     filiform,
@@ -92,6 +93,54 @@ def test_bracket_whose_norm_underflows_keeps_its_norm():
     b = random_two_step(5, np.random.default_rng(3))
     for scale in (1.0, 1e-150, 1e150):
         assert b.scaled(scale).norm == float(np.linalg.norm(b.scaled(scale).coeffs))
+
+
+H3 = heisenberg()
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: VTangent(np.full((3, 3, 3), np.inf)), BracketFormatError, "finite"),
+        (lambda: VTangent.from_entries(3, {(1, 0, 2): 1.0}), BracketFormatError, "bad index triple"),
+        (lambda: VTangent.from_entries(3, {(0, 1, 3): 1.0}), BracketFormatError, "bad index triple"),
+        (lambda: vn_inner(H3, filiform(4)), DimensionMismatch, "3 vs 4"),
+        (lambda: delta_transpose(H3, filiform(4)), DimensionMismatch, "3 vs 4"),
+        (lambda: gl_action(np.eye(4), H3), DimensionMismatch, "operator shape"),
+        (lambda: delta(H3, np.eye(2)), DimensionMismatch, "operator shape"),
+        (lambda: bracket_from_dict([1, 2, 3]), BracketFormatError, "must be a JSON object"),
+        (lambda: bracket_from_dict({"n": 3, "entries": [7]}), BracketFormatError, "entry 0 is not an object"),
+    ],
+    ids=["non_finite", "triple_i_after_j", "triple_k_out_of_range", "vn_inner_n", "delta_transpose_n",
+         "gl_action_shape", "delta_shape", "document_not_object", "entry_not_object"],
+)
+def test_algebra_input_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_load_bracket_of_invalid_json(tmp_path):
+    path = tmp_path / "b.json"
+    path.write_text('{"n": 3,')
+    with pytest.raises(BracketFormatError, match="invalid JSON"):
+        load_bracket(path)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: filiform(2), ConfigError, "n >= 3"),
+        (lambda: filiform(5, constants=[1.0, 2.0]), ConfigError, "needs 3 constants"),
+        (lambda: random_two_step(2, np.random.default_rng(0)), ConfigError, "n >= 3"),
+        (lambda: random_two_step(5, np.random.default_rng(0), m=1), ConfigError, "2 <= m <= n-1"),
+        (lambda: random_two_step(5, np.random.default_rng(0), m=5), ConfigError, "2 <= m <= n-1"),
+        (lambda: rescale_to_norm(Bracket.zero(3)), ZeroBracket, "zero bracket"),
+    ],
+    ids=["filiform_n2", "filiform_constants", "two_step_n2", "two_step_m1", "two_step_m_n", "rescale_zero"],
+)
+def test_generator_input_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_sphere_perturbation_of_nan_spread_raises(heis):

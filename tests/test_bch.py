@@ -302,6 +302,21 @@ def test_field_call_matches_per_monomial_sum(field):
         assert np.abs(field(x) - g).max() <= 1e-13 * max(1.0, np.abs(g).max())
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda field: field(np.zeros(3)),
+        lambda field: field(np.zeros((4, 1))),
+        lambda field: field.derivative((1, 0, 0)),
+        lambda field: field.derivative((1, 0, -1, 0)),
+    ],
+    ids=["call_short", "call_column", "derivative_short", "derivative_negative"],
+)
+def test_field_rejects_wrong_shapes(call, fil4):
+    with pytest.raises(DimensionMismatch):
+        call(metric_field_fit(fil4))
+
+
 def test_derivative_past_the_degree_is_zero(fil4):
     field = metric_field_fit(fil4)
     assert field.degree == 4

@@ -185,19 +185,19 @@ def test_flow_check_failure_exits_nonzero(capsys):
 
 
 def test_flow_normalized_needs_rescale(capsys):
-    assert main(["flow", "heisenberg:c=1", "--kind", "normalized"]) == 2
+    assert main(["flow", "heisenberg:c=1", "--rate", "scalar"]) == 2
     assert "--rescale" in capsys.readouterr().err
 
 
 def test_flow_normalized_with_rescale(capsys):
-    rc = main(["flow", "heisenberg:c=1", "--kind", "normalized", "--rescale", "2", "--t-max", "1"])
+    rc = main(["flow", "heisenberg:c=1", "--rate", "scalar", "--rescale", "2", "--t-max", "1"])
     assert rc == 0
 
 
 @pytest.mark.parametrize("check", ["identities", "type3"])
 def test_flow_check_for_another_kind_exits_2(check, capsys):
     # both checks need r = 0; on a normalized trace they are usage errors
-    argv = ["flow", "heisenberg:c=1", "--rescale", "2", "--kind", "normalized", "--t-max", "0.5"]
+    argv = ["flow", "heisenberg:c=1", "--rescale", "2", "--rate", "scalar", "--t-max", "0.5"]
     assert main(argv + ["--check", check]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -228,11 +228,16 @@ def test_flow_library_errors_exit_2(extra, message, capsys):
         (["validate", "zero:n=0"], "n >= 1"),
         (["validate", "zero:n=-1"], "n >= 1"),
         (["validate", "random2step:n=5,seed=-1"], "nonnegative"),
+        (["validate", "filiform:n"], "is not key=value"),
+        (["validate", "filiform:c=2"], "needs n=<int>"),
+        (["validate", "filiform:n=4.5"], "n='4.5' is not a valid int"),
+        (["validate", "heisenberg:c=big"], "c='big' is not a valid float"),
+        (["validate", "random2step:n=5,scale=x"], "scale='x' is not a valid float"),
         (["sweep", "--n", "3", "--seed", "-1"], "nonnegative"),
         (["equivalence", "heisenberg:c=1", "--checkpoints", "0"], "at least 2"),
         (["equivalence", "heisenberg:c=1", "--checkpoints", "-1"], "at least 2"),
         (["equivalence", "heisenberg:c=1", "--checkpoints", "1"], "at least 2"),
-        (["equivalence", "heisenberg:c=1", "--normalized"], "--rescale 2"),
+        (["equivalence", "heisenberg:c=1", "--rate", "scalar"], "--rescale 2"),
         (["curvature", "heisenberg:c=1", "--rescale", "0"], "finite and > 0"),
         (["curvature", "heisenberg:c=1", "--rescale", "-2"], "finite and > 0"),
         (["curvature", "heisenberg:c=1", "--rescale", "nan"], "finite and > 0"),
@@ -247,7 +252,9 @@ def test_flow_library_errors_exit_2(extra, message, capsys):
         (["flow", "heisenberg:c=1", "--check-tol", "nan"], "--check-tol must be finite and > 0"),
         (["flow", "heisenberg:c=1", "--check-tol", "-1"], "--check-tol must be finite and > 0"),
     ],
-    ids=["zero_n0", "zero_negative_n", "spec_negative_seed", "sweep_negative_seed",
+    ids=["zero_n0", "zero_negative_n", "spec_negative_seed",
+         "spec_not_key_value", "spec_missing_n", "spec_n_not_int", "spec_c_not_float", "spec_scale_not_float",
+         "sweep_negative_seed",
          "zero_checkpoints", "negative_checkpoints", "one_checkpoint", "equivalence_normalized_off_sphere",
          "rescale_zero", "rescale_negative", "rescale_nan", "rescale_negative_exponent",
          "validate_tol_negative", "validate_tol_nan", "validate_tol_zero",
@@ -262,7 +269,7 @@ def test_input_errors_exit_2(argv, message, capsys):
 
 
 def test_float_options_read_negative_exponents():
-    # argparse's own negative-number pattern has no exponent: "--rho -1e6"
+    # argparse's own negative-number pattern has no exponent: "--rate -1e6"
     # ended in "expected one argument"
     parser = build_parser()
     (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
@@ -277,12 +284,31 @@ def test_float_options_read_negative_exponents():
                 assert getattr(args, action.dest) == float(value), (command, action.dest, value)
             checked += 1
     assert checked >= 20
+    # --rate is not float-typed: it reads a number or "scalar"
+    for command in ("flow", "equivalence"):
+        for value in ("-1e6", "-2.5E-3", "-inf", "scalar"):
+            args = parser.parse_args([command, "heisenberg:c=1", "--rate", value])
+            assert args.rate == (value if value == "scalar" else float(value)), (command, value)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["flow", "heisenberg:c=1", "--rho", "0.5"], ["flow", "heisenberg:c=1", "--rate", "foo"],
+     ["equivalence", "heisenberg:c=1", "--normalized"], ["flow", "heisenberg:c=1", "--kind", "normalized"]],
+    ids=["rho", "rate_foo", "normalized", "kind"],
+)
+def test_removed_rate_options_and_a_bad_rate_exit_2(argv, capsys):
+    # "--rho 0.5" without "--kind r-const" ran the unnormalized flow silently
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error: " in capsys.readouterr().err
 
 
 def test_bracket_whose_norm_underflows_rescales(tmp_path):
     # ||mu||^2 = 2e-400 underflows; the bracket used to count as zero
     brackets = tmp_path / "b.json"
-    argv = ["flow", "heisenberg:c=1e-200", "--kind", "normalized", "--rescale", "2"]
+    argv = ["flow", "heisenberg:c=1e-200", "--rate", "scalar", "--rescale", "2"]
     assert main(argv + ["--brackets-out", str(brackets)]) == 0
     snapshots = json.loads(brackets.read_text())["snapshots"]
     for snap in (snapshots[0], snapshots[-1]):
@@ -292,9 +318,9 @@ def test_bracket_whose_norm_underflows_rescales(tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["flow", "heisenberg:c=1", "--kind", "r-const", "--rho", "nan"],
-        ["flow", "heisenberg:c=1", "--kind", "r-const", "--rho", "inf"],
-        ["equivalence", "heisenberg:c=1", "--rho", "nan"],
+        ["flow", "heisenberg:c=1", "--rate", "nan"],
+        ["flow", "heisenberg:c=1", "--rate", "inf"],
+        ["equivalence", "heisenberg:c=1", "--rate", "nan"],
     ],
     ids=["flow_nan", "flow_inf", "equivalence_nan"],
 )
@@ -307,7 +333,7 @@ def test_non_finite_rate_exits_2(argv):
 
 
 @pytest.mark.parametrize("argv", [["curvature", "heisenberg:c=1e200"],
-                                  ["flow", "heisenberg:c=1e200", "--kind", "normalized", "--rescale", "2"]],
+                                  ["flow", "heisenberg:c=1e200", "--rate", "scalar", "--rescale", "2"]],
                          ids=["curvature", "flow"])
 def test_bracket_whose_norm_overflows_exits_2(argv, capsys):
     assert main(argv) == 2
@@ -324,8 +350,8 @@ def test_validate_bracket_whose_norm_overflows(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["flow", "heisenberg:c=1", "--kind", "r-const", "--rho", "1e300"],
-     ["equivalence", "heisenberg:c=1", "--rho", "1e300"]],
+    [["flow", "heisenberg:c=1", "--rate", "1e300"],
+     ["equivalence", "heisenberg:c=1", "--rate", "1e300"]],
     ids=["flow", "equivalence"],
 )
 def test_rate_that_overflows_the_step_exits_3(argv, capsys):
@@ -341,9 +367,7 @@ def test_flow_constant_rate_equilibrium(tmp_path):
         [
             "flow",
             "heisenberg:c=1",
-            "--kind",
-            "r-const",
-            "--rho",
+            "--rate",
             "1.5",
             "--t-max",
             "2",
@@ -488,7 +512,8 @@ def test_equivalence_normalized_mode(tmp_path):
             "heisenberg:c=1",
             "--rescale",
             "2",
-            "--normalized",
+            "--rate",
+            "scalar",
             "--t-max",
             "1",
             "--max-step",
@@ -510,8 +535,16 @@ def test_equivalence_normalized_at_the_defaults(capsys):
     # scalar rate read on G itself, scal = -1 repelled, and random2step:n=5,seed=3
     # read a Gram residual of 0.10
     for spec in ("filiform:n=4", "heisenberg:c=1", "random2step:n=5,seed=3"):
-        assert main(["equivalence", spec, "--rescale", "2", "--normalized"]) == 0, spec
+        assert main(["equivalence", spec, "--rescale", "2", "--rate", "scalar"]) == 0, spec
         assert "agreement within 1e-05: yes" in capsys.readouterr().out
+
+
+def test_equivalence_with_a_singular_frame_exits_3(capsys):
+    # a cointegrated frame turns singular before t = 120; this was a LinAlgError traceback
+    argv = ["equivalence", "random2step:n=5,seed=3", "--rescale", "2", "--rate", "scalar", "--t-max", "120"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from nilflow.curvature import (
     _connection,
     _ricci,
     _riemann,
+    connection_operators,
     curvature_pack,
     laplacian_delta,
     moment_map,
@@ -21,7 +22,7 @@ from nilflow.curvature import (
     riemann_at_origin,
     scalar_curvature,
 )
-from nilflow.exceptions import ZeroBracket
+from nilflow.exceptions import DimensionMismatch, ZeroBracket
 from nilflow.generators import (
     filiform,
     heisenberg,
@@ -205,6 +206,22 @@ def test_laplacian_positive_semidefinite(rng):
         quad = float(np.sum(x * laplacian_delta(b, x)))
         assert quad >= -1e-12
         assert quad == pytest.approx(vn_inner(delta(b, x), delta(b, x)), rel=1e-10)
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3), (4,), (4, 4, 1)])
+def test_laplacian_rejects_an_operator_of_the_wrong_shape(shape, fil4):
+    with pytest.raises(DimensionMismatch, match="operator shape"):
+        laplacian_delta(fil4, np.zeros(shape))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_connection_operators_are_skew(seed):
+    # a metric connection in an orthonormal frame: each gamma_r is skew
+    b = random_sphere_bracket(5, seed)
+    gam = connection_operators(b)
+    assert gam.shape == (5, 5, 5)
+    assert np.array_equal(gam, -gam.swapaxes(1, 2))
+    assert np.abs(gam).max() > 0.0
 
 
 def test_curvature_pack_serializes(fil4):

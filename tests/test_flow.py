@@ -47,6 +47,7 @@ from nilflow.generators import (
     heisenberg,
     random_nilpotent,
     random_orthogonal,
+    random_two_step,
     rescale_to_norm,
     sphere_perturbation,
 )
@@ -542,6 +543,7 @@ def test_zero_rate_reproduces_unnormalized_bitwise(heis):
     assert np.array_equal(a.times, b.times)
     assert all(np.array_equal(x.coeffs, y.coeffs) for x, y in zip(a.brackets, b.brackets))
     assert (a.kind, b.kind) == ("unnormalized", "r")
+    assert (a.rate, b.rate) == (None, 0.0)
 
 
 def test_constant_rate_equilibrium():
@@ -881,6 +883,14 @@ def test_equivalence_rejects_callable(heis_sphere):
         equivalence_report(heis_sphere, 1.0, r=lambda b: 0.0)
 
 
+def test_equivalence_with_a_singular_frame_raises():
+    # the automorphism factor makes a cointegrated frame singular by t = 120;
+    # np.linalg.inv ended the report in LinAlgError
+    b = rescale_to_norm(random_two_step(5, np.random.default_rng(3)))
+    with pytest.raises(NumericalFailure, match="singular"):
+        equivalence_report(b, 120.0, r="scalar")
+
+
 # ---------------------------------------------------------------------------
 # trace serialization
 
@@ -900,6 +910,26 @@ def test_trace_csv_rejects_a_wrong_header(tmp_path):
     path = tmp_path / "trace.csv"
     path.write_text("t,mu_norm\n0.0,2.0\n")
     with pytest.raises(ConfigError, match="unexpected trace header"):
+        trace_from_csv(path)
+
+
+HEADER = "t,mu_norm,scal,tr_ric2,grad_norm,r,jacobi_residual\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "unexpected trace header"),  # was StopIteration
+        (HEADER + "0,2,-1,3,0,0\n", "6 fields"),  # zip dropped the last column
+        (HEADER + "0,2,-1,3,0,0,0,9\n", "8 fields"),  # zip dropped the extra field
+        (HEADER + "0,2,-1,3,0,x,0\n", "line 2 .*could not convert"),  # was a raw ValueError
+    ],
+    ids=["empty", "short_row", "long_row", "not_a_number"],
+)
+def test_trace_csv_rejects_malformed_rows(text, message, tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=message):
         trace_from_csv(path)
 
 
