@@ -22,13 +22,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .algebra import Bracket, _as_array, _require_same_n
-from .exceptions import BracketFormatError, DegreeTooHigh, DimensionMismatch
+from .exceptions import BracketFormatError, ConfigError, DegreeTooHigh, DimensionMismatch
 
 # ---------------------------------------------------------------------------
 # Truncated matrix series and the product log(exp x exp y) in integral form.
@@ -274,8 +275,14 @@ def metric_convergence_distance(b1: Bracket, b2: Bracket, radius: float, p: int 
     scaled to the ball plus 100 random interior points drawn from
     default_rng(0), so the result is deterministic.  Each derivative field is
     one matrix product against a Vandermonde block taken from a table of
-    coordinate powers.
+    coordinate powers.  ConfigError unless the radius is finite and >= 0 and
+    p is a nonnegative int.
     """
+    # a nan or infinite radius puts nan on every point, and the max ignores it
+    if not (math.isfinite(radius) and radius >= 0.0):
+        raise ConfigError(f"radius must be finite and >= 0, got {radius!r}")
+    if not (isinstance(p, numbers.Integral) and p >= 0):
+        raise ConfigError(f"p must be a nonnegative int, got {p!r}")
     _require_same_n(b1, b2)
     n = b1.n
     f1 = metric_field_fit(b1)

@@ -20,8 +20,8 @@ or a skew part of h.mu0 above 1e-8 of its norm (rounding damage), raises
 NumericalFailure.  Every flow runs one adaptive Dormand-Prince 5(4)
 integrator; a stop is a sample of its 4th-order continuous extension, not a
 step end.
-The module also recovers the frame of h' = -(Ric + r I) h along a trace,
-integrates the equivalent inner-product (metric tensor) flow
+The module also integrates the ungauged companion frame h' = -(Ric + r I) h,
+a second run of a flow, and the equivalent inner-product (metric tensor) flow
 G' = -2 ric(G) - 2 r G, and checks the structural identities of the r = 0 flow.
 The metric flow's state is the factor of G = L L^T, as the strict lower part
 of L and log diag L, so G stays positive definite by construction and its
@@ -41,6 +41,7 @@ import numpy as np
 
 from .algebra import (
     Bracket,
+    _as_array,
     _delta_coeffs,
     _gl_action_coeffs,
     _jacobiator_max,
@@ -259,7 +260,8 @@ _TRACE_COLUMNS = ("t", "mu_norm", "scal", "tr_ric2", "grad_norm", "r", "jacobi_r
 def _index_of_time(times, t):
     """Index of the sample at time t, or an index array for an array of times."""
     i = np.abs(np.subtract.outer(times, t)).argmin(axis=0)
-    if np.any(np.abs(times[i] - t) > 1e-9 * np.maximum(1.0, np.abs(t))):
+    # <= fails on a nan t; an infinite t would pass with an infinite tolerance
+    if not np.all(np.isfinite(t) & (np.abs(times[i] - t) <= 1e-9 * np.maximum(1.0, np.abs(t)))):
         raise KeyError(f"time {t} is not a sample of this trace")
     return i
 
@@ -421,7 +423,7 @@ def _shifted_ricci(c0, rate, norm_sq):
 
 
 def _frame_generator(b0, rate, norm_sq):
-    """Generator of the frame flow for mu = h.mu0: returns h -> (h', D).
+    """Right side rhs(t, y) of the frame flow for mu = h.mu0, y = h flattened.
 
     X is the _shifted_ricci kernel at (h, h^{-1}) and D is the projection of
     h^{-1} X h onto Der(mu0), whose basis B is orthonormal, so the projection
@@ -430,20 +432,24 @@ def _frame_generator(b0, rate, norm_sq):
     scalar rate X is evaluated on the sphere ||mu|| = ||mu0||; then
     <mu', mu> = 0, and the flow of h commutes with rescaling h.  One call is
     a few plain matrix products: the GL action, the two of Ricci, the
-    projection and h'.
+    projection and h'.  A singular h raises NumericalFailure.
     """
     n, c0 = b0.n, b0.coeffs
     basis = np.array(derivation_basis(b0)).reshape(-1, n * n)
     proj = basis.T @ basis
     shifted_ricci = _shifted_ricci(c0, rate, norm_sq)
 
-    def generator(h):
-        hinv = np.linalg.inv(h)
+    def rhs(t, y):
+        h = y.reshape(n, n)
+        try:
+            hinv = np.linalg.inv(h)
+        except np.linalg.LinAlgError:
+            raise NumericalFailure(f"the frame h became singular at t={t:.6g}") from None
         xh = shifted_ricci(h, hinv) @ h
         d = (proj @ (hinv @ xh).reshape(-1)).reshape(n, n)
-        return h @ d - xh, d
+        return (h @ d - xh).reshape(-1)
 
-    return generator
+    return rhs
 
 
 # Beyond cond(h) = 1/sqrt(eps) the rounding of mu = h.mu0, about cond(h)^2 eps
@@ -533,16 +539,8 @@ def integrate_bracket_flow(b0: Bracket, t_max: float, opts: FlowOpts | None = No
     and the rate at each sample in `r_values`.
     """
     rate, norm_sq = _rate(r, b0)
-    n = b0.n
-    generator = _frame_generator(b0, rate, norm_sq)
-
-    def rhs(t, y):
-        try:
-            return generator(y.reshape(n, n))[0].reshape(-1)
-        except np.linalg.LinAlgError:
-            raise NumericalFailure(f"the frame h became singular at t={t:.6g}") from None
-
-    samples, stats = _integrate_adaptive(rhs, 0.0, np.eye(n).reshape(-1), t_max, opts)
+    rhs = _frame_generator(b0, rate, norm_sq)
+    samples, stats = _integrate_adaptive(rhs, 0.0, np.eye(b0.n).reshape(-1), t_max, opts)
     return _finish_trace(samples, stats, b0.coeffs, r, rate, norm_sq)
 
 
@@ -557,29 +555,30 @@ def integrate_normalized_flow(b0: Bracket, t_max: float, opts: FlowOpts | None =
 
 
 def cointegrate_h(trace: FlowTrace) -> np.ndarray:
-    """Frames h(t) of h' = -(Ric_{mu(t)} + r(t) I) h, h(0) = I, along a trace.
+    """Frames h(t) of h' = -(Ric_{h.mu0} + r I) h, h(0) = I, at the trace's times.
 
-    The trace's `frames` f already pull the initial bracket onto it
-    (mu(t) = f(t).mu(0)), but solve f' = -(X - f D f^{-1}) f (see the module
-    docstring).  The factor a' = -D a, a(0) = I, stays in Aut(mu(0)), and
-    h = f a solves the equation above.  (f, a) is integrated from (I, I) in
-    one unthinned run with a stop, so a sample, at every sample time t_i.
-    Returns the (m, n, n) array of frames[i] @ a(t_i); mu(t) = h(t).mu(0).
+    mu0 is the trace's initial bracket and r its rate; X = Ric + r I is the
+    _shifted_ricci kernel at h, so h.mu0 runs the bracket flow a second time,
+    apart from the trace's gauged frames, in one unthinned run with a stop,
+    so a sample, at every sample time.  Returns the (m, n, n) array of
+    h(t_i).  A singular h, or one whose products overflow, raises
+    NumericalFailure.
     """
     b0 = trace.initial_bracket
     n = b0.n
-    nn = n * n
-    times = trace.times
-    generator = _frame_generator(b0, *_rate(trace.rate, b0))
+    shifted_ricci = _shifted_ricci(b0.coeffs, *_rate(trace.rate, b0))
 
     def rhs(t, y):
-        df, d = generator(y[:nn].reshape(n, n))
-        return np.concatenate([df.reshape(-1), (-d @ y[nn:].reshape(n, n)).reshape(-1)])
+        h = y.reshape(n, n)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return -(shifted_ricci(h, np.linalg.inv(h)) @ h).reshape(-1)
+        except (np.linalg.LinAlgError, FloatingPointError):
+            raise NumericalFailure(f"the companion frame h became singular at t={t:.6g}") from None
 
-    opts = FlowOpts(rtol=1e-10, atol=1e-12, stops=tuple(times[1:-1]))
-    y0 = np.concatenate([np.eye(n).reshape(-1), np.eye(n).reshape(-1)])
-    at = dict(_integrate_adaptive(rhs, times[0], y0, times[-1], opts)[0])
-    return trace.frames @ np.array([at[t][nn:] for t in times]).reshape(-1, n, n)
+    opts = FlowOpts(rtol=1e-10, atol=1e-12, stops=tuple(trace.times[1:-1]))
+    at = dict(_integrate_adaptive(rhs, trace.times[0], np.eye(n).reshape(-1), trace.times[-1], opts)[0])
+    return np.array([at[t] for t in trace.times]).reshape(-1, n, n)
 
 
 @dataclass
@@ -594,8 +593,9 @@ class InnerProductTrace(_Samples):
 def innerproduct_scal(b0: Bracket, g: np.ndarray):
     """Scalar curvature of the metric G paired with the fixed bracket b0; a
     stack of metrics (leading axes of G) gives an array of values."""
+    g = _as_array(g, np.shape(g)[:-2] + (b0.n, b0.n), "metric")
     # (G, mu_0) is isometric to (I, (L^T).mu_0) for G = L L^T
-    h = np.linalg.cholesky(np.asarray(g, float)).mT
+    h = np.linalg.cholesky(g).mT
     c_nu = _gl_action_coeffs(h, np.linalg.inv(h), b0.coeffs)
     return -0.25 * np.sum(c_nu * c_nu, axis=(-3, -2, -1))
 
@@ -795,11 +795,10 @@ def equivalence_report(
 ) -> EquivalenceReport:
     """Run the same geometry three ways and compare at shared checkpoints.
 
-    The inner-product flow is integrated with the bracket fixed; the bracket
-    flow is integrated with the same rate, and h(t) is co-integrated along
-    it.  r is any rate the bracket flows accept: None for the unnormalized
-    flow, a finite constant, or the string "scalar" for the normalized flow
-    on ||b0|| = 2.
+    The inner-product flow (bracket fixed), the bracket flow and the
+    companion frame h(t) each run on their own, with the same rate r: any
+    rate the bracket flows accept, None for the unnormalized flow, a finite
+    constant, or "scalar" for the normalized flow on ||b0|| = 2.
     """
     if checkpoints < 2:
         raise ConfigError(f"checkpoints must be at least 2, got {checkpoints}")

@@ -19,7 +19,7 @@ from nilflow.bch import (
     metric_field_fit,
     translation_jacobian,
 )
-from nilflow.exceptions import BracketFormatError, DegreeTooHigh, DimensionMismatch
+from nilflow.exceptions import BracketFormatError, ConfigError, DegreeTooHigh, DimensionMismatch
 from nilflow.generators import filiform, heisenberg, random_nilpotent, random_two_step, sphere_perturbation
 
 from conftest import random_sphere_bracket
@@ -389,3 +389,14 @@ def test_distance_scales_linearly_in_perturbation(heis):
 def test_distance_rejects_dimension_mismatch(heis, fil4):
     with pytest.raises(DimensionMismatch):
         metric_convergence_distance(heis, fil4, radius=1.0)
+
+
+@pytest.mark.parametrize(
+    "radius, p",
+    [(math.nan, 2), (math.inf, 2), (-1.0, 2), (1.0, -1), (1.0, 2.5)],
+    ids=["nan-radius", "inf-radius", "negative-radius", "negative-p", "fractional-p"],
+)
+def test_distance_rejects_bad_radius_and_order(heis, radius, p):
+    # a nan or infinite radius and p = -1 read 0.0, "the metrics agree"; p = 2.5 was a TypeError
+    with pytest.raises(ConfigError):
+        metric_convergence_distance(heis, heisenberg(1.1), radius=radius, p=p)

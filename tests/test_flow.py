@@ -26,6 +26,7 @@ from nilflow.exceptions import (
     BadNormalization,
     BadRate,
     ConfigError,
+    DimensionMismatch,
     NumericalFailure,
     StepSizeUnderflow,
     TooFewSamples,
@@ -103,6 +104,15 @@ def test_stops_give_exact_sample_times(heis):
         assert trace.times[i] == pytest.approx(t, abs=1e-12)
     with pytest.raises(KeyError):
         trace.index_of_time(0.37)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf], ids=["nan", "inf"])
+def test_non_finite_time_is_no_sample(heis, t):
+    # both used to find the start sample: nan compares as nothing, and inf
+    # got an infinite tolerance
+    for samples in (integrate_bracket_flow(heis, 1.0), integrate_innerproduct_flow(heis, 1.0)):
+        with pytest.raises(KeyError):
+            samples.index_of_time(t)
 
 
 @pytest.fixture
@@ -251,16 +261,15 @@ def test_frame_generator_matches_public_functions(n, r):
     for b0 in dense_starts(n, 300 + n):
         if r == "scalar":
             b0 = rescale_to_norm(b0)
-        generator = flow._frame_generator(b0, *flow._rate(r, b0))
+        rhs = flow._frame_generator(b0, *flow._rate(r, b0))
         for _ in range(2):
             # cond(h) <= 4
             h = random_orthogonal(n, rng) @ np.diag(rng.uniform(0.5, 2.0, n)) @ random_orthogonal(n, rng)
             _assert_kernel_is_bitwise_the_stacked_path(b0, r, h)
-            dh, d = generator(h)
+            dh = rhs(0.0, h.reshape(-1)).reshape(n, n)
             ref_dh, ref_d = _reference_generator(b0, r, h)
             # h' = h D - X h cancels at a soliton: compare relative to its terms
             assert np.abs(dh - ref_dh).max() <= 1e-12 * np.abs(h @ ref_d).max()
-            assert np.abs(d - ref_d).max() <= 1e-12 * np.abs(ref_d).max()
 
 
 @pytest.mark.parametrize("r", [None, 0.5, "scalar"], ids=["unnormalized", "constant", "scalar"])
@@ -780,7 +789,7 @@ def test_gl_action_accepts_ill_conditioned_cointegrated_frames():
     hs = cointegrate_h(trace)
     assert np.linalg.cond(hs[-1]) > 1e3
     for h, mu in zip(hs, trace.brackets):
-        # a(t) is an automorphism to the integration tolerance, amplified by cond(h)
+        # two independent runs agree to their tolerances, amplified by cond(h)
         assert np.linalg.norm(gl_action(h, b).coeffs - mu.coeffs) / mu.norm < 1e-6
 
 
@@ -791,6 +800,13 @@ def test_innerproduct_flow_matches_exact_scal(heis):
     assert innerproduct_scal(heis, g) == pytest.approx(-0.125, rel=1e-8)
     assert np.allclose(g, g.T)
     assert np.all(np.linalg.eigvalsh(g) > 0.0)
+
+
+def test_innerproduct_scal_rejects_a_metric_of_the_wrong_size(heis):
+    # a (2, 2) metric for a 3-dimensional bracket ended in matmul's ValueError
+    for g in (np.eye(2), np.ones(3), np.eye(4)[None]):
+        with pytest.raises(DimensionMismatch):
+            innerproduct_scal(heis, g)
 
 
 def test_scalar_rate_metric_flow_stays_positive_definite(heis_sphere):
@@ -820,16 +836,15 @@ def test_singular_frame_carries_the_accepted_samples(heis, monkeypatch):
     real = flow._frame_generator
 
     def failing_after(*args):
-        generator = real(*args)
+        rhs = real(*args)
         calls = []
 
-        def gen(h):
+        def singular_after(t, y):
+            # past 40 calls the right side sees the zero frame, which inv rejects
             calls.append(None)
-            if len(calls) > 40:
-                raise np.linalg.LinAlgError("singular")
-            return generator(h)
+            return rhs(t, y if len(calls) <= 40 else np.zeros_like(y))
 
-        return gen
+        return singular_after
 
     monkeypatch.setattr(flow, "_frame_generator", failing_after)
     with pytest.raises(NumericalFailure, match="singular") as info:
@@ -878,14 +893,26 @@ def test_equivalence_constant_rate(heis_sphere):
     assert rep.ok(1e-5), rep
 
 
+@pytest.mark.parametrize("r", [None, "scalar"], ids=["unnormalized", "scalar"])
+@pytest.mark.parametrize("n", range(3, 9))
+def test_equivalence_on_dense_starts(n, r):
+    # rotated starts: no zero pattern that the three presentations could share
+    for b in dense_starts(n, 300 + n):
+        if r == "scalar":
+            b = rescale_to_norm(b)
+        rep = equivalence_report(b, 2.0, FlowOpts(max_step=0.05), r=r, checkpoints=11)
+        assert rep.ok(1e-5), rep
+
+
 def test_equivalence_rejects_callable(heis_sphere):
     with pytest.raises(TypeError):
         equivalence_report(heis_sphere, 1.0, r=lambda b: 0.0)
 
 
 def test_equivalence_with_a_singular_frame_raises():
-    # the automorphism factor makes a cointegrated frame singular by t = 120;
-    # np.linalg.inv ended the report in LinAlgError
+    # near the soliton the companion frame degenerates like exp(-tD) and turns
+    # singular by t = 120, where its products overflow; np.linalg.inv ended
+    # the report in LinAlgError
     b = rescale_to_norm(random_two_step(5, np.random.default_rng(3)))
     with pytest.raises(NumericalFailure, match="singular"):
         equivalence_report(b, 120.0, r="scalar")
