@@ -35,6 +35,17 @@ _SQRT_TINY = math.sqrt(np.finfo(float).tiny)  # smallest norm whose square is no
 _FLOAT_MAX = float(np.finfo(float).max)
 
 
+def _norm(a: np.ndarray, ndim: int = 3):
+    """Frobenius norm over the last ndim axes of a (leading axes are batch axes), as
+    sqrt(vecdot) like np.linalg.norm; where the square underflows, m ||a / m||, m = max|a|."""
+    flat = a.reshape(*a.shape[: a.ndim - ndim], -1)
+    nrm = np.sqrt(np.vecdot(flat, flat))
+    if (nrm < _SQRT_TINY).any():
+        m = np.abs(flat).max(axis=-1, keepdims=True, initial=np.finfo(float).smallest_subnormal)
+        nrm = np.where(nrm < _SQRT_TINY, m[..., 0] * np.sqrt(np.vecdot(flat / m, flat / m)), nrm)
+    return nrm
+
+
 @dataclass(frozen=True, eq=False)
 class VTangent:
     """Skew-symmetric bilinear map R^n x R^n -> R^n (a point of V_n).
@@ -90,14 +101,8 @@ class VTangent:
 
     @property
     def norm(self) -> float:
-        """Norm induced by the full-array inner product (all ordered pairs);
-        divided by max|c| first when the sum of squares underflows."""
-        nrm = float(np.linalg.norm(self.coeffs))
-        if nrm < _SQRT_TINY:
-            m = float(np.abs(self.coeffs).max())
-            if m > 0.0:
-                nrm = m * float(np.linalg.norm(self.coeffs / m))
-        return nrm
+        """Norm induced by the full-array inner product (all ordered pairs)."""
+        return float(_norm(self.coeffs))
 
     def apply(self, x, y) -> np.ndarray:
         """Evaluate the bilinear map on a pair of vectors."""
@@ -193,7 +198,7 @@ def _central_series(c: np.ndarray, tol: float):
     # Genuine singular values of every step scale linearly with ||mu|| (the
     # spanning basis is re-orthonormalized each time), so one scale-invariant
     # threshold works at all depths.
-    thresh = tol * float(np.linalg.norm(c))
+    thresh = tol * float(_norm(c))
     dims = [n]
     basis = np.eye(n)
     for step in range(1, n + 2):

@@ -182,6 +182,8 @@ class MetricField:
             raw = obj["coefficients"]
         except (KeyError, TypeError, ValueError) as exc:
             raise BracketFormatError(f"malformed metric-field document: {exc}") from None
+        if degree < 0:
+            raise BracketFormatError(f"metric-field 'degree' must be >= 0, got {degree}")
         if not isinstance(raw, list):
             raise BracketFormatError("metric-field 'coefficients' must be a list")
         coeffs = {}

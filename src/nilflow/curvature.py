@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Operator, VTangent, _as_array, _delta_coeffs, _delta_transpose_coeffs
+from .algebra import Operator, VTangent, _as_array, _delta_coeffs, _delta_transpose_coeffs, _norm
 from .exceptions import BadNormalization, ZeroBracket
 
 
@@ -30,6 +30,12 @@ def _ricci(c: np.ndarray) -> np.ndarray:
     ric *= -0.5
     ric += 0.25 * (cols.mT @ cols)
     return ric
+
+
+def _tr_ric2(ric: np.ndarray) -> np.ndarray:
+    """tr(Ric^2) = ||Ric||^2 of each Ricci operator; leading axes of ric are batch axes."""
+    flat = ric.reshape(*ric.shape[:-2], -1)
+    return np.vecdot(flat, flat)
 
 
 def ricci_operator(b: VTangent) -> Operator:
@@ -92,7 +98,7 @@ class RiemannTensor:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.entries))
+        return float(_norm(self.entries, 4))
 
     def sectional(self, i: int, j: int) -> float:
         return float(self.entries[i, j, i, j])
@@ -128,8 +134,7 @@ def riemann_at_origin(b: VTangent) -> RiemannTensor:
 
 def ricci_energy(b: VTangent) -> float:
     """tr(Ric^2) — the functional whose negative gradient drives the flow."""
-    ric = _ricci(b.coeffs)
-    return float(np.sum(ric * ric))
+    return float(_tr_ric2(_ricci(b.coeffs)))
 
 
 def ricci_energy_gradient(b: VTangent) -> VTangent:
@@ -181,13 +186,13 @@ def curvature_pack(b: VTangent) -> CurvaturePack:
     a nonzero bracket: tr Ric = -||mu||^2 / 4 makes it at least
     ||mu||^4 / (16 n), never zero."""
     ric = ricci_operator(b)
-    energy = float(np.sum(ric * ric))
+    energy = float(_tr_ric2(ric))
     if energy < np.finfo(float).tiny and b.norm > 0.0:
         raise BadNormalization(f"tr Ric^2 underflows at ||mu|| = {b.norm:.3e}; rescale explicitly")
     return CurvaturePack(
         ricci=ric,
         spectrum=np.linalg.eigvalsh(ric),
         scal=scalar_curvature(b),
-        ricci_norm=float(np.linalg.norm(ric)),
+        ricci_norm=float(np.sqrt(energy)),
         energy=energy,
     )

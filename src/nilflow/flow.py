@@ -45,15 +45,17 @@ from .algebra import (
     _delta_coeffs,
     _gl_action_coeffs,
     _jacobiator_max,
+    _norm,
     bracket_to_dict,
     derivation_basis,
 )
-from .curvature import _ricci, _riemann
+from .curvature import _ricci, _riemann, _tr_ric2
 from .exceptions import (
     BadNormalization,
     BadRate,
     ConfigError,
     NumericalFailure,
+    SingularMatrix,
     StepSizeUnderflow,
     TooFewSamples,
 )
@@ -103,7 +105,9 @@ class FlowOpts:
     sample of the 4th-order continuous extension of the step holding it, not
     a step end.  Past 8192 samples the step samples are thinned to a doubling
     stride over the whole run; stops count against that cap but are never
-    thinned, so a run with more stops than the cap returns them all."""
+    thinned, so a run with more stops than the cap returns them all.  Every
+    stop must be a finite real number (else ConfigError); stops outside the
+    run's open interval are ignored."""
 
     rtol: float = 1e-9
     atol: float = 1e-9
@@ -117,6 +121,15 @@ class FlowOpts:
         # min(h, nan) keeps h, so a nan max_step would be ignored silently
         if not self.max_step > 0.0:
             raise ConfigError(f"max_step must be > 0, got {self.max_step!r}")
+        # a nan stop would be dropped silently; one array conversion, as
+        # cointegrate_h passes a stop per trace sample
+        try:
+            stops = np.asarray(self.stops)
+            ok = stops.ndim == 1 and stops.dtype.kind in "iuf" and np.isfinite(stops).all()
+        except ValueError:  # a ragged sequence
+            ok = False
+        if not ok:
+            raise ConfigError(f"stops must be finite real numbers, got {self.stops!r:.80}")
 
 
 def _error_norm(err, y_old, y_new, rtol, atol):
@@ -266,12 +279,6 @@ def _index_of_time(times, t):
     return i
 
 
-def _sample_norms(a):
-    """Frobenius norm of each a[i]; vecdot sums as np.linalg.norm(a[i]) does."""
-    flat = a.reshape(len(a), -1)
-    return np.sqrt(np.vecdot(flat, flat))
-
-
 class _Samples:
     """The length of a trace and the lookup of its sample times."""
 
@@ -359,12 +366,6 @@ def trace_from_csv(path) -> dict:
                 raise ConfigError(f"line {reader.line_num} of the trace: {exc}") from None
     cols = np.array(rows).T if rows else np.zeros((len(_TRACE_COLUMNS), 0))
     return dict(zip(_TRACE_COLUMNS, cols))
-
-
-def _tr_ric2(ric):
-    """tr(Ric^2) of each Ricci operator; leading axes of ric are batch axes."""
-    flat = ric.reshape(*ric.shape[:-2], -1)
-    return np.vecdot(flat, flat)
 
 
 def _rate(r, b0):
@@ -491,7 +492,7 @@ def _finish_trace(samples, stats, c0, r, rate, norm_sq):
     # h.mu0 only where h is within the bound: past it the inverse is noise
     frames = frames[:i]
     coeffs = _gl_action_coeffs(frames, np.linalg.inv(frames), c0)
-    norms = _sample_norms(coeffs)
+    norms = _norm(coeffs)
     skew = np.abs(coeffs + coeffs.swapaxes(1, 2)).max(axis=(1, 2, 3))
     defect = skew / np.maximum(norms, np.finfo(float).tiny)
     j = _first_above(defect, _MAX_SKEW_DEFECT)
@@ -506,12 +507,12 @@ def _finish_trace(samples, stats, c0, r, rate, norm_sq):
     stats["max_skew_defect"] = float(defect.max())
     if norm_sq is not None:
         # (lambda h).mu0 = mu / lambda puts every sample back on ||mu|| = ||mu0||
-        lams = norms / np.linalg.norm(c0)
+        lams = norms / _norm(c0)
         frames = lams[:, None, None] * frames
         coeffs = coeffs / lams[:, None, None, None]
     coeffs = 0.5 * (coeffs - coeffs.swapaxes(1, 2))
     ric = _ricci(coeffs)
-    mu_norm = _sample_norms(coeffs)
+    mu_norm = _norm(coeffs)
     return FlowTrace(
         times=times,
         coeffs=coeffs,
@@ -520,7 +521,7 @@ def _finish_trace(samples, stats, c0, r, rate, norm_sq):
         mu_norm=mu_norm,
         scal=-0.25 * mu_norm**2,
         tr_ric2=_tr_ric2(ric),
-        grad_norm=_sample_norms(_delta_coeffs(coeffs, ric)),
+        grad_norm=_norm(_delta_coeffs(coeffs, ric)),
         jacobi_residual=_by_blocks(_jacobiator_max, coeffs),
         stats=stats,
         rate=r,
@@ -592,12 +593,20 @@ class InnerProductTrace(_Samples):
 
 def innerproduct_scal(b0: Bracket, g: np.ndarray):
     """Scalar curvature of the metric G paired with the fixed bracket b0; a
-    stack of metrics (leading axes of G) gives an array of values."""
+    stack of metrics (leading axes of G) gives an array of values.  A metric
+    that is not positive definite, or has a non-finite entry, raises
+    SingularMatrix."""
     g = _as_array(g, np.shape(g)[:-2] + (b0.n, b0.n), "metric")
+    # the Cholesky factorization passes nan entries through
+    if not np.isfinite(g).all():
+        raise SingularMatrix("metric has a non-finite entry")
     # (G, mu_0) is isometric to (I, (L^T).mu_0) for G = L L^T
-    h = np.linalg.cholesky(g).mT
+    try:
+        h = np.linalg.cholesky(g).mT
+    except np.linalg.LinAlgError:
+        raise SingularMatrix("metric is not positive definite") from None
     c_nu = _gl_action_coeffs(h, np.linalg.inv(h), b0.coeffs)
-    return -0.25 * np.sum(c_nu * c_nu, axis=(-3, -2, -1))
+    return -0.25 * _norm(c_nu) ** 2
 
 
 # log of the smallest normal float: below it exp underflows and 1 / exp overflows
@@ -759,7 +768,7 @@ def type3_certificate(trace: FlowTrace) -> Type3Report:
         raise ConfigError("type-III bounds apply to the unnormalized flow (r = 0) only")
     n = trace.coeffs.shape[-1]
     t = trace.times
-    riemann_norm = _by_blocks(lambda c: _sample_norms(_riemann(c)), trace.coeffs)
+    riemann_norm = _by_blocks(lambda c: _norm(_riemann(c), 4), trace.coeffs)
     sup_ric = float(np.max(t * np.sqrt(trace.tr_ric2)))
     return Type3Report(
         sup_t_riemann=float(np.max(t * riemann_norm)),
@@ -812,12 +821,12 @@ def equivalence_report(
         pulled = _gl_action_coeffs(hs, np.linalg.inv(hs), b0.coeffs)
     except np.linalg.LinAlgError:
         raise NumericalFailure("a cointegrated frame h(t) became singular") from None
-    pullback = _sample_norms(trace.coeffs - pulled) / np.maximum(trace.mu_norm, 1e-300)
+    pullback = _norm(trace.coeffs - pulled) / np.maximum(trace.mu_norm, 1e-300)
 
     i = _index_of_time(trace.times, grid)
     h, scal = hs[i], trace.scal[i]
     g = ip.metrics[_index_of_time(ip.times, grid)]
-    gram = _sample_norms(g - h.swapaxes(1, 2) @ h) / np.maximum(_sample_norms(g), 1e-300)
+    gram = _norm(g - h.swapaxes(1, 2) @ h, 2) / np.maximum(_norm(g, 2), 1e-300)
     scal_mismatch = np.abs(innerproduct_scal(b0, g) - scal) / np.maximum(np.abs(scal), 1e-300)
     return EquivalenceReport(
         max_pullback_residual=float(pullback.max()),

@@ -16,10 +16,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .algebra import Bracket, _nilpotent_series, delta
-from .curvature import ricci_operator
+from .algebra import Bracket, _nilpotent_series, _norm, delta
+from .curvature import _tr_ric2, ricci_operator
 from .exceptions import ConfigError, ZeroBracket
-from .flow import _sample_norms
+
 
 @dataclass(frozen=True)
 class SolitonCertificate:
@@ -55,7 +55,7 @@ def soliton_residual(b: Bracket, tol: float = 1e-8) -> SolitonCertificate:
     if nrm == 0.0:
         raise ZeroBracket("the zero bracket has no soliton normalization")
     ric = ricci_operator(b)
-    ric_norm = float(np.linalg.norm(ric))
+    ric_norm = math.sqrt(_tr_ric2(ric))
     c = -4.0 * (ric_norm / nrm) ** 2
     d = ric - c * np.eye(b.n)
     resid = delta(b, d).norm
@@ -103,7 +103,7 @@ def detect_convergence(trace, tol: float = 1e-8) -> ConvergenceReport:
     r2 = math.nan
     if window >= 3:
         ts = trace.times[-1 - window : -1]
-        ds = _sample_norms(trace.coeffs[-1 - window : -1] - limit.coeffs)
+        ds = _norm(trace.coeffs[-1 - window : -1] - limit.coeffs)
         keep = ds > 1e-14
         # a fit is only informative when the tail actually spans some decay,
         # not when the distances sit at rounding level
@@ -142,7 +142,7 @@ def orbit_invariants(b: Bracket) -> dict:
     return {
         "ricci_spectrum": [float(v) for v in np.sort(np.linalg.eigvalsh(ric))],
         "mu_norm": float(b.norm),
-        "energy": float(np.sum(ric * ric)),  # ricci_energy(b), from the Ricci operator above
+        "energy": float(_tr_ric2(ric)),
         "degree": degree,
         "series_dims": [int(v) for v in dims],
     }

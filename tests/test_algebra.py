@@ -95,6 +95,18 @@ def test_bracket_whose_norm_underflows_keeps_its_norm():
         assert b.scaled(scale).norm == float(np.linalg.norm(b.scaled(scale).coeffs))
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e-300])
+def test_rank_decisions_of_a_tiny_bracket(scale):
+    # the rank threshold scales with ||mu||; a sum of squares that underflowed
+    # made it 0, so rounding residue counted as rank
+    rng = np.random.default_rng(5)
+    b = gl_action(random_orthogonal(5, rng), random_two_step(5, rng))
+    assert central_series_dims(b) == [5, 1, 0] and nilpotency_degree(b) == 2
+    tiny = b.scaled(scale)
+    assert central_series_dims(tiny) == [5, 1, 0]
+    assert nilpotency_degree(tiny) == 2
+
+
 H3 = heisenberg()
 
 

@@ -369,6 +369,8 @@ def test_field_from_dict_rejects_garbage():
             MetricField.from_dict({"n": 2, "degree": 1, "coefficients": [bad]})
     with pytest.raises(BracketFormatError, match="list"):
         MetricField.from_dict({"n": 2, "degree": 1, "coefficients": 5})
+    with pytest.raises(BracketFormatError, match="degree"):
+        MetricField.from_dict({"n": 1, "degree": -3, "coefficients": []})
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from nilflow.exceptions import (
     ConfigError,
     DimensionMismatch,
     NumericalFailure,
+    SingularMatrix,
     StepSizeUnderflow,
     TooFewSamples,
 )
@@ -324,6 +325,16 @@ def test_max_step_must_be_positive():
     for value in (0.0, -1.0, float("nan")):
         with pytest.raises(ConfigError, match="max_step"):
             FlowOpts(max_step=value)
+
+
+@pytest.mark.parametrize(
+    "stops", [(float("nan"),), (1.0, float("inf")), ("a",), (True,), ((1.0, 2.0),), ((1.0,), 2.0)],
+    ids=["nan", "inf", "string", "bool", "nested", "ragged"],
+)
+def test_stops_must_be_finite_real_numbers(stops):
+    # a nan stop was dropped silently, a string failed in the sort of the run
+    with pytest.raises(ConfigError, match="stops"):
+        FlowOpts(stops=stops)
 
 
 @pytest.mark.parametrize("t_max", [float("inf"), float("nan"), -1.0], ids=["inf", "nan", "negative"])
@@ -666,15 +677,12 @@ def test_nan_derivative_underflows(bounded_steps):
         flow._integrate_adaptive(lambda t, y: np.full_like(y, np.nan), 0.0, np.ones(3), 1.0, FlowOpts())
 
 
-def _close(column, reference):
-    np.testing.assert_allclose(column, reference, rtol=1e-13, atol=0.0)
-
-
 @pytest.mark.parametrize("n", [3, 5, 8])
 @pytest.mark.parametrize("kind", ["unnormalized", "normalized", "constant"])
 def test_trace_columns_match_per_bracket_functions(kind, n):
-    # the batched kernels define each column as the public function of the
-    # sample's bracket; rotated starts have no zero pattern to hide behind
+    # each column is computed by the function behind its per-bracket
+    # counterpart, so they agree bit for bit; rotated starts have no zero
+    # pattern to hide behind
     b0 = rescale_to_norm(random_nilpotent(n, _rng(n)))
     if kind == "unnormalized":
         trace = integrate_bracket_flow(b0, 5.0)
@@ -686,25 +694,33 @@ def test_trace_columns_match_per_bracket_functions(kind, n):
     assert len(brackets) == len(trace) > 3
     assert all(np.array_equal(b.coeffs, c) for b, c in zip(brackets, trace.coeffs))
     norms = np.array([b.norm for b in brackets])
-    _close(trace.mu_norm, norms)
-    _close(trace.scal, [scalar_curvature(b) for b in brackets])
+    assert np.array_equal(trace.mu_norm, norms)
+    assert np.array_equal(trace.scal, [scalar_curvature(b) for b in brackets])
     energies = [ricci_energy(b) for b in brackets]
-    _close(trace.tr_ric2, energies)
-    _close(trace.grad_norm, [ricci_energy_gradient(b).norm for b in brackets])
-    _close(trace.jacobi_residual, [jacobiator_residual(b) for b in brackets])
+    assert np.array_equal(trace.tr_ric2, energies)
+    assert np.array_equal(trace.grad_norm, [ricci_energy_gradient(b).norm for b in brackets])
+    assert np.array_equal(trace.jacobi_residual, [jacobiator_residual(b) for b in brackets])
     if kind == "constant":
         assert np.all(trace.r_values == 0.5)
     elif kind == "normalized":
-        _close(trace.r_values, energies)
+        assert np.array_equal(trace.r_values, energies)
     else:
         assert not np.any(trace.r_values)
         t = trace.times
         riemann = [riemann_at_origin(b).norm for b in brackets]
         ricci = [np.linalg.norm(ricci_operator(b)) for b in brackets]
         report = type3_certificate(trace)
-        _close(report.sup_t_riemann, max(t * riemann))
-        _close(report.sup_t_ricci, max(t * ricci))
-        _close(report.sup_norm_ratio, max(t * norms**2) / (2 * n))
+        assert report.sup_t_riemann == max(t * riemann)
+        assert report.sup_t_ricci == max(t * ricci)
+        assert report.sup_norm_ratio == max(t * norms**2) / (2 * n)
+
+
+@pytest.mark.parametrize("c", [1e-200, 1e-160])
+def test_norm_column_of_a_tiny_bracket(c):
+    # ||mu||^2 underflows to 0 at c = 1e-200 and is subnormal at c = 1e-160;
+    # the column read 0, or lost digits, where Bracket.norm rescales
+    trace = integrate_bracket_flow(heisenberg(c), 1.0)
+    assert np.array_equal(trace.mu_norm, [b.norm for b in trace.brackets])
 
 
 # ---------------------------------------------------------------------------
@@ -807,6 +823,15 @@ def test_innerproduct_scal_rejects_a_metric_of_the_wrong_size(heis):
     for g in (np.eye(2), np.ones(3), np.eye(4)[None]):
         with pytest.raises(DimensionMismatch):
             innerproduct_scal(heis, g)
+
+
+@pytest.mark.parametrize(
+    "g", [-np.eye(3), np.zeros((3, 3)), np.full((3, 3), np.nan)], ids=["negative", "zero", "nan"]
+)
+def test_innerproduct_scal_rejects_a_metric_that_is_not_positive_definite(heis, g):
+    # the first two ended in numpy's LinAlgError; the nan metric returned nan
+    with pytest.raises(SingularMatrix):
+        innerproduct_scal(heis, g)
 
 
 def test_scalar_rate_metric_flow_stays_positive_definite(heis_sphere):
