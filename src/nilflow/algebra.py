@@ -322,29 +322,19 @@ def delta(b: VTangent, alpha: Operator) -> VTangent:
     return VTangent(_delta_coeffs(b.coeffs, _as_array(alpha, (b.n, b.n), "operator")))
 
 
-def _delta_transpose_coeffs(c: np.ndarray, v: np.ndarray) -> np.ndarray:
-    t1 = np.einsum("pjk,qjk->pq", c, v)
-    t2 = np.einsum("ipk,iqk->pq", c, v)
-    t3 = np.einsum("ijq,ijp->pq", c, v)
-    return t1 + t2 - t3
+def _delta_matrix(c: np.ndarray) -> np.ndarray:
+    """Matrix of alpha -> delta_mu(alpha): shape (n^3, n^2), column p n + q is
+    _delta_coeffs on the unit matrix E_pq, all n^2 of them in one batch."""
+    n = c.shape[0]
+    units = np.eye(n * n).reshape(n * n, n, n)
+    return _delta_coeffs(c, units).reshape(n * n, n**3).T
 
 
 def delta_transpose(b: VTangent, v: VTangent) -> Operator:
-    """Adjoint of delta_mu with respect to the V_n and trace inner products."""
+    """Adjoint of delta_mu with respect to the V_n and trace inner products:
+    the transpose of _delta_matrix applied to vec(v)."""
     _require_same_n(b, v)
-    return _delta_transpose_coeffs(b.coeffs, v.coeffs)
-
-
-def _delta_matrix(c: np.ndarray) -> np.ndarray:
-    """Matrix of alpha -> delta_mu(alpha): shape (n^3, n^2), columns indexed by vec(alpha)."""
-    n = c.shape[0]
-    eye = np.eye(n)
-    a = (
-        np.einsum("ib,ajk->ijkab", eye, c)
-        + np.einsum("jb,iak->ijkab", eye, c)
-        - np.einsum("ka,ijb->ijkab", eye, c)
-    )
-    return a.reshape(n**3, n**2)
+    return (_delta_matrix(b.coeffs).T @ v.coeffs.reshape(-1)).reshape(b.n, b.n)
 
 
 def derivation_basis(b: VTangent) -> list:

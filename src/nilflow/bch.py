@@ -306,7 +306,8 @@ def metric_convergence_distance(b1: Bracket, b2: Bracket, radius: float, p: int 
     powers = np.moveaxis(points[:, :, None] ** np.arange(degree + 1), 0, -1)
     factorial = np.cumprod(np.r_[1.0, np.arange(1.0, degree + 1)])
     worst = 0.0
-    for beta in _multiindices(n, p):
+    # a derivative of order above the degree of both fields vanishes
+    for beta in _multiindices(n, min(p, degree)):
         keep = np.all(exps >= beta, axis=1)
         if not keep.any():
             continue

@@ -32,7 +32,6 @@ from .algebra import (
     Bracket,
     bracket_from_dict,
     bracket_to_dict,
-    load_bracket,
     validate_bracket,
 )
 from .bch import metric_field_fit
@@ -96,15 +95,22 @@ def _seed(seed):
     return seed
 
 
+def _bracket_from_json(text, what: str) -> Bracket:
+    """Unparseable text (str, or bytes in a UTF encoding) is a usage error,
+    exit 2, as is nesting too deep for the decoder; a parsed document that is
+    not a valid bracket is a BracketFormatError."""
+    try:
+        doc = json.loads(text)
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
+        raise ConfigError(f"{what} is not valid JSON: {e}") from None
+    return bracket_from_dict(doc)
+
+
 def parse_bracket_source(src: str) -> Bracket:
     """Resolve a SOURCE argument: inline JSON, generator spec, or file path."""
     s = src.strip()
     if s.startswith("{"):
-        try:
-            doc = json.loads(s)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"inline bracket is not valid JSON: {e}") from None
-        return bracket_from_dict(doc)
+        return _bracket_from_json(s, "inline bracket")
     name, _, rest = s.partition(":")
     if name in _GENERATOR_KEYS:
         kw = _spec_kwargs(rest)
@@ -127,12 +133,14 @@ def parse_bracket_source(src: str) -> Bracket:
         n, scale = _spec_value(kw, "n", int), _spec_value(kw, "scale", float, 1.0)
         return random_two_step(n, rng, m=m, scale=scale)
     try:
-        return load_bracket(s)
+        with open(s, "rb") as fh:
+            text = fh.read()
     except FileNotFoundError:
         raise ConfigError(
             f"{s!r} is neither a readable file, inline JSON, nor one of the "
             f"generators {sorted(_GENERATOR_KEYS)}"
         ) from None
+    return _bracket_from_json(text, s)
 
 
 def _load_source(args) -> Bracket:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Operator, VTangent, _as_array, _delta_coeffs, _delta_transpose_coeffs, _norm
+from .algebra import Operator, VTangent, _as_array, _delta_coeffs, _delta_matrix, _norm
 from .exceptions import BadNormalization, ZeroBracket
 
 
@@ -64,9 +64,13 @@ def ricci_sign_check(b: VTangent) -> tuple:
     """(has_negative_direction, has_positive_direction) from the Ricci spectrum.
 
     An eigenvalue counts beyond 1e-12 of the largest |eigenvalue|; every nonzero nilpotent bracket has both.
+    Ric is quadratic in mu, so the signs are read on mu / ||mu||, where no eigenvalue underflows.
     """
-    eigs = np.linalg.eigvalsh(ricci_operator(b))
-    tol = 1e-12 * max(float(np.abs(eigs).max()), 1e-300)
+    nrm = b.norm
+    if nrm == 0.0:
+        return False, False
+    eigs = np.linalg.eigvalsh(_ricci(b.coeffs / nrm))
+    tol = 1e-12 * float(np.abs(eigs).max())
     return bool(eigs.min() < -tol), bool(eigs.max() > tol)
 
 
@@ -148,8 +152,9 @@ def laplacian_delta(b: VTangent, alpha: Operator) -> Operator:
 
     Along the unnormalized flow, d/dt Ric = -1/2 laplacian_delta(b, Ric).
     """
-    c = b.coeffs
-    out = _delta_transpose_coeffs(c, _delta_coeffs(c, _as_array(alpha, (b.n, b.n), "operator")))
+    c, n = b.coeffs, b.n
+    v = _delta_coeffs(c, _as_array(alpha, (n, n), "operator"))
+    out = (_delta_matrix(c).T @ v.reshape(-1)).reshape(n, n)
     return 0.5 * (out + out.T)
 
 
@@ -182,13 +187,15 @@ class CurvaturePack:
 
 
 def curvature_pack(b: VTangent) -> CurvaturePack:
-    """Raises BadNormalization when tr(Ric^2), quartic in mu, underflows for
-    a nonzero bracket: tr Ric = -||mu||^2 / 4 makes it at least
+    """Raises BadNormalization when tr(Ric^2), quartic in mu, underflows or
+    overflows for a nonzero bracket: tr Ric = -||mu||^2 / 4 makes it at least
     ||mu||^4 / (16 n), never zero."""
     ric = ricci_operator(b)
-    energy = float(_tr_ric2(ric))
-    if energy < np.finfo(float).tiny and b.norm > 0.0:
-        raise BadNormalization(f"tr Ric^2 underflows at ||mu|| = {b.norm:.3e}; rescale explicitly")
+    with np.errstate(over="ignore"):
+        energy = float(_tr_ric2(ric))
+    if not np.finfo(float).tiny <= energy < np.inf and b.norm > 0.0:
+        fault = "underflows" if energy < 1.0 else "overflows"
+        raise BadNormalization(f"tr Ric^2 {fault} at ||mu|| = {b.norm:.3e}; rescale explicitly")
     return CurvaturePack(
         ricci=ric,
         spectrum=np.linalg.eigvalsh(ric),

@@ -16,8 +16,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .algebra import Bracket, _nilpotent_series, _norm, delta
-from .curvature import _tr_ric2, ricci_operator
+from .algebra import Bracket, _delta_coeffs, _nilpotent_series, _norm
+from .curvature import _ricci, _tr_ric2, ricci_operator
 from .exceptions import ConfigError, ZeroBracket
 
 
@@ -49,21 +49,26 @@ def soliton_residual(b: Bracket, tol: float = 1e-8) -> SolitonCertificate:
     """Certify Ric_b = c I + D with c = -4 tr(Ric^2) / ||mu||^2 and D = Ric - c I.
 
     residual = ||delta_mu(D)|| = ||delta_mu(Ric) - c mu|| is continuous in mu;
-    no derivation basis or rank decision is involved.
+    no derivation basis or rank decision is involved.  c and D are quadratic
+    and the residual cubic in mu, so all three are computed on u = mu / ||mu||,
+    where tr(Ric^2) neither under- nor overflows, and scaled back.
     """
     nrm = b.norm
     if nrm == 0.0:
         raise ZeroBracket("the zero bracket has no soliton normalization")
-    ric = ricci_operator(b)
+    u = b.coeffs / nrm
+    ric = _ricci(u)
     ric_norm = math.sqrt(_tr_ric2(ric))
-    c = -4.0 * (ric_norm / nrm) ** 2
+    c = -4.0 * ric_norm**2
     d = ric - c * np.eye(b.n)
-    resid = delta(b, d).norm
+    resid = float(_norm(_delta_coeffs(u, d)))
+    scale = nrm * nrm
     return SolitonCertificate(
-        c=c,
-        derivation=d,
-        residual=resid,
-        is_soliton=resid < tol * nrm * ric_norm,
+        c=c * scale,
+        derivation=d * scale,
+        # left to right: a zero residual stays 0 where nrm^3 overflows
+        residual=resid * nrm * nrm * nrm,
+        is_soliton=resid < tol * ric_norm,
     )
 
 

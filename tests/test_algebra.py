@@ -419,8 +419,24 @@ def test_delta_of_identity_is_bracket(heis):
 
 
 @pytest.mark.parametrize("n", range(3, 9))
+def test_delta_matches_its_definition_on_basis_pairs(n):
+    # delta_mu(alpha)(x, y) = mu(alpha x, y) + mu(x, alpha y) - alpha mu(x, y), pair by
+    # pair through VTangent.apply: the reference for the one kernel _delta_coeffs,
+    # which the derivation bases, delta_transpose and laplacian_delta all read
+    rng = np.random.default_rng(700 + n)
+    eye = np.eye(n)
+    for b in dense_starts(n, 600 + n):
+        alpha = rng.standard_normal((n, n))
+        ref = np.array(
+            [[b.apply(alpha @ x, y) + b.apply(x, alpha @ y) - alpha @ b.apply(x, y) for y in eye] for x in eye]
+        )
+        assert np.abs(delta(b, alpha).coeffs - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n", range(3, 9))
 def test_stacked_delta_matches_the_delta_matrix_on_each_sample(n):
-    # _delta_coeffs takes leading batch axes; _delta_matrix is an independent path
+    # _delta_coeffs takes leading batch axes, and _delta_matrix batches it over
+    # the n^2 unit matrices: a stack of samples must agree with the matrix of each
     rng = np.random.default_rng(800 + n)
     starts = dense_starts(n, 900 + n)
     alphas = rng.standard_normal((len(starts), n, n))
@@ -433,6 +449,7 @@ def test_stacked_delta_matches_the_delta_matrix_on_each_sample(n):
 
 
 def test_delta_transpose_is_adjoint(rng):
+    # a layout check: delta_transpose reads the transpose of the same matrix
     b = random_sphere_bracket(4, 11)
     a = rng.standard_normal((4, 4))
     v = VTangent(np.zeros((4, 4, 4)))

@@ -1,6 +1,7 @@
 """Group law in exponential coordinates and the induced metric coefficients."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -402,3 +403,14 @@ def test_distance_rejects_bad_radius_and_order(heis, radius, p):
     # a nan or infinite radius and p = -1 read 0.0, "the metrics agree"; p = 2.5 was a TypeError
     with pytest.raises(ConfigError):
         metric_convergence_distance(heis, heisenberg(1.1), radius=radius, p=p)
+
+
+def test_distance_stops_at_the_degree_of_the_fields():
+    # filiform(5) has degree 4, so both metric fields have degree 6 and every
+    # derivative of order 7 or more vanishes; p = 50 enumerated 51^5 orders
+    a, b = filiform(5), filiform(5, [1.1, 1.0, 1.0])
+    at_degree = metric_convergence_distance(a, b, radius=1.0, p=6)
+    start = time.perf_counter()
+    assert metric_convergence_distance(a, b, radius=1.0, p=50) == at_degree
+    assert time.perf_counter() - start < 2.0
+    assert at_degree == pytest.approx(0.2625, abs=1e-4)

@@ -63,10 +63,32 @@ def test_bracket_value_that_is_not_a_number(capsys):
     assert main(["curvature", src]) == 2
 
 
-def test_unparseable_json_is_a_usage_error(capsys):
-    assert main(["validate", '{"n": 3,']) == 2
+@pytest.mark.parametrize("source", ["inline", "file"])
+def test_unparseable_json_is_a_usage_error(source, tmp_path, capsys):
+    def arg(text):
+        if source == "inline":
+            return text
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        return str(path)
+
+    assert main(["validate", arg('{"n": 3,')]) == 2
+    assert "is not valid JSON" in capsys.readouterr().err
+    # a parseable document that is not a bracket is a verdict in validate ...
+    assert main(["validate", arg('{"n": 3, "entries": "nope"}')]) == 1
     # ... while outside validate a bad document is a usage error too
-    assert main(["curvature", '{"n": 3, "entries": "nope"}']) == 2
+    assert main(["curvature", arg('{"n": 3, "entries": "nope"}')]) == 2
+
+
+@pytest.mark.parametrize(
+    "text", [b'\x80{"n": 3, "entries": []}', b'{"n": ' + b"[" * 100_000], ids=["not_utf8", "nested_too_deep"]
+)
+def test_json_the_decoder_cannot_read_is_a_usage_error(text, tmp_path, capsys):
+    # these ended in a traceback, UnicodeDecodeError and RecursionError
+    path = tmp_path / "doc.json"
+    path.write_bytes(text)
+    assert main(["validate", str(path)]) == 2
+    assert "is not valid JSON" in capsys.readouterr().err
 
 
 def test_unknown_generator_name(capsys):
@@ -123,6 +145,14 @@ def test_curvature_stdout(capsys):
     assert main(["curvature", "heisenberg:c=1"]) == 0
     out = capsys.readouterr().out
     assert "scal" in out and "-0.5" in out
+
+
+@pytest.mark.parametrize("c", ["1e80", "1e100"])
+def test_curvature_of_a_bracket_whose_energy_overflows_exits_2(c, capsys):
+    # ||mu||^2 is finite, but the quartic tr Ric^2 is not; inf used to print
+    assert main(["curvature", f"heisenberg:c={c}"]) == 2
+    assert "overflows" in capsys.readouterr().err
+    assert main(["curvature", f"heisenberg:c={c}", "--rescale", "2"]) == 0
 
 
 def test_curvature_json(tmp_path):

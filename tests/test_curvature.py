@@ -96,6 +96,12 @@ def test_ricci_has_both_signs(seed):
     assert has_neg and has_pos
 
 
+@pytest.mark.parametrize("s", [1e-160, 1e-300])
+def test_ricci_has_both_signs_when_its_entries_underflow(s):
+    # the spectrum of heisenberg(s) is s^2 (-1/2, -1/2, 1/2), at most 5e-321
+    assert ricci_sign_check(heisenberg(s)) == (True, True)
+
+
 def test_delta_transpose_of_bracket_is_ricci(heis):
     # the divergence identity tying the two delta operators to Ricci
     assert np.allclose(delta_transpose(heis, heis), -4.0 * ricci_operator(heis), atol=1e-14)

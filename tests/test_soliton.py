@@ -43,6 +43,16 @@ def test_certificate_scales_with_the_bracket(heis_sphere):
     assert np.allclose(cert.derivation, np.diag([2.0, 2.0, 4.0]), atol=1e-12)
 
 
+@pytest.mark.parametrize("s", [1e-100, 1e-80, 1e80, 1e100])
+def test_heisenberg_certifies_at_every_scale(s):
+    # tr Ric^2 is quartic in mu: it underflowed below ||mu|| ~ 1e-77 and
+    # overflowed above ~1e77, so the verdict and c depended on the scale
+    cert = soliton_residual(heisenberg(s))
+    assert cert.is_soliton
+    assert cert.c == pytest.approx(-1.5 * s * s, rel=1e-12)
+    assert np.allclose(cert.derivation / (s * s), np.diag([1.0, 1.0, 2.0]), atol=1e-12)
+
+
 def test_filiform4_is_a_soliton(fil4):
     cert = soliton_residual(fil4)
     assert cert.is_soliton
