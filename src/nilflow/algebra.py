@@ -240,16 +240,19 @@ def central_series_dims(b: VTangent) -> list:
 def validate_bracket(b: Bracket, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Check the Jacobi identity and nilpotency.
 
-    The Jacobi threshold is tol on the unit-norm-scaled bracket, i.e. the raw
-    residual is compared against tol * max(1, ||mu||^2).
+    The Jacobi threshold is tol on the unit bracket mu / ||mu||; the report
+    keeps the raw residual of mu.
     """
     jac = jacobiator_residual(b)
-    scale = max(1.0, b.norm**2)
-    jacobi_ok = jac <= tol * scale
+    nrm = b.norm
+    # the Jacobiator is quadratic in mu: read on mu / ||mu||, it neither under- nor overflows
+    u = b.coeffs / nrm if nrm > 0.0 else b.coeffs
+    jac_unit = float(_jacobiator_max(u))
+    jacobi_ok = jac_unit <= tol
     messages = []
     if not jacobi_ok:
-        messages.append(f"jacobi residual {jac:.3e} exceeds {tol * scale:.1e}")
-    dims, degree = _central_series(b.coeffs, tol)
+        messages.append(f"jacobi residual {jac_unit:.3e} of mu / ||mu|| exceeds {tol:.1e}")
+    dims, degree = _central_series(u, tol)
     nilpotent = degree is not None
     if not nilpotent:
         messages.append(f"central series stabilizes at dimension {dims[-1]}")
@@ -412,9 +415,12 @@ def save_bracket(path, b: VTangent) -> None:
 
 
 def load_bracket(path) -> Bracket:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise BracketFormatError(f"invalid JSON in {path}: {exc}") from None
+    """Read a bracket file; text that does not decode or parse (not UTF-8, or
+    nested too deep for the decoder) is a BracketFormatError."""
+    with open(path, "rb") as fh:
+        text = fh.read()
+    try:
+        obj = json.loads(text)
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise BracketFormatError(f"invalid JSON in {path}: {exc}") from None
     return bracket_from_dict(obj)

@@ -58,41 +58,56 @@ from .soliton import detect_convergence, orbit_invariants
 # ---------------------------------------------------------------------------
 # Bracket sources.
 
-_GENERATOR_KEYS = {
-    "heisenberg": {"c"},
-    "filiform": {"n", "c"},
-    "random2step": {"n", "seed", "m", "scale"},
-    "zero": {"n"},
-}
-
-
-def _spec_kwargs(text):
-    out = {}
-    for part in filter(None, text.split(",")):
-        key, sep, value = part.partition("=")
-        if not sep:
-            raise ConfigError(f"generator option {part!r} is not key=value")
-        out[key.strip()] = value.strip()
-    return out
-
-
-def _spec_value(kw, key, cast, default=None):
-    """kw[key] read by cast (int or float), or default when absent; None makes key required."""
-    if key not in kw:
-        if default is None:
-            raise ConfigError(f"generator spec needs {key}=<{cast.__name__}>")
-        return default
-    try:
-        return cast(kw[key])
-    except ValueError:
-        raise ConfigError(f"{key}={kw[key]!r} is not a valid {cast.__name__}") from None
-
 
 def _seed(seed):
     # default_rng and SeedSequence take only nonnegative integers
     if seed < 0:
         raise ConfigError(f"a seed must be a nonnegative integer, got {seed}")
     return seed
+
+
+def _zero_n(n):
+    if n < 1:
+        raise ConfigError(f"zero needs n >= 1, got {n}")
+
+
+# family -> (builder, {option: (type, default[, check])}): a default of None
+# makes the option required, and check, when present, rejects a value out of range.
+_GENERATORS = {
+    "heisenberg": (heisenberg, {"c": (float, 1.0)}),
+    "filiform": (lambda n, c: filiform(n, constants=[c] * (n - 2)), {"n": (int, None), "c": (float, 1.0)}),
+    "random2step": (
+        # m = 0 lets random_two_step choose m
+        lambda n, seed, m, scale: random_two_step(n, np.random.default_rng(seed), m=m or None, scale=scale),
+        {"n": (int, None), "seed": (int, 0, _seed), "m": (int, 0), "scale": (float, 1.0)},
+    ),
+    "zero": (lambda n: Bracket(np.zeros((n,) * 3)), {"n": (int, None, _zero_n)}),
+}
+
+
+def _generate(name, text):
+    """Build generator `name` from its options text "key=value,...": each declared
+    option is cast by its type, or takes its default, and passes its check."""
+    builder, options = _GENERATORS[name]
+    parts = [part.partition("=") for part in filter(None, text.split(","))]
+    for key, sep, _ in parts:
+        if not sep:
+            raise ConfigError(f"generator option {key!r} is not key=value")
+    given = {key.strip(): value.strip() for key, _, value in parts}
+    unknown = set(given) - set(options)
+    if unknown:
+        raise ConfigError(f"unknown option(s) {sorted(unknown)} for generator {name!r}")
+    kwargs = {}
+    for key, (cast, default, *check) in options.items():
+        if key not in given and default is None:
+            raise ConfigError(f"generator spec needs {key}=<{cast.__name__}>")
+        try:
+            kwargs[key] = cast(given.get(key, default))
+        except ValueError:
+            raise ConfigError(f"{key}={given[key]!r} is not a valid {cast.__name__}") from None
+        for ok in check:
+            ok(kwargs[key])
+    return builder(**kwargs)
 
 
 def _bracket_from_json(text, what: str) -> Bracket:
@@ -112,33 +127,15 @@ def parse_bracket_source(src: str) -> Bracket:
     if s.startswith("{"):
         return _bracket_from_json(s, "inline bracket")
     name, _, rest = s.partition(":")
-    if name in _GENERATOR_KEYS:
-        kw = _spec_kwargs(rest)
-        unknown = set(kw) - _GENERATOR_KEYS[name]
-        if unknown:
-            raise ConfigError(f"unknown option(s) {sorted(unknown)} for generator {name!r}")
-        if name == "heisenberg":
-            return heisenberg(_spec_value(kw, "c", float, 1.0))
-        if name == "filiform":
-            n = _spec_value(kw, "n", int)
-            c = _spec_value(kw, "c", float, 1.0)
-            return filiform(n, constants=[c] * (n - 2))
-        if name == "zero":
-            n = _spec_value(kw, "n", int)
-            if n < 1:
-                raise ConfigError(f"zero needs n >= 1, got {n}")
-            return Bracket(np.zeros((n,) * 3))
-        rng = np.random.default_rng(_seed(_spec_value(kw, "seed", int, 0)))
-        m = _spec_value(kw, "m", int, 0) or None
-        n, scale = _spec_value(kw, "n", int), _spec_value(kw, "scale", float, 1.0)
-        return random_two_step(n, rng, m=m, scale=scale)
+    if name in _GENERATORS:
+        return _generate(name, rest)
     try:
         with open(s, "rb") as fh:
             text = fh.read()
     except FileNotFoundError:
         raise ConfigError(
             f"{s!r} is neither a readable file, inline JSON, nor one of the "
-            f"generators {sorted(_GENERATOR_KEYS)}"
+            f"generators {sorted(_GENERATORS)}"
         ) from None
     return _bracket_from_json(text, s)
 

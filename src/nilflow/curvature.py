@@ -159,11 +159,14 @@ def laplacian_delta(b: VTangent, alpha: Operator) -> Operator:
 
 
 def moment_map(b: VTangent) -> Operator:
-    """Scale-invariant moment map 4 Ric_mu / ||mu||^2; trace is identically -1."""
-    nrm2 = b.norm**2
-    if nrm2 == 0.0:
+    """Scale-invariant moment map 4 Ric_mu / ||mu||^2; trace is identically -1.
+
+    Ric is quadratic in mu, so this is 4 Ric(mu / ||mu||), where nothing under- or overflows.
+    """
+    nrm = b.norm
+    if nrm == 0.0:
         raise ZeroBracket("moment map undefined at the zero bracket")
-    return 4.0 * _ricci(b.coeffs) / nrm2
+    return 4.0 * _ricci(b.coeffs / nrm)
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .algebra import Bracket, _delta_coeffs, _nilpotent_series, _norm
-from .curvature import _ricci, _tr_ric2, ricci_operator
+from .curvature import _ricci, _tr_ric2, curvature_pack
 from .exceptions import ConfigError, ZeroBracket
 
 
@@ -141,14 +141,15 @@ def orbit_invariants(b: Bracket) -> dict:
 
     Useful as a fingerprint for clustering flow limits: two brackets with
     different invariants cannot be isometric; a non-nilpotent b raises NotNilpotentError.
+    The curvature entries are curvature_pack's, which raises BadNormalization
+    where tr(Ric^2) under- or overflows.
     """
-    ric = ricci_operator(b)
+    pack = curvature_pack(b)
     dims, degree = _nilpotent_series(b.coeffs)
     return {
-        "ricci_spectrum": [float(v) for v in np.sort(np.linalg.eigvalsh(ric))],
+        "ricci_spectrum": [float(v) for v in pack.spectrum],
         "mu_norm": float(b.norm),
-        "energy": float(_tr_ric2(ric)),
+        "energy": pack.energy,
         "degree": degree,
         "series_dims": [int(v) for v in dims],
     }
-

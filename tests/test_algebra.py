@@ -139,6 +139,17 @@ def test_load_bracket_of_invalid_json(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "text", [b'\x80{"n": 3, "entries": []}', b'{"n": ' + b"[" * 100_000], ids=["not_utf8", "nested_too_deep"]
+)
+def test_load_bracket_of_text_the_decoder_cannot_read(text, tmp_path):
+    # these raised a bare UnicodeDecodeError and RecursionError
+    path = tmp_path / "b.json"
+    path.write_bytes(text)
+    with pytest.raises(BracketFormatError, match="invalid JSON"):
+        load_bracket(path)
+
+
+@pytest.mark.parametrize(
     "call, error, message",
     [
         (lambda: filiform(2), ConfigError, "n >= 3"),
@@ -298,6 +309,22 @@ def test_validate_report(heis):
     assert rep.nilpotent and rep.degree == 2
     assert rep.series_dims == central_series_dims(heis) == [3, 1, 0]
     assert rep.jacobi_residual == 0.0
+
+
+# [e1,e2]=e3, [e1,e3]=e4, [e2,e3]=e5, [e1,e4]=e5, [e2,e4]=3e5: nilpotent, but
+# Jacobi fails on (e1, e2, e3) by 3 e5, 0.115 relative to ||mu||^2 = 26
+_NOT_LIE_5 = {(0, 1, 2): 1.0, (0, 2, 3): 1.0, (1, 2, 4): 1.0, (0, 3, 4): 1.0, (1, 3, 4): 3.0}
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-6, 1e-100])
+def test_validate_decides_jacobi_on_the_unit_bracket(scale):
+    # the threshold was absolute below ||mu|| = 1, so tiny scales passed
+    rep = validate_bracket(Bracket.from_entries(5, _NOT_LIE_5).scaled(scale))
+    assert not rep.nilpotent and rep.degree is None
+    assert rep.jacobi_residual == pytest.approx(3.0 * scale**2, rel=1e-12)
+    rotated = gl_action(random_orthogonal(5, np.random.default_rng(4)), filiform(5)).scaled(scale)
+    rep = validate_bracket(rotated)
+    assert rep.nilpotent and rep.degree == 4
 
 
 def test_validate_flags_non_lie():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from nilflow.algebra import bracket_from_dict, bracket_to_dict
-from nilflow.cli import build_parser, main
+from nilflow.cli import _GENERATORS, build_parser, main
 from nilflow.exceptions import NotNilpotentError, NumericalFailure
 from nilflow.flow import trace_from_csv
 
@@ -99,6 +99,30 @@ def test_unknown_generator_name(capsys):
 
 def test_unknown_generator_key(capsys):
     assert main(["validate", "heisenberg:q=2"]) == 2
+
+
+# a value of each option type that every family accepts (n = 5 fits them all)
+_SAMPLE = {int: "5", float: "1.5"}
+
+
+@pytest.mark.parametrize("name", sorted(_GENERATORS))
+def test_generator_row(name, capsys):
+    _, options = _GENERATORS[name]
+    required = {key: _SAMPLE[cast] for key, (cast, default, *_) in options.items() if default is None}
+
+    def spec(values):
+        return f"{name}:" + ",".join(f"{key}={value}" for key, value in values.items())
+
+    assert main(["validate", spec(required)]) == 0
+    capsys.readouterr()
+    assert main(["validate", spec({**required, "bogus": "1"})]) == 2
+    assert f"unknown option(s) ['bogus'] for generator {name!r}" in capsys.readouterr().err
+    for key, (cast, *_) in options.items():
+        assert main(["validate", spec({**required, key: "x"})]) == 2
+        assert f"{key}='x' is not a valid {cast.__name__}" in capsys.readouterr().err
+    for key in required:
+        assert main(["validate", spec({k: v for k, v in required.items() if k != key})]) == 2
+        assert f"generator spec needs {key}=<" in capsys.readouterr().err
 
 
 def test_missing_bracket_file(capsys, tmp_path):

@@ -165,6 +165,12 @@ def test_moment_map_heisenberg(heis):
         moment_map(heis.scaled(0.0))
 
 
+@pytest.mark.parametrize("scale", [1e-170, 1e-300, 1e150])
+def test_moment_map_is_scale_free(scale):
+    # ||mu||^2 underflows below 1e-154; the map read ZeroBracket there
+    assert np.allclose(moment_map(heisenberg(scale)), np.diag([-1.0, -1.0, 1.0]), rtol=0, atol=1e-14)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_moment_map_trace(seed):
     b = random_sphere_bracket(5, seed)

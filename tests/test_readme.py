@@ -1,6 +1,7 @@
 """The README's examples run against this tree: every line of the "Command
 line" block exits with the code the README states beside it (0 unless a
-`# exits N` comment says otherwise), and the library quick start runs."""
+`# exits N` comment says otherwise), the library quick start runs, and the
+list of generator families matches the command line's table."""
 
 import re
 import shlex
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from nilflow.cli import main
+from nilflow.cli import _GENERATORS, main
 
 README = (Path(__file__).parents[1] / "README.md").read_text()
 
@@ -36,3 +37,16 @@ def test_command_line_example(line, tmp_path, monkeypatch):
 
 def test_library_quick_start():
     exec(compile(_block("## Library quick start", "python"), "README.md", "exec"), {})
+
+
+def test_generator_families_match_the_table():
+    # each item shows a family with all its options at their defaults
+    paragraph = README.split("\nBracket sources are ", 1)[1].split("\n\n", 2)[1]
+    listed = dict(re.findall(r"^- `(\w+):([^`]*)`", paragraph, re.M))
+    assert listed == {
+        name: ",".join(
+            f"{key}={f'<{cast.__name__}>' if default is None else default}"
+            for key, (cast, default, *_) in options.items()
+        )
+        for name, (_, options) in _GENERATORS.items()
+    }

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilflow.curvature import ricci_operator
-from nilflow.exceptions import ConfigError, NotNilpotentError, ZeroBracket
+from nilflow.exceptions import BadNormalization, ConfigError, NotNilpotentError, ZeroBracket
 from nilflow.flow import FlowOpts, integrate_bracket_flow, integrate_normalized_flow
 from nilflow.generators import (
     filiform,
@@ -254,6 +254,13 @@ def test_orbit_invariants_of_a_non_nilpotent_bracket_raise():
         c[j, i, k] = -1.0
     with pytest.raises(NotNilpotentError):
         orbit_invariants(Bracket(c))
+
+
+@pytest.mark.parametrize("scale", [1e80, 1e-80])
+def test_orbit_invariants_out_of_range_raise(scale):
+    # tr Ric^2 overflowed with a RuntimeWarning at 1e80 and read a subnormal at 1e-80
+    with pytest.raises(BadNormalization, match="rescale explicitly"):
+        orbit_invariants(heisenberg(scale))
 
 
 @given(seed=st.integers(0, 10_000))
