@@ -116,6 +116,12 @@ class VTangent:
     def scaled(self, factor) -> "VTangent":
         return type(self)(factor * self.coeffs)
 
+    @cached_property
+    def _series(self):
+        """_central_series at DEFAULT_TOL, computed once; the coefficients are
+        frozen, so it cannot go stale."""
+        return _central_series(self.coeffs, DEFAULT_TOL)
+
 
 @dataclass(frozen=True, eq=False)
 class Bracket(VTangent):
@@ -123,8 +129,7 @@ class Bracket(VTangent):
 
     @cached_property
     def degree(self) -> int:
-        """`nilpotency_degree`, computed once per bracket; the coefficients
-        are frozen, so it cannot go stale."""
+        """`nilpotency_degree`, read from the bracket's cached central series."""
         return nilpotency_degree(self)
 
 
@@ -214,27 +219,22 @@ def _central_series(c: np.ndarray, tol: float):
     return dims, None
 
 
-def _nilpotent_series(c: np.ndarray):
-    """(dims, degree) of _central_series at DEFAULT_TOL; NotNilpotentError if it has no degree."""
-    dims, degree = _central_series(c, DEFAULT_TOL)
-    if degree is None:
-        raise NotNilpotentError("descending central series stabilizes at a nonzero subspace")
-    return dims, degree
-
-
 def nilpotency_degree(b: VTangent) -> int:
     """Degree of nilpotency via the descending central series.
 
     C^0 = R^n, C^{m+1} = mu(R^n, C^m); the degree is the first m with
     C^m = 0 (0 for the zero bracket by convention), ranks at DEFAULT_TOL.
     Raises NotNilpotentError if the series stabilizes at a nonzero subspace.
+    The series is computed once per bracket.
     """
-    return _nilpotent_series(b.coeffs)[1]
+    degree = b._series[1]
+    if degree is None:
+        raise NotNilpotentError("descending central series stabilizes at a nonzero subspace")
+    return degree
 
 
 def central_series_dims(b: VTangent) -> list:
-    dims, _ = _central_series(b.coeffs, DEFAULT_TOL)
-    return dims
+    return list(b._series[0])
 
 
 def validate_bracket(b: Bracket, tol: float = DEFAULT_TOL) -> ValidationReport:
@@ -372,12 +372,23 @@ def bracket_to_dict(b: VTangent) -> dict:
     return {"n": n, "entries": entries}
 
 
+def _is_int(v, lo, hi=math.inf) -> bool:
+    """Whether a JSON value is an integer in lo..hi: 1.9, "2" and true are not."""
+    return isinstance(v, int) and not isinstance(v, bool) and lo <= v <= hi
+
+
+def _is_finite_number(v) -> bool:
+    """Whether a JSON value is a finite number: not a bool (an int subclass), a
+    string, or an int past the float range."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= _FLOAT_MAX
+
+
 def bracket_from_dict(obj: dict) -> Bracket:
     """Parse the JSON schema; rejects i >= j, duplicate triples, bad indices."""
     if not isinstance(obj, dict):
         raise BracketFormatError("bracket document must be a JSON object")
     n = obj.get("n")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not _is_int(n, 1):
         raise BracketFormatError(f"'n' must be a positive integer, got {n!r}")
     entries = obj.get("entries")
     if not isinstance(entries, list):
@@ -393,15 +404,14 @@ def bracket_from_dict(obj: dict) -> Bracket:
         except KeyError as exc:
             raise BracketFormatError(f"entry {idx} is missing key {exc}") from None
         for name, v in (("i", i), ("j", j), ("k", k)):
-            if not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= n:
+            if not _is_int(v, 1, n):
                 raise BracketFormatError(f"entry {idx}: index {name}={v!r} out of range 1..{n}")
         if i >= j:
             raise BracketFormatError(f"entry {idx}: requires i < j, got i={i}, j={j}")
         if (i, j, k) in seen:
             raise BracketFormatError(f"entry {idx}: duplicate triple (i={i}, j={j}, k={k})")
         seen.add((i, j, k))
-        # bool is an int subclass; an int past the float range is not finite
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= _FLOAT_MAX:
+        if not _is_finite_number(value):
             raise BracketFormatError(f"entry {idx}: value must be a finite number")
         c[i - 1, j - 1, k - 1] = value
         c[j - 1, i - 1, k - 1] = -value

@@ -28,7 +28,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .algebra import Bracket, _as_array, _require_same_n
+from .algebra import Bracket, _as_array, _is_finite_number, _is_int, _require_same_n
 from .exceptions import BracketFormatError, ConfigError, DegreeTooHigh, DimensionMismatch
 
 # ---------------------------------------------------------------------------
@@ -176,29 +176,42 @@ class MetricField:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "MetricField":
-        try:
-            n = int(obj["n"])
-            degree = int(obj["degree"])
-            raw = obj["coefficients"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise BracketFormatError(f"malformed metric-field document: {exc}") from None
-        if degree < 0:
-            raise BracketFormatError(f"metric-field 'degree' must be >= 0, got {degree}")
+        """Parse to_dict's document as strictly as bracket_from_dict: integer
+        n >= 1, degree >= 0, indices 1 <= i <= j <= n and exponents, finite
+        numbers as values, no repeated (alpha, i, j) and no monomial above
+        the degree; anything else raises BracketFormatError."""
+        if not isinstance(obj, dict):
+            raise BracketFormatError("metric-field document must be a JSON object")
+        n, degree, raw = obj.get("n"), obj.get("degree"), obj.get("coefficients")
+        if not _is_int(n, 1):
+            raise BracketFormatError(f"metric-field 'n' must be a positive integer, got {n!r}")
+        if not _is_int(degree, 0):
+            raise BracketFormatError(f"metric-field 'degree' must be an integer >= 0, got {degree!r}")
         if not isinstance(raw, list):
             raise BracketFormatError("metric-field 'coefficients' must be a list")
         coeffs = {}
-        for entry in raw:
+        seen = set()
+        for idx, entry in enumerate(raw):
+            where = f"metric-field entry {idx}"
+            if not isinstance(entry, dict):
+                raise BracketFormatError(f"{where} is not an object")
             try:
-                i, j = int(entry["i"]) - 1, int(entry["j"]) - 1
-                alpha = tuple(int(v) for v in entry["alpha"])
-                v = float(entry["value"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise BracketFormatError(f"malformed metric-field entry {entry!r}: {exc}") from None
-            if not (0 <= i <= j < n) or len(alpha) != n or min(alpha) < 0 or not math.isfinite(v):
-                raise BracketFormatError(f"bad metric-field entry {entry}")
-            mat = coeffs.setdefault(alpha, np.zeros((n, n)))
-            mat[i, j] = v
-            mat[j, i] = v
+                i, j, alpha, value = entry["i"], entry["j"], entry["alpha"], entry["value"]
+            except KeyError as exc:
+                raise BracketFormatError(f"{where} is missing key {exc}") from None
+            if not (_is_int(i, 1, n) and _is_int(j, i, n)):
+                raise BracketFormatError(f"{where}: needs 1 <= i <= j <= {n}, got i={i!r}, j={j!r}")
+            if not (isinstance(alpha, list) and len(alpha) == n and all(_is_int(a, 0) for a in alpha)):
+                raise BracketFormatError(f"{where}: alpha must be {n} integers >= 0, got {alpha!r}")
+            if sum(alpha) > degree:
+                raise BracketFormatError(f"{where}: monomial {alpha} is above the degree {degree}")
+            if (tuple(alpha), i, j) in seen:
+                raise BracketFormatError(f"{where}: repeats alpha={alpha}, i={i}, j={j}")
+            seen.add((tuple(alpha), i, j))
+            if not _is_finite_number(value):
+                raise BracketFormatError(f"{where}: value must be a finite number")
+            mat = coeffs.setdefault(tuple(alpha), np.zeros((n, n)))
+            mat[i - 1, j - 1] = mat[j - 1, i - 1] = value
         return cls(n, degree, coeffs)
 
 

@@ -45,7 +45,6 @@ from .exceptions import (
 )
 from .flow import (
     FlowOpts,
-    cointegrate_h,
     equivalence_report,
     integrate_bracket_flow,
     integrate_normalized_flow,
@@ -209,9 +208,6 @@ def cmd_flow(args) -> int:
         "max_jacobi_residual": float(trace.jacobi_residual.max()),
         "stats": trace.stats,
     }
-    if args.with_h:
-        hs = cointegrate_h(trace)
-        summary["h_final_det"] = float(np.linalg.det(hs[-1]))
     failed = []
     for name in args.check:
         if name == "identities":
@@ -426,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source(p)
     _add_integrator(p, 1.0)
     _add_rate(p)
-    p.add_argument("--with-h", action="store_true", help="co-integrate the frame h(t)")
     p.add_argument(
         "--check",
         action="append",

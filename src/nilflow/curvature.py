@@ -137,8 +137,18 @@ def riemann_at_origin(b: VTangent) -> RiemannTensor:
 
 
 def ricci_energy(b: VTangent) -> float:
-    """tr(Ric^2) — the functional whose negative gradient drives the flow."""
-    return float(_tr_ric2(_ricci(b.coeffs)))
+    """tr(Ric^2) — the functional whose negative gradient drives the flow.
+
+    Raises BadNormalization when tr(Ric^2), quartic in mu, underflows or
+    overflows for a nonzero bracket: tr Ric = -||mu||^2 / 4 makes it at least
+    ||mu||^4 / (16 n), never zero.
+    """
+    with np.errstate(over="ignore"):
+        energy = float(_tr_ric2(_ricci(b.coeffs)))
+    if not np.finfo(float).tiny <= energy < np.inf and b.norm > 0.0:
+        fault = "underflows" if energy < 1.0 else "overflows"
+        raise BadNormalization(f"tr Ric^2 {fault} at ||mu|| = {b.norm:.3e}; rescale explicitly")
+    return energy
 
 
 def ricci_energy_gradient(b: VTangent) -> VTangent:
@@ -190,15 +200,9 @@ class CurvaturePack:
 
 
 def curvature_pack(b: VTangent) -> CurvaturePack:
-    """Raises BadNormalization when tr(Ric^2), quartic in mu, underflows or
-    overflows for a nonzero bracket: tr Ric = -||mu||^2 / 4 makes it at least
-    ||mu||^4 / (16 n), never zero."""
+    """Raises BadNormalization where ricci_energy does."""
+    energy = ricci_energy(b)
     ric = ricci_operator(b)
-    with np.errstate(over="ignore"):
-        energy = float(_tr_ric2(ric))
-    if not np.finfo(float).tiny <= energy < np.inf and b.norm > 0.0:
-        fault = "underflows" if energy < 1.0 else "overflows"
-        raise BadNormalization(f"tr Ric^2 {fault} at ||mu|| = {b.norm:.3e}; rescale explicitly")
     return CurvaturePack(
         ricci=ric,
         spectrum=np.linalg.eigvalsh(ric),

@@ -4,10 +4,10 @@ Every flow here is mu' = delta_mu(Ric_mu) + r mu; only the rate r changes.
 r = 0 is the unnormalized flow, the negative gradient flow of tr(Ric^2) on
 V_n; r = tr(Ric^2), the rate "scalar", keeps ||mu|| = 2 (unit sphere of
 scalar curvature -1); a finite constant gives the other rescaled flows.
-Every rate is a function of Ric, evaluated on one Ricci operator or on a
-stack of them.  The rate alone decides the normalization: tr(Ric^2) is
-homogeneous, so every flow with the scalar rate evaluates X = Ric + r I on
-the bracket rescaled to ||mu0|| and keeps ||mu|| fixed by itself.
+One kernel, _shifted_ricci(mu0, r), checks r and forms X = Ric + r I for
+every flow.  The rate alone decides the normalization: tr(Ric^2) is
+homogeneous, so with the scalar rate X is evaluated on the bracket rescaled
+to ||mu0||, and ||mu|| stays fixed by itself.
 
 The bracket flows integrate the frame, not the bracket: the state is h(t),
 h(0) = I, with mu(t) = h(t).mu0, so mu(t) stays in the GL(n)-orbit of mu0,
@@ -224,8 +224,9 @@ def _integrate_adaptive(f, t0, y0, t_end, opts):
 
         while t < t_end:
             h = min(h, opts.max_step, t_end - t)
-            # not >=, so that a nan step (a nan derivative) underflows too
-            if not h >= 1e-14 * max(1.0, abs(t)):
+            # not >=, so that a nan step (a nan derivative) underflows too;
+            # the step that ends the run is taken however short it is
+            if not (h >= 1e-14 * max(1.0, abs(t)) or h == t_end - t):
                 raise StepSizeUnderflow(f"step size underflow at t={t:.6g} (h={h:.3e})")
             y_new, err_vec = _dp_step(f, t, y, h, K)
             stats["nfev"] += 6
@@ -368,15 +369,15 @@ def trace_from_csv(path) -> dict:
     return dict(zip(_TRACE_COLUMNS, cols))
 
 
-def _rate(r, b0):
-    """Resolve a rate r into (rate, norm_sq) for the start b0.
-
-    rate is one function Ric -> r; leading axes of Ric are batch axes, and a
-    constant rate returns a float.  r is None (zero), a finite real number or
-    "scalar" (tr Ric^2); anything else, a callable included, raises BadRate.
-    norm_sq is None but for "scalar", the normalized flow: it is ||mu0||^2,
-    and ||mu0|| must be 2 to 1e-10 (else BadNormalization).
-    """
+def _shifted_ricci(b0, r):
+    """Kernel (h, hinv) -> X = Ric + r I of mu = h.mu0 (hinv is h^{-1}) for
+    the frame and the metric flows.  r is None (zero), a finite real number
+    or "scalar", tr(Ric^2); anything else, a callable included, raises
+    BadRate.  "scalar" needs ||mu0|| = 2 to 1e-10 (else BadNormalization) and
+    reads Ric, and the rate, on mu rescaled onto ||mu0||.  One call is
+    straight-line 2-D products on views of mu0 taken once, the same products
+    in the same order as _gl_action_coeffs and _ricci, so X is bit-identical
+    to theirs without the batch-axis handling of a stack."""
     if isinstance(r, str):
         if r != "scalar":
             raise BadRate(f"unknown rate {r!r}; the only string rate is 'scalar'")
@@ -386,26 +387,17 @@ def _rate(r, b0):
                 f"the normalized flow needs ||mu|| = 2, got {b0.norm:.6g} (off by {drift:.3e}); "
                 "rescale with rescale_to_norm, or pass --rescale 2"
             )
-        return _tr_ric2, np.vdot(b0.coeffs, b0.coeffs)
-    if r is not None and not isinstance(r, numbers.Real):
-        raise BadRate(f"r must be None, a real number or 'scalar', got {r!r}")
-    value = 0.0 if r is None else float(r)
-    # a nan or infinite rate would make every step nan, and every step rejected
-    if not math.isfinite(value):
-        raise BadRate(f"a constant rate must be finite, got {r!r}")
-    return (lambda ric: value), None
-
-
-def _shifted_ricci(c0, rate, norm_sq):
-    """Kernel (h, hinv) -> X = Ric + r I of mu = h.mu0 (hinv is h^{-1}), on
-    which the frame and the metric flows both build their right sides.  With
-    norm_sq, Ric is that of mu rescaled to ||mu||^2 = norm_sq,
-    Ric_mu norm_sq / ||mu||^2, and the rate reads that Ric.  One call is
-    straight-line 2-D products on views of mu0 taken once, the same products
-    in the same order as _gl_action_coeffs and _ricci, so X is bit-identical
-    to theirs without the batch-axis handling of a stack."""
-    n = c0.shape[-1]
-    c0_rows = c0.reshape(n, n * n)
+        norm_sq = np.vdot(b0.coeffs, b0.coeffs)
+    else:
+        if r is not None and not isinstance(r, numbers.Real):
+            raise BadRate(f"r must be None, a real number or 'scalar', got {r!r}")
+        value = 0.0 if r is None else float(r)
+        # a nan or infinite rate would make every step nan, and every step rejected
+        if not math.isfinite(value):
+            raise BadRate(f"a constant rate must be finite, got {r!r}")
+        norm_sq = None
+    n = b0.n
+    c0_rows = b0.coeffs.reshape(n, n * n)
 
     def kernel(h, hinv):
         w = hinv.T
@@ -415,30 +407,33 @@ def _shifted_ricci(c0, rate, norm_sq):
         x = rows @ rows.T
         x *= -0.5
         x += 0.25 * (cols.T @ cols)
-        if norm_sq is not None:
+        if norm_sq is None:
+            x.reshape(-1)[:: n + 1] += value
+        else:
             x *= norm_sq / np.vdot(c, c)
-        x.reshape(-1)[:: n + 1] += rate(x)
+            x.reshape(-1)[:: n + 1] += _tr_ric2(x)
         return x
 
     return kernel
 
 
-def _frame_generator(b0, rate, norm_sq):
+def _frame_generator(b0, r):
     """Right side rhs(t, y) of the frame flow for mu = h.mu0, y = h flattened.
 
     X is the _shifted_ricci kernel at (h, h^{-1}) and D is the projection of
     h^{-1} X h onto Der(mu0), whose basis B is orthonormal, so the projection
-    is one product with the projector P = B^T B; the kernel and P are built
-    once per flow.  Then h' = -(X - h D h^{-1}) h = -X h + h D.  For the
-    scalar rate X is evaluated on the sphere ||mu|| = ||mu0||; then
+    is one product with the projector P = B^T B; the kernel, which checks
+    the rate r, and then P are built once per flow.  Then
+    h' = -(X - h D h^{-1}) h = -X h + h D.  For the scalar rate X is
+    evaluated on the sphere ||mu|| = ||mu0||; then
     <mu', mu> = 0, and the flow of h commutes with rescaling h.  One call is
     a few plain matrix products: the GL action, the two of Ricci, the
     projection and h'.  A singular h raises NumericalFailure.
     """
-    n, c0 = b0.n, b0.coeffs
+    n = b0.n
+    shifted_ricci = _shifted_ricci(b0, r)
     basis = np.array(derivation_basis(b0)).reshape(-1, n * n)
     proj = basis.T @ basis
-    shifted_ricci = _shifted_ricci(c0, rate, norm_sq)
 
     def rhs(t, y):
         h = y.reshape(n, n)
@@ -476,15 +471,15 @@ def _by_blocks(kernel, coeffs):
     return np.concatenate([kernel(coeffs[i : i + step]) for i in range(0, len(coeffs), step)])
 
 
-def _finish_trace(samples, stats, c0, r, rate, norm_sq):
-    """FlowTrace of the frame samples of a flow of rate r, which _rate resolved
-    into (rate, norm_sq): array expressions over the stacked brackets h_i.mu0
-    (exactly antisymmetrized; with norm_sq each frame is rescaled onto
-    ||mu|| = ||mu0||).  Raises NumericalFailure, with the samples
-    before it attached, at the first frame whose condition number exceeds
-    _MAX_COND_H or whose bracket has a skew defect max|c + c^T| / ||c|| above
-    _MAX_SKEW_DEFECT."""
-    n = c0.shape[0]
+def _finish_trace(samples, stats, b0, r):
+    """FlowTrace of the frame samples of a flow of rate r from b0: array
+    expressions over the stacked brackets h_i.mu0 (exactly antisymmetrized;
+    for the scalar rate each frame is rescaled onto ||mu|| = ||mu0||, and
+    r_values is the tr_ric2 column).  Raises NumericalFailure, with the
+    samples before it attached, at the first frame whose condition number
+    exceeds _MAX_COND_H or whose bracket has a skew defect
+    max|c + c^T| / ||c|| above _MAX_SKEW_DEFECT."""
+    n, c0 = b0.n, b0.coeffs
     times = np.array([t for t, _ in samples])
     frames = np.array([y for _, y in samples]).reshape(-1, n, n)
     cond = np.linalg.cond(frames)
@@ -505,7 +500,7 @@ def _finish_trace(samples, stats, c0, r, rate, norm_sq):
         raise NumericalFailure(msg, trace=samples[:i])
     stats["max_cond_h"] = float(cond.max())
     stats["max_skew_defect"] = float(defect.max())
-    if norm_sq is not None:
+    if isinstance(r, str):
         # (lambda h).mu0 = mu / lambda puts every sample back on ||mu|| = ||mu0||
         lams = norms / _norm(c0)
         frames = lams[:, None, None] * frames
@@ -513,14 +508,16 @@ def _finish_trace(samples, stats, c0, r, rate, norm_sq):
     coeffs = 0.5 * (coeffs - coeffs.swapaxes(1, 2))
     ric = _ricci(coeffs)
     mu_norm = _norm(coeffs)
+    tr_ric2 = _tr_ric2(ric)
+    rate = tr_ric2 if isinstance(r, str) else 0.0 if r is None else float(r)
     return FlowTrace(
         times=times,
         coeffs=coeffs,
         frames=frames,
-        r_values=np.full(len(times), rate(ric)),
+        r_values=np.full(len(times), rate),
         mu_norm=mu_norm,
         scal=-0.25 * mu_norm**2,
-        tr_ric2=_tr_ric2(ric),
+        tr_ric2=tr_ric2,
         grad_norm=_norm(_delta_coeffs(coeffs, ric)),
         jacobi_residual=_by_blocks(_jacobiator_max, coeffs),
         stats=stats,
@@ -539,10 +536,9 @@ def integrate_bracket_flow(b0: Bracket, t_max: float, opts: FlowOpts | None = No
     BadRate.  The trace keeps r as `rate`, from which its `kind` follows,
     and the rate at each sample in `r_values`.
     """
-    rate, norm_sq = _rate(r, b0)
-    rhs = _frame_generator(b0, rate, norm_sq)
+    rhs = _frame_generator(b0, r)
     samples, stats = _integrate_adaptive(rhs, 0.0, np.eye(b0.n).reshape(-1), t_max, opts)
-    return _finish_trace(samples, stats, b0.coeffs, r, rate, norm_sq)
+    return _finish_trace(samples, stats, b0, r)
 
 
 def integrate_normalized_flow(b0: Bracket, t_max: float, opts: FlowOpts | None = None) -> FlowTrace:
@@ -567,7 +563,7 @@ def cointegrate_h(trace: FlowTrace) -> np.ndarray:
     """
     b0 = trace.initial_bracket
     n = b0.n
-    shifted_ricci = _shifted_ricci(b0.coeffs, *_rate(trace.rate, b0))
+    shifted_ricci = _shifted_ricci(b0, trace.rate)
 
     def rhs(t, y):
         h = y.reshape(n, n)
@@ -613,7 +609,7 @@ def innerproduct_scal(b0: Bracket, g: np.ndarray):
 _LOG_TINY = math.log(np.finfo(float).tiny)
 
 
-def _metric_flow(b0, rate, norm_sq):
+def _metric_flow(b0, r):
     """The metric flow G' = -2 ric(G) - 2 r G on the factor of G = L L^T.
 
     The state y holds the lower triangle of L row by row, with log L_ii in
@@ -628,13 +624,13 @@ def _metric_flow(b0, rate, norm_sq):
     factor with some L_ii = exp(y_i) below the normal range, where 1 / L_ii
     overflows, raises NumericalFailure.
     """
-    n, c0 = b0.n, b0.coeffs
+    n = b0.n
     lower = np.flatnonzero(np.tri(n, dtype=bool))  # flat positions of the state in L
     logdiag = np.flatnonzero(lower % (n + 1) == 0)  # state entries holding log L_ii
     # Phi(M) = X * weights: -2 below the diagonal, -1 on it
     weights = -2.0 * np.tri(n)
     weights.reshape(-1)[:: n + 1] = -1.0
-    shifted_ricci = _shifted_ricci(c0, rate, norm_sq)
+    shifted_ricci = _shifted_ricci(b0, r)
 
     def factor(y):
         lmat = np.zeros(n * n)
@@ -672,7 +668,7 @@ def integrate_innerproduct_flow(
     NumericalFailure with the partial trace attached.
     """
     n = b0.n
-    rhs, factor = _metric_flow(b0, *_rate(r, b0))
+    rhs, factor = _metric_flow(b0, r)
     samples, stats = _integrate_adaptive(rhs, 0.0, np.zeros(n * (n + 1) // 2), t_max, opts)
     times = np.array([t for t, _ in samples])
     lmat = np.array([factor(y) for _, y in samples])

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .algebra import Bracket, _delta_coeffs, _nilpotent_series, _norm
+from .algebra import Bracket, _delta_coeffs, _norm, central_series_dims, nilpotency_degree
 from .curvature import _ricci, _tr_ric2, curvature_pack
 from .exceptions import ConfigError, ZeroBracket
 
@@ -145,11 +145,10 @@ def orbit_invariants(b: Bracket) -> dict:
     where tr(Ric^2) under- or overflows.
     """
     pack = curvature_pack(b)
-    dims, degree = _nilpotent_series(b.coeffs)
     return {
         "ricci_spectrum": [float(v) for v in pack.spectrum],
         "mu_norm": float(b.norm),
         "energy": pack.energy,
-        "degree": degree,
-        "series_dims": [int(v) for v in dims],
+        "degree": nilpotency_degree(b),
+        "series_dims": central_series_dims(b),
     }

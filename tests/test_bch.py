@@ -22,6 +22,7 @@ from nilflow.bch import (
 )
 from nilflow.exceptions import BracketFormatError, ConfigError, DegreeTooHigh, DimensionMismatch
 from nilflow.generators import filiform, heisenberg, random_nilpotent, random_two_step, sphere_perturbation
+from nilflow.soliton import orbit_invariants
 
 from conftest import random_sphere_bracket
 
@@ -188,8 +189,10 @@ def test_degree_is_computed_once_per_bracket(monkeypatch):
         metric_at(b, x)
         bch_product(b, x, y)
         translation_jacobian(b, x, y)
+    # every reader of the central series shares the bracket's one evaluation
+    assert b.degree == algebra.nilpotency_degree(b) == orbit_invariants(b)["degree"] == 4
+    assert algebra.central_series_dims(b) == orbit_invariants(b)["series_dims"] == [5, 3, 2, 1, 0]
     assert len(calls) == 1
-    assert b.degree == 4
 
 
 # ---------------------------------------------------------------------------
@@ -364,6 +367,12 @@ def test_field_from_dict_rejects_garbage():
         dict(entry, alpha=0),
         dict(entry, value=float("nan")),
         "entry",
+        # read as i = 1, as i = 1, and as 1000.0
+        dict(entry, i=1.9),
+        dict(entry, i=True),
+        dict(entry, value="1e3"),
+        # a degree-2 monomial in a degree-1 field
+        dict(entry, alpha=[1, 1]),
     ]
     for bad in bad_entries:
         with pytest.raises(BracketFormatError):
@@ -372,6 +381,15 @@ def test_field_from_dict_rejects_garbage():
         MetricField.from_dict({"n": 2, "degree": 1, "coefficients": 5})
     with pytest.raises(BracketFormatError, match="degree"):
         MetricField.from_dict({"n": 1, "degree": -3, "coefficients": []})
+    for n, degree in (("2", 1), (2, 1.5), (2, "1")):
+        with pytest.raises(BracketFormatError):
+            MetricField.from_dict({"n": n, "degree": degree, "coefficients": [entry]})
+    # the last of two entries for one (alpha, i, j) won
+    with pytest.raises(BracketFormatError, match="repeats"):
+        MetricField.from_dict({"n": 2, "degree": 1, "coefficients": [entry, dict(entry, value=2.0)]})
+    # a degree-3 monomial in a degree-0 field
+    with pytest.raises(BracketFormatError, match="degree"):
+        MetricField.from_dict({"n": 2, "degree": 0, "coefficients": [dict(entry, alpha=[2, 1])]})
 
 
 # ---------------------------------------------------------------------------

@@ -450,14 +450,10 @@ def test_flow_summary_document_keys(tmp_path):
     assert doc["stats"]["t_final"] == 1.0
 
 
-def test_flow_with_h(tmp_path):
-    summary = tmp_path / "s.json"
-    rc = main(
-        ["flow", "heisenberg:c=1", "--t-max", "1", "--with-h", "--summary-out", str(summary)]
-    )
-    assert rc == 0
-    doc = json.loads(summary.read_text())
-    assert "h_final_det" in doc
+def test_flow_to_a_time_below_the_step_floor(capsys):
+    # the one step, h = 1e-300, is below the floor 1e-14 and used to exit 3
+    assert main(["flow", "heisenberg:c=1", "--t-max", "1e-300"]) == 0
+    assert "to t = 1e-300" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

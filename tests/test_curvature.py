@@ -22,7 +22,7 @@ from nilflow.curvature import (
     riemann_at_origin,
     scalar_curvature,
 )
-from nilflow.exceptions import DimensionMismatch, ZeroBracket
+from nilflow.exceptions import BadNormalization, DimensionMismatch, ZeroBracket
 from nilflow.generators import (
     filiform,
     heisenberg,
@@ -179,6 +179,13 @@ def test_moment_map_trace(seed):
 
 def test_energy_heisenberg(heis):
     assert ricci_energy(heis) == pytest.approx(0.75)
+
+
+@pytest.mark.parametrize("scale", [1e80, 1e-80])
+def test_energy_out_of_range_raises(scale):
+    # tr Ric^2 read the subnormal 7.5e-321 at 1e-80 and overflowed with a RuntimeWarning at 1e80
+    with pytest.raises(BadNormalization, match="rescale explicitly"):
+        ricci_energy(heisenberg(scale))
 
 
 @pytest.mark.parametrize("seed", [0, 3, 7, 12])

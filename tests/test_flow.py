@@ -16,6 +16,7 @@ from nilflow.algebra import (
 )
 from nilflow.curvature import (
     _ricci,
+    _tr_ric2,
     ricci_energy,
     ricci_energy_gradient,
     ricci_operator,
@@ -245,14 +246,15 @@ def _reference_generator(b0, r, h):
 def _assert_kernel_is_bitwise_the_stacked_path(b0, r, h):
     """The single-frame kernel of the right sides equals _gl_action_coeffs and
     _ricci, the kernels of stacked frames, bit for bit."""
-    rate, norm_sq = flow._rate(r, b0)
     hinv = np.linalg.inv(h)
     c = _gl_action_coeffs(h, hinv, b0.coeffs)
     ref = _ricci(c)
-    if norm_sq is not None:
-        ref *= norm_sq / np.vdot(c, c)
-    ref.reshape(-1)[:: b0.n + 1] += rate(ref)
-    assert np.array_equal(flow._shifted_ricci(b0.coeffs, rate, norm_sq)(h, hinv), ref)
+    if r == "scalar":
+        ref *= np.vdot(b0.coeffs, b0.coeffs) / np.vdot(c, c)
+        ref.reshape(-1)[:: b0.n + 1] += _tr_ric2(ref)
+    else:
+        ref.reshape(-1)[:: b0.n + 1] += 0.0 if r is None else r
+    assert np.array_equal(flow._shifted_ricci(b0, r)(h, hinv), ref)
 
 
 @pytest.mark.parametrize("r", [None, 0.7, "scalar"], ids=["unnormalized", "constant", "normalized"])
@@ -262,7 +264,7 @@ def test_frame_generator_matches_public_functions(n, r):
     for b0 in dense_starts(n, 300 + n):
         if r == "scalar":
             b0 = rescale_to_norm(b0)
-        rhs = flow._frame_generator(b0, *flow._rate(r, b0))
+        rhs = flow._frame_generator(b0, r)
         for _ in range(2):
             # cond(h) <= 4
             h = random_orthogonal(n, rng) @ np.diag(rng.uniform(0.5, 2.0, n)) @ random_orthogonal(n, rng)
@@ -283,7 +285,7 @@ def test_metric_flow_matches_public_functions(n, r):
     for b0 in dense_starts(n, 500 + n):
         if r == "scalar":
             b0 = rescale_to_norm(b0)
-        rhs, factor = flow._metric_flow(b0, *flow._rate(r, b0))
+        rhs, factor = flow._metric_flow(b0, r)
         for _ in range(2):
             # cond(L) <= 4
             upper = np.linalg.qr(random_orthogonal(n, rng) @ np.diag(rng.uniform(0.5, 2.0, n)))[1]
@@ -647,6 +649,21 @@ def test_overflowing_rate_underflows_the_first_step(heis):
     # the metric factor starts at 0, and the initial step must not ignore d1
     with pytest.raises(StepSizeUnderflow, match="t=0 "):
         integrate_innerproduct_flow(heis, 1.0, r=1e300)
+
+
+def test_a_run_shorter_than_the_step_floor_takes_one_step(heis):
+    # the floor 1e-14 max(1, |t|) spares the step that ends the run
+    trace = integrate_bracket_flow(heis, 1e-15)
+    assert trace.times.tolist() == [0.0, 1e-15] and trace.stats["accepted"] == 1
+    ip = integrate_innerproduct_flow(heis, 1e-15)
+    assert ip.times.tolist() == [0.0, 1e-15] and ip.stats["accepted"] == 1
+
+
+def test_the_last_step_after_a_stop_may_be_below_the_floor(heis):
+    # a step end relabelled to the stop at 1 leaves h = 1.1e-15 to the end
+    t_max = 1.0 + 1e-15
+    trace = integrate_bracket_flow(heis, t_max, FlowOpts(stops=(1.0,)))
+    assert trace.times[-2] == 1.0 and trace.times[-1] == t_max
 
 
 @pytest.fixture
