@@ -20,7 +20,6 @@ of its stacked monomials x^alpha against its stacked coefficient matrices.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -115,9 +114,17 @@ def metric_at(b: Bracket, x) -> np.ndarray:
 
 
 def _multiindices(n, degree):
-    out = [idx for idx in itertools.product(range(degree + 1), repeat=n) if sum(idx) <= degree]
-    out.sort(key=lambda a: (sum(a), a))
-    return out
+    """The C(n + degree, n) exponent tuples of n variables with sum <= degree,
+    by sum and then lexicographically, built directly."""
+
+    @lru_cache(maxsize=None)
+    def compositions(total, parts):
+        # the tuples of `parts` entries that sum to `total`, lexicographically
+        if parts == 1:
+            return ((total,),)
+        return tuple((a,) + rest for a in range(total + 1) for rest in compositions(total - a, parts - 1))
+
+    return [idx for total in range(degree + 1) for idx in compositions(total, n)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,6 +251,16 @@ def metric_field_2step(b: Bracket) -> MetricField:
     return MetricField(n, 2 if k == 2 else 0, coeffs)
 
 
+def _unique_rows(exps):
+    """The distinct rows of a nonnegative int array (m, n) in lexicographic
+    order, and the index of each row among them."""
+    # C-order keys sort as the rows do; ravel_multi_index raises, not wraps,
+    # when the key space overflows
+    keys = np.ravel_multi_index(exps.T, (int(exps.max(initial=0)) + 1,) * exps.shape[1])
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return exps[first], inverse
+
+
 def _matpoly_mul(p, q):
     """Product of matrix polynomials given as (exponents (m, n), coefficients
     (m, r, s)); like monomials are collected, in lexicographic order of their
@@ -251,24 +268,17 @@ def _matpoly_mul(p, q):
     (ep, cp), (eq, cq) = p, q
     exps = (ep[:, None] + eq[None, :]).reshape(-1, ep.shape[1])
     prods = (cp[:, None] @ cq[None, :]).reshape(len(exps), cp.shape[1], cq.shape[2])
-    # C-order keys sort as the rows do; ravel_multi_index raises, not wraps,
-    # when the key space overflows
-    keys = np.ravel_multi_index(exps.T, (int(exps.max(initial=0)) + 1,) * exps.shape[1])
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    exps = exps[first]
+    exps, inverse = _unique_rows(exps)
     coeffs = np.zeros((len(exps),) + prods.shape[1:])
     np.add.at(coeffs, inverse, prods)
     nonzero = np.any(coeffs != 0.0, axis=(1, 2))
     return exps[nonzero], coeffs[nonzero]
 
 
-def metric_field_fit(b: Bracket) -> MetricField:
-    """Exact polynomial coefficients of the metric entries.
-
-    ad_x = sum_i x_i ad_{e_i} is linear in x, so the closed-form dexp series
-    A(x) and g(x) = A(x)^T A(x) are expanded as polynomial products: an exact
-    expansion, with no sampling and only nonzero coefficients stored.
-    """
+def _expand_metric(b):
+    """Exponents (m, n) and symmetric coefficient matrices (m, n, n) of the
+    expansion that metric_field_fit describes, in lexicographic order of the
+    exponents."""
     k = b.degree
     n = b.n
     ad_x = (np.eye(n, dtype=int), np.swapaxes(b.coeffs, 1, 2))  # ad_{e_i}[k, j] = mu_ij^k
@@ -279,8 +289,49 @@ def metric_field_fit(b: Bracket) -> MetricField:
     # the terms are homogeneous of distinct degrees, so stacking them sums A
     a = tuple(np.concatenate(part) for part in zip(*terms))
     exps, g = _matpoly_mul((a[0], np.swapaxes(a[1], 1, 2)), a)
-    table = dict(zip(map(tuple, exps.tolist()), 0.5 * (g + g.swapaxes(1, 2))))
-    return MetricField(n, max(0, 2 * (k - 1)), table)
+    return exps, 0.5 * (g + g.swapaxes(1, 2))
+
+
+def _metric_table(b):
+    """_expand_metric(b), built once per bracket and kept on it read-only, as
+    the bracket keeps its central series (its coefficients are frozen, so the
+    table cannot go stale)."""
+    table = vars(b).get("_metric_table")
+    if table is None:
+        table = _expand_metric(b)
+        for part in table:
+            part.flags.writeable = False
+        vars(b)["_metric_table"] = table
+    return table
+
+
+def metric_field_fit(b: Bracket) -> MetricField:
+    """Exact polynomial coefficients of the metric entries.
+
+    ad_x = sum_i x_i ad_{e_i} is linear in x, so the closed-form dexp series
+    A(x) and g(x) = A(x)^T A(x) are expanded as polynomial products: an exact
+    expansion, with no sampling and only nonzero coefficients stored.  The
+    expansion is made once per bracket; each call returns a new field whose
+    coefficient matrices are read-only views of it.
+    """
+    exps, coeffs = _metric_table(b)
+    return MetricField(b.n, max(0, 2 * (b.degree - 1)), dict(zip(map(tuple, exps.tolist()), coeffs)))
+
+
+# entries of the coefficient matrix and of the values in one block of
+# derivative orders of metric_convergence_distance
+_BLOCK = 2**20
+
+
+def _sample_points(n, radius):
+    """The 3^n lattice points of {-1, 0, 1}^n scaled to the ball (in the order
+    of itertools.product), then 100 interior points drawn from default_rng(0)."""
+    lattice = np.indices((3,) * n).reshape(n, -1).T - 1.0
+    rng = np.random.default_rng(0)
+    dirs = rng.standard_normal((100, n))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    radii = radius * rng.random(100) ** (1.0 / n)
+    return np.vstack([lattice * (radius / math.sqrt(n)), dirs * radii[:, None]])
 
 
 def metric_convergence_distance(b1: Bracket, b2: Bracket, radius: float, p: int = 2) -> float:
@@ -288,10 +339,14 @@ def metric_convergence_distance(b1: Bracket, b2: Bracket, radius: float, p: int 
 
     Evaluated from the exact expansions of both metrics on 3^n lattice points
     scaled to the ball plus 100 random interior points drawn from
-    default_rng(0), so the result is deterministic.  Each derivative field is
-    one matrix product against a Vandermonde block taken from a table of
-    coordinate powers.  ConfigError unless the radius is finite and >= 0 and
-    p is a nonnegative int.
+    default_rng(0), so the result is deterministic.  With D the table of
+    coefficient differences, d^beta of the term D_alpha x^alpha is
+    alpha! / (alpha - beta)! D_alpha x^(alpha - beta), so every derivative
+    on every point is one product C^T V: V holds each monomial x^gamma,
+    gamma = alpha - beta, once, and C the factors times D.  The orders beta
+    run in blocks that keep C and the values under 2^20 entries.  Each
+    bracket's expansion is made once (see metric_field_fit).  ConfigError
+    unless the radius is finite and >= 0 and p is a nonnegative int.
     """
     # a nan or infinite radius puts nan on every point, and the max ignores it
     if not (math.isfinite(radius) and radius >= 0.0):
@@ -300,35 +355,46 @@ def metric_convergence_distance(b1: Bracket, b2: Bracket, radius: float, p: int 
         raise ConfigError(f"p must be a nonnegative int, got {p!r}")
     _require_same_n(b1, b2)
     n = b1.n
-    f1 = metric_field_fit(b1)
-    f2 = metric_field_fit(b2)
-    alphas = sorted(set(f1.coefficients) | set(f2.coefficients))
-    zero = np.zeros((n, n))
-    exps = np.array(alphas)
-    diff = np.array([f1.coefficients.get(a, zero) - f2.coefficients.get(a, zero) for a in alphas])
+    (e1, c1), (e2, c2) = _metric_table(b1), _metric_table(b2)
+    exps, row = _unique_rows(np.concatenate([e1, e2]))
+    # both tables are symmetric: the upper triangle holds every entry
+    upper = np.triu_indices(n)
+    diff = np.zeros((len(exps), len(upper[0])))
+    diff[row[: len(e1)]] = c1[:, upper[0], upper[1]]
+    diff[row[len(e1) :]] -= c2[:, upper[0], upper[1]]
+    nonzero = diff.any(axis=1)
+    if not nonzero.any():  # equal expansions: every derivative of g_1 - g_2 vanishes
+        return 0.0
+    exps, diff = exps[nonzero], diff[nonzero]
 
-    lattice = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=n))) * (radius / math.sqrt(n))
-    rng = np.random.default_rng(0)
-    dirs = rng.standard_normal((100, n))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    radii = radius * rng.random(100) ** (1.0 / n)
-    points = np.vstack([lattice, dirs * radii[:, None]])
-
-    degree = max(f1.degree, f2.degree)
-    # powers[t, a] = x_t^a on every point; factorial[a] = a!
-    powers = np.moveaxis(points[:, :, None] ** np.arange(degree + 1), 0, -1)
+    # a derivative of order above the degree of the difference vanishes
+    degree = int(exps.sum(axis=1).max())
+    betas = np.array(_multiindices(n, min(p, degree)))
+    # every pair (beta, alpha >= beta), in order of beta
+    pair_beta, pair_alpha = np.nonzero(np.all(exps >= betas[:, None], axis=2))
+    gamma = exps[pair_alpha] - betas[pair_beta]
     factorial = np.cumprod(np.r_[1.0, np.arange(1.0, degree + 1)])
+    terms = np.prod(factorial[exps[pair_alpha]] / factorial[gamma], axis=1)[:, None] * diff[pair_alpha]
+    gamma, pair_gamma = _unique_rows(gamma)
+
+    # powers[t, a] = x_t^a on every point, by repeated products (np.power with
+    # an array of exponents takes about 50 ns an entry); vand[g] = x^gamma_g
+    coords = _sample_points(n, radius).T
+    powers = np.ones((n, degree + 1, coords.shape[1]))
+    powers[:, 1:] = coords[:, None]
+    powers = np.cumprod(powers, axis=1)
+    vand = powers[0, gamma[:, 0]]
+    for t in range(1, n):
+        vand = vand * powers[t, gamma[:, t]]
+
+    # a block of orders holds C (gammas, orders, cols) and values (orders * cols, points)
+    cols = diff.shape[1]
+    step = max(1, _BLOCK // (cols * max(vand.shape)))
     worst = 0.0
-    # a derivative of order above the degree of both fields vanishes
-    for beta in _multiindices(n, min(p, degree)):
-        keep = np.all(exps >= beta, axis=1)
-        if not keep.any():
-            continue
-        shifted = exps[keep] - beta
-        factor = np.prod(factorial[exps[keep]] / factorial[shifted], axis=1)
-        vand = powers[0, shifted[:, 0]]
-        for t in range(1, n):
-            vand = vand * powers[t, shifted[:, t]]
-        values = (factor[:, None] * diff[keep].reshape(-1, n * n)).T @ vand
-        worst = max(worst, float(np.abs(values).max()))
+    for lo in range(0, len(betas), step):
+        block = slice(*np.searchsorted(pair_beta, [lo, lo + step]))
+        coeffs = np.zeros((len(gamma), min(step, len(betas) - lo), cols))
+        coeffs[pair_gamma[block], pair_beta[block] - lo] = terms[block]
+        values = coeffs.reshape(len(gamma), -1).T @ vand
+        worst = max(worst, float(values.max()), -float(values.min()))
     return worst

@@ -1,5 +1,6 @@
 """Group law in exponential coordinates and the induced metric coefficients."""
 
+import itertools
 import math
 import time
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilflow import algebra, bch
-from nilflow.algebra import gl_action
+from nilflow.algebra import Bracket, gl_action
 from nilflow.bch import (
     MetricField,
     bch_product,
@@ -351,9 +352,39 @@ def test_collection_matches_unique_rows(b, monkeypatch):
     # the dense start has 462 monomials, every one collected from many products
     got = metric_field_fit(b).coefficients
     monkeypatch.setattr(bch, "_matpoly_mul", _unique_rows_matpoly_mul)
-    ref = metric_field_fit(b).coefficients
+    # a new bracket with the same coefficients: b keeps its first expansion
+    ref = metric_field_fit(Bracket(b.coeffs)).coefficients
     assert list(got) == list(ref)
     assert all(np.array_equal(got[alpha], ref[alpha]) for alpha in ref)
+
+
+def test_each_bracket_is_expanded_once(monkeypatch, fil4):
+    calls = []
+    original = bch._expand_metric
+
+    def counting(b):
+        calls.append(b)
+        return original(b)
+
+    monkeypatch.setattr(bch, "_expand_metric", counting)
+    near = filiform(4, [1.1, 1.0])
+    metric_field_fit(fil4)
+    metric_convergence_distance(fil4, near, 2.0)
+    metric_convergence_distance(fil4, fil4, 2.0, p=0)
+    assert calls == [fil4, near]
+
+
+def test_fitted_fields_share_no_mutable_state(fil4):
+    field = metric_field_fit(fil4)
+    first = dict(field.coefficients)
+    alpha = next(iter(first))
+    field.coefficients.pop(alpha)
+    field.coefficients[(9, 9, 9, 9)] = np.eye(4)
+    with pytest.raises(ValueError):
+        first[alpha][0, 0] = 2.0
+    again = metric_field_fit(fil4).coefficients
+    assert list(again) == list(first)
+    assert all(np.array_equal(again[a], first[a]) for a in first)
 
 
 def test_field_from_dict_rejects_garbage():
@@ -432,3 +463,82 @@ def test_distance_stops_at_the_degree_of_the_fields():
     assert metric_convergence_distance(a, b, radius=1.0, p=50) == at_degree
     assert time.perf_counter() - start < 2.0
     assert at_degree == pytest.approx(0.2625, abs=1e-4)
+
+
+def test_multiindices_are_built_directly():
+    for n in range(1, 6):
+        for degree in range(5):
+            product = [a for a in itertools.product(range(degree + 1), repeat=n) if sum(a) <= degree]
+            assert bch._multiindices(n, degree) == sorted(product, key=lambda a: (sum(a), a))
+    # the filtered product walks 13^8 = 815M tuples here
+    start = time.perf_counter()
+    assert len(bch._multiindices(8, 12)) == math.comb(20, 8)
+    assert time.perf_counter() - start < 1.0
+
+
+def _reference_distances(b1, b2, radius, top):
+    """Sup of |d^beta (g_1 - g_2)_ij| on the distance's sample points for each
+    order |beta| = 0..top: one coefficient-exact derivative of each field per
+    beta, their difference evaluated monomial by monomial."""
+    f1, f2 = metric_field_fit(b1), metric_field_fit(b2)
+    n = b1.n
+    points = bch._sample_points(n, radius)
+    powers = points.T[:, :, None] ** np.arange(max(f1.degree, f2.degree) + 1)  # powers[t, x, a] = x_t^a
+    zero = np.zeros((n, n))
+    worst = [0.0] * (top + 1)
+    for beta in itertools.product(range(top + 1), repeat=n):
+        if sum(beta) > top:
+            continue
+        d1, d2 = f1.derivative(beta).coefficients, f2.derivative(beta).coefficients
+        alphas = sorted(set(d1) | set(d2))
+        if not alphas:
+            continue
+        exps = np.array(alphas)
+        diff = np.array([d1.get(a, zero) - d2.get(a, zero) for a in alphas]).reshape(-1, n * n)
+        monomials = np.ones((len(points), len(exps)))
+        for t in range(n):
+            monomials *= powers[t][:, exps[:, t]]
+        worst[sum(beta)] = max(worst[sum(beta)], float(np.abs(monomials @ diff).max()))
+    return worst
+
+
+def _parity_starts():
+    rng = np.random.default_rng(3)
+    makers = {
+        "two_step": random_two_step,
+        "nilpotent": random_nilpotent,
+        "filiform": lambda n, rng: sphere_perturbation(filiform(n), rng),
+    }
+    starts = []
+    for n in range(3, 7):
+        for kind, make in makers.items():
+            b = make(n, rng)
+            near = gl_action(np.eye(n) + 0.05 * rng.standard_normal((n, n)) / math.sqrt(n), b)
+            # the perturbed filiform(6) expansion has 3003 monomials, and its
+            # reference takes 15 to 25 s on one core at p = 2 and 3
+            top = 1 if (kind, n) == ("filiform", 6) else 3
+            starts.append(pytest.param(b, near, top, id=f"{kind}{n}"))
+    return starts
+
+
+@pytest.mark.parametrize("b, near, top", _parity_starts())
+def test_distance_matches_the_per_derivative_reference(b, near, top):
+    for radius in (1.0, 2.0):
+        ref = _reference_distances(b, near, radius, top)
+        for p in range(top + 1):
+            want = max(ref[: p + 1])
+            assert abs(metric_convergence_distance(b, near, radius, p) - want) <= 1e-12 * want
+            assert metric_convergence_distance(b, b, radius, p) == 0.0
+
+
+def test_distance_blocks_agree_with_one_block(monkeypatch):
+    # p = 3 has 84 orders at n = 6 and the dense start 3003 monomials, so one
+    # block of the coefficient matrix over the 21 upper-triangle entries
+    # would pass 2^20 entries
+    b = filiform(6)
+    near = gl_action(np.eye(6) + 0.05 * np.random.default_rng(6).standard_normal((6, 6)), b)
+    assert len(metric_field_fit(near).coefficients) * len(bch._multiindices(6, 3)) * 21 > 2**20
+    blocked = metric_convergence_distance(b, near, radius=2.0, p=3)
+    monkeypatch.setattr(bch, "_BLOCK", 2**62)
+    whole = metric_convergence_distance(b, near, radius=2.0, p=3)
+    assert abs(blocked - whole) <= 1e-12 * whole
