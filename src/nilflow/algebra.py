@@ -38,7 +38,7 @@ _FLOAT_MAX = float(np.finfo(float).max)
 def _norm(a: np.ndarray, ndim: int = 3):
     """Frobenius norm over the last ndim axes of a (leading axes are batch axes), as
     sqrt(vecdot) like np.linalg.norm; where the square underflows, m ||a / m||, m = max|a|."""
-    flat = a.reshape(*a.shape[: a.ndim - ndim], -1)
+    flat = a.reshape(*a.shape[: a.ndim - ndim], math.prod(a.shape[a.ndim - ndim :]))  # also with no samples
     nrm = np.sqrt(np.vecdot(flat, flat))
     if (nrm < _SQRT_TINY).any():
         m = np.abs(flat).max(axis=-1, keepdims=True, initial=np.finfo(float).smallest_subnormal)

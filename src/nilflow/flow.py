@@ -15,11 +15,11 @@ and nilpotent, by construction.  With D the projection of h^{-1} X h onto
 Der(mu0), h' = -(X - h D h^{-1}) h; h D h^{-1} is a derivation of mu(t), so
 mu' is exactly the bracket flow, and at a soliton X - h D h^{-1} -> 0, so h
 converges.  Each stored frame of a normalized run is rescaled once onto the
-sphere.  Traces are arrays read by batched kernels; cond(h) > 1/sqrt(eps),
-or a skew part of h.mu0 above 1e-8 of its norm (rounding damage), raises
-NumericalFailure.  Every flow runs one adaptive Dormand-Prince 5(4)
-integrator; a stop is a sample of its 4th-order continuous extension, not a
-step end.
+sphere.  Traces are arrays read by batched kernels.  The step loop judges
+each stored frame, 32 at a time: cond(h) > 1/sqrt(eps), or a skew part of
+h.mu0 above 1e-8 of its norm (rounding damage), raises NumericalFailure at
+that frame, whatever t_max.  Every flow runs one adaptive Dormand-Prince 5(4)
+integrator; a stop is a sample of its continuous extension, not a step end.
 The module also integrates the ungauged companion frame h' = -(Ric + r I) h,
 a second run of a flow, and the equivalent inner-product (metric tensor) flow
 G' = -2 ric(G) - 2 r G, and checks the structural identities of the r = 0 flow.
@@ -97,6 +97,7 @@ _KP = 0.4 / 5
 
 # Past this many samples a trace is thinned (see FlowOpts).
 _MAX_SAMPLES = 8192
+_CHECK_EVERY = 32  # a check of the samples runs on batches of this many (see _integrate_adaptive)
 
 
 @dataclass(frozen=True)
@@ -175,7 +176,7 @@ def _thin(samples, steps, stride):
     return [samples[i] for i in keep], [steps[i] for i in keep]
 
 
-def _integrate_adaptive(f, t0, y0, t_end, opts):
+def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
     """Generic adaptive integrator.
 
     Returns (samples, stats): samples is a list of (t, y) at t0, at every
@@ -185,6 +186,8 @@ def _integrate_adaptive(f, t0, y0, t_end, opts):
     accepted/rejected steps and evaluations.  A stop is a sample of the
     4th-order continuous extension of the step holding it, at no extra
     evaluation, or, within rounding of a step end, relabels that sample.
+    check(samples, i) judges the samples stored since its last call, from i
+    on: every _CHECK_EVERY samples before any thinning, and at any run's end.
     Raises ConfigError unless t_end is finite and >= t0, and
     StepSizeUnderflow when the controller collapses or the step is nan; every
     NumericalFailure, one raised by f included, carries the samples accepted
@@ -211,8 +214,9 @@ def _integrate_adaptive(f, t0, y0, t_end, opts):
     stops = sorted(stops, reverse=True)  # popped in time order
     samples = [(t, y)]
     steps = [0]  # accepted-step index of each sample; 0 for the start and the stops
-    stride = 1
+    stride, judged = 1, 0  # check has judged samples[:judged]
     if t_end <= t0:
+        check(samples, judged)
         return samples, stats
 
     try:
@@ -249,9 +253,13 @@ def _integrate_adaptive(f, t0, y0, t_end, opts):
                     samples.append((t, y))
                     steps.append(step)
                 # a stride past the step count would drop nothing more
-                if len(samples) > _MAX_SAMPLES and stride <= stats["accepted"]:
-                    stride *= 2
-                    samples, steps = _thin(samples, steps, stride)
+                thin = len(samples) > _MAX_SAMPLES and stride <= stats["accepted"]
+                if thin or t >= t_end or len(samples) - judged >= _CHECK_EVERY:
+                    check(samples, judged)
+                    if thin:
+                        stride *= 2
+                        samples, steps = _thin(samples, steps, stride)
+                    judged = len(samples)
                 factor = _SAFETY * (err + 1e-300) ** (-_KI) * err_prev**_KP
                 err_prev = max(err, 1e-4)
                 h = h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
@@ -259,8 +267,9 @@ def _integrate_adaptive(f, t0, y0, t_end, opts):
                 stats["rejected"] += 1
                 h = h * max(_MIN_FACTOR, _SAFETY * err**-0.2)
     except NumericalFailure as exc:
-        if exc.trace is None:
+        if exc.trace is None:  # not raised by check
             exc.trace = samples
+            check(samples, judged)
         raise
     return samples, stats
 
@@ -475,31 +484,12 @@ def _finish_trace(samples, stats, b0, r):
     """FlowTrace of the frame samples of a flow of rate r from b0: array
     expressions over the stacked brackets h_i.mu0 (exactly antisymmetrized;
     for the scalar rate each frame is rescaled onto ||mu|| = ||mu0||, and
-    r_values is the tr_ric2 column).  Raises NumericalFailure, with the
-    samples before it attached, at the first frame whose condition number
-    exceeds _MAX_COND_H or whose bracket has a skew defect
-    max|c + c^T| / ||c|| above _MAX_SKEW_DEFECT."""
+    r_values is the tr_ric2 column).  The step loop has judged the frames."""
     n, c0 = b0.n, b0.coeffs
     times = np.array([t for t, _ in samples])
     frames = np.array([y for _, y in samples]).reshape(-1, n, n)
-    cond = np.linalg.cond(frames)
-    i = _first_above(cond, _MAX_COND_H)
-    # h.mu0 only where h is within the bound: past it the inverse is noise
-    frames = frames[:i]
     coeffs = _gl_action_coeffs(frames, np.linalg.inv(frames), c0)
     norms = _norm(coeffs)
-    skew = np.abs(coeffs + coeffs.swapaxes(1, 2)).max(axis=(1, 2, 3))
-    defect = skew / np.maximum(norms, np.finfo(float).tiny)
-    j = _first_above(defect, _MAX_SKEW_DEFECT)
-    if j < i:
-        msg = (f"skew defect {defect[j]:.3e} of h.mu0 at t={times[j]:.6g} exceeds "
-               f"{_MAX_SKEW_DEFECT:g}: rounding has damaged mu")
-        raise NumericalFailure(msg, trace=samples[:j])
-    if i < len(times):
-        msg = f"cond(h) = {cond[i]:.3e} at t={times[i]:.6g} exceeds 1/sqrt(eps): h.mu0 has lost its precision"
-        raise NumericalFailure(msg, trace=samples[:i])
-    stats["max_cond_h"] = float(cond.max())
-    stats["max_skew_defect"] = float(defect.max())
     if isinstance(r, str):
         # (lambda h).mu0 = mu / lambda puts every sample back on ||mu|| = ||mu0||
         lams = norms / _norm(c0)
@@ -534,11 +524,33 @@ def integrate_bracket_flow(b0: Bracket, t_max: float, opts: FlowOpts | None = No
     ||mu_0|| = 2 to 1e-10 (else BadNormalization) and keeps every sample on
     that sphere to rounding.  Any other r, a callable included, raises
     BadRate.  The trace keeps r as `rate`, from which its `kind` follows,
-    and the rate at each sample in `r_values`.
+    and the rate at each sample in `r_values`.  The step loop judges every
+    stored frame, 32 at a time, against the bounds of the module docstring,
+    whatever t_max; stats keep the largest cond(h) and skew defect.
     """
-    rhs = _frame_generator(b0, r)
-    samples, stats = _integrate_adaptive(rhs, 0.0, np.eye(b0.n).reshape(-1), t_max, opts)
-    return _finish_trace(samples, stats, b0, r)
+    rhs, worst = _frame_generator(b0, r), {"max_cond_h": 0.0, "max_skew_defect": 0.0}
+
+    def check(samples, i):
+        frames = np.array([y for _, y in samples[i:]]).reshape(-1, b0.n, b0.n)
+        cond = np.linalg.cond(frames)
+        k = _first_above(cond, _MAX_COND_H)
+        coeffs = _gl_action_coeffs(frames[:k], np.linalg.inv(frames[:k]), b0.coeffs)  # past the bound inv is noise
+        skew = np.abs(coeffs + coeffs.swapaxes(1, 2)).max(axis=(1, 2, 3))
+        defect = skew / np.maximum(_norm(coeffs), np.finfo(float).tiny)
+        j = _first_above(defect, _MAX_SKEW_DEFECT)
+        if j < k:
+            msg = (f"skew defect {defect[j]:.3e} of h.mu0 at t={samples[i + j][0]:.6g} exceeds "
+                   f"{_MAX_SKEW_DEFECT:g}: rounding has damaged mu")
+            raise NumericalFailure(msg, trace=samples[: i + j])
+        if k < len(cond):
+            msg = (f"cond(h) = {cond[k]:.3e} at t={samples[i + k][0]:.6g} exceeds 1/sqrt(eps): "
+                   "h.mu0 has lost its precision")
+            raise NumericalFailure(msg, trace=samples[: i + k])
+        worst["max_cond_h"] = float(np.max(cond, initial=worst["max_cond_h"]))
+        worst["max_skew_defect"] = float(np.max(defect, initial=worst["max_skew_defect"]))
+
+    samples, stats = _integrate_adaptive(rhs, 0.0, np.eye(b0.n).reshape(-1), t_max, opts, check=check)
+    return _finish_trace(samples, stats | worst, b0, r)
 
 
 def integrate_normalized_flow(b0: Bracket, t_max: float, opts: FlowOpts | None = None) -> FlowTrace:

@@ -1,6 +1,7 @@
 """Integration of the bracket flows: exact solutions, invariants, companions."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -531,19 +532,86 @@ def test_condition_bound_ends_a_run_that_leaves_the_orbit():
     accepted = info.value.trace
     assert 20.0 < accepted[-1][0] < 39.0
     assert np.linalg.cond(accepted[-1][1].reshape(8, 8)) <= 1.0 / np.sqrt(np.finfo(float).eps)
+    # the step loop judges the frames, so a longer run ends at the same frame;
+    # judged after the run, T = 60 went on to a singular frame at t = 56.05
+    with pytest.raises(NumericalFailure) as longer:
+        integrate_normalized_flow(b, 60.0)
+    assert str(longer.value) == str(info.value) and "at t=28.4377 " in str(info.value)
+    assert len(longer.value.trace) == len(accepted)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 11])
 def test_skew_defect_ends_a_rotated_run_before_a_wrong_limit(seed):
     # a rotation is an isometry, yet with cond(h) under its bound these runs
     # returned tr Ric^2 = 0.68181xx at T = 20 and 0.15-0.16 at T = 27 against
-    # 15/22; the skew part of h.mu0 shows the rounding damage from t ~ 14 on
+    # 15/22; the skew part of h.mu0 shows the rounding damage from t ~ 14 on.
+    # Judged in the step loop, the failure does not depend on t_max: judged on
+    # the thinned samples after the run, seed 1 failed at t = 13.8201 with 133
+    # samples to T = 20 and at t = 14.0004 with 67 to T = 27, after 8,000 steps
     b = rotated_dixmier_lister(seed)
+    failures = []
     for t_max in (20.0, 27.0):
         with pytest.raises(NumericalFailure, match="skew defect") as info:
             integrate_normalized_flow(b, t_max)
         accepted = info.value.trace
         assert 10.0 < accepted[-1][0] < 15.0
+        failures.append((str(info.value), len(accepted)))
+    assert failures[0] == failures[1]
+
+
+def test_a_negative_rate_ends_at_the_condition_bound(heis):
+    # h grows without bound; judged after the run, T = 50 did not return (at
+    # t = 41.3 it advanced 3.7e-4 per 1,000 evaluations), and r = -1e6 stood
+    # at t = 1.3e-4 after 60,000 steps
+    with pytest.raises(NumericalFailure, match=re.escape("cond(h) = 6.797e+07 at t=8.94968 ")):
+        integrate_bracket_flow(heis, 50.0, r=-3.0)
+    with pytest.raises(NumericalFailure, match="cond") as info:
+        integrate_bracket_flow(heis, 1e-3, r=-1e6)
+    assert info.value.trace[-1][0] == pytest.approx(2.7e-5, rel=0.02)
+
+
+def test_check_judges_each_stored_sample_once_before_thinning(monkeypatch, cap_128):
+    # the integrator's contract with a check: every sample it stores, stops
+    # included, is judged once, in time order, before thinning can drop it,
+    # and in batches, not one sample at a time
+    calls, judged, thinned = [], [], []
+
+    def check(samples, i):
+        assert {t for t, _ in samples[:i]} <= set(judged)
+        calls.append(len(samples) - i)
+        judged.extend(t for t, _ in samples[i:])
+
+    def thin(samples, steps, stride):
+        thinned.append({t for t, _ in samples})
+        return real_thin(samples, steps, stride)
+
+    real_thin = flow._thin
+    monkeypatch.setattr(flow, "_thin", thin)
+    stops = tuple(np.linspace(0.0, 10.0, 41)[1:-1])
+    opts = FlowOpts(max_step=1e-2, stops=stops)
+    samples, _ = flow._integrate_adaptive(lambda t, y: -y, 0.0, np.ones(2), 10.0, opts, check=check)
+    assert len(thinned) >= 3 and len(samples) <= 128
+    assert judged[0] == 0.0 and judged[-1] == 10.0
+    assert np.all(np.diff(judged) > 0.0)
+    assert all(ts <= set(judged) for ts in thinned)
+    assert set(stops) | {t for t, _ in samples} <= set(judged)
+    assert min(calls) > 0 and len(calls) <= len(judged) / flow._CHECK_EVERY + len(thinned) + 1
+
+
+def test_check_judges_the_samples_of_a_failed_run():
+    # a failure of the right side still has every sample it carries judged, so
+    # damage before it is reported first
+    judged = []
+
+    def rhs(t, y):
+        if t > 0.5:
+            raise NumericalFailure("the right side failed")
+        return -y
+
+    with pytest.raises(NumericalFailure, match="right side") as info:
+        flow._integrate_adaptive(rhs, 0.0, np.ones(2), 1.0, FlowOpts(max_step=1e-3),
+                                 check=lambda samples, i: judged.extend(t for t, _ in samples[i:]))
+    assert judged == [t for t, _ in info.value.trace] and len(judged) > 400
 
 
 def test_skew_defect_is_reported_on_runs_that_keep_their_orbit():
