@@ -60,9 +60,9 @@ class VTangent:
         c = np.array(self.coeffs, dtype=float)
         if c.ndim != 3 or not (c.shape[0] == c.shape[1] == c.shape[2]) or c.size == 0:
             raise DimensionMismatch(f"expected an (n, n, n) array with n >= 1, got shape {c.shape}")
-        if not np.all(np.isfinite(c)):
+        scale = float(np.abs(c).max(initial=1.0))  # nan and inf propagate through the max
+        if not math.isfinite(scale):
             raise BracketFormatError("structure constants must be finite")
-        scale = max(1.0, float(np.abs(c).max()))
         # every curvature and rank threshold scales with ||mu||^2; past the
         # float range it is inf, and so is each of them.  ||mu||^2 is at most
         # size * scale^2, a Python product that overflows to inf silently
@@ -121,6 +121,16 @@ class VTangent:
         """_central_series at DEFAULT_TOL, computed once; the coefficients are
         frozen, so it cannot go stale."""
         return _central_series(self.coeffs, DEFAULT_TOL)
+
+    @cached_property
+    def _derivations(self) -> np.ndarray:
+        """Read-only (k, n, n) stack of derivation_basis, from one SVD per
+        bracket; the coefficients are frozen, so it cannot go stale."""
+        _, s, vt = np.linalg.svd(_delta_matrix(self.coeffs), full_matrices=False)
+        rank = 0 if s.size == 0 or s[0] == 0.0 else int(np.sum(s > s[0] * DEFAULT_TOL))
+        basis = np.array(vt[rank:].reshape(-1, self.n, self.n))
+        basis.flags.writeable = False
+        return basis
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,16 +353,10 @@ def delta_transpose(b: VTangent, v: VTangent) -> Operator:
 def derivation_basis(b: VTangent) -> list:
     """Orthonormal basis (trace inner product) of Der(mu) = ker delta_mu.
 
-    Nullspace via SVD with relative singular-value threshold DEFAULT_TOL.
+    Nullspace via SVD with relative singular-value threshold DEFAULT_TOL,
+    computed once per bracket; a new list of read-only arrays each call.
     """
-    n = b.n
-    a = _delta_matrix(b.coeffs)
-    _, s, vt = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(s > s[0] * DEFAULT_TOL))
-    return [row.reshape(n, n) for row in vt[rank:]]
+    return list(b._derivations)
 
 
 # ---------------------------------------------------------------------------

@@ -56,8 +56,8 @@ def ricci_form(b: VTangent) -> Operator:
 
 
 def scalar_curvature(b: VTangent) -> float:
-    """scal = -||mu||^2 / 4 (equals tr of the Ricci operator)."""
-    return -0.25 * b.norm**2
+    """scal = -||mu||^2 / 4 (equals tr of the Ricci operator); +0.0 at mu = 0."""
+    return 0.0 - 0.25 * b.norm**2
 
 
 def ricci_sign_check(b: VTangent) -> tuple:

@@ -5,7 +5,8 @@ r = 0 is the unnormalized flow, the negative gradient flow of tr(Ric^2) on
 V_n; r = tr(Ric^2), the rate "scalar", keeps ||mu|| = 2 (unit sphere of
 scalar curvature -1); a finite constant gives the other rescaled flows.
 One kernel, _shifted_ricci(mu0, r), checks r and forms X = Ric + r I for
-every flow.  The rate alone decides the normalization: tr(Ric^2) is
+every flow, from mu0 halved and r I built once per flow (Der(mu0) is built
+once per bracket).  The rate alone decides the normalization: tr(Ric^2) is
 homogeneous, so with the scalar rate X is evaluated on the bracket rescaled
 to ||mu0||, and ||mu|| stays fixed by itself.
 
@@ -21,8 +22,9 @@ h.mu0 above 1e-8 of its norm (rounding damage), raises NumericalFailure at
 that frame, whatever t_max.  Every flow runs one adaptive Dormand-Prince 5(4)
 integrator; a stop is a sample of its continuous extension, not a step end.
 The module also integrates the ungauged companion frame h' = -(Ric + r I) h,
-a second run of a flow, and the equivalent inner-product (metric tensor) flow
-G' = -2 ric(G) - 2 r G, and checks the structural identities of the r = 0 flow.
+a second run of a flow under one error state per run, and the equivalent
+inner-product (metric tensor) flow G' = -2 ric(G) - 2 r G, and checks the
+structural identities of the r = 0 flow.
 The metric flow's state is the factor of G = L L^T, as the strict lower part
 of L and log diag L, so G stays positive definite by construction and its
 right side needs no Cholesky factorization.
@@ -47,7 +49,6 @@ from .algebra import (
     _jacobiator_max,
     _norm,
     bracket_to_dict,
-    derivation_basis,
 )
 from .curvature import _ricci, _riemann, _tr_ric2
 from .exceptions import (
@@ -74,6 +75,8 @@ _DP_A = np.array([
     [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
     [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
 ])
+# (stage time, row of _DP_A) of stages 1-6, built once: _dp_step reads them per stage
+_DP_STAGES = [(float(_DP_C[i]), _DP_A[i, :i]) for i in range(1, 7)]
 # error weights: the 5th-order row minus the embedded 4th-order weights
 _DP_E = _DP_A[6] - np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
 # 4th-order continuous extension (Dormand & Prince 1980; Hairer, Norsett &
@@ -134,7 +137,11 @@ class FlowOpts:
 
 
 def _error_norm(err, y_old, y_new, rtol, atol):
-    q = err / (atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new)))
+    q = np.abs(y_old)  # the scale atol + rtol max|y|, built in place
+    np.maximum(q, np.abs(y_new), out=q)
+    q *= rtol
+    q += atol
+    np.divide(err, q, out=q)
     return math.sqrt(np.vecdot(q, q) / q.size)
 
 
@@ -157,10 +164,9 @@ def _initial_step(f, t0, y0, f0, span, rtol, atol):
 def _dp_step(f, t, y, h, K):
     """One Dormand-Prince step from (t, y), K[0] = f(t, y): fills the stages
     K[1:] of the (7, N) array K (K[6] = f(t + h, y_new)); returns (y_new, err_vec)."""
-    a = h * _DP_A
-    for i in range(1, 7):
-        yi = y + a[i, :i] @ K[:i]
-        K[i] = f(t + _DP_C[i] * h, yi)
+    for i, (c, row) in enumerate(_DP_STAGES, 1):
+        yi = y + (h * row) @ K[:i]
+        K[i] = f(t + c * h, yi)
     return yi, (h * _DP_E) @ K
 
 
@@ -383,10 +389,12 @@ def _shifted_ricci(b0, r):
     the frame and the metric flows.  r is None (zero), a finite real number
     or "scalar", tr(Ric^2); anything else, a callable included, raises
     BadRate.  "scalar" needs ||mu0|| = 2 to 1e-10 (else BadNormalization) and
-    reads Ric, and the rate, on mu rescaled onto ||mu0||.  One call is
-    straight-line 2-D products on views of mu0 taken once, the same products
-    in the same order as _gl_action_coeffs and _ricci, so X is bit-identical
-    to theirs without the batch-axis handling of a stack."""
+    reads Ric, and the rate, on mu rescaled onto ||mu0||.  Built once per
+    flow: r I (nothing at r = None) and mu0 halved, an exact scaling, so that
+    C^T C - 2 A A^T of the halved products is 1/4 C^T C - 1/2 A A^T bit for
+    bit.  One call is straight-line 2-D products, the same products in the
+    same order as _gl_action_coeffs and _ricci, so X is bit-identical to
+    theirs without the batch-axis handling of a stack."""
     if isinstance(r, str):
         if r != "scalar":
             raise BadRate(f"unknown rate {r!r}; the only string rate is 'scalar'")
@@ -396,7 +404,7 @@ def _shifted_ricci(b0, r):
                 f"the normalized flow needs ||mu|| = 2, got {b0.norm:.6g} (off by {drift:.3e}); "
                 "rescale with rescale_to_norm, or pass --rescale 2"
             )
-        norm_sq = np.vdot(b0.coeffs, b0.coeffs)
+        norm_sq, shift = 0.25 * np.vdot(b0.coeffs, b0.coeffs), None
     else:
         if r is not None and not isinstance(r, numbers.Real):
             raise BadRate(f"r must be None, a real number or 'scalar', got {r!r}")
@@ -404,23 +412,22 @@ def _shifted_ricci(b0, r):
         # a nan or infinite rate would make every step nan, and every step rejected
         if not math.isfinite(value):
             raise BadRate(f"a constant rate must be finite, got {r!r}")
-        norm_sq = None
+        norm_sq, shift = None, None if r is None else value * np.eye(b0.n)
     n = b0.n
-    c0_rows = b0.coeffs.reshape(n, n * n)
+    c0_rows = (0.5 * b0.coeffs).reshape(n, n * n)
 
     def kernel(h, hinv):
         w = hinv.T
-        c = w @ (w @ c0_rows).reshape(n, n, n) @ h.T
+        c = (w @ (w @ c0_rows).reshape(n, n, n)).reshape(n * n, n) @ h.T
         rows = c.reshape(n, n * n)
-        cols = c.reshape(n * n, n)
         x = rows @ rows.T
-        x *= -0.5
-        x += 0.25 * (cols.T @ cols)
-        if norm_sq is None:
-            x.reshape(-1)[:: n + 1] += value
-        else:
+        x *= -2.0
+        x += c.T @ c
+        if shift is not None:
+            x += shift
+        elif norm_sq is not None:
             x *= norm_sq / np.vdot(c, c)
-            x.reshape(-1)[:: n + 1] += _tr_ric2(x)
+            x.reshape(-1)[:: n + 1] += np.vdot(x, x)
         return x
 
     return kernel
@@ -431,8 +438,8 @@ def _frame_generator(b0, r):
 
     X is the _shifted_ricci kernel at (h, h^{-1}) and D is the projection of
     h^{-1} X h onto Der(mu0), whose basis B is orthonormal, so the projection
-    is one product with the projector P = B^T B; the kernel, which checks
-    the rate r, and then P are built once per flow.  Then
+    is one product with the projector P = B^T B; B is built once per
+    bracket, and the kernel, which checks the rate r, and P once per flow.  Then
     h' = -(X - h D h^{-1}) h = -X h + h D.  For the scalar rate X is
     evaluated on the sphere ||mu|| = ||mu0||; then
     <mu', mu> = 0, and the flow of h commutes with rescaling h.  One call is
@@ -441,7 +448,7 @@ def _frame_generator(b0, r):
     """
     n = b0.n
     shifted_ricci = _shifted_ricci(b0, r)
-    basis = np.array(derivation_basis(b0)).reshape(-1, n * n)
+    basis = b0._derivations.reshape(-1, n * n)
     proj = basis.T @ basis
 
     def rhs(t, y):
@@ -480,15 +487,16 @@ def _by_blocks(kernel, coeffs):
     return np.concatenate([kernel(coeffs[i : i + step]) for i in range(0, len(coeffs), step)])
 
 
-def _finish_trace(samples, stats, b0, r):
+def _finish_trace(samples, moved, stats, b0, r):
     """FlowTrace of the frame samples of a flow of rate r from b0: array
     expressions over the stacked brackets h_i.mu0 (exactly antisymmetrized;
     for the scalar rate each frame is rescaled onto ||mu|| = ||mu0||, and
-    r_values is the tr_ric2 column).  The step loop has judged the frames."""
+    r_values is the tr_ric2 column).  The step loop has judged the frames,
+    and moved maps each sample time to the h.mu0 its check computed."""
     n, c0 = b0.n, b0.coeffs
     times = np.array([t for t, _ in samples])
     frames = np.array([y for _, y in samples]).reshape(-1, n, n)
-    coeffs = _gl_action_coeffs(frames, np.linalg.inv(frames), c0)
+    coeffs = np.array([moved[t] for t, _ in samples])
     norms = _norm(coeffs)
     if isinstance(r, str):
         # (lambda h).mu0 = mu / lambda puts every sample back on ||mu|| = ||mu0||
@@ -506,7 +514,7 @@ def _finish_trace(samples, stats, b0, r):
         frames=frames,
         r_values=np.full(len(times), rate),
         mu_norm=mu_norm,
-        scal=-0.25 * mu_norm**2,
+        scal=0.0 - 0.25 * mu_norm**2,  # +0.0 for the zero bracket, as scalar_curvature
         tr_ric2=tr_ric2,
         grad_norm=_norm(_delta_coeffs(coeffs, ric)),
         jacobi_residual=_by_blocks(_jacobiator_max, coeffs),
@@ -526,11 +534,16 @@ def integrate_bracket_flow(b0: Bracket, t_max: float, opts: FlowOpts | None = No
     BadRate.  The trace keeps r as `rate`, from which its `kind` follows,
     and the rate at each sample in `r_values`.  The step loop judges every
     stored frame, 32 at a time, against the bounds of the module docstring,
-    whatever t_max; stats keep the largest cond(h) and skew defect.
+    whatever t_max; stats keep the largest cond(h) and skew defect.  The
+    trace reuses the check's brackets h.mu0: each frame is moved once.
     """
     rhs, worst = _frame_generator(b0, r), {"max_cond_h": 0.0, "max_skew_defect": 0.0}
+    moved = {}  # sample time -> h.mu0, for the samples kept so far
 
     def check(samples, i):
+        nonlocal moved
+        if len(moved) > i:  # the step loop thinned samples[:i] since the last check
+            moved = {t: moved[t].copy() for t, _ in samples[:i]}  # copies free the thinned batches
         frames = np.array([y for _, y in samples[i:]]).reshape(-1, b0.n, b0.n)
         cond = np.linalg.cond(frames)
         k = _first_above(cond, _MAX_COND_H)
@@ -548,9 +561,10 @@ def integrate_bracket_flow(b0: Bracket, t_max: float, opts: FlowOpts | None = No
             raise NumericalFailure(msg, trace=samples[: i + k])
         worst["max_cond_h"] = float(np.max(cond, initial=worst["max_cond_h"]))
         worst["max_skew_defect"] = float(np.max(defect, initial=worst["max_skew_defect"]))
+        moved.update(zip((t for t, _ in samples[i:]), coeffs))
 
     samples, stats = _integrate_adaptive(rhs, 0.0, np.eye(b0.n).reshape(-1), t_max, opts, check=check)
-    return _finish_trace(samples, stats | worst, b0, r)
+    return _finish_trace(samples, moved, stats | worst, b0, r)
 
 
 def integrate_normalized_flow(b0: Bracket, t_max: float, opts: FlowOpts | None = None) -> FlowTrace:
@@ -571,22 +585,27 @@ def cointegrate_h(trace: FlowTrace) -> np.ndarray:
     apart from the trace's gauged frames, in one unthinned run with a stop,
     so a sample, at every sample time.  Returns the (m, n, n) array of
     h(t_i).  A singular h, or one whose products overflow, raises
-    NumericalFailure.
+    NumericalFailure, also when the integrator's own arithmetic overflows:
+    the run enters one error state, not one per evaluation.
     """
     b0 = trace.initial_bracket
     n = b0.n
     shifted_ricci = _shifted_ricci(b0, trace.rate)
+    singular = "the companion frame h became singular"
 
     def rhs(t, y):
         h = y.reshape(n, n)
         try:
-            with np.errstate(over="raise", invalid="raise"):
-                return -(shifted_ricci(h, np.linalg.inv(h)) @ h).reshape(-1)
+            return -(shifted_ricci(h, np.linalg.inv(h)) @ h).reshape(-1)
         except (np.linalg.LinAlgError, FloatingPointError):
-            raise NumericalFailure(f"the companion frame h became singular at t={t:.6g}") from None
+            raise NumericalFailure(f"{singular} at t={t:.6g}") from None
 
     opts = FlowOpts(rtol=1e-10, atol=1e-12, stops=tuple(trace.times[1:-1]))
-    at = dict(_integrate_adaptive(rhs, trace.times[0], np.eye(n).reshape(-1), trace.times[-1], opts)[0])
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            at = dict(_integrate_adaptive(rhs, trace.times[0], np.eye(n).reshape(-1), trace.times[-1], opts)[0])
+    except FloatingPointError as exc:
+        raise NumericalFailure(f"{singular}: {exc}") from None
     return np.array([at[t] for t in trace.times]).reshape(-1, n, n)
 
 
@@ -614,7 +633,7 @@ def innerproduct_scal(b0: Bracket, g: np.ndarray):
     except np.linalg.LinAlgError:
         raise SingularMatrix("metric is not positive definite") from None
     c_nu = _gl_action_coeffs(h, np.linalg.inv(h), b0.coeffs)
-    return -0.25 * _norm(c_nu) ** 2
+    return 0.0 - 0.25 * _norm(c_nu) ** 2
 
 
 # log of the smallest normal float: below it exp underflows and 1 / exp overflows
@@ -647,7 +666,8 @@ def _metric_flow(b0, r):
     def factor(y):
         lmat = np.zeros(n * n)
         lmat[lower] = y
-        lmat[:: n + 1] = np.exp(lmat[:: n + 1])
+        diag = lmat[:: n + 1]  # a view holding log L_ii
+        np.exp(diag, out=diag)
         return lmat.reshape(n, n)
 
     def rhs(t, y):
@@ -655,7 +675,8 @@ def _metric_flow(b0, r):
             raise NumericalFailure(f"the metric factor became singular at t={t:.6g}")
         lmat = factor(y)
         h = lmat.T
-        phi = shifted_ricci(h, np.linalg.inv(h)) * weights
+        phi = shifted_ricci(h, np.linalg.inv(h))
+        phi *= weights
         dy = (lmat @ phi).reshape(-1)[lower]
         dy[logdiag] = phi.reshape(-1)[:: n + 1]
         return dy

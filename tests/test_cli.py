@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import subprocess
 import sys
 
@@ -169,6 +170,17 @@ def test_curvature_stdout(capsys):
     assert main(["curvature", "heisenberg:c=1"]) == 0
     out = capsys.readouterr().out
     assert "scal" in out and "-0.5" in out
+
+
+def test_curvature_of_the_zero_bracket_is_plus_zero(tmp_path, capsys):
+    # scal = -||mu||^2 / 4 used to print as -0 and write -0.0
+    out = tmp_path / "curv.json"
+    assert main(["curvature", "zero:n=3", "--out", str(out)]) == 0
+    assert "scal = 0 " in capsys.readouterr().out
+    assert math.copysign(1.0, json.loads(out.read_text())["scal"]) == 1.0
+    summary = tmp_path / "summary.json"
+    assert main(["flow", "zero:n=3", "--t-max", "1", "--summary-out", str(summary)]) == 0
+    assert math.copysign(1.0, json.loads(summary.read_text())["scal_final"]) == 1.0
 
 
 @pytest.mark.parametrize("c", ["1e80", "1e100"])

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from nilflow import flow
+from nilflow import algebra, flow
 from nilflow.algebra import (
     Bracket,
     _gl_action_coeffs,
@@ -1024,8 +1024,45 @@ def test_equivalence_with_a_singular_frame_raises():
     # singular by t = 120, where its products overflow; np.linalg.inv ended
     # the report in LinAlgError
     b = rescale_to_norm(random_two_step(5, np.random.default_rng(3)))
-    with pytest.raises(NumericalFailure, match="singular"):
+    with pytest.raises(NumericalFailure, match=r"^the companion frame h became singular at t=116\.605$"):
         equivalence_report(b, 120.0, r="scalar")
+
+
+def test_companion_overflow_outside_the_right_side_is_a_numerical_failure(heis, monkeypatch):
+    # the companion run holds its error state around the whole integration,
+    # so an overflow in the integrator's own arithmetic (here its error norm)
+    # raises FloatingPointError there, and must not end in a traceback
+    trace = integrate_bracket_flow(heis, 1.0)
+    error_norm = flow._error_norm
+    monkeypatch.setattr(flow, "_error_norm", lambda err, *args: error_norm(1e300 * err, *args))
+    with pytest.raises(NumericalFailure, match="^the companion frame h became singular: overflow"):
+        cointegrate_h(trace)
+
+
+def test_derivation_basis_is_built_once_per_bracket(monkeypatch):
+    calls = []
+    delta_matrix = algebra._delta_matrix
+
+    def counting(c):
+        calls.append(c.shape)
+        return delta_matrix(c)
+
+    monkeypatch.setattr(algebra, "_delta_matrix", counting)
+    b = rescale_to_norm(random_two_step(5, np.random.default_rng(8)))
+    integrate_bracket_flow(b, 1.0)
+    integrate_bracket_flow(b, 2.0, r="scalar")
+    basis = derivation_basis(b)
+    # the two flows and the public function share the bracket's one SVD
+    assert len(calls) == 1
+    # a list of read-only arrays, new on each call
+    with pytest.raises(ValueError):
+        basis[0][0, 0] = 1.0
+    basis.clear()
+    assert len(derivation_basis(b)) > 0
+    # a new bracket with the same coefficients builds its own
+    again = derivation_basis(Bracket(b.coeffs))
+    assert len(calls) == 2
+    assert all(np.array_equal(d, e) for d, e in zip(again, derivation_basis(b), strict=True))
 
 
 # ---------------------------------------------------------------------------
