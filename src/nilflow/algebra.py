@@ -305,7 +305,7 @@ def gl_action(g: Operator, b: VTangent) -> VTangent:
         raise SingularMatrix(f"change of basis is singular (cond={cond:.3e})")
     if cond > 1e12:
         logger.warning("ill-conditioned change of basis: cond=%.3e", cond)
-    c = _gl_action_coeffs(g, (vt.T / s) @ u.T, b.coeffs)
+    c = _gl_action_coeffs(g, (vt.T / s).dot(u.T), b.coeffs)
     # the products round (i, j) and (j, i) differently, by up to ~cond(g)^2 eps
     return type(b)(0.5 * (c - c.transpose(1, 0, 2)))
 

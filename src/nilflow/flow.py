@@ -28,6 +28,12 @@ structural identities of the r = 0 flow.
 The metric flow's state is the factor of G = L L^T, as the strict lower part
 of L and log diag L, so G stays positive definite by construction and its
 right side needs no Cholesky factorization.
+The right sides and the step loop run once per evaluation or step on arrays
+of at most n^3 = 512 entries, so the call overhead of numpy counts: their
+products of single 2-D or 1-D arrays call ndarray.dot, which goes straight
+to BLAS and gives the bits of @ without the matmul gufunc's dispatch.
+Stacked and broadcast products (the batched kernels, the step loop's check,
+_finish_trace) keep @, as .dot does not broadcast over leading axes.
 """
 
 from __future__ import annotations
@@ -75,8 +81,8 @@ _DP_A = np.array([
     [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
     [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
 ])
-# (stage time, row of _DP_A) of stages 1-6, built once: _dp_step reads them per stage
-_DP_STAGES = [(float(_DP_C[i]), _DP_A[i, :i]) for i in range(1, 7)]
+# times of stages 1-6 as floats, built once: _dp_step reads one per stage
+_DP_STAGES = [float(c) for c in _DP_C[1:]]
 # error weights: the 5th-order row minus the embedded 4th-order weights
 _DP_E = _DP_A[6] - np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
 # 4th-order continuous extension (Dormand & Prince 1980; Hairer, Norsett &
@@ -142,7 +148,7 @@ def _error_norm(err, y_old, y_new, rtol, atol):
     q *= rtol
     q += atol
     np.divide(err, q, out=q)
-    return math.sqrt(np.vecdot(q, q) / q.size)
+    return math.sqrt(q.dot(q) / q.size)
 
 
 def _initial_step(f, t0, y0, f0, span, rtol, atol):
@@ -164,15 +170,16 @@ def _initial_step(f, t0, y0, f0, span, rtol, atol):
 def _dp_step(f, t, y, h, K):
     """One Dormand-Prince step from (t, y), K[0] = f(t, y): fills the stages
     K[1:] of the (7, N) array K (K[6] = f(t + h, y_new)); returns (y_new, err_vec)."""
-    for i, (c, row) in enumerate(_DP_STAGES, 1):
-        yi = y + (h * row) @ K[:i]
+    ha = h * _DP_A
+    for i, c in enumerate(_DP_STAGES, 1):
+        yi = y + ha[i, :i].dot(K[:i])
         K[i] = f(t + c * h, yi)
-    return yi, (h * _DP_E) @ K
+    return yi, (h * _DP_E).dot(K)
 
 
 def _dp_dense(y, h, K, theta):
     """Continuous extension of the step (y, h, K) at t + theta h, 0 <= theta <= 1."""
-    return y + h * ((_DP_P @ theta ** np.arange(1, 5)) @ K)
+    return y + h * _DP_P.dot(theta ** np.arange(1, 5)).dot(K)
 
 
 def _thin(samples, steps, stride):
@@ -180,6 +187,12 @@ def _thin(samples, steps, stride):
     multiple of stride."""
     keep = [i for i, s in enumerate(steps) if s % stride == 0]
     return [samples[i] for i in keep], [steps[i] for i in keep]
+
+
+def _check_end(t0, t_end):
+    """ConfigError unless an integration from t0 ends at a finite t_end >= t0."""
+    if not (math.isfinite(t_end) and t_end >= t0):
+        raise ConfigError(f"the integration must end at a finite time >= {t0:g}, got {t_end!r}")
 
 
 def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
@@ -199,8 +212,7 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
     NumericalFailure, one raised by f included, carries the samples accepted
     before it.
     """
-    if not (math.isfinite(t_end) and t_end >= t0):
-        raise ConfigError(f"the integration must end at a finite time >= {t0:g}, got {t_end!r}")
+    _check_end(t0, t_end)
     opts = opts or FlowOpts()
     t = float(t0)
     y = np.array(y0, dtype=float)
@@ -387,14 +399,18 @@ def trace_from_csv(path) -> dict:
 def _shifted_ricci(b0, r):
     """Kernel (h, hinv) -> X = Ric + r I of mu = h.mu0 (hinv is h^{-1}) for
     the frame and the metric flows.  r is None (zero), a finite real number
-    or "scalar", tr(Ric^2); anything else, a callable included, raises
-    BadRate.  "scalar" needs ||mu0|| = 2 to 1e-10 (else BadNormalization) and
-    reads Ric, and the rate, on mu rescaled onto ||mu0||.  Built once per
-    flow: r I (nothing at r = None) and mu0 halved, an exact scaling, so that
-    C^T C - 2 A A^T of the halved products is 1/4 C^T C - 1/2 A A^T bit for
-    bit.  One call is straight-line 2-D products, the same products in the
-    same order as _gl_action_coeffs and _ricci, so X is bit-identical to
-    theirs without the batch-axis handling of a stack."""
+    or "scalar", tr(Ric^2); anything else, a bool or a callable included,
+    raises BadRate.  "scalar" needs ||mu0|| = 2 to 1e-10 (else
+    BadNormalization) and reads Ric, and the rate, on mu rescaled onto
+    ||mu0||.  Built once per flow: r I (nothing at r = None) and mu0 halved,
+    an exact scaling, so that C^T C - 2 A A^T of the halved products is
+    1/4 C^T C - 1/2 A A^T bit for bit.  One call is straight-line 2-D
+    products, the same products in the same order as _gl_action_coeffs and
+    _ricci, so X is bit-identical to theirs without the batch-axis handling
+    of a stack.  Each product of two 2-D arrays is an ndarray.dot, a direct
+    BLAS call with the bits of @ and less call overhead; the one whose right
+    operand is the 3-D (n, n, n) view keeps @, which broadcasts w over its
+    leading axis."""
     if isinstance(r, str):
         if r != "scalar":
             raise BadRate(f"unknown rate {r!r}; the only string rate is 'scalar'")
@@ -406,7 +422,8 @@ def _shifted_ricci(b0, r):
             )
         norm_sq, shift = 0.25 * np.vdot(b0.coeffs, b0.coeffs), None
     else:
-        if r is not None and not isinstance(r, numbers.Real):
+        # a bool is a numbers.Real: True would run the constant rate 1.0
+        if r is not None and (not isinstance(r, numbers.Real) or isinstance(r, bool)):
             raise BadRate(f"r must be None, a real number or 'scalar', got {r!r}")
         value = 0.0 if r is None else float(r)
         # a nan or infinite rate would make every step nan, and every step rejected
@@ -418,11 +435,13 @@ def _shifted_ricci(b0, r):
 
     def kernel(h, hinv):
         w = hinv.T
-        c = (w @ (w @ c0_rows).reshape(n, n, n)).reshape(n * n, n) @ h.T
+        # .dot calls BLAS on 2-D operands without the matmul gufunc's overhead;
+        # on the 3-D operand it would not broadcast, so that product keeps @
+        c = (w @ w.dot(c0_rows).reshape(n, n, n)).reshape(n * n, n).dot(h.T)
         rows = c.reshape(n, n * n)
-        x = rows @ rows.T
+        x = rows.dot(rows.T)
         x *= -2.0
-        x += c.T @ c
+        x += c.T.dot(c)
         if shift is not None:
             x += shift
         elif norm_sq is not None:
@@ -457,9 +476,9 @@ def _frame_generator(b0, r):
             hinv = np.linalg.inv(h)
         except np.linalg.LinAlgError:
             raise NumericalFailure(f"the frame h became singular at t={t:.6g}") from None
-        xh = shifted_ricci(h, hinv) @ h
-        d = (proj @ (hinv @ xh).reshape(-1)).reshape(n, n)
-        return (h @ d - xh).reshape(-1)
+        xh = shifted_ricci(h, hinv).dot(h)
+        d = proj.dot(hinv.dot(xh).reshape(-1)).reshape(n, n)
+        return (h.dot(d) - xh).reshape(-1)
 
     return rhs
 
@@ -596,7 +615,7 @@ def cointegrate_h(trace: FlowTrace) -> np.ndarray:
     def rhs(t, y):
         h = y.reshape(n, n)
         try:
-            return -(shifted_ricci(h, np.linalg.inv(h)) @ h).reshape(-1)
+            return -shifted_ricci(h, np.linalg.inv(h)).dot(h).reshape(-1)
         except (np.linalg.LinAlgError, FloatingPointError):
             raise NumericalFailure(f"{singular} at t={t:.6g}") from None
 
@@ -677,7 +696,7 @@ def _metric_flow(b0, r):
         h = lmat.T
         phi = shifted_ricci(h, np.linalg.inv(h))
         phi *= weights
-        dy = (lmat @ phi).reshape(-1)[lower]
+        dy = lmat.dot(phi).reshape(-1)[lower]
         dy[logdiag] = phi.reshape(-1)[:: n + 1]
         return dy
 
@@ -836,10 +855,15 @@ def equivalence_report(
     The inner-product flow (bracket fixed), the bracket flow and the
     companion frame h(t) each run on their own, with the same rate r: any
     rate the bracket flows accept, None for the unnormalized flow, a finite
-    constant, or "scalar" for the normalized flow on ||b0|| = 2.
+    constant, or "scalar" for the normalized flow on ||b0|| = 2.  t_max must
+    be finite and >= 0, and checkpoints an int of at least 2 (else
+    ConfigError).
     """
-    if checkpoints < 2:
-        raise ConfigError(f"checkpoints must be at least 2, got {checkpoints}")
+    # numbers.Integral, not algebra._is_int, which reads JSON values: a numpy int is an int here
+    is_int = isinstance(checkpoints, numbers.Integral) and not isinstance(checkpoints, bool)
+    if not (is_int and checkpoints >= 2):
+        raise ConfigError(f"checkpoints must be an int of at least 2, got {checkpoints!r}")
+    _check_end(0.0, t_max)
     grid = np.linspace(0.0, t_max, checkpoints)
     opts = replace(opts or FlowOpts(), stops=tuple(grid[1:-1]))
 

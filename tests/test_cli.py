@@ -303,6 +303,9 @@ def test_flow_library_errors_exit_2(extra, message, capsys):
         (["equivalence", "heisenberg:c=1", "--checkpoints", "0"], "at least 2"),
         (["equivalence", "heisenberg:c=1", "--checkpoints", "-1"], "at least 2"),
         (["equivalence", "heisenberg:c=1", "--checkpoints", "1"], "at least 2"),
+        (["equivalence", "heisenberg:c=1", "--t-max", "inf"], "finite time >= 0, got inf"),
+        (["equivalence", "heisenberg:c=1", "--t-max", "nan"], "finite time >= 0, got nan"),
+        (["equivalence", "heisenberg:c=1", "--t-max", "-1"], "finite time >= 0, got -1.0"),
         (["equivalence", "heisenberg:c=1", "--rate", "scalar"], "--rescale 2"),
         (["curvature", "heisenberg:c=1", "--rescale", "0"], "finite and > 0"),
         (["curvature", "heisenberg:c=1", "--rescale", "-2"], "finite and > 0"),
@@ -321,7 +324,9 @@ def test_flow_library_errors_exit_2(extra, message, capsys):
     ids=["zero_n0", "zero_negative_n", "spec_negative_seed",
          "spec_not_key_value", "spec_missing_n", "spec_n_not_int", "spec_c_not_float", "spec_scale_not_float",
          "sweep_negative_seed",
-         "zero_checkpoints", "negative_checkpoints", "one_checkpoint", "equivalence_normalized_off_sphere",
+         "zero_checkpoints", "negative_checkpoints", "one_checkpoint",
+         "equivalence_t_max_inf", "equivalence_t_max_nan", "equivalence_t_max_negative",
+         "equivalence_normalized_off_sphere",
          "rescale_zero", "rescale_negative", "rescale_nan", "rescale_negative_exponent",
          "validate_tol_negative", "validate_tol_nan", "validate_tol_zero",
          "soliton_tol_nan", "soliton_tol_negative", "equivalence_tol_nan", "equivalence_tol_negative",

@@ -226,6 +226,36 @@ def test_stage_array_step_matches_per_stage_sums():
     np.testing.assert_allclose(flow._dp_dense(y, h, K, 1.0), y_new, rtol=1e-14, atol=0.0)
 
 
+def _matmul_dp_step(f, t, y, h, K):
+    """_dp_step with every product through the matmul gufunc."""
+    for i in range(1, 7):
+        yi = y + (h * flow._DP_A[i, :i]) @ K[:i]
+        K[i] = f(t + flow._DP_C[i] * h, yi)
+    return yi, (h * flow._DP_E) @ K
+
+
+@pytest.mark.parametrize("size", [9, 21, 64, 512])
+def test_step_loop_products_are_bitwise_their_matmul_forms(size):
+    # ndarray.dot calls BLAS directly; it must give the bits of @ and vecdot
+    def f(t, y):
+        return np.sin(y) * y[::-1] - 0.3 * (1.0 + t) * y
+
+    rng = np.random.default_rng(size)
+    t, y = 0.4, rng.standard_normal(size)
+    for h in (0.15, 1e-3, 2.7):
+        K, ref_K = np.empty((7, size)), np.empty((7, size))
+        K[0] = ref_K[0] = f(t, y)
+        y_new, err = flow._dp_step(f, t, y, h, K)
+        ref_y, ref_err = _matmul_dp_step(f, t, y, h, ref_K)
+        assert np.array_equal(y_new, ref_y) and np.array_equal(err, ref_err) and np.array_equal(K, ref_K)
+        for theta in (0.0, 0.3, 0.77, 1.0):
+            ref = y + h * ((flow._DP_P @ theta ** np.arange(1, 5)) @ K)
+            assert np.array_equal(flow._dp_dense(y, h, K, theta), ref)
+        q = np.maximum(np.abs(y), np.abs(y_new)) * 1e-9 + 1e-9
+        q = err / q
+        assert flow._error_norm(err, y, y_new, 1e-9, 1e-9) == math.sqrt(np.vecdot(q, q) / q.size)
+
+
 def _reference_generator(b0, r, h):
     """h -> (h', D) of the frame flow from public functions: D is the
     least-squares projection of h^{-1} X h onto the span of derivation_basis(b0);
@@ -688,9 +718,12 @@ def test_constant_rate_is_a_time_change_of_the_unnormalized_flow(start, rho):
 
 
 def test_bad_rate_type_raises(heis):
-    for r in ("fast", 1 + 0j):
-        with pytest.raises(TypeError):
+    # a bool is a numbers.Real: True ran the constant rate 1.0, False 0.0 as kind "r"
+    for r in ("fast", 1 + 0j, True, False, np.True_):
+        with pytest.raises(BadRate):
             integrate_bracket_flow(heis, 1.0, r=r)
+        with pytest.raises(BadRate):
+            integrate_innerproduct_flow(heis, 1.0, r=r)
 
 
 def test_callable_rate_raises(heis):
@@ -977,6 +1010,55 @@ def test_scalar_normalized_innerproduct_flow(heis_sphere):
     assert innerproduct_scal(heis_sphere, g) == pytest.approx(-1.0, abs=1e-4)
 
 
+def _companion_rhs(b0, r, monkeypatch):
+    """The right side that cointegrate_h hands the integrator."""
+    def capture(f, *args):
+        raise LookupError(f)
+
+    trace = integrate_bracket_flow(b0, 0.0, r=r)
+    monkeypatch.setattr(flow, "_integrate_adaptive", capture)
+    with pytest.raises(LookupError) as exc:
+        cointegrate_h(trace)
+    monkeypatch.undo()
+    return exc.value.args[0]
+
+
+@pytest.mark.parametrize("r", [None, 0.5, "scalar"], ids=["unnormalized", "constant", "scalar"])
+@pytest.mark.parametrize("n", range(3, 9))
+def test_right_sides_are_bitwise_their_matmul_forms(n, r, monkeypatch):
+    # the frame, companion and metric right sides call ndarray.dot on single
+    # 2-D and 1-D arrays; each must give the bits of its @ form
+    rng = np.random.default_rng(800 + n)
+    lower = np.tri(n, dtype=bool)
+    on_diagonal = np.eye(n, dtype=bool)[lower]
+    weights = np.where(np.eye(n, dtype=bool), -1.0, np.where(lower, -2.0, 0.0))  # Phi(-2 X) = X * weights
+    for b0 in dense_starts(n, 900 + n):
+        if r == "scalar":
+            b0 = rescale_to_norm(b0)
+        kernel = flow._shifted_ricci(b0, r)
+        frame = flow._frame_generator(b0, r)
+        basis = b0._derivations.reshape(-1, n * n)
+        companion = _companion_rhs(b0, r, monkeypatch)
+        metric, factor = flow._metric_flow(b0, r)
+        # cond(h) <= 4; h is lower triangular with a positive diagonal, so it is also a metric factor
+        upper = np.linalg.qr(random_orthogonal(n, rng) @ np.diag(rng.uniform(0.5, 2.0, n)))[1]
+        lmat = upper.T * np.sign(np.diag(upper))
+        for h in (random_orthogonal(n, rng) @ lmat, lmat):
+            hinv = np.linalg.inv(h)
+            xh = kernel(h, hinv) @ h
+            d = ((basis.T @ basis) @ (hinv @ xh).reshape(-1)).reshape(n, n)
+            assert np.array_equal(frame(0.0, h.reshape(-1)), (h @ d - xh).reshape(-1))
+            assert np.array_equal(companion(0.0, h.reshape(-1)), -(kernel(h, hinv) @ h).reshape(-1))
+        state = lmat.copy()
+        state[np.diag_indices(n)] = np.log(np.diag(lmat))
+        state = state[lower]
+        lmat = factor(state)  # exp(log L_ii) may differ from L_ii in the last bit
+        phi = kernel(lmat.T, np.linalg.inv(lmat.T)) * weights
+        ref = (lmat @ phi)[lower]
+        ref[on_diagonal] = np.diag(phi)
+        assert np.array_equal(metric(0.0, state), ref)
+
+
 # ---------------------------------------------------------------------------
 # the three presentations agree
 
@@ -1012,6 +1094,24 @@ def test_equivalence_on_dense_starts(n, r):
             b = rescale_to_norm(b)
         rep = equivalence_report(b, 2.0, FlowOpts(max_step=0.05), r=r, checkpoints=11)
         assert rep.ok(1e-5), rep
+
+
+@pytest.mark.parametrize("t_max", [math.inf, -math.inf, math.nan, -1.0])
+def test_equivalence_rejects_a_time_that_is_not_finite_and_nonnegative(t_max, heis_sphere):
+    # checked before the grid: np.linspace warned on inf, and the error named the stops
+    with pytest.raises(ConfigError, match=r"^the integration must end at a finite time >= 0, got "):
+        equivalence_report(heis_sphere, t_max)
+
+
+@pytest.mark.parametrize("checkpoints", [2.5, "3", True, 26.0, None])
+def test_equivalence_rejects_checkpoints_that_are_not_ints(checkpoints, heis_sphere):
+    # 2.5 and "3" raised a bare TypeError
+    with pytest.raises(ConfigError, match="checkpoints must be an int of at least 2"):
+        equivalence_report(heis_sphere, 1.0, checkpoints=checkpoints)
+
+
+def test_equivalence_takes_a_numpy_int_of_checkpoints(heis_sphere):
+    assert equivalence_report(heis_sphere, 0.5, checkpoints=np.int64(3)).ok(1e-5)
 
 
 def test_equivalence_rejects_callable(heis_sphere):
