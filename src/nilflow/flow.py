@@ -19,12 +19,19 @@ converges.  Each stored frame of a normalized run is rescaled once onto the
 sphere.  Traces are arrays read by batched kernels.  The step loop judges
 each stored frame, 32 at a time: cond(h) > 1/sqrt(eps), or a skew part of
 h.mu0 above 1e-8 of its norm (rounding damage), raises NumericalFailure at
-that frame, whatever t_max.  Every flow runs one adaptive Dormand-Prince 5(4)
-integrator; a stop is a sample of its continuous extension, not a step end.
+that frame, whatever t_max.  Every flow runs one adaptive integrator with
+two step kinds: Dormand-Prince 5(4) steps while the solution moves, and once
+an accepted step's increment is below the tolerance (a settled normalized
+run, a stiff constant rate at its equilibrium, where an explicit step only
+crawls at its stability limit) L-stable ROS2 steps with a forward-difference
+Jacobian built at the switch, until an increment reaches the tolerance
+again.  A run that keeps moving never switches.  A stop is a sample of the
+step's continuous extension, not a step end.
 The module also integrates the ungauged companion frame h' = -(Ric + r I) h,
-a second run of a flow under one error state per run, and the equivalent
-inner-product (metric tensor) flow G' = -2 ric(G) - 2 r G, and checks the
-structural identities of the r = 0 flow.
+a second run of a flow under one error state per run and the frame flow's
+cond(h) bound, and the equivalent inner-product (metric tensor) flow
+G' = -2 ric(G) - 2 r G, and checks the structural identities of the r = 0
+flow.
 The metric flow's state is the factor of G = L L^T, as the strict lower part
 of L and log diag L, so G stays positive definite by construction and its
 right side needs no Cholesky factorization.
@@ -103,21 +110,32 @@ _MAX_FACTOR = 10.0
 _KI = 0.7 / 5  # PI controller exponents for a 5th-order pair
 _KP = 0.4 / 5
 
+# ROS2, the L-stable two-stage Rosenbrock-W method of Verwer, Spee, Blom &
+# Hundsdorfer (SIAM J. Sci. Comput. 20, 1999): second order for any Jacobian
+# approximation J, so one J serves a whole settled stretch
+_ROS_GAMMA = 1.0 + 1.0 / math.sqrt(2.0)
+
 
 # Past this many samples a trace is thinned (see FlowOpts).
 _MAX_SAMPLES = 8192
 _CHECK_EVERY = 32  # a check of the samples runs on batches of this many (see _integrate_adaptive)
 
 
+def _is_bool(v):
+    """A bool is a number to Python: True would pass as 1.0."""
+    return isinstance(v, (bool, np.bool_))
+
+
 @dataclass(frozen=True)
 class FlowOpts:
     """Integrator options shared by all flows.  Each time in `stops` gets a
-    sample of the 4th-order continuous extension of the step holding it, not
-    a step end.  Past 8192 samples the step samples are thinned to a doubling
+    sample of the continuous extension of the step holding it, not a step
+    end.  Past 8192 samples the step samples are thinned to a doubling
     stride over the whole run; stops count against that cap but are never
     thinned, so a run with more stops than the cap returns them all.  Every
     stop must be a finite real number (else ConfigError); stops outside the
-    run's open interval are ignored."""
+    run's open interval are ignored.  rtol, atol and max_step are numbers
+    > 0, rtol and atol finite, and none of them a bool."""
 
     rtol: float = 1e-9
     atol: float = 1e-9
@@ -126,11 +144,11 @@ class FlowOpts:
 
     def __post_init__(self):
         # atol = 0 zeroes the error scale of a zero component: a nan step, an endless loop
-        if not all(math.isfinite(v) and v > 0.0 for v in (self.rtol, self.atol)):
+        if not all(math.isfinite(v) and v > 0.0 and not _is_bool(v) for v in (self.rtol, self.atol)):
             raise ConfigError(f"rtol and atol must be finite and > 0, got {self.rtol!r}, {self.atol!r}")
         # min(h, nan) keeps h, so a nan max_step would be ignored silently
-        if not self.max_step > 0.0:
-            raise ConfigError(f"max_step must be > 0, got {self.max_step!r}")
+        if _is_bool(self.max_step) or not self.max_step > 0.0:
+            raise ConfigError(f"max_step must be a number > 0, got {self.max_step!r}")
         # a nan stop would be dropped silently; one array conversion, as
         # cointegrate_h passes a stop per trace sample
         try:
@@ -142,13 +160,20 @@ class FlowOpts:
             raise ConfigError(f"stops must be finite real numbers, got {self.stops!r:.80}")
 
 
-def _error_norm(err, y_old, y_new, rtol, atol):
-    q = np.abs(y_old)  # the scale atol + rtol max|y|, built in place
-    np.maximum(q, np.abs(y_new), out=q)
-    q *= rtol
-    q += atol
-    np.divide(err, q, out=q)
-    return math.sqrt(q.dot(q) / q.size)
+def _error_norm(err, y_old, y_new, rtol, atol, increment=False):
+    """RMS norm of err scaled by atol + rtol max(|y_old|, |y_new|); with
+    increment, also that of the step's increment y_new - y_old."""
+    scale = np.abs(y_old)  # built in place
+    np.maximum(scale, np.abs(y_new), out=scale)
+    scale *= rtol
+    scale += atol
+    q = err / scale
+    norm = math.sqrt(q.dot(q) / q.size)
+    if not increment:
+        return norm
+    d = y_new - y_old
+    d /= scale
+    return norm, math.sqrt(d.dot(d) / d.size)
 
 
 def _initial_step(f, t0, y0, f0, span, rtol, atol):
@@ -182,6 +207,44 @@ def _dp_dense(y, h, K, theta):
     return y + h * _DP_P.dot(theta ** np.arange(1, 5)).dot(K)
 
 
+def _jacobian(f, t, y, f0):
+    """Forward-difference Jacobian of f at (t, y), f0 = f(t, y), in y.size
+    evaluations; increments sqrt(eps max(|y_j|, 1e-5)) as in Hairer and
+    Wanner's RADAU5."""
+    delta = np.sqrt(np.finfo(float).eps * np.maximum(np.abs(y), 1e-5))
+    jac = np.empty((y.size, y.size))
+    for j, dj in enumerate(delta):
+        yj = y.copy()
+        yj[j] += dj
+        jac[:, j] = (f(t, yj) - f0) / (yj[j] - y[j])
+    return jac
+
+
+def _ros2_step(f, t, y, h, f0, jac):
+    """One ROS2 step from (t, y), f0 = f(t, y), with W = I - gamma h jac
+    inverted once: W k1 = f0, W k2 = f(t + h, y + h k1) - 2 k1, y_new =
+    y + h (3 k1 + k2) / 2.  Returns (y_new, err_vec), err_vec = h (k1 + k2) / 2
+    the distance to the embedded first-order y + h k1, or None for a
+    singular W."""
+    w = (-_ROS_GAMMA * h) * jac
+    w.reshape(-1)[:: y.size + 1] += 1.0
+    try:
+        winv = np.linalg.inv(w)
+    except np.linalg.LinAlgError:
+        return None
+    k1 = winv.dot(f0)
+    k2 = winv.dot(f(t + h, y + h * k1) - 2.0 * k1)
+    return y + h * (1.5 * k1 + 0.5 * k2), (0.5 * h) * (k1 + k2)
+
+
+def _hermite(y, y_new, h, f0, f1, theta):
+    """Cubic Hermite interpolant of (y, f0) and (y_new, f1) over a step h at
+    t + theta h, 0 <= theta <= 1."""
+    return (1.0 - theta) * y + theta * y_new + (theta * (theta - 1.0)) * (
+        (1.0 - 2.0 * theta) * (y_new - y) + ((theta - 1.0) * h) * f0 + (theta * h) * f1
+    )
+
+
 def _thin(samples, steps, stride):
     """Keep the samples whose step index (0 for the start and the stops) is a
     multiple of stride."""
@@ -191,26 +254,37 @@ def _thin(samples, steps, stride):
 
 def _check_end(t0, t_end):
     """ConfigError unless an integration from t0 ends at a finite t_end >= t0."""
-    if not (math.isfinite(t_end) and t_end >= t0):
+    if _is_bool(t_end) or not (math.isfinite(t_end) and t_end >= t0):
         raise ConfigError(f"the integration must end at a finite time >= {t0:g}, got {t_end!r}")
 
 
 def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
-    """Generic adaptive integrator.
+    """Generic adaptive integrator with two step kinds.
+
+    Dormand-Prince steps run until an accepted step's increment y_new - y is
+    below the tolerance in the error test's scaled RMS norm: the solution
+    has settled, and an explicit step could only crawl at its stability
+    limit.  The following steps are ROS2 steps with a forward-difference
+    Jacobian built at the switch and kept, until a ROS2 step's increment
+    reaches the tolerance or its W is singular; then Dormand-Prince steps
+    again, from K[0] = f(y).  Runs that move by more than the tolerance per
+    step never switch, and their steps are those of Dormand-Prince alone.
 
     Returns (samples, stats): samples is a list of (t, y) at t0, at every
     accepted step (the last ends on t_end) and at every stop in opts.stops;
     past _MAX_SAMPLES only every stride-th step is kept, and the stride
     doubles whenever the samples pass the cap again.  stats counts
-    accepted/rejected steps and evaluations.  A stop is a sample of the
-    4th-order continuous extension of the step holding it, at no extra
-    evaluation, or, within rounding of a step end, relabels that sample.
-    check(samples, i) judges the samples stored since its last call, from i
-    on: every _CHECK_EVERY samples before any thinning, and at any run's end.
-    Raises ConfigError unless t_end is finite and >= t0, and
-    StepSizeUnderflow when the controller collapses or the step is nan; every
-    NumericalFailure, one raised by f included, carries the samples accepted
-    before it.
+    accepted/rejected steps, the accepted ROS2 steps among them, and
+    evaluations.  A stop is a sample of the continuous extension of the step
+    holding it, at no extra evaluation: the 4th-order one of a
+    Dormand-Prince step, the cubic Hermite interpolant of (y, f(y), y_new,
+    f(y_new)) of a ROS2 step; within rounding of a step end it relabels that
+    sample.  check(samples, i) judges the samples stored since its last
+    call, from i on: every _CHECK_EVERY samples before any thinning, and at
+    any run's end.  Raises ConfigError unless t_end is finite and >= t0, and
+    StepSizeUnderflow when the controller collapses or the step is nan;
+    every NumericalFailure, one raised by f included, carries the samples
+    accepted before it.
     """
     _check_end(t0, t_end)
     opts = opts or FlowOpts()
@@ -219,6 +293,7 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
     stats = {
         "accepted": 0,
         "rejected": 0,
+        "rosenbrock_steps": 0,
         "nfev": 0,
         "t_final": float(t_end),
         # always 0: the normalized generator keeps ||mu|| fixed and mu = h.mu0
@@ -243,6 +318,7 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
         h = _initial_step(f, t, y, K[0], t_end - t0, opts.rtol, opts.atol)
         stats["nfev"] += 2
         err_prev = 1e-4
+        jac = None  # the Jacobian of the ROS2 steps; None while Dormand-Prince steps
 
         while t < t_end:
             h = min(h, opts.max_step, t_end - t)
@@ -250,16 +326,28 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
             # the step that ends the run is taken however short it is
             if not (h >= 1e-14 * max(1.0, abs(t)) or h == t_end - t):
                 raise StepSizeUnderflow(f"step size underflow at t={t:.6g} (h={h:.3e})")
-            y_new, err_vec = _dp_step(f, t, y, h, K)
-            stats["nfev"] += 6
-            err = _error_norm(err_vec, y, y_new, opts.rtol, opts.atol)
+            ros = None if jac is None else _ros2_step(f, t, y, h, K[0], jac)
+            if ros is None:
+                jac = None  # a singular W hands the step back to Dormand-Prince
+                y_new, err_vec = _dp_step(f, t, y, h, K)
+                stats["nfev"] += 6
+            else:
+                y_new, err_vec = ros
+                stats["nfev"] += 1
+            err, moved = _error_norm(err_vec, y, y_new, opts.rtol, opts.atol, True)
 
             if err <= 1.0:
+                if jac is not None:
+                    K[6] = f(t + h, y_new)
+                    stats["nfev"] += 1
+                    stats["rosenbrock_steps"] += 1
                 t_new = t_end if h >= t_end - t else t + h
                 near = 1e-13 * max(1.0, abs(t_new))
                 while stops[-1] < t_new - near:
                     s = stops.pop()
-                    samples.append((s, _dp_dense(y, h, K, (s - t) / h)))
+                    theta = (s - t) / h
+                    at = _dp_dense(y, h, K, theta) if jac is None else _hermite(y, y_new, h, K[0], K[6], theta)
+                    samples.append((s, at))
                     steps.append(0)
                 at_stop = stops[-1] <= t_new + near
                 if at_stop:
@@ -278,12 +366,20 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
                         stride *= 2
                         samples, steps = _thin(samples, steps, stride)
                     judged = len(samples)
-                factor = _SAFETY * (err + 1e-300) ** (-_KI) * err_prev**_KP
+                if jac is None:
+                    factor = _SAFETY * (err + 1e-300) ** (-_KI) * err_prev**_KP
+                else:
+                    factor = _SAFETY * (err + 1e-300) ** -0.5
                 err_prev = max(err, 1e-4)
                 h = h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+                if not moved < 1.0:
+                    jac = None
+                elif jac is None and t < t_end:
+                    jac = _jacobian(f, t, y, K[0])
+                    stats["nfev"] += y.size
             else:
                 stats["rejected"] += 1
-                h = h * max(_MIN_FACTOR, _SAFETY * err**-0.2)
+                h = h * max(_MIN_FACTOR, _SAFETY * err ** (-0.2 if jac is None else -0.5))
     except NumericalFailure as exc:
         if exc.trace is None:  # not raised by check
             exc.trace = samples
@@ -603,9 +699,10 @@ def cointegrate_h(trace: FlowTrace) -> np.ndarray:
     _shifted_ricci kernel at h, so h.mu0 runs the bracket flow a second time,
     apart from the trace's gauged frames, in one unthinned run with a stop,
     so a sample, at every sample time.  Returns the (m, n, n) array of
-    h(t_i).  A singular h, or one whose products overflow, raises
-    NumericalFailure, also when the integrator's own arithmetic overflows:
-    the run enters one error state, not one per evaluation.
+    h(t_i).  A stored h with cond(h) > 1/sqrt(eps), the frame flow's bound, a
+    singular h, or one whose products overflow, raises NumericalFailure, also
+    when the integrator's own arithmetic overflows: the run enters one error
+    state, not one per evaluation.
     """
     b0 = trace.initial_bracket
     n = b0.n
@@ -619,10 +716,18 @@ def cointegrate_h(trace: FlowTrace) -> np.ndarray:
         except (np.linalg.LinAlgError, FloatingPointError):
             raise NumericalFailure(f"{singular} at t={t:.6g}") from None
 
+    def check(samples, i):
+        cond = np.linalg.cond(np.array([y for _, y in samples[i:]]).reshape(-1, n, n))
+        k = _first_above(cond, _MAX_COND_H)
+        if k < len(cond):
+            msg = f"{singular}: cond(h) = {cond[k]:.3e} at t={samples[i + k][0]:.6g} exceeds 1/sqrt(eps)"
+            raise NumericalFailure(msg, trace=samples[: i + k])
+
     opts = FlowOpts(rtol=1e-10, atol=1e-12, stops=tuple(trace.times[1:-1]))
+    y0 = np.eye(n).reshape(-1)
     try:
         with np.errstate(over="raise", invalid="raise"):
-            at = dict(_integrate_adaptive(rhs, trace.times[0], np.eye(n).reshape(-1), trace.times[-1], opts)[0])
+            at = dict(_integrate_adaptive(rhs, trace.times[0], y0, trace.times[-1], opts, check)[0])
     except FloatingPointError as exc:
         raise NumericalFailure(f"{singular}: {exc}") from None
     return np.array([at[t] for t in trace.times]).reshape(-1, n, n)

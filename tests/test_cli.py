@@ -412,6 +412,14 @@ def test_negative_rate_exits_3_at_the_condition_bound():
     assert proc.stderr.count("\n") == 1 and "cond(h) = 6.797e+07 at t=8.94968" in proc.stderr
 
 
+def test_a_large_constant_rate_finishes():
+    # stiff at its equilibrium: Dormand-Prince steps alone were still running
+    # after 60 s; once settled the run takes ROS2 steps, 112 steps in all
+    argv = ["nilflow", "flow", "heisenberg:c=1", "--rate", "1e6", "--t-max", "1"]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 0 and "r flow to t = 1: |mu| = 1154.7" in proc.stdout
+
+
 @pytest.mark.parametrize("argv", [["curvature", "heisenberg:c=1e200"],
                                   ["flow", "heisenberg:c=1e200", "--rate", "scalar", "--rescale", "2"]],
                          ids=["curvature", "flow"])
@@ -471,7 +479,7 @@ def test_flow_summary_document_keys(tmp_path):
     ]
     assert sorted(doc["stats"]) == [
         "accepted", "cone_projections", "max_cond_h", "max_skew_defect", "nfev", "rejected",
-        "renormalizations", "t_final",
+        "renormalizations", "rosenbrock_steps", "t_final",
     ]
     assert doc["stats"]["t_final"] == 1.0
 

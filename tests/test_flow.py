@@ -55,7 +55,7 @@ from nilflow.generators import (
     rescale_to_norm,
     sphere_perturbation,
 )
-from nilflow.soliton import detect_convergence
+from nilflow.soliton import detect_convergence, soliton_residual
 
 from conftest import dense_starts, dixmier_lister, random_sphere_bracket, rotated_dixmier_lister
 
@@ -256,6 +256,118 @@ def test_step_loop_products_are_bitwise_their_matmul_forms(size):
         assert flow._error_norm(err, y, y_new, 1e-9, 1e-9) == math.sqrt(np.vecdot(q, q) / q.size)
 
 
+# ---------------------------------------------------------------------------
+# ROS2 steps of settled stretches
+
+
+@pytest.mark.parametrize("h", [1e-3, 0.7, 1.65, 50.0, 1e8])
+def test_ros2_step_has_the_stability_function_of_an_l_stable_method(h):
+    # with the exact Jacobian one step multiplies y by R(z), z = h lam, with
+    # R(z) = (1 + (1 - 2 gamma) z) / (1 - gamma z)^2: the z^2 term of the
+    # numerator vanishes for gamma = 1 + 1/sqrt(2), so R -> 0 as z -> -inf
+    lam = np.array([-3.0, -2.0, -0.5, 0.0, 1.5e-3])
+    y = np.array([1.0, -2.0, 0.5, 3.0, 1.0])
+    gamma = flow._ROS_GAMMA
+    assert gamma**2 - 2.0 * gamma + 0.5 == pytest.approx(0.0, abs=1e-15)
+    z = h * lam
+    y_new, err = flow._ros2_step(lambda t, v: lam * v, 0.0, y, h, lam * y, np.diag(lam))
+    # to rounding: y_new = y + h (3 k1 + k2) / 2 sums terms of the size of y
+    tol = {"rtol": 1e-13, "atol": 1e-15 * np.abs(y).max()}
+    np.testing.assert_allclose(y_new, y * (1.0 + (1.0 - 2.0 * gamma) * z) / (1.0 - gamma * z) ** 2, **tol)
+    # the error vector is the distance to the embedded first-order y + h k1
+    np.testing.assert_allclose(y_new - err, y * (1.0 + z / (1.0 - gamma * z)), **tol)
+    damped = np.abs(y_new[z < 0.0] / y[z < 0.0])
+    assert np.all(damped < 1.0)
+    if h >= 50.0:
+        assert np.all(damped < 0.05 if h == 50.0 else damped < 1e-7)
+
+
+def test_a_singular_w_is_no_ros2_step():
+    # W = I - gamma h J is singular at h = 1 / (gamma lam)
+    lam = np.array([1.0, -1.0])
+    assert flow._ros2_step(lambda t, v: lam * v, 0.0, np.ones(2), 1.0 / flow._ROS_GAMMA, lam, np.diag(lam)) is None
+
+
+def test_a_large_constant_rate_settles_on_ros2_steps():
+    # the equilibrium ||mu|| = 2 sqrt(r / 3) of H3 is stiff: Dormand-Prince alone
+    # crawled at its stability limit, 6,263 steps and 37,592 evaluations to
+    # t = 0.0102, and ended 8.7e-10 off
+    r = 1e6
+    trace = integrate_bracket_flow(rescale_to_norm(heisenberg()), 0.0102, r=r)
+    assert trace.stats["accepted"] < 200 and trace.stats["rosenbrock_steps"] > 0
+    assert trace.mu_norm[-1] == pytest.approx(2.0 * math.sqrt(r / 3.0), rel=1e-9)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_runs_that_keep_moving_take_dormand_prince_steps_only(n, monkeypatch):
+    # the unnormalized flow moves by more than the tolerance in every step, so
+    # its frame, companion and metric runs never switch
+    stats = []
+    integrate = flow._integrate_adaptive
+
+    def recording(*args, **kwargs):
+        samples, run_stats = integrate(*args, **kwargs)
+        stats.append(run_stats)
+        return samples, run_stats
+
+    monkeypatch.setattr(flow, "_integrate_adaptive", recording)
+    for b0 in dense_starts(n, 100 + n):
+        integrate_bracket_flow(b0, 50.0)
+        cointegrate_h(integrate_bracket_flow(b0, 5.0, FlowOpts(max_step=0.05)))
+        integrate_innerproduct_flow(b0, 5.0)
+    assert len(stats) == 12 and all(s["rosenbrock_steps"] == 0 for s in stats)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_normalized_dense_starts_settle_on_ros2_steps(n):
+    # once settled, Dormand-Prince crawled at its stability limit and left the
+    # soliton certificate at up to 85% of detect_convergence's 1e-8 bound; at
+    # n = 8 two of these seeded starts still move at t = 60
+    for b0 in dense_starts(n, 100 + n):
+        trace = integrate_normalized_flow(rescale_to_norm(b0), 60.0)
+        assert trace.stats["rosenbrock_steps"] > 0
+        assert soliton_residual(trace.final_bracket, tol=1e-10).is_soliton
+
+
+def _switching_run(monkeypatch, stops=()):
+    """Samples and stats of the integrator on a normalized frame flow to
+    t = 60, and the times at which it built a Jacobian."""
+    switches = []
+    jacobian = flow._jacobian
+
+    def recording(f, t, y, f0):
+        switches.append(t)
+        return jacobian(f, t, y, f0)
+
+    monkeypatch.setattr(flow, "_jacobian", recording)
+    rhs = flow._frame_generator(random_sphere_bracket(5, 2), "scalar")
+    samples, stats = flow._integrate_adaptive(rhs, 0.0, np.eye(5).reshape(-1), 60.0, FlowOpts(stops=stops))
+    return rhs, samples, stats, switches
+
+
+def test_a_stop_inside_a_ros2_step_is_its_hermite_sample(monkeypatch):
+    rhs, plain, stats, switches = _switching_run(monkeypatch)
+    times = [t for t, _ in plain]
+    # one switch, and every step after it is a ROS2 step
+    assert len(switches) == 1 and stats["rosenbrock_steps"] == sum(t > switches[0] for t in times) >= 3
+    (ta, ya), (tb, yb) = plain[-3:-1]
+    assert ta > switches[0]
+    s = ta + 0.3 * (tb - ta)
+    _, samples, stats_stop, _ = _switching_run(monkeypatch, stops=(s,))
+    # the stop takes no step and no evaluation of its own
+    assert stats_stop == stats and len(samples) == len(plain) + 1
+    (t_stop, y_stop), = [(t, y) for t, y in samples if t not in times]
+    assert t_stop == s
+    # tb - ta is the step h to rounding
+    hermite = flow._hermite(ya, yb, tb - ta, rhs(ta, ya), rhs(tb, yb), 0.3)
+    np.testing.assert_allclose(y_stop, hermite, rtol=0.0, atol=1e-14 * np.abs(yb).max())
+    # a stop within rounding of a ROS2 step's end relabels that step's sample
+    near = tb * (1.0 + 1e-14)
+    _, samples, stats_near, _ = _switching_run(monkeypatch, stops=(near,))
+    assert stats_near["accepted"] == stats["accepted"] and len(samples) == len(plain)
+    assert samples[-2][0] == near and np.array_equal(samples[-2][1], yb)
+
+
 def _reference_generator(b0, r, h):
     """h -> (h', D) of the frame flow from public functions: D is the
     least-squares projection of h^{-1} X h onto the span of derivation_basis(b0);
@@ -346,16 +458,17 @@ def test_flow_stays_on_jacobi_variety():
 
 
 @pytest.mark.parametrize("field", ["rtol", "atol"])
-@pytest.mark.parametrize("value", [0.0, -1e-9, float("nan"), float("inf")])
+@pytest.mark.parametrize("value", [0.0, -1e-9, float("nan"), float("inf"), True, np.True_])
 def test_tolerances_must_be_finite_and_positive(field, value):
-    # atol = 0 would give a nan initial step and a step loop that never ends
+    # atol = 0 would give a nan initial step and a step loop that never ends;
+    # a bool is a number to Python, and True passed as 1.0
     with pytest.raises(ConfigError, match="finite and > 0"):
         FlowOpts(**{field: value})
 
 
 def test_max_step_must_be_positive():
-    # min(h, nan) keeps h, so a nan max_step used to be ignored
-    for value in (0.0, -1.0, float("nan")):
+    # min(h, nan) keeps h, so a nan max_step used to be ignored; True was a cap of 1.0
+    for value in (0.0, -1.0, float("nan"), True, np.True_):
         with pytest.raises(ConfigError, match="max_step"):
             FlowOpts(max_step=value)
 
@@ -370,7 +483,9 @@ def test_stops_must_be_finite_real_numbers(stops):
         FlowOpts(stops=stops)
 
 
-@pytest.mark.parametrize("t_max", [float("inf"), float("nan"), -1.0], ids=["inf", "nan", "negative"])
+@pytest.mark.parametrize(
+    "t_max", [float("inf"), float("nan"), -1.0, True, np.True_], ids=["inf", "nan", "negative", "bool", "numpy_bool"]
+)
 @pytest.mark.parametrize(
     "flow",
     [
@@ -1096,7 +1211,7 @@ def test_equivalence_on_dense_starts(n, r):
         assert rep.ok(1e-5), rep
 
 
-@pytest.mark.parametrize("t_max", [math.inf, -math.inf, math.nan, -1.0])
+@pytest.mark.parametrize("t_max", [math.inf, -math.inf, math.nan, -1.0, True])
 def test_equivalence_rejects_a_time_that_is_not_finite_and_nonnegative(t_max, heis_sphere):
     # checked before the grid: np.linspace warned on inf, and the error named the stops
     with pytest.raises(ConfigError, match=r"^the integration must end at a finite time >= 0, got "):
@@ -1120,11 +1235,13 @@ def test_equivalence_rejects_callable(heis_sphere):
 
 
 def test_equivalence_with_a_singular_frame_raises():
-    # near the soliton the companion frame degenerates like exp(-tD) and turns
-    # singular by t = 120, where its products overflow; np.linalg.inv ended
-    # the report in LinAlgError
+    # near the soliton the companion frame degenerates like exp(-tD); np.linalg.inv
+    # ended the report in LinAlgError, and without a bound the run went on until
+    # its products overflowed (t = 116.605); the frame flow's cond(h) bound ends it
+    # where h.mu0 stops meaning anything
     b = rescale_to_norm(random_two_step(5, np.random.default_rng(3)))
-    with pytest.raises(NumericalFailure, match=r"^the companion frame h became singular at t=116\.605$"):
+    match = r"^the companion frame h became singular: cond\(h\) = 8\.699e\+07 at t=11\.8872 exceeds 1/sqrt\(eps\)$"
+    with pytest.raises(NumericalFailure, match=match):
         equivalence_report(b, 120.0, r="scalar")
 
 
