@@ -19,6 +19,7 @@ import numpy as np
 
 from .exceptions import (
     BracketFormatError,
+    ConfigError,
     DimensionMismatch,
     NotNilpotentError,
     SingularMatrix,
@@ -33,6 +34,19 @@ DEFAULT_TOL = 1e-10
 _SKEW_ATOL = 1e-8
 _SQRT_TINY = math.sqrt(np.finfo(float).tiny)  # smallest norm whose square is normal
 _FLOAT_MAX = float(np.finfo(float).max)
+
+
+def _is_bool(v):
+    """A bool is a number to Python: True would pass as 1.0."""
+    return isinstance(v, (bool, np.bool_))
+
+
+def _check_tol(tol, name="tol"):
+    """ConfigError unless tol is finite and > 0 (and not a bool): a nan or
+    negative tolerance fails every comparison, and 0 is never met, so the
+    check it sets would read as failed."""
+    if _is_bool(tol) or not (math.isfinite(tol) and tol > 0.0):
+        raise ConfigError(f"{name} must be finite and > 0, got {tol!r}")
 
 
 def _norm(a: np.ndarray, ndim: int = 3):
@@ -251,8 +265,9 @@ def validate_bracket(b: Bracket, tol: float = DEFAULT_TOL) -> ValidationReport:
     """Check the Jacobi identity and nilpotency.
 
     The Jacobi threshold is tol on the unit bracket mu / ||mu||; the report
-    keeps the raw residual of mu.
+    keeps the raw residual of mu.  ConfigError unless tol is finite and > 0.
     """
+    _check_tol(tol)
     jac = jacobiator_residual(b)
     nrm = b.norm
     # the Jacobiator is quadratic in mu: read on mu / ||mu||, it neither under- nor overflows

@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .algebra import Bracket, _as_array, _is_finite_number, _is_int, _require_same_n
+from .algebra import Bracket, _as_array, _is_bool, _is_finite_number, _is_int, _require_same_n
 from .exceptions import BracketFormatError, ConfigError, DegreeTooHigh, DimensionMismatch
 
 # ---------------------------------------------------------------------------
@@ -346,12 +346,13 @@ def metric_convergence_distance(b1: Bracket, b2: Bracket, radius: float, p: int 
     gamma = alpha - beta, once, and C the factors times D.  The orders beta
     run in blocks that keep C and the values under 2^20 entries.  Each
     bracket's expansion is made once (see metric_field_fit).  ConfigError
-    unless the radius is finite and >= 0 and p is a nonnegative int.
+    unless the radius is finite and >= 0 and p is a nonnegative int, neither
+    of them a bool.
     """
     # a nan or infinite radius puts nan on every point, and the max ignores it
-    if not (math.isfinite(radius) and radius >= 0.0):
+    if _is_bool(radius) or not (math.isfinite(radius) and radius >= 0.0):
         raise ConfigError(f"radius must be finite and >= 0, got {radius!r}")
-    if not (isinstance(p, numbers.Integral) and p >= 0):
+    if _is_bool(p) or not (isinstance(p, numbers.Integral) and p >= 0):
         raise ConfigError(f"p must be a nonnegative int, got {p!r}")
     _require_same_n(b1, b2)
     n = b1.n

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import re
 import sys
@@ -30,6 +29,7 @@ import numpy as np
 from .algebra import (
     DEFAULT_TOL,
     Bracket,
+    _check_tol,
     bracket_from_dict,
     bracket_to_dict,
     validate_bracket,
@@ -477,10 +477,10 @@ def main(argv=None) -> int:
     if args.command == "sweep" and args.t_max is None:
         args.t_max = 100.0 if args.kind == "normalized" else 5.0
     try:
-        # a nan or negative tolerance fails every comparison; 0 is never met
+        # checked here too, so the message names the flag
         for dest, value in vars(args).items():
-            if dest in ("tol", "check_tol") and not (math.isfinite(value) and value > 0.0):
-                raise ConfigError(f"--{dest.replace('_', '-')} must be finite and > 0, got {value!r}")
+            if dest in ("tol", "check_tol"):
+                _check_tol(value, f"--{dest.replace('_', '-')}")
         return args.func(args)
     except (NumericalFailure, NotNilpotentError) as e:
         # a flow limit that left the nilpotent cone is a numerical failure

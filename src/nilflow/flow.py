@@ -58,7 +58,9 @@ from .algebra import (
     Bracket,
     _as_array,
     _delta_coeffs,
+    _check_tol,
     _gl_action_coeffs,
+    _is_bool,
     _jacobiator_max,
     _norm,
     bracket_to_dict,
@@ -121,11 +123,6 @@ _MAX_SAMPLES = 8192
 _CHECK_EVERY = 32  # a check of the samples runs on batches of this many (see _integrate_adaptive)
 
 
-def _is_bool(v):
-    """A bool is a number to Python: True would pass as 1.0."""
-    return isinstance(v, (bool, np.bool_))
-
-
 @dataclass(frozen=True)
 class FlowOpts:
     """Integrator options shared by all flows.  Each time in `stops` gets a
@@ -160,17 +157,15 @@ class FlowOpts:
             raise ConfigError(f"stops must be finite real numbers, got {self.stops!r:.80}")
 
 
-def _error_norm(err, y_old, y_new, rtol, atol, increment=False):
-    """RMS norm of err scaled by atol + rtol max(|y_old|, |y_new|); with
-    increment, also that of the step's increment y_new - y_old."""
+def _error_norm(err, y_old, y_new, rtol, atol):
+    """(err, increment): the RMS norms of err and of the step's increment
+    y_new - y_old, both scaled by atol + rtol max(|y_old|, |y_new|)."""
     scale = np.abs(y_old)  # built in place
     np.maximum(scale, np.abs(y_new), out=scale)
     scale *= rtol
     scale += atol
     q = err / scale
     norm = math.sqrt(q.dot(q) / q.size)
-    if not increment:
-        return norm
     d = y_new - y_old
     d /= scale
     return norm, math.sqrt(d.dot(d) / d.size)
@@ -334,7 +329,7 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
             else:
                 y_new, err_vec = ros
                 stats["nfev"] += 1
-            err, moved = _error_norm(err_vec, y, y_new, opts.rtol, opts.atol, True)
+            err, increment = _error_norm(err_vec, y, y_new, opts.rtol, opts.atol)
 
             if err <= 1.0:
                 if jac is not None:
@@ -372,7 +367,7 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
                     factor = _SAFETY * (err + 1e-300) ** -0.5
                 err_prev = max(err, 1e-4)
                 h = h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-                if not moved < 1.0:
+                if not increment < 1.0:
                     jac = None
                 elif jac is None and t < t_end:
                     jac = _jacobian(f, t, y, K[0])
@@ -602,16 +597,16 @@ def _by_blocks(kernel, coeffs):
     return np.concatenate([kernel(coeffs[i : i + step]) for i in range(0, len(coeffs), step)])
 
 
-def _finish_trace(samples, moved, stats, b0, r):
+def _finish_trace(samples, stats, b0, r):
     """FlowTrace of the frame samples of a flow of rate r from b0: array
-    expressions over the stacked brackets h_i.mu0 (exactly antisymmetrized;
-    for the scalar rate each frame is rescaled onto ||mu|| = ||mu0||, and
-    r_values is the tr_ric2 column).  The step loop has judged the frames,
-    and moved maps each sample time to the h.mu0 its check computed."""
+    expressions over the stacked brackets h_i.mu0, moved in one batch
+    (exactly antisymmetrized; for the scalar rate each frame is rescaled onto
+    ||mu|| = ||mu0||, and r_values is the tr_ric2 column).  The step loop
+    has judged the frames, so each is invertible."""
     n, c0 = b0.n, b0.coeffs
     times = np.array([t for t, _ in samples])
     frames = np.array([y for _, y in samples]).reshape(-1, n, n)
-    coeffs = np.array([moved[t] for t, _ in samples])
+    coeffs = _gl_action_coeffs(frames, np.linalg.inv(frames), c0)
     norms = _norm(coeffs)
     if isinstance(r, str):
         # (lambda h).mu0 = mu / lambda puts every sample back on ||mu|| = ||mu0||
@@ -650,15 +645,11 @@ def integrate_bracket_flow(b0: Bracket, t_max: float, opts: FlowOpts | None = No
     and the rate at each sample in `r_values`.  The step loop judges every
     stored frame, 32 at a time, against the bounds of the module docstring,
     whatever t_max; stats keep the largest cond(h) and skew defect.  The
-    trace reuses the check's brackets h.mu0: each frame is moved once.
+    check only judges: the trace moves the frames it keeps on its own.
     """
     rhs, worst = _frame_generator(b0, r), {"max_cond_h": 0.0, "max_skew_defect": 0.0}
-    moved = {}  # sample time -> h.mu0, for the samples kept so far
 
     def check(samples, i):
-        nonlocal moved
-        if len(moved) > i:  # the step loop thinned samples[:i] since the last check
-            moved = {t: moved[t].copy() for t, _ in samples[:i]}  # copies free the thinned batches
         frames = np.array([y for _, y in samples[i:]]).reshape(-1, b0.n, b0.n)
         cond = np.linalg.cond(frames)
         k = _first_above(cond, _MAX_COND_H)
@@ -676,10 +667,9 @@ def integrate_bracket_flow(b0: Bracket, t_max: float, opts: FlowOpts | None = No
             raise NumericalFailure(msg, trace=samples[: i + k])
         worst["max_cond_h"] = float(np.max(cond, initial=worst["max_cond_h"]))
         worst["max_skew_defect"] = float(np.max(defect, initial=worst["max_skew_defect"]))
-        moved.update(zip((t for t, _ in samples[i:]), coeffs))
 
     samples, stats = _integrate_adaptive(rhs, 0.0, np.eye(b0.n).reshape(-1), t_max, opts, check=check)
-    return _finish_trace(samples, moved, stats | worst, b0, r)
+    return _finish_trace(samples, stats | worst, b0, r)
 
 
 def integrate_normalized_flow(b0: Bracket, t_max: float, opts: FlowOpts | None = None) -> FlowTrace:
@@ -870,7 +860,9 @@ def _interior_derivative(times, values):
 def verify_flow_identities(trace: FlowTrace, tolerance: float = 1e-4) -> IdentityReport:
     """Check the exact first-order identities of the unnormalized flow by
     differentiating the stored diagnostics; requires a dense enough trace.
-    A trace with a nonzero rate anywhere raises ConfigError."""
+    A trace with a nonzero rate anywhere, or a tolerance that is not finite
+    and > 0, raises ConfigError."""
+    _check_tol(tolerance, "tolerance")
     if np.any(trace.r_values):
         raise ConfigError("flow identities hold for the unnormalized flow (r = 0) only")
     if len(trace) < 3:
@@ -949,6 +941,8 @@ class EquivalenceReport:
     max_scal_mismatch: float
 
     def ok(self, tol: float) -> bool:
+        """ConfigError unless tol is finite and > 0."""
+        _check_tol(tol)
         return max(self.max_pullback_residual, self.max_gram_residual) < tol
 
 
@@ -975,10 +969,8 @@ def equivalence_report(
     ip = integrate_innerproduct_flow(b0, t_max, opts, r=r)
     trace = integrate_bracket_flow(b0, t_max, opts, r=r)
     hs = cointegrate_h(trace)
-    try:
-        pulled = _gl_action_coeffs(hs, np.linalg.inv(hs), b0.coeffs)
-    except np.linalg.LinAlgError:
-        raise NumericalFailure("a cointegrated frame h(t) became singular") from None
+    # cointegrate_h's check ends its run before any stored frame with cond(h) > 1/sqrt(eps)
+    pulled = _gl_action_coeffs(hs, np.linalg.inv(hs), b0.coeffs)
     pullback = _norm(trace.coeffs - pulled) / np.maximum(trace.mu_norm, 1e-300)
 
     i = _index_of_time(trace.times, grid)

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .algebra import Bracket, _delta_coeffs, _norm, central_series_dims, nilpotency_degree
+from .algebra import Bracket, _check_tol, _delta_coeffs, _norm, central_series_dims, nilpotency_degree
 from .curvature import _ricci, _tr_ric2, curvature_pack
 from .exceptions import ConfigError, ZeroBracket
 
@@ -52,7 +52,9 @@ def soliton_residual(b: Bracket, tol: float = 1e-8) -> SolitonCertificate:
     no derivation basis or rank decision is involved.  c and D are quadratic
     and the residual cubic in mu, so all three are computed on u = mu / ||mu||,
     where tr(Ric^2) neither under- nor overflows, and scaled back.
+    ConfigError unless tol is finite and > 0.
     """
+    _check_tol(tol)
     nrm = b.norm
     if nrm == 0.0:
         raise ZeroBracket("the zero bracket has no soliton normalization")
@@ -95,7 +97,8 @@ def detect_convergence(trace, tol: float = 1e-8) -> ConvergenceReport:
     non-converged trace: it carries the certificate and an exponential fit of
     the distance to the limit over the trailing window (rate and r^2 are nan
     when the tail has too few usable points, e.g. because the distances
-    already sit at rounding level).
+    already sit at rounding level).  ConfigError unless tol is finite and > 0
+    (soliton_residual checks it).
     """
     if trace.kind != "normalized":
         raise ConfigError("convergence detection expects a normalized trace")

@@ -253,7 +253,7 @@ def test_step_loop_products_are_bitwise_their_matmul_forms(size):
             assert np.array_equal(flow._dp_dense(y, h, K, theta), ref)
         q = np.maximum(np.abs(y), np.abs(y_new)) * 1e-9 + 1e-9
         q = err / q
-        assert flow._error_norm(err, y, y_new, 1e-9, 1e-9) == math.sqrt(np.vecdot(q, q) / q.size)
+        assert flow._error_norm(err, y, y_new, 1e-9, 1e-9)[0] == math.sqrt(np.vecdot(q, q) / q.size)
 
 
 # ---------------------------------------------------------------------------
@@ -558,6 +558,28 @@ def test_identities_reject_normalized_traces(heis_sphere):
 def test_identities_accept_zero_rate_traces(heis):
     trace = integrate_bracket_flow(heis, 1.0, FlowOpts(max_step=0.02), r=0.0)
     assert verify_flow_identities(trace).ok
+
+
+_TOLERANCE_ENTRIES = {
+    "validate_bracket": lambda tol: algebra.validate_bracket(heisenberg(), tol=tol),
+    "soliton_residual": lambda tol: soliton_residual(heisenberg(), tol=tol),
+    "detect_convergence": lambda tol: detect_convergence(
+        integrate_normalized_flow(rescale_to_norm(heisenberg()), 1.0), tol=tol
+    ),
+    "verify_flow_identities": lambda tol: verify_flow_identities(
+        integrate_bracket_flow(heisenberg(), 1.0, FlowOpts(max_step=0.05)), tolerance=tol
+    ),
+    "EquivalenceReport.ok": lambda tol: flow.EquivalenceReport(0.0, 0.0, 0.0).ok(tol),
+}
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf, True], ids=["nan", "negative", "zero", "inf", "bool"])
+@pytest.mark.parametrize("entry", list(_TOLERANCE_ENTRIES))
+def test_meaningless_tolerances_raise(entry, tol):
+    # these read as failed checks: validate_bracket at nan said "jacobi
+    # residual 0.000e+00 of mu / ||mu|| exceeds nan", and no soliton was found
+    with pytest.raises(ConfigError, match="must be finite and > 0"):
+        _TOLERANCE_ENTRIES[entry](tol)
 
 
 # ---------------------------------------------------------------------------
@@ -960,11 +982,21 @@ def test_norm_column_of_a_tiny_bracket(c):
 # the companion frame h(t) and the fixed-bracket metric flow
 
 
-@pytest.mark.parametrize("normalized", [False, True])
-def test_stored_frames_pull_the_bracket(normalized):
+@pytest.mark.parametrize(
+    "normalized, max_step, cap, t_max",
+    [
+        pytest.param(False, math.inf, 8192, 5.0, id="False"),
+        pytest.param(True, math.inf, 8192, 5.0, id="True"),
+        # the samples kept after thinning are moved as well as the first ones
+        pytest.param(True, 0.005, 128, 2.0, id="thinned"),
+    ],
+)
+def test_stored_frames_pull_the_bracket(normalized, max_step, cap, t_max, monkeypatch):
+    monkeypatch.setattr(flow, "_MAX_SAMPLES", cap)
     b0 = rescale_to_norm(random_nilpotent(5, _rng(7)))
-    flow = integrate_normalized_flow if normalized else integrate_bracket_flow
-    trace = flow(b0, 5.0)
+    run = integrate_normalized_flow if normalized else integrate_bracket_flow
+    trace = run(b0, t_max, FlowOpts(max_step=max_step))
+    assert len(trace) <= cap
     assert np.array_equal(trace.frames[0], np.eye(5))
     for h, b in zip(trace.frames, trace.brackets):
         assert np.abs(gl_action(h, b0).coeffs - b.coeffs).max() <= 1e-14
