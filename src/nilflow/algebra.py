@@ -12,6 +12,7 @@ import itertools
 import json
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -41,11 +42,17 @@ def _is_bool(v):
     return isinstance(v, (bool, np.bool_))
 
 
+def _is_real(v):
+    """A real number that is not a bool: a str would make math.isfinite raise
+    TypeError."""
+    return isinstance(v, numbers.Real) and not _is_bool(v)
+
+
 def _check_tol(tol, name="tol"):
-    """ConfigError unless tol is finite and > 0 (and not a bool): a nan or
-    negative tolerance fails every comparison, and 0 is never met, so the
-    check it sets would read as failed."""
-    if _is_bool(tol) or not (math.isfinite(tol) and tol > 0.0):
+    """ConfigError unless tol is a real number, finite and > 0 (and not a
+    bool): a nan or negative tolerance fails every comparison, and 0 is never
+    met, so the check it sets would read as failed."""
+    if not (_is_real(tol) and math.isfinite(tol) and tol > 0.0):
         raise ConfigError(f"{name} must be finite and > 0, got {tol!r}")
 
 

@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .algebra import Bracket, _as_array, _is_bool, _is_finite_number, _is_int, _require_same_n
+from .algebra import Bracket, _as_array, _is_bool, _is_finite_number, _is_int, _is_real, _require_same_n
 from .exceptions import BracketFormatError, ConfigError, DegreeTooHigh, DimensionMismatch
 
 # ---------------------------------------------------------------------------
@@ -113,18 +113,18 @@ def metric_at(b: Bracket, x) -> np.ndarray:
 # Polynomial coefficient tables for the metric entries.
 
 
+@lru_cache(maxsize=256)
+def _compositions(total, parts):
+    """The tuples of `parts` entries that sum to `total`, lexicographically."""
+    if parts == 1:
+        return ((total,),)
+    return tuple((a,) + rest for a in range(total + 1) for rest in _compositions(total - a, parts - 1))
+
+
 def _multiindices(n, degree):
     """The C(n + degree, n) exponent tuples of n variables with sum <= degree,
-    by sum and then lexicographically, built directly."""
-
-    @lru_cache(maxsize=None)
-    def compositions(total, parts):
-        # the tuples of `parts` entries that sum to `total`, lexicographically
-        if parts == 1:
-            return ((total,),)
-        return tuple((a,) + rest for a in range(total + 1) for rest in compositions(total - a, parts - 1))
-
-    return [idx for total in range(degree + 1) for idx in compositions(total, n)]
+    by sum and then lexicographically, built directly; a new list per call."""
+    return [idx for total in range(degree + 1) for idx in _compositions(total, n)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,15 +323,19 @@ def metric_field_fit(b: Bracket) -> MetricField:
 _BLOCK = 2**20
 
 
+@lru_cache(maxsize=16)
 def _sample_points(n, radius):
     """The 3^n lattice points of {-1, 0, 1}^n scaled to the ball (in the order
-    of itertools.product), then 100 interior points drawn from default_rng(0)."""
+    of itertools.product), then 100 interior points drawn from default_rng(0);
+    built once per (n, radius) and read-only."""
     lattice = np.indices((3,) * n).reshape(n, -1).T - 1.0
     rng = np.random.default_rng(0)
     dirs = rng.standard_normal((100, n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     radii = radius * rng.random(100) ** (1.0 / n)
-    return np.vstack([lattice * (radius / math.sqrt(n)), dirs * radii[:, None]])
+    points = np.vstack([lattice * (radius / math.sqrt(n)), dirs * radii[:, None]])
+    points.flags.writeable = False
+    return points
 
 
 def metric_convergence_distance(b1: Bracket, b2: Bracket, radius: float, p: int = 2) -> float:
@@ -345,12 +349,13 @@ def metric_convergence_distance(b1: Bracket, b2: Bracket, radius: float, p: int 
     on every point is one product C^T V: V holds each monomial x^gamma,
     gamma = alpha - beta, once, and C the factors times D.  The orders beta
     run in blocks that keep C and the values under 2^20 entries.  Each
-    bracket's expansion is made once (see metric_field_fit).  ConfigError
-    unless the radius is finite and >= 0 and p is a nonnegative int, neither
-    of them a bool.
+    bracket's expansion is made once (see metric_field_fit), and the sample
+    points once per dimension and radius.  ConfigError unless the radius is
+    a finite real number >= 0 and p is a nonnegative int, neither of them a
+    bool.
     """
     # a nan or infinite radius puts nan on every point, and the max ignores it
-    if _is_bool(radius) or not (math.isfinite(radius) and radius >= 0.0):
+    if not (_is_real(radius) and math.isfinite(radius) and radius >= 0.0):
         raise ConfigError(f"radius must be finite and >= 0, got {radius!r}")
     if _is_bool(p) or not (isinstance(p, numbers.Integral) and p >= 0):
         raise ConfigError(f"p must be a nonnegative int, got {p!r}")

@@ -26,12 +26,16 @@ run, a stiff constant rate at its equilibrium, where an explicit step only
 crawls at its stability limit) L-stable ROS2 steps with a forward-difference
 Jacobian built at the switch, until an increment reaches the tolerance
 again.  A run that keeps moving never switches.  A stop is a sample of the
-step's continuous extension, not a step end.
+step's continuous extension, not a step end.  Every right side also takes a
+(B, N) stack of states and gives each lane the bits of its 1-D call, so the
+Jacobian's N forward differences are one call; a 1-D state keeps its
+single-frame products, cheaper at B = 1 than the stacked kernels.
 The module also integrates the ungauged companion frame h' = -(Ric + r I) h,
 a second run of a flow under one error state per run and the frame flow's
-cond(h) bound, and the equivalent inner-product (metric tensor) flow
-G' = -2 ric(G) - 2 r G, and checks the structural identities of the r = 0
-flow.
+cond(h) bound (its SVDs run only on a batch that the bound
+||h||_F ||h^{-1}||_F >= cond(h) does not clear), and the equivalent
+inner-product (metric tensor) flow G' = -2 ric(G) - 2 r G, and checks the
+structural identities of the r = 0 flow.
 The metric flow's state is the factor of G = L L^T, as the strict lower part
 of L and log diag L, so G stays positive definite by construction and its
 right side needs no Cholesky factorization.
@@ -39,8 +43,9 @@ The right sides and the step loop run once per evaluation or step on arrays
 of at most n^3 = 512 entries, so the call overhead of numpy counts: their
 products of single 2-D or 1-D arrays call ndarray.dot, which goes straight
 to BLAS and gives the bits of @ without the matmul gufunc's dispatch.
-Stacked and broadcast products (the batched kernels, the step loop's check,
-_finish_trace) keep @, as .dot does not broadcast over leading axes.
+Stacked and broadcast products (the batched kernels, stacked right sides,
+the step loop's check, _finish_trace) keep @, as .dot does not broadcast
+over leading axes.
 """
 
 from __future__ import annotations
@@ -204,15 +209,15 @@ def _dp_dense(y, h, K, theta):
 
 def _jacobian(f, t, y, f0):
     """Forward-difference Jacobian of f at (t, y), f0 = f(t, y), in y.size
-    evaluations; increments sqrt(eps max(|y_j|, 1e-5)) as in Hairer and
-    Wanner's RADAU5."""
+    evaluations made by one call: f gets the C-ordered (N, N) stack whose
+    row j is y with y_j moved by sqrt(eps max(|y_j|, 1e-5)), the increment
+    of Hairer and Wanner's RADAU5, and column j of J is its difference
+    quotient.  J is the transpose of a C-ordered array."""
     delta = np.sqrt(np.finfo(float).eps * np.maximum(np.abs(y), 1e-5))
-    jac = np.empty((y.size, y.size))
-    for j, dj in enumerate(delta):
-        yj = y.copy()
-        yj[j] += dj
-        jac[:, j] = (f(t, yj) - f0) / (yj[j] - y[j])
-    return jac
+    ys = np.tile(y, (y.size, 1))
+    diag = np.diag_indices(y.size)
+    ys[diag] += delta
+    return ((f(t, ys) - f0) / (ys[diag] - y)[:, None]).T
 
 
 def _ros2_step(f, t, y, h, f0, jac):
@@ -222,7 +227,7 @@ def _ros2_step(f, t, y, h, f0, jac):
     the distance to the embedded first-order y + h k1, or None for a
     singular W."""
     w = (-_ROS_GAMMA * h) * jac
-    w.reshape(-1)[:: y.size + 1] += 1.0
+    w[np.diag_indices(y.size)] += 1.0  # whatever the memory layout of jac
     try:
         winv = np.linalg.inv(w)
     except np.linalg.LinAlgError:
@@ -414,7 +419,9 @@ class FlowTrace(_Samples):
 
     `coeffs` (m, n, n, n) holds the structure constants of mu(times[i]) =
     frames[i].mu0, `frames` is (m, n, n), and each diagnostic is a length-m
-    column.  `brackets`, a list of `Bracket`, is built on first access.
+    column.  `brackets`, a list of `Bracket`, and the columns `grad_norm`
+    (||delta_mu(Ric_mu)||) and `jacobi_residual` (the max-norm of the
+    Jacobiator) are computed from `coeffs` on first access.
     """
 
     times: np.ndarray
@@ -424,8 +431,6 @@ class FlowTrace(_Samples):
     mu_norm: np.ndarray
     scal: np.ndarray
     tr_ric2: np.ndarray
-    grad_norm: np.ndarray
-    jacobi_residual: np.ndarray
     stats: dict = field(default_factory=dict)
     rate: object = field(default=None, repr=False)  # the rate r as passed to the flow
 
@@ -437,6 +442,14 @@ class FlowTrace(_Samples):
     @cached_property
     def brackets(self) -> list:
         return [Bracket(c) for c in self.coeffs]
+
+    @cached_property
+    def grad_norm(self) -> np.ndarray:
+        return _norm(_delta_coeffs(self.coeffs, _ricci(self.coeffs)))
+
+    @cached_property
+    def jacobi_residual(self) -> np.ndarray:
+        return _by_blocks(_jacobiator_max, self.coeffs)
 
     @property
     def initial_bracket(self) -> Bracket:
@@ -501,7 +514,10 @@ def _shifted_ricci(b0, r):
     of a stack.  Each product of two 2-D arrays is an ndarray.dot, a direct
     BLAS call with the bits of @ and less call overhead; the one whose right
     operand is the 3-D (n, n, n) view keeps @, which broadcasts w over its
-    leading axis."""
+    leading axis.  A (B, n, n) stack of h and hinv gives the stack of X from
+    the batched kernels _gl_action_coeffs, _ricci and _tr_ric2 on the full
+    mu0; halving is an exact scaling, so each lane has the bits of its 2-D
+    call."""
     if isinstance(r, str):
         if r != "scalar":
             raise BadRate(f"unknown rate {r!r}; the only string rate is 'scalar'")
@@ -523,8 +539,24 @@ def _shifted_ricci(b0, r):
         norm_sq, shift = None, None if r is None else value * np.eye(b0.n)
     n = b0.n
     c0_rows = (0.5 * b0.coeffs).reshape(n, n * n)
+    diag = np.arange(n)
+
+    def stacked(h, hinv):
+        c = _gl_action_coeffs(h, hinv, b0.coeffs)
+        x = _ricci(c)
+        if shift is not None:
+            x += shift
+        elif norm_sq is not None:
+            # 4 norm_sq over <c, c> of the full c is the 2-D path's ratio of
+            # the halved ones
+            flat = c.reshape(len(c), -1)
+            x *= ((4.0 * norm_sq) / np.vecdot(flat, flat))[:, None, None]
+            x[:, diag, diag] += _tr_ric2(x)[:, None]
+        return x
 
     def kernel(h, hinv):
+        if h.ndim > 2:
+            return stacked(h, hinv)
         w = hinv.T
         # .dot calls BLAS on 2-D operands without the matmul gufunc's overhead;
         # on the 3-D operand it would not broadcast, so that product keeps @
@@ -554,7 +586,9 @@ def _frame_generator(b0, r):
     evaluated on the sphere ||mu|| = ||mu0||; then
     <mu', mu> = 0, and the flow of h commutes with rescaling h.  One call is
     a few plain matrix products: the GL action, the two of Ricci, the
-    projection and h'.  A singular h raises NumericalFailure.
+    projection and h'.  y may also be a (B, n^2) stack of frames, which gives
+    the (B, n^2) stack of h', each lane with the bits of its 1-D call.  A
+    singular h, in any lane, raises NumericalFailure.
     """
     n = b0.n
     shifted_ricci = _shifted_ricci(b0, r)
@@ -562,11 +596,16 @@ def _frame_generator(b0, r):
     proj = basis.T @ basis
 
     def rhs(t, y):
-        h = y.reshape(n, n)
+        stack = y.ndim > 1
+        h = y.reshape(-1, n, n) if stack else y.reshape(n, n)
         try:
             hinv = np.linalg.inv(h)
         except np.linalg.LinAlgError:
             raise NumericalFailure(f"the frame h became singular at t={t:.6g}") from None
+        if stack:
+            xh = shifted_ricci(h, hinv) @ h
+            d = (proj @ (hinv @ xh).reshape(-1, n * n, 1)).reshape(-1, n, n)
+            return (h @ d - xh).reshape(y.shape)
         xh = shifted_ricci(h, hinv).dot(h)
         d = proj.dot(hinv.dot(xh).reshape(-1)).reshape(n, n)
         return (h.dot(d) - xh).reshape(-1)
@@ -601,7 +640,8 @@ def _finish_trace(samples, stats, b0, r):
     """FlowTrace of the frame samples of a flow of rate r from b0: array
     expressions over the stacked brackets h_i.mu0, moved in one batch
     (exactly antisymmetrized; for the scalar rate each frame is rescaled onto
-    ||mu|| = ||mu0||, and r_values is the tr_ric2 column).  The step loop
+    ||mu|| = ||mu0||, and r_values is the tr_ric2 column); the trace builds
+    grad_norm and jacobi_residual when they are first read.  The step loop
     has judged the frames, so each is invertible."""
     n, c0 = b0.n, b0.coeffs
     times = np.array([t for t, _ in samples])
@@ -614,9 +654,8 @@ def _finish_trace(samples, stats, b0, r):
         frames = lams[:, None, None] * frames
         coeffs = coeffs / lams[:, None, None, None]
     coeffs = 0.5 * (coeffs - coeffs.swapaxes(1, 2))
-    ric = _ricci(coeffs)
     mu_norm = _norm(coeffs)
-    tr_ric2 = _tr_ric2(ric)
+    tr_ric2 = _tr_ric2(_ricci(coeffs))
     rate = tr_ric2 if isinstance(r, str) else 0.0 if r is None else float(r)
     return FlowTrace(
         times=times,
@@ -626,8 +665,6 @@ def _finish_trace(samples, stats, b0, r):
         mu_norm=mu_norm,
         scal=0.0 - 0.25 * mu_norm**2,  # +0.0 for the zero bracket, as scalar_curvature
         tr_ric2=tr_ric2,
-        grad_norm=_norm(_delta_coeffs(coeffs, ric)),
-        jacobi_residual=_by_blocks(_jacobiator_max, coeffs),
         stats=stats,
         rate=r,
     )
@@ -692,7 +729,9 @@ def cointegrate_h(trace: FlowTrace) -> np.ndarray:
     h(t_i).  A stored h with cond(h) > 1/sqrt(eps), the frame flow's bound, a
     singular h, or one whose products overflow, raises NumericalFailure, also
     when the integrator's own arithmetic overflows: the run enters one error
-    state, not one per evaluation.
+    state, not one per evaluation.  The check computes cond(h) by SVD only
+    on a batch whose bound ||h||_F ||h^{-1}||_F is not finite or passes half
+    of 1/sqrt(eps), so its decisions are those of the SVD alone.
     """
     b0 = trace.initial_bracket
     n = b0.n
@@ -700,14 +739,27 @@ def cointegrate_h(trace: FlowTrace) -> np.ndarray:
     singular = "the companion frame h became singular"
 
     def rhs(t, y):
-        h = y.reshape(n, n)
+        stack = y.ndim > 1
+        h = y.reshape(-1, n, n) if stack else y.reshape(n, n)
         try:
+            if stack:
+                return -(shifted_ricci(h, np.linalg.inv(h)) @ h).reshape(y.shape)
             return -shifted_ricci(h, np.linalg.inv(h)).dot(h).reshape(-1)
         except (np.linalg.LinAlgError, FloatingPointError):
             raise NumericalFailure(f"{singular} at t={t:.6g}") from None
 
     def check(samples, i):
-        cond = np.linalg.cond(np.array([y for _, y in samples[i:]]).reshape(-1, n, n))
+        frames = np.array([y for _, y in samples[i:]]).reshape(-1, n, n)
+        # ||h||_F ||h^{-1}||_F >= cond(h): the SVDs run only on a batch where
+        # that bound is not finite or passes half of the bound on cond(h)
+        try:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                screen = _norm(frames, 2) * _norm(np.linalg.inv(frames), 2)
+            if (screen <= 0.5 * _MAX_COND_H).all():
+                return
+        except np.linalg.LinAlgError:
+            pass
+        cond = np.linalg.cond(frames)
         k = _first_above(cond, _MAX_COND_H)
         if k < len(cond):
             msg = f"{singular}: cond(h) = {cond[k]:.3e} at t={samples[i + k][0]:.6g} exceeds 1/sqrt(eps)"
@@ -763,7 +815,8 @@ def _metric_flow(b0, r):
     L' = L Phi(M), where M = -2 X, X = ric_nu + r I is the _shifted_ricci
     kernel at h = L^T, for the pushed bracket nu = (L^T).mu_0, and Phi keeps
     the strict lower part of M and half its diagonal; then
-    (log L_ii)' = M_ii / 2.  As
+    (log L_ii)' = M_ii / 2.  rhs and factor also take a (B, n(n+1)/2)
+    stack of states, lane by lane with the bits of a 1-D call.  As
     L (Phi + Phi^T) L^T = L M L^T = -2 L ric_nu L^T - 2 r G, G follows the
     metric flow for every rate; the scalar rate keeps scal(G) fixed.  A
     factor with some L_ii = exp(y_i) below the normal range, where 1 / L_ii
@@ -778,6 +831,12 @@ def _metric_flow(b0, r):
     shifted_ricci = _shifted_ricci(b0, r)
 
     def factor(y):
+        if y.ndim > 1:  # a stack of states gives the stack of factors
+            lmat = np.zeros((len(y), n * n))
+            lmat[:, lower] = y
+            diag = lmat[:, :: n + 1]
+            np.exp(diag, out=diag)
+            return lmat.reshape(-1, n, n)
         lmat = np.zeros(n * n)
         lmat[lower] = y
         diag = lmat[:: n + 1]  # a view holding log L_ii
@@ -785,12 +844,17 @@ def _metric_flow(b0, r):
         return lmat.reshape(n, n)
 
     def rhs(t, y):
-        if y[logdiag].min() < _LOG_TINY:
+        stack = y.ndim > 1
+        if (y[:, logdiag] if stack else y[logdiag]).min() < _LOG_TINY:
             raise NumericalFailure(f"the metric factor became singular at t={t:.6g}")
         lmat = factor(y)
-        h = lmat.T
+        h = lmat.mT
         phi = shifted_ricci(h, np.linalg.inv(h))
         phi *= weights
+        if stack:
+            dy = (lmat @ phi).reshape(len(y), -1)[:, lower]
+            dy[:, logdiag] = phi.reshape(len(y), -1)[:, :: n + 1]
+            return dy
         dy = lmat.dot(phi).reshape(-1)[lower]
         dy[logdiag] = phi.reshape(-1)[:: n + 1]
         return dy
@@ -818,7 +882,7 @@ def integrate_innerproduct_flow(
     rhs, factor = _metric_flow(b0, r)
     samples, stats = _integrate_adaptive(rhs, 0.0, np.zeros(n * (n + 1) // 2), t_max, opts)
     times = np.array([t for t, _ in samples])
-    lmat = np.array([factor(y) for _, y in samples])
+    lmat = factor(np.array([y for _, y in samples]))
     g = lmat @ lmat.mT
     return InnerProductTrace(times=times, metrics=0.5 * (g + g.mT), stats=stats)
 

@@ -160,9 +160,11 @@ def test_load_bracket_of_text_the_decoder_cannot_read(text, tmp_path):
         (lambda: rescale_to_norm(Bracket.zero(3)), ZeroBracket, "zero bracket"),
         # True rescaled to norm 1
         (lambda: rescale_to_norm(heisenberg(), True), ConfigError, "target norm"),
+        # a str raised a bare TypeError from math.isfinite
+        (lambda: rescale_to_norm(heisenberg(), "2"), ConfigError, "target norm"),
     ],
     ids=["filiform_n2", "filiform_constants", "two_step_n2", "two_step_m1", "two_step_m_n", "rescale_zero",
-         "rescale_bool_target"],
+         "rescale_bool_target", "rescale_str_target"],
 )
 def test_generator_input_checks(call, error, message):
     with pytest.raises(error, match=message):

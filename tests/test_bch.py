@@ -445,13 +445,13 @@ def test_distance_rejects_dimension_mismatch(heis, fil4):
 
 @pytest.mark.parametrize(
     "radius, p",
-    [(math.nan, 2), (math.inf, 2), (-1.0, 2), (1.0, -1), (1.0, 2.5), (True, 2), (False, 2), (1.0, True)],
+    [(math.nan, 2), (math.inf, 2), (-1.0, 2), (1.0, -1), (1.0, 2.5), (True, 2), (False, 2), (1.0, True), ("1", 2)],
     ids=["nan-radius", "inf-radius", "negative-radius", "negative-p", "fractional-p",
-         "true-radius", "false-radius", "bool-p"],
+         "true-radius", "false-radius", "bool-p", "str-radius"],
 )
 def test_distance_rejects_bad_radius_and_order(heis, radius, p):
     # a nan or infinite radius and p = -1 read 0.0, "the metrics agree"; p = 2.5 was a TypeError;
-    # a bool radius read 1.0 or 0.0, and p = True order 1
+    # a bool radius read 1.0 or 0.0, and p = True order 1; a str radius was a TypeError
     with pytest.raises(ConfigError):
         metric_convergence_distance(heis, heisenberg(1.1), radius=radius, p=p)
 

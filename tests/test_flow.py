@@ -270,16 +270,19 @@ def test_ros2_step_has_the_stability_function_of_an_l_stable_method(h):
     gamma = flow._ROS_GAMMA
     assert gamma**2 - 2.0 * gamma + 0.5 == pytest.approx(0.0, abs=1e-15)
     z = h * lam
-    y_new, err = flow._ros2_step(lambda t, v: lam * v, 0.0, y, h, lam * y, np.diag(lam))
-    # to rounding: y_new = y + h (3 k1 + k2) / 2 sums terms of the size of y
-    tol = {"rtol": 1e-13, "atol": 1e-15 * np.abs(y).max()}
-    np.testing.assert_allclose(y_new, y * (1.0 + (1.0 - 2.0 * gamma) * z) / (1.0 - gamma * z) ** 2, **tol)
-    # the error vector is the distance to the embedded first-order y + h k1
-    np.testing.assert_allclose(y_new - err, y * (1.0 + z / (1.0 - gamma * z)), **tol)
-    damped = np.abs(y_new[z < 0.0] / y[z < 0.0])
-    assert np.all(damped < 1.0)
-    if h >= 50.0:
-        assert np.all(damped < 0.05 if h == 50.0 else damped < 1e-7)
+    # W = I - gamma h J must hold its identity for J in either memory order:
+    # adding it through a reshape of a Fortran-ordered J wrote into a copy
+    for jac in (np.diag(lam), np.asfortranarray(np.diag(lam))):
+        y_new, err = flow._ros2_step(lambda t, v: lam * v, 0.0, y, h, lam * y, jac)
+        # to rounding: y_new = y + h (3 k1 + k2) / 2 sums terms of the size of y
+        tol = {"rtol": 1e-13, "atol": 1e-15 * np.abs(y).max()}
+        np.testing.assert_allclose(y_new, y * (1.0 + (1.0 - 2.0 * gamma) * z) / (1.0 - gamma * z) ** 2, **tol)
+        # the error vector is the distance to the embedded first-order y + h k1
+        np.testing.assert_allclose(y_new - err, y * (1.0 + z / (1.0 - gamma * z)), **tol)
+        damped = np.abs(y_new[z < 0.0] / y[z < 0.0])
+        assert np.all(damped < 1.0)
+        if h >= 50.0:
+            assert np.all(damped < 0.05 if h == 50.0 else damped < 1e-7)
 
 
 def test_a_singular_w_is_no_ros2_step():
@@ -573,11 +576,14 @@ _TOLERANCE_ENTRIES = {
 }
 
 
-@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf, True], ids=["nan", "negative", "zero", "inf", "bool"])
+@pytest.mark.parametrize(
+    "tol", [math.nan, -1.0, 0.0, math.inf, True, "1e-8"], ids=["nan", "negative", "zero", "inf", "bool", "str"]
+)
 @pytest.mark.parametrize("entry", list(_TOLERANCE_ENTRIES))
 def test_meaningless_tolerances_raise(entry, tol):
     # these read as failed checks: validate_bracket at nan said "jacobi
-    # residual 0.000e+00 of mu / ||mu|| exceeds nan", and no soliton was found
+    # residual 0.000e+00 of mu / ||mu|| exceeds nan", and no soliton was found;
+    # a str raised a bare TypeError from math.isfinite
     with pytest.raises(ConfigError, match="must be finite and > 0"):
         _TOLERANCE_ENTRIES[entry](tol)
 
@@ -1157,10 +1163,11 @@ def test_scalar_normalized_innerproduct_flow(heis_sphere):
     assert innerproduct_scal(heis_sphere, g) == pytest.approx(-1.0, abs=1e-4)
 
 
-def _companion_rhs(b0, r, monkeypatch):
-    """The right side that cointegrate_h hands the integrator."""
-    def capture(f, *args):
-        raise LookupError(f)
+def _companion_args(b0, r, monkeypatch):
+    """The arguments (rhs, t0, y0, t_end, opts, check) that cointegrate_h
+    hands the integrator."""
+    def capture(*args):
+        raise LookupError(args)
 
     trace = integrate_bracket_flow(b0, 0.0, r=r)
     monkeypatch.setattr(flow, "_integrate_adaptive", capture)
@@ -1170,11 +1177,35 @@ def _companion_rhs(b0, r, monkeypatch):
     return exc.value.args[0]
 
 
+def _companion_rhs(b0, r, monkeypatch):
+    """The right side that cointegrate_h hands the integrator."""
+    return _companion_args(b0, r, monkeypatch)[0]
+
+
+def test_the_companion_check_runs_its_svds_only_past_the_screen(heis, monkeypatch):
+    # ||h||_F ||h^{-1}||_F >= cond(h) clears a batch of well-conditioned frames
+    # without an SVD; a batch it does not clear, or whose inverse raises, is
+    # judged by the SVDs, with their message
+    check = _companion_args(heis, None, monkeypatch)[5]
+    svds = []
+    cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda a: svds.append(len(a)) or cond(a))
+    good = [(0.1 * i, np.diag([1.0, 2.0, 3.0 + i]).reshape(-1)) for i in range(4)]
+    check(good, 0)
+    assert svds == []
+    for bad, shown in ((np.diag([1.0, 1e-9, 1.0]), r"1\.000e\+09"), (np.zeros((3, 3)), r"(inf|nan)")):
+        with pytest.raises(NumericalFailure, match=rf"cond\(h\) = {shown} at t=0\.5 exceeds") as info:
+            check(good + [(0.5, bad.reshape(-1))], 0)
+        assert len(info.value.trace) == 4
+    assert svds == [5, 5]
+
+
 @pytest.mark.parametrize("r", [None, 0.5, "scalar"], ids=["unnormalized", "constant", "scalar"])
 @pytest.mark.parametrize("n", range(3, 9))
 def test_right_sides_are_bitwise_their_matmul_forms(n, r, monkeypatch):
     # the frame, companion and metric right sides call ndarray.dot on single
-    # 2-D and 1-D arrays; each must give the bits of its @ form
+    # 2-D and 1-D arrays; each must give the bits of its @ form, and each lane
+    # of a (B, N) stack of states the bits of its 1-D call
     rng = np.random.default_rng(800 + n)
     lower = np.tri(n, dtype=bool)
     on_diagonal = np.eye(n, dtype=bool)[lower]
@@ -1190,12 +1221,16 @@ def test_right_sides_are_bitwise_their_matmul_forms(n, r, monkeypatch):
         # cond(h) <= 4; h is lower triangular with a positive diagonal, so it is also a metric factor
         upper = np.linalg.qr(random_orthogonal(n, rng) @ np.diag(rng.uniform(0.5, 2.0, n)))[1]
         lmat = upper.T * np.sign(np.diag(upper))
-        for h in (random_orthogonal(n, rng) @ lmat, lmat):
+        frames = (random_orthogonal(n, rng) @ lmat, lmat)
+        for h in frames:
             hinv = np.linalg.inv(h)
             xh = kernel(h, hinv) @ h
             d = ((basis.T @ basis) @ (hinv @ xh).reshape(-1)).reshape(n, n)
             assert np.array_equal(frame(0.0, h.reshape(-1)), (h @ d - xh).reshape(-1))
             assert np.array_equal(companion(0.0, h.reshape(-1)), -(kernel(h, hinv) @ h).reshape(-1))
+        stack = np.stack(frames).reshape(len(frames), -1)
+        for rhs in (frame, companion):
+            assert np.array_equal(rhs(0.0, stack), [rhs(0.0, y) for y in stack])
         state = lmat.copy()
         state[np.diag_indices(n)] = np.log(np.diag(lmat))
         state = state[lower]
@@ -1204,6 +1239,60 @@ def test_right_sides_are_bitwise_their_matmul_forms(n, r, monkeypatch):
         ref = (lmat @ phi)[lower]
         ref[on_diagonal] = np.diag(phi)
         assert np.array_equal(metric(0.0, state), ref)
+        states = np.stack([state, 0.5 * state, -state])
+        assert np.array_equal(metric(0.0, states), [metric(0.0, y) for y in states])
+        assert np.array_equal(factor(states), [factor(y) for y in states])
+
+
+def _column_jacobian(f, t, y, f0):
+    """Forward-difference Jacobian one column, and one right-side call, at a
+    time: the increments of flow._jacobian."""
+    delta = np.sqrt(np.finfo(float).eps * np.maximum(np.abs(y), 1e-5))
+    jac = np.empty((y.size, y.size))
+    for j in range(y.size):
+        yj = y.copy()
+        yj[j] += delta[j]
+        jac[:, j] = (f(t, yj) - f0) / (yj[j] - y[j])
+    return jac
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_the_jacobian_is_one_stacked_call_with_the_bits_of_its_columns(n, monkeypatch):
+    rng = np.random.default_rng(700 + n)
+    h = random_orthogonal(n, rng) @ np.diag(rng.uniform(0.5, 2.0, n)) @ random_orthogonal(n, rng)
+    for b0 in dense_starts(n, 700 + n):
+        b0 = rescale_to_norm(b0)
+        sides = [(flow._frame_generator(b0, r), h.reshape(-1)) for r in (None, 0.5, "scalar")]
+        sides += [(_companion_rhs(b0, r, monkeypatch), h.reshape(-1)) for r in (None, "scalar")]
+        sides.append((flow._metric_flow(b0, "scalar")[0], 0.3 * rng.standard_normal(n * (n + 1) // 2)))
+        for rhs, y in sides:
+            calls = []
+
+            def recording(t, states):
+                calls.append(states)
+                return rhs(t, states)
+
+            f0 = rhs(0.0, y)
+            jac = flow._jacobian(recording, 0.0, y, f0)
+            # one call, on the C-ordered stack of the N moved states
+            assert len(calls) == 1 and calls[0].shape == (y.size, y.size) and calls[0].flags.c_contiguous
+            assert np.array_equal(jac, _column_jacobian(rhs, 0.0, y, f0))
+
+
+def test_a_singular_lane_raises_the_failure_of_its_1d_call(heis_sphere, monkeypatch):
+    frame = flow._frame_generator(heis_sphere, "scalar")
+    companion = _companion_rhs(heis_sphere, "scalar", monkeypatch)
+    metric, _ = flow._metric_flow(heis_sphere, "scalar")
+    tiny = np.zeros(6)
+    tiny[5] = 2.0 * flow._LOG_TINY  # L_33 below the normal range
+    for rhs, good, bad in ((frame, np.eye(3).reshape(-1), np.zeros(9)),
+                           (companion, np.eye(3).reshape(-1), np.zeros(9)),
+                           (metric, np.zeros(6), tiny)):
+        with pytest.raises(NumericalFailure) as single:
+            rhs(2.5, bad)
+        with pytest.raises(NumericalFailure) as stacked:
+            rhs(2.5, np.stack([good, bad, good]))
+        assert str(stacked.value) == str(single.value)
 
 
 # ---------------------------------------------------------------------------
