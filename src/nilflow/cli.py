@@ -252,7 +252,7 @@ def cmd_soliton(args) -> int:
     print(f"c = {cert.c:.9g}   residual = {cert.residual:.3e}   r_limit = {report.r_limit:.9g}")
     print(f"ricci spectrum: {np.array2string(np.array(invariants['ricci_spectrum']), precision=6)}")
     if not np.isnan(report.decay_rate):
-        print(f"tail decay rate {report.decay_rate:.4g} (r^2 = {report.fit_r2:.4f})")
+        print(f"tail decay rate {report.decay_rate:.6g} (gap {report.rate_gap:.3g})")
     if args.out:
         payload = report.to_dict()
         payload["limit_bracket"] = bracket_to_dict(trace.final_bracket)

@@ -65,7 +65,7 @@ from .algebra import (
     _delta_coeffs,
     _check_tol,
     _gl_action_coeffs,
-    _is_bool,
+    _is_real,
     _jacobiator_max,
     _norm,
     bracket_to_dict,
@@ -136,8 +136,8 @@ class FlowOpts:
     stride over the whole run; stops count against that cap but are never
     thinned, so a run with more stops than the cap returns them all.  Every
     stop must be a finite real number (else ConfigError); stops outside the
-    run's open interval are ignored.  rtol, atol and max_step are numbers
-    > 0, rtol and atol finite, and none of them a bool."""
+    run's open interval are ignored.  rtol, atol and max_step are real
+    numbers > 0, rtol and atol finite, and none of them a bool."""
 
     rtol: float = 1e-9
     atol: float = 1e-9
@@ -146,10 +146,10 @@ class FlowOpts:
 
     def __post_init__(self):
         # atol = 0 zeroes the error scale of a zero component: a nan step, an endless loop
-        if not all(math.isfinite(v) and v > 0.0 and not _is_bool(v) for v in (self.rtol, self.atol)):
-            raise ConfigError(f"rtol and atol must be finite and > 0, got {self.rtol!r}, {self.atol!r}")
+        _check_tol(self.rtol, "rtol")
+        _check_tol(self.atol, "atol")
         # min(h, nan) keeps h, so a nan max_step would be ignored silently
-        if _is_bool(self.max_step) or not self.max_step > 0.0:
+        if not (_is_real(self.max_step) and self.max_step > 0.0):
             raise ConfigError(f"max_step must be a number > 0, got {self.max_step!r}")
         # a nan stop would be dropped silently; one array conversion, as
         # cointegrate_h passes a stop per trace sample
@@ -254,7 +254,7 @@ def _thin(samples, steps, stride):
 
 def _check_end(t0, t_end):
     """ConfigError unless an integration from t0 ends at a finite t_end >= t0."""
-    if _is_bool(t_end) or not (math.isfinite(t_end) and t_end >= t0):
+    if not (_is_real(t_end) and math.isfinite(t_end) and t_end >= t0):
         raise ConfigError(f"the integration must end at a finite time >= {t0:g}, got {t_end!r}")
 
 
@@ -270,13 +270,14 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
     again, from K[0] = f(y).  Runs that move by more than the tolerance per
     step never switch, and their steps are those of Dormand-Prince alone.
 
-    Returns (samples, stats): samples is a list of (t, y) at t0, at every
+    Returns (samples, stats, jac): samples is a list of (t, y) at t0, at every
     accepted step (the last ends on t_end) and at every stop in opts.stops;
     past _MAX_SAMPLES only every stride-th step is kept, and the stride
     doubles whenever the samples pass the cap again.  stats counts
     accepted/rejected steps, the accepted ROS2 steps among them, and
-    evaluations.  A stop is a sample of the continuous extension of the step
-    holding it, at no extra evaluation: the 4th-order one of a
+    evaluations; jac is the J of the final ROS2 stretch, None if the run
+    ended on Dormand-Prince steps.  A stop is a sample of the continuous
+    extension of the step holding it, at no extra evaluation: the 4th-order one of a
     Dormand-Prince step, the cubic Hermite interpolant of (y, f(y), y_new,
     f(y_new)) of a ROS2 step; within rounding of a step end it relabels that
     sample.  check(samples, i) judges the samples stored since its last
@@ -310,7 +311,7 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
     stride, judged = 1, 0  # check has judged samples[:judged]
     if t_end <= t0:
         check(samples, judged)
-        return samples, stats
+        return samples, stats, None
 
     try:
         K = np.empty((7, y.size))
@@ -385,7 +386,7 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
             exc.trace = samples
             check(samples, judged)
         raise
-    return samples, stats
+    return samples, stats, jac
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +422,9 @@ class FlowTrace(_Samples):
     frames[i].mu0, `frames` is (m, n, n), and each diagnostic is a length-m
     column.  `brackets`, a list of `Bracket`, and the columns `grad_norm`
     (||delta_mu(Ric_mu)||) and `jacobi_residual` (the max-norm of the
-    Jacobiator) are computed from `coeffs` on first access.
+    Jacobiator) are computed from `coeffs` on first access.  `jacobian`,
+    kept out of the JSON `stats`, is the integrator's J of the frame flow
+    (see _integrate_adaptive): at a settled normalized run, its linearization.
     """
 
     times: np.ndarray
@@ -433,6 +436,7 @@ class FlowTrace(_Samples):
     tr_ric2: np.ndarray
     stats: dict = field(default_factory=dict)
     rate: object = field(default=None, repr=False)  # the rate r as passed to the flow
+    jacobian: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def kind(self) -> str:
@@ -636,13 +640,13 @@ def _by_blocks(kernel, coeffs):
     return np.concatenate([kernel(coeffs[i : i + step]) for i in range(0, len(coeffs), step)])
 
 
-def _finish_trace(samples, stats, b0, r):
+def _finish_trace(samples, stats, b0, r, jac):
     """FlowTrace of the frame samples of a flow of rate r from b0: array
     expressions over the stacked brackets h_i.mu0, moved in one batch
     (exactly antisymmetrized; for the scalar rate each frame is rescaled onto
     ||mu|| = ||mu0||, and r_values is the tr_ric2 column); the trace builds
-    grad_norm and jacobi_residual when they are first read.  The step loop
-    has judged the frames, so each is invertible."""
+    grad_norm and jacobi_residual when they are first read, and keeps jac.
+    The step loop has judged the frames, so each is invertible."""
     n, c0 = b0.n, b0.coeffs
     times = np.array([t for t, _ in samples])
     frames = np.array([y for _, y in samples]).reshape(-1, n, n)
@@ -667,6 +671,7 @@ def _finish_trace(samples, stats, b0, r):
         tr_ric2=tr_ric2,
         stats=stats,
         rate=r,
+        jacobian=jac,
     )
 
 
@@ -705,8 +710,8 @@ def integrate_bracket_flow(b0: Bracket, t_max: float, opts: FlowOpts | None = No
         worst["max_cond_h"] = float(np.max(cond, initial=worst["max_cond_h"]))
         worst["max_skew_defect"] = float(np.max(defect, initial=worst["max_skew_defect"]))
 
-    samples, stats = _integrate_adaptive(rhs, 0.0, np.eye(b0.n).reshape(-1), t_max, opts, check=check)
-    return _finish_trace(samples, stats | worst, b0, r)
+    samples, stats, jac = _integrate_adaptive(rhs, 0.0, np.eye(b0.n).reshape(-1), t_max, opts, check=check)
+    return _finish_trace(samples, stats | worst, b0, r, jac)
 
 
 def integrate_normalized_flow(b0: Bracket, t_max: float, opts: FlowOpts | None = None) -> FlowTrace:
@@ -880,7 +885,7 @@ def integrate_innerproduct_flow(
     """
     n = b0.n
     rhs, factor = _metric_flow(b0, r)
-    samples, stats = _integrate_adaptive(rhs, 0.0, np.zeros(n * (n + 1) // 2), t_max, opts)
+    samples, stats, _ = _integrate_adaptive(rhs, 0.0, np.zeros(n * (n + 1) // 2), t_max, opts)
     times = np.array([t for t, _ in samples])
     lmat = factor(np.array([y for _, y in samples]))
     g = lmat @ lmat.mT

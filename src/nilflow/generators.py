@@ -58,9 +58,9 @@ def random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def _near_identity(n: int, rng: np.random.Generator, spread: float) -> np.ndarray:
     """I + spread * G / sqrt(n) with G standard normal, redrawn until cond < 1e3."""
-    # an infinite spread never meets the bound, and a nan one fails in LAPACK
-    if not math.isfinite(spread):
-        raise ConfigError(f"the spread of a near-identity matrix must be finite, got {spread!r}")
+    # an infinite spread never meets the bound, a nan one fails in LAPACK, and True would be 1.0
+    if not (_is_real(spread) and math.isfinite(spread)):
+        raise ConfigError(f"the spread of a near-identity matrix must be a finite real number, got {spread!r}")
     while True:
         g = np.eye(n) + spread * rng.standard_normal((n, n)) / math.sqrt(n)
         if np.linalg.cond(g) < 1e3:

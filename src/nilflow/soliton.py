@@ -76,15 +76,15 @@ def soliton_residual(b: Bracket, tol: float = 1e-8) -> SolitonCertificate:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Verdict on whether a normalized trace has reached a soliton limit."""
+    """Verdict on whether a normalized trace has reached a soliton limit,
+    with the tail's decay rate and its gap (see detect_convergence)."""
 
     converged: bool
     reason: str
     certificate: SolitonCertificate
     r_limit: float
     decay_rate: float
-    fit_r2: float
-    window: int
+    rate_gap: float
 
     def to_dict(self) -> dict:
         return {**asdict(self), "certificate": self.certificate.to_dict()}
@@ -93,36 +93,31 @@ class ConvergenceReport:
 def detect_convergence(trace, tol: float = 1e-8) -> ConvergenceReport:
     """Decide whether a normalized flow trace has settled onto a soliton.
 
-    The candidate limit is the final bracket.  The report never raises on a
-    non-converged trace: it carries the certificate and an exponential fit of
-    the distance to the limit over the trailing window (rate and r^2 are nan
-    when the tail has too few usable points, e.g. because the distances
-    already sit at rounding level).  ConfigError unless tol is finite and > 0
-    (soliton_residual checks it).
+    The candidate limit is the final bracket.  decay_rate, the rate at which
+    the tail approaches it, is the slowest nonzero Re lambda of
+    trace.jacobian, the flow's linearization once settled: the sorted |Re
+    lambda|, floored at eps ||J||_F (an own-basis soliton has exact zeros),
+    split at their largest ratio, rate_gap, whose upper value is at least
+    1e-3 tr(Ric^2).  Both are nan without such a ratio, the rate also when
+    the gap is <= 1e3, as on a soliton orbit, where every bracket on the
+    sphere is a limit.  The report never raises on a non-converged trace.
+    ConfigError unless tol is finite and > 0 (soliton_residual checks it).
     """
     if trace.kind != "normalized":
         raise ConfigError("convergence detection expects a normalized trace")
-    limit = trace.final_bracket
-    cert = soliton_residual(limit, tol=tol)
-
-    window = max(50, len(trace) // 10)
-    window = min(window, len(trace) - 1)
-    rate = math.nan
-    r2 = math.nan
-    if window >= 3:
-        ts = trace.times[-1 - window : -1]
-        ds = _norm(trace.coeffs[-1 - window : -1] - limit.coeffs)
-        keep = ds > 1e-14
-        # a fit is only informative when the tail actually spans some decay,
-        # not when the distances sit at rounding level
-        if keep.sum() >= 3 and ds[keep].max() > 100.0 * ds[keep].min():
-            ts, logd = ts[keep], np.log(ds[keep])
-            slope, intercept = np.polyfit(ts, logd, 1)
-            pred = slope * ts + intercept
-            ss_res = float(np.sum((logd - pred) ** 2))
-            ss_tot = float(np.sum((logd - logd.mean()) ** 2))
-            rate = float(slope)
-            r2 = 1.0 - ss_res / max(ss_tot, 1e-300)
+    cert = soliton_residual(trace.final_bracket, tol=tol)
+    r_limit = float(trace.tr_ric2[-1])
+    rate = gap = math.nan
+    if trace.jacobian is not None:
+        lam = np.linalg.eigvals(trace.jacobian).real
+        lam = lam[np.argsort(np.abs(lam))]
+        mags = np.maximum(np.abs(lam), np.finfo(float).eps * np.linalg.norm(trace.jacobian))
+        ratios = mags[1:] / mags[:-1]
+        upper = np.flatnonzero(mags[1:] >= 1e-3 * r_limit)
+        if upper.size:
+            i = upper[np.argmax(ratios[upper])]
+            gap = float(ratios[i])
+            rate = float(lam[i + 1]) if gap > 1e3 else math.nan
 
     if cert.is_soliton:
         reason = f"soliton certificate holds (residual {cert.residual:.3e})"
@@ -132,10 +127,9 @@ def detect_convergence(trace, tol: float = 1e-8) -> ConvergenceReport:
         converged=cert.is_soliton,
         reason=reason,
         certificate=cert,
-        r_limit=float(trace.tr_ric2[-1]),
+        r_limit=r_limit,
         decay_rate=rate,
-        fit_r2=r2,
-        window=int(window),
+        rate_gap=gap,
     )
 
 

@@ -231,9 +231,12 @@ def test_criterion_11_coefficientwise_convergence():
         for t in stops
     ]
     monotone = all(a > c for a, c in zip(ds, ds[1:]))
+    # the convergence is exponential at the rate of the flow's linearization
+    slope = np.polyfit(stops, np.log(ds), 1)[0]
+    rate = detect_convergence(trace).decay_rate
     _verdict(
         11,
-        monotone and ds[-1] < 1e-6,
+        monotone and ds[-1] < 1e-6 and abs(slope - rate) < 1e-3,
         f"tail distances monotone: {monotone}, final {ds[-1]:.2e} (< 1e-06) "
-        f"[{', '.join(f'{d:.1e}' for d in ds)}]",
+        f"[{', '.join(f'{d:.1e}' for d in ds)}], log-distance slope {slope:.6f} vs decay rate {rate:.6f}",
     )

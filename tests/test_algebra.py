@@ -162,9 +162,12 @@ def test_load_bracket_of_text_the_decoder_cannot_read(text, tmp_path):
         (lambda: rescale_to_norm(heisenberg(), True), ConfigError, "target norm"),
         # a str raised a bare TypeError from math.isfinite
         (lambda: rescale_to_norm(heisenberg(), "2"), ConfigError, "target norm"),
+        # a str raised a bare TypeError, and True ran as a spread of 1.0
+        (lambda: sphere_perturbation(heisenberg(), np.random.default_rng(0), eps="0.3"), ConfigError, "spread"),
+        (lambda: sphere_perturbation(heisenberg(), np.random.default_rng(0), eps=True), ConfigError, "spread"),
     ],
     ids=["filiform_n2", "filiform_constants", "two_step_n2", "two_step_m1", "two_step_m_n", "rescale_zero",
-         "rescale_bool_target", "rescale_str_target"],
+         "rescale_bool_target", "rescale_str_target", "perturbation_str_spread", "perturbation_bool_spread"],
 )
 def test_generator_input_checks(call, error, message):
     with pytest.raises(error, match=message):

@@ -513,11 +513,17 @@ def test_soliton_document_keys(tmp_path):
     assert main(["soliton", "heisenberg:c=1", "--rescale", "2", "--t-max", "1", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert sorted(doc) == [
-        "certificate", "converged", "decay_rate", "fit_r2", "invariants", "limit_bracket", "r_limit",
-        "reason", "window",
+        "certificate", "converged", "decay_rate", "invariants", "limit_bracket", "r_limit", "rate_gap",
+        "reason",
     ]
     assert sorted(doc["certificate"]) == ["D", "c", "is_soliton", "residual"]
     assert sorted(doc["invariants"]) == ["degree", "energy", "mu_norm", "ricci_spectrum", "series_dims"]
+
+
+def test_soliton_prints_the_tail_rate(capsys):
+    # filiform(4) on the sphere is a soliton whose linearization decays at -5/2
+    assert main(["soliton", "filiform:n=4", "--rescale", "2", "--t-max", "60"]) == 0
+    assert "tail decay rate -2.5 (gap " in capsys.readouterr().out
 
 
 def test_soliton_requires_the_sphere(capsys):

@@ -309,9 +309,9 @@ def test_runs_that_keep_moving_take_dormand_prince_steps_only(n, monkeypatch):
     integrate = flow._integrate_adaptive
 
     def recording(*args, **kwargs):
-        samples, run_stats = integrate(*args, **kwargs)
+        samples, run_stats, jac = integrate(*args, **kwargs)
         stats.append(run_stats)
-        return samples, run_stats
+        return samples, run_stats, jac
 
     monkeypatch.setattr(flow, "_integrate_adaptive", recording)
     for b0 in dense_starts(n, 100 + n):
@@ -344,7 +344,7 @@ def _switching_run(monkeypatch, stops=()):
 
     monkeypatch.setattr(flow, "_jacobian", recording)
     rhs = flow._frame_generator(random_sphere_bracket(5, 2), "scalar")
-    samples, stats = flow._integrate_adaptive(rhs, 0.0, np.eye(5).reshape(-1), 60.0, FlowOpts(stops=stops))
+    samples, stats, _ = flow._integrate_adaptive(rhs, 0.0, np.eye(5).reshape(-1), 60.0, FlowOpts(stops=stops))
     return rhs, samples, stats, switches
 
 
@@ -461,17 +461,19 @@ def test_flow_stays_on_jacobi_variety():
 
 
 @pytest.mark.parametrize("field", ["rtol", "atol"])
-@pytest.mark.parametrize("value", [0.0, -1e-9, float("nan"), float("inf"), True, np.True_])
+@pytest.mark.parametrize("value", [0.0, -1e-9, float("nan"), float("inf"), True, np.True_, "1e-9"])
 def test_tolerances_must_be_finite_and_positive(field, value):
     # atol = 0 would give a nan initial step and a step loop that never ends;
-    # a bool is a number to Python, and True passed as 1.0
+    # a bool is a number to Python, and True passed as 1.0; a str raised a
+    # bare TypeError
     with pytest.raises(ConfigError, match="finite and > 0"):
         FlowOpts(**{field: value})
 
 
 def test_max_step_must_be_positive():
-    # min(h, nan) keeps h, so a nan max_step used to be ignored; True was a cap of 1.0
-    for value in (0.0, -1.0, float("nan"), True, np.True_):
+    # min(h, nan) keeps h, so a nan max_step used to be ignored; True was a cap
+    # of 1.0, and a str raised a bare TypeError
+    for value in (0.0, -1.0, float("nan"), True, np.True_, "1"):
         with pytest.raises(ConfigError, match="max_step"):
             FlowOpts(max_step=value)
 
@@ -487,7 +489,9 @@ def test_stops_must_be_finite_real_numbers(stops):
 
 
 @pytest.mark.parametrize(
-    "t_max", [float("inf"), float("nan"), -1.0, True, np.True_], ids=["inf", "nan", "negative", "bool", "numpy_bool"]
+    "t_max",
+    [float("inf"), float("nan"), -1.0, True, np.True_, "5"],
+    ids=["inf", "nan", "negative", "bool", "numpy_bool", "string"],
 )
 @pytest.mark.parametrize(
     "flow",
@@ -500,7 +504,8 @@ def test_stops_must_be_finite_real_numbers(stops):
     ids=["unnormalized", "normalized", "rate", "metric"],
 )
 def test_integration_span_must_be_finite_and_forward(flow, t_max, heis_sphere):
-    # inf looped forever; nan and -1 gave a one-sample trace at t = 0
+    # inf looped forever; nan and -1 gave a one-sample trace at t = 0; a str
+    # raised a bare TypeError
     with pytest.raises(ConfigError, match="finite time"):
         flow(heis_sphere, t_max)
 
@@ -762,7 +767,7 @@ def test_check_judges_each_stored_sample_once_before_thinning(monkeypatch, cap_1
     monkeypatch.setattr(flow, "_thin", thin)
     stops = tuple(np.linspace(0.0, 10.0, 41)[1:-1])
     opts = FlowOpts(max_step=1e-2, stops=stops)
-    samples, _ = flow._integrate_adaptive(lambda t, y: -y, 0.0, np.ones(2), 10.0, opts, check=check)
+    samples, _, _ = flow._integrate_adaptive(lambda t, y: -y, 0.0, np.ones(2), 10.0, opts, check=check)
     assert len(thinned) >= 3 and len(samples) <= 128
     assert judged[0] == 0.0 and judged[-1] == 10.0
     assert np.all(np.diff(judged) > 0.0)
@@ -1058,9 +1063,9 @@ def test_cointegrated_frame_takes_the_steps_its_tolerance_needs(monkeypatch):
     integrate = flow._integrate_adaptive
 
     def counting(*args):
-        samples, stats = integrate(*args)
+        samples, stats, jac = integrate(*args)
         accepted.append(stats["accepted"])
-        return samples, stats
+        return samples, stats, jac
 
     monkeypatch.setattr(flow, "_integrate_adaptive", counting)
     hs = cointegrate_h(trace)
@@ -1332,9 +1337,10 @@ def test_equivalence_on_dense_starts(n, r):
         assert rep.ok(1e-5), rep
 
 
-@pytest.mark.parametrize("t_max", [math.inf, -math.inf, math.nan, -1.0, True])
+@pytest.mark.parametrize("t_max", [math.inf, -math.inf, math.nan, -1.0, True, "1"])
 def test_equivalence_rejects_a_time_that_is_not_finite_and_nonnegative(t_max, heis_sphere):
-    # checked before the grid: np.linspace warned on inf, and the error named the stops
+    # checked before the grid: np.linspace warned on inf, the error named the
+    # stops, and a str raised a bare TypeError
     with pytest.raises(ConfigError, match=r"^the integration must end at a finite time >= 0, got "):
         equivalence_report(heis_sphere, t_max)
 

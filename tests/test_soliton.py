@@ -1,6 +1,7 @@
 """Soliton certificates, convergence detection, and orbit invariants."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -205,7 +206,7 @@ def test_perturbed_filiform_takes_time_to_converge():
     spectrum = orbit_invariants(trace.final_bracket)["ricci_spectrum"]
     assert np.allclose(spectrum, [-1.0, -0.5, 0.0, 0.5], atol=1e-5)
     assert long.r_limit == pytest.approx(1.5, rel=1e-6)
-    assert long.window >= 50
+    assert long.decay_rate == pytest.approx(-2.5, abs=1e-6)
 
 
 @pytest.mark.parametrize("seed", [2, 5])
@@ -220,7 +221,7 @@ def test_random_two_step_limits(seed):
     assert doc["converged"] is True
     # every field of the report, the certificate as its own document
     assert sorted(doc) == [
-        "certificate", "converged", "decay_rate", "fit_r2", "r_limit", "reason", "window",
+        "certificate", "converged", "decay_rate", "r_limit", "rate_gap", "reason",
     ]
     assert doc["certificate"] == report.certificate.to_dict()
 
@@ -228,8 +229,55 @@ def test_random_two_step_limits(seed):
 def test_decay_rate_is_negative_when_fitted():
     b = sphere_perturbation(rescale_to_norm(filiform(4)), np.random.default_rng(4), eps=0.25)
     report = detect_convergence(integrate_normalized_flow(b, 40.0))
-    if not np.isnan(report.decay_rate):
-        assert report.decay_rate < 0.0
+    assert report.decay_rate == pytest.approx(-2.5, abs=1e-6)
+
+
+def _gl_moved(b, seed):
+    n = b.n
+    return gl_action(np.eye(n) + 0.5 * np.random.default_rng(seed).standard_normal((n, n)), b)
+
+
+def _rotated_two_step(n, seed):
+    rng = np.random.default_rng(seed)
+    b = random_two_step(n, rng)
+    return gl_action(random_orthogonal(n, rng), b)
+
+
+# de Graaf's L4,3, L5,4 and L5,9 in their own bases
+_L43 = Bracket.from_entries(4, {(0, 1, 2): 1.0, (0, 2, 3): 1.0})
+_L54 = Bracket.from_entries(5, {(0, 1, 4): 1.0, (2, 3, 4): 1.0})
+_L59 = Bracket.from_entries(5, {(0, 1, 2): 1.0, (0, 2, 3): 1.0, (1, 2, 4): 1.0})
+
+
+@pytest.mark.parametrize(
+    ("start", "rate"),
+    [
+        (sphere_perturbation(rescale_to_norm(filiform(5)), np.random.default_rng(0)), -1.0),
+        (sphere_perturbation(rescale_to_norm(filiform(6)), np.random.default_rng(0)), -1.0 / 2.0),
+        (_rotated_two_step(7, 3), -2.0 / 3.0),
+        (_L43, -5.0 / 2.0),
+        (_gl_moved(_L43, 1), -5.0 / 2.0),
+        (_L54, -2.0),
+        (_gl_moved(_L54, 1), -2.0),
+        (_L59, -6.0 / 5.0),
+        (_gl_moved(_L59, 1), -6.0 / 5.0),
+        # every bracket of a soliton orbit on the sphere is a soliton: no rate
+        (sphere_perturbation(rescale_to_norm(heisenberg()), np.random.default_rng(1)), math.nan),
+        (random_two_step(4, np.random.default_rng(2)), math.nan),
+    ],
+    ids=["filiform5", "filiform6", "rotated_two_step7", "L43", "L43_moved", "L54", "L54_moved", "L59",
+         "L59_moved", "heisenberg", "two_step4"],
+)
+def test_decay_rate_is_the_slowest_rate_of_the_linearization(start, rate):
+    # the rate is read off the integrator's Jacobian at the limit; a GL move
+    # changes the start, not the algebra's rate
+    report = detect_convergence(integrate_normalized_flow(rescale_to_norm(start), 60.0))
+    assert report.converged, report.reason
+    if math.isnan(rate):
+        assert math.isnan(report.decay_rate) and not report.rate_gap > 1e3
+    else:
+        assert report.decay_rate == pytest.approx(rate, abs=1e-6)
+        assert report.rate_gap > 1e3
 
 
 # ---------------------------------------------------------------------------
