@@ -20,10 +20,14 @@ sphere.  Traces are arrays read by batched kernels.  The step loop judges
 each stored frame, 32 at a time: cond(h) > 1/sqrt(eps), or a skew part of
 h.mu0 above 1e-8 of its norm (rounding damage), raises NumericalFailure at
 that frame, whatever t_max.  Every flow runs one adaptive integrator with
-two step kinds: Dormand-Prince 5(4) steps while the solution moves, and once
-an accepted step's increment is below the tolerance (a settled normalized
-run, a stiff constant rate at its equilibrium, where an explicit step only
-crawls at its stability limit) L-stable ROS2 steps with a forward-difference
+three step kinds.  While the solution moves it takes explicit steps: the
+8th-order DOP853 step (Hairer's 8(5,3) pair) in a run without a step cap,
+and the Dormand-Prince 5(4) step (DP5) in a run with a finite max_step,
+whose cap sets the steps and where the 6-evaluation step is the cheaper
+one.  Once an accepted step's increment is below the tolerance (a settled
+normalized run, a stiff constant rate at its equilibrium, where an explicit
+step only crawls at its stability limit), or a DOP853 step meets Hairer's
+stiffness test, L-stable ROS2 steps follow with a forward-difference
 Jacobian built at the switch, until an increment reaches the tolerance
 again.  A run that keeps moving never switches.  A stop is a sample of the
 step's continuous extension, not a step end.  Every right side also takes a
@@ -59,6 +63,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import _dop853
 from .algebra import (
     Bracket,
     _as_array,
@@ -82,7 +87,9 @@ from .exceptions import (
 )
 
 # ---------------------------------------------------------------------------
-# Embedded Dormand-Prince 5(4) pair with a PI step-size controller.
+# Embedded Dormand-Prince 5(4) pair with a PI step-size controller, for runs
+# with a step cap; runs without one take DOP853 steps (coefficients in
+# _dop853) with an elementary controller.
 
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 # stage i reads row i of _DP_A; row 6 is also the 5th-order update (FSAL)
@@ -111,6 +118,9 @@ _DP_P = np.array([
     [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
 ])
 
+# times of DOP853's stages 1-11 as floats, built once: _dop853_step reads one per stage
+_DOP_STAGES = [float(c) for c in _dop853.C[1:12]]
+
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
@@ -137,7 +147,10 @@ class FlowOpts:
     thinned, so a run with more stops than the cap returns them all.  Every
     stop must be a finite real number (else ConfigError); stops outside the
     run's open interval are ignored.  rtol, atol and max_step are real
-    numbers > 0, rtol and atol finite, and none of them a bool."""
+    numbers > 0, rtol and atol finite, and none of them a bool.  A finite
+    max_step also picks the integrator's explicit step: capped runs take
+    Dormand-Prince 5(4) steps, uncapped ones DOP853 steps (see
+    _integrate_adaptive)."""
 
     rtol: float = 1e-9
     atol: float = 1e-9
@@ -162,18 +175,40 @@ class FlowOpts:
             raise ConfigError(f"stops must be finite real numbers, got {self.stops!r:.80}")
 
 
-def _error_norm(err, y_old, y_new, rtol, atol):
-    """(err, increment): the RMS norms of err and of the step's increment
-    y_new - y_old, both scaled by atol + rtol max(|y_old|, |y_new|)."""
-    scale = np.abs(y_old)  # built in place
+def _scale(y_old, y_new, rtol, atol):
+    """The error scale atol + rtol max(|y_old|, |y_new|), built in place."""
+    scale = np.abs(y_old)
     np.maximum(scale, np.abs(y_new), out=scale)
     scale *= rtol
     scale += atol
+    return scale
+
+
+def _rms(v, scale):
+    """RMS norm of v / scale; v is overwritten."""
+    v /= scale
+    return math.sqrt(v.dot(v) / v.size)
+
+
+def _error_norm(err, y_old, y_new, rtol, atol):
+    """(err, increment): the RMS norms of err and of the step's increment
+    y_new - y_old, both scaled by _scale."""
+    scale = _scale(y_old, y_new, rtol, atol)
     q = err / scale
-    norm = math.sqrt(q.dot(q) / q.size)
-    d = y_new - y_old
-    d /= scale
-    return norm, math.sqrt(d.dot(d) / d.size)
+    return math.sqrt(q.dot(q) / q.size), _rms(y_new - y_old, scale)
+
+
+def _dop853_error_norm(err, y_old, y_new, rtol, atol):
+    """(err, increment) of a DOP853 step, err the (2, N) stack of its 5th-
+    and 3rd-order error vectors e5 and e3: Hairer's combined estimate
+    ||e5||^2 / sqrt((||e5||^2 + 0.01 ||e3||^2) N) of the vectors scaled by
+    _scale (its |h| is in e5 and e3), and the scaled RMS norm of y_new - y_old."""
+    scale = _scale(y_old, y_new, rtol, atol)
+    e5, e3 = err / scale
+    s5 = e5.dot(e5)
+    denom = s5 + 0.01 * e3.dot(e3)
+    norm = 0.0 if denom == 0.0 else s5 / math.sqrt(denom * e5.size)
+    return norm, _rms(y_new - y_old, scale)
 
 
 def _initial_step(f, t0, y0, f0, span, rtol, atol):
@@ -205,6 +240,49 @@ def _dp_step(f, t, y, h, K):
 def _dp_dense(y, h, K, theta):
     """Continuous extension of the step (y, h, K) at t + theta h, 0 <= theta <= 1."""
     return y + h * _DP_P.dot(theta ** np.arange(1, 5)).dot(K)
+
+
+def _dop853_step(f, t, y, h, K):
+    """One DOP853 step from (t, y), K[0] = f(t, y): fills the stages K[1:12]
+    of the (16, N) array K.  Returns (y_new, err, y_last): err is the (2, N)
+    stack of the 5th- and 3rd-order error vectors, y_last the state of the
+    last stage K[11], which sits at t + h as f(t + h, y_new) does."""
+    ha = h * _dop853.A
+    for i, c in enumerate(_DOP_STAGES, 1):
+        yi = y + ha[i, :i].dot(K[:i])
+        K[i] = f(t + c * h, yi)
+    return y + ha[12, :12].dot(K[:12]), (h * _dop853.E).dot(K[:12]), yi
+
+
+def _dop853_extension(f, t, y, y_new, h, K):
+    """The (7, N) rows F of the 7th-order continuous extension of the DOP853
+    step (y, h, K) to y_new, K[12] = f(t + h, y_new): 3 evaluations, into
+    the extension stages K[13:16]."""
+    ha = h * _dop853.A
+    for i in range(13, 16):
+        K[i] = f(t + _dop853.C[i] * h, y + ha[i, :i].dot(K[:i]))
+    F = np.empty((7, y.size))
+    F[0] = y_new - y
+    F[1] = h * K[0] - F[0]
+    F[2] = 2.0 * F[0] - h * (K[12] + K[0])
+    F[3:] = (h * _dop853.D).dot(K)
+    return F
+
+
+def _dop853_dense(y, F, theta):
+    """The continuous extension F of a DOP853 step from y at t + theta h,
+    0 <= theta <= 1: y + sum_k w_k F[k], w_k the product of the first k + 1
+    factors of theta, 1 - theta, theta, ..."""
+    return y + np.cumprod([theta, 1.0 - theta] * 3 + [theta]).dot(F)
+
+
+def _stiff(h, K, y_new, y_last):
+    """Hairer's stiffness test of an accepted DOP853 step, K[12] = f(t + h,
+    y_new) and K[11] = f(t + h, y_last): h ||K[12] - K[11]|| / ||y_new - y_last||
+    estimates |h lambda|, and past 6.1 the step sits at the edge of the
+    method's stability region."""
+    df, dy = K[12] - K[11], y_new - y_last
+    return h * math.sqrt(df.dot(df)) > 6.1 * math.sqrt(dy.dot(dy))
 
 
 def _jacobian(f, t, y, f0):
@@ -259,16 +337,24 @@ def _check_end(t0, t_end):
 
 
 def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
-    """Generic adaptive integrator with two step kinds.
+    """Generic adaptive integrator with three step kinds.
 
-    Dormand-Prince steps run until an accepted step's increment y_new - y is
-    below the tolerance in the error test's scaled RMS norm: the solution
-    has settled, and an explicit step could only crawl at its stability
-    limit.  The following steps are ROS2 steps with a forward-difference
-    Jacobian built at the switch and kept, until a ROS2 step's increment
-    reaches the tolerance or its W is singular; then Dormand-Prince steps
-    again, from K[0] = f(y).  Runs that move by more than the tolerance per
-    step never switch, and their steps are those of Dormand-Prince alone.
+    The explicit step is chosen once per run: DP5, the Dormand-Prince 5(4)
+    step with a PI controller, when opts.max_step is finite, and DOP853,
+    the 8th-order step of Hairer's dop853 (12 stages, f(t + h, y_new) a
+    13th evaluation on acceptance, Hairer's combined 5th/3rd-order error
+    estimate) with an elementary controller of exponent -1/8, when it is
+    infinite.  Explicit steps run until an accepted step's increment
+    y_new - y is below the tolerance in the error test's scaled RMS norm
+    (the solution has settled, and an explicit step could only crawl at its
+    stability limit) or, in a DOP853 run, until an accepted step meets
+    Hairer's stiffness test (_stiff: the step is stability-limited, as on a
+    stiff run that still moves).  The following steps are ROS2 steps with a
+    forward-difference Jacobian built at the switch and kept, until a ROS2
+    step's increment reaches the tolerance or its W is singular; then
+    explicit steps again, from K[0] = f(y).  Runs that move by more than the
+    tolerance per step and are not stiff never switch, and their steps are
+    explicit steps alone.
 
     Returns (samples, stats, jac): samples is a list of (t, y) at t0, at every
     accepted step (the last ends on t_end) and at every stop in opts.stops;
@@ -276,13 +362,14 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
     doubles whenever the samples pass the cap again.  stats counts
     accepted/rejected steps, the accepted ROS2 steps among them, and
     evaluations; jac is the J of the final ROS2 stretch, None if the run
-    ended on Dormand-Prince steps.  A stop is a sample of the continuous
-    extension of the step holding it, at no extra evaluation: the 4th-order one of a
-    Dormand-Prince step, the cubic Hermite interpolant of (y, f(y), y_new,
-    f(y_new)) of a ROS2 step; within rounding of a step end it relabels that
-    sample.  check(samples, i) judges the samples stored since its last
-    call, from i on: every _CHECK_EVERY samples before any thinning, and at
-    any run's end.  Raises ConfigError unless t_end is finite and >= t0, and
+    ended on explicit steps.  A stop is a sample of the continuous extension
+    of the step holding it: the 4th-order one of a DP5 step and the cubic
+    Hermite interpolant of (y, f(y), y_new, f(y_new)) of a ROS2 step, at no
+    extra evaluation, and the 7th-order one of a DOP853 step, whose 3 more
+    evaluations a step pays once, for its first stop; within rounding of a
+    step end a stop relabels that sample.  check(samples, i) judges the
+    samples stored since its last call, from i on: every _CHECK_EVERY
+    samples before any thinning, and at any run's end.  Raises ConfigError unless t_end is finite and >= t0, and
     StepSizeUnderflow when the controller collapses or the step is nan;
     every NumericalFailure, one raised by f included, carries the samples
     accepted before it.
@@ -313,13 +400,16 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
         check(samples, judged)
         return samples, stats, None
 
+    # a cap sets the steps, and there the 6-evaluation DP5 step is the cheaper one
+    dop = opts.max_step == math.inf
+    fsal = 12 if dop else 6  # the row of K that holds f(t + h, y_new)
     try:
-        K = np.empty((7, y.size))
+        K = np.empty((16 if dop else 7, y.size))
         K[0] = f(t, y)
         h = _initial_step(f, t, y, K[0], t_end - t0, opts.rtol, opts.atol)
         stats["nfev"] += 2
         err_prev = 1e-4
-        jac = None  # the Jacobian of the ROS2 steps; None while Dormand-Prince steps
+        jac = None  # the Jacobian of the ROS2 steps; None while explicit steps
 
         while t < t_end:
             h = min(h, opts.max_step, t_end - t)
@@ -329,31 +419,48 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
                 raise StepSizeUnderflow(f"step size underflow at t={t:.6g} (h={h:.3e})")
             ros = None if jac is None else _ros2_step(f, t, y, h, K[0], jac)
             if ros is None:
-                jac = None  # a singular W hands the step back to Dormand-Prince
-                y_new, err_vec = _dp_step(f, t, y, h, K)
-                stats["nfev"] += 6
+                jac = None  # a singular W hands the step back to the explicit steps
+                if dop:
+                    y_new, err_vec, y_last = _dop853_step(f, t, y, h, K)
+                    stats["nfev"] += 11
+                else:
+                    y_new, err_vec = _dp_step(f, t, y, h, K)
+                    stats["nfev"] += 6
             else:
                 y_new, err_vec = ros
                 stats["nfev"] += 1
-            err, increment = _error_norm(err_vec, y, y_new, opts.rtol, opts.atol)
+            error_norm = _dop853_error_norm if dop and jac is None else _error_norm
+            err, increment = error_norm(err_vec, y, y_new, opts.rtol, opts.atol)
 
             if err <= 1.0:
-                if jac is not None:
-                    K[6] = f(t + h, y_new)
+                if jac is not None or dop:
+                    K[fsal] = f(t + h, y_new)
                     stats["nfev"] += 1
+                if jac is not None:
                     stats["rosenbrock_steps"] += 1
                 t_new = t_end if h >= t_end - t else t + h
                 near = 1e-13 * max(1.0, abs(t_new))
+                extension = None  # of a DOP853 step, built for its first stop
                 while stops[-1] < t_new - near:
                     s = stops.pop()
                     theta = (s - t) / h
-                    at = _dp_dense(y, h, K, theta) if jac is None else _hermite(y, y_new, h, K[0], K[6], theta)
+                    if jac is not None:
+                        at = _hermite(y, y_new, h, K[0], K[fsal], theta)
+                    elif not dop:
+                        at = _dp_dense(y, h, K, theta)
+                    else:
+                        if extension is None:
+                            extension = _dop853_extension(f, t, y, y_new, h, K)
+                            stats["nfev"] += 3
+                        at = _dop853_dense(y, extension, theta)
                     samples.append((s, at))
                     steps.append(0)
                 at_stop = stops[-1] <= t_new + near
                 if at_stop:
                     t_new = stops.pop()
-                t, y, K[0] = t_new, y_new, K[6]
+                # the tests read this step's h and stages, so they run before h changes
+                switch = jac is None and t_new < t_end and (increment < 1.0 or dop and _stiff(h, K, y_new, y_last))
+                t, y, K[0] = t_new, y_new, K[fsal]
                 stats["accepted"] += 1
                 step = 0 if at_stop else stats["accepted"]
                 if step % stride == 0:
@@ -367,20 +474,22 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
                         stride *= 2
                         samples, steps = _thin(samples, steps, stride)
                     judged = len(samples)
-                if jac is None:
-                    factor = _SAFETY * (err + 1e-300) ** (-_KI) * err_prev**_KP
-                else:
+                if jac is not None:
                     factor = _SAFETY * (err + 1e-300) ** -0.5
+                elif dop:  # elementary, for the 8th-order step
+                    factor = _SAFETY * (err + 1e-300) ** -0.125
+                else:
+                    factor = _SAFETY * (err + 1e-300) ** (-_KI) * err_prev**_KP
                 err_prev = max(err, 1e-4)
                 h = h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-                if not increment < 1.0:
-                    jac = None
-                elif jac is None and t < t_end:
+                if switch:
                     jac = _jacobian(f, t, y, K[0])
                     stats["nfev"] += y.size
+                elif not increment < 1.0:
+                    jac = None
             else:
                 stats["rejected"] += 1
-                h = h * max(_MIN_FACTOR, _SAFETY * err ** (-0.2 if jac is None else -0.5))
+                h = h * max(_MIN_FACTOR, _SAFETY * err ** (-0.5 if jac is not None else -0.125 if dop else -0.2))
     except NumericalFailure as exc:
         if exc.trace is None:  # not raised by check
             exc.trace = samples

@@ -404,12 +404,12 @@ def test_non_finite_rate_exits_2(argv):
 
 
 def test_negative_rate_exits_3_at_the_condition_bound():
-    # cond(h) passes 1/sqrt(eps) at t = 8.95; judged after the run, the run
+    # cond(h) passes 1/sqrt(eps) at t = 9.09; judged after the run, the run
     # went on and did not return, so a timeout turns a regression into a failure
     argv = ["nilflow", "flow", "heisenberg:c=1", "--rate", "-3", "--t-max", "50"]
     proc = subprocess.run(argv, capture_output=True, text=True, timeout=20)
     assert proc.returncode == 3
-    assert proc.stderr.count("\n") == 1 and "cond(h) = 6.797e+07 at t=8.94968" in proc.stderr
+    assert proc.stderr.count("\n") == 1 and "cond(h) = 9.052e+07 at t=9.09296" in proc.stderr
 
 
 def test_a_large_constant_rate_finishes():

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from nilflow import algebra, flow
+from nilflow import _dop853, algebra, flow
 from nilflow.algebra import (
     Bracket,
     _gl_action_coeffs,
@@ -257,6 +257,121 @@ def test_step_loop_products_are_bitwise_their_matmul_forms(size):
 
 
 # ---------------------------------------------------------------------------
+# DOP853 steps of uncapped runs
+
+
+def test_dop853_tableau_conditions():
+    # every stage sits at the time its row of A sums to, the 3 stages of the
+    # continuous extension included
+    np.testing.assert_allclose(_dop853.A.sum(axis=1), _dop853.C, rtol=0.0, atol=1e-15)
+    assert np.all(np.triu(_dop853.A) == 0.0) and _dop853.A.shape == (16, 16)
+    # the quadrature conditions of order 8
+    for k in range(8):
+        assert _dop853.B @ _dop853.C[:12] ** k == pytest.approx(1.0 / (k + 1), rel=1e-14)
+    # both error estimates vanish on a constant derivative
+    assert abs(_dop853.E[0].sum()) < 1e-15 and abs(_dop853.E[1].sum()) < 1e-15
+    assert np.array_equal(_dop853.B, _dop853.A[12, :12]) and _dop853.C[11] == _dop853.C[12] == 1.0
+
+
+def test_dop853_observed_orders():
+    # one step from the exact solution of y' = -(1 + t) y: halving h divides
+    # the local error by 2^(p + 1), p = 8 for the step and 7 for the extension
+    def f(t, y):
+        return -(1.0 + t) * y
+
+    def exact(t):
+        return math.exp(-(t + 0.5 * t * t)) * np.array([1.0, -2.0])
+
+    t, y = 0.3, exact(0.3)
+    errors = []
+    for h in (0.4, 0.2):
+        K = np.empty((16, 2))
+        K[0] = f(t, y)
+        y_new, _, _ = flow._dop853_step(f, t, y, h, K)
+        K[12] = f(t + h, y_new)
+        ext = flow._dop853_extension(f, t, y, y_new, h, K)
+        mid = flow._dop853_dense(y, ext, 0.5)
+        errors.append((np.abs(y_new - exact(t + h)).max(), np.abs(mid - exact(t + 0.5 * h)).max()))
+        # the extension starts at y and ends at y_new
+        np.testing.assert_allclose(flow._dop853_dense(y, ext, 0.0), y, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(flow._dop853_dense(y, ext, 1.0), y_new, rtol=1e-14, atol=0.0)
+    step, dense = np.log2(np.divide(*errors)) - 1.0
+    assert abs(step - 8.0) < 0.5 and abs(dense - 7.0) < 0.5
+
+
+def _reference_dop853(f, t, y, h):
+    """The DOP853 step and its continuous extension as per-stage sums in
+    plain Python: (y_new, e5, e3, y_last, stages, sample), y_last the state of
+    stage 11 and sample(theta) the extension at t + theta h."""
+    a, c = _dop853.A.tolist(), _dop853.C.tolist()
+    k, args = [f(t, y)], [y]
+    for i in range(1, 12):
+        args.append(y + h * sum(a[i][j] * k[j] for j in range(i)))
+        k.append(f(t + c[i] * h, args[-1]))
+    y_new = y + h * sum(_dop853.B[j] * k[j] for j in range(12))
+    e5, e3 = (h * sum(w[j] * k[j] for j in range(12)) for w in _dop853.E.tolist())
+    k.append(f(t + h, y_new))
+    for i in range(13, 16):
+        k.append(f(t + c[i] * h, y + h * sum(a[i][j] * k[j] for j in range(i))))
+    dy = y_new - y
+    rows = [dy, h * k[0] - dy, 2.0 * dy - h * (k[12] + k[0])]
+    rows += [h * sum(d[j] * k[j] for j in range(16)) for d in _dop853.D.tolist()]
+
+    def sample(theta):
+        u, v = theta, 1.0 - theta
+        weights = (u, u * v, u * u * v, u * u * v * v, u**3 * v * v, u**3 * v**3, u**4 * v**3)
+        return y + sum(w * r for w, r in zip(weights, rows))
+
+    return y_new, e5, e3, args[11], k, sample
+
+
+def test_dop853_stage_array_step_matches_per_stage_sums():
+    # only the summation order differs, so a step agrees to rounding
+    def f(t, y):
+        return np.sin(y) * y[::-1] - 0.3 * (1.0 + t) * y
+
+    t, h = 0.4, 0.15
+    y = np.linspace(-1.0, 2.0, 9)
+    K = np.empty((16, y.size))
+    K[0] = f(t, y)
+    y_new, err, y_last = flow._dop853_step(f, t, y, h, K)
+    ref_y, ref_e5, ref_e3, ref_last, ref_k, sample = _reference_dop853(f, t, y, h)
+    np.testing.assert_allclose(y_new, ref_y, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(y_last, ref_last, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(K[:12], ref_k[:12], rtol=1e-13, atol=1e-15)
+    # the error weights cancel: compare relative to the size of the summed terms
+    scale = h * np.abs(_dop853.E) @ np.abs(K[:12])
+    assert np.all(np.abs(err - [ref_e5, ref_e3]) <= 1e-14 * scale)
+    assert np.abs(err).max() > 0.0
+    K[12] = f(t + h, y_new)
+    ext = flow._dop853_extension(f, t, y, y_new, h, K)
+    np.testing.assert_allclose(K[13:], ref_k[13:], rtol=1e-13, atol=1e-15)
+    for theta in (0.0, 0.3, 0.77, 1.0):
+        np.testing.assert_allclose(flow._dop853_dense(y, ext, theta), sample(theta), rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("max_step", [math.inf, 0.05, 1e300])
+def test_a_step_cap_picks_the_dormand_prince_step(heis, max_step, monkeypatch):
+    # the choice is made once per run from opts.max_step: a cap sets the steps,
+    # and there the 6-evaluation DP5 step is the cheaper one; any finite cap,
+    # however large, gives DP5
+    calls = []
+    for name in ("_dp_step", "_dop853_step"):
+        step = getattr(flow, name)
+
+        def counting(*args, step=step, name=name):
+            calls.append(name)
+            return step(*args)
+
+        monkeypatch.setattr(flow, name, counting)
+    opts = FlowOpts(max_step=max_step, stops=(0.37,))
+    integrate_bracket_flow(heis, 5.0, opts)
+    integrate_normalized_flow(random_sphere_bracket(5, 2), 60.0, opts)
+    integrate_innerproduct_flow(heis, 5.0, opts)
+    assert set(calls) == {"_dop853_step" if max_step == math.inf else "_dp_step"}
+
+
+# ---------------------------------------------------------------------------
 # ROS2 steps of settled stretches
 
 
@@ -302,9 +417,10 @@ def test_a_large_constant_rate_settles_on_ros2_steps():
 
 
 @pytest.mark.parametrize("n", range(3, 9))
-def test_runs_that_keep_moving_take_dormand_prince_steps_only(n, monkeypatch):
-    # the unnormalized flow moves by more than the tolerance in every step, so
-    # its frame, companion and metric runs never switch
+def test_runs_that_keep_moving_take_explicit_steps_only(n, monkeypatch):
+    # the unnormalized flow moves by more than the tolerance in every step,
+    # and no step meets DOP853's stiffness test, so its frame, companion and
+    # metric runs never switch to ROS2, with a step cap (DP5) or without (DOP853)
     stats = []
     integrate = flow._integrate_adaptive
 
@@ -684,7 +800,11 @@ _rng = np.random.default_rng
 def test_normalized_limit_stays_in_orbit_closure(b, exact):
     # rotated and GL-perturbed starts whose nilsoliton lies in their own orbit:
     # the limit energy is the exact soliton value and the limit keeps the
-    # start's central series and derivation count
+    # start's central series and derivation count.  rotated_2step8 gates
+    # DOP853's stiffness test: without it the run stalls at the method's
+    # stability limit, alternating accepted and rejected steps at h ~ 3.2 with
+    # increments of 1.6-2.4, never switches to ROS2, and ends unconverged
+    # with a certificate residual of 2.4e-8
     trace = integrate_normalized_flow(b, 60.0)
     limit = trace.final_bracket
     assert trace.tr_ric2[-1] == pytest.approx(exact, abs=1e-9)
@@ -714,7 +834,7 @@ def test_condition_bound_ends_a_run_that_leaves_the_orbit():
     # judged after the run, T = 60 went on to a singular frame at t = 56.05
     with pytest.raises(NumericalFailure) as longer:
         integrate_normalized_flow(b, 60.0)
-    assert str(longer.value) == str(info.value) and "at t=28.4377 " in str(info.value)
+    assert str(longer.value) == str(info.value) and "at t=28.1863 " in str(info.value)
     assert len(longer.value.trace) == len(accepted)
 
 
@@ -741,11 +861,12 @@ def test_a_negative_rate_ends_at_the_condition_bound(heis):
     # h grows without bound; judged after the run, T = 50 did not return (at
     # t = 41.3 it advanced 3.7e-4 per 1,000 evaluations), and r = -1e6 stood
     # at t = 1.3e-4 after 60,000 steps
-    with pytest.raises(NumericalFailure, match=re.escape("cond(h) = 6.797e+07 at t=8.94968 ")):
+    with pytest.raises(NumericalFailure, match=re.escape("cond(h) = 9.052e+07 at t=9.09296 ")):
         integrate_bracket_flow(heis, 50.0, r=-3.0)
     with pytest.raises(NumericalFailure, match="cond") as info:
         integrate_bracket_flow(heis, 1e-3, r=-1e6)
-    assert info.value.trace[-1][0] == pytest.approx(2.7e-5, rel=0.02)
+    # the last frame under the bound is one step before the crossing at t = 2.76e-5
+    assert info.value.trace[-1][0] == pytest.approx(2.6e-5, rel=0.02)
 
 
 def test_check_judges_each_stored_sample_once_before_thinning(monkeypatch, cap_128):
@@ -917,16 +1038,19 @@ def test_the_last_step_after_a_stop_may_be_below_the_floor(heis):
 
 @pytest.fixture
 def bounded_steps(monkeypatch):
-    """Fail, instead of hanging, an integration that tries 1,000 steps."""
+    """Fail, instead of hanging, an integration that tries 1,000 explicit steps."""
     calls = []
 
-    def step(*args):
-        calls.append(None)
-        assert len(calls) < 1000, "the integration does not end"
-        return dp_step(*args)
+    def bounded(step):
+        def counting(*args):
+            calls.append(None)
+            assert len(calls) < 1000, "the integration does not end"
+            return step(*args)
 
-    dp_step = flow._dp_step
-    monkeypatch.setattr(flow, "_dp_step", step)
+        return counting
+
+    for name in ("_dp_step", "_dop853_step"):
+        monkeypatch.setattr(flow, name, bounded(getattr(flow, name)))
 
 
 @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
@@ -1367,18 +1491,19 @@ def test_equivalence_with_a_singular_frame_raises():
     # its products overflowed (t = 116.605); the frame flow's cond(h) bound ends it
     # where h.mu0 stops meaning anything
     b = rescale_to_norm(random_two_step(5, np.random.default_rng(3)))
-    match = r"^the companion frame h became singular: cond\(h\) = 8\.699e\+07 at t=11\.8872 exceeds 1/sqrt\(eps\)$"
+    match = r"^the companion frame h became singular: cond\(h\) = 7\.818e\+07 at t=11\.8158 exceeds 1/sqrt\(eps\)$"
     with pytest.raises(NumericalFailure, match=match):
         equivalence_report(b, 120.0, r="scalar")
 
 
 def test_companion_overflow_outside_the_right_side_is_a_numerical_failure(heis, monkeypatch):
     # the companion run holds its error state around the whole integration,
-    # so an overflow in the integrator's own arithmetic (here its error norm)
-    # raises FloatingPointError there, and must not end in a traceback
+    # so an overflow in the integrator's own arithmetic (here the error norm
+    # of its DOP853 steps) raises FloatingPointError there, and must not end
+    # in a traceback
     trace = integrate_bracket_flow(heis, 1.0)
-    error_norm = flow._error_norm
-    monkeypatch.setattr(flow, "_error_norm", lambda err, *args: error_norm(1e300 * err, *args))
+    error_norm = flow._dop853_error_norm
+    monkeypatch.setattr(flow, "_dop853_error_norm", lambda err, *args: error_norm(1e300 * err, *args))
     with pytest.raises(NumericalFailure, match="^the companion frame h became singular: overflow"):
         cointegrate_h(trace)
 
