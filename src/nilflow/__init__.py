@@ -98,6 +98,7 @@ from .soliton import (
     SolitonCertificate,
     detect_convergence,
     orbit_invariants,
+    pre_einstein_derivation,
     soliton_residual,
 )
 

@@ -67,6 +67,17 @@ def _norm(a: np.ndarray, ndim: int = 3):
     return nrm
 
 
+def _check_finite(c: np.ndarray) -> None:
+    """BracketFormatError unless c is finite and so is ||c||^2: every
+    curvature and rank threshold scales with ||mu||^2, and past the float
+    range it is inf, and so is each of them.  One vdot clears both checks
+    wherever ||c||^2 is finite."""
+    if not math.isfinite(np.vdot(c, c)):
+        if not np.isfinite(c).all():
+            raise BracketFormatError("structure constants must be finite")
+        raise BracketFormatError("||mu||^2 of the structure constants overflows")
+
+
 @dataclass(frozen=True, eq=False)
 class VTangent:
     """Skew-symmetric bilinear map R^n x R^n -> R^n (a point of V_n).
@@ -81,16 +92,8 @@ class VTangent:
         c = np.array(self.coeffs, dtype=float)
         if c.ndim != 3 or not (c.shape[0] == c.shape[1] == c.shape[2]) or c.size == 0:
             raise DimensionMismatch(f"expected an (n, n, n) array with n >= 1, got shape {c.shape}")
-        scale = float(np.abs(c).max(initial=1.0))  # nan and inf propagate through the max
-        if not math.isfinite(scale):
-            raise BracketFormatError("structure constants must be finite")
-        # every curvature and rank threshold scales with ||mu||^2; past the
-        # float range it is inf, and so is each of them.  ||mu||^2 is at most
-        # size * scale^2, a Python product that overflows to inf silently
-        if not math.isfinite(c.size * scale * scale):
-            with np.errstate(over="ignore"):
-                if not np.isfinite(np.vdot(c, c)):
-                    raise BracketFormatError("||mu||^2 of the structure constants overflows")
+        _check_finite(c)
+        scale = float(np.abs(c).max(initial=1.0))
         swapped = c.transpose(1, 0, 2)
         worst = float(np.abs(c + swapped).max())
         if worst > _SKEW_ATOL * scale:
@@ -100,6 +103,19 @@ class VTangent:
         c = 0.5 * (c - swapped)
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
+
+    @classmethod
+    def _of_skew(cls, c: np.ndarray):
+        """An instance on an (n, n, n) array that the library has made
+        exactly skew in (i, j): the constructor's finiteness and ||mu||^2
+        checks, without its skew residual and antisymmetrization.  c is kept,
+        not copied, and made read-only, so it must be a fresh array or a view
+        of a read-only one."""
+        _check_finite(c)
+        c.flags.writeable = False
+        b = object.__new__(cls)
+        object.__setattr__(b, "coeffs", c)
+        return b
 
     @classmethod
     def from_entries(cls, n, entries):
@@ -309,27 +325,52 @@ def _gl_action_coeffs(g: np.ndarray, ginv: np.ndarray, c: np.ndarray) -> np.ndar
     return ginv_t[..., None, :, :] @ t @ g.mT[..., None, :, :]
 
 
+def _gl_action_frame(g: np.ndarray, ginv: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(g.mu) of one (n, n) frame as the (n^2, n) view of its coefficients,
+    rows the (n, n^2) view of mu's: _gl_action_coeffs's products in its order,
+    so with its bits, but the products of two 2-D arrays are ndarray.dot, a
+    direct BLAS call without the matmul gufunc's overhead; the one whose
+    right operand is 3-D keeps @, which broadcasts over its leading axis."""
+    n = g.shape[0]
+    w = ginv.T
+    return (w @ w.dot(rows).reshape(n, n, n)).reshape(n * n, n).dot(g.T)
+
+
 def gl_action(g: Operator, b: VTangent) -> VTangent:
     """Change-of-basis action (g.mu)(x, y) = g mu(g^{-1} x, g^{-1} y).
 
     Raises SingularMatrix for non-invertible g, or one with a non-finite
-    entry; warns when the condition number exceeds 1e12.  One SVD
-    g = U S V^T gives both the condition number and g^{-1} = V S^{-1} U^T.
+    entry; warns when the condition number exceeds 1e12.  g^{-1} comes from
+    one LU factorization, and ||g||_F ||g^{-1}||_F >= cond(g) screens it:
+    only where that bound passes 1e12, is not finite, or the factorization
+    fails does an SVD g = U S V^T decide, from the condition number it
+    gives, and give g^{-1} = V S^{-1} U^T.
     """
-    g = _as_array(g, (b.n, b.n), "operator")
-    # LAPACK's SVD does not return on some matrices with an inf entry
-    if not np.isfinite(g).all():
+    n = b.n
+    g = _as_array(g, (n, n), "operator")
+    norm_sq = float(np.vdot(g, g))
+    # LAPACK's SVD does not return on some matrices with an inf entry; a
+    # finite ||g||^2 clears them all
+    if not math.isfinite(norm_sq) and not np.isfinite(g).all():
         raise SingularMatrix("change of basis has a non-finite entry")
-    u, s, vt = np.linalg.svd(g)
-    smin = float(s[-1])
-    cond = float(s[0]) / smin if smin > 0.0 else math.inf
-    if not cond <= 1e15:
-        raise SingularMatrix(f"change of basis is singular (cond={cond:.3e})")
-    if cond > 1e12:
-        logger.warning("ill-conditioned change of basis: cond=%.3e", cond)
-    c = _gl_action_coeffs(g, (vt.T / s).dot(u.T), b.coeffs)
+    try:
+        ginv = np.linalg.inv(g)
+        # a Python product: an overflow reads inf, inf * 0 nan, and both fail the screen
+        screen = math.sqrt(norm_sq * float(np.vdot(ginv, ginv)))
+    except np.linalg.LinAlgError:
+        screen = math.inf
+    if not screen <= 1e12:
+        u, s, vt = np.linalg.svd(g)
+        smin = float(s[-1])
+        cond = float(s[0]) / smin if smin > 0.0 else math.inf
+        if not cond <= 1e15:
+            raise SingularMatrix(f"change of basis is singular (cond={cond:.3e})")
+        if cond > 1e12:
+            logger.warning("ill-conditioned change of basis: cond=%.3e", cond)
+        ginv = (vt.T / s).dot(u.T)
+    c = _gl_action_frame(g, ginv, b.coeffs.reshape(n, n * n)).reshape(n, n, n)
     # the products round (i, j) and (j, i) differently, by up to ~cond(g)^2 eps
-    return type(b)(0.5 * (c - c.transpose(1, 0, 2)))
+    return type(b)._of_skew(0.5 * (c - c.transpose(1, 0, 2)))
 
 
 def _delta_coeffs(c: np.ndarray, alpha: np.ndarray) -> np.ndarray:

@@ -56,8 +56,11 @@ def ricci_form(b: VTangent) -> Operator:
 
 
 def scalar_curvature(b: VTangent) -> float:
-    """scal = -||mu||^2 / 4 (equals tr of the Ricci operator); +0.0 at mu = 0."""
-    return 0.0 - 0.25 * b.norm**2
+    """scal = -||mu||^2 / 4 (equals tr of the Ricci operator); +0.0 at mu = 0.
+    The square is a product, as numpy squares the trace's scal column: a
+    Python float's **2 calls libm pow, which can round it one ulp apart."""
+    nrm = b.norm
+    return 0.0 - 0.25 * (nrm * nrm)
 
 
 def ricci_sign_check(b: VTangent) -> tuple:

@@ -70,6 +70,7 @@ from .algebra import (
     _delta_coeffs,
     _check_tol,
     _gl_action_coeffs,
+    _gl_action_frame,
     _is_real,
     _jacobiator_max,
     _norm,
@@ -528,12 +529,14 @@ class FlowTrace(_Samples):
     """Sampled solution of a bracket flow with per-sample diagnostics.
 
     `coeffs` (m, n, n, n) holds the structure constants of mu(times[i]) =
-    frames[i].mu0, `frames` is (m, n, n), and each diagnostic is a length-m
-    column.  `brackets`, a list of `Bracket`, and the columns `grad_norm`
-    (||delta_mu(Ric_mu)||) and `jacobi_residual` (the max-norm of the
-    Jacobiator) are computed from `coeffs` on first access.  `jacobian`,
-    kept out of the JSON `stats`, is the integrator's J of the frame flow
-    (see _integrate_adaptive): at a settled normalized run, its linearization.
+    frames[i].mu0, read-only and exactly skew, `frames` is (m, n, n), and
+    each diagnostic is a length-m column.  `brackets`, a list of `Bracket`
+    on views of `coeffs`, `initial_bracket` and `final_bracket`, on copies
+    of its ends, and the columns `grad_norm` (||delta_mu(Ric_mu)||) and
+    `jacobi_residual` (the max-norm of the Jacobiator) are computed from
+    `coeffs` on first access.  `jacobian`, kept out of the JSON `stats`, is
+    the integrator's J of the frame flow (see _integrate_adaptive): at a
+    settled normalized run, its linearization.
     """
 
     times: np.ndarray
@@ -554,7 +557,7 @@ class FlowTrace(_Samples):
 
     @cached_property
     def brackets(self) -> list:
-        return [Bracket(c) for c in self.coeffs]
+        return [Bracket._of_skew(c) for c in self.coeffs]
 
     @cached_property
     def grad_norm(self) -> np.ndarray:
@@ -564,13 +567,14 @@ class FlowTrace(_Samples):
     def jacobi_residual(self) -> np.ndarray:
         return _by_blocks(_jacobiator_max, self.coeffs)
 
-    @property
+    # copies, not views: a bracket kept past its trace keeps n^3 floats, not the trace's m n^3
+    @cached_property
     def initial_bracket(self) -> Bracket:
-        return Bracket(self.coeffs[0])
+        return Bracket._of_skew(self.coeffs[0].copy())
 
-    @property
+    @cached_property
     def final_bracket(self) -> Bracket:
-        return Bracket(self.coeffs[-1])
+        return Bracket._of_skew(self.coeffs[-1].copy())
 
     def to_csv(self, path) -> None:
         cols = (self.mu_norm, self.scal, self.tr_ric2, self.grad_norm, self.r_values, self.jacobi_residual)
@@ -624,10 +628,9 @@ def _shifted_ricci(b0, r):
     1/4 C^T C - 1/2 A A^T bit for bit.  One call is straight-line 2-D
     products, the same products in the same order as _gl_action_coeffs and
     _ricci, so X is bit-identical to theirs without the batch-axis handling
-    of a stack.  Each product of two 2-D arrays is an ndarray.dot, a direct
-    BLAS call with the bits of @ and less call overhead; the one whose right
-    operand is the 3-D (n, n, n) view keeps @, which broadcasts w over its
-    leading axis.  A (B, n, n) stack of h and hinv gives the stack of X from
+    of a stack: the GL action of _gl_action_frame, then Ricci's two products
+    as ndarray.dot, a direct BLAS call with the bits of @ and less call
+    overhead.  A (B, n, n) stack of h and hinv gives the stack of X from
     the batched kernels _gl_action_coeffs, _ricci and _tr_ric2 on the full
     mu0; halving is an exact scaling, so each lane has the bits of its 2-D
     call."""
@@ -670,10 +673,7 @@ def _shifted_ricci(b0, r):
     def kernel(h, hinv):
         if h.ndim > 2:
             return stacked(h, hinv)
-        w = hinv.T
-        # .dot calls BLAS on 2-D operands without the matmul gufunc's overhead;
-        # on the 3-D operand it would not broadcast, so that product keeps @
-        c = (w @ w.dot(c0_rows).reshape(n, n, n)).reshape(n * n, n).dot(h.T)
+        c = _gl_action_frame(h, hinv, c0_rows)
         rows = c.reshape(n, n * n)
         x = rows.dot(rows.T)
         x *= -2.0
@@ -767,6 +767,7 @@ def _finish_trace(samples, stats, b0, r, jac):
         frames = lams[:, None, None] * frames
         coeffs = coeffs / lams[:, None, None, None]
     coeffs = 0.5 * (coeffs - coeffs.swapaxes(1, 2))
+    coeffs.flags.writeable = False  # the trace's brackets are views of it
     mu_norm = _norm(coeffs)
     tr_ric2 = _tr_ric2(_ricci(coeffs))
     rate = tr_ric2 if isinstance(r, str) else 0.0 if r is None else float(r)
@@ -959,7 +960,10 @@ def _metric_flow(b0, r):
 
     def rhs(t, y):
         stack = y.ndim > 1
-        if (y[:, logdiag] if stack else y[logdiag]).min() < _LOG_TINY:
+        logs = y[:, logdiag] if stack else y[logdiag]
+        # numpy's min decides; a 1-D state is first screened, at less cost, by
+        # Python's min of the same floats, which equals numpy's unless one is nan
+        if (stack or min(logs.tolist()) < _LOG_TINY) and logs.min() < _LOG_TINY:
             raise NumericalFailure(f"the metric factor became singular at t={t:.6g}")
         lmat = factor(y)
         h = lmat.mT

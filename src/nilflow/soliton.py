@@ -74,6 +74,27 @@ def soliton_residual(b: Bracket, tol: float = 1e-8) -> SolitonCertificate:
     )
 
 
+def pre_einstein_derivation(b: Bracket):
+    """(phi, tr phi, residual): Nikolayevsky's pre-Einstein derivation phi of
+    mu, the derivation with tr(phi psi) = tr psi for every psi in Der(mu)
+    (Trans. AMS 363, 2011).
+
+    In the basis B_a of derivation_basis(b), phi = sum_a x_a B_a with
+    G x = t, G_ab = tr(B_a B_b) and t_a = tr B_a; x is lstsq's.  G may be
+    singular, but each nu in its kernel has tr nu = tr(nu phi) = 0, so
+    tr phi = t . x is the same for every solution; residual = ||G x - t||
+    says how well the system was solved.  Where the orbit of mu holds a
+    nilsoliton, the normalized flow on ||mu|| = 2 reaches tr(Ric^2) =
+    1 / (n - tr phi).
+    """
+    basis = b._derivations  # the (k, n, n) stack of derivation_basis(b)
+    gram = np.einsum("aij,bji->ab", basis, basis)
+    t = np.einsum("aii->a", basis)
+    x = np.linalg.lstsq(gram, t)[0]
+    phi = np.tensordot(x, basis, axes=1)
+    return phi, float(t @ x), float(np.linalg.norm(gram @ x - t))
+
+
 @dataclass(frozen=True)
 class ConvergenceReport:
     """Verdict on whether a normalized trace has reached a soliton limit,

@@ -17,6 +17,7 @@ from nilflow.algebra import (
     VTangent,
     _delta_coeffs,
     _delta_matrix,
+    _gl_action_coeffs,
     _jacobiator_max,
     bracket_from_dict,
     bracket_to_dict,
@@ -371,24 +372,83 @@ def test_jacobiator_matches_einsum_form(shape):
 # GL action
 
 
+def _svd_route(g, b):
+    """gl_action's coefficients with g^{-1} from the SVD, the route its screen skips."""
+    u, s, vt = np.linalg.svd(g)
+    c = _gl_action_coeffs(g, (vt.T / s) @ u.T, b.coeffs)
+    return 0.5 * (c - c.transpose(1, 0, 2))
+
+
+def _assert_matches_svd_route(g, b, moved):
+    # LU and SVD inverses differ by about cond(g) eps, relative
+    ref = _svd_route(g, b)
+    assert np.linalg.norm(moved.coeffs - ref) <= 1e-14 * np.linalg.cond(g) * np.linalg.norm(ref)
+
+
 def test_gl_action_scaling(heis):
     g = np.diag([2.0, 1.0, 1.0])
     pushed = gl_action(g, heis)
     # e1 direction stretched: mu(g^-1 e1, g^-1 e2) = mu(e1/2, e2) = e3/2
     assert pushed.coeffs[0, 1, 2] == pytest.approx(0.5)
+    _assert_matches_svd_route(g, heis, pushed)
 
 
 def test_gl_action_swap(heis):
     g = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     assert gl_action(g, heis).coeffs[0, 1, 2] == pytest.approx(-1.0)
+    _assert_matches_svd_route(g, heis, gl_action(g, heis))
 
 
 def test_gl_action_singular(heis):
-    with pytest.raises(SingularMatrix):
+    with pytest.raises(SingularMatrix, match=r"^change of basis is singular \(cond=1\.000e\+17\)$"):
         gl_action(np.diag([1.0, 1.0, 1e-17]), heis)
     # a zero smallest singular value reads as an infinite condition number
-    with pytest.raises(SingularMatrix, match="cond=inf"):
+    with pytest.raises(SingularMatrix, match=r"^change of basis is singular \(cond=inf\)$"):
         gl_action(np.zeros((3, 3)), heis)
+
+
+def _svd_calls_of_gl_action(monkeypatch, g, b):
+    """(g.mu, the number of SVDs gl_action ran)."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return svd(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "svd", counting)
+        moved = gl_action(g, b)
+    return moved, len(calls)
+
+
+def test_gl_action_decides_by_svd_where_the_screen_fails(monkeypatch, caplog):
+    b = filiform(8)
+    # cond 5e11, but ||g||_F ||g^{-1}||_F = 1.3e12: the SVD decides, and does not warn
+    g = np.diag([1.0] * 7 + [2e-12])
+    with caplog.at_level("WARNING", logger="nilflow.algebra"):
+        moved, svds = _svd_calls_of_gl_action(monkeypatch, g, b)
+    assert svds == 1 and not caplog.records
+    _assert_matches_svd_route(g, b, moved)
+    # cond 1e13 warns
+    with caplog.at_level("WARNING", logger="nilflow.algebra"):
+        _, svds = _svd_calls_of_gl_action(monkeypatch, np.diag([1.0, 1.0, 1e-13]), heisenberg())
+    assert svds == 1
+    assert [r.getMessage() for r in caplog.records] == ["ill-conditioned change of basis: cond=1.000e+13"]
+    # a screen at or below 1e12 leaves the SVD out
+    g = np.eye(8) + 0.3 * np.random.default_rng(0).standard_normal((8, 8))
+    assert _svd_calls_of_gl_action(monkeypatch, g, b)[1] == 0
+
+
+def test_gl_action_of_the_identity_is_exact():
+    b = random_sphere_bracket(6, 2)
+    assert np.array_equal(gl_action(np.eye(6), b).coeffs, b.coeffs)
+
+
+def test_gl_action_keeps_the_overflow_check():
+    # cond(g) = 1, but g.mu = 1e10 mu = 1e160 e3 has ||g.mu||^2 past the float range
+    with pytest.raises(BracketFormatError, match="overflows"):
+        gl_action(1e-10 * np.eye(3), heisenberg(1e150))
 
 
 def test_gl_action_of_a_non_finite_matrix_raises():
@@ -418,6 +478,7 @@ def test_orthogonal_action_preserves_norm(seed):
     b = random_two_step(4, rng)
     q = random_orthogonal(4, rng)
     assert gl_action(q, b).norm == pytest.approx(b.norm, rel=1e-12)
+    _assert_matches_svd_route(q, b, gl_action(q, b))
 
 
 @given(seed=st.integers(0, 10_000))
@@ -430,6 +491,7 @@ def test_gl_action_is_an_action(seed):
     lhs = gl_action(g, gl_action(h, b))
     rhs = gl_action(g @ h, b)
     assert np.allclose(lhs.coeffs, rhs.coeffs, atol=1e-10)
+    _assert_matches_svd_route(g @ h, b, rhs)
 
 
 @given(seed=st.integers(0, 10_000))
@@ -443,6 +505,7 @@ def test_gl_action_preserves_jacobi(seed):
     moved = gl_action(g, b)
     # relative to ||mu||^2, the scale validate_bracket uses
     assert jacobiator_residual(moved) < 1e-12 * max(1.0, moved.norm**2)
+    _assert_matches_svd_route(g, b, moved)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ def test_public_names():
         "integrate_normalized_flow", "jacobiator_residual", "laplacian_delta",
         "left_translation_differential", "load_bracket", "metric_at", "metric_convergence_distance",
         "metric_field_2step", "metric_field_fit", "moment_map", "nilpotency_degree", "orbit_invariants",
-        "random_nilpotent", "random_orthogonal", "random_skew", "random_two_step", "rescale_to_norm",
+        "pre_einstein_derivation", "random_nilpotent", "random_orthogonal", "random_skew", "random_two_step",
+        "rescale_to_norm",
         "ricci_energy", "ricci_energy_gradient", "ricci_form", "ricci_operator", "ricci_sign_check",
         "riemann_at_origin", "save_bracket", "scalar_curvature", "soliton_residual", "sphere_perturbation",
         "trace_from_csv", "translation_jacobian", "type3_certificate", "validate_bracket",

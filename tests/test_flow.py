@@ -1083,6 +1083,11 @@ def test_trace_columns_match_per_bracket_functions(kind, n):
     brackets = trace.brackets
     assert len(brackets) == len(trace) > 3
     assert all(np.array_equal(b.coeffs, c) for b, c in zip(brackets, trace.coeffs))
+    # the brackets are views of the trace's coefficients, which nothing can write
+    assert not trace.coeffs.flags.writeable
+    assert all(np.shares_memory(b.coeffs, trace.coeffs) for b in brackets)
+    assert trace.final_bracket is trace.final_bracket
+    assert np.array_equal(trace.initial_bracket.coeffs, trace.coeffs[0])
     norms = np.array([b.norm for b in brackets])
     assert np.array_equal(trace.mu_norm, norms)
     assert np.array_equal(trace.scal, [scalar_curvature(b) for b in brackets])
@@ -1255,6 +1260,21 @@ def test_singular_metric_factor_carries_the_accepted_samples():
     assert accepted[0][0] == 0.0 and accepted[-1][0] < 0.7084
     t, y = accepted[-1]
     np.testing.assert_allclose(y, [-1000.0 * t, 0.0, -1000.0 * t, 0.0, 0.0, -1000.0 * t], rtol=1e-12)
+
+
+def test_the_singular_factor_test_reads_log_diag_l_alone(heis_sphere):
+    metric, _ = flow._metric_flow(heis_sphere, "scalar")
+    # an entry below log(tiny) off the diagonal of L is no singular factor
+    low = np.zeros(6)
+    low[1] = 2.0 * flow._LOG_TINY
+    assert np.isfinite(metric(0.0, low)).all()
+    assert np.isfinite(metric(0.0, np.stack([low, low]))).all()
+    # and a nan there hides no singular one
+    bad = np.zeros(6)
+    bad[1], bad[5] = np.nan, 2.0 * flow._LOG_TINY
+    for y in (bad, np.stack([low, bad])):
+        with pytest.raises(NumericalFailure, match="metric factor became singular"):
+            metric(0.0, y)
 
 
 def test_singular_frame_carries_the_accepted_samples(heis, monkeypatch):

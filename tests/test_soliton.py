@@ -20,7 +20,7 @@ from nilflow.generators import (
     sphere_perturbation,
 )
 from nilflow.algebra import Bracket, delta, derivation_basis, gl_action
-from nilflow.soliton import detect_convergence, orbit_invariants, soliton_residual
+from nilflow.soliton import detect_convergence, orbit_invariants, pre_einstein_derivation, soliton_residual
 
 from conftest import dixmier_lister, random_sphere_bracket
 
@@ -278,6 +278,34 @@ def test_decay_rate_is_the_slowest_rate_of_the_linearization(start, rate):
     else:
         assert report.decay_rate == pytest.approx(rate, abs=1e-6)
         assert report.rate_gap > 1e3
+
+
+# ---------------------------------------------------------------------------
+# the pre-Einstein derivation
+
+
+@pytest.mark.parametrize(
+    "start, tr_phi",
+    [(heisenberg(), 8 / 3), (filiform(5), 25 / 6), (filiform(6), 56 / 11), (filiform(7), 224 / 37),
+     # characteristically nilpotent: every derivation is nilpotent
+     (dixmier_lister(), 0.0)],
+    ids=["h3", "filiform5", "filiform6", "filiform7", "dixmier_lister"],
+)
+def test_pre_einstein_trace(start, tr_phi):
+    phi, trace, residual = pre_einstein_derivation(start)
+    assert trace == pytest.approx(tr_phi, abs=1e-12)
+    assert residual <= 1e-12
+    assert np.trace(phi) == pytest.approx(trace, abs=1e-12)
+    # tr(phi psi) = tr psi on every derivation psi
+    for psi in derivation_basis(start):
+        assert np.trace(phi @ psi) == pytest.approx(np.trace(psi), abs=1e-12)
+
+
+@pytest.mark.parametrize("start", [heisenberg(), filiform(5), filiform(6)], ids=["h3", "filiform5", "filiform6"])
+def test_pre_einstein_derivation_predicts_the_normalized_limit(start):
+    # the orbit holds a nilsoliton, so tr Ric^2 -> 1 / (n - tr phi) on ||mu|| = 2
+    limit = integrate_normalized_flow(rescale_to_norm(start), 60.0).tr_ric2[-1]
+    assert limit == pytest.approx(1.0 / (start.n - pre_einstein_derivation(start)[1]), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
