@@ -253,6 +253,10 @@ def cmd_soliton(args) -> int:
     print(f"ricci spectrum: {np.array2string(np.array(invariants['ricci_spectrum']), precision=6)}")
     if not np.isnan(report.decay_rate):
         print(f"tail decay rate {report.decay_rate:.6g} (gap {report.rate_gap:.3g})")
+    print(
+        f"pre-Einstein r_limit = {report.predicted_r_limit:.9g} (residual {report.pre_einstein_residual:.1e})"
+        f"   limit in orbit: {report.limit_in_orbit}"
+    )
     if args.out:
         payload = report.to_dict()
         payload["limit_bracket"] = bracket_to_dict(trace.final_bracket)
@@ -288,6 +292,8 @@ def _sweep_case(index, seed_seq, args):
             record.update(
                 converged=rep.converged,
                 r_limit=rep.r_limit,
+                predicted_r_limit=rep.predicted_r_limit,
+                limit_in_orbit=rep.limit_in_orbit,
                 residual=rep.certificate.residual,
                 fingerprint=f"deg={inv['degree']};dims={inv['series_dims']};spec=[{spec}]",
             )

@@ -32,8 +32,9 @@ Jacobian built at the switch, until an increment reaches the tolerance
 again.  A run that keeps moving never switches.  A stop is a sample of the
 step's continuous extension, not a step end.  Every right side also takes a
 (B, N) stack of states and gives each lane the bits of its 1-D call, so the
-Jacobian's N forward differences are one call; a 1-D state keeps its
-single-frame products, cheaper at B = 1 than the stacked kernels.
+Jacobian's N forward differences are one call: the frame generator, which
+builds nearly every Jacobian, in batched kernels, the companion and metric
+right sides by one 1-D call per lane.
 The module also integrates the ungauged companion frame h' = -(Ric + r I) h,
 a second run of a flow under one error state per run and the frame flow's
 cond(h) bound (its SVDs run only on a batch that the bound
@@ -47,9 +48,9 @@ The right sides and the step loop run once per evaluation or step on arrays
 of at most n^3 = 512 entries, so the call overhead of numpy counts: their
 products of single 2-D or 1-D arrays call ndarray.dot, which goes straight
 to BLAS and gives the bits of @ without the matmul gufunc's dispatch.
-Stacked and broadcast products (the batched kernels, stacked right sides,
-the step loop's check, _finish_trace) keep @, as .dot does not broadcast
-over leading axes.
+Stacked and broadcast products (the batched kernels, the stacked frame
+generator, the step loop's check, _finish_trace) keep @, as .dot does not
+broadcast over leading axes.
 """
 
 from __future__ import annotations
@@ -86,6 +87,7 @@ from .exceptions import (
     StepSizeUnderflow,
     TooFewSamples,
 )
+from .soliton import pre_einstein_derivation
 
 # ---------------------------------------------------------------------------
 # Embedded Dormand-Prince 5(4) pair with a PI step-size controller, for runs
@@ -506,8 +508,11 @@ _TRACE_COLUMNS = ("t", "mu_norm", "scal", "tr_ric2", "grad_norm", "r", "jacobi_r
 
 
 def _index_of_time(times, t):
-    """Index of the sample at time t, or an index array for an array of times."""
-    i = np.abs(np.subtract.outer(times, t)).argmin(axis=0)
+    """Index of the sample at time t, or an index array for an array of times:
+    the nearest of the increasing times, the earlier on a tie, by binary search."""
+    j = np.searchsorted(times, t)  # times[j - 1] < t <= times[j]
+    lo, hi = np.maximum(j - 1, 0), np.minimum(j, len(times) - 1)
+    i = np.where(np.abs(times[lo] - t) <= np.abs(times[hi] - t), lo, hi)[()]
     # <= fails on a nan t; an infinite t would pass with an infinite tolerance
     if not np.all(np.isfinite(t) & (np.abs(times[i] - t) <= 1e-9 * np.maximum(1.0, np.abs(t)))):
         raise KeyError(f"time {t} is not a sample of this trace")
@@ -530,9 +535,10 @@ class FlowTrace(_Samples):
 
     `coeffs` (m, n, n, n) holds the structure constants of mu(times[i]) =
     frames[i].mu0, read-only and exactly skew, `frames` is (m, n, n), and
-    each diagnostic is a length-m column.  `brackets`, a list of `Bracket`
-    on views of `coeffs`, `initial_bracket` and `final_bracket`, on copies
-    of its ends, and the columns `grad_norm` (||delta_mu(Ric_mu)||) and
+    each diagnostic is a length-m column.  `initial_bracket` is the start
+    mu0 itself, so its cached derivations serve every reader.  `brackets`, a
+    list of `Bracket` on views of `coeffs`, `final_bracket`, on a copy of
+    its end, and the columns `grad_norm` (||delta_mu(Ric_mu)||) and
     `jacobi_residual` (the max-norm of the Jacobiator) are computed from
     `coeffs` on first access.  `jacobian`, kept out of the JSON `stats`, is
     the integrator's J of the frame flow (see _integrate_adaptive): at a
@@ -546,6 +552,7 @@ class FlowTrace(_Samples):
     mu_norm: np.ndarray
     scal: np.ndarray
     tr_ric2: np.ndarray
+    initial_bracket: Bracket = field(repr=False)
     stats: dict = field(default_factory=dict)
     rate: object = field(default=None, repr=False)  # the rate r as passed to the flow
     jacobian: np.ndarray | None = field(default=None, repr=False)
@@ -567,11 +574,7 @@ class FlowTrace(_Samples):
     def jacobi_residual(self) -> np.ndarray:
         return _by_blocks(_jacobiator_max, self.coeffs)
 
-    # copies, not views: a bracket kept past its trace keeps n^3 floats, not the trace's m n^3
-    @cached_property
-    def initial_bracket(self) -> Bracket:
-        return Bracket._of_skew(self.coeffs[0].copy())
-
+    # a copy, not a view: a bracket kept past its trace keeps n^3 floats, not the trace's m n^3
     @cached_property
     def final_bracket(self) -> Bracket:
         return Bracket._of_skew(self.coeffs[-1].copy())
@@ -779,6 +782,7 @@ def _finish_trace(samples, stats, b0, r, jac):
         mu_norm=mu_norm,
         scal=0.0 - 0.25 * mu_norm**2,  # +0.0 for the zero bracket, as scalar_curvature
         tr_ric2=tr_ric2,
+        initial_bracket=b0,
         stats=stats,
         rate=r,
         jacobian=jac,
@@ -837,7 +841,7 @@ def integrate_normalized_flow(b0: Bracket, t_max: float, opts: FlowOpts | None =
 def cointegrate_h(trace: FlowTrace) -> np.ndarray:
     """Frames h(t) of h' = -(Ric_{h.mu0} + r I) h, h(0) = I, at the trace's times.
 
-    mu0 is the trace's initial bracket and r its rate; X = Ric + r I is the
+    mu0 is the trace's start and r its rate; X = Ric + r I is the
     _shifted_ricci kernel at h, so h.mu0 runs the bracket flow a second time,
     apart from the trace's gauged frames, in one unthinned run with a stop,
     so a sample, at every sample time.  Returns the (m, n, n) array of
@@ -854,11 +858,10 @@ def cointegrate_h(trace: FlowTrace) -> np.ndarray:
     singular = "the companion frame h became singular"
 
     def rhs(t, y):
-        stack = y.ndim > 1
-        h = y.reshape(-1, n, n) if stack else y.reshape(n, n)
+        if y.ndim > 1:  # a stack of states, lane by lane
+            return np.array([rhs(t, lane) for lane in y])
+        h = y.reshape(n, n)
         try:
-            if stack:
-                return -(shifted_ricci(h, np.linalg.inv(h)) @ h).reshape(y.shape)
             return -shifted_ricci(h, np.linalg.inv(h)).dot(h).reshape(-1)
         except (np.linalg.LinAlgError, FloatingPointError):
             raise NumericalFailure(f"{singular} at t={t:.6g}") from None
@@ -931,7 +934,7 @@ def _metric_flow(b0, r):
     kernel at h = L^T, for the pushed bracket nu = (L^T).mu_0, and Phi keeps
     the strict lower part of M and half its diagonal; then
     (log L_ii)' = M_ii / 2.  rhs and factor also take a (B, n(n+1)/2)
-    stack of states, lane by lane with the bits of a 1-D call.  As
+    stack of states, rhs by one 1-D call per lane.  As
     L (Phi + Phi^T) L^T = L M L^T = -2 L ric_nu L^T - 2 r G, G follows the
     metric flow for every rate; the scalar rate keeps scal(G) fixed.  A
     factor with some L_ii = exp(y_i) below the normal range, where 1 / L_ii
@@ -959,20 +962,17 @@ def _metric_flow(b0, r):
         return lmat.reshape(n, n)
 
     def rhs(t, y):
-        stack = y.ndim > 1
-        logs = y[:, logdiag] if stack else y[logdiag]
-        # numpy's min decides; a 1-D state is first screened, at less cost, by
-        # Python's min of the same floats, which equals numpy's unless one is nan
-        if (stack or min(logs.tolist()) < _LOG_TINY) and logs.min() < _LOG_TINY:
+        if y.ndim > 1:  # a stack of states, lane by lane
+            return np.array([rhs(t, lane) for lane in y])
+        logs = y[logdiag]
+        # numpy's min decides, after a cheaper screen by Python's min of the
+        # same floats, which equals numpy's unless one is nan
+        if min(logs.tolist()) < _LOG_TINY and logs.min() < _LOG_TINY:
             raise NumericalFailure(f"the metric factor became singular at t={t:.6g}")
         lmat = factor(y)
         h = lmat.mT
         phi = shifted_ricci(h, np.linalg.inv(h))
         phi *= weights
-        if stack:
-            dy = (lmat @ phi).reshape(len(y), -1)[:, lower]
-            dy[:, logdiag] = phi.reshape(len(y), -1)[:, :: n + 1]
-            return dy
         dy = lmat.dot(phi).reshape(-1)[lower]
         dy[logdiag] = phi.reshape(-1)[:: n + 1]
         return dy
@@ -1071,6 +1071,7 @@ class Type3Report:
     sup_t_ricci: float
     sup_norm_ratio: float  # sup of t ||mu||^2 / (2n); <= 1 is the proven bound
     ricci_bound_ratio: float  # sup of t ||Ric|| / (sqrt(3) n / 2)
+    predicted_norm_constant: float  # 2 (n - tr phi): the limit of t ||mu||^2 where the orbit holds a nilsoliton
 
     @property
     def norm_bound_ok(self) -> bool:
@@ -1088,8 +1089,11 @@ def type3_certificate(trace: FlowTrace) -> Type3Report:
     """Certificate that curvature decays like C/t along the unnormalized flow.
 
     sup t ||mu(t)||^2 <= 2n is a theorem; the Riemann constant is estimated
-    empirically and reported, never asserted.  A trace with a nonzero rate
-    anywhere raises ConfigError.
+    empirically and reported, never asserted, and so is the sharp constant
+    2 (n - tr phi), phi the pre-Einstein derivation of the start (see
+    soliton.pre_einstein_derivation), the limit of t ||mu(t)||^2 where the
+    start's orbit holds a nilsoliton.  A trace with a nonzero rate anywhere
+    raises ConfigError.
     """
     if np.any(trace.r_values):
         raise ConfigError("type-III bounds apply to the unnormalized flow (r = 0) only")
@@ -1102,6 +1106,7 @@ def type3_certificate(trace: FlowTrace) -> Type3Report:
         sup_t_ricci=sup_ric,
         sup_norm_ratio=float(np.max(t * trace.mu_norm**2)) / (2.0 * n),
         ricci_bound_ratio=sup_ric / (math.sqrt(3.0) * n / 2.0),
+        predicted_norm_constant=2.0 * (n - pre_einstein_derivation(trace.initial_bracket)[1]),
     )
 
 

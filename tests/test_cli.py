@@ -243,6 +243,7 @@ def test_flow_with_checks_and_artifacts(tmp_path, capsys):
     doc = json.loads(summary.read_text())
     assert doc["identities"]["ok"] is True
     assert doc["type3"]["norm_bound_ok"] is True and doc["type3"]["ricci_bound_ok"] is True
+    assert doc["type3"]["predicted_norm_constant"] == pytest.approx(2.0 / 3.0, rel=1e-12)
 
 
 def test_flow_check_failure_exits_nonzero(capsys):
@@ -513,8 +514,8 @@ def test_soliton_document_keys(tmp_path):
     assert main(["soliton", "heisenberg:c=1", "--rescale", "2", "--t-max", "1", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert sorted(doc) == [
-        "certificate", "converged", "decay_rate", "invariants", "limit_bracket", "r_limit", "rate_gap",
-        "reason",
+        "certificate", "converged", "decay_rate", "invariants", "limit_bracket", "limit_in_orbit",
+        "pre_einstein_residual", "predicted_r_limit", "r_limit", "rate_gap", "reason",
     ]
     assert sorted(doc["certificate"]) == ["D", "c", "is_soliton", "residual"]
     assert sorted(doc["invariants"]) == ["degree", "energy", "mu_norm", "ricci_spectrum", "series_dims"]
@@ -523,7 +524,10 @@ def test_soliton_document_keys(tmp_path):
 def test_soliton_prints_the_tail_rate(capsys):
     # filiform(4) on the sphere is a soliton whose linearization decays at -5/2
     assert main(["soliton", "filiform:n=4", "--rescale", "2", "--t-max", "60"]) == 0
-    assert "tail decay rate -2.5 (gap " in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "tail decay rate -2.5 (gap " in out
+    # and beside it the limit that the start's pre-Einstein derivation predicts
+    assert "pre-Einstein r_limit = 1.5 (residual " in out and "limit in orbit: True" in out
 
 
 def test_soliton_requires_the_sphere(capsys):
@@ -651,6 +655,7 @@ def test_sweep_clusters_and_determinism(tmp_path, capsys):
     doc = json.loads(out1.read_text())
     assert len(doc["cases"]) == 4
     assert all(rec["converged"] for rec in doc["cases"])
+    assert all(rec["limit_in_orbit"] and rec["predicted_r_limit"] == pytest.approx(3.0) for rec in doc["cases"])
     assert len(doc["clusters"]) == 1
     assert "deg=2" in doc["clusters"][0]["fingerprint"]
 

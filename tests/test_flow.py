@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,6 +117,52 @@ def test_non_finite_time_is_no_sample(heis, t):
     for samples in (integrate_bracket_flow(heis, 1.0), integrate_innerproduct_flow(heis, 1.0)):
         with pytest.raises(KeyError):
             samples.index_of_time(t)
+
+
+def _nearest_time_reference(times, t):
+    """The lookup by the full distance matrix: argmin over every sample."""
+    i = np.abs(np.subtract.outer(times, t)).argmin(axis=0)
+    if not np.all(np.isfinite(t) & (np.abs(times[i] - t) <= 1e-9 * np.maximum(1.0, np.abs(t)))):
+        raise KeyError(t)
+    return i
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_time_lookup_is_the_nearest_sample(seed):
+    # the binary search gives the indices of argmin over all samples, the
+    # earlier on a tie, and the same KeyErrors; a trace's times increase
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 60))
+    times = np.unique(np.concatenate([rng.uniform(0.0, 10.0, m), [0.0, 5.0, 10.0]]))
+    gaps = 1e-9 * np.maximum(1.0, times)
+    hits = np.concatenate([times, times + 0.4 * gaps, times - 0.9 * gaps])
+    halfway = 0.5 * (times[1:] + times[:-1])
+    for t in (hits, halfway, np.linspace(-1.0, 11.0, 50)):
+        for query in (t, *t[:20]):  # the array, and its first times one by one
+            try:
+                expected = _nearest_time_reference(times, query)
+            except KeyError:
+                with pytest.raises(KeyError):
+                    flow._index_of_time(times, query)
+            else:
+                found = flow._index_of_time(times, query)
+                assert np.array_equal(found, expected)
+                assert isinstance(found, np.ndarray) == isinstance(query, np.ndarray)  # an int for a scalar
+    # a tie between two distinct neighbours goes to the earlier one
+    assert flow._index_of_time(np.array([0.0, 2e-9, 4e-9]), 1e-9) == 0
+
+
+def test_time_lookup_allocates_no_distance_matrix():
+    # 4,000 lookups in 4,000 samples: the m x k distance matrix took 256 MB
+    times = np.linspace(0.0, 1.0, 4000)
+    tracemalloc.start()
+    try:
+        found = flow._index_of_time(times, times.copy())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(found, np.arange(4000))
+    assert peak < 2_000_000
 
 
 @pytest.fixture
@@ -725,6 +772,24 @@ def test_long_time_decay_certificate(seed):
     assert report.sup_t_riemann > 0.0
     doc = report.to_dict()
     assert set(doc) >= {"sup_t_riemann", "sup_t_ricci", "sup_norm_ratio"}
+
+
+@pytest.mark.parametrize(
+    ("start", "constant"),
+    [(heisenberg(), 2.0 / 3.0), (rescale_to_norm(filiform(5)), 5.0 / 3.0),
+     (random_two_step(4, np.random.default_rng(5)), 2.0 / 3.0)],
+    ids=["h3", "filiform5", "two_step4"],
+)
+def test_type3_reports_the_sharp_constant(start, constant):
+    # t ||mu||^2 -> 2 (n - tr phi) from below, well inside the proven 2n;
+    # the report states the limit and asserts nothing about it
+    trace = integrate_bracket_flow(start, 1e5)
+    report = type3_certificate(trace)
+    assert report.predicted_norm_constant == pytest.approx(constant, rel=1e-12)
+    assert report.to_dict()["predicted_norm_constant"] == report.predicted_norm_constant
+    end = trace.times[-1] * trace.mu_norm[-1] ** 2
+    assert end < report.predicted_norm_constant
+    assert end == pytest.approx(report.predicted_norm_constant, rel=1e-4)
 
 
 def test_decay_certificate_rejects_normalized(heis, heis_sphere):

@@ -19,10 +19,11 @@ from nilflow.generators import (
     rescale_to_norm,
     sphere_perturbation,
 )
+from nilflow import algebra
 from nilflow.algebra import Bracket, delta, derivation_basis, gl_action
 from nilflow.soliton import detect_convergence, orbit_invariants, pre_einstein_derivation, soliton_residual
 
-from conftest import dixmier_lister, random_sphere_bracket
+from conftest import dense_starts, dixmier_lister, random_sphere_bracket
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +222,8 @@ def test_random_two_step_limits(seed):
     assert doc["converged"] is True
     # every field of the report, the certificate as its own document
     assert sorted(doc) == [
-        "certificate", "converged", "decay_rate", "r_limit", "rate_gap", "reason",
+        "certificate", "converged", "decay_rate", "limit_in_orbit", "pre_einstein_residual", "predicted_r_limit",
+        "r_limit", "rate_gap", "reason",
     ]
     assert doc["certificate"] == report.certificate.to_dict()
 
@@ -306,6 +308,43 @@ def test_pre_einstein_derivation_predicts_the_normalized_limit(start):
     # the orbit holds a nilsoliton, so tr Ric^2 -> 1 / (n - tr phi) on ||mu|| = 2
     limit = integrate_normalized_flow(rescale_to_norm(start), 60.0).tr_ric2[-1]
     assert limit == pytest.approx(1.0 / (start.n - pre_einstein_derivation(start)[1]), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_the_report_finds_each_limit_in_its_orbit(n):
+    # rotated dense starts and a perturbed filiform: each orbit holds a
+    # nilsoliton, so the limit is the one tr phi of the start predicts
+    perturbed = sphere_perturbation(rescale_to_norm(filiform(n)), np.random.default_rng(50 + n))
+    starts = dense_starts(n, 40 + n)[:2] + [perturbed]
+    for start in starts:
+        report = detect_convergence(integrate_normalized_flow(rescale_to_norm(start), 60.0))
+        assert report.limit_in_orbit, report
+        assert report.r_limit == pytest.approx(report.predicted_r_limit, rel=1e-9)
+        assert report.pre_einstein_residual <= 1e-12
+
+
+def test_the_report_flags_a_limit_outside_the_orbit():
+    # the Dixmier-Lister orbit holds no nilsoliton: tr phi = 0 predicts 1/8,
+    # and the flow, which converges nowhere, reads 0.68 at T = 27
+    report = detect_convergence(integrate_normalized_flow(rescale_to_norm(dixmier_lister()), 27.0))
+    assert report.predicted_r_limit == pytest.approx(1.0 / 8.0, rel=1e-12)
+    assert report.r_limit > 0.6
+    assert not report.limit_in_orbit
+
+
+def test_the_oracle_reads_the_start_the_flow_factored(monkeypatch):
+    # the trace holds its start, so the report reuses the derivations the
+    # flow built: one SVD of the delta matrix per fresh start, not two
+    factored = []
+    delta_matrix = algebra._delta_matrix
+    monkeypatch.setattr(algebra, "_delta_matrix", lambda c: factored.append(c) or delta_matrix(c))
+    start = sphere_perturbation(rescale_to_norm(filiform(5)), np.random.default_rng(3))
+    trace = integrate_normalized_flow(start, 5.0)
+    assert trace.initial_bracket is start
+    report = detect_convergence(trace)
+    # the fields are computed on first read; filiform(5) has tr phi = 25/6
+    assert report.initial_bracket is start and report.predicted_r_limit == pytest.approx(6.0 / 5.0, rel=1e-12)
+    assert len(factored) == 1
 
 
 # ---------------------------------------------------------------------------
