@@ -255,7 +255,7 @@ def cmd_soliton(args) -> int:
         print(f"tail decay rate {report.decay_rate:.6g} (gap {report.rate_gap:.3g})")
     print(
         f"pre-Einstein r_limit = {report.predicted_r_limit:.9g} (residual {report.pre_einstein_residual:.1e})"
-        f"   limit in orbit: {report.limit_in_orbit}"
+        f"   limit in orbit: {'undecided' if report.limit_in_orbit is None else report.limit_in_orbit}"
     )
     if args.out:
         payload = report.to_dict()

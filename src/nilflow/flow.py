@@ -19,22 +19,18 @@ converges.  Each stored frame of a normalized run is rescaled once onto the
 sphere.  Traces are arrays read by batched kernels.  The step loop judges
 each stored frame, 32 at a time: cond(h) > 1/sqrt(eps), or a skew part of
 h.mu0 above 1e-8 of its norm (rounding damage), raises NumericalFailure at
-that frame, whatever t_max.  Every flow runs one adaptive integrator with
-three step kinds.  While the solution moves it takes explicit steps: the
-8th-order DOP853 step (Hairer's 8(5,3) pair) in a run without a step cap,
-and the Dormand-Prince 5(4) step (DP5) in a run with a finite max_step,
-whose cap sets the steps and where the 6-evaluation step is the cheaper
-one.  Once an accepted step's increment is below the tolerance (a settled
-normalized run, a stiff constant rate at its equilibrium, where an explicit
-step only crawls at its stability limit), or a DOP853 step meets Hairer's
-stiffness test, L-stable ROS2 steps follow with a forward-difference
-Jacobian built at the switch, until an increment reaches the tolerance
-again.  A run that keeps moving never switches.  A stop is a sample of the
-step's continuous extension, not a step end.  Every right side also takes a
-(B, N) stack of states and gives each lane the bits of its 1-D call, so the
-Jacobian's N forward differences are one call: the frame generator, which
-builds nearly every Jacobian, in batched kernels, the companion and metric
-right sides by one 1-D call per lane.
+that frame, whatever t_max.  Every flow runs one adaptive integrator
+(_integrate_adaptive): explicit steps while the solution moves, DOP853
+without a step cap and Dormand-Prince 5(4) (DP5) with one, and L-stable
+ROS2 steps once it settles or turns stiff.  The three step kinds differ
+only in their stages, their error estimates and the rows they add to one
+continuous extension, Hairer's dense output from the cubic Hermite rows,
+under one step-size rule.  A stop is a sample of that extension, not a step
+end.  Every right side also takes a (B, N) stack of states and gives each
+lane the bits of its 1-D call, so the Jacobian's N forward differences are
+one call: the frame generator, which builds nearly every Jacobian, in
+batched kernels, the companion and metric right sides by one 1-D call per
+lane.
 The module also integrates the ungauged companion frame h' = -(Ric + r I) h,
 a second run of a flow under one error state per run and the frame flow's
 cond(h) bound (its SVDs run only on a batch that the bound
@@ -90,9 +86,8 @@ from .exceptions import (
 from .soliton import pre_einstein_derivation
 
 # ---------------------------------------------------------------------------
-# Embedded Dormand-Prince 5(4) pair with a PI step-size controller, for runs
-# with a step cap; runs without one take DOP853 steps (coefficients in
-# _dop853) with an elementary controller.
+# The explicit steps: Dormand-Prince 5(4) (DP5) for runs with a step cap,
+# DOP853 (coefficients in _dop853) for runs without one.
 
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 # stage i reads row i of _DP_A; row 6 is also the 5th-order update (FSAL)
@@ -109,26 +104,21 @@ _DP_A = np.array([
 _DP_STAGES = [float(c) for c in _DP_C[1:]]
 # error weights: the 5th-order row minus the embedded 4th-order weights
 _DP_E = _DP_A[6] - np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
-# 4th-order continuous extension (Dormand & Prince 1980; Hairer, Norsett &
-# Wanner, Solving ODEs I, II.6): y(t + theta h) = y + h (_DP_P @ theta^[1..4]) K
-_DP_P = np.array([
-    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-    [0.0, 0.0, 0.0, 0.0],
-    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-    [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+# the weights d of the 4th row of DP5's continuous extension, the one row
+# past the cubic Hermite rows (Hairer's dopri5; Solving ODEs I, II.6)
+_DP_D = np.array([
+    -12715105075 / 11282082432, 0.0, 87487479700 / 32700410799, -10690763975 / 1880347072,
+    701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423,
 ])
 
 # times of DOP853's stages 1-11 as floats, built once: _dop853_step reads one per stage
 _DOP_STAGES = [float(c) for c in _dop853.C[1:12]]
 
+# every step sizes the next by h *= min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY err^-e)),
+# e = 1/2 (ROS2), 1/5 (DP5) or 1/8 (DOP853)
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
-_KI = 0.7 / 5  # PI controller exponents for a 5th-order pair
-_KP = 0.4 / 5
 
 # ROS2, the L-stable two-stage Rosenbrock-W method of Verwer, Spee, Blom &
 # Hundsdorfer (SIAM J. Sci. Comput. 20, 1999): second order for any Jacobian
@@ -152,8 +142,8 @@ class FlowOpts:
     run's open interval are ignored.  rtol, atol and max_step are real
     numbers > 0, rtol and atol finite, and none of them a bool.  A finite
     max_step also picks the integrator's explicit step: capped runs take
-    Dormand-Prince 5(4) steps, uncapped ones DOP853 steps (see
-    _integrate_adaptive)."""
+    Dormand-Prince 5(4) steps, uncapped ones DOP853 steps, under the same
+    step-size rule (see _integrate_adaptive)."""
 
     rtol: float = 1e-9
     atol: float = 1e-9
@@ -240,11 +230,6 @@ def _dp_step(f, t, y, h, K):
     return yi, (h * _DP_E).dot(K)
 
 
-def _dp_dense(y, h, K, theta):
-    """Continuous extension of the step (y, h, K) at t + theta h, 0 <= theta <= 1."""
-    return y + h * _DP_P.dot(theta ** np.arange(1, 5)).dot(K)
-
-
 def _dop853_step(f, t, y, h, K):
     """One DOP853 step from (t, y), K[0] = f(t, y): fills the stages K[1:12]
     of the (16, N) array K.  Returns (y_new, err, y_last): err is the (2, N)
@@ -257,26 +242,41 @@ def _dop853_step(f, t, y, h, K):
     return y + ha[12, :12].dot(K[:12]), (h * _dop853.E).dot(K[:12]), yi
 
 
+def _hermite_rows(y, y_new, h, f0, f1, extra=0):
+    """(3 + extra, N) rows for _dense: the cubic Hermite interpolant of (y,
+    f0) and (y_new, f1) over a step h, and `extra` rows for the caller."""
+    rows = np.empty((3 + extra, y.size))
+    rows[0] = y_new - y
+    rows[1] = h * f0 - rows[0]
+    rows[2] = 2.0 * rows[0] - h * (f0 + f1)
+    return rows
+
+
+def _dp_extension(y, y_new, h, K):
+    """The 4 rows of the 4th-order continuous extension of the DP5 step (y,
+    h, K) to y_new: the cubic Hermite rows and h _DP_D K, at no evaluation."""
+    rows = _hermite_rows(y, y_new, h, K[0], K[6], 1)
+    rows[3] = (h * _DP_D).dot(K)
+    return rows
+
+
 def _dop853_extension(f, t, y, y_new, h, K):
-    """The (7, N) rows F of the 7th-order continuous extension of the DOP853
-    step (y, h, K) to y_new, K[12] = f(t + h, y_new): 3 evaluations, into
-    the extension stages K[13:16]."""
+    """The 7 rows of the 7th-order continuous extension of the DOP853 step
+    (y, h, K) to y_new, K[12] = f(t + h, y_new): 3 evaluations, into the
+    extension stages K[13:16]."""
     ha = h * _dop853.A
     for i in range(13, 16):
         K[i] = f(t + _dop853.C[i] * h, y + ha[i, :i].dot(K[:i]))
-    F = np.empty((7, y.size))
-    F[0] = y_new - y
-    F[1] = h * K[0] - F[0]
-    F[2] = 2.0 * F[0] - h * (K[12] + K[0])
-    F[3:] = (h * _dop853.D).dot(K)
-    return F
+    rows = _hermite_rows(y, y_new, h, K[0], K[12], 4)
+    rows[3:] = (h * _dop853.D).dot(K)
+    return rows
 
 
-def _dop853_dense(y, F, theta):
-    """The continuous extension F of a DOP853 step from y at t + theta h,
-    0 <= theta <= 1: y + sum_k w_k F[k], w_k the product of the first k + 1
-    factors of theta, 1 - theta, theta, ..."""
-    return y + np.cumprod([theta, 1.0 - theta] * 3 + [theta]).dot(F)
+def _dense(y, rows, theta):
+    """The continuous extension `rows` of a step from y at t + theta h, 0 <=
+    theta <= 1 (Hairer's dense output): y + sum_k w_k rows[k], w_k the
+    product of the first k + 1 factors of theta, 1 - theta, theta, ..."""
+    return y + np.cumprod([theta, 1.0 - theta] * 3 + [theta])[: len(rows)].dot(rows)
 
 
 def _stiff(h, K, y_new, y_last):
@@ -318,14 +318,6 @@ def _ros2_step(f, t, y, h, f0, jac):
     return y + h * (1.5 * k1 + 0.5 * k2), (0.5 * h) * (k1 + k2)
 
 
-def _hermite(y, y_new, h, f0, f1, theta):
-    """Cubic Hermite interpolant of (y, f0) and (y_new, f1) over a step h at
-    t + theta h, 0 <= theta <= 1."""
-    return (1.0 - theta) * y + theta * y_new + (theta * (theta - 1.0)) * (
-        (1.0 - 2.0 * theta) * (y_new - y) + ((theta - 1.0) * h) * f0 + (theta * h) * f1
-    )
-
-
 def _thin(samples, steps, stride):
     """Keep the samples whose step index (0 for the start and the stops) is a
     multiple of stride."""
@@ -343,15 +335,16 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
     """Generic adaptive integrator with three step kinds.
 
     The explicit step is chosen once per run: DP5, the Dormand-Prince 5(4)
-    step with a PI controller, when opts.max_step is finite, and DOP853,
-    the 8th-order step of Hairer's dop853 (12 stages, f(t + h, y_new) a
-    13th evaluation on acceptance, Hairer's combined 5th/3rd-order error
-    estimate) with an elementary controller of exponent -1/8, when it is
-    infinite.  Explicit steps run until an accepted step's increment
-    y_new - y is below the tolerance in the error test's scaled RMS norm
-    (the solution has settled, and an explicit step could only crawl at its
-    stability limit) or, in a DOP853 run, until an accepted step meets
-    Hairer's stiffness test (_stiff: the step is stability-limited, as on a
+    step, when opts.max_step is finite, and DOP853, the 8th-order step of
+    Hairer's dop853 (12 stages, f(t + h, y_new) a 13th evaluation on
+    acceptance, Hairer's combined 5th/3rd-order error estimate), when it is
+    infinite.  Every step, accepted or rejected, sizes the next by one
+    elementary rule, h *= min(10, max(0.2, 0.9 err^-e)), with e = 1/2 for
+    ROS2, 1/5 for DP5 and 1/8 for DOP853.  Explicit steps run until an
+    accepted step's increment y_new - y is below the tolerance in the error
+    test's scaled RMS norm (the solution has settled, and an explicit step
+    could only crawl at its stability limit) or, in a DOP853 run, until an
+    accepted step meets Hairer's stiffness test (_stiff: the step is stability-limited, as on a
     stiff run that still moves).  The following steps are ROS2 steps with a
     forward-difference Jacobian built at the switch and kept, until a ROS2
     step's increment reaches the tolerance or its W is singular; then
@@ -365,14 +358,15 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
     doubles whenever the samples pass the cap again.  stats counts
     accepted/rejected steps, the accepted ROS2 steps among them, and
     evaluations; jac is the J of the final ROS2 stretch, None if the run
-    ended on explicit steps.  A stop is a sample of the continuous extension
-    of the step holding it: the 4th-order one of a DP5 step and the cubic
-    Hermite interpolant of (y, f(y), y_new, f(y_new)) of a ROS2 step, at no
-    extra evaluation, and the 7th-order one of a DOP853 step, whose 3 more
-    evaluations a step pays once, for its first stop; within rounding of a
-    step end a stop relabels that sample.  check(samples, i) judges the
-    samples stored since its last call, from i on: every _CHECK_EVERY
-    samples before any thinning, and at any run's end.  Raises ConfigError unless t_end is finite and >= t0, and
+    ended on explicit steps.  A stop is a sample _dense(y, rows, theta) of
+    the continuous extension of the step holding it, its rows built for the
+    step's first stop: the cubic Hermite rows of (y, f(y), y_new, f(y_new)),
+    alone for ROS2, with DP5's one row more at no evaluation either, or with
+    DOP853's four for its 7th order, whose 3 evaluations a step pays once;
+    within rounding of a step end a stop relabels that sample.
+    check(samples, i) judges the samples stored since its last call, from i
+    on: every _CHECK_EVERY samples before any thinning, and at any run's end.
+    Raises ConfigError unless t_end is finite and >= t0, and
     StepSizeUnderflow when the controller collapses or the step is nan;
     every NumericalFailure, one raised by f included, carries the samples
     accepted before it.
@@ -406,12 +400,12 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
     # a cap sets the steps, and there the 6-evaluation DP5 step is the cheaper one
     dop = opts.max_step == math.inf
     fsal = 12 if dop else 6  # the row of K that holds f(t + h, y_new)
+    explicit_e = 0.125 if dop else 0.2  # the step-size exponent of the explicit steps
     try:
         K = np.empty((16 if dop else 7, y.size))
         K[0] = f(t, y)
         h = _initial_step(f, t, y, K[0], t_end - t0, opts.rtol, opts.atol)
         stats["nfev"] += 2
-        err_prev = 1e-4
         jac = None  # the Jacobian of the ROS2 steps; None while explicit steps
 
         while t < t_end:
@@ -443,20 +437,18 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
                     stats["rosenbrock_steps"] += 1
                 t_new = t_end if h >= t_end - t else t + h
                 near = 1e-13 * max(1.0, abs(t_new))
-                extension = None  # of a DOP853 step, built for its first stop
+                rows = None  # the step's continuous extension, built for its first stop
                 while stops[-1] < t_new - near:
                     s = stops.pop()
-                    theta = (s - t) / h
-                    if jac is not None:
-                        at = _hermite(y, y_new, h, K[0], K[fsal], theta)
-                    elif not dop:
-                        at = _dp_dense(y, h, K, theta)
-                    else:
-                        if extension is None:
-                            extension = _dop853_extension(f, t, y, y_new, h, K)
+                    if rows is None:
+                        if jac is not None:
+                            rows = _hermite_rows(y, y_new, h, K[0], K[fsal])
+                        elif dop:
+                            rows = _dop853_extension(f, t, y, y_new, h, K)
                             stats["nfev"] += 3
-                        at = _dop853_dense(y, extension, theta)
-                    samples.append((s, at))
+                        else:
+                            rows = _dp_extension(y, y_new, h, K)
+                    samples.append((s, _dense(y, rows, (s - t) / h)))
                     steps.append(0)
                 at_stop = stops[-1] <= t_new + near
                 if at_stop:
@@ -477,14 +469,6 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
                         stride *= 2
                         samples, steps = _thin(samples, steps, stride)
                     judged = len(samples)
-                if jac is not None:
-                    factor = _SAFETY * (err + 1e-300) ** -0.5
-                elif dop:  # elementary, for the 8th-order step
-                    factor = _SAFETY * (err + 1e-300) ** -0.125
-                else:
-                    factor = _SAFETY * (err + 1e-300) ** (-_KI) * err_prev**_KP
-                err_prev = max(err, 1e-4)
-                h = h * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
                 if switch:
                     jac = _jacobian(f, t, y, K[0])
                     stats["nfev"] += y.size
@@ -492,7 +476,8 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
                     jac = None
             else:
                 stats["rejected"] += 1
-                h = h * max(_MIN_FACTOR, _SAFETY * err ** (-0.5 if jac is not None else -0.125 if dop else -0.2))
+            e = 0.5 if ros is not None else explicit_e  # on a rejection err > 1: the ceiling cannot bind
+            h *= min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * (err + 1e-300) ** -e))
     except NumericalFailure as exc:
         if exc.trace is None:  # not raised by check
             exc.trace = samples

@@ -76,30 +76,38 @@ def soliton_residual(b: Bracket, tol: float = 1e-8) -> SolitonCertificate:
 
 
 def pre_einstein_derivation(b: Bracket):
-    """(phi, tr phi, residual): Nikolayevsky's pre-Einstein derivation phi of
-    mu, the derivation with tr(phi psi) = tr psi for every psi in Der(mu)
-    (Trans. AMS 363, 2011).
+    """(phi, tr phi, residual, gap): Nikolayevsky's pre-Einstein derivation
+    phi of mu, the derivation with tr(phi psi) = tr psi for every psi in
+    Der(mu) (Trans. AMS 363, 2011).
 
     In the basis B_a of derivation_basis(b), phi = sum_a x_a B_a with
-    G x = t, G_ab = tr(B_a B_b) and t_a = tr B_a; x is lstsq's.  G may be
-    singular, but each nu in its kernel has tr nu = tr(nu phi) = 0, so
-    tr phi = t . x is the same for every solution; residual = ||G x - t||
-    says how well the system was solved.  Where the orbit of mu holds a
-    nilsoliton, the normalized flow on ||mu|| = 2 reaches tr(Ric^2) =
-    1 / (n - tr phi).
+    G x = t, G_ab = tr(B_a B_b) and t_a = tr B_a.  G may be singular, but
+    each nu in its kernel has tr nu = tr(nu phi) = 0, so tr phi = t . x is
+    the same for every solution; x is the least-norm one over the singular
+    values of G above sqrt(eps) max(1, ||G||).  The basis is orthonormal, so
+    G is O(1) on every start and the cutoff is absolute: where every
+    derivation is nilpotent (Dixmier-Lister's algebra) G is rounding noise,
+    nothing is kept, and phi = 0, tr phi = 0.0.  gap, the smallest kept over
+    the largest dropped singular value (the cutoff standing in for an empty
+    side, inf for an empty G), is the decision's margin; residual = ||G x -
+    t||.  Where the orbit of mu holds a nilsoliton, the normalized flow on
+    ||mu|| = 2 reaches tr(Ric^2) = 1 / (n - tr phi).
     """
     basis = b._derivations  # the (k, n, n) stack of derivation_basis(b)
     gram = np.einsum("aij,bji->ab", basis, basis)
     t = np.einsum("aii->a", basis)
-    x = np.linalg.lstsq(gram, t)[0]
-    phi = np.tensordot(x, basis, axes=1)
-    return phi, float(t @ x), float(np.linalg.norm(gram @ x - t))
+    u, s, vt = np.linalg.svd(gram)
+    cutoff = math.sqrt(np.finfo(float).eps) * s.max(initial=1.0)
+    k = int(np.sum(s > cutoff))  # s falls
+    x = vt[:k].T.dot(u[:, :k].T.dot(t) / s[:k])
+    above, below = (s[k - 1] if k else cutoff), (s[k] if k < s.size else cutoff)
+    gap = float(above / below) if s.size and below > 0.0 else math.inf
+    return np.tensordot(x, basis, axes=1), float(t.dot(x)), float(np.linalg.norm(gram.dot(x) - t)), gap
 
 
-# relative distance of r_limit from 1 / (n - tr phi) up to which the limit is
-# the soliton of the start's orbit: on the benchmark's soliton starts it is at
-# most 4.6e-14, and DL8 in its own basis, whose orbit holds no soliton, reads
-# 0.682 against 1/8 at T = 27
+# relative distance of r_limit from 1 / (n - tr phi) up to which a certified
+# limit is the soliton of the start's orbit: on the benchmark's soliton starts
+# it is at most 4.6e-14
 _IN_ORBIT_RTOL = 1e-9
 
 
@@ -112,7 +120,8 @@ class ConvergenceReport:
     pre_einstein_residual, the residual of phi's system (see
     pre_einstein_derivation), and limit_in_orbit, whether r_limit is within
     1e-9 of the prediction, relative, as it is where the start's orbit holds
-    a nilsoliton."""
+    a nilsoliton; None, undecided, unless the soliton certificate holds, as a
+    run that has not converged says nothing about its limit."""
 
     converged: bool
     reason: str
@@ -124,7 +133,7 @@ class ConvergenceReport:
 
     @cached_property
     def _pre_einstein(self):
-        _, tr_phi, residual = pre_einstein_derivation(self.initial_bracket)
+        _, tr_phi, residual, _ = pre_einstein_derivation(self.initial_bracket)
         return 1.0 / (self.initial_bracket.n - tr_phi), residual
 
     @property
@@ -136,7 +145,9 @@ class ConvergenceReport:
         return self._pre_einstein[1]
 
     @property
-    def limit_in_orbit(self) -> bool:
+    def limit_in_orbit(self) -> bool | None:
+        if not self.converged:
+            return None
         return abs(self.r_limit - self.predicted_r_limit) <= _IN_ORBIT_RTOL * self.predicted_r_limit
 
     def to_dict(self) -> dict:

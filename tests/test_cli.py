@@ -540,6 +540,19 @@ def test_soliton_not_converged_exits_1(capsys):
     assert "converged: False" in capsys.readouterr().out
 
 
+def test_an_unconverged_run_leaves_the_orbit_undecided(tmp_path, capsys):
+    # a limit_in_orbit verdict needs a certified limit: None, printed
+    # "undecided" and written null, before
+    out = tmp_path / "soliton.json"
+    assert main(["soliton", "random2step:n=5,seed=1", "--rescale", "2", "--t-max", "0.2", "--out", str(out)]) == 1
+    assert "limit in orbit: undecided" in capsys.readouterr().out
+    assert json.loads(out.read_text())["limit_in_orbit"] is None
+    sweep = tmp_path / "sweep.json"
+    main(["sweep", "--kind", "normalized", "--n", "5", "--count", "2", "--t-max", "0.2", "--out", str(sweep)])
+    records = json.loads(sweep.read_text())["cases"]
+    assert [(rec["converged"], rec["limit_in_orbit"]) for rec in records] == [(False, None)] * 2
+
+
 CONE_EXIT = "descending central series stabilizes at a nonzero subspace"
 
 

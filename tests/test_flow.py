@@ -251,6 +251,19 @@ def _reference_dp_step(f, t, y, h):
     return y_new, err
 
 
+# DP5's continuous extension in the form the integrator once evaluated:
+# y(t + theta h) = y + h (P theta^[1..4]) K (Dormand & Prince 1980)
+_DP_P_FORM = np.array([
+    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
+    [0.0, 0.0, 0.0, 0.0],
+    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
+    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
+    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
+    [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
+    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
+])
+
+
 def test_stage_array_step_matches_per_stage_sums():
     # only the summation order changed, so a step agrees to rounding
     def f(t, y):
@@ -268,9 +281,16 @@ def test_stage_array_step_matches_per_stage_sums():
     assert np.all(np.abs(err - ref_err) <= 1e-14 * scale)
     assert np.abs(err).max() > 0.0
     np.testing.assert_allclose(K[6], f(t + h, y_new), rtol=1e-14)
-    # the continuous extension starts at y and ends at y_new
-    np.testing.assert_allclose(flow._dp_dense(y, h, K, 0.0), y, rtol=1e-14, atol=0.0)
-    np.testing.assert_allclose(flow._dp_dense(y, h, K, 1.0), y_new, rtol=1e-14, atol=0.0)
+    # the continuous extension starts at y and ends at y_new; its Hermite
+    # rows and the row of Hairer's d weights write the P form's quartic in
+    # another basis, whose theta^4 column is d
+    rows = flow._dp_extension(y, y_new, h, K)
+    np.testing.assert_allclose(flow._dense(y, rows, 0.0), y, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(flow._dense(y, rows, 1.0), y_new, rtol=1e-14, atol=0.0)
+    assert np.array_equal(flow._DP_D, _DP_P_FORM[:, 3])
+    for theta in (0.3, 0.5, 0.77):
+        ref = y + h * (_DP_P_FORM @ theta ** np.arange(1, 5)) @ K
+        np.testing.assert_allclose(flow._dense(y, rows, theta), ref, rtol=1e-14, atol=0.0)
 
 
 def _matmul_dp_step(f, t, y, h, K):
@@ -295,12 +315,51 @@ def test_step_loop_products_are_bitwise_their_matmul_forms(size):
         y_new, err = flow._dp_step(f, t, y, h, K)
         ref_y, ref_err = _matmul_dp_step(f, t, y, h, ref_K)
         assert np.array_equal(y_new, ref_y) and np.array_equal(err, ref_err) and np.array_equal(K, ref_K)
+        rows = flow._dp_extension(y, y_new, h, K)
+        assert np.array_equal(rows[3], (h * flow._DP_D) @ K)
         for theta in (0.0, 0.3, 0.77, 1.0):
-            ref = y + h * ((flow._DP_P @ theta ** np.arange(1, 5)) @ K)
-            assert np.array_equal(flow._dp_dense(y, h, K, theta), ref)
+            ref = y + np.cumprod([theta, 1.0 - theta, theta, 1.0 - theta]) @ rows
+            assert np.array_equal(flow._dense(y, rows, theta), ref)
         q = np.maximum(np.abs(y), np.abs(y_new)) * 1e-9 + 1e-9
         q = err / q
         assert flow._error_norm(err, y, y_new, 1e-9, 1e-9)[0] == math.sqrt(np.vecdot(q, q) / q.size)
+
+
+@pytest.mark.parametrize(("kind", "degree"), [("ros2", 3), ("dp5", 4), ("dop853", 7)])
+def test_each_step_kinds_extension_reproduces_polynomials_of_its_degree(kind, degree):
+    # every continuous extension is the 3 cubic Hermite rows plus 0, 1 or 4
+    # rows of its own: on y' = p t^(p - 1) w it reproduces y = t^p w for p up
+    # to its degree, to rounding (DOP853's weights reach 5e2, so more of it),
+    # and misses p = degree + 1
+    w = np.array([1.0, -2.0, 0.5])
+    t, h = 0.5, 1.0
+    for p in (degree, degree + 1):
+        def f(s, y, p=p):
+            return p * s ** (p - 1) * w
+
+        y = t**p * w
+        if kind == "ros2":  # the Hermite rows alone, fed exact endpoint data
+            rows = flow._hermite_rows(y, (t + h) ** p * w, h, f(t, y), f(t + h, None))
+        elif kind == "dp5":
+            K = np.empty((7, w.size))
+            K[0] = f(t, y)
+            y_new, _ = flow._dp_step(f, t, y, h, K)
+            rows = flow._dp_extension(y, y_new, h, K)
+        else:
+            K = np.empty((16, w.size))
+            K[0] = f(t, y)
+            y_new, _, _ = flow._dop853_step(f, t, y, h, K)
+            K[12] = f(t + h, y_new)
+            rows = flow._dop853_extension(f, t, y, y_new, h, K)
+        assert len(rows) == {"ros2": 3, "dp5": 4, "dop853": 7}[kind]
+        err = max(
+            np.abs(flow._dense(y, rows, theta) - (t + theta * h) ** p * w).max() / (t + theta * h) ** p
+            for theta in np.linspace(0.0, 1.0, 11)
+        )
+        if p == degree:
+            assert err < (1e-13 if kind == "dop853" else 1e-14)
+        else:
+            assert err > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -337,11 +396,11 @@ def test_dop853_observed_orders():
         y_new, _, _ = flow._dop853_step(f, t, y, h, K)
         K[12] = f(t + h, y_new)
         ext = flow._dop853_extension(f, t, y, y_new, h, K)
-        mid = flow._dop853_dense(y, ext, 0.5)
+        mid = flow._dense(y, ext, 0.5)
         errors.append((np.abs(y_new - exact(t + h)).max(), np.abs(mid - exact(t + 0.5 * h)).max()))
         # the extension starts at y and ends at y_new
-        np.testing.assert_allclose(flow._dop853_dense(y, ext, 0.0), y, rtol=1e-14, atol=0.0)
-        np.testing.assert_allclose(flow._dop853_dense(y, ext, 1.0), y_new, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(flow._dense(y, ext, 0.0), y, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(flow._dense(y, ext, 1.0), y_new, rtol=1e-14, atol=0.0)
     step, dense = np.log2(np.divide(*errors)) - 1.0
     assert abs(step - 8.0) < 0.5 and abs(dense - 7.0) < 0.5
 
@@ -394,7 +453,7 @@ def test_dop853_stage_array_step_matches_per_stage_sums():
     ext = flow._dop853_extension(f, t, y, y_new, h, K)
     np.testing.assert_allclose(K[13:], ref_k[13:], rtol=1e-13, atol=1e-15)
     for theta in (0.0, 0.3, 0.77, 1.0):
-        np.testing.assert_allclose(flow._dop853_dense(y, ext, theta), sample(theta), rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(flow._dense(y, ext, theta), sample(theta), rtol=1e-13, atol=1e-15)
 
 
 @pytest.mark.parametrize("max_step", [math.inf, 0.05, 1e300])
@@ -525,7 +584,7 @@ def test_a_stop_inside_a_ros2_step_is_its_hermite_sample(monkeypatch):
     (t_stop, y_stop), = [(t, y) for t, y in samples if t not in times]
     assert t_stop == s
     # tb - ta is the step h to rounding
-    hermite = flow._hermite(ya, yb, tb - ta, rhs(ta, ya), rhs(tb, yb), 0.3)
+    hermite = flow._dense(ya, flow._hermite_rows(ya, yb, tb - ta, rhs(ta, ya), rhs(tb, yb)), 0.3)
     np.testing.assert_allclose(y_stop, hermite, rtol=0.0, atol=1e-14 * np.abs(yb).max())
     # a stop within rounding of a ROS2 step's end relabels that step's sample
     near = tb * (1.0 + 1e-14)
@@ -1235,15 +1294,17 @@ def test_cointegrated_frame_pulls_the_bracket(normalized, max_step, cap, heis_sp
 
 @pytest.mark.parametrize("normalized", [False, True])
 def test_cointegrated_frame_solves_its_equation(normalized):
-    # h' = -(Ric + r I) h by central differences; a normalized trace needs the
-    # normalized generator here too, or the repelling sphere shows by t = 10
+    # h' = -(Ric + r I) h by the three-point difference that is second order
+    # on uneven spacing; a normalized trace needs the normalized generator
+    # here too, or the repelling sphere shows by t = 10
     b0 = sphere_perturbation(rescale_to_norm(filiform(4)), _rng(1))
     flow = integrate_normalized_flow if normalized else integrate_bracket_flow
     trace = flow(b0, 10.0, FlowOpts(max_step=0.02))
     hs = cointegrate_h(trace)
     t = trace.times
     for i in range(1, len(trace) - 1):
-        dh = (hs[i + 1] - hs[i - 1]) / (t[i + 1] - t[i - 1])
+        a, b = t[i] - t[i - 1], t[i + 1] - t[i]
+        dh = (a * a * (hs[i + 1] - hs[i]) + b * b * (hs[i] - hs[i - 1])) / (a * b * (a + b))
         ric = ricci_operator(trace.brackets[i])
         rhs = -(ric + trace.r_values[i] * np.eye(4)) @ hs[i]
         assert np.linalg.norm(dh - rhs) / np.linalg.norm(rhs) < 1e-2
