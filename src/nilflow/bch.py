@@ -155,10 +155,13 @@ class MetricField:
         return (np.prod(x**exps, axis=1) @ mats).reshape(self.n, self.n)
 
     def derivative(self, beta) -> "MetricField":
-        """Partial derivative field d^beta g (coefficient-exact)."""
-        beta = tuple(int(v) for v in beta)
-        if len(beta) != self.n or any(v < 0 for v in beta):
+        """Partial derivative field d^beta g (coefficient-exact).  beta holds n
+        integer orders >= 0; a bool or a fraction, which int() would truncate,
+        raises DimensionMismatch like any other bad multi-index."""
+        beta = tuple(beta)
+        if len(beta) != self.n or any(_is_bool(v) or not (isinstance(v, numbers.Integral) and v >= 0) for v in beta):
             raise DimensionMismatch(f"bad derivative multi-index {beta}")
+        beta = tuple(map(int, beta))
         exps, mats = self._table
         keep = np.all(exps >= beta, axis=1)
         coeffs = {}

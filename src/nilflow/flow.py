@@ -20,17 +20,18 @@ sphere.  Traces are arrays read by batched kernels.  The step loop judges
 each stored frame, 32 at a time: cond(h) > 1/sqrt(eps), or a skew part of
 h.mu0 above 1e-8 of its norm (rounding damage), raises NumericalFailure at
 that frame, whatever t_max.  Every flow runs one adaptive integrator
-(_integrate_adaptive): explicit steps while the solution moves, DOP853
-without a step cap and Dormand-Prince 5(4) (DP5) with one, and L-stable
-ROS2 steps once it settles or turns stiff.  The three step kinds differ
-only in their stages, their error estimates and the rows they add to one
-continuous extension, Hairer's dense output from the cubic Hermite rows,
-under one step-size rule.  A stop is a sample of that extension, not a step
-end.  Every right side also takes a (B, N) stack of states and gives each
-lane the bits of its 1-D call, so the Jacobian's N forward differences are
-one call: the frame generator, which builds nearly every Jacobian, in
-batched kernels, the companion and metric right sides by one 1-D call per
-lane.
+(_integrate_adaptive): explicit Runge-Kutta steps while the solution moves,
+and L-stable ROS2 steps once it settles or turns stiff.  The explicit step
+is one function, _rk_step, and its continuous extension one, _rk_extension,
+each reading a coefficient record (_Pair): DOP853 without a step cap,
+Dormand-Prince 5(4) (DP5) with one.  The step kinds differ only in their
+stages, their error estimates and the rows they add to one continuous
+extension, Hairer's dense output from the cubic Hermite rows, under one
+step-size rule.  A stop is a sample of that extension, not a step end.
+Every right side also takes a (B, N) stack of states and gives each lane
+the bits of its 1-D call, so the Jacobian's N forward differences are one
+call: the frame generator, which builds nearly every Jacobian, in batched
+kernels, the companion and metric right sides by one 1-D call per lane.
 The module also integrates the ungauged companion frame h' = -(Ric + r I) h,
 a second run of a flow under one error state per run and the frame flow's
 cond(h) bound (its SVDs run only on a batch that the bound
@@ -55,6 +56,7 @@ import csv
 import json
 import math
 import numbers
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 
@@ -100,19 +102,14 @@ _DP_A = np.array([
     [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
     [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
 ])
-# times of stages 1-6 as floats, built once: _dp_step reads one per stage
-_DP_STAGES = [float(c) for c in _DP_C[1:]]
 # error weights: the 5th-order row minus the embedded 4th-order weights
 _DP_E = _DP_A[6] - np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
 # the weights d of the 4th row of DP5's continuous extension, the one row
 # past the cubic Hermite rows (Hairer's dopri5; Solving ODEs I, II.6)
-_DP_D = np.array([
+_DP_D = np.array([[
     -12715105075 / 11282082432, 0.0, 87487479700 / 32700410799, -10690763975 / 1880347072,
     701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423,
-])
-
-# times of DOP853's stages 1-11 as floats, built once: _dop853_step reads one per stage
-_DOP_STAGES = [float(c) for c in _dop853.C[1:12]]
+]])
 
 # every step sizes the next by h *= min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY err^-e)),
 # e = 1/2 (ROS2), 1/5 (DP5) or 1/8 (DOP853)
@@ -141,9 +138,9 @@ class FlowOpts:
     stop must be a finite real number (else ConfigError); stops outside the
     run's open interval are ignored.  rtol, atol and max_step are real
     numbers > 0, rtol and atol finite, and none of them a bool.  A finite
-    max_step also picks the integrator's explicit step: capped runs take
-    Dormand-Prince 5(4) steps, uncapped ones DOP853 steps, under the same
-    step-size rule (see _integrate_adaptive)."""
+    max_step also picks the coefficient record of the integrator's one
+    explicit step: capped runs take Dormand-Prince 5(4) steps, uncapped ones
+    DOP853 steps, under the same step-size rule (see _integrate_adaptive)."""
 
     rtol: float = 1e-9
     atol: float = 1e-9
@@ -204,6 +201,16 @@ def _dop853_error_norm(err, y_old, y_new, rtol, atol):
     return norm, _rms(y_new - y_old, scale)
 
 
+# An explicit pair as data for _rk_step and _rk_extension: stage i sits at
+# t + c[i] h and reads row i of a; a step evaluates stages 1..stages, which
+# the error rows e weigh; K[fsal] = f(t + h, y_new); the stages past fsal and
+# the rows d serve the continuous extension alone.  error_norm reads e's
+# output, exponent is e of the step-size rule, and stiff runs _stiff.
+_Pair = namedtuple("_Pair", "c a e d stages fsal exponent error_norm stiff")
+_DP5 = _Pair(tuple(_DP_C.tolist()), _DP_A, _DP_E, _DP_D, 6, 6, 1 / 5, _error_norm, False)
+_DOP853 = _Pair(tuple(_dop853.C.tolist()), _dop853.A, _dop853.E, _dop853.D, 11, 12, 1 / 8, _dop853_error_norm, True)
+
+
 def _initial_step(f, t0, y0, f0, span, rtol, atol):
     scale = atol + rtol * np.abs(y0)
     # a derivative past the float range reads as infinitely fast: d1 = inf
@@ -220,26 +227,20 @@ def _initial_step(f, t0, y0, f0, span, rtol, atol):
     return min(100 * h0, h1, span)
 
 
-def _dp_step(f, t, y, h, K):
-    """One Dormand-Prince step from (t, y), K[0] = f(t, y): fills the stages
-    K[1:] of the (7, N) array K (K[6] = f(t + h, y_new)); returns (y_new, err_vec)."""
-    ha = h * _DP_A
-    for i, c in enumerate(_DP_STAGES, 1):
+def _rk_step(f, t, y, h, K, pair):
+    """One step of the explicit pair from (t, y), K[0] = f(t, y): fills the
+    stages K[1 : pair.stages + 1].  Returns (y_new, err, y_last): err is
+    pair.e applied to those stages, y_last the state of the last of them.
+    A pair whose FSAL stage is among them (DP5) takes y_new as that stage's
+    state; the others form it from the FSAL row of pair.a, and their caller
+    evaluates K[pair.fsal] = f(t + h, y_new) on acceptance."""
+    ha = h * pair.a
+    for i, c in enumerate(pair.c[1 : pair.stages + 1], 1):
         yi = y + ha[i, :i].dot(K[:i])
         K[i] = f(t + c * h, yi)
-    return yi, (h * _DP_E).dot(K)
-
-
-def _dop853_step(f, t, y, h, K):
-    """One DOP853 step from (t, y), K[0] = f(t, y): fills the stages K[1:12]
-    of the (16, N) array K.  Returns (y_new, err, y_last): err is the (2, N)
-    stack of the 5th- and 3rd-order error vectors, y_last the state of the
-    last stage K[11], which sits at t + h as f(t + h, y_new) does."""
-    ha = h * _dop853.A
-    for i, c in enumerate(_DOP_STAGES, 1):
-        yi = y + ha[i, :i].dot(K[:i])
-        K[i] = f(t + c * h, yi)
-    return y + ha[12, :12].dot(K[:12]), (h * _dop853.E).dot(K[:12]), yi
+    fsal = pair.fsal
+    y_new = yi if fsal <= pair.stages else y + ha[fsal, :fsal].dot(K[:fsal])
+    return y_new, (h * pair.e).dot(K[: pair.stages + 1]), yi
 
 
 def _hermite_rows(y, y_new, h, f0, f1, extra=0):
@@ -252,23 +253,16 @@ def _hermite_rows(y, y_new, h, f0, f1, extra=0):
     return rows
 
 
-def _dp_extension(y, y_new, h, K):
-    """The 4 rows of the 4th-order continuous extension of the DP5 step (y,
-    h, K) to y_new: the cubic Hermite rows and h _DP_D K, at no evaluation."""
-    rows = _hermite_rows(y, y_new, h, K[0], K[6], 1)
-    rows[3] = (h * _DP_D).dot(K)
-    return rows
-
-
-def _dop853_extension(f, t, y, y_new, h, K):
-    """The 7 rows of the 7th-order continuous extension of the DOP853 step
-    (y, h, K) to y_new, K[12] = f(t + h, y_new): 3 evaluations, into the
-    extension stages K[13:16]."""
-    ha = h * _dop853.A
-    for i in range(13, 16):
-        K[i] = f(t + _dop853.C[i] * h, y + ha[i, :i].dot(K[:i]))
-    rows = _hermite_rows(y, y_new, h, K[0], K[12], 4)
-    rows[3:] = (h * _dop853.D).dot(K)
+def _rk_extension(f, t, y, y_new, h, K, pair):
+    """The rows of the continuous extension of the step (y, h, K) of the
+    explicit pair to y_new, K[pair.fsal] = f(t + h, y_new): the cubic Hermite
+    rows and h pair.d K, after evaluating the extension stages past the FSAL
+    row (none for DP5's 4th order, 3 for DOP853's 7th)."""
+    ha = h * pair.a
+    for i in range(pair.fsal + 1, len(K)):
+        K[i] = f(t + pair.c[i] * h, y + ha[i, :i].dot(K[:i]))
+    rows = _hermite_rows(y, y_new, h, K[0], K[pair.fsal], len(pair.d))
+    rows[3:] = (h * pair.d).dot(K)
     return rows
 
 
@@ -279,12 +273,12 @@ def _dense(y, rows, theta):
     return y + np.cumprod([theta, 1.0 - theta] * 3 + [theta])[: len(rows)].dot(rows)
 
 
-def _stiff(h, K, y_new, y_last):
+def _stiff(h, K, y_new, y_last, pair):
     """Hairer's stiffness test of an accepted DOP853 step, K[12] = f(t + h,
-    y_new) and K[11] = f(t + h, y_last): h ||K[12] - K[11]|| / ||y_new - y_last||
-    estimates |h lambda|, and past 6.1 the step sits at the edge of the
-    method's stability region."""
-    df, dy = K[12] - K[11], y_new - y_last
+    y_new) and K[11] = f(t + h, y_last), the FSAL row and the step's last
+    stage: h ||K[12] - K[11]|| / ||y_new - y_last|| estimates |h lambda|, and
+    past 6.1 the step sits at the edge of the method's stability region."""
+    df, dy = K[pair.fsal] - K[pair.stages], y_new - y_last
     return h * math.sqrt(df.dot(df)) > 6.1 * math.sqrt(dy.dot(dy))
 
 
@@ -334,18 +328,20 @@ def _check_end(t0, t_end):
 def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
     """Generic adaptive integrator with three step kinds.
 
-    The explicit step is chosen once per run: DP5, the Dormand-Prince 5(4)
-    step, when opts.max_step is finite, and DOP853, the 8th-order step of
+    The explicit steps are _rk_step of one coefficient record, picked once
+    per run and only read after that: _DP5, the Dormand-Prince 5(4) pair,
+    when opts.max_step is finite, and _DOP853, the 8th-order pair of
     Hairer's dop853 (12 stages, f(t + h, y_new) a 13th evaluation on
     acceptance, Hairer's combined 5th/3rd-order error estimate), when it is
     infinite.  Every step, accepted or rejected, sizes the next by one
     elementary rule, h *= min(10, max(0.2, 0.9 err^-e)), with e = 1/2 for
-    ROS2, 1/5 for DP5 and 1/8 for DOP853.  Explicit steps run until an
-    accepted step's increment y_new - y is below the tolerance in the error
-    test's scaled RMS norm (the solution has settled, and an explicit step
-    could only crawl at its stability limit) or, in a DOP853 run, until an
-    accepted step meets Hairer's stiffness test (_stiff: the step is stability-limited, as on a
-    stiff run that still moves).  The following steps are ROS2 steps with a
+    ROS2 and the record's 1/5 (DP5) or 1/8 (DOP853).  Explicit steps run
+    until an accepted step's increment y_new - y is below the tolerance in
+    the error test's scaled RMS norm (the solution has settled, and an
+    explicit step could only crawl at its stability limit) or, where the
+    record runs it (DOP853), until an accepted step meets Hairer's stiffness
+    test (_stiff: the step is stability-limited, as on a stiff run that
+    still moves).  The following steps are ROS2 steps with a
     forward-difference Jacobian built at the switch and kept, until a ROS2
     step's increment reaches the tolerance or its W is singular; then
     explicit steps again, from K[0] = f(y).  Runs that move by more than the
@@ -361,9 +357,10 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
     ended on explicit steps.  A stop is a sample _dense(y, rows, theta) of
     the continuous extension of the step holding it, its rows built for the
     step's first stop: the cubic Hermite rows of (y, f(y), y_new, f(y_new)),
-    alone for ROS2, with DP5's one row more at no evaluation either, or with
-    DOP853's four for its 7th order, whose 3 evaluations a step pays once;
-    within rounding of a step end a stop relabels that sample.
+    alone for ROS2, and for an explicit step with the record's rows d
+    (_rk_extension): DP5's one row more at no evaluation either, or DOP853's
+    four for its 7th order, whose 3 evaluations a step pays once; within
+    rounding of a step end a stop relabels that sample.
     check(samples, i) judges the samples stored since its last call, from i
     on: every _CHECK_EVERY samples before any thinning, and at any run's end.
     Raises ConfigError unless t_end is finite and >= t0, and
@@ -398,11 +395,10 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
         return samples, stats, None
 
     # a cap sets the steps, and there the 6-evaluation DP5 step is the cheaper one
-    dop = opts.max_step == math.inf
-    fsal = 12 if dop else 6  # the row of K that holds f(t + h, y_new)
-    explicit_e = 0.125 if dop else 0.2  # the step-size exponent of the explicit steps
+    pair = _DOP853 if opts.max_step == math.inf else _DP5
+    fsal = pair.fsal  # the row of K that holds f(t + h, y_new)
     try:
-        K = np.empty((16 if dop else 7, y.size))
+        K = np.empty((len(pair.c), y.size))
         K[0] = f(t, y)
         h = _initial_step(f, t, y, K[0], t_end - t0, opts.rtol, opts.atol)
         stats["nfev"] += 2
@@ -417,20 +413,16 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
             ros = None if jac is None else _ros2_step(f, t, y, h, K[0], jac)
             if ros is None:
                 jac = None  # a singular W hands the step back to the explicit steps
-                if dop:
-                    y_new, err_vec, y_last = _dop853_step(f, t, y, h, K)
-                    stats["nfev"] += 11
-                else:
-                    y_new, err_vec = _dp_step(f, t, y, h, K)
-                    stats["nfev"] += 6
+                y_new, err_vec, y_last = _rk_step(f, t, y, h, K, pair)
+                stats["nfev"] += pair.stages
             else:
                 y_new, err_vec = ros
                 stats["nfev"] += 1
-            error_norm = _dop853_error_norm if dop and jac is None else _error_norm
+            error_norm = _error_norm if jac is not None else pair.error_norm
             err, increment = error_norm(err_vec, y, y_new, opts.rtol, opts.atol)
 
             if err <= 1.0:
-                if jac is not None or dop:
+                if jac is not None or fsal > pair.stages:
                     K[fsal] = f(t + h, y_new)
                     stats["nfev"] += 1
                 if jac is not None:
@@ -443,18 +435,18 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
                     if rows is None:
                         if jac is not None:
                             rows = _hermite_rows(y, y_new, h, K[0], K[fsal])
-                        elif dop:
-                            rows = _dop853_extension(f, t, y, y_new, h, K)
-                            stats["nfev"] += 3
                         else:
-                            rows = _dp_extension(y, y_new, h, K)
+                            rows = _rk_extension(f, t, y, y_new, h, K, pair)
+                            stats["nfev"] += len(K) - fsal - 1
                     samples.append((s, _dense(y, rows, (s - t) / h)))
                     steps.append(0)
                 at_stop = stops[-1] <= t_new + near
                 if at_stop:
                     t_new = stops.pop()
                 # the tests read this step's h and stages, so they run before h changes
-                switch = jac is None and t_new < t_end and (increment < 1.0 or dop and _stiff(h, K, y_new, y_last))
+                switch = jac is None and t_new < t_end and (
+                    increment < 1.0 or pair.stiff and _stiff(h, K, y_new, y_last, pair)
+                )
                 t, y, K[0] = t_new, y_new, K[fsal]
                 stats["accepted"] += 1
                 step = 0 if at_stop else stats["accepted"]
@@ -476,7 +468,7 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
                     jac = None
             else:
                 stats["rejected"] += 1
-            e = 0.5 if ros is not None else explicit_e  # on a rejection err > 1: the ceiling cannot bind
+            e = 0.5 if ros is not None else pair.exponent  # on a rejection err > 1: the ceiling cannot bind
             h *= min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * (err + 1e-300) ** -e))
     except NumericalFailure as exc:
         if exc.trace is None:  # not raised by check
@@ -890,12 +882,17 @@ class InnerProductTrace(_Samples):
 def innerproduct_scal(b0: Bracket, g: np.ndarray):
     """Scalar curvature of the metric G paired with the fixed bracket b0; a
     stack of metrics (leading axes of G) gives an array of values.  A metric
-    that is not positive definite, or has a non-finite entry, raises
+    that is not positive definite, has a non-finite entry, or is not
+    symmetric to rounding (|G - G^T| above n eps |G| in the max norm) raises
     SingularMatrix."""
     g = _as_array(g, np.shape(g)[:-2] + (b0.n, b0.n), "metric")
     # the Cholesky factorization passes nan entries through
     if not np.isfinite(g).all():
         raise SingularMatrix("metric has a non-finite entry")
+    # and reads the lower triangle alone
+    asym = np.abs(g - g.mT).max(axis=(-2, -1))
+    if np.any(asym > b0.n * np.finfo(float).eps * np.abs(g).max(axis=(-2, -1))):
+        raise SingularMatrix("metric is not symmetric")
     # (G, mu_0) is isometric to (I, (L^T).mu_0) for G = L L^T
     try:
         h = np.linalg.cholesky(g).mT
@@ -1027,23 +1024,26 @@ def _interior_derivative(times, values):
 def verify_flow_identities(trace: FlowTrace, tolerance: float = 1e-4) -> IdentityReport:
     """Check the exact first-order identities of the unnormalized flow by
     differentiating the stored diagnostics; requires a dense enough trace.
-    A trace with a nonzero rate anywhere, or a tolerance that is not finite
-    and > 0, raises ConfigError."""
+    Each relative error divides by its rate, floored at 1e-12 of that rate's
+    largest sample, so a bracket's small multiples are checked as strictly as
+    the bracket.  A trace with a nonzero rate anywhere, or a tolerance that is
+    not finite and > 0, raises ConfigError."""
     _check_tol(tolerance, "tolerance")
     if np.any(trace.r_values):
         raise ConfigError("flow identities hold for the unnormalized flow (r = 0) only")
     if len(trace) < 3:
         raise TooFewSamples(f"need at least 3 samples, trace has {len(trace)}")
     t = trace.times
-    f_mid = trace.tr_ric2[1:-1]
-    g2_mid = trace.grad_norm[1:-1] ** 2
-    dscal = _interior_derivative(t, trace.scal)
-    denergy = _interior_derivative(t, trace.tr_ric2)
-    rel_scal = np.abs(dscal - 2.0 * f_mid) / np.maximum(2.0 * f_mid, 1e-12)
-    rel_energy = np.abs(denergy + g2_mid) / np.maximum(g2_mid, 1e-12)
+
+    def rel_err(derivative, rate):
+        # a floor relative to the rate's own column: an absolute one passed
+        # any trace of a small bracket, whose rates all lie below it
+        floor = max(1e-12 * rate.max(), np.finfo(float).tiny)
+        return float((np.abs(derivative - rate) / np.maximum(rate, floor)).max())
+
     return IdentityReport(
-        max_rel_err_scal=float(rel_scal.max()),
-        max_rel_err_energy=float(rel_energy.max()),
+        max_rel_err_scal=rel_err(_interior_derivative(t, trace.scal), 2.0 * trace.tr_ric2[1:-1]),
+        max_rel_err_energy=rel_err(-_interior_derivative(t, trace.tr_ric2), trace.grad_norm[1:-1] ** 2),
         tolerance=tolerance,
     )
 

@@ -314,8 +314,13 @@ def test_field_call_matches_per_monomial_sum(field):
         lambda field: field(np.zeros((4, 1))),
         lambda field: field.derivative((1, 0, 0)),
         lambda field: field.derivative((1, 0, -1, 0)),
+        # int() truncated these to the orders 0, 1 and 1
+        lambda field: field.derivative((0.5, 0, 0, 0)),
+        lambda field: field.derivative((1.9, 0, 0, 0)),
+        lambda field: field.derivative((True, 0, 0, 0)),
     ],
-    ids=["call_short", "call_column", "derivative_short", "derivative_negative"],
+    ids=["call_short", "call_column", "derivative_short", "derivative_negative",
+         "derivative_half", "derivative_fraction", "derivative_bool"],
 )
 def test_field_rejects_wrong_shapes(call, fil4):
     with pytest.raises(DimensionMismatch):

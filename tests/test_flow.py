@@ -1,5 +1,6 @@
 """Integration of the bracket flows: exact solutions, invariants, companions."""
 
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -273,32 +274,33 @@ def test_stage_array_step_matches_per_stage_sums():
     y = np.linspace(-1.0, 2.0, 9)
     K = np.empty((7, y.size))
     K[0] = f(t, y)
-    y_new, err = flow._dp_step(f, t, y, h, K)
+    y_new, err, _ = flow._rk_step(f, t, y, h, K, flow._DP5)
     ref_y, ref_err = _reference_dp_step(f, t, y, h)
     np.testing.assert_allclose(y_new, ref_y, rtol=1e-14, atol=0.0)
     # the error weights cancel: compare relative to the size of the summed terms
-    scale = h * np.abs(flow._DP_E) @ np.abs(K)
+    scale = h * np.abs(flow._DP5.e) @ np.abs(K)
     assert np.all(np.abs(err - ref_err) <= 1e-14 * scale)
     assert np.abs(err).max() > 0.0
     np.testing.assert_allclose(K[6], f(t + h, y_new), rtol=1e-14)
     # the continuous extension starts at y and ends at y_new; its Hermite
     # rows and the row of Hairer's d weights write the P form's quartic in
     # another basis, whose theta^4 column is d
-    rows = flow._dp_extension(y, y_new, h, K)
+    rows = flow._rk_extension(f, t, y, y_new, h, K, flow._DP5)
     np.testing.assert_allclose(flow._dense(y, rows, 0.0), y, rtol=1e-14, atol=0.0)
     np.testing.assert_allclose(flow._dense(y, rows, 1.0), y_new, rtol=1e-14, atol=0.0)
-    assert np.array_equal(flow._DP_D, _DP_P_FORM[:, 3])
+    assert np.array_equal(flow._DP5.d, _DP_P_FORM[:, 3:].T)
     for theta in (0.3, 0.5, 0.77):
         ref = y + h * (_DP_P_FORM @ theta ** np.arange(1, 5)) @ K
         np.testing.assert_allclose(flow._dense(y, rows, theta), ref, rtol=1e-14, atol=0.0)
 
 
 def _matmul_dp_step(f, t, y, h, K):
-    """_dp_step with every product through the matmul gufunc."""
+    """_rk_step of DP5 with every product through the matmul gufunc."""
+    a, c, e = flow._DP5.a, flow._DP5.c, flow._DP5.e
     for i in range(1, 7):
-        yi = y + (h * flow._DP_A[i, :i]) @ K[:i]
-        K[i] = f(t + flow._DP_C[i] * h, yi)
-    return yi, (h * flow._DP_E) @ K
+        yi = y + (h * a[i, :i]) @ K[:i]
+        K[i] = f(t + c[i] * h, yi)
+    return yi, (h * e) @ K
 
 
 @pytest.mark.parametrize("size", [9, 21, 64, 512])
@@ -312,11 +314,11 @@ def test_step_loop_products_are_bitwise_their_matmul_forms(size):
     for h in (0.15, 1e-3, 2.7):
         K, ref_K = np.empty((7, size)), np.empty((7, size))
         K[0] = ref_K[0] = f(t, y)
-        y_new, err = flow._dp_step(f, t, y, h, K)
+        y_new, err, _ = flow._rk_step(f, t, y, h, K, flow._DP5)
         ref_y, ref_err = _matmul_dp_step(f, t, y, h, ref_K)
         assert np.array_equal(y_new, ref_y) and np.array_equal(err, ref_err) and np.array_equal(K, ref_K)
-        rows = flow._dp_extension(y, y_new, h, K)
-        assert np.array_equal(rows[3], (h * flow._DP_D) @ K)
+        rows = flow._rk_extension(f, t, y, y_new, h, K, flow._DP5)
+        assert np.array_equal(rows[3], (h * flow._DP5.d[0]) @ K)
         for theta in (0.0, 0.3, 0.77, 1.0):
             ref = y + np.cumprod([theta, 1.0 - theta, theta, 1.0 - theta]) @ rows
             assert np.array_equal(flow._dense(y, rows, theta), ref)
@@ -340,17 +342,13 @@ def test_each_step_kinds_extension_reproduces_polynomials_of_its_degree(kind, de
         y = t**p * w
         if kind == "ros2":  # the Hermite rows alone, fed exact endpoint data
             rows = flow._hermite_rows(y, (t + h) ** p * w, h, f(t, y), f(t + h, None))
-        elif kind == "dp5":
-            K = np.empty((7, w.size))
-            K[0] = f(t, y)
-            y_new, _ = flow._dp_step(f, t, y, h, K)
-            rows = flow._dp_extension(y, y_new, h, K)
         else:
-            K = np.empty((16, w.size))
+            pair = {"dp5": flow._DP5, "dop853": flow._DOP853}[kind]
+            K = np.empty((len(pair.c), w.size))
             K[0] = f(t, y)
-            y_new, _, _ = flow._dop853_step(f, t, y, h, K)
-            K[12] = f(t + h, y_new)
-            rows = flow._dop853_extension(f, t, y, y_new, h, K)
+            y_new, _, _ = flow._rk_step(f, t, y, h, K, pair)
+            K[pair.fsal] = f(t + h, y_new)
+            rows = flow._rk_extension(f, t, y, y_new, h, K, pair)
         assert len(rows) == {"ros2": 3, "dp5": 4, "dop853": 7}[kind]
         err = max(
             np.abs(flow._dense(y, rows, theta) - (t + theta * h) ** p * w).max() / (t + theta * h) ** p
@@ -366,17 +364,26 @@ def test_each_step_kinds_extension_reproduces_polynomials_of_its_degree(kind, de
 # DOP853 steps of uncapped runs
 
 
-def test_dop853_tableau_conditions():
-    # every stage sits at the time its row of A sums to, the 3 stages of the
+@pytest.mark.parametrize(("pair", "order"), [(flow._DP5, 5), (flow._DOP853, 8)], ids=["dp5", "dop853"])
+def test_explicit_pair_tableau_conditions(pair, order):
+    a, c, fsal, rows = pair.a, np.array(pair.c), pair.fsal, len(pair.c)  # K has a row per stage
+    # every stage sits at the time its row of a sums to, the stages of the
     # continuous extension included
-    np.testing.assert_allclose(_dop853.A.sum(axis=1), _dop853.C, rtol=0.0, atol=1e-15)
-    assert np.all(np.triu(_dop853.A) == 0.0) and _dop853.A.shape == (16, 16)
-    # the quadrature conditions of order 8
-    for k in range(8):
-        assert _dop853.B @ _dop853.C[:12] ** k == pytest.approx(1.0 / (k + 1), rel=1e-14)
-    # both error estimates vanish on a constant derivative
-    assert abs(_dop853.E[0].sum()) < 1e-15 and abs(_dop853.E[1].sum()) < 1e-15
-    assert np.array_equal(_dop853.B, _dop853.A[12, :12]) and _dop853.C[11] == _dop853.C[12] == 1.0
+    np.testing.assert_allclose(a.sum(axis=1), c, rtol=0.0, atol=1e-15)
+    assert np.all(np.triu(a) == 0.0) and a.shape == (rows, rows)
+    # the FSAL row is the update: the quadrature conditions of the pair's order
+    for k in range(order):
+        assert a[fsal, :fsal] @ c[:fsal] ** k == pytest.approx(1.0 / (k + 1), rel=1e-14)
+    # every error estimate vanishes on a constant derivative
+    assert np.all(np.abs(np.atleast_2d(pair.e).sum(axis=1)) < 1e-15)
+    # the FSAL stage, and the step's last, sit at t + h (the stiffness test
+    # compares their derivatives)
+    assert c[fsal] == c[pair.stages] == 1.0
+    # a step fills K[1 : stages + 1], which the error rows weigh; the FSAL row
+    # is the last of them or the next; the extension stages follow it, and d
+    # weighs every row of K
+    assert pair.e.shape[-1] == pair.stages + 1 and fsal in (pair.stages, pair.stages + 1)
+    assert fsal < rows and pair.d.ndim == 2 and pair.d.shape[1] == rows
 
 
 def test_dop853_observed_orders():
@@ -393,9 +400,9 @@ def test_dop853_observed_orders():
     for h in (0.4, 0.2):
         K = np.empty((16, 2))
         K[0] = f(t, y)
-        y_new, _, _ = flow._dop853_step(f, t, y, h, K)
+        y_new, _, _ = flow._rk_step(f, t, y, h, K, flow._DOP853)
         K[12] = f(t + h, y_new)
-        ext = flow._dop853_extension(f, t, y, y_new, h, K)
+        ext = flow._rk_extension(f, t, y, y_new, h, K, flow._DOP853)
         mid = flow._dense(y, ext, 0.5)
         errors.append((np.abs(y_new - exact(t + h)).max(), np.abs(mid - exact(t + 0.5 * h)).max()))
         # the extension starts at y and ends at y_new
@@ -440,7 +447,7 @@ def test_dop853_stage_array_step_matches_per_stage_sums():
     y = np.linspace(-1.0, 2.0, 9)
     K = np.empty((16, y.size))
     K[0] = f(t, y)
-    y_new, err, y_last = flow._dop853_step(f, t, y, h, K)
+    y_new, err, y_last = flow._rk_step(f, t, y, h, K, flow._DOP853)
     ref_y, ref_e5, ref_e3, ref_last, ref_k, sample = _reference_dop853(f, t, y, h)
     np.testing.assert_allclose(y_new, ref_y, rtol=1e-14, atol=0.0)
     np.testing.assert_allclose(y_last, ref_last, rtol=1e-14, atol=0.0)
@@ -450,7 +457,7 @@ def test_dop853_stage_array_step_matches_per_stage_sums():
     assert np.all(np.abs(err - [ref_e5, ref_e3]) <= 1e-14 * scale)
     assert np.abs(err).max() > 0.0
     K[12] = f(t + h, y_new)
-    ext = flow._dop853_extension(f, t, y, y_new, h, K)
+    ext = flow._rk_extension(f, t, y, y_new, h, K, flow._DOP853)
     np.testing.assert_allclose(K[13:], ref_k[13:], rtol=1e-13, atol=1e-15)
     for theta in (0.0, 0.3, 0.77, 1.0):
         np.testing.assert_allclose(flow._dense(y, ext, theta), sample(theta), rtol=1e-13, atol=1e-15)
@@ -462,19 +469,18 @@ def test_a_step_cap_picks_the_dormand_prince_step(heis, max_step, monkeypatch):
     # and there the 6-evaluation DP5 step is the cheaper one; any finite cap,
     # however large, gives DP5
     calls = []
-    for name in ("_dp_step", "_dop853_step"):
-        step = getattr(flow, name)
+    step = flow._rk_step
 
-        def counting(*args, step=step, name=name):
-            calls.append(name)
-            return step(*args)
+    def counting(f, t, y, h, K, pair):
+        calls.append({id(flow._DP5): "dp5", id(flow._DOP853): "dop853"}[id(pair)])
+        return step(f, t, y, h, K, pair)
 
-        monkeypatch.setattr(flow, name, counting)
+    monkeypatch.setattr(flow, "_rk_step", counting)
     opts = FlowOpts(max_step=max_step, stops=(0.37,))
     integrate_bracket_flow(heis, 5.0, opts)
     integrate_normalized_flow(random_sphere_bracket(5, 2), 60.0, opts)
     integrate_innerproduct_flow(heis, 5.0, opts)
-    assert set(calls) == {"_dop853_step" if max_step == math.inf else "_dp_step"}
+    assert set(calls) == {"dop853" if max_step == math.inf else "dp5"}
 
 
 # ---------------------------------------------------------------------------
@@ -788,6 +794,27 @@ def test_identities_reject_normalized_traces(heis_sphere):
 def test_identities_accept_zero_rate_traces(heis):
     trace = integrate_bracket_flow(heis, 1.0, FlowOpts(max_step=0.02), r=0.0)
     assert verify_flow_identities(trace).ok
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-3, 1e-5])
+def test_identities_fail_a_damaged_trace_at_every_scale(c):
+    # heisenberg(c) at time t / c^2 is heisenberg(1) at t, scaled: every rate
+    # shrinks with c, and an absolute floor of 1e-12 under the denominators
+    # passed the damaged trace at c = 1e-5 (1.4e-9 and 1.5e-19)
+    trace = integrate_bracket_flow(heisenberg(c), 1.0 / c**2, FlowOpts(max_step=0.01 / c**2))
+    assert verify_flow_identities(trace).ok
+    scal, energy = trace.scal.copy(), trace.tr_ric2.copy()
+    scal[len(trace) // 2] *= 1.01
+    energy[len(trace) // 2] *= 1.01
+    damaged = verify_flow_identities(dataclasses.replace(trace, scal=scal, tr_ric2=energy))
+    assert min(damaged.max_rel_err_scal, damaged.max_rel_err_energy) > 0.1
+
+
+def test_identities_pass_the_zero_brackets_trace():
+    trace = integrate_bracket_flow(heisenberg(0.0), 1.0, FlowOpts(max_step=0.02))
+    assert not trace.tr_ric2.any()
+    report = verify_flow_identities(trace)
+    assert report.max_rel_err_scal == report.max_rel_err_energy == 0.0
 
 
 _TOLERANCE_ENTRIES = {
@@ -1173,8 +1200,7 @@ def bounded_steps(monkeypatch):
 
         return counting
 
-    for name in ("_dp_step", "_dop853_step"):
-        monkeypatch.setattr(flow, name, bounded(getattr(flow, name)))
+    monkeypatch.setattr(flow, "_rk_step", bounded(flow._rk_step))
 
 
 @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
@@ -1363,6 +1389,21 @@ def test_innerproduct_scal_rejects_a_metric_that_is_not_positive_definite(heis, 
     # the first two ended in numpy's LinAlgError; the nan metric returned nan
     with pytest.raises(SingularMatrix):
         innerproduct_scal(heis, g)
+
+
+def test_innerproduct_scal_rejects_a_metric_that_is_not_symmetric(heis):
+    # the Cholesky factorization reads the lower triangle alone: G[0, 2] = 50
+    # returned -0.5, the value for I
+    g = np.eye(3)
+    g[0, 2] = 50.0
+    with pytest.raises(SingularMatrix, match="not symmetric"):
+        innerproduct_scal(heis, g)
+    with pytest.raises(SingularMatrix, match="not symmetric"):
+        innerproduct_scal(heis, np.stack([np.eye(3), g]))
+    # rounding-sized asymmetry is no defect
+    g = np.eye(3)
+    g[0, 2] = g[2, 0] + 1e-16
+    assert innerproduct_scal(heis, g) == innerproduct_scal(heis, np.eye(3))
 
 
 def test_scalar_rate_metric_flow_stays_positive_definite(heis_sphere):
@@ -1648,8 +1689,9 @@ def test_companion_overflow_outside_the_right_side_is_a_numerical_failure(heis, 
     # of its DOP853 steps) raises FloatingPointError there, and must not end
     # in a traceback
     trace = integrate_bracket_flow(heis, 1.0)
-    error_norm = flow._dop853_error_norm
-    monkeypatch.setattr(flow, "_dop853_error_norm", lambda err, *args: error_norm(1e300 * err, *args))
+    error_norm = flow._DOP853.error_norm
+    overflowing = flow._DOP853._replace(error_norm=lambda err, *args: error_norm(1e300 * err, *args))
+    monkeypatch.setattr(flow, "_DOP853", overflowing)
     with pytest.raises(NumericalFailure, match="^the companion frame h became singular: overflow"):
         cointegrate_h(trace)
 
