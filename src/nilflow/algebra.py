@@ -440,8 +440,8 @@ def bracket_to_dict(b: VTangent) -> dict:
 
 
 def _is_int(v, lo, hi=math.inf) -> bool:
-    """Whether a JSON value is an integer in lo..hi: 1.9, "2" and true are not."""
-    return isinstance(v, int) and not isinstance(v, bool) and lo <= v <= hi
+    """Whether v is an integer in lo..hi, a numpy one too: 1.9, "2" and True are not."""
+    return isinstance(v, numbers.Integral) and not _is_bool(v) and lo <= v <= hi
 
 
 def _is_finite_number(v) -> bool:

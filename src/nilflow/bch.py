@@ -21,13 +21,12 @@ of its stacked monomials x^alpha against its stacked coefficient matrices.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .algebra import Bracket, _as_array, _is_bool, _is_finite_number, _is_int, _is_real, _require_same_n
+from .algebra import Bracket, _as_array, _is_finite_number, _is_int, _is_real, _require_same_n
 from .exceptions import BracketFormatError, ConfigError, DegreeTooHigh, DimensionMismatch
 
 # ---------------------------------------------------------------------------
@@ -159,7 +158,7 @@ class MetricField:
         integer orders >= 0; a bool or a fraction, which int() would truncate,
         raises DimensionMismatch like any other bad multi-index."""
         beta = tuple(beta)
-        if len(beta) != self.n or any(_is_bool(v) or not (isinstance(v, numbers.Integral) and v >= 0) for v in beta):
+        if len(beta) != self.n or not all(_is_int(v, 0) for v in beta):
             raise DimensionMismatch(f"bad derivative multi-index {beta}")
         beta = tuple(map(int, beta))
         exps, mats = self._table
@@ -360,7 +359,7 @@ def metric_convergence_distance(b1: Bracket, b2: Bracket, radius: float, p: int 
     # a nan or infinite radius puts nan on every point, and the max ignores it
     if not (_is_real(radius) and math.isfinite(radius) and radius >= 0.0):
         raise ConfigError(f"radius must be finite and >= 0, got {radius!r}")
-    if _is_bool(p) or not (isinstance(p, numbers.Integral) and p >= 0):
+    if not _is_int(p, 0):
         raise ConfigError(f"p must be a nonnegative int, got {p!r}")
     _require_same_n(b1, b2)
     n = b1.n

@@ -478,11 +478,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("NILFLOW_LOG", "WARNING").upper())
     args = build_parser().parse_args(argv)
     if args.command == "sweep" and args.t_max is None:
         args.t_max = 100.0 if args.kind == "normalized" else 5.0
     try:
+        level = os.environ.get("NILFLOW_LOG", "WARNING").upper()
+        if not isinstance(logging.getLevelName(level), int):  # "Level X" for a name it does not know
+            raise ConfigError(f"NILFLOW_LOG must be DEBUG, INFO, WARNING, ERROR or CRITICAL, got {level!r}")
+        logging.basicConfig(level=level)
         # checked here too, so the message names the flag
         for dest, value in vars(args).items():
             if dest in ("tol", "check_tol"):

@@ -55,7 +55,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 from collections import namedtuple
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
@@ -70,6 +69,7 @@ from .algebra import (
     _check_tol,
     _gl_action_coeffs,
     _gl_action_frame,
+    _is_int,
     _is_real,
     _jacobiator_max,
     _norm,
@@ -174,45 +174,34 @@ def _scale(y_old, y_new, rtol, atol):
     return scale
 
 
-def _rms(v, scale):
-    """RMS norm of v / scale; v is overwritten."""
-    v /= scale
-    return math.sqrt(v.dot(v) / v.size)
+def _rms(q):
+    """RMS norm of a scaled estimate q."""
+    return math.sqrt(q.dot(q) / q.size)
 
 
-def _error_norm(err, y_old, y_new, rtol, atol):
-    """(err, increment): the RMS norms of err and of the step's increment
-    y_new - y_old, both scaled by _scale."""
-    scale = _scale(y_old, y_new, rtol, atol)
-    q = err / scale
-    return math.sqrt(q.dot(q) / q.size), _rms(y_new - y_old, scale)
-
-
-def _dop853_error_norm(err, y_old, y_new, rtol, atol):
-    """(err, increment) of a DOP853 step, err the (2, N) stack of its 5th-
-    and 3rd-order error vectors e5 and e3: Hairer's combined estimate
-    ||e5||^2 / sqrt((||e5||^2 + 0.01 ||e3||^2) N) of the vectors scaled by
-    _scale (its |h| is in e5 and e3), and the scaled RMS norm of y_new - y_old."""
-    scale = _scale(y_old, y_new, rtol, atol)
-    e5, e3 = err / scale
+def _dop853_error_norm(q):
+    """Hairer's combined error estimate of a DOP853 step, q the (2, N) stack
+    of its 5th- and 3rd-order error vectors e5 and e3 scaled by _scale (its
+    |h| is in them): ||e5||^2 / sqrt((||e5||^2 + 0.01 ||e3||^2) N)."""
+    e5, e3 = q
     s5 = e5.dot(e5)
     denom = s5 + 0.01 * e3.dot(e3)
-    norm = 0.0 if denom == 0.0 else s5 / math.sqrt(denom * e5.size)
-    return norm, _rms(y_new - y_old, scale)
+    return 0.0 if denom == 0.0 else s5 / math.sqrt(denom * e5.size)
 
 
 # An explicit pair as data for _rk_step and _rk_extension: stage i sits at
 # t + c[i] h and reads row i of a; a step evaluates stages 1..stages, which
 # the error rows e weigh; K[fsal] = f(t + h, y_new); the stages past fsal and
 # the rows d serve the continuous extension alone.  error_norm reads e's
-# output, exponent is e of the step-size rule, and stiff runs _stiff.
+# output scaled by _scale, as the step loop scales each step once; exponent
+# is e of the step-size rule, and stiff runs _stiff.
 _Pair = namedtuple("_Pair", "c a e d stages fsal exponent error_norm stiff")
-_DP5 = _Pair(tuple(_DP_C.tolist()), _DP_A, _DP_E, _DP_D, 6, 6, 1 / 5, _error_norm, False)
+_DP5 = _Pair(tuple(_DP_C.tolist()), _DP_A, _DP_E, _DP_D, 6, 6, 1 / 5, _rms, False)
 _DOP853 = _Pair(tuple(_dop853.C.tolist()), _dop853.A, _dop853.E, _dop853.D, 11, 12, 1 / 8, _dop853_error_norm, True)
 
 
 def _initial_step(f, t0, y0, f0, span, rtol, atol):
-    scale = atol + rtol * np.abs(y0)
+    scale = _scale(y0, y0, rtol, atol)
     # a derivative past the float range reads as infinitely fast: d1 = inf
     # gives h0 = 0, which the caller's step floor rejects, also from y0 = 0
     with np.errstate(over="ignore"):
@@ -335,18 +324,19 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
     acceptance, Hairer's combined 5th/3rd-order error estimate), when it is
     infinite.  Every step, accepted or rejected, sizes the next by one
     elementary rule, h *= min(10, max(0.2, 0.9 err^-e)), with e = 1/2 for
-    ROS2 and the record's 1/5 (DP5) or 1/8 (DOP853).  Explicit steps run
-    until an accepted step's increment y_new - y is below the tolerance in
-    the error test's scaled RMS norm (the solution has settled, and an
-    explicit step could only crawl at its stability limit) or, where the
-    record runs it (DOP853), until an accepted step meets Hairer's stiffness
-    test (_stiff: the step is stability-limited, as on a stiff run that
-    still moves).  The following steps are ROS2 steps with a
-    forward-difference Jacobian built at the switch and kept, until a ROS2
-    step's increment reaches the tolerance or its W is singular; then
-    explicit steps again, from K[0] = f(y).  Runs that move by more than the
-    tolerance per step and are not stiff never switch, and their steps are
-    explicit steps alone.
+    ROS2 and the record's 1/5 (DP5) or 1/8 (DOP853).  The loop scales each
+    step once, by _scale(y, y_new): err is the step kind's norm (_rms for
+    ROS2, the record's error_norm) of the scaled estimate, and the increment
+    _rms((y_new - y) / scale).  Explicit steps run until an accepted step's
+    increment is below 1 (the solution has settled, and an explicit step
+    could only crawl at its stability limit) or, where the record runs it
+    (DOP853), until an accepted step meets Hairer's stiffness test (_stiff:
+    the step is stability-limited, as on a stiff run that still moves).  The
+    following steps are ROS2 steps with a forward-difference Jacobian built
+    at the switch and kept, until a ROS2 step's increment reaches 1 or its W
+    is singular; then explicit steps again, from K[0] = f(y).  Runs whose
+    steps all move by an increment of at least 1 and are not stiff never
+    switch, and their steps are explicit steps alone.
 
     Returns (samples, stats, jac): samples is a list of (t, y) at t0, at every
     accepted step (the last ends on t_end) and at every stop in opts.stops;
@@ -418,8 +408,9 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
             else:
                 y_new, err_vec = ros
                 stats["nfev"] += 1
-            error_norm = _error_norm if jac is not None else pair.error_norm
-            err, increment = error_norm(err_vec, y, y_new, opts.rtol, opts.atol)
+            scale = _scale(y, y_new, opts.rtol, opts.atol)
+            err = (_rms if jac is not None else pair.error_norm)(err_vec / scale)
+            increment = _rms((y_new - y) / scale)
 
             if err <= 1.0:
                 if jac is not None or fsal > pair.stages:
@@ -625,8 +616,8 @@ def _shifted_ricci(b0, r):
             )
         norm_sq, shift = 0.25 * np.vdot(b0.coeffs, b0.coeffs), None
     else:
-        # a bool is a numbers.Real: True would run the constant rate 1.0
-        if r is not None and (not isinstance(r, numbers.Real) or isinstance(r, bool)):
+        # True would run the constant rate 1.0
+        if r is not None and not _is_real(r):
             raise BadRate(f"r must be None, a real number or 'scalar', got {r!r}")
         value = 0.0 if r is None else float(r)
         # a nan or infinite rate would make every step nan, and every step rejected
@@ -815,24 +806,15 @@ def integrate_normalized_flow(b0: Bracket, t_max: float, opts: FlowOpts | None =
 # Companion frame h(t) and the equivalent inner-product flow.
 
 
-def cointegrate_h(trace: FlowTrace) -> np.ndarray:
-    """Frames h(t) of h' = -(Ric_{h.mu0} + r I) h, h(0) = I, at the trace's times.
+_SINGULAR_H = "the companion frame h became singular"
 
-    mu0 is the trace's start and r its rate; X = Ric + r I is the
-    _shifted_ricci kernel at h, so h.mu0 runs the bracket flow a second time,
-    apart from the trace's gauged frames, in one unthinned run with a stop,
-    so a sample, at every sample time.  Returns the (m, n, n) array of
-    h(t_i).  A stored h with cond(h) > 1/sqrt(eps), the frame flow's bound, a
-    singular h, or one whose products overflow, raises NumericalFailure, also
-    when the integrator's own arithmetic overflows: the run enters one error
-    state, not one per evaluation.  The check computes cond(h) by SVD only
-    on a batch whose bound ||h||_F ||h^{-1}||_F is not finite or passes half
-    of 1/sqrt(eps), so its decisions are those of the SVD alone.
-    """
-    b0 = trace.initial_bracket
+
+def _companion(b0, r):
+    """(rhs, check) of cointegrate_h's run, X = Ric + r I the _shifted_ricci
+    kernel at h.  check runs its SVDs, whose cond(h) decides, only on a batch
+    whose bound ||h||_F ||h^{-1}||_F is not finite or passes 0.5 / sqrt(eps)."""
     n = b0.n
-    shifted_ricci = _shifted_ricci(b0, trace.rate)
-    singular = "the companion frame h became singular"
+    shifted_ricci = _shifted_ricci(b0, r)
 
     def rhs(t, y):
         if y.ndim > 1:  # a stack of states, lane by lane
@@ -841,7 +823,7 @@ def cointegrate_h(trace: FlowTrace) -> np.ndarray:
         try:
             return -shifted_ricci(h, np.linalg.inv(h)).dot(h).reshape(-1)
         except (np.linalg.LinAlgError, FloatingPointError):
-            raise NumericalFailure(f"{singular} at t={t:.6g}") from None
+            raise NumericalFailure(f"{_SINGULAR_H} at t={t:.6g}") from None
 
     def check(samples, i):
         frames = np.array([y for _, y in samples[i:]]).reshape(-1, n, n)
@@ -857,16 +839,32 @@ def cointegrate_h(trace: FlowTrace) -> np.ndarray:
         cond = np.linalg.cond(frames)
         k = _first_above(cond, _MAX_COND_H)
         if k < len(cond):
-            msg = f"{singular}: cond(h) = {cond[k]:.3e} at t={samples[i + k][0]:.6g} exceeds 1/sqrt(eps)"
+            msg = f"{_SINGULAR_H}: cond(h) = {cond[k]:.3e} at t={samples[i + k][0]:.6g} exceeds 1/sqrt(eps)"
             raise NumericalFailure(msg, trace=samples[: i + k])
 
+    return rhs, check
+
+
+def cointegrate_h(trace: FlowTrace) -> np.ndarray:
+    """Frames h(t) of h' = -(Ric_{h.mu0} + r I) h, h(0) = I, at the trace's times.
+
+    mu0 is the trace's start and r its rate, so h.mu0 runs the bracket flow
+    a second time, apart from the trace's gauged frames, in one unthinned
+    run with a stop, so a sample, at every sample time.  Returns the
+    (m, n, n) array of h(t_i).  A stored h with cond(h) > 1/sqrt(eps), the
+    frame flow's bound, a singular h, or one whose products overflow, raises
+    NumericalFailure, also when the integrator's own arithmetic overflows:
+    the run enters one error state, not one per evaluation.
+    """
+    n = trace.initial_bracket.n
+    rhs, check = _companion(trace.initial_bracket, trace.rate)
     opts = FlowOpts(rtol=1e-10, atol=1e-12, stops=tuple(trace.times[1:-1]))
     y0 = np.eye(n).reshape(-1)
     try:
         with np.errstate(over="raise", invalid="raise"):
             at = dict(_integrate_adaptive(rhs, trace.times[0], y0, trace.times[-1], opts, check)[0])
     except FloatingPointError as exc:
-        raise NumericalFailure(f"{singular}: {exc}") from None
+        raise NumericalFailure(f"{_SINGULAR_H}: {exc}") from None
     return np.array([at[t] for t in trace.times]).reshape(-1, n, n)
 
 
@@ -1126,13 +1124,13 @@ def equivalence_report(
     The inner-product flow (bracket fixed), the bracket flow and the
     companion frame h(t) each run on their own, with the same rate r: any
     rate the bracket flows accept, None for the unnormalized flow, a finite
-    constant, or "scalar" for the normalized flow on ||b0|| = 2.  t_max must
-    be finite and >= 0, and checkpoints an int of at least 2 (else
-    ConfigError).
+    constant, or "scalar" for the normalized flow on ||b0|| = 2.  The
+    checkpoints are an even grid of t = 0..t_max, whose interior replaces
+    opts.stops in the inner-product and bracket runs (the companion stops at
+    every sample of the bracket trace).  t_max must be finite and >= 0, and
+    checkpoints an integer of at least 2 (else ConfigError).
     """
-    # numbers.Integral, not algebra._is_int, which reads JSON values: a numpy int is an int here
-    is_int = isinstance(checkpoints, numbers.Integral) and not isinstance(checkpoints, bool)
-    if not (is_int and checkpoints >= 2):
+    if not _is_int(checkpoints, 2):
         raise ConfigError(f"checkpoints must be an int of at least 2, got {checkpoints!r}")
     _check_end(0.0, t_max)
     grid = np.linspace(0.0, t_max, checkpoints)

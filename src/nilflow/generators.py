@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .algebra import Bracket, VTangent, _is_real, gl_action
+from .algebra import Bracket, VTangent, _check_tol, _is_real, gl_action
 from .exceptions import ConfigError, ZeroBracket
 
 
@@ -76,8 +76,7 @@ def random_nilpotent(n: int, rng: np.random.Generator) -> Bracket:
 def rescale_to_norm(b: Bracket, target: float = 2.0) -> Bracket:
     """Scale the bracket to the sphere ||mu|| = target, a finite real number
     > 0 and not a bool (else ConfigError)."""
-    if not (_is_real(target) and math.isfinite(target) and target > 0.0):
-        raise ConfigError(f"the target norm must be finite and > 0, got {target!r}")
+    _check_tol(target, "the target norm")
     nrm = b.norm
     if nrm == 0.0:
         raise ZeroBracket("cannot rescale the zero bracket onto a sphere")

@@ -273,6 +273,28 @@ def test_to_dict_only_upper_entries(fil4):
     json.dumps(doc)  # plain types throughout
 
 
+# every integer argument is read by algebra._is_int: (call with the value v, the error it raises)
+_INTEGER_ARGUMENTS = {
+    "equivalence_checkpoints": (
+        lambda v: nilflow.equivalence_report(nilflow.heisenberg(1.0), 0.5, checkpoints=v), ConfigError),
+    "derivative_order": (
+        lambda v: nilflow.metric_field_2step(nilflow.heisenberg(1.0)).derivative((v, 0, 0)), DimensionMismatch),
+    "distance_p": (
+        lambda v: nilflow.metric_convergence_distance(nilflow.heisenberg(1.0), nilflow.heisenberg(2.0), 1.0, p=v),
+        ConfigError),
+    "bracket_n": (lambda v: bracket_from_dict({"n": v, "entries": []}), BracketFormatError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INTEGER_ARGUMENTS))
+def test_integer_arguments_take_numpy_integers_and_refuse_bools_and_floats(name):
+    call, error = _INTEGER_ARGUMENTS[name]
+    call(np.int64(2))
+    for v in (True, 2.0):
+        with pytest.raises(error):
+            call(v)
+
+
 # ---------------------------------------------------------------------------
 # central series and validation
 

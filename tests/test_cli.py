@@ -102,6 +102,13 @@ def test_unknown_generator_key(capsys):
     assert main(["validate", "heisenberg:q=2"]) == 2
 
 
+@pytest.mark.parametrize("level", ["verbose", "10"])
+def test_an_unknown_log_level_is_a_usage_error(level, monkeypatch, capsys):
+    monkeypatch.setenv("NILFLOW_LOG", level)
+    assert main(["validate", "heisenberg:c=1"]) == 2
+    assert "NILFLOW_LOG must be DEBUG, INFO, WARNING, ERROR or CRITICAL" in capsys.readouterr().err
+
+
 # a value of each option type that every family accepts (n = 5 fits them all)
 _SAMPLE = {int: "5", float: "1.5"}
 

@@ -324,7 +324,22 @@ def test_step_loop_products_are_bitwise_their_matmul_forms(size):
             assert np.array_equal(flow._dense(y, rows, theta), ref)
         q = np.maximum(np.abs(y), np.abs(y_new)) * 1e-9 + 1e-9
         q = err / q
-        assert flow._error_norm(err, y, y_new, 1e-9, 1e-9)[0] == math.sqrt(np.vecdot(q, q) / q.size)
+        assert flow._rms(err / flow._scale(y, y_new, 1e-9, 1e-9)) == math.sqrt(np.vecdot(q, q) / q.size)
+
+
+@pytest.mark.parametrize("size", [1, 9, 64])
+def test_error_norms_read_a_scaled_estimate(size):
+    # _rms and Hairer's combined DOP853 norm, on estimates the step loop has scaled
+    rng = np.random.default_rng(size)
+    for weight in (1e3, 1.0, 1e-3):  # of e3 against e5
+        q = rng.standard_normal((2, size)) * [[1.0], [weight]]
+        e5, e3 = q
+        s5 = np.vecdot(e5, e5)
+        assert flow._rms(e5) == math.sqrt(s5 / size)
+        expected = s5 / math.sqrt((s5 + 0.01 * np.vecdot(e3, e3)) * size)
+        assert flow._dop853_error_norm(q) == pytest.approx(expected, rel=1e-15)
+    assert flow._dop853_error_norm(np.zeros((2, size))) == 0.0
+    assert flow._rms(np.zeros(size)) == 0.0
 
 
 @pytest.mark.parametrize(("kind", "degree"), [("ros2", 3), ("dp5", 4), ("dop853", 7)])
@@ -1479,30 +1494,11 @@ def test_scalar_normalized_innerproduct_flow(heis_sphere):
     assert innerproduct_scal(heis_sphere, g) == pytest.approx(-1.0, abs=1e-4)
 
 
-def _companion_args(b0, r, monkeypatch):
-    """The arguments (rhs, t0, y0, t_end, opts, check) that cointegrate_h
-    hands the integrator."""
-    def capture(*args):
-        raise LookupError(args)
-
-    trace = integrate_bracket_flow(b0, 0.0, r=r)
-    monkeypatch.setattr(flow, "_integrate_adaptive", capture)
-    with pytest.raises(LookupError) as exc:
-        cointegrate_h(trace)
-    monkeypatch.undo()
-    return exc.value.args[0]
-
-
-def _companion_rhs(b0, r, monkeypatch):
-    """The right side that cointegrate_h hands the integrator."""
-    return _companion_args(b0, r, monkeypatch)[0]
-
-
 def test_the_companion_check_runs_its_svds_only_past_the_screen(heis, monkeypatch):
     # ||h||_F ||h^{-1}||_F >= cond(h) clears a batch of well-conditioned frames
     # without an SVD; a batch it does not clear, or whose inverse raises, is
     # judged by the SVDs, with their message
-    check = _companion_args(heis, None, monkeypatch)[5]
+    check = flow._companion(heis, None)[1]
     svds = []
     cond = np.linalg.cond
     monkeypatch.setattr(np.linalg, "cond", lambda a: svds.append(len(a)) or cond(a))
@@ -1518,7 +1514,7 @@ def test_the_companion_check_runs_its_svds_only_past_the_screen(heis, monkeypatc
 
 @pytest.mark.parametrize("r", [None, 0.5, "scalar"], ids=["unnormalized", "constant", "scalar"])
 @pytest.mark.parametrize("n", range(3, 9))
-def test_right_sides_are_bitwise_their_matmul_forms(n, r, monkeypatch):
+def test_right_sides_are_bitwise_their_matmul_forms(n, r):
     # the frame, companion and metric right sides call ndarray.dot on single
     # 2-D and 1-D arrays; each must give the bits of its @ form, and each lane
     # of a (B, N) stack of states the bits of its 1-D call
@@ -1532,7 +1528,7 @@ def test_right_sides_are_bitwise_their_matmul_forms(n, r, monkeypatch):
         kernel = flow._shifted_ricci(b0, r)
         frame = flow._frame_generator(b0, r)
         basis = b0._derivations.reshape(-1, n * n)
-        companion = _companion_rhs(b0, r, monkeypatch)
+        companion = flow._companion(b0, r)[0]
         metric, factor = flow._metric_flow(b0, r)
         # cond(h) <= 4; h is lower triangular with a positive diagonal, so it is also a metric factor
         upper = np.linalg.qr(random_orthogonal(n, rng) @ np.diag(rng.uniform(0.5, 2.0, n)))[1]
@@ -1573,13 +1569,13 @@ def _column_jacobian(f, t, y, f0):
 
 
 @pytest.mark.parametrize("n", range(3, 9))
-def test_the_jacobian_is_one_stacked_call_with_the_bits_of_its_columns(n, monkeypatch):
+def test_the_jacobian_is_one_stacked_call_with_the_bits_of_its_columns(n):
     rng = np.random.default_rng(700 + n)
     h = random_orthogonal(n, rng) @ np.diag(rng.uniform(0.5, 2.0, n)) @ random_orthogonal(n, rng)
     for b0 in dense_starts(n, 700 + n):
         b0 = rescale_to_norm(b0)
         sides = [(flow._frame_generator(b0, r), h.reshape(-1)) for r in (None, 0.5, "scalar")]
-        sides += [(_companion_rhs(b0, r, monkeypatch), h.reshape(-1)) for r in (None, "scalar")]
+        sides += [(flow._companion(b0, r)[0], h.reshape(-1)) for r in (None, "scalar")]
         sides.append((flow._metric_flow(b0, "scalar")[0], 0.3 * rng.standard_normal(n * (n + 1) // 2)))
         for rhs, y in sides:
             calls = []
@@ -1595,9 +1591,9 @@ def test_the_jacobian_is_one_stacked_call_with_the_bits_of_its_columns(n, monkey
             assert np.array_equal(jac, _column_jacobian(rhs, 0.0, y, f0))
 
 
-def test_a_singular_lane_raises_the_failure_of_its_1d_call(heis_sphere, monkeypatch):
+def test_a_singular_lane_raises_the_failure_of_its_1d_call(heis_sphere):
     frame = flow._frame_generator(heis_sphere, "scalar")
-    companion = _companion_rhs(heis_sphere, "scalar", monkeypatch)
+    companion = flow._companion(heis_sphere, "scalar")[0]
     metric, _ = flow._metric_flow(heis_sphere, "scalar")
     tiny = np.zeros(6)
     tiny[5] = 2.0 * flow._LOG_TINY  # L_33 below the normal range
