@@ -383,7 +383,8 @@ def _add_integrator(p, t_max_default):
     p.add_argument("--t-max", type=float, default=t_max_default, help="integration time")
     p.add_argument("--rtol", type=float, default=1e-9)
     p.add_argument("--atol", type=float, default=1e-9)
-    p.add_argument("--max-step", type=float, default=float("inf"))
+    text = "longest time between two samples, doubled past 4096 grid times; it adds samples, never shortens a step"
+    p.add_argument("--max-step", type=float, default=float("inf"), help=text)
 
 
 def _add_rate(p):

@@ -20,14 +20,13 @@ sphere.  Traces are arrays read by batched kernels.  The step loop judges
 each stored frame, 32 at a time: cond(h) > 1/sqrt(eps), or a skew part of
 h.mu0 above 1e-8 of its norm (rounding damage), raises NumericalFailure at
 that frame, whatever t_max.  Every flow runs one adaptive integrator
-(_integrate_adaptive): explicit Runge-Kutta steps while the solution moves,
-and L-stable ROS2 steps once it settles or turns stiff.  The explicit step
-is one function, _rk_step, and its continuous extension one, _rk_extension,
-each reading a coefficient record (_Pair): DOP853 without a step cap,
-Dormand-Prince 5(4) (DP5) with one.  The step kinds differ only in their
-stages, their error estimates and the rows they add to one continuous
-extension, Hairer's dense output from the cubic Hermite rows, under one
-step-size rule.  A stop is a sample of that extension, not a step end.
+(_integrate_adaptive): explicit DOP853 steps (_rk_step, coefficients in
+_dop853) while the solution moves, and L-stable ROS2 steps once it settles
+or turns stiff.  The two step kinds differ only in their stages, their
+error estimates and the rows they add to one continuous extension,
+Hairer's dense output from the cubic Hermite rows, under one step-size
+rule.  A stop is a sample of that extension, not a step end, and a finite
+max_step adds a grid of stops instead of shortening the steps.
 Every right side also takes a (B, N) stack of states and gives each lane
 the bits of its 1-D call, so the Jacobian's N forward differences are one
 call: the frame generator, which builds nearly every Jacobian, in batched
@@ -55,7 +54,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from collections import namedtuple
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 
@@ -88,31 +86,13 @@ from .exceptions import (
 from .soliton import pre_einstein_derivation
 
 # ---------------------------------------------------------------------------
-# The explicit steps: Dormand-Prince 5(4) (DP5) for runs with a step cap,
-# DOP853 (coefficients in _dop853) for runs without one.
+# The integrator: DOP853 steps (coefficients in _dop853) and ROS2 steps.
 
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-# stage i reads row i of _DP_A; row 6 is also the 5th-order update (FSAL)
-_DP_A = np.array([
-    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
-])
-# error weights: the 5th-order row minus the embedded 4th-order weights
-_DP_E = _DP_A[6] - np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40])
-# the weights d of the 4th row of DP5's continuous extension, the one row
-# past the cubic Hermite rows (Hairer's dopri5; Solving ODEs I, II.6)
-_DP_D = np.array([[
-    -12715105075 / 11282082432, 0.0, 87487479700 / 32700410799, -10690763975 / 1880347072,
-    701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423,
-]])
+# DOP853's stage times as floats, for the scalar time of each stage
+_C = tuple(_dop853.C.tolist())
 
 # every step sizes the next by h *= min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY err^-e)),
-# e = 1/2 (ROS2), 1/5 (DP5) or 1/8 (DOP853)
+# e = 1/2 (ROS2) or 1/8 (DOP853)
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
@@ -138,9 +118,9 @@ class FlowOpts:
     stop must be a finite real number (else ConfigError); stops outside the
     run's open interval are ignored.  rtol, atol and max_step are real
     numbers > 0, rtol and atol finite, and none of them a bool.  A finite
-    max_step also picks the coefficient record of the integrator's one
-    explicit step: capped runs take Dormand-Prince 5(4) steps, uncapped ones
-    DOP853 steps, under the same step-size rule (see _integrate_adaptive)."""
+    max_step is the longest time between two samples: it adds stops on the
+    grid t0 + k dt, dt = max_step doubled until the grid holds at most 4096
+    times, and never shortens a step (see _integrate_adaptive)."""
 
     rtol: float = 1e-9
     atol: float = 1e-9
@@ -151,7 +131,7 @@ class FlowOpts:
         # atol = 0 zeroes the error scale of a zero component: a nan step, an endless loop
         _check_tol(self.rtol, "rtol")
         _check_tol(self.atol, "atol")
-        # min(h, nan) keeps h, so a nan max_step would be ignored silently
+        # a nan max_step would give no grid, silently
         if not (_is_real(self.max_step) and self.max_step > 0.0):
             raise ConfigError(f"max_step must be a number > 0, got {self.max_step!r}")
         # a nan stop would be dropped silently; one array conversion, as
@@ -189,17 +169,6 @@ def _dop853_error_norm(q):
     return 0.0 if denom == 0.0 else s5 / math.sqrt(denom * e5.size)
 
 
-# An explicit pair as data for _rk_step and _rk_extension: stage i sits at
-# t + c[i] h and reads row i of a; a step evaluates stages 1..stages, which
-# the error rows e weigh; K[fsal] = f(t + h, y_new); the stages past fsal and
-# the rows d serve the continuous extension alone.  error_norm reads e's
-# output scaled by _scale, as the step loop scales each step once; exponent
-# is e of the step-size rule, and stiff runs _stiff.
-_Pair = namedtuple("_Pair", "c a e d stages fsal exponent error_norm stiff")
-_DP5 = _Pair(tuple(_DP_C.tolist()), _DP_A, _DP_E, _DP_D, 6, 6, 1 / 5, _rms, False)
-_DOP853 = _Pair(tuple(_dop853.C.tolist()), _dop853.A, _dop853.E, _dop853.D, 11, 12, 1 / 8, _dop853_error_norm, True)
-
-
 def _initial_step(f, t0, y0, f0, span, rtol, atol):
     scale = _scale(y0, y0, rtol, atol)
     # a derivative past the float range reads as infinitely fast: d1 = inf
@@ -216,20 +185,17 @@ def _initial_step(f, t0, y0, f0, span, rtol, atol):
     return min(100 * h0, h1, span)
 
 
-def _rk_step(f, t, y, h, K, pair):
-    """One step of the explicit pair from (t, y), K[0] = f(t, y): fills the
-    stages K[1 : pair.stages + 1].  Returns (y_new, err, y_last): err is
-    pair.e applied to those stages, y_last the state of the last of them.
-    A pair whose FSAL stage is among them (DP5) takes y_new as that stage's
-    state; the others form it from the FSAL row of pair.a, and their caller
-    evaluates K[pair.fsal] = f(t + h, y_new) on acceptance."""
-    ha = h * pair.a
-    for i, c in enumerate(pair.c[1 : pair.stages + 1], 1):
+def _rk_step(f, t, y, h, K):
+    """One DOP853 step from (t, y), K[0] = f(t, y): fills the stages K[1:12].
+    Returns (y_new, err, y_last): y_new from row 12 of A (the weights B),
+    err the (2, N) stack of the 5th- and 3rd-order error estimates, y_last
+    the state of stage 11.  The caller evaluates K[12] = f(t + h, y_new) on
+    acceptance."""
+    ha = h * _dop853.A
+    for i, c in enumerate(_C[1:12], 1):
         yi = y + ha[i, :i].dot(K[:i])
         K[i] = f(t + c * h, yi)
-    fsal = pair.fsal
-    y_new = yi if fsal <= pair.stages else y + ha[fsal, :fsal].dot(K[:fsal])
-    return y_new, (h * pair.e).dot(K[: pair.stages + 1]), yi
+    return y + ha[12, :12].dot(K[:12]), (h * _dop853.E).dot(K[:12]), yi
 
 
 def _hermite_rows(y, y_new, h, f0, f1, extra=0):
@@ -242,16 +208,15 @@ def _hermite_rows(y, y_new, h, f0, f1, extra=0):
     return rows
 
 
-def _rk_extension(f, t, y, y_new, h, K, pair):
-    """The rows of the continuous extension of the step (y, h, K) of the
-    explicit pair to y_new, K[pair.fsal] = f(t + h, y_new): the cubic Hermite
-    rows and h pair.d K, after evaluating the extension stages past the FSAL
-    row (none for DP5's 4th order, 3 for DOP853's 7th)."""
-    ha = h * pair.a
-    for i in range(pair.fsal + 1, len(K)):
-        K[i] = f(t + pair.c[i] * h, y + ha[i, :i].dot(K[:i]))
-    rows = _hermite_rows(y, y_new, h, K[0], K[pair.fsal], len(pair.d))
-    rows[3:] = (h * pair.d).dot(K)
+def _rk_extension(f, t, y, y_new, h, K):
+    """The 7 rows of the 7th-order continuous extension of the DOP853 step
+    (y, h, K) to y_new, K[12] = f(t + h, y_new): the cubic Hermite rows and
+    h D K, after evaluating the extension stages K[13:16]."""
+    ha = h * _dop853.A
+    for i in range(13, 16):
+        K[i] = f(t + _C[i] * h, y + ha[i, :i].dot(K[:i]))
+    rows = _hermite_rows(y, y_new, h, K[0], K[12], 4)
+    rows[3:] = (h * _dop853.D).dot(K)
     return rows
 
 
@@ -262,12 +227,12 @@ def _dense(y, rows, theta):
     return y + np.cumprod([theta, 1.0 - theta] * 3 + [theta])[: len(rows)].dot(rows)
 
 
-def _stiff(h, K, y_new, y_last, pair):
+def _stiff(h, K, y_new, y_last):
     """Hairer's stiffness test of an accepted DOP853 step, K[12] = f(t + h,
     y_new) and K[11] = f(t + h, y_last), the FSAL row and the step's last
     stage: h ||K[12] - K[11]|| / ||y_new - y_last|| estimates |h lambda|, and
     past 6.1 the step sits at the edge of the method's stability region."""
-    df, dy = K[pair.fsal] - K[pair.stages], y_new - y_last
+    df, dy = K[12] - K[11], y_new - y_last
     return h * math.sqrt(df.dot(df)) > 6.1 * math.sqrt(dy.dot(dy))
 
 
@@ -314,43 +279,57 @@ def _check_end(t0, t_end):
         raise ConfigError(f"the integration must end at a finite time >= {t0:g}, got {t_end!r}")
 
 
-def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
-    """Generic adaptive integrator with three step kinds.
+def _sample_grid(t0, t_end, max_step, stops):
+    """The stops a finite max_step adds: the times t0 + k dt inside (t0,
+    t_end), dt = max_step doubled until there are at most _MAX_SAMPLES // 2
+    of them, less those within the step loop's rounding of t0 or of a time in
+    stops (which holds t_end)."""
+    span, dt = t_end - t0, max_step
+    while span / dt > _MAX_SAMPLES // 2:  # inf for a subnormal max_step
+        dt *= 2.0
+    grid = t0 + dt * np.arange(1.0, math.ceil(span / dt))
+    anchors = np.array(sorted(stops | {t0}))
+    j = np.searchsorted(anchors, grid)
+    gap = np.minimum(np.abs(grid - anchors[j - 1]), np.abs(anchors[np.minimum(j, len(anchors) - 1)] - grid))
+    return set(grid[gap > 1e-13 * np.maximum(1.0, np.abs(grid))].tolist())
 
-    The explicit steps are _rk_step of one coefficient record, picked once
-    per run and only read after that: _DP5, the Dormand-Prince 5(4) pair,
-    when opts.max_step is finite, and _DOP853, the 8th-order pair of
+
+def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
+    """Generic adaptive integrator with two step kinds.
+
+    The explicit step is _rk_step, a step of DOP853, the 8th-order pair of
     Hairer's dop853 (12 stages, f(t + h, y_new) a 13th evaluation on
-    acceptance, Hairer's combined 5th/3rd-order error estimate), when it is
-    infinite.  Every step, accepted or rejected, sizes the next by one
-    elementary rule, h *= min(10, max(0.2, 0.9 err^-e)), with e = 1/2 for
-    ROS2 and the record's 1/5 (DP5) or 1/8 (DOP853).  The loop scales each
-    step once, by _scale(y, y_new): err is the step kind's norm (_rms for
-    ROS2, the record's error_norm) of the scaled estimate, and the increment
-    _rms((y_new - y) / scale).  Explicit steps run until an accepted step's
-    increment is below 1 (the solution has settled, and an explicit step
-    could only crawl at its stability limit) or, where the record runs it
-    (DOP853), until an accepted step meets Hairer's stiffness test (_stiff:
-    the step is stability-limited, as on a stiff run that still moves).  The
-    following steps are ROS2 steps with a forward-difference Jacobian built
-    at the switch and kept, until a ROS2 step's increment reaches 1 or its W
-    is singular; then explicit steps again, from K[0] = f(y).  Runs whose
-    steps all move by an increment of at least 1 and are not stiff never
-    switch, and their steps are explicit steps alone.
+    acceptance, Hairer's combined 5th/3rd-order error estimate).  Every
+    step, accepted or rejected, sizes the next by one elementary rule, h *=
+    min(10, max(0.2, 0.9 err^-e)), with e = 1/2 for ROS2 and 1/8 for DOP853;
+    no option shortens a step, and only the run's end ends one.  The loop
+    scales each step once, by _scale(y, y_new): err is the step kind's norm
+    (_rms for ROS2, _dop853_error_norm for DOP853) of the scaled estimate,
+    and the increment _rms((y_new - y) / scale).  DOP853 steps run until an
+    accepted step's increment is below 1 (the solution has settled, and an
+    explicit step could only crawl at its stability limit) or until an
+    accepted step meets Hairer's stiffness test (_stiff: the step is
+    stability-limited, as on a stiff run that still moves).  The following
+    steps are ROS2 steps with a forward-difference Jacobian built at the
+    switch and kept, until a ROS2 step's increment reaches 1 or its W is
+    singular; then DOP853 steps again, from K[0] = f(y).  Runs whose steps
+    all move by an increment of at least 1 and are not stiff never switch,
+    and their steps are DOP853 steps alone.
 
     Returns (samples, stats, jac): samples is a list of (t, y) at t0, at every
-    accepted step (the last ends on t_end) and at every stop in opts.stops;
-    past _MAX_SAMPLES only every stride-th step is kept, and the stride
-    doubles whenever the samples pass the cap again.  stats counts
-    accepted/rejected steps, the accepted ROS2 steps among them, and
-    evaluations; jac is the J of the final ROS2 stretch, None if the run
-    ended on explicit steps.  A stop is a sample _dense(y, rows, theta) of
-    the continuous extension of the step holding it, its rows built for the
-    step's first stop: the cubic Hermite rows of (y, f(y), y_new, f(y_new)),
-    alone for ROS2, and for an explicit step with the record's rows d
-    (_rk_extension): DP5's one row more at no evaluation either, or DOP853's
-    four for its 7th order, whose 3 evaluations a step pays once; within
-    rounding of a step end a stop relabels that sample.
+    accepted step (the last ends on t_end) and at every stop; past
+    _MAX_SAMPLES only every stride-th step is kept, and the stride doubles
+    whenever the samples pass the cap again.  The stops are opts.stops and,
+    for a finite opts.max_step, the grid of _sample_grid, so no two samples
+    lie more than max_step apart unless the grid would pass _MAX_SAMPLES //
+    2 times.  stats counts accepted/rejected steps, the accepted ROS2 steps
+    among them, and evaluations; jac is the J of the final ROS2 stretch,
+    None if the run ended on DOP853 steps.  A stop is a sample _dense(y,
+    rows, theta) of the continuous extension of the step holding it, its
+    rows built for the step's first stop: the cubic Hermite rows of (y,
+    f(y), y_new, f(y_new)), alone for ROS2, and for DOP853 with its four
+    rows of 7th order (_rk_extension), whose 3 evaluations a step pays once;
+    within rounding of a step end a stop relabels that sample.
     check(samples, i) judges the samples stored since its last call, from i
     on: every _CHECK_EVERY samples before any thinning, and at any run's end.
     Raises ConfigError unless t_end is finite and >= t0, and
@@ -376,6 +355,8 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
     }
 
     stops = {float(s) for s in opts.stops if t0 < s < t_end} | {float(t_end)}
+    if opts.max_step < math.inf:
+        stops |= _sample_grid(t0, t_end, opts.max_step, stops)
     stops = sorted(stops, reverse=True)  # popped in time order
     samples = [(t, y)]
     steps = [0]  # accepted-step index of each sample; 0 for the start and the stops
@@ -384,18 +365,15 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
         check(samples, judged)
         return samples, stats, None
 
-    # a cap sets the steps, and there the 6-evaluation DP5 step is the cheaper one
-    pair = _DOP853 if opts.max_step == math.inf else _DP5
-    fsal = pair.fsal  # the row of K that holds f(t + h, y_new)
     try:
-        K = np.empty((len(pair.c), y.size))
+        K = np.empty((16, y.size))  # row 12 holds f(t + h, y_new)
         K[0] = f(t, y)
         h = _initial_step(f, t, y, K[0], t_end - t0, opts.rtol, opts.atol)
         stats["nfev"] += 2
         jac = None  # the Jacobian of the ROS2 steps; None while explicit steps
 
         while t < t_end:
-            h = min(h, opts.max_step, t_end - t)
+            h = min(h, t_end - t)
             # not >=, so that a nan step (a nan derivative) underflows too;
             # the step that ends the run is taken however short it is
             if not (h >= 1e-14 * max(1.0, abs(t)) or h == t_end - t):
@@ -403,19 +381,18 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
             ros = None if jac is None else _ros2_step(f, t, y, h, K[0], jac)
             if ros is None:
                 jac = None  # a singular W hands the step back to the explicit steps
-                y_new, err_vec, y_last = _rk_step(f, t, y, h, K, pair)
-                stats["nfev"] += pair.stages
+                y_new, err_vec, y_last = _rk_step(f, t, y, h, K)
+                stats["nfev"] += 11
             else:
                 y_new, err_vec = ros
                 stats["nfev"] += 1
             scale = _scale(y, y_new, opts.rtol, opts.atol)
-            err = (_rms if jac is not None else pair.error_norm)(err_vec / scale)
+            err = (_rms if jac is not None else _dop853_error_norm)(err_vec / scale)
             increment = _rms((y_new - y) / scale)
 
             if err <= 1.0:
-                if jac is not None or fsal > pair.stages:
-                    K[fsal] = f(t + h, y_new)
-                    stats["nfev"] += 1
+                K[12] = f(t + h, y_new)
+                stats["nfev"] += 1
                 if jac is not None:
                     stats["rosenbrock_steps"] += 1
                 t_new = t_end if h >= t_end - t else t + h
@@ -425,10 +402,10 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
                     s = stops.pop()
                     if rows is None:
                         if jac is not None:
-                            rows = _hermite_rows(y, y_new, h, K[0], K[fsal])
+                            rows = _hermite_rows(y, y_new, h, K[0], K[12])
                         else:
-                            rows = _rk_extension(f, t, y, y_new, h, K, pair)
-                            stats["nfev"] += len(K) - fsal - 1
+                            rows = _rk_extension(f, t, y, y_new, h, K)
+                            stats["nfev"] += 3
                     samples.append((s, _dense(y, rows, (s - t) / h)))
                     steps.append(0)
                 at_stop = stops[-1] <= t_new + near
@@ -436,9 +413,9 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
                     t_new = stops.pop()
                 # the tests read this step's h and stages, so they run before h changes
                 switch = jac is None and t_new < t_end and (
-                    increment < 1.0 or pair.stiff and _stiff(h, K, y_new, y_last, pair)
+                    increment < 1.0 or _stiff(h, K, y_new, y_last)
                 )
-                t, y, K[0] = t_new, y_new, K[fsal]
+                t, y, K[0] = t_new, y_new, K[12]
                 stats["accepted"] += 1
                 step = 0 if at_stop else stats["accepted"]
                 if step % stride == 0:
@@ -459,7 +436,7 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
                     jac = None
             else:
                 stats["rejected"] += 1
-            e = 0.5 if ros is not None else pair.exponent  # on a rejection err > 1: the ceiling cannot bind
+            e = 0.5 if ros is not None else 0.125  # on a rejection err > 1: the ceiling cannot bind
             h *= min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * (err + 1e-300) ** -e))
     except NumericalFailure as exc:
         if exc.trace is None:  # not raised by check

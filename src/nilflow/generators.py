@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .algebra import Bracket, VTangent, _check_tol, _is_real, gl_action
+from .algebra import Bracket, VTangent, _check_tol, _is_int, _is_real, gl_action
 from .exceptions import ConfigError, ZeroBracket
 
 
@@ -17,8 +17,8 @@ def heisenberg(c: float = 1.0) -> Bracket:
 
 def filiform(n: int, constants=None) -> Bracket:
     """Standard filiform bracket mu(e1, e_i) = c_{i-2} e_{i+1} for i = 2..n-1."""
-    if n < 3:
-        raise ConfigError(f"filiform needs n >= 3, got {n}")
+    if not _is_int(n, 3):
+        raise ConfigError(f"filiform needs an integer n >= 3, got {n!r}")
     if constants is None:
         constants = [1.0] * (n - 2)
     constants = [float(v) for v in constants]
@@ -30,12 +30,12 @@ def filiform(n: int, constants=None) -> Bracket:
 
 def random_two_step(n: int, rng: np.random.Generator, m: int | None = None, scale: float = 1.0) -> Bracket:
     """Random 2-step bracket Lambda^2 R^m -> R^{n-m}; Jacobi holds automatically."""
-    if n < 3:
-        raise ConfigError(f"random_two_step needs n >= 3, got {n}")
+    if not _is_int(n, 3):
+        raise ConfigError(f"random_two_step needs an integer n >= 3, got {n!r}")
     if m is None:
         m = max(2, min(n - 1, math.ceil(2 * n / 3)))
-    if not 2 <= m <= n - 1:
-        raise ConfigError(f"need 2 <= m <= n-1, got m={m}, n={n}")
+    if not _is_int(m, 2, n - 1):
+        raise ConfigError(f"need an integer 2 <= m <= n-1, got m={m!r}, n={n}")
     c = np.zeros((n, n, n))
     for i in range(m):
         for j in range(i + 1, m):
@@ -47,11 +47,15 @@ def random_two_step(n: int, rng: np.random.Generator, m: int | None = None, scal
 
 def random_skew(n: int, rng: np.random.Generator, scale: float = 1.0) -> VTangent:
     """Random element of V_n (skew bilinear map, no Jacobi condition)."""
+    if not _is_int(n, 1):
+        raise ConfigError(f"random_skew needs an integer n >= 1, got {n!r}")
     c = scale * rng.standard_normal((n, n, n))
     return VTangent(0.5 * (c - c.transpose(1, 0, 2)))
 
 
 def random_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:
+    if not _is_int(n, 1):
+        raise ConfigError(f"random_orthogonal needs an integer n >= 1, got {n!r}")
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     return q * np.sign(np.diag(r))
 

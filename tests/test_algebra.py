@@ -45,6 +45,7 @@ from nilflow.generators import (
     filiform,
     heisenberg,
     random_orthogonal,
+    random_skew,
     random_two_step,
     rescale_to_norm,
     sphere_perturbation,
@@ -158,6 +159,14 @@ def test_load_bracket_of_text_the_decoder_cannot_read(text, tmp_path):
         (lambda: random_two_step(2, np.random.default_rng(0)), ConfigError, "n >= 3"),
         (lambda: random_two_step(5, np.random.default_rng(0), m=1), ConfigError, "2 <= m <= n-1"),
         (lambda: random_two_step(5, np.random.default_rng(0), m=5), ConfigError, "2 <= m <= n-1"),
+        # a float or str n or m raised a bare TypeError, and random_orthogonal(0)
+        # returned a 0 x 0 matrix
+        (lambda: filiform(4.0), ConfigError, "integer n >= 3"),
+        (lambda: random_two_step(4.5, np.random.default_rng(0)), ConfigError, "integer n >= 3"),
+        (lambda: random_two_step(5, np.random.default_rng(0), m=2.5), ConfigError, "integer 2 <= m"),
+        (lambda: random_skew(3.0, np.random.default_rng(0)), ConfigError, "integer n >= 1"),
+        (lambda: random_orthogonal(0, np.random.default_rng(0)), ConfigError, "integer n >= 1"),
+        (lambda: random_orthogonal("3", np.random.default_rng(0)), ConfigError, "integer n >= 1"),
         (lambda: rescale_to_norm(Bracket.zero(3)), ZeroBracket, "zero bracket"),
         # True rescaled to norm 1
         (lambda: rescale_to_norm(heisenberg(), True), ConfigError, "target norm"),
@@ -167,7 +176,9 @@ def test_load_bracket_of_text_the_decoder_cannot_read(text, tmp_path):
         (lambda: sphere_perturbation(heisenberg(), np.random.default_rng(0), eps="0.3"), ConfigError, "spread"),
         (lambda: sphere_perturbation(heisenberg(), np.random.default_rng(0), eps=True), ConfigError, "spread"),
     ],
-    ids=["filiform_n2", "filiform_constants", "two_step_n2", "two_step_m1", "two_step_m_n", "rescale_zero",
+    ids=["filiform_n2", "filiform_constants", "two_step_n2", "two_step_m1", "two_step_m_n",
+         "filiform_float_n", "two_step_float_n", "two_step_float_m", "skew_float_n",
+         "orthogonal_n0", "orthogonal_str_n", "rescale_zero",
          "rescale_bool_target", "rescale_str_target", "perturbation_str_spread", "perturbation_bool_spread"],
 )
 def test_generator_input_checks(call, error, message):

@@ -172,33 +172,44 @@ def cap_128(monkeypatch):
     monkeypatch.setattr(flow, "_MAX_SAMPLES", 128)
 
 
-def test_sample_thinning_keeps_endpoints(heis, cap_128):
-    trace = integrate_bracket_flow(heis, 1.0, FlowOpts(max_step=1e-3))
-    assert len(trace) <= 128
-    assert trace.times[0] == 0.0
-    assert trace.times[-1] == pytest.approx(1.0, abs=1e-12)
-    assert np.all(np.diff(trace.times) > 0.0)
+def _rotation(t, y):
+    """y' = 50 (y1, -y0): about 100 DOP853 steps per unit of time."""
+    return 50.0 * np.array([y[1], -y[0]])
 
 
-def test_thinning_keeps_stop_samples(heis, cap_128):
+def _rotation_run(t_end, opts, check=lambda samples, i: None):
+    """The sample times and stats of _rotation's run from (1, 0) at t = 0."""
+    samples, stats, _ = flow._integrate_adaptive(_rotation, 0.0, np.array([1.0, 0.0]), t_end, opts, check=check)
+    return np.array([t for t, _ in samples]), stats
+
+
+def test_sample_thinning_keeps_endpoints(cap_128):
+    times, stats = _rotation_run(10.0, FlowOpts())
+    assert len(times) <= 128 < stats["accepted"]
+    assert times[0] == 0.0
+    assert times[-1] == pytest.approx(10.0, abs=1e-12)
+    assert np.all(np.diff(times) > 0.0)
+
+
+def test_thinning_keeps_stop_samples(cap_128):
     # 1,000 steps thinned into at most 128 samples used to halve the stops away too
     stops = (0.5, 7.3)
-    trace = integrate_bracket_flow(heis, 10.0, FlowOpts(max_step=1e-2, stops=stops))
-    assert len(trace) <= 128
+    times, stats = _rotation_run(10.0, FlowOpts(stops=stops))
+    assert len(times) <= 128 < stats["accepted"]
     for t in stops:
-        assert trace.times[trace.index_of_time(t)] == t
-    assert trace.times[-1] == 10.0
+        assert times[flow._index_of_time(times, t)] == t
+    assert times[-1] == 10.0
 
 
-def test_thinning_keeps_the_whole_run_evenly_sampled(heis, cap_128):
+def test_thinning_keeps_the_whole_run_evenly_sampled(cap_128):
     # every stretch of the run keeps samples, not only its start and its end
-    trace = integrate_bracket_flow(heis, 10.0, FlowOpts(max_step=1e-2))
-    assert len(trace) <= 128
+    times, stats = _rotation_run(10.0, FlowOpts())
+    assert len(times) <= 128 < stats["accepted"]
     for lo in np.arange(0.0, 10.0, 0.5):
-        assert np.any((trace.times >= lo) & (trace.times <= lo + 0.5)), f"no sample in [{lo}, {lo + 0.5}]"
+        assert np.any((times >= lo) & (times <= lo + 0.5)), f"no sample in [{lo}, {lo + 0.5}]"
 
 
-def test_thinning_more_stops_than_samples_thins_logarithmically(heis, monkeypatch, cap_128):
+def test_thinning_more_stops_than_samples_thins_logarithmically(monkeypatch, cap_128):
     # 4,000 stops never fit in 128 samples, so thinning cannot reach the cap;
     # it must still stop once the stride passes the step count
     calls = []
@@ -210,9 +221,9 @@ def test_thinning_more_stops_than_samples_thins_logarithmically(heis, monkeypatc
 
     monkeypatch.setattr(flow, "_thin", counting)
     stops = tuple(np.linspace(0.0, 10.0, 4002)[1:-1])
-    trace = integrate_bracket_flow(heis, 10.0, FlowOpts(max_step=1e-2, stops=stops))
-    assert len(calls) <= math.ceil(math.log2(trace.stats["accepted"]))
-    assert all(trace.times[trace.index_of_time(t)] == t for t in stops)
+    times, stats = _rotation_run(10.0, FlowOpts(stops=stops))
+    assert len(calls) <= math.ceil(math.log2(stats["accepted"]))
+    assert all(times[flow._index_of_time(times, t)] == t for t in stops)
 
 
 def test_off_step_stops_are_continuous_extension_samples(heis):
@@ -231,76 +242,13 @@ def test_off_step_stops_are_continuous_extension_samples(heis):
         assert c**2 == pytest.approx(1.0 / (1.0 + 3.0 * t), rel=1e-8)
 
 
-def _reference_dp_step(f, t, y, h):
-    """The Dormand-Prince step as per-stage sums in plain Python."""
-    a = (
-        (),
-        (1 / 5,),
-        (3 / 40, 9 / 40),
-        (44 / 45, -56 / 15, 32 / 9),
-        (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-        (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-        (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-    )
-    c = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-    bhat = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
-    k = [f(t, y)]
-    for i in range(1, 7):
-        k.append(f(t + c[i] * h, y + h * sum(ai * ki for ai, ki in zip(a[i], k))))
-    y_new = y + h * sum(ai * ki for ai, ki in zip(a[6], k))
-    err = h * sum((b - bh) * ki for b, bh, ki in zip(a[6] + (0.0,), bhat, k))
-    return y_new, err
-
-
-# DP5's continuous extension in the form the integrator once evaluated:
-# y(t + theta h) = y + h (P theta^[1..4]) K (Dormand & Prince 1980)
-_DP_P_FORM = np.array([
-    [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-    [0.0, 0.0, 0.0, 0.0],
-    [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-    [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-    [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-    [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-    [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-])
-
-
-def test_stage_array_step_matches_per_stage_sums():
-    # only the summation order changed, so a step agrees to rounding
-    def f(t, y):
-        return np.sin(y) * y[::-1] - 0.3 * (1.0 + t) * y
-
-    t, h = 0.4, 0.15
-    y = np.linspace(-1.0, 2.0, 9)
-    K = np.empty((7, y.size))
-    K[0] = f(t, y)
-    y_new, err, _ = flow._rk_step(f, t, y, h, K, flow._DP5)
-    ref_y, ref_err = _reference_dp_step(f, t, y, h)
-    np.testing.assert_allclose(y_new, ref_y, rtol=1e-14, atol=0.0)
-    # the error weights cancel: compare relative to the size of the summed terms
-    scale = h * np.abs(flow._DP5.e) @ np.abs(K)
-    assert np.all(np.abs(err - ref_err) <= 1e-14 * scale)
-    assert np.abs(err).max() > 0.0
-    np.testing.assert_allclose(K[6], f(t + h, y_new), rtol=1e-14)
-    # the continuous extension starts at y and ends at y_new; its Hermite
-    # rows and the row of Hairer's d weights write the P form's quartic in
-    # another basis, whose theta^4 column is d
-    rows = flow._rk_extension(f, t, y, y_new, h, K, flow._DP5)
-    np.testing.assert_allclose(flow._dense(y, rows, 0.0), y, rtol=1e-14, atol=0.0)
-    np.testing.assert_allclose(flow._dense(y, rows, 1.0), y_new, rtol=1e-14, atol=0.0)
-    assert np.array_equal(flow._DP5.d, _DP_P_FORM[:, 3:].T)
-    for theta in (0.3, 0.5, 0.77):
-        ref = y + h * (_DP_P_FORM @ theta ** np.arange(1, 5)) @ K
-        np.testing.assert_allclose(flow._dense(y, rows, theta), ref, rtol=1e-14, atol=0.0)
-
-
-def _matmul_dp_step(f, t, y, h, K):
-    """_rk_step of DP5 with every product through the matmul gufunc."""
-    a, c, e = flow._DP5.a, flow._DP5.c, flow._DP5.e
-    for i in range(1, 7):
+def _matmul_dop853_step(f, t, y, h, K):
+    """_rk_step with every product through the matmul gufunc."""
+    a, c = _dop853.A, _dop853.C
+    for i in range(1, 12):
         yi = y + (h * a[i, :i]) @ K[:i]
         K[i] = f(t + c[i] * h, yi)
-    return yi, (h * e) @ K
+    return y + (h * a[12, :12]) @ K[:12], (h * _dop853.E) @ K[:12]
 
 
 @pytest.mark.parametrize("size", [9, 21, 64, 512])
@@ -312,19 +260,20 @@ def test_step_loop_products_are_bitwise_their_matmul_forms(size):
     rng = np.random.default_rng(size)
     t, y = 0.4, rng.standard_normal(size)
     for h in (0.15, 1e-3, 2.7):
-        K, ref_K = np.empty((7, size)), np.empty((7, size))
+        K, ref_K = np.empty((16, size)), np.empty((16, size))
         K[0] = ref_K[0] = f(t, y)
-        y_new, err, _ = flow._rk_step(f, t, y, h, K, flow._DP5)
-        ref_y, ref_err = _matmul_dp_step(f, t, y, h, ref_K)
-        assert np.array_equal(y_new, ref_y) and np.array_equal(err, ref_err) and np.array_equal(K, ref_K)
-        rows = flow._rk_extension(f, t, y, y_new, h, K, flow._DP5)
-        assert np.array_equal(rows[3], (h * flow._DP5.d[0]) @ K)
+        y_new, err, _ = flow._rk_step(f, t, y, h, K)
+        ref_y, ref_err = _matmul_dop853_step(f, t, y, h, ref_K)
+        assert np.array_equal(y_new, ref_y) and np.array_equal(err, ref_err) and np.array_equal(K[:12], ref_K[:12])
+        K[12] = f(t + h, y_new)
+        rows = flow._rk_extension(f, t, y, y_new, h, K)
+        assert np.array_equal(rows[3:], (h * _dop853.D) @ K)
         for theta in (0.0, 0.3, 0.77, 1.0):
-            ref = y + np.cumprod([theta, 1.0 - theta, theta, 1.0 - theta]) @ rows
+            ref = y + np.cumprod([theta, 1.0 - theta] * 3 + [theta]) @ rows
             assert np.array_equal(flow._dense(y, rows, theta), ref)
         q = np.maximum(np.abs(y), np.abs(y_new)) * 1e-9 + 1e-9
-        q = err / q
-        assert flow._rms(err / flow._scale(y, y_new, 1e-9, 1e-9)) == math.sqrt(np.vecdot(q, q) / q.size)
+        q = err[0] / q
+        assert flow._rms(err[0] / flow._scale(y, y_new, 1e-9, 1e-9)) == math.sqrt(np.vecdot(q, q) / q.size)
 
 
 @pytest.mark.parametrize("size", [1, 9, 64])
@@ -342,9 +291,9 @@ def test_error_norms_read_a_scaled_estimate(size):
     assert flow._rms(np.zeros(size)) == 0.0
 
 
-@pytest.mark.parametrize(("kind", "degree"), [("ros2", 3), ("dp5", 4), ("dop853", 7)])
+@pytest.mark.parametrize(("kind", "degree"), [("ros2", 3), ("dop853", 7)])
 def test_each_step_kinds_extension_reproduces_polynomials_of_its_degree(kind, degree):
-    # every continuous extension is the 3 cubic Hermite rows plus 0, 1 or 4
+    # every continuous extension is the 3 cubic Hermite rows plus 0 or 4
     # rows of its own: on y' = p t^(p - 1) w it reproduces y = t^p w for p up
     # to its degree, to rounding (DOP853's weights reach 5e2, so more of it),
     # and misses p = degree + 1
@@ -358,13 +307,12 @@ def test_each_step_kinds_extension_reproduces_polynomials_of_its_degree(kind, de
         if kind == "ros2":  # the Hermite rows alone, fed exact endpoint data
             rows = flow._hermite_rows(y, (t + h) ** p * w, h, f(t, y), f(t + h, None))
         else:
-            pair = {"dp5": flow._DP5, "dop853": flow._DOP853}[kind]
-            K = np.empty((len(pair.c), w.size))
+            K = np.empty((16, w.size))
             K[0] = f(t, y)
-            y_new, _, _ = flow._rk_step(f, t, y, h, K, pair)
-            K[pair.fsal] = f(t + h, y_new)
-            rows = flow._rk_extension(f, t, y, y_new, h, K, pair)
-        assert len(rows) == {"ros2": 3, "dp5": 4, "dop853": 7}[kind]
+            y_new, _, _ = flow._rk_step(f, t, y, h, K)
+            K[12] = f(t + h, y_new)
+            rows = flow._rk_extension(f, t, y, y_new, h, K)
+        assert len(rows) == {"ros2": 3, "dop853": 7}[kind]
         err = max(
             np.abs(flow._dense(y, rows, theta) - (t + theta * h) ** p * w).max() / (t + theta * h) ** p
             for theta in np.linspace(0.0, 1.0, 11)
@@ -376,29 +324,28 @@ def test_each_step_kinds_extension_reproduces_polynomials_of_its_degree(kind, de
 
 
 # ---------------------------------------------------------------------------
-# DOP853 steps of uncapped runs
+# DOP853 steps
 
 
-@pytest.mark.parametrize(("pair", "order"), [(flow._DP5, 5), (flow._DOP853, 8)], ids=["dp5", "dop853"])
-def test_explicit_pair_tableau_conditions(pair, order):
-    a, c, fsal, rows = pair.a, np.array(pair.c), pair.fsal, len(pair.c)  # K has a row per stage
-    # every stage sits at the time its row of a sums to, the stages of the
+@pytest.mark.parametrize("order", [8], ids=["dop853"])
+def test_explicit_pair_tableau_conditions(order):
+    a, c = _dop853.A, _dop853.C
+    # every stage sits at the time its row of A sums to, the stages of the
     # continuous extension included
     np.testing.assert_allclose(a.sum(axis=1), c, rtol=0.0, atol=1e-15)
-    assert np.all(np.triu(a) == 0.0) and a.shape == (rows, rows)
-    # the FSAL row is the update: the quadrature conditions of the pair's order
+    assert np.all(np.triu(a) == 0.0) and a.shape == (16, 16)
+    # row 12 is the update: the quadrature conditions of the pair's order
+    assert np.array_equal(a[12, :12], _dop853.B)
     for k in range(order):
-        assert a[fsal, :fsal] @ c[:fsal] ** k == pytest.approx(1.0 / (k + 1), rel=1e-14)
-    # every error estimate vanishes on a constant derivative
-    assert np.all(np.abs(np.atleast_2d(pair.e).sum(axis=1)) < 1e-15)
-    # the FSAL stage, and the step's last, sit at t + h (the stiffness test
-    # compares their derivatives)
-    assert c[fsal] == c[pair.stages] == 1.0
-    # a step fills K[1 : stages + 1], which the error rows weigh; the FSAL row
-    # is the last of them or the next; the extension stages follow it, and d
-    # weighs every row of K
-    assert pair.e.shape[-1] == pair.stages + 1 and fsal in (pair.stages, pair.stages + 1)
-    assert fsal < rows and pair.d.ndim == 2 and pair.d.shape[1] == rows
+        assert a[12, :12] @ c[:12] ** k == pytest.approx(1.0 / (k + 1), rel=1e-14)
+    # both error estimates vanish on a constant derivative
+    assert np.all(np.abs(_dop853.E.sum(axis=1)) < 1e-15)
+    # stage 12, f(t + h, y_new), and the step's last, stage 11, sit at t + h
+    # (the stiffness test compares their derivatives)
+    assert c[12] == c[11] == 1.0
+    # a step fills K[1:12], which the error rows weigh; the extension stages
+    # follow row 12, and D weighs every row of K
+    assert _dop853.E.shape == (2, 12) and _dop853.D.shape == (4, 16)
 
 
 def test_dop853_observed_orders():
@@ -415,9 +362,9 @@ def test_dop853_observed_orders():
     for h in (0.4, 0.2):
         K = np.empty((16, 2))
         K[0] = f(t, y)
-        y_new, _, _ = flow._rk_step(f, t, y, h, K, flow._DOP853)
+        y_new, _, _ = flow._rk_step(f, t, y, h, K)
         K[12] = f(t + h, y_new)
-        ext = flow._rk_extension(f, t, y, y_new, h, K, flow._DOP853)
+        ext = flow._rk_extension(f, t, y, y_new, h, K)
         mid = flow._dense(y, ext, 0.5)
         errors.append((np.abs(y_new - exact(t + h)).max(), np.abs(mid - exact(t + 0.5 * h)).max()))
         # the extension starts at y and ends at y_new
@@ -462,7 +409,7 @@ def test_dop853_stage_array_step_matches_per_stage_sums():
     y = np.linspace(-1.0, 2.0, 9)
     K = np.empty((16, y.size))
     K[0] = f(t, y)
-    y_new, err, y_last = flow._rk_step(f, t, y, h, K, flow._DOP853)
+    y_new, err, y_last = flow._rk_step(f, t, y, h, K)
     ref_y, ref_e5, ref_e3, ref_last, ref_k, sample = _reference_dop853(f, t, y, h)
     np.testing.assert_allclose(y_new, ref_y, rtol=1e-14, atol=0.0)
     np.testing.assert_allclose(y_last, ref_last, rtol=1e-14, atol=0.0)
@@ -472,30 +419,42 @@ def test_dop853_stage_array_step_matches_per_stage_sums():
     assert np.all(np.abs(err - [ref_e5, ref_e3]) <= 1e-14 * scale)
     assert np.abs(err).max() > 0.0
     K[12] = f(t + h, y_new)
-    ext = flow._rk_extension(f, t, y, y_new, h, K, flow._DOP853)
+    ext = flow._rk_extension(f, t, y, y_new, h, K)
     np.testing.assert_allclose(K[13:], ref_k[13:], rtol=1e-13, atol=1e-15)
     for theta in (0.0, 0.3, 0.77, 1.0):
         np.testing.assert_allclose(flow._dense(y, ext, theta), sample(theta), rtol=1e-13, atol=1e-15)
 
 
-@pytest.mark.parametrize("max_step", [math.inf, 0.05, 1e300])
-def test_a_step_cap_picks_the_dormand_prince_step(heis, max_step, monkeypatch):
-    # the choice is made once per run from opts.max_step: a cap sets the steps,
-    # and there the 6-evaluation DP5 step is the cheaper one; any finite cap,
-    # however large, gives DP5
-    calls = []
-    step = flow._rk_step
+@pytest.mark.parametrize("max_step", [0.05, 1e300])
+def test_a_finite_max_step_spaces_the_samples_and_keeps_the_steps(heis, max_step):
+    # max_step adds stops on a grid and shortens no step: a capped run takes
+    # the uncapped run's steps bit for bit, and no two of its samples lie
+    # more than max_step apart
+    runs = (
+        lambda opts: integrate_bracket_flow(heis, 5.0, opts),
+        lambda opts: integrate_normalized_flow(random_sphere_bracket(5, 2), 60.0, opts),
+        lambda opts: integrate_innerproduct_flow(heis, 5.0, opts),
+    )
+    for run in runs:
+        plain, capped = run(FlowOpts(stops=(0.37,))), run(FlowOpts(max_step=max_step, stops=(0.37,)))
+        for key in ("accepted", "rejected", "rosenbrock_steps"):
+            assert capped.stats[key] == plain.stats[key]
+        at_steps = np.isin(capped.times, plain.times)
+        assert np.count_nonzero(at_steps) == len(plain)
+        state = "metrics" if hasattr(plain, "metrics") else "frames"
+        assert np.array_equal(getattr(capped, state)[at_steps], getattr(plain, state))
+        assert np.diff(capped.times).max() <= min(max_step, np.diff(plain.times).max()) + 1e-12
 
-    def counting(f, t, y, h, K, pair):
-        calls.append({id(flow._DP5): "dp5", id(flow._DOP853): "dop853"}[id(pair)])
-        return step(f, t, y, h, K, pair)
 
-    monkeypatch.setattr(flow, "_rk_step", counting)
-    opts = FlowOpts(max_step=max_step, stops=(0.37,))
-    integrate_bracket_flow(heis, 5.0, opts)
-    integrate_normalized_flow(random_sphere_bracket(5, 2), 60.0, opts)
-    integrate_innerproduct_flow(heis, 5.0, opts)
-    assert set(calls) == {"dop853" if max_step == math.inf else "dp5"}
+@pytest.mark.parametrize("max_step", [1e-300, 5e-324])
+def test_a_tiny_max_step_keeps_the_trace_under_the_sample_cap(heis, max_step):
+    # the grid's spacing doubles from max_step until it holds at most
+    # _MAX_SAMPLES // 2 times; a cap on the step size underflowed here
+    trace = integrate_bracket_flow(heis, 1.0, FlowOpts(max_step=max_step))
+    grid = flow._MAX_SAMPLES // 2
+    assert grid / 2 < len(trace) - trace.stats["accepted"] - 1 <= grid
+    assert np.diff(trace.times).max() < 2.0 / grid
+    assert trace.times[-1] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +506,7 @@ def test_a_large_constant_rate_settles_on_ros2_steps():
 def test_runs_that_keep_moving_take_explicit_steps_only(n, monkeypatch):
     # the unnormalized flow moves by more than the tolerance in every step,
     # and no step meets DOP853's stiffness test, so its frame, companion and
-    # metric runs never switch to ROS2, with a step cap (DP5) or without (DOP853)
+    # metric runs never switch to ROS2, with a finite max_step or without
     stats = []
     integrate = flow._integrate_adaptive
 
@@ -1053,13 +1012,12 @@ def test_check_judges_each_stored_sample_once_before_thinning(monkeypatch, cap_1
     real_thin = flow._thin
     monkeypatch.setattr(flow, "_thin", thin)
     stops = tuple(np.linspace(0.0, 10.0, 41)[1:-1])
-    opts = FlowOpts(max_step=1e-2, stops=stops)
-    samples, _, _ = flow._integrate_adaptive(lambda t, y: -y, 0.0, np.ones(2), 10.0, opts, check=check)
-    assert len(thinned) >= 3 and len(samples) <= 128
+    times, _ = _rotation_run(10.0, FlowOpts(stops=stops), check=check)
+    assert len(thinned) >= 3 and len(times) <= 128
     assert judged[0] == 0.0 and judged[-1] == 10.0
     assert np.all(np.diff(judged) > 0.0)
     assert all(ts <= set(judged) for ts in thinned)
-    assert set(stops) | {t for t, _ in samples} <= set(judged)
+    assert set(stops) | set(times) <= set(judged)
     assert min(calls) > 0 and len(calls) <= len(judged) / flow._CHECK_EVERY + len(thinned) + 1
 
 
@@ -1069,12 +1027,12 @@ def test_check_judges_the_samples_of_a_failed_run():
     judged = []
 
     def rhs(t, y):
-        if t > 0.5:
+        if t > 5.0:
             raise NumericalFailure("the right side failed")
-        return -y
+        return _rotation(t, y)
 
     with pytest.raises(NumericalFailure, match="right side") as info:
-        flow._integrate_adaptive(rhs, 0.0, np.ones(2), 1.0, FlowOpts(max_step=1e-3),
+        flow._integrate_adaptive(rhs, 0.0, np.array([1.0, 0.0]), 10.0, FlowOpts(),
                                  check=lambda samples, i: judged.extend(t for t, _ in samples[i:]))
     assert judged == [t for t, _ in info.value.trace] and len(judged) > 400
 
@@ -1292,8 +1250,9 @@ def test_norm_column_of_a_tiny_bracket(c):
     [
         pytest.param(False, math.inf, 8192, 5.0, id="False"),
         pytest.param(True, math.inf, 8192, 5.0, id="True"),
-        # the samples kept after thinning are moved as well as the first ones
-        pytest.param(True, 0.005, 128, 2.0, id="thinned"),
+        # the samples kept after thinning are moved as well as the first ones:
+        # 9 steps and 3 grid samples thinned into at most 8
+        pytest.param(True, 0.005, 8, 2.0, id="thinned"),
     ],
 )
 def test_stored_frames_pull_the_bracket(normalized, max_step, cap, t_max, monkeypatch):
@@ -1312,8 +1271,8 @@ def test_stored_frames_pull_the_bracket(normalized, max_step, cap, t_max, monkey
     [
         pytest.param(False, math.inf, 8192, id="False"),
         pytest.param(True, math.inf, 8192, id="True"),
-        # 400 steps kept in at most 128 samples: sample times are not steps
-        pytest.param(True, 0.005, 128, id="thinned"),
+        # 6 steps and 3 grid samples kept in at most 8: sample times are not steps
+        pytest.param(True, 0.005, 8, id="thinned"),
     ],
 )
 def test_cointegrated_frame_pulls_the_bracket(normalized, max_step, cap, heis_sphere, monkeypatch):
@@ -1685,9 +1644,8 @@ def test_companion_overflow_outside_the_right_side_is_a_numerical_failure(heis, 
     # of its DOP853 steps) raises FloatingPointError there, and must not end
     # in a traceback
     trace = integrate_bracket_flow(heis, 1.0)
-    error_norm = flow._DOP853.error_norm
-    overflowing = flow._DOP853._replace(error_norm=lambda err, *args: error_norm(1e300 * err, *args))
-    monkeypatch.setattr(flow, "_DOP853", overflowing)
+    error_norm = flow._dop853_error_norm
+    monkeypatch.setattr(flow, "_dop853_error_norm", lambda q: error_norm(1e300 * q))
     with pytest.raises(NumericalFailure, match="^the companion frame h became singular: overflow"):
         cointegrate_h(trace)
 
