@@ -22,11 +22,15 @@ h.mu0 above 1e-8 of its norm (rounding damage), raises NumericalFailure at
 that frame, whatever t_max.  Every flow runs one adaptive integrator
 (_integrate_adaptive): explicit DOP853 steps (_rk_step, coefficients in
 _dop853) while the solution moves, and L-stable ROS2 steps once it settles
-or turns stiff.  The two step kinds differ only in their stages, their
-error estimates and the rows they add to one continuous extension,
-Hairer's dense output from the cubic Hermite rows, under one step-size
-rule.  A stop is a sample of that extension, not a step end, and a finite
-max_step adds a grid of stops instead of shortening the steps.
+or turns stiff, from t0 on a start at rest (a soliton of the normalized
+flow).  The two step kinds differ only in their stages, their error
+estimates, the ceiling on their step growth (x10 for DOP853, x1000 for
+ROS2) and the rows they add to one continuous extension, Hairer's dense
+output from the cubic Hermite rows, under one step-size rule.  A run
+builds the ROS2 Jacobian at its first switch and at every settled one, and
+keeps it across a hand-back to DOP853.  A stop is a sample of that
+extension, not a step end, and a finite max_step adds a grid of stops
+instead of shortening the steps.
 Every right side also takes a (B, N) stack of states and gives each lane
 the bits of its 1-D call, so the Jacobian's N forward differences are one
 call: the frame generator, which builds nearly every Jacobian, in batched
@@ -91,11 +95,15 @@ from .soliton import pre_einstein_derivation
 # DOP853's stage times as floats, for the scalar time of each stage
 _C = tuple(_dop853.C.tolist())
 
-# every step sizes the next by h *= min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY err^-e)),
-# e = 1/2 (ROS2) or 1/8 (DOP853)
+# every step sizes the next by h *= min(ceiling, max(_MIN_FACTOR, _SAFETY err^-e)),
+# e = 1/2 and ceiling _ROS_MAX_FACTOR after a ROS2 step, e = 1/8 and ceiling
+# _MAX_FACTOR after a DOP853 step
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
+# ROS2 keeps its order for any J, so its error estimate alone bounds a settled
+# stretch: from h = 1e-4 a start at rest reaches t = 60 in 3 ROS2 steps, not 7
+_ROS_MAX_FACTOR = 1000.0
 
 # ROS2, the L-stable two-stage Rosenbrock-W method of Verwer, Spee, Blom &
 # Hundsdorfer (SIAM J. Sci. Comput. 20, 1999): second order for any Jacobian
@@ -170,6 +178,12 @@ def _dop853_error_norm(q):
 
 
 def _initial_step(f, t0, y0, f0, span, rtol, atol):
+    """The first step from (t0, y0), f0 = f(t0, y0), at most span: Hairer's
+    hinit, with one evaluation f(t0 + h0, y0 + h0 f0) for the second
+    derivative.  Its exponent 1/5 is DOPRI5's 1/(order + 1); dop853's own
+    hinit takes 1/8.  1/5 stays: on the bench flows of seeds 91-92, 1/8 cost
+    the decay T = 50 flows 27 rejected steps (7,516 -> 7,681 evaluations)
+    and saved the soliton workload's flows 2.4% (10,895 -> 10,633)."""
     scale = _scale(y0, y0, rtol, atol)
     # a derivative past the float range reads as infinitely fast: d1 = inf
     # gives h0 = 0, which the caller's step floor rejects, also from y0 = 0
@@ -301,20 +315,26 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
     Hairer's dop853 (12 stages, f(t + h, y_new) a 13th evaluation on
     acceptance, Hairer's combined 5th/3rd-order error estimate).  Every
     step, accepted or rejected, sizes the next by one elementary rule, h *=
-    min(10, max(0.2, 0.9 err^-e)), with e = 1/2 for ROS2 and 1/8 for DOP853;
-    no option shortens a step, and only the run's end ends one.  The loop
-    scales each step once, by _scale(y, y_new): err is the step kind's norm
-    (_rms for ROS2, _dop853_error_norm for DOP853) of the scaled estimate,
-    and the increment _rms((y_new - y) / scale).  DOP853 steps run until an
-    accepted step's increment is below 1 (the solution has settled, and an
-    explicit step could only crawl at its stability limit) or until an
-    accepted step meets Hairer's stiffness test (_stiff: the step is
-    stability-limited, as on a stiff run that still moves).  The following
-    steps are ROS2 steps with a forward-difference Jacobian built at the
-    switch and kept, until a ROS2 step's increment reaches 1 or its W is
-    singular; then DOP853 steps again, from K[0] = f(y).  Runs whose steps
-    all move by an increment of at least 1 and are not stiff never switch,
-    and their steps are DOP853 steps alone.
+    min(c, max(0.2, 0.9 err^-e)): e = 1/8 and c = 10 after a DOP853 step,
+    e = 1/2 and c = 1000 after a ROS2 step, which keeps its order for any J,
+    so its error estimate alone bounds a settled stretch.  No option
+    shortens a step, and only the run's end ends one.  The loop scales each
+    step once, by _scale(y, y_new): err is the step kind's norm (_rms for
+    ROS2, _dop853_error_norm for DOP853) of the scaled estimate, and the
+    increment _rms((y_new - y) / scale).  DOP853 steps run until an accepted
+    step's increment is below 1 (the solution has settled, and an explicit
+    step could only crawl at its stability limit) or until an accepted step
+    meets Hairer's stiffness test (_stiff: the step is stability-limited, as
+    on a stiff run that still moves).  The following steps are ROS2 steps,
+    until a ROS2 step's increment reaches 1 or its W is singular; then
+    DOP853 steps again, from K[0] = f(y).  A start at rest, whose first step
+    h0 would move it by _rms(h0 f(y0) / _scale(y0, y0)) < 1, has settled
+    before any step: a run longer than h0 takes ROS2 steps from t0.  Their forward-difference
+    Jacobian J is built at the first switch (or at t0) and at every settled
+    switch, and kept across a hand-back: a stiff switch reuses it, so a run
+    that stays stiff while it moves builds J once, not at every switch.
+    Runs whose steps all move by an increment of at least 1 and are not
+    stiff never switch, and their steps are DOP853 steps alone.
 
     Returns (samples, stats, jac): samples is a list of (t, y) at t0, at every
     accepted step (the last ends on t_end) and at every stop; past
@@ -324,12 +344,12 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
     lie more than max_step apart unless the grid would pass _MAX_SAMPLES //
     2 times.  stats counts accepted/rejected steps, the accepted ROS2 steps
     among them, and evaluations; jac is the J of the final ROS2 stretch,
-    None if the run ended on DOP853 steps.  A stop is a sample _dense(y,
-    rows, theta) of the continuous extension of the step holding it, its
-    rows built for the step's first stop: the cubic Hermite rows of (y,
-    f(y), y_new, f(y_new)), alone for ROS2, and for DOP853 with its four
-    rows of 7th order (_rk_extension), whose 3 evaluations a step pays once;
-    within rounding of a step end a stop relabels that sample.
+    the last one built, None if the run ended on DOP853 steps.  A stop is a
+    sample _dense(y, rows, theta) of the continuous extension of the step
+    holding it, its rows built for the step's first stop: the cubic Hermite
+    rows of (y, f(y), y_new, f(y_new)), alone for ROS2, and for DOP853 with
+    its four rows of 7th order (_rk_extension), whose 3 evaluations a step
+    pays once; within rounding of a step end a stop relabels that sample.
     check(samples, i) judges the samples stored since its last call, from i
     on: every _CHECK_EVERY samples before any thinning, and at any run's end.
     Raises ConfigError unless t_end is finite and >= t0, and
@@ -370,7 +390,15 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
         K[0] = f(t, y)
         h = _initial_step(f, t, y, K[0], t_end - t0, opts.rtol, opts.atol)
         stats["nfev"] += 2
-        jac = None  # the Jacobian of the ROS2 steps; None while explicit steps
+        # the loop's settled test on the start: a start at rest takes ROS2
+        # steps (implicit) from t0
+        implicit = h < t_end - t and _rms(h * K[0] / _scale(y, y, opts.rtol, opts.atol)) < 1.0
+        # the J of the ROS2 steps, built at the first switch and at every
+        # settled one, and kept while explicit steps run in between
+        jac = None
+        if implicit:
+            jac = _jacobian(f, t, y, K[0])
+            stats["nfev"] += y.size
 
         while t < t_end:
             h = min(h, t_end - t)
@@ -378,22 +406,22 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
             # the step that ends the run is taken however short it is
             if not (h >= 1e-14 * max(1.0, abs(t)) or h == t_end - t):
                 raise StepSizeUnderflow(f"step size underflow at t={t:.6g} (h={h:.3e})")
-            ros = None if jac is None else _ros2_step(f, t, y, h, K[0], jac)
+            ros = _ros2_step(f, t, y, h, K[0], jac) if implicit else None
             if ros is None:
-                jac = None  # a singular W hands the step back to the explicit steps
+                implicit = False  # a singular W hands the step back to the explicit steps
                 y_new, err_vec, y_last = _rk_step(f, t, y, h, K)
                 stats["nfev"] += 11
             else:
                 y_new, err_vec = ros
                 stats["nfev"] += 1
             scale = _scale(y, y_new, opts.rtol, opts.atol)
-            err = (_rms if jac is not None else _dop853_error_norm)(err_vec / scale)
+            err = (_rms if implicit else _dop853_error_norm)(err_vec / scale)
             increment = _rms((y_new - y) / scale)
 
             if err <= 1.0:
                 K[12] = f(t + h, y_new)
                 stats["nfev"] += 1
-                if jac is not None:
+                if implicit:
                     stats["rosenbrock_steps"] += 1
                 t_new = t_end if h >= t_end - t else t + h
                 near = 1e-13 * max(1.0, abs(t_new))
@@ -401,7 +429,7 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
                 while stops[-1] < t_new - near:
                     s = stops.pop()
                     if rows is None:
-                        if jac is not None:
+                        if implicit:
                             rows = _hermite_rows(y, y_new, h, K[0], K[12])
                         else:
                             rows = _rk_extension(f, t, y, y_new, h, K)
@@ -412,7 +440,7 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
                 if at_stop:
                     t_new = stops.pop()
                 # the tests read this step's h and stages, so they run before h changes
-                switch = jac is None and t_new < t_end and (
+                switch = not implicit and t_new < t_end and (
                     increment < 1.0 or _stiff(h, K, y_new, y_last)
                 )
                 t, y, K[0] = t_new, y_new, K[12]
@@ -429,21 +457,22 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
                         stride *= 2
                         samples, steps = _thin(samples, steps, stride)
                     judged = len(samples)
-                if switch:
+                # a settled entry builds a fresh J; a stiff one reuses the kept J
+                if switch and (increment < 1.0 or jac is None):
                     jac = _jacobian(f, t, y, K[0])
                     stats["nfev"] += y.size
-                elif not increment < 1.0:
-                    jac = None
+                implicit = switch or (implicit and increment < 1.0)
             else:
                 stats["rejected"] += 1
-            e = 0.5 if ros is not None else 0.125  # on a rejection err > 1: the ceiling cannot bind
-            h *= min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * (err + 1e-300) ** -e))
+            # on a rejection err > 1: the ceiling cannot bind
+            e, ceiling = (0.5, _ROS_MAX_FACTOR) if ros is not None else (0.125, _MAX_FACTOR)
+            h *= min(ceiling, max(_MIN_FACTOR, _SAFETY * (err + 1e-300) ** -e))
     except NumericalFailure as exc:
         if exc.trace is None:  # not raised by check
             exc.trace = samples
             check(samples, judged)
         raise
-    return samples, stats, jac
+    return samples, stats, jac if implicit else None
 
 
 # ---------------------------------------------------------------------------

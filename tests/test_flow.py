@@ -16,6 +16,7 @@ from nilflow.algebra import (
     derivation_basis,
     gl_action,
     jacobiator_residual,
+    nilpotency_degree,
 )
 from nilflow.curvature import (
     _ricci,
@@ -534,18 +535,25 @@ def test_normalized_dense_starts_settle_on_ros2_steps(n):
         assert soliton_residual(trace.final_bracket, tol=1e-10).is_soliton
 
 
-def _switching_run(monkeypatch, stops=()):
-    """Samples and stats of the integrator on a normalized frame flow to
-    t = 60, and the times at which it built a Jacobian."""
-    switches = []
+def _recorded_jacobians(monkeypatch):
+    """The list of times at which the integrator builds a Jacobian from now on."""
+    times = []
     jacobian = flow._jacobian
 
     def recording(f, t, y, f0):
-        switches.append(t)
+        times.append(t)
         return jacobian(f, t, y, f0)
 
     monkeypatch.setattr(flow, "_jacobian", recording)
-    rhs = flow._frame_generator(random_sphere_bracket(5, 2), "scalar")
+    return times
+
+
+def _switching_run(monkeypatch, stops=()):
+    """Samples and stats of the integrator on a normalized frame flow to
+    t = 60, and the times at which it built a Jacobian."""
+    switches = _recorded_jacobians(monkeypatch)
+    # seed 1: its settled stretch takes 3 ROS2 steps (seed 2's takes 2)
+    rhs = flow._frame_generator(random_sphere_bracket(5, 1), "scalar")
     samples, stats, _ = flow._integrate_adaptive(rhs, 0.0, np.eye(5).reshape(-1), 60.0, FlowOpts(stops=stops))
     return rhs, samples, stats, switches
 
@@ -571,6 +579,51 @@ def test_a_stop_inside_a_ros2_step_is_its_hermite_sample(monkeypatch):
     _, samples, stats_near, _ = _switching_run(monkeypatch, stops=(near,))
     assert stats_near["accepted"] == stats["accepted"] and len(samples) == len(plain)
     assert samples[-2][0] == near and np.array_equal(samples[-2][1], yb)
+
+
+@pytest.mark.parametrize("start", ["heisenberg", "moved_h3_plus_r"])
+def test_a_start_at_rest_takes_ros2_steps_from_t0(start, monkeypatch):
+    # every metric of H3 and of H3 + R is a nilsoliton, so these starts are
+    # fixed points of the normalized flow: the run builds its one J at t = 0,
+    # and its ROS2 steps grow past DOP853's x10 ceiling (a DOP853 first step
+    # and a x10 climb from h = 1e-4 took 7 steps and 35-42 evaluations)
+    if start == "heisenberg":
+        b = rescale_to_norm(heisenberg())
+    else:
+        # a 2-step algebra of dimension 4 is H3 + R; random_nilpotent moves it by GL(4)
+        b = rescale_to_norm(random_nilpotent(4, np.random.default_rng(7)))
+        assert nilpotency_degree(b) == 2
+    switches = _recorded_jacobians(monkeypatch)
+    trace = integrate_normalized_flow(b, 60.0)
+    assert switches == [0.0] and trace.jacobian is not None
+    assert trace.stats["rosenbrock_steps"] == trace.stats["accepted"] <= 3
+    assert detect_convergence(trace).converged
+    assert soliton_residual(trace.final_bracket, tol=1e-10).is_soliton
+
+
+def test_a_moving_start_builds_its_jacobian_where_it_settles(monkeypatch):
+    # a 2-step start at n = 5 is no soliton: DOP853 steps run until it settles
+    switches = _recorded_jacobians(monkeypatch)
+    trace = integrate_normalized_flow(random_sphere_bracket(5, 3), 60.0)
+    assert len(switches) == 1 and switches[0] > 1.0
+    ros2 = np.count_nonzero(trace.times > switches[0])
+    assert trace.stats["rosenbrock_steps"] == ros2 < trace.stats["accepted"]
+
+
+def test_a_run_that_stays_stiff_keeps_its_jacobian_across_hand_backs(monkeypatch):
+    # DL8 in its own basis is stiff while it moves: a ROS2 stretch hands back
+    # after one large increment and the stiffness test switches again; a J
+    # built at every switch took 12 Jacobians and 1,577 evaluations to T = 20
+    switches = _recorded_jacobians(monkeypatch)
+    kinds = []
+    for name in ("_rk_step", "_ros2_step"):
+        step = getattr(flow, name)
+        monkeypatch.setattr(flow, name, lambda *args, _step=step, _name=name: kinds.append(_name) or _step(*args))
+    trace = integrate_normalized_flow(rescale_to_norm(dixmier_lister()), 20.0)
+    stretches = sum(b == "_ros2_step" and a == "_rk_step" for a, b in zip(kinds, kinds[1:]))
+    assert stretches >= 3 and len(switches) <= 3
+    assert trace.stats["nfev"] < 1577
+    assert trace.tr_ric2[-1] == pytest.approx(15 / 22, abs=1e-5)
 
 
 def _reference_generator(b0, r, h):
@@ -959,7 +1012,7 @@ def test_condition_bound_ends_a_run_that_leaves_the_orbit():
     # judged after the run, T = 60 went on to a singular frame at t = 56.05
     with pytest.raises(NumericalFailure) as longer:
         integrate_normalized_flow(b, 60.0)
-    assert str(longer.value) == str(info.value) and "at t=28.1863 " in str(info.value)
+    assert str(longer.value) == str(info.value) and "at t=28.3356 " in str(info.value)
     assert len(longer.value.trace) == len(accepted)
 
 
