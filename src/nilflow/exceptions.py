@@ -53,10 +53,13 @@ class NumericalFailure(NilflowError, RuntimeError):
     y is the flattened frame h with mu(t) = h.mu0, not the bracket itself;
     for the metric flow it is the lower triangle of the factor L of
     G = L L^T, with log L_ii in place of L_ii.
-    Two guards cut it: when a frame's condition number passes 1/sqrt(eps),
-    or the skew defect max|c + c^T| / ||c|| of c = h.mu0 passes 1e-8
-    (rounding damage to mu), the trace ends at the last sample before the
-    first such frame.
+    Two guards, one frame check, cut it: when a frame's condition number
+    passes 1/sqrt(eps), or the skew defect max|c + c^T| / ||c|| of
+    c = h.mu0 passes 1e-8 (rounding damage to mu), the trace ends at the
+    last sample before the first such frame.  The companion frame of
+    cointegrate_h, which has no gauge and degenerates near a soliton, is cut
+    by the first guard alone, and its messages start "the companion frame
+    h became singular: ".
     """
 
     def __init__(self, message, trace=None):

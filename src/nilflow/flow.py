@@ -34,13 +34,13 @@ instead of shortening the steps.
 Every right side also takes a (B, N) stack of states and gives each lane
 the bits of its 1-D call, so the Jacobian's N forward differences are one
 call: the frame generator, which builds nearly every Jacobian, in batched
-kernels, the companion and metric right sides by one 1-D call per lane.
-The module also integrates the ungauged companion frame h' = -(Ric + r I) h,
-a second run of a flow under one error state per run and the frame flow's
-cond(h) bound (its SVDs run only on a batch that the bound
-||h||_F ||h^{-1}||_F >= cond(h) does not clear), and the equivalent
-inner-product (metric tensor) flow G' = -2 ric(G) - 2 r G, and checks the
-structural identities of the r = 0 flow.
+kernels, the metric right side by one 1-D call per lane.
+Without its gauge (D = 0) the frame generator gives the companion frame
+h' = -(Ric + r I) h, the paper's h, which cointegrate_h integrates after a
+flow; one check (_frame_check) judges both frame runs, with SVDs only on a
+batch that ||h||_F ||h^{-1}||_F >= cond(h) does not clear.  The module also
+integrates the inner-product (metric tensor) flow G' = -2 ric(G) - 2 r G,
+and checks the structural identities of the r = 0 flow.
 The metric flow's state is the factor of G = L L^T, as the strict lower part
 of L and log diag L, so G stays positive definite by construction and its
 right side needs no Cholesky factorization.
@@ -665,7 +665,7 @@ def _shifted_ricci(b0, r):
     return kernel
 
 
-def _frame_generator(b0, r):
+def _frame_generator(b0, r, gauge=True):
     """Right side rhs(t, y) of the frame flow for mu = h.mu0, y = h flattened.
 
     X is the _shifted_ricci kernel at (h, h^{-1}) and D is the projection of
@@ -678,7 +678,8 @@ def _frame_generator(b0, r):
     a few plain matrix products: the GL action, the two of Ricci, the
     projection and h'.  y may also be a (B, n^2) stack of frames, which gives
     the (B, n^2) stack of h', each lane with the bits of its 1-D call.  A
-    singular h, in any lane, raises NumericalFailure.
+    singular h in any lane, or an overflow under a raising error state,
+    raises NumericalFailure.  gauge=False drops D: h' = -X h (cointegrate_h).
     """
     n = b0.n
     shifted_ricci = _shifted_ricci(b0, r)
@@ -690,13 +691,14 @@ def _frame_generator(b0, r):
         h = y.reshape(-1, n, n) if stack else y.reshape(n, n)
         try:
             hinv = np.linalg.inv(h)
-        except np.linalg.LinAlgError:
-            raise NumericalFailure(f"the frame h became singular at t={t:.6g}") from None
+            xh = shifted_ricci(h, hinv) @ h if stack else shifted_ricci(h, hinv).dot(h)
+        except (np.linalg.LinAlgError, FloatingPointError):
+            raise NumericalFailure(f"h is singular at t={t:.6g}") from None
+        if not gauge:
+            return (-xh).reshape(y.shape)
         if stack:
-            xh = shifted_ricci(h, hinv) @ h
             d = (proj @ (hinv @ xh).reshape(-1, n * n, 1)).reshape(-1, n, n)
             return (h @ d - xh).reshape(y.shape)
-        xh = shifted_ricci(h, hinv).dot(h)
         d = proj.dot(hinv.dot(xh).reshape(-1)).reshape(n, n)
         return (h.dot(d) - xh).reshape(-1)
 
@@ -708,9 +710,15 @@ def _frame_generator(b0, r):
 _MAX_COND_H = 1.0 / math.sqrt(np.finfo(float).eps)
 # h.mu0 is skew in exact arithmetic, so its skew part is rounding damage.  A
 # normalized run rescales h, and then that damage outgrows the cond(h)^2 eps
-# estimate: rotated Dixmier-Lister starts cross 1e-8 at t = 13.6-14.4 with
+# estimate: rotated Dixmier-Lister starts cross 1e-8 at t = 13.7-14.5 with
 # cond(h) far under _MAX_COND_H; runs that keep their orbit stay near 1e-13.
 _MAX_SKEW_DEFECT = 1e-8
+
+
+def _skew_defect(coeffs, norms):
+    """max|c + c^T| / ||c|| of each moved bracket c = h.mu0, norms its ||c||."""
+    skew = np.abs(coeffs + coeffs.swapaxes(1, 2)).max(axis=(1, 2, 3))
+    return skew / np.maximum(norms, np.finfo(float).tiny)
 
 
 def _first_above(values, bound):
@@ -726,18 +734,60 @@ def _by_blocks(kernel, coeffs):
     return np.concatenate([kernel(coeffs[i : i + step]) for i in range(0, len(coeffs), step)])
 
 
+def _frame_check(b0, gauge):
+    """check(samples, i) of a frame run from b0 (see _integrate_adaptive):
+    NumericalFailure with the samples before it at the first stored frame
+    with cond(h) > 1/sqrt(eps) or, if gauge, a skew defect of h.mu0 above
+    _MAX_SKEW_DEFECT.  One inverse per batch screens cond(h) by ||h||_F
+    ||h^{-1}||_F >= cond(h); SVDs decide only where that bound is not
+    finite, passes half of 1/sqrt(eps), or the inverse fails.  The ungauged
+    h of cointegrate_h degenerates like exp(-tD): cond(h) alone judges it."""
+    n = b0.n
+
+    def check(samples, i):
+        frames = np.array([y for _, y in samples[i:]]).reshape(-1, n, n)
+        try:
+            hinv = np.linalg.inv(frames)
+            with np.errstate(over="ignore", invalid="ignore"):
+                screen = _norm(frames, 2) * _norm(hinv, 2)
+        except np.linalg.LinAlgError:
+            hinv, screen = None, math.inf
+        k = len(frames)
+        if not np.all(screen <= 0.5 * _MAX_COND_H):
+            cond = np.linalg.cond(frames)
+            k = _first_above(cond, _MAX_COND_H)
+        if gauge:
+            # past the bound the inverse is noise
+            hinv = np.linalg.inv(frames[:k]) if hinv is None else hinv[:k]
+            coeffs = _gl_action_coeffs(frames[:k], hinv, b0.coeffs)
+            defect = _skew_defect(coeffs, _norm(coeffs))
+            j = _first_above(defect, _MAX_SKEW_DEFECT)
+            if j < k:
+                msg = (f"skew defect {defect[j]:.3e} of h.mu0 at t={samples[i + j][0]:.6g} exceeds "
+                       f"{_MAX_SKEW_DEFECT:g}: rounding has damaged mu")
+                raise NumericalFailure(msg, trace=samples[: i + j])
+        if k < len(frames):
+            msg = f"cond(h) = {cond[k]:.3e} at t={samples[i + k][0]:.6g} exceeds 1/sqrt(eps)"
+            raise NumericalFailure(msg, trace=samples[: i + k])
+
+    return check
+
+
 def _finish_trace(samples, stats, b0, r, jac):
     """FlowTrace of the frame samples of a flow of rate r from b0: array
     expressions over the stacked brackets h_i.mu0, moved in one batch
     (exactly antisymmetrized; for the scalar rate each frame is rescaled onto
     ||mu|| = ||mu0||, and r_values is the tr_ric2 column); the trace builds
     grad_norm and jacobi_residual when they are first read, and keeps jac.
-    The step loop has judged the frames, so each is invertible."""
+    The step loop has judged the frames, so each is invertible; stats gain
+    their max_cond_h and max_skew_defect, before any rescaling."""
     n, c0 = b0.n, b0.coeffs
     times = np.array([t for t, _ in samples])
     frames = np.array([y for _, y in samples]).reshape(-1, n, n)
     coeffs = _gl_action_coeffs(frames, np.linalg.inv(frames), c0)
     norms = _norm(coeffs)
+    stats = stats | {"max_cond_h": float(np.linalg.cond(frames).max()),
+                     "max_skew_defect": float(_skew_defect(coeffs, norms).max())}
     if isinstance(r, str):
         # (lambda h).mu0 = mu / lambda puts every sample back on ||mu|| = ||mu0||
         lams = norms / _norm(c0)
@@ -773,33 +823,14 @@ def integrate_bracket_flow(b0: Bracket, t_max: float, opts: FlowOpts | None = No
     that sphere to rounding.  Any other r, a callable included, raises
     BadRate.  The trace keeps r as `rate`, from which its `kind` follows,
     and the rate at each sample in `r_values`.  The step loop judges every
-    stored frame, 32 at a time, against the bounds of the module docstring,
-    whatever t_max; stats keep the largest cond(h) and skew defect.  The
-    check only judges: the trace moves the frames it keeps on its own.
+    stored frame, 32 at a time, by _frame_check, whatever t_max; stats keep
+    the largest cond(h) and skew defect of the kept frames (once a run thins
+    past 8192 samples, not of every frame judged).
     """
-    rhs, worst = _frame_generator(b0, r), {"max_cond_h": 0.0, "max_skew_defect": 0.0}
-
-    def check(samples, i):
-        frames = np.array([y for _, y in samples[i:]]).reshape(-1, b0.n, b0.n)
-        cond = np.linalg.cond(frames)
-        k = _first_above(cond, _MAX_COND_H)
-        coeffs = _gl_action_coeffs(frames[:k], np.linalg.inv(frames[:k]), b0.coeffs)  # past the bound inv is noise
-        skew = np.abs(coeffs + coeffs.swapaxes(1, 2)).max(axis=(1, 2, 3))
-        defect = skew / np.maximum(_norm(coeffs), np.finfo(float).tiny)
-        j = _first_above(defect, _MAX_SKEW_DEFECT)
-        if j < k:
-            msg = (f"skew defect {defect[j]:.3e} of h.mu0 at t={samples[i + j][0]:.6g} exceeds "
-                   f"{_MAX_SKEW_DEFECT:g}: rounding has damaged mu")
-            raise NumericalFailure(msg, trace=samples[: i + j])
-        if k < len(cond):
-            msg = (f"cond(h) = {cond[k]:.3e} at t={samples[i + k][0]:.6g} exceeds 1/sqrt(eps): "
-                   "h.mu0 has lost its precision")
-            raise NumericalFailure(msg, trace=samples[: i + k])
-        worst["max_cond_h"] = float(np.max(cond, initial=worst["max_cond_h"]))
-        worst["max_skew_defect"] = float(np.max(defect, initial=worst["max_skew_defect"]))
-
-    samples, stats, jac = _integrate_adaptive(rhs, 0.0, np.eye(b0.n).reshape(-1), t_max, opts, check=check)
-    return _finish_trace(samples, stats | worst, b0, r, jac)
+    samples, stats, jac = _integrate_adaptive(
+        _frame_generator(b0, r), 0.0, np.eye(b0.n).reshape(-1), t_max, opts, check=_frame_check(b0, True)
+    )
+    return _finish_trace(samples, stats, b0, r, jac)
 
 
 def integrate_normalized_flow(b0: Bracket, t_max: float, opts: FlowOpts | None = None) -> FlowTrace:
@@ -812,66 +843,31 @@ def integrate_normalized_flow(b0: Bracket, t_max: float, opts: FlowOpts | None =
 # Companion frame h(t) and the equivalent inner-product flow.
 
 
-_SINGULAR_H = "the companion frame h became singular"
-
-
-def _companion(b0, r):
-    """(rhs, check) of cointegrate_h's run, X = Ric + r I the _shifted_ricci
-    kernel at h.  check runs its SVDs, whose cond(h) decides, only on a batch
-    whose bound ||h||_F ||h^{-1}||_F is not finite or passes 0.5 / sqrt(eps)."""
-    n = b0.n
-    shifted_ricci = _shifted_ricci(b0, r)
-
-    def rhs(t, y):
-        if y.ndim > 1:  # a stack of states, lane by lane
-            return np.array([rhs(t, lane) for lane in y])
-        h = y.reshape(n, n)
-        try:
-            return -shifted_ricci(h, np.linalg.inv(h)).dot(h).reshape(-1)
-        except (np.linalg.LinAlgError, FloatingPointError):
-            raise NumericalFailure(f"{_SINGULAR_H} at t={t:.6g}") from None
-
-    def check(samples, i):
-        frames = np.array([y for _, y in samples[i:]]).reshape(-1, n, n)
-        # ||h||_F ||h^{-1}||_F >= cond(h): the SVDs run only on a batch where
-        # that bound is not finite or passes half of the bound on cond(h)
-        try:
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                screen = _norm(frames, 2) * _norm(np.linalg.inv(frames), 2)
-            if (screen <= 0.5 * _MAX_COND_H).all():
-                return
-        except np.linalg.LinAlgError:
-            pass
-        cond = np.linalg.cond(frames)
-        k = _first_above(cond, _MAX_COND_H)
-        if k < len(cond):
-            msg = f"{_SINGULAR_H}: cond(h) = {cond[k]:.3e} at t={samples[i + k][0]:.6g} exceeds 1/sqrt(eps)"
-            raise NumericalFailure(msg, trace=samples[: i + k])
-
-    return rhs, check
-
-
 def cointegrate_h(trace: FlowTrace) -> np.ndarray:
     """Frames h(t) of h' = -(Ric_{h.mu0} + r I) h, h(0) = I, at the trace's times.
 
     mu0 is the trace's start and r its rate, so h.mu0 runs the bracket flow
-    a second time, apart from the trace's gauged frames, in one unthinned
-    run with a stop, so a sample, at every sample time.  Returns the
-    (m, n, n) array of h(t_i).  A stored h with cond(h) > 1/sqrt(eps), the
-    frame flow's bound, a singular h, or one whose products overflow, raises
-    NumericalFailure, also when the integrator's own arithmetic overflows:
-    the run enters one error state, not one per evaluation.
+    a second time, apart from the trace's gauged frames: the ungauged frame
+    generator and _frame_check, in one unthinned run with a stop at every
+    sample time.  Returns the (m, n, n) array of h(t_i).  A stored h with
+    cond(h) > 1/sqrt(eps), a singular h, or an overflow, the integrator's
+    own included (the run holds one error state), raises NumericalFailure
+    "the companion frame h became singular: ...", with the run's samples.
     """
-    n = trace.initial_bracket.n
-    rhs, check = _companion(trace.initial_bracket, trace.rate)
+    b0 = trace.initial_bracket
     opts = FlowOpts(rtol=1e-10, atol=1e-12, stops=tuple(trace.times[1:-1]))
-    y0 = np.eye(n).reshape(-1)
+    rhs, check = _frame_generator(b0, trace.rate, gauge=False), _frame_check(b0, False)
+    y0, prefix = np.eye(b0.n).reshape(-1), "the companion frame h became singular: "
     try:
         with np.errstate(over="raise", invalid="raise"):
             at = dict(_integrate_adaptive(rhs, trace.times[0], y0, trace.times[-1], opts, check)[0])
+    except StepSizeUnderflow:
+        raise
+    except NumericalFailure as exc:  # from the right side or the check
+        raise NumericalFailure(prefix + str(exc), trace=exc.trace) from None
     except FloatingPointError as exc:
-        raise NumericalFailure(f"{_SINGULAR_H}: {exc}") from None
-    return np.array([at[t] for t in trace.times]).reshape(-1, n, n)
+        raise NumericalFailure(prefix + str(exc)) from None
+    return np.array([at[t] for t in trace.times]).reshape(-1, b0.n, b0.n)
 
 
 @dataclass

@@ -1391,6 +1391,10 @@ def test_gl_action_accepts_ill_conditioned_cointegrated_frames():
     for h, mu in zip(hs, trace.brackets):
         # two independent runs agree to their tolerances, amplified by cond(h)
         assert np.linalg.norm(gl_action(h, b).coeffs - mu.coeffs) / mu.norm < 1e-6
+    # the companion h degenerates like exp(-tD): its h.mu0 fails the gauged
+    # run's skew check, so the companion run keeps the cond(h) bound alone
+    c = _gl_action_coeffs(hs[-1], np.linalg.inv(hs[-1]), b.coeffs)
+    assert np.abs(c + c.swapaxes(0, 1)).max() / np.linalg.norm(c) > flow._MAX_SKEW_DEFECT
 
 
 def test_innerproduct_flow_matches_exact_scal(heis):
@@ -1510,7 +1514,7 @@ def test_the_companion_check_runs_its_svds_only_past_the_screen(heis, monkeypatc
     # ||h||_F ||h^{-1}||_F >= cond(h) clears a batch of well-conditioned frames
     # without an SVD; a batch it does not clear, or whose inverse raises, is
     # judged by the SVDs, with their message
-    check = flow._companion(heis, None)[1]
+    check = flow._frame_check(heis, False)
     svds = []
     cond = np.linalg.cond
     monkeypatch.setattr(np.linalg, "cond", lambda a: svds.append(len(a)) or cond(a))
@@ -1522,6 +1526,46 @@ def test_the_companion_check_runs_its_svds_only_past_the_screen(heis, monkeypatc
             check(good + [(0.5, bad.reshape(-1))], 0)
         assert len(info.value.trace) == 4
     assert svds == [5, 5]
+
+
+def test_the_gauged_check_runs_no_svd_on_a_batch_its_screen_clears(heis, monkeypatch):
+    # one inverse of the batch feeds the screen and the move to h.mu0; the
+    # SVDs run only on a batch the screen does not clear
+    check = flow._frame_check(heis, True)
+    svds = []
+    cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda a: svds.append(len(a)) or cond(a))
+    good = [(0.1 * i, np.diag([1.0, 2.0, 3.0 + i]).reshape(-1)) for i in range(4)]
+    check(good, 0)
+    assert svds == []
+    with pytest.raises(NumericalFailure, match=r"^cond\(h\) = 1\.000e\+09 at t=0\.5 exceeds 1/sqrt\(eps\)$") as info:
+        check(good + [(0.5, np.diag([1.0, 1e-9, 1.0]).reshape(-1))], 0)
+    assert len(info.value.trace) == 4 and svds == [5]
+
+
+@pytest.mark.parametrize(
+    "start, t_max",
+    [(lambda: rescale_to_norm(dense_starts(6, 5)[0]), 10.0), (lambda: rescale_to_norm(dixmier_lister()), 20.0)],
+    ids=["dense", "dixmier_lister"],
+)
+def test_frame_stats_are_the_maxima_over_the_stored_frames(start, t_max, monkeypatch):
+    # the trace reads them from the frames it moves, before it rescales them
+    b = start()
+    judged = []
+    frame_check = flow._frame_check
+
+    def recording(b0, gauge):
+        check = frame_check(b0, gauge)
+        return lambda samples, i: judged.extend(y for _, y in samples[i:]) or check(samples, i)
+
+    monkeypatch.setattr(flow, "_frame_check", recording)
+    trace = integrate_normalized_flow(b, t_max)
+    frames = np.array(judged).reshape(-1, b.n, b.n)
+    assert len(frames) == len(trace) and not np.array_equal(frames, trace.frames)  # rescaled
+    c = _gl_action_coeffs(frames, np.linalg.inv(frames), b.coeffs)
+    defect = np.abs(c + c.swapaxes(1, 2)).max(axis=(1, 2, 3)) / flow._norm(c)
+    assert trace.stats["max_cond_h"] == np.linalg.cond(frames).max()
+    assert trace.stats["max_skew_defect"] == defect.max() > 0.0
 
 
 @pytest.mark.parametrize("r", [None, 0.5, "scalar"], ids=["unnormalized", "constant", "scalar"])
@@ -1540,7 +1584,7 @@ def test_right_sides_are_bitwise_their_matmul_forms(n, r):
         kernel = flow._shifted_ricci(b0, r)
         frame = flow._frame_generator(b0, r)
         basis = b0._derivations.reshape(-1, n * n)
-        companion = flow._companion(b0, r)[0]
+        companion = flow._frame_generator(b0, r, gauge=False)
         metric, factor = flow._metric_flow(b0, r)
         # cond(h) <= 4; h is lower triangular with a positive diagonal, so it is also a metric factor
         upper = np.linalg.qr(random_orthogonal(n, rng) @ np.diag(rng.uniform(0.5, 2.0, n)))[1]
@@ -1587,7 +1631,7 @@ def test_the_jacobian_is_one_stacked_call_with_the_bits_of_its_columns(n):
     for b0 in dense_starts(n, 700 + n):
         b0 = rescale_to_norm(b0)
         sides = [(flow._frame_generator(b0, r), h.reshape(-1)) for r in (None, 0.5, "scalar")]
-        sides += [(flow._companion(b0, r)[0], h.reshape(-1)) for r in (None, "scalar")]
+        sides += [(flow._frame_generator(b0, r, gauge=False), h.reshape(-1)) for r in (None, "scalar")]
         sides.append((flow._metric_flow(b0, "scalar")[0], 0.3 * rng.standard_normal(n * (n + 1) // 2)))
         for rhs, y in sides:
             calls = []
@@ -1605,7 +1649,7 @@ def test_the_jacobian_is_one_stacked_call_with_the_bits_of_its_columns(n):
 
 def test_a_singular_lane_raises_the_failure_of_its_1d_call(heis_sphere):
     frame = flow._frame_generator(heis_sphere, "scalar")
-    companion = flow._companion(heis_sphere, "scalar")[0]
+    companion = flow._frame_generator(heis_sphere, "scalar", gauge=False)
     metric, _ = flow._metric_flow(heis_sphere, "scalar")
     tiny = np.zeros(6)
     tiny[5] = 2.0 * flow._LOG_TINY  # L_33 below the normal range
