@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -128,30 +128,39 @@ def _multiindices(n, degree):
 
 @dataclass(frozen=True, eq=False)
 class MetricField:
-    """Polynomial metric g_ij(x) = sum_alpha coefficients[alpha][i, j] x^alpha.
+    """Polynomial metric g_ij(x) = sum_r matrices[r, i, j] x^exponents[r].
 
-    coefficients maps multi-indices (tuples of n nonnegative ints) to
-    symmetric (n, n) matrices.  A call evaluates every monomial x^alpha at
-    once and takes one product with the stacked matrices; the stacks are
-    built on the first call, so the coefficients must not change after it.
+    The field is its table, two read-only arrays: exponents (m, n), one
+    distinct multi-index alpha per row, and symmetric matrices (m, n, n).
+    A call evaluates every monomial x^alpha at once and takes one product
+    with the stacked matrices.  `coefficients` is a new {alpha: matrix} dict
+    of read-only views on each read: an edit to it changes nothing here.
     """
 
     n: int
     degree: int
-    coefficients: dict
+    exponents: np.ndarray
+    matrices: np.ndarray
 
-    @cached_property
-    def _table(self):
-        """Exponents (m, n) and coefficient matrices (m, n^2), in key order."""
-        n = self.n
-        exps = np.array(list(self.coefficients), dtype=int).reshape(-1, n)
-        mats = np.array(list(self.coefficients.values()), dtype=float).reshape(-1, n * n)
-        return exps, mats
+    def __post_init__(self):
+        for name in ("exponents", "matrices"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name)).view())
+            getattr(self, name).flags.writeable = False
+
+    @classmethod
+    def _of_dict(cls, n, degree, coeffs):
+        """The field of a {alpha: (n, n) matrix} dict, one row per key in key order."""
+        exps = np.array(list(coeffs), dtype=int).reshape(-1, n)
+        return cls(n, degree, exps, np.array(list(coeffs.values()), dtype=float).reshape(-1, n, n))
+
+    @property
+    def coefficients(self) -> dict:
+        return dict(zip(map(tuple, self.exponents.tolist()), self.matrices))
 
     def __call__(self, x) -> np.ndarray:
         x = _as_array(x, (self.n,), "vector")
-        exps, mats = self._table
-        return (np.prod(x**exps, axis=1) @ mats).reshape(self.n, self.n)
+        monomials = np.prod(x**self.exponents, axis=1)
+        return (monomials @ self.matrices.reshape(-1, self.n * self.n)).reshape(self.n, self.n)
 
     def derivative(self, beta) -> "MetricField":
         """Partial derivative field d^beta g (coefficient-exact).  beta holds n
@@ -161,26 +170,18 @@ class MetricField:
         if len(beta) != self.n or not all(_is_int(v, 0) for v in beta):
             raise DimensionMismatch(f"bad derivative multi-index {beta}")
         beta = tuple(map(int, beta))
-        exps, mats = self._table
-        keep = np.all(exps >= beta, axis=1)
-        coeffs = {}
+        keep = np.all(self.exponents >= beta, axis=1)
+        exps, mats = self.exponents[keep], self.matrices[keep]
         # alpha -> alpha - beta is one to one on the kept rows: nothing to merge
-        for alpha, mat in zip(exps[keep].tolist(), mats[keep]):
-            key = tuple(a - bta for a, bta in zip(alpha, beta))
-            coeffs[key] = math.prod(map(math.perm, alpha, beta)) * mat.reshape(self.n, self.n)
-        return MetricField(self.n, max(0, self.degree - sum(beta)), coeffs)
+        factors = np.array([math.prod(map(math.perm, a, beta)) for a in exps.tolist()], dtype=float)
+        return MetricField(self.n, max(0, self.degree - sum(beta)), exps - beta, factors[:, None, None] * mats)
 
     def to_dict(self) -> dict:
         entries = []
-        for alpha in sorted(self.coefficients, key=lambda a: (sum(a), a)):
-            mat = self.coefficients[alpha]
-            for i in range(self.n):
-                for j in range(i, self.n):
-                    v = mat[i, j]
-                    if v != 0.0:
-                        entries.append(
-                            {"i": i + 1, "j": j + 1, "alpha": list(alpha), "value": float(v)}
-                        )
+        for alpha, mat in sorted(self.coefficients.items(), key=lambda item: (sum(item[0]), item[0])):
+            for i, j in zip(*(part.tolist() for part in np.triu_indices(self.n))):
+                if mat[i, j] != 0.0:
+                    entries.append({"i": i + 1, "j": j + 1, "alpha": list(alpha), "value": float(mat[i, j])})
         return {"n": self.n, "degree": self.degree, "coefficients": entries}
 
     @classmethod
@@ -221,7 +222,7 @@ class MetricField:
                 raise BracketFormatError(f"{where}: value must be a finite number")
             mat = coeffs.setdefault(tuple(alpha), np.zeros((n, n)))
             mat[i - 1, j - 1] = mat[j - 1, i - 1] = value
-        return cls(n, degree, coeffs)
+        return cls._of_dict(n, degree, coeffs)
 
 
 def metric_field_2step(b: Bracket) -> MetricField:
@@ -250,7 +251,7 @@ def metric_field_2step(b: Bracket) -> MetricField:
             if np.any(mat != 0.0):
                 alpha = tuple((2 if t == p else 0) if p == q else (1 if t in (p, q) else 0) for t in range(n))
                 coeffs[alpha] = mat
-    return MetricField(n, 2 if k == 2 else 0, coeffs)
+    return MetricField._of_dict(n, 2 if k == 2 else 0, coeffs)
 
 
 def _unique_rows(exps):
@@ -314,10 +315,9 @@ def metric_field_fit(b: Bracket) -> MetricField:
     A(x) and g(x) = A(x)^T A(x) are expanded as polynomial products: an exact
     expansion, with no sampling and only nonzero coefficients stored.  The
     expansion is made once per bracket; each call returns a new field whose
-    coefficient matrices are read-only views of it.
+    exponent and matrix arrays are read-only views of it, with no dict built.
     """
-    exps, coeffs = _metric_table(b)
-    return MetricField(b.n, max(0, 2 * (b.degree - 1)), dict(zip(map(tuple, exps.tolist()), coeffs)))
+    return MetricField(b.n, max(0, 2 * (b.degree - 1)), *_metric_table(b))
 
 
 # entries of the coefficient matrix and of the values in one block of

@@ -853,6 +853,9 @@ def cointegrate_h(trace: FlowTrace) -> np.ndarray:
     cond(h) > 1/sqrt(eps), a singular h, or an overflow, the integrator's
     own included (the run holds one error state), raises NumericalFailure
     "the companion frame h became singular: ...", with the run's samples.
+    The run always uses rtol=1e-10, atol=1e-12, whatever options made the
+    trace: its frames degenerate like exp(-tD), and their error reaches
+    h.mu0 amplified by cond(h).
     """
     b0 = trace.initial_bracket
     opts = FlowOpts(rtol=1e-10, atol=1e-12, stops=tuple(trace.times[1:-1]))
@@ -1129,7 +1132,9 @@ def equivalence_report(
     constant, or "scalar" for the normalized flow on ||b0|| = 2.  The
     checkpoints are an even grid of t = 0..t_max, whose interior replaces
     opts.stops in the inner-product and bracket runs (the companion stops at
-    every sample of the bracket trace).  t_max must be finite and >= 0, and
+    every sample of the bracket trace).  opts' tolerances set those two runs
+    only: the companion always runs at cointegrate_h's rtol=1e-10,
+    atol=1e-12.  t_max must be finite and >= 0, and
     checkpoints an integer of at least 2 (else ConfigError).
     """
     if not _is_int(checkpoints, 2):

@@ -392,6 +392,27 @@ def test_fitted_fields_share_no_mutable_state(fil4):
     assert all(np.array_equal(again[a], first[a]) for a in first)
 
 
+@pytest.mark.parametrize("called_first", [False, True], ids=["edit_before_call", "edit_after_call"])
+def test_an_edit_to_the_coefficients_dict_changes_nothing_the_field_computes(fil4, called_first):
+    # the dict is a view built on each read; the field evaluates its arrays
+    x, beta = np.array([0.4, -0.3, 0.7, 0.2]), (1, 0, 1, 0)
+    fitted = metric_field_fit(Bracket(fil4.coeffs))
+    want = fitted(x), fitted.derivative(beta)(x), fitted.to_dict()
+    field = metric_field_fit(fil4)
+    if called_first:
+        field(x)
+        field.derivative(beta)(x)
+    coefficients = field.coefficients
+    coefficients.pop((0, 0, 0, 0))
+    coefficients[(1, 0, 1, 0)] = np.eye(4)
+    got = field(x), field.derivative(beta)(x), field.to_dict()
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    assert got[2] == want[2]
+    assert len(field.coefficients) == len(fitted.coefficients)
+    with pytest.raises(ValueError):
+        field.coefficients[(0, 0, 0, 0)][0, 0] = 2.0
+
+
 def test_field_from_dict_rejects_garbage():
     with pytest.raises(BracketFormatError):
         MetricField.from_dict({"n": 2})

@@ -610,6 +610,21 @@ def test_a_moving_start_builds_its_jacobian_where_it_settles(monkeypatch):
     assert trace.stats["rosenbrock_steps"] == ros2 < trace.stats["accepted"]
 
 
+@pytest.mark.parametrize("start, most", [("heisenberg", 6), ("two_step_5", 30)])
+def test_a_settled_run_reaches_t_1e6_in_a_few_steps(start, most):
+    # the cost of a long horizon at the default tolerances: 5 steps for H3
+    # and 25 for the n = 5 start (22 of them to T = 60).  Past T ~ 1e8 the
+    # steps stop growing (H3: 287 steps to T = 1e9, 3,054 to 1e10), so the
+    # bound pins today's cost, not an unbounded horizon
+    if start == "heisenberg":
+        b = rescale_to_norm(heisenberg())
+    else:
+        b = rescale_to_norm(random_two_step(5, np.random.default_rng(3)))
+    trace = integrate_normalized_flow(b, 1e6)
+    assert trace.times[-1] == 1e6 and trace.stats["accepted"] <= most
+    assert detect_convergence(trace).converged
+
+
 def test_a_run_that_stays_stiff_keeps_its_jacobian_across_hand_backs(monkeypatch):
     # DL8 in its own basis is stiff while it moves: a ROS2 stretch hands back
     # after one large increment and the stiffness test switches again; a J
