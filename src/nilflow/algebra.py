@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .exceptions import (
     BracketFormatError,
@@ -315,6 +316,22 @@ def validate_bracket(b: Bracket, tol: float = DEFAULT_TOL) -> ValidationReport:
     )
 
 
+def _inv(a: np.ndarray) -> np.ndarray:
+    """The inverse of an (n, n) float array or of a stack of them, with the
+    bits of numpy.linalg's inv but without its Python wrapper, whose checks
+    and casts cost more than the LU factorization at n <= 8: the LAPACK
+    gufunc that wrapper calls, under its error mask with invalid="raise" in
+    place of its callback.  The gufunc flags a singular matrix as invalid,
+    so one raises LinAlgError("Singular matrix") as there, whatever the
+    caller's error state; a nan matrix gives nan, as there.  The gufunc is
+    private numpy API: tests/test_algebra.py pins it to the public inv."""
+    try:
+        with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
+            return _umath_linalg.inv(a, signature="d->d")
+    except FloatingPointError:
+        raise np.linalg.LinAlgError("Singular matrix") from None
+
+
 def _gl_action_coeffs(g: np.ndarray, ginv: np.ndarray, c: np.ndarray) -> np.ndarray:
     """(g.mu)_ijk = sum ginv_ai ginv_bj g_kc c_abc, as three matrix products, one
     per index; leading axes of g, ginv and c are batch axes and broadcast."""
@@ -328,12 +345,14 @@ def _gl_action_coeffs(g: np.ndarray, ginv: np.ndarray, c: np.ndarray) -> np.ndar
 def _gl_action_frame(g: np.ndarray, ginv: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """(g.mu) of one (n, n) frame as the (n^2, n) view of its coefficients,
     rows the (n, n^2) view of mu's: _gl_action_coeffs's products in its order,
-    so with its bits, but the products of two 2-D arrays are ndarray.dot, a
-    direct BLAS call without the matmul gufunc's overhead; the one whose
-    right operand is 3-D keeps @, which broadcasts over its leading axis."""
+    so with its bits, but each is one ndarray.dot of two 2-D arrays, a direct
+    BLAS call without the matmul gufunc's dispatch.  Each product contracts
+    the leading index of a 2-D view and moves it last, so the next index to
+    contract leads: (b c, i) after ginv, (c i, j) after the second, and the
+    (i j, c) transpose meets g^T."""
     n = g.shape[0]
-    w = ginv.T
-    return (w @ w.dot(rows).reshape(n, n, n)).reshape(n * n, n).dot(g.T)
+    t = rows.T.dot(ginv).reshape(n, n * n)
+    return t.T.dot(ginv).reshape(n, n * n).T.dot(g.T)
 
 
 def gl_action(g: Operator, b: VTangent) -> VTangent:
@@ -354,7 +373,7 @@ def gl_action(g: Operator, b: VTangent) -> VTangent:
     if not math.isfinite(norm_sq) and not np.isfinite(g).all():
         raise SingularMatrix("change of basis has a non-finite entry")
     try:
-        ginv = np.linalg.inv(g)
+        ginv = _inv(g)
         # a Python product: an overflow reads inf, inf * 0 nan, and both fail the screen
         screen = math.sqrt(norm_sq * float(np.vdot(ginv, ginv)))
     except np.linalg.LinAlgError:

@@ -47,10 +47,15 @@ right side needs no Cholesky factorization.
 The right sides and the step loop run once per evaluation or step on arrays
 of at most n^3 = 512 entries, so the call overhead of numpy counts: their
 products of single 2-D or 1-D arrays call ndarray.dot, which goes straight
-to BLAS and gives the bits of @ without the matmul gufunc's dispatch.
+to BLAS and gives the bits of @ without the matmul gufunc's dispatch; the
+GL action of one frame (_gl_action_frame) is three of them, on 2-D views.
 Stacked and broadcast products (the batched kernels, the stacked frame
 generator, the step loop's check, _finish_trace) keep @, as .dot does not
-broadcast over leading axes.
+broadcast over leading axes.  Every inverse is algebra._inv, LAPACK's
+inverse gufunc without numpy.linalg's Python wrapper, whose checks cost
+more than the factorization at n <= 8; its error state keeps a singular
+matrix a LinAlgError, so a singular h still raises NumericalFailure.  The
+dense output builds its weights by Python float products.
 """
 
 from __future__ import annotations
@@ -71,6 +76,7 @@ from .algebra import (
     _check_tol,
     _gl_action_coeffs,
     _gl_action_frame,
+    _inv,
     _is_int,
     _is_real,
     _jacobiator_max,
@@ -238,7 +244,11 @@ def _dense(y, rows, theta):
     """The continuous extension `rows` of a step from y at t + theta h, 0 <=
     theta <= 1 (Hairer's dense output): y + sum_k w_k rows[k], w_k the
     product of the first k + 1 factors of theta, 1 - theta, theta, ..."""
-    return y + np.cumprod([theta, 1.0 - theta] * 3 + [theta])[: len(rows)].dot(rows)
+    ws, w = [], 1.0
+    for k in range(len(rows)):
+        w *= theta if k % 2 == 0 else 1.0 - theta
+        ws.append(w)
+    return y + np.array(ws).dot(rows)
 
 
 def _stiff(h, K, y_new, y_last):
@@ -272,7 +282,7 @@ def _ros2_step(f, t, y, h, f0, jac):
     w = (-_ROS_GAMMA * h) * jac
     w[np.diag_indices(y.size)] += 1.0  # whatever the memory layout of jac
     try:
-        winv = np.linalg.inv(w)
+        winv = _inv(w)
     except np.linalg.LinAlgError:
         return None
     k1 = winv.dot(f0)
@@ -690,7 +700,7 @@ def _frame_generator(b0, r, gauge=True):
         stack = y.ndim > 1
         h = y.reshape(-1, n, n) if stack else y.reshape(n, n)
         try:
-            hinv = np.linalg.inv(h)
+            hinv = _inv(h)
             xh = shifted_ricci(h, hinv) @ h if stack else shifted_ricci(h, hinv).dot(h)
         except (np.linalg.LinAlgError, FloatingPointError):
             raise NumericalFailure(f"h is singular at t={t:.6g}") from None
@@ -747,7 +757,7 @@ def _frame_check(b0, gauge):
     def check(samples, i):
         frames = np.array([y for _, y in samples[i:]]).reshape(-1, n, n)
         try:
-            hinv = np.linalg.inv(frames)
+            hinv = _inv(frames)
             with np.errstate(over="ignore", invalid="ignore"):
                 screen = _norm(frames, 2) * _norm(hinv, 2)
         except np.linalg.LinAlgError:
@@ -758,7 +768,7 @@ def _frame_check(b0, gauge):
             k = _first_above(cond, _MAX_COND_H)
         if gauge:
             # past the bound the inverse is noise
-            hinv = np.linalg.inv(frames[:k]) if hinv is None else hinv[:k]
+            hinv = _inv(frames[:k]) if hinv is None else hinv[:k]
             coeffs = _gl_action_coeffs(frames[:k], hinv, b0.coeffs)
             defect = _skew_defect(coeffs, _norm(coeffs))
             j = _first_above(defect, _MAX_SKEW_DEFECT)
@@ -784,7 +794,7 @@ def _finish_trace(samples, stats, b0, r, jac):
     n, c0 = b0.n, b0.coeffs
     times = np.array([t for t, _ in samples])
     frames = np.array([y for _, y in samples]).reshape(-1, n, n)
-    coeffs = _gl_action_coeffs(frames, np.linalg.inv(frames), c0)
+    coeffs = _gl_action_coeffs(frames, _inv(frames), c0)
     norms = _norm(coeffs)
     stats = stats | {"max_cond_h": float(np.linalg.cond(frames).max()),
                      "max_skew_defect": float(_skew_defect(coeffs, norms).max())}
@@ -901,7 +911,7 @@ def innerproduct_scal(b0: Bracket, g: np.ndarray):
         h = np.linalg.cholesky(g).mT
     except np.linalg.LinAlgError:
         raise SingularMatrix("metric is not positive definite") from None
-    c_nu = _gl_action_coeffs(h, np.linalg.inv(h), b0.coeffs)
+    c_nu = _gl_action_coeffs(h, _inv(h), b0.coeffs)
     return 0.0 - 0.25 * _norm(c_nu) ** 2
 
 
@@ -956,7 +966,7 @@ def _metric_flow(b0, r):
             raise NumericalFailure(f"the metric factor became singular at t={t:.6g}")
         lmat = factor(y)
         h = lmat.mT
-        phi = shifted_ricci(h, np.linalg.inv(h))
+        phi = shifted_ricci(h, _inv(h))
         phi *= weights
         dy = lmat.dot(phi).reshape(-1)[lower]
         dy[logdiag] = phi.reshape(-1)[:: n + 1]
@@ -1147,7 +1157,7 @@ def equivalence_report(
     trace = integrate_bracket_flow(b0, t_max, opts, r=r)
     hs = cointegrate_h(trace)
     # cointegrate_h's check ends its run before any stored frame with cond(h) > 1/sqrt(eps)
-    pulled = _gl_action_coeffs(hs, np.linalg.inv(hs), b0.coeffs)
+    pulled = _gl_action_coeffs(hs, _inv(hs), b0.coeffs)
     pullback = _norm(trace.coeffs - pulled) / np.maximum(trace.mu_norm, 1e-300)
 
     i = _index_of_time(trace.times, grid)

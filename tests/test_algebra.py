@@ -18,6 +18,8 @@ from nilflow.algebra import (
     _delta_coeffs,
     _delta_matrix,
     _gl_action_coeffs,
+    _gl_action_frame,
+    _inv,
     _jacobiator_max,
     bracket_from_dict,
     bracket_to_dict,
@@ -539,6 +541,45 @@ def test_gl_action_preserves_jacobi(seed):
     # relative to ||mu||^2, the scale validate_bracket uses
     assert jacobiator_residual(moved) < 1e-12 * max(1.0, moved.norm**2)
     _assert_matches_svd_route(g, b, moved)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_inv_is_numpy_inv_bit_for_bit(n):
+    # _inv calls numpy.linalg's private gufunc: a numpy that changes it fails here
+    rng = np.random.default_rng(700 + n)
+    for a in (rng.standard_normal((n, n)), rng.standard_normal((5, n, n)), rng.standard_normal((n, n)).T):
+        got = _inv(a)
+        assert got.dtype == np.float64 and np.array_equal(got, np.linalg.inv(a))
+
+
+def test_inv_raises_linalgerror_on_a_singular_matrix():
+    singular = np.diag([1.0, 1.0, 0.0])
+    stack = np.stack([np.eye(3), singular, 2.0 * np.eye(3)])
+    for a in (singular, np.zeros((3, 3)), stack):
+        with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+            _inv(a)
+        # whatever the caller's error state: cointegrate_h runs under the first
+        for state in ({"over": "raise", "invalid": "raise"}, {"all": "ignore"}):
+            with np.errstate(**state), pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+                _inv(a)
+
+
+def test_inv_of_a_nan_matrix_is_nan():
+    # as numpy.linalg's inv: no LinAlgError and, with warnings as errors, no warning
+    a = np.full((3, 3), np.nan)
+    assert np.isnan(_inv(a)).all() and np.isnan(np.linalg.inv(a)).all()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_gl_action_frame_is_the_stacked_action_bit_for_bit(n):
+    rng = np.random.default_rng(800 + n)
+    for _ in range(4):
+        g = rng.standard_normal((n, n))
+        c = rng.standard_normal((n, n, n))
+        ginv = _inv(g)
+        moved = _gl_action_frame(g, ginv, c.reshape(n, n * n))
+        assert moved.shape == (n * n, n)
+        assert np.array_equal(moved.reshape(n, n, n), _gl_action_coeffs(g, ginv, c))
 
 
 # ---------------------------------------------------------------------------

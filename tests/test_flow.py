@@ -272,6 +272,9 @@ def test_step_loop_products_are_bitwise_their_matmul_forms(size):
         for theta in (0.0, 0.3, 0.77, 1.0):
             ref = y + np.cumprod([theta, 1.0 - theta] * 3 + [theta]) @ rows
             assert np.array_equal(flow._dense(y, rows, theta), ref)
+            # the three cubic Hermite rows of a ROS2 step
+            ref = y + np.cumprod([theta, 1.0 - theta, theta]) @ rows[:3]
+            assert np.array_equal(flow._dense(y, rows[:3], theta), ref)
         q = np.maximum(np.abs(y), np.abs(y_new)) * 1e-9 + 1e-9
         q = err[0] / q
         assert flow._rms(err[0] / flow._scale(y, y_new, 1e-9, 1e-9)) == math.sqrt(np.vecdot(q, q) / q.size)
@@ -1668,14 +1671,16 @@ def test_a_singular_lane_raises_the_failure_of_its_1d_call(heis_sphere):
     metric, _ = flow._metric_flow(heis_sphere, "scalar")
     tiny = np.zeros(6)
     tiny[5] = 2.0 * flow._LOG_TINY  # L_33 below the normal range
-    for rhs, good, bad in ((frame, np.eye(3).reshape(-1), np.zeros(9)),
-                           (companion, np.eye(3).reshape(-1), np.zeros(9)),
-                           (metric, np.zeros(6), tiny)):
+    # a zero pivot of the frame's LU: the inverse raises LinAlgError, the right side NumericalFailure
+    singular = np.diag([1.0, 1.0, 0.0]).reshape(-1)
+    for rhs, good, bad, message in ((frame, np.eye(3).reshape(-1), singular, "h is singular at t=2.5"),
+                                    (companion, np.eye(3).reshape(-1), singular, "h is singular at t=2.5"),
+                                    (metric, np.zeros(6), tiny, "the metric factor became singular at t=2.5")):
         with pytest.raises(NumericalFailure) as single:
             rhs(2.5, bad)
         with pytest.raises(NumericalFailure) as stacked:
             rhs(2.5, np.stack([good, bad, good]))
-        assert str(stacked.value) == str(single.value)
+        assert str(stacked.value) == str(single.value) == message
 
 
 # ---------------------------------------------------------------------------
