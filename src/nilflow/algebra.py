@@ -14,7 +14,7 @@ import logging
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -316,6 +316,14 @@ def validate_bracket(b: Bracket, tol: float = DEFAULT_TOL) -> ValidationReport:
     )
 
 
+# LAPACK's inverse gufunc, the one numpy.linalg.inv calls, without its wrapper:
+# under invalid="raise" a singular matrix raises FloatingPointError, under the
+# default state it gives nan and a warning.  The flow's right sides call it
+# inside an integration run, which holds one raising error state for its whole
+# loop; every other caller goes through _inv.
+_lapack_inv = partial(_umath_linalg.inv, signature="d->d")
+
+
 def _inv(a: np.ndarray) -> np.ndarray:
     """The inverse of an (n, n) float array or of a stack of them, with the
     bits of numpy.linalg's inv but without its Python wrapper, whose checks
@@ -324,10 +332,14 @@ def _inv(a: np.ndarray) -> np.ndarray:
     place of its callback.  The gufunc flags a singular matrix as invalid,
     so one raises LinAlgError("Singular matrix") as there, whatever the
     caller's error state; a nan matrix gives nan, as there.  The gufunc is
-    private numpy API: tests/test_algebra.py pins it to the public inv."""
+    private numpy API: tests/test_algebra.py pins it to the public inv.
+    Entering the error mask costs about a third of the call, so the callers
+    that run once per batch, step or call use it (ROS2's W, the frame check,
+    _finish_trace, gl_action, innerproduct_scal, equivalence_report), and
+    the right sides, evaluated inside a run's error state, call _lapack_inv."""
     try:
         with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
-            return _umath_linalg.inv(a, signature="d->d")
+            return _lapack_inv(a)
     except FloatingPointError:
         raise np.linalg.LinAlgError("Singular matrix") from None
 

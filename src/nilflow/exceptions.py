@@ -59,7 +59,10 @@ class NumericalFailure(NilflowError, RuntimeError):
     last sample before the first such frame.  The companion frame of
     cointegrate_h, which has no gauge and degenerates near a soliton, is cut
     by the first guard alone, and its messages start "the companion frame
-    h became singular: ".
+    h became singular: ".  Every run holds one error state in which an
+    overflow or an invalid operation raises; one in its step loop also ends
+    it in NumericalFailure, "... at t=...", with the samples accepted
+    before it.
     """
 
     def __init__(self, message, trace=None):

@@ -51,11 +51,16 @@ to BLAS and gives the bits of @ without the matmul gufunc's dispatch; the
 GL action of one frame (_gl_action_frame) is three of them, on 2-D views.
 Stacked and broadcast products (the batched kernels, the stacked frame
 generator, the step loop's check, _finish_trace) keep @, as .dot does not
-broadcast over leading axes.  Every inverse is algebra._inv, LAPACK's
-inverse gufunc without numpy.linalg's Python wrapper, whose checks cost
-more than the factorization at n <= 8; its error state keeps a singular
-matrix a LinAlgError, so a singular h still raises NumericalFailure.  The
-dense output builds its weights by Python float products.
+broadcast over leading axes.  Every inverse is LAPACK's inverse gufunc
+without numpy.linalg's Python wrapper, whose checks cost more than the
+factorization at n <= 8.  The right sides call it bare (algebra._lapack_inv):
+each run enters one error state, _RUN_ERRSTATE (over and invalid raise), for
+its whole step loop, so a singular h still raises NumericalFailure, and any
+other overflow in the loop fails the run with its samples; the callers that
+run once per step, batch or call (ROS2's W, the frame check, _finish_trace,
+innerproduct_scal, equivalence_report) use algebra._inv, which sets its own
+error mask and turns a singular matrix into LinAlgError.  The dense output
+builds its weights by Python float products.
 """
 
 from __future__ import annotations
@@ -80,6 +85,7 @@ from .algebra import (
     _is_int,
     _is_real,
     _jacobiator_max,
+    _lapack_inv,
     _norm,
     bracket_to_dict,
 )
@@ -120,6 +126,10 @@ _ROS_GAMMA = 1.0 + 1.0 / math.sqrt(2.0)
 # Past this many samples a trace is thinned (see FlowOpts).
 _MAX_SAMPLES = 8192
 _CHECK_EVERY = 32  # a check of the samples runs on batches of this many (see _integrate_adaptive)
+# the error state every run holds for its whole step loop: an overflow or an
+# invalid operation raises, and the run turns it into NumericalFailure; the
+# right sides' inverses rely on it to raise for a singular h
+_RUN_ERRSTATE = {"over": "raise", "invalid": "raise"}
 
 
 @dataclass(frozen=True)
@@ -362,10 +372,14 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
     pays once; within rounding of a step end a stop relabels that sample.
     check(samples, i) judges the samples stored since its last call, from i
     on: every _CHECK_EVERY samples before any thinning, and at any run's end.
-    Raises ConfigError unless t_end is finite and >= t0, and
-    StepSizeUnderflow when the controller collapses or the step is nan;
-    every NumericalFailure, one raised by f included, carries the samples
-    accepted before it.
+    The loop runs under one error state, _RUN_ERRSTATE (over and invalid
+    raise), entered once per run, not once per evaluation.  Raises
+    ConfigError unless t_end is finite and >= t0, and StepSizeUnderflow when
+    the controller collapses or the step is nan; a FloatingPointError in the
+    loop (from f, J, check or the step arithmetic) becomes a
+    NumericalFailure "... at t=<the last accepted time>", and every
+    NumericalFailure, one raised by f included, carries the samples accepted
+    before it, which check judges first.
     """
     _check_end(t0, t_end)
     opts = opts or FlowOpts()
@@ -396,87 +410,92 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
         return samples, stats, None
 
     try:
-        K = np.empty((16, y.size))  # row 12 holds f(t + h, y_new)
-        K[0] = f(t, y)
-        h = _initial_step(f, t, y, K[0], t_end - t0, opts.rtol, opts.atol)
-        stats["nfev"] += 2
-        # the loop's settled test on the start: a start at rest takes ROS2
-        # steps (implicit) from t0
-        implicit = h < t_end - t and _rms(h * K[0] / _scale(y, y, opts.rtol, opts.atol)) < 1.0
-        # the J of the ROS2 steps, built at the first switch and at every
-        # settled one, and kept while explicit steps run in between
-        jac = None
-        if implicit:
-            jac = _jacobian(f, t, y, K[0])
-            stats["nfev"] += y.size
+        with np.errstate(**_RUN_ERRSTATE):
+            K = np.empty((16, y.size))  # row 12 holds f(t + h, y_new)
+            K[0] = f(t, y)
+            h = _initial_step(f, t, y, K[0], t_end - t0, opts.rtol, opts.atol)
+            stats["nfev"] += 2
+            # the loop's settled test on the start: a start at rest takes ROS2
+            # steps (implicit) from t0
+            implicit = h < t_end - t and _rms(h * K[0] / _scale(y, y, opts.rtol, opts.atol)) < 1.0
+            # the J of the ROS2 steps, built at the first switch and at every
+            # settled one, and kept while explicit steps run in between
+            jac = None
+            if implicit:
+                jac = _jacobian(f, t, y, K[0])
+                stats["nfev"] += y.size
 
-        while t < t_end:
-            h = min(h, t_end - t)
-            # not >=, so that a nan step (a nan derivative) underflows too;
-            # the step that ends the run is taken however short it is
-            if not (h >= 1e-14 * max(1.0, abs(t)) or h == t_end - t):
-                raise StepSizeUnderflow(f"step size underflow at t={t:.6g} (h={h:.3e})")
-            ros = _ros2_step(f, t, y, h, K[0], jac) if implicit else None
-            if ros is None:
-                implicit = False  # a singular W hands the step back to the explicit steps
-                y_new, err_vec, y_last = _rk_step(f, t, y, h, K)
-                stats["nfev"] += 11
-            else:
-                y_new, err_vec = ros
-                stats["nfev"] += 1
-            scale = _scale(y, y_new, opts.rtol, opts.atol)
-            err = (_rms if implicit else _dop853_error_norm)(err_vec / scale)
-            increment = _rms((y_new - y) / scale)
+            while t < t_end:
+                h = min(h, t_end - t)
+                # not >=, so that a nan step (a nan derivative) underflows too;
+                # the step that ends the run is taken however short it is
+                if not (h >= 1e-14 * max(1.0, abs(t)) or h == t_end - t):
+                    raise StepSizeUnderflow(f"step size underflow at t={t:.6g} (h={h:.3e})")
+                ros = _ros2_step(f, t, y, h, K[0], jac) if implicit else None
+                if ros is None:
+                    implicit = False  # a singular W hands the step back to the explicit steps
+                    y_new, err_vec, y_last = _rk_step(f, t, y, h, K)
+                    stats["nfev"] += 11
+                else:
+                    y_new, err_vec = ros
+                    stats["nfev"] += 1
+                scale = _scale(y, y_new, opts.rtol, opts.atol)
+                err = (_rms if implicit else _dop853_error_norm)(err_vec / scale)
+                increment = _rms((y_new - y) / scale)
 
-            if err <= 1.0:
-                K[12] = f(t + h, y_new)
-                stats["nfev"] += 1
-                if implicit:
-                    stats["rosenbrock_steps"] += 1
-                t_new = t_end if h >= t_end - t else t + h
-                near = 1e-13 * max(1.0, abs(t_new))
-                rows = None  # the step's continuous extension, built for its first stop
-                while stops[-1] < t_new - near:
-                    s = stops.pop()
-                    if rows is None:
-                        if implicit:
-                            rows = _hermite_rows(y, y_new, h, K[0], K[12])
-                        else:
-                            rows = _rk_extension(f, t, y, y_new, h, K)
-                            stats["nfev"] += 3
-                    samples.append((s, _dense(y, rows, (s - t) / h)))
-                    steps.append(0)
-                at_stop = stops[-1] <= t_new + near
-                if at_stop:
-                    t_new = stops.pop()
-                # the tests read this step's h and stages, so they run before h changes
-                switch = not implicit and t_new < t_end and (
-                    increment < 1.0 or _stiff(h, K, y_new, y_last)
-                )
-                t, y, K[0] = t_new, y_new, K[12]
-                stats["accepted"] += 1
-                step = 0 if at_stop else stats["accepted"]
-                if step % stride == 0:
-                    samples.append((t, y))
-                    steps.append(step)
-                # a stride past the step count would drop nothing more
-                thin = len(samples) > _MAX_SAMPLES and stride <= stats["accepted"]
-                if thin or t >= t_end or len(samples) - judged >= _CHECK_EVERY:
-                    check(samples, judged)
-                    if thin:
-                        stride *= 2
-                        samples, steps = _thin(samples, steps, stride)
-                    judged = len(samples)
-                # a settled entry builds a fresh J; a stiff one reuses the kept J
-                if switch and (increment < 1.0 or jac is None):
-                    jac = _jacobian(f, t, y, K[0])
-                    stats["nfev"] += y.size
-                implicit = switch or (implicit and increment < 1.0)
-            else:
-                stats["rejected"] += 1
-            # on a rejection err > 1: the ceiling cannot bind
-            e, ceiling = (0.5, _ROS_MAX_FACTOR) if ros is not None else (0.125, _MAX_FACTOR)
-            h *= min(ceiling, max(_MIN_FACTOR, _SAFETY * (err + 1e-300) ** -e))
+                if err <= 1.0:
+                    K[12] = f(t + h, y_new)
+                    stats["nfev"] += 1
+                    if implicit:
+                        stats["rosenbrock_steps"] += 1
+                    t_new = t_end if h >= t_end - t else t + h
+                    near = 1e-13 * max(1.0, abs(t_new))
+                    rows = None  # the step's continuous extension, built for its first stop
+                    while stops[-1] < t_new - near:
+                        s = stops.pop()
+                        if rows is None:
+                            if implicit:
+                                rows = _hermite_rows(y, y_new, h, K[0], K[12])
+                            else:
+                                rows = _rk_extension(f, t, y, y_new, h, K)
+                                stats["nfev"] += 3
+                        samples.append((s, _dense(y, rows, (s - t) / h)))
+                        steps.append(0)
+                    at_stop = stops[-1] <= t_new + near
+                    if at_stop:
+                        t_new = stops.pop()
+                    # the tests read this step's h and stages, so they run before h changes
+                    switch = not implicit and t_new < t_end and (
+                        increment < 1.0 or _stiff(h, K, y_new, y_last)
+                    )
+                    t, y, K[0] = t_new, y_new, K[12]
+                    stats["accepted"] += 1
+                    step = 0 if at_stop else stats["accepted"]
+                    if step % stride == 0:
+                        samples.append((t, y))
+                        steps.append(step)
+                    # a stride past the step count would drop nothing more
+                    thin = len(samples) > _MAX_SAMPLES and stride <= stats["accepted"]
+                    if thin or t >= t_end or len(samples) - judged >= _CHECK_EVERY:
+                        check(samples, judged)
+                        if thin:
+                            stride *= 2
+                            samples, steps = _thin(samples, steps, stride)
+                        judged = len(samples)
+                    # a settled entry builds a fresh J; a stiff one reuses the kept J
+                    if switch and (increment < 1.0 or jac is None):
+                        jac = _jacobian(f, t, y, K[0])
+                        stats["nfev"] += y.size
+                    implicit = switch or (implicit and increment < 1.0)
+                else:
+                    stats["rejected"] += 1
+                # on a rejection err > 1: the ceiling cannot bind
+                e, ceiling = (0.5, _ROS_MAX_FACTOR) if ros is not None else (0.125, _MAX_FACTOR)
+                h *= min(ceiling, max(_MIN_FACTOR, _SAFETY * (err + 1e-300) ** -e))
+    except FloatingPointError as exc:
+        failure = NumericalFailure(f"{exc} at t={t:.6g}", trace=samples)
+        check(samples, judged)
+        raise failure from None
     except NumericalFailure as exc:
         if exc.trace is None:  # not raised by check
             exc.trace = samples
@@ -687,9 +706,12 @@ def _frame_generator(b0, r, gauge=True):
     <mu', mu> = 0, and the flow of h commutes with rescaling h.  One call is
     a few plain matrix products: the GL action, the two of Ricci, the
     projection and h'.  y may also be a (B, n^2) stack of frames, which gives
-    the (B, n^2) stack of h', each lane with the bits of its 1-D call.  A
-    singular h in any lane, or an overflow under a raising error state,
-    raises NumericalFailure.  gauge=False drops D: h' = -X h (cointegrate_h).
+    the (B, n^2) stack of h', each lane with the bits of its 1-D call.  The
+    inverse is algebra._lapack_inv, without an error state of its own: the
+    run's _RUN_ERRSTATE, held around every evaluation, makes a singular h in
+    any lane, or an overflow, raise NumericalFailure "h is singular at t=...";
+    outside a run's error state a singular h gives nan and a warning.
+    gauge=False drops D: h' = -X h (cointegrate_h).
     """
     n = b0.n
     shifted_ricci = _shifted_ricci(b0, r)
@@ -700,9 +722,9 @@ def _frame_generator(b0, r, gauge=True):
         stack = y.ndim > 1
         h = y.reshape(-1, n, n) if stack else y.reshape(n, n)
         try:
-            hinv = _inv(h)
+            hinv = _lapack_inv(h)
             xh = shifted_ricci(h, hinv) @ h if stack else shifted_ricci(h, hinv).dot(h)
-        except (np.linalg.LinAlgError, FloatingPointError):
+        except FloatingPointError:
             raise NumericalFailure(f"h is singular at t={t:.6g}") from None
         if not gauge:
             return (-xh).reshape(y.shape)
@@ -861,8 +883,9 @@ def cointegrate_h(trace: FlowTrace) -> np.ndarray:
     generator and _frame_check, in one unthinned run with a stop at every
     sample time.  Returns the (m, n, n) array of h(t_i).  A stored h with
     cond(h) > 1/sqrt(eps), a singular h, or an overflow, the integrator's
-    own included (the run holds one error state), raises NumericalFailure
-    "the companion frame h became singular: ...", with the run's samples.
+    own included (the run holds _RUN_ERRSTATE, as every run does), raises
+    NumericalFailure "the companion frame h became singular: ...", with the
+    samples the run accepted before it.
     The run always uses rtol=1e-10, atol=1e-12, whatever options made the
     trace: its frames degenerate like exp(-tD), and their error reaches
     h.mu0 amplified by cond(h).
@@ -872,14 +895,11 @@ def cointegrate_h(trace: FlowTrace) -> np.ndarray:
     rhs, check = _frame_generator(b0, trace.rate, gauge=False), _frame_check(b0, False)
     y0, prefix = np.eye(b0.n).reshape(-1), "the companion frame h became singular: "
     try:
-        with np.errstate(over="raise", invalid="raise"):
-            at = dict(_integrate_adaptive(rhs, trace.times[0], y0, trace.times[-1], opts, check)[0])
+        at = dict(_integrate_adaptive(rhs, trace.times[0], y0, trace.times[-1], opts, check)[0])
     except StepSizeUnderflow:
         raise
-    except NumericalFailure as exc:  # from the right side or the check
+    except NumericalFailure as exc:  # from the right side, the check or the run's error state
         raise NumericalFailure(prefix + str(exc), trace=exc.trace) from None
-    except FloatingPointError as exc:
-        raise NumericalFailure(prefix + str(exc)) from None
     return np.array([at[t] for t in trace.times]).reshape(-1, b0.n, b0.n)
 
 
@@ -933,7 +953,9 @@ def _metric_flow(b0, r):
     L (Phi + Phi^T) L^T = L M L^T = -2 L ric_nu L^T - 2 r G, G follows the
     metric flow for every rate; the scalar rate keeps scal(G) fixed.  A
     factor with some L_ii = exp(y_i) below the normal range, where 1 / L_ii
-    overflows, raises NumericalFailure.
+    overflows, raises NumericalFailure.  The inverse of L^T is
+    algebra._lapack_inv, under the error state of the run that evaluates rhs
+    (_RUN_ERRSTATE), so an overflow there fails the run.
     """
     n = b0.n
     lower = np.flatnonzero(np.tri(n, dtype=bool))  # flat positions of the state in L
@@ -966,7 +988,7 @@ def _metric_flow(b0, r):
             raise NumericalFailure(f"the metric factor became singular at t={t:.6g}")
         lmat = factor(y)
         h = lmat.mT
-        phi = shifted_ricci(h, _inv(h))
+        phi = shifted_ricci(h, _lapack_inv(h))
         phi *= weights
         dy = lmat.dot(phi).reshape(-1)[lower]
         dy[logdiag] = phi.reshape(-1)[:: n + 1]

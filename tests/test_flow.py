@@ -1108,6 +1108,78 @@ def test_check_judges_the_samples_of_a_failed_run():
     assert judged == [t for t, _ in info.value.trace] and len(judged) > 400
 
 
+def _overflowing_after(rhs, calls):
+    """rhs, but past `calls` evaluations its values are multiplied past the float range."""
+    count = []
+
+    def overflowing(t, y):
+        count.append(None)
+        dy = rhs(t, y)
+        return dy if len(count) <= calls else dy * 1e308 * 1e308
+
+    return overflowing
+
+
+def test_an_overflow_in_a_run_is_a_numerical_failure_with_its_samples():
+    # the run holds one raising error state: an overflow in the right side
+    # is no warning and no nan step, but a failure at the last accepted time,
+    # with the samples accepted before it judged
+    judged, before = [], np.geterr()
+    with pytest.raises(NumericalFailure, match="^overflow encountered in multiply at t=") as info:
+        flow._integrate_adaptive(_overflowing_after(_rotation, 200), 0.0, np.array([1.0, 0.0]), 10.0, FlowOpts(),
+                                 check=lambda samples, i: judged.extend(t for t, _ in samples[i:]))
+    accepted = info.value.trace
+    assert accepted[0][0] == 0.0 and len(accepted) > 10
+    assert str(info.value).endswith(f" at t={accepted[-1][0]:.6g}")
+    assert judged == [t for t, _ in accepted]
+    # and the caller's error state is back once the run has failed
+    assert np.geterr() == before
+
+
+def test_an_overflow_in_a_companion_or_metric_run_keeps_its_samples(monkeypatch):
+    b0 = rescale_to_norm(filiform(4))
+    trace = integrate_bracket_flow(b0, 5.0, FlowOpts(max_step=0.05))
+    real_frame, real_metric = flow._frame_generator, flow._metric_flow
+    monkeypatch.setattr(flow, "_frame_generator", lambda *args, **kw: _overflowing_after(real_frame(*args, **kw), 100))
+    with pytest.raises(NumericalFailure) as companion:
+        cointegrate_h(trace)
+    assert str(companion.value).startswith("the companion frame h became singular: overflow encountered")
+
+    def metric_flow(*args):
+        rhs, factor = real_metric(*args)
+        return _overflowing_after(rhs, 100), factor
+
+    monkeypatch.setattr(flow, "_metric_flow", metric_flow)
+    with pytest.raises(NumericalFailure, match="^overflow encountered in multiply at t=") as metric:
+        integrate_innerproduct_flow(b0, 5.0, FlowOpts(max_step=0.05))
+    for info in (companion, metric):
+        accepted = info.value.trace
+        assert accepted is not None and accepted[0][0] == 0.0 and len(accepted) > 2
+        assert str(info.value).endswith(f" at t={accepted[-1][0]:.6g}")
+
+
+def test_a_run_enters_its_error_state_once_not_per_evaluation(monkeypatch):
+    # the right sides invert without an error state of their own; what is
+    # left is one per run, per check batch and per ROS2 step, not per evaluation
+    entries = []
+    real = np.errstate
+
+    def counting(*args, **kwargs):
+        entries.append(kwargs)
+        return real(*args, **kwargs)
+
+    b0 = random_nilpotent(6, np.random.default_rng(0))
+    monkeypatch.setattr(np, "errstate", counting)
+    trace = integrate_bracket_flow(b0, 50.0)
+    monkeypatch.undo()
+    stats = trace.stats
+    batches = -(-len(trace) // flow._CHECK_EVERY)
+    # the run's state, the first step's and _finish_trace's inverse, two per check batch, one per ROS2 W
+    bound = 3 + 2 * batches + stats["rosenbrock_steps"] + stats["rejected"]
+    assert entries.count(flow._RUN_ERRSTATE) == 1
+    assert len(entries) <= bound < stats["nfev"] / 10
+
+
 def test_skew_defect_is_reported_on_runs_that_keep_their_orbit():
     # in its own basis Dixmier-Lister keeps its zero pattern, and h.mu0 stays
     # skew to rounding until the cond(h) bound ends the run
@@ -1671,15 +1743,18 @@ def test_a_singular_lane_raises_the_failure_of_its_1d_call(heis_sphere):
     metric, _ = flow._metric_flow(heis_sphere, "scalar")
     tiny = np.zeros(6)
     tiny[5] = 2.0 * flow._LOG_TINY  # L_33 below the normal range
-    # a zero pivot of the frame's LU: the inverse raises LinAlgError, the right side NumericalFailure
+    # a zero pivot of the frame's LU: the inverse raises FloatingPointError, the right side NumericalFailure
     singular = np.diag([1.0, 1.0, 0.0]).reshape(-1)
     for rhs, good, bad, message in ((frame, np.eye(3).reshape(-1), singular, "h is singular at t=2.5"),
                                     (companion, np.eye(3).reshape(-1), singular, "h is singular at t=2.5"),
                                     (metric, np.zeros(6), tiny, "the metric factor became singular at t=2.5")):
-        with pytest.raises(NumericalFailure) as single:
-            rhs(2.5, bad)
-        with pytest.raises(NumericalFailure) as stacked:
-            rhs(2.5, np.stack([good, bad, good]))
+        # the right sides are evaluated inside a run, whose error state makes
+        # the inverse of a singular h raise
+        with np.errstate(**flow._RUN_ERRSTATE):
+            with pytest.raises(NumericalFailure) as single:
+                rhs(2.5, bad)
+            with pytest.raises(NumericalFailure) as stacked:
+                rhs(2.5, np.stack([good, bad, good]))
         assert str(stacked.value) == str(single.value) == message
 
 
@@ -1756,10 +1831,10 @@ def test_equivalence_with_a_singular_frame_raises():
 
 
 def test_companion_overflow_outside_the_right_side_is_a_numerical_failure(heis, monkeypatch):
-    # the companion run holds its error state around the whole integration,
-    # so an overflow in the integrator's own arithmetic (here the error norm
-    # of its DOP853 steps) raises FloatingPointError there, and must not end
-    # in a traceback
+    # every run holds its error state around the whole integration, so an
+    # overflow in the integrator's own arithmetic (here the error norm of the
+    # companion's DOP853 steps) raises FloatingPointError there, and must not
+    # end in a traceback
     trace = integrate_bracket_flow(heis, 1.0)
     error_norm = flow._dop853_error_norm
     monkeypatch.setattr(flow, "_dop853_error_norm", lambda q: error_norm(1e300 * q))
