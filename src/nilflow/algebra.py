@@ -335,8 +335,8 @@ def _inv(a: np.ndarray) -> np.ndarray:
     private numpy API: tests/test_algebra.py pins it to the public inv.
     Entering the error mask costs about a third of the call, so the callers
     that run once per batch, step or call use it (ROS2's W, the frame check,
-    _finish_trace, gl_action, innerproduct_scal, equivalence_report), and
-    the right sides, evaluated inside a run's error state, call _lapack_inv."""
+    gl_action, innerproduct_scal, equivalence_report), and the right sides,
+    evaluated inside a run's error state, call _lapack_inv."""
     try:
         with np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore"):
             return _lapack_inv(a)
@@ -345,13 +345,16 @@ def _inv(a: np.ndarray) -> np.ndarray:
 
 
 def _gl_action_coeffs(g: np.ndarray, ginv: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """(g.mu)_ijk = sum ginv_ai ginv_bj g_kc c_abc, as three matrix products, one
-    per index; leading axes of g, ginv and c are batch axes and broadcast."""
+    """(g.mu)_ijk = sum ginv_ai ginv_bj g_kc c_abc of one bracket c (n, n, n)
+    for g and ginv (..., n, n): _gl_action_frame's three products, one per
+    index, each one matmul batched over the frames with their leading axes
+    flattened, so each frame has the bits of its own _gl_action_frame call."""
     n = c.shape[-1]
-    ginv_t = ginv.mT
-    t = ginv_t @ c.reshape(*c.shape[:-2], n * n)
-    t = t.reshape(*t.shape[:-1], n, n)
-    return ginv_t[..., None, :, :] @ t @ g.mT[..., None, :, :]
+    rows = c.reshape(n, n * n)
+    lead = g.shape[:-2]
+    t = (rows.T @ ginv.reshape(-1, n, n)).reshape(-1, n, n * n)
+    t = (t.mT @ ginv.reshape(-1, n, n)).reshape(-1, n, n * n)
+    return (t.mT @ g.reshape(-1, n, n).mT).reshape(*lead, n, n, n)
 
 
 def _gl_action_frame(g: np.ndarray, ginv: np.ndarray, rows: np.ndarray) -> np.ndarray:

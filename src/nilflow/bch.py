@@ -321,8 +321,9 @@ def metric_field_fit(b: Bracket) -> MetricField:
 
 
 # entries of the coefficient matrix and of the values in one block of
-# derivative orders of metric_convergence_distance
-_BLOCK = 2**20
+# derivative orders of metric_convergence_distance: 256 KB of floats, so a
+# block stays in the cache (2^20 and 2^13 are slower)
+_BLOCK = 2**15
 
 
 @lru_cache(maxsize=16)
@@ -350,7 +351,7 @@ def metric_convergence_distance(b1: Bracket, b2: Bracket, radius: float, p: int 
     alpha! / (alpha - beta)! D_alpha x^(alpha - beta), so every derivative
     on every point is one product C^T V: V holds each monomial x^gamma,
     gamma = alpha - beta, once, and C the factors times D.  The orders beta
-    run in blocks that keep C and the values under 2^20 entries.  Each
+    run in blocks that keep C and the values under 2^15 entries.  Each
     bracket's expansion is made once (see metric_field_fit), and the sample
     points once per dimension and radius.  ConfigError unless the radius is
     a finite real number >= 0 and p is a nonnegative int, neither of them a

@@ -19,7 +19,9 @@ converges.  Each stored frame of a normalized run is rescaled once onto the
 sphere.  Traces are arrays read by batched kernels.  The step loop judges
 each stored frame, 32 at a time: cond(h) > 1/sqrt(eps), or a skew part of
 h.mu0 above 1e-8 of its norm (rounding damage), raises NumericalFailure at
-that frame, whatever t_max.  Every flow runs one adaptive integrator
+that frame, whatever t_max.  The check keeps the brackets h.mu0 it moved,
+thinned with their samples, and the trace reads them, so each stored frame
+is inverted and moved once.  Every flow runs one adaptive integrator
 (_integrate_adaptive): explicit DOP853 steps (_rk_step, coefficients in
 _dop853) while the solution moves, and L-stable ROS2 steps once it settles
 or turns stiff, from t0 on a start at rest (a soliton of the normalized
@@ -49,18 +51,22 @@ of at most n^3 = 512 entries, so the call overhead of numpy counts: their
 products of single 2-D or 1-D arrays call ndarray.dot, which goes straight
 to BLAS and gives the bits of @ without the matmul gufunc's dispatch; the
 GL action of one frame (_gl_action_frame) is three of them, on 2-D views.
-Stacked and broadcast products (the batched kernels, the stacked frame
-generator, the step loop's check, _finish_trace) keep @, as .dot does not
-broadcast over leading axes.  Every inverse is LAPACK's inverse gufunc
-without numpy.linalg's Python wrapper, whose checks cost more than the
-factorization at n <= 8.  The right sides call it bare (algebra._lapack_inv):
-each run enters one error state, _RUN_ERRSTATE (over and invalid raise), for
-its whole step loop, so a singular h still raises NumericalFailure, and any
-other overflow in the loop fails the run with its samples; the callers that
-run once per step, batch or call (ROS2's W, the frame check, _finish_trace,
-innerproduct_scal, equivalence_report) use algebra._inv, which sets its own
-error mask and turns a singular matrix into LinAlgError.  The dense output
-builds its weights by Python float products.
+Stacked products (the batched kernels, the stacked frame generator, the
+step loop's check) keep @, as .dot does not broadcast over leading axes;
+the GL action of a stack of frames is the same three products, each
+batched over the frames, with the bits of the one-frame call.  The passes
+over a trace's samples (_finish_trace's antisymmetrization, the Riemann
+norms of type3_certificate) run on blocks of 2^15 entries, so a block and
+its temporaries stay in the cache.  Every inverse is LAPACK's inverse
+gufunc without numpy.linalg's Python wrapper, whose checks cost more than
+the factorization at n <= 8.  The right sides call it bare
+(algebra._lapack_inv): each run enters one error state, _RUN_ERRSTATE (over
+and invalid raise), for its whole step loop, so a singular h still raises
+NumericalFailure, and any other overflow in the loop fails the run with its
+samples; the callers that run once per step, batch or call (ROS2's W, the
+frame check, innerproduct_scal, equivalence_report) use algebra._inv, which
+sets its own error mask and turns a singular matrix into LinAlgError.  The
+dense output builds its weights by Python float products.
 """
 
 from __future__ import annotations
@@ -307,6 +313,16 @@ def _thin(samples, steps, stride):
     return [samples[i] for i in keep], [steps[i] for i in keep]
 
 
+def _stacked(parts, keep=None):
+    """One tuple of arrays from the tuples a check returned per batch, each
+    array stacked over the batches' samples (the rows where keep is true, if
+    given); None for a check that returns nothing."""
+    if parts[0] is None:
+        return None
+    cols = [col[0] if len(col) == 1 else np.concatenate(col) for col in zip(*parts)]
+    return tuple(cols if keep is None else [col[keep] for col in cols])
+
+
 def _check_end(t0, t_end):
     """ConfigError unless an integration from t0 ends at a finite t_end >= t0."""
     if not (_is_real(t_end) and math.isfinite(t_end) and t_end >= t0):
@@ -356,8 +372,8 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
     Runs whose steps all move by an increment of at least 1 and are not
     stiff never switch, and their steps are DOP853 steps alone.
 
-    Returns (samples, stats, jac): samples is a list of (t, y) at t0, at every
-    accepted step (the last ends on t_end) and at every stop; past
+    Returns (samples, stats, jac, verdicts): samples is a list of (t, y) at
+    t0, at every accepted step (the last ends on t_end) and at every stop; past
     _MAX_SAMPLES only every stride-th step is kept, and the stride doubles
     whenever the samples pass the cap again.  The stops are opts.stops and,
     for a finite opts.max_step, the grid of _sample_grid, so no two samples
@@ -372,6 +388,9 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
     pays once; within rounding of a step end a stop relabels that sample.
     check(samples, i) judges the samples stored since its last call, from i
     on: every _CHECK_EVERY samples before any thinning, and at any run's end.
+    What it returns, a tuple of arrays with one row per sample it judged (or
+    None), the loop keeps beside the samples and thins with them: verdicts
+    is that tuple stacked over the kept samples (None if check returns None).
     The loop runs under one error state, _RUN_ERRSTATE (over and invalid
     raise), entered once per run, not once per evaluation.  Raises
     ConfigError unless t_end is finite and >= t0, and StepSizeUnderflow when
@@ -406,8 +425,8 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
     steps = [0]  # accepted-step index of each sample; 0 for the start and the stops
     stride, judged = 1, 0  # check has judged samples[:judged]
     if t_end <= t0:
-        check(samples, judged)
-        return samples, stats, None
+        return samples, stats, None, _stacked([check(samples, judged)])
+    verdicts = []  # what check returned for each batch of samples[:judged]
 
     try:
         with np.errstate(**_RUN_ERRSTATE):
@@ -477,9 +496,11 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
                     # a stride past the step count would drop nothing more
                     thin = len(samples) > _MAX_SAMPLES and stride <= stats["accepted"]
                     if thin or t >= t_end or len(samples) - judged >= _CHECK_EVERY:
-                        check(samples, judged)
+                        verdicts.append(check(samples, judged))
                         if thin:
                             stride *= 2
+                            # the rows of the dropped samples go with them
+                            verdicts = [_stacked(verdicts, np.array(steps) % stride == 0)]
                             samples, steps = _thin(samples, steps, stride)
                         judged = len(samples)
                     # a settled entry builds a fresh J; a stiff one reuses the kept J
@@ -501,7 +522,7 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
             exc.trace = samples
             check(samples, judged)
         raise
-    return samples, stats, jac if implicit else None
+    return samples, stats, jac if implicit else None, _stacked(verdicts)
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +533,18 @@ _TRACE_COLUMNS = ("t", "mu_norm", "scal", "tr_ric2", "grad_norm", "r", "jacobi_r
 
 def _index_of_time(times, t):
     """Index of the sample at time t, or an index array for an array of times:
-    the nearest of the increasing times, the earlier on a tie, by binary search."""
+    the nearest of the increasing times, the earlier on a tie, by binary search.
+    A float t, the lookup of one time, runs the same rule on Python floats,
+    without the array expressions' per-call cost."""
+    if isinstance(t, float):
+        j = int(times.searchsorted(t))  # times[j - 1] < t <= times[j]
+        i = max(j - 1, 0)
+        if j < len(times) and not abs(times.item(i) - t) <= abs(times.item(j) - t):
+            i = j
+        # not >, so that a nan t fails too; an infinite t would pass the tolerance
+        if not (math.isfinite(t) and abs(times.item(i) - t) <= 1e-9 * max(1.0, abs(t))):
+            raise KeyError(f"time {t} is not a sample of this trace")
+        return i
     j = np.searchsorted(times, t)  # times[j - 1] < t <= times[j]
     lo, hi = np.maximum(j - 1, 0), np.minimum(j, len(times) - 1)
     i = np.where(np.abs(times[lo] - t) <= np.abs(times[hi] - t), lo, hi)[()]
@@ -759,11 +791,25 @@ def _first_above(values, bound):
     return int(bad[0]) if bad.size else len(values)
 
 
+# entries of one block of the passes over a trace's samples: 256 KB of floats,
+# so a block and its temporaries stay in the cache.  The Riemann norms of a
+# T = 50 decay trace take about half as long as with 2^16 at n = 7 and 8;
+# 2^14 is slower there, and faster at n = 6
+_BLOCK = 2**15
+
+
+def _blocks(m, entries):
+    """Slices of range(m) of _BLOCK // entries samples each (at least one), for
+    a pass with that many entries per sample."""
+    step = max(1, _BLOCK // entries)
+    return [slice(i, i + step) for i in range(0, m, step)]
+
+
 def _by_blocks(kernel, coeffs):
-    """kernel(coeffs) for a kernel with n^4 entries per sample, on blocks of 2^16
-    entries: a (m, n, n, n, n) array would take 268 MB at m = 8192, n = 8."""
-    step = max(1, 2**16 // coeffs.shape[-1] ** 4)
-    return np.concatenate([kernel(coeffs[i : i + step]) for i in range(0, len(coeffs), step)])
+    """kernel(coeffs) for a kernel with n^4 entries per sample, on blocks of
+    _BLOCK entries: a (m, n, n, n, n) array would take 268 MB at m = 8192,
+    n = 8, and a block that stays in the cache is faster."""
+    return np.concatenate([kernel(coeffs[s]) for s in _blocks(len(coeffs), coeffs.shape[-1] ** 4)])
 
 
 def _frame_check(b0, gauge):
@@ -773,7 +819,11 @@ def _frame_check(b0, gauge):
     _MAX_SKEW_DEFECT.  One inverse per batch screens cond(h) by ||h||_F
     ||h^{-1}||_F >= cond(h); SVDs decide only where that bound is not
     finite, passes half of 1/sqrt(eps), or the inverse fails.  The ungauged
-    h of cointegrate_h degenerates like exp(-tD): cond(h) alone judges it."""
+    h of cointegrate_h degenerates like exp(-tD): cond(h) alone judges it,
+    and the check returns None.  The gauged check returns what it moved for
+    the batch it judged, (h.mu0, ||h.mu0||, skew defect), one row per frame,
+    which the step loop keeps beside the samples and _finish_trace builds
+    the trace from, so each stored frame is inverted and moved once."""
     n = b0.n
 
     def check(samples, i):
@@ -792,7 +842,8 @@ def _frame_check(b0, gauge):
             # past the bound the inverse is noise
             hinv = _inv(frames[:k]) if hinv is None else hinv[:k]
             coeffs = _gl_action_coeffs(frames[:k], hinv, b0.coeffs)
-            defect = _skew_defect(coeffs, _norm(coeffs))
+            norms = _norm(coeffs)
+            defect = _skew_defect(coeffs, norms)
             j = _first_above(defect, _MAX_SKEW_DEFECT)
             if j < k:
                 msg = (f"skew defect {defect[j]:.3e} of h.mu0 at t={samples[i + j][0]:.6g} exceeds "
@@ -801,31 +852,36 @@ def _frame_check(b0, gauge):
         if k < len(frames):
             msg = f"cond(h) = {cond[k]:.3e} at t={samples[i + k][0]:.6g} exceeds 1/sqrt(eps)"
             raise NumericalFailure(msg, trace=samples[: i + k])
+        return (coeffs, norms, defect) if gauge else None
 
     return check
 
 
-def _finish_trace(samples, stats, b0, r, jac):
+def _finish_trace(samples, verdicts, stats, b0, r, jac):
     """FlowTrace of the frame samples of a flow of rate r from b0: array
-    expressions over the stacked brackets h_i.mu0, moved in one batch
-    (exactly antisymmetrized; for the scalar rate each frame is rescaled onto
-    ||mu|| = ||mu0||, and r_values is the tr_ric2 column); the trace builds
-    grad_norm and jacobi_residual when they are first read, and keeps jac.
-    The step loop has judged the frames, so each is invertible; stats gain
-    their max_cond_h and max_skew_defect, before any rescaling."""
+    expressions over the stacked brackets h_i.mu0.  The step loop's check
+    has judged the frames, so each is invertible, and moved them: verdicts
+    holds its (h.mu0, ||h.mu0||, skew defect) of each kept frame, and the
+    brackets are antisymmetrized exactly, block by block in that array (for
+    the scalar rate each frame is first rescaled onto ||mu|| = ||mu0||, and
+    r_values is the tr_ric2 column); the trace builds grad_norm and
+    jacobi_residual when they are first read, and keeps jac.  stats gain
+    the max_cond_h (by SVD) and max_skew_defect of the kept frames, before
+    any rescaling."""
     n, c0 = b0.n, b0.coeffs
     times = np.array([t for t, _ in samples])
     frames = np.array([y for _, y in samples]).reshape(-1, n, n)
-    coeffs = _gl_action_coeffs(frames, _inv(frames), c0)
-    norms = _norm(coeffs)
+    coeffs, norms, defect = verdicts
     stats = stats | {"max_cond_h": float(np.linalg.cond(frames).max()),
-                     "max_skew_defect": float(_skew_defect(coeffs, norms).max())}
+                     "max_skew_defect": float(defect.max())}
+    lams = None
     if isinstance(r, str):
         # (lambda h).mu0 = mu / lambda puts every sample back on ||mu|| = ||mu0||
-        lams = norms / _norm(c0)
-        frames = lams[:, None, None] * frames
-        coeffs = coeffs / lams[:, None, None, None]
-    coeffs = 0.5 * (coeffs - coeffs.swapaxes(1, 2))
+        lams = (norms / _norm(c0))[:, None, None]
+        frames = lams * frames
+    for s in _blocks(len(coeffs), n**3):
+        c = coeffs[s] if lams is None else coeffs[s] / lams[s, None]
+        np.multiply(c - c.swapaxes(1, 2), 0.5, out=coeffs[s])
     coeffs.flags.writeable = False  # the trace's brackets are views of it
     mu_norm = _norm(coeffs)
     tr_ric2 = _tr_ric2(_ricci(coeffs))
@@ -859,10 +915,10 @@ def integrate_bracket_flow(b0: Bracket, t_max: float, opts: FlowOpts | None = No
     the largest cond(h) and skew defect of the kept frames (once a run thins
     past 8192 samples, not of every frame judged).
     """
-    samples, stats, jac = _integrate_adaptive(
+    samples, stats, jac, verdicts = _integrate_adaptive(
         _frame_generator(b0, r), 0.0, np.eye(b0.n).reshape(-1), t_max, opts, check=_frame_check(b0, True)
     )
-    return _finish_trace(samples, stats, b0, r, jac)
+    return _finish_trace(samples, verdicts, stats, b0, r, jac)
 
 
 def integrate_normalized_flow(b0: Bracket, t_max: float, opts: FlowOpts | None = None) -> FlowTrace:
@@ -1015,7 +1071,7 @@ def integrate_innerproduct_flow(
     """
     n = b0.n
     rhs, factor = _metric_flow(b0, r)
-    samples, stats, _ = _integrate_adaptive(rhs, 0.0, np.zeros(n * (n + 1) // 2), t_max, opts)
+    samples, stats, _, _ = _integrate_adaptive(rhs, 0.0, np.zeros(n * (n + 1) // 2), t_max, opts)
     times = np.array([t for t, _ in samples])
     lmat = factor(np.array([y for _, y in samples]))
     g = lmat @ lmat.mT

@@ -580,6 +580,19 @@ def test_gl_action_frame_is_the_stacked_action_bit_for_bit(n):
         moved = _gl_action_frame(g, ginv, c.reshape(n, n * n))
         assert moved.shape == (n * n, n)
         assert np.array_equal(moved.reshape(n, n, n), _gl_action_coeffs(g, ginv, c))
+    # a stack of frames runs the three products batched: each frame keeps the
+    # bits of its own call, on (m, n, n) stacks and on (2, 3, n, n) ones,
+    # transposed as the Cholesky factors of innerproduct_scal are
+    rows = c.reshape(n, n * n)
+    stacks = [rng.standard_normal((m, n, n)) for m in (1, 7, 32, 130)]
+    stacks.append(rng.standard_normal((2, 3, n, n)).swapaxes(-1, -2))
+    for g in stacks:
+        ginv = _inv(g)
+        moved = _gl_action_coeffs(g, ginv, c)
+        assert moved.shape == g.shape[:-2] + (n, n, n)
+        frames, inverses = g.reshape(-1, n, n), ginv.reshape(-1, n, n)
+        for h, hinv, mu in zip(frames, inverses, moved.reshape(-1, n, n, n)):
+            assert np.array_equal(mu, _gl_action_frame(h, hinv, rows).reshape(n, n, n))
 
 
 # ---------------------------------------------------------------------------

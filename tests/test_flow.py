@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilflow import _dop853, algebra, flow
 from nilflow.algebra import (
@@ -39,6 +41,7 @@ from nilflow.exceptions import (
 )
 from nilflow.flow import (
     FlowOpts,
+    InnerProductTrace,
     cointegrate_h,
     equivalence_report,
     innerproduct_scal,
@@ -167,6 +170,42 @@ def test_time_lookup_allocates_no_distance_matrix():
     assert peak < 2_000_000
 
 
+@given(seed=st.integers(0, 10_000))
+@settings(max_examples=60, deadline=None)
+def test_float_time_lookup_is_the_array_lookup(seed):
+    # a float takes _index_of_time's float path: the index of its array path
+    # (a 0-d array), or its KeyError, on hits, near misses, ties, times
+    # outside the trace and non-finite times, through the trace's lookup too
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** int(rng.integers(-2, 6))
+    # a dyadic cluster 2^-30 apart: its midpoints are exact ties within 1e-9
+    cluster = int(rng.integers(0, 800)) / 8.0 + np.arange(3) * 2.0**-30
+    times = np.unique(np.concatenate([scale * rng.uniform(0.0, 1.0, int(rng.integers(0, 40))), cluster]))
+    tol = 1e-9 * np.maximum(1.0, np.abs(times))
+    queries = np.concatenate([
+        times,
+        times + 0.5 * tol,
+        times - 0.5 * tol,
+        times + 1.5 * tol,
+        times - 1.5 * tol,
+        0.5 * (times[1:] + times[:-1]),
+        [times[0] - 1.0, times[-1] + 1.0, -1e300, 1e300, -math.inf, math.inf, math.nan],
+    ])
+    trace = InnerProductTrace(times=times, metrics=np.zeros((len(times), 1, 1)))
+    for t in (*queries.tolist(), *queries[::7]):  # floats and numpy floats
+        try:
+            expected = flow._index_of_time(times, np.asarray(t))
+        except KeyError:
+            with pytest.raises(KeyError):
+                flow._index_of_time(times, t)
+            with pytest.raises(KeyError):
+                trace.index_of_time(t)
+        else:
+            found = flow._index_of_time(times, t)
+            assert found == expected and type(found) is int
+            assert trace.index_of_time(t) == expected
+
+
 @pytest.fixture
 def cap_128(monkeypatch):
     """Thin traces past 128 samples instead of 8192."""
@@ -180,7 +219,7 @@ def _rotation(t, y):
 
 def _rotation_run(t_end, opts, check=lambda samples, i: None):
     """The sample times and stats of _rotation's run from (1, 0) at t = 0."""
-    samples, stats, _ = flow._integrate_adaptive(_rotation, 0.0, np.array([1.0, 0.0]), t_end, opts, check=check)
+    samples, stats, _, _ = flow._integrate_adaptive(_rotation, 0.0, np.array([1.0, 0.0]), t_end, opts, check=check)
     return np.array([t for t, _ in samples]), stats
 
 
@@ -515,9 +554,9 @@ def test_runs_that_keep_moving_take_explicit_steps_only(n, monkeypatch):
     integrate = flow._integrate_adaptive
 
     def recording(*args, **kwargs):
-        samples, run_stats, jac = integrate(*args, **kwargs)
+        samples, run_stats, jac, verdicts = integrate(*args, **kwargs)
         stats.append(run_stats)
-        return samples, run_stats, jac
+        return samples, run_stats, jac, verdicts
 
     monkeypatch.setattr(flow, "_integrate_adaptive", recording)
     for b0 in dense_starts(n, 100 + n):
@@ -557,7 +596,7 @@ def _switching_run(monkeypatch, stops=()):
     switches = _recorded_jacobians(monkeypatch)
     # seed 1: its settled stretch takes 3 ROS2 steps (seed 2's takes 2)
     rhs = flow._frame_generator(random_sphere_bracket(5, 1), "scalar")
-    samples, stats, _ = flow._integrate_adaptive(rhs, 0.0, np.eye(5).reshape(-1), 60.0, FlowOpts(stops=stops))
+    samples, stats, _, _ = flow._integrate_adaptive(rhs, 0.0, np.eye(5).reshape(-1), 60.0, FlowOpts(stops=stops))
     return rhs, samples, stats, switches
 
 
@@ -1174,8 +1213,8 @@ def test_a_run_enters_its_error_state_once_not_per_evaluation(monkeypatch):
     monkeypatch.undo()
     stats = trace.stats
     batches = -(-len(trace) // flow._CHECK_EVERY)
-    # the run's state, the first step's and _finish_trace's inverse, two per check batch, one per ROS2 W
-    bound = 3 + 2 * batches + stats["rosenbrock_steps"] + stats["rejected"]
+    # the run's state, the first step's, two per check batch, one per ROS2 W
+    bound = 2 + 2 * batches + stats["rosenbrock_steps"] + stats["rejected"]
     assert entries.count(flow._RUN_ERRSTATE) == 1
     assert len(entries) <= bound < stats["nfev"] / 10
 
@@ -1461,9 +1500,9 @@ def test_cointegrated_frame_takes_the_steps_its_tolerance_needs(monkeypatch):
     integrate = flow._integrate_adaptive
 
     def counting(*args):
-        samples, stats, jac = integrate(*args)
+        samples, stats, jac, verdicts = integrate(*args)
         accepted.append(stats["accepted"])
-        return samples, stats, jac
+        return samples, stats, jac, verdicts
 
     monkeypatch.setattr(flow, "_integrate_adaptive", counting)
     hs = cointegrate_h(trace)
@@ -1656,6 +1695,69 @@ def test_frame_stats_are_the_maxima_over_the_stored_frames(start, t_max, monkeyp
     defect = np.abs(c + c.swapaxes(1, 2)).max(axis=(1, 2, 3)) / flow._norm(c)
     assert trace.stats["max_cond_h"] == np.linalg.cond(frames).max()
     assert trace.stats["max_skew_defect"] == defect.max() > 0.0
+
+
+def _count_frame_moves(monkeypatch, n):
+    """Counts of the (n, n) frames that flow._inv inverts and
+    flow._gl_action_coeffs moves, outside the Jacobian's stacked lanes (the
+    W of a ROS2 step is n^2 x n^2)."""
+    counts = {"inverted": 0, "moved": 0}
+    in_jacobian = []
+
+    def counting(key, real):
+        def call(a, *rest):
+            if not in_jacobian and a.shape[-2:] == (n, n):
+                counts[key] += math.prod(a.shape[:-2])
+            return real(a, *rest)
+
+        return call
+
+    def jacobian(*args):
+        in_jacobian.append(True)
+        try:
+            return real_jacobian(*args)
+        finally:
+            in_jacobian.pop()
+
+    real_jacobian = flow._jacobian
+    monkeypatch.setattr(flow, "_inv", counting("inverted", flow._inv))
+    monkeypatch.setattr(flow, "_gl_action_coeffs", counting("moved", flow._gl_action_coeffs))
+    monkeypatch.setattr(flow, "_jacobian", jacobian)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "start, run, t_max",
+    [
+        (lambda: random_nilpotent(6, _rng(0)), integrate_bracket_flow, 50.0),
+        (lambda: rescale_to_norm(dixmier_lister()), integrate_normalized_flow, 20.0),
+    ],
+    ids=["unnormalized", "dixmier_lister"],
+)
+def test_a_gauged_run_inverts_and_moves_each_stored_frame_once(start, run, t_max, monkeypatch):
+    # the check moves each batch it judges, and the trace is built from what
+    # it moved: no second inverse or GL action of the stored frames
+    b = start()
+    counts = _count_frame_moves(monkeypatch, b.n)
+    trace = run(b, t_max)
+    assert counts == {"inverted": len(trace), "moved": len(trace)}
+    if run is integrate_normalized_flow:
+        assert trace.stats["rosenbrock_steps"] > 0  # the Jacobian's lanes were not counted
+
+
+def test_a_thinned_trace_is_the_move_of_its_kept_frames(monkeypatch):
+    # the moved brackets of the dropped samples go with them: 31 steps and 100
+    # stops thinned into at most 128 samples keep the rows of their own frames
+    monkeypatch.setattr(flow, "_MAX_SAMPLES", 128)
+    b = random_nilpotent(6, _rng(0))
+    stops = tuple(np.linspace(0.0, 50.0, 102)[1:-1])
+    trace = integrate_bracket_flow(b, 50.0, FlowOpts(stops=stops))
+    assert len(trace) <= 128 < 1 + len(stops) + trace.stats["accepted"]
+    c = _gl_action_coeffs(trace.frames, np.linalg.inv(trace.frames), b.coeffs)
+    assert np.array_equal(trace.coeffs, 0.5 * (c - c.swapaxes(1, 2)))
+    defect = np.abs(c + c.swapaxes(1, 2)).max(axis=(1, 2, 3)) / flow._norm(c)
+    assert trace.stats["max_skew_defect"] == defect.max()
+    assert trace.stats["max_cond_h"] == np.linalg.cond(trace.frames).max()
 
 
 @pytest.mark.parametrize("r", [None, 0.5, "scalar"], ids=["unnormalized", "constant", "scalar"])
