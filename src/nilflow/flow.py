@@ -19,28 +19,28 @@ converges.  Each stored frame of a normalized run is rescaled once onto the
 sphere.  Traces are arrays read by batched kernels.  The step loop judges
 each stored frame, 32 at a time: cond(h) > 1/sqrt(eps), or a skew part of
 h.mu0 above 1e-8 of its norm (rounding damage), raises NumericalFailure at
-that frame, whatever t_max.  The check keeps the brackets h.mu0 it moved,
-thinned with their samples, and the trace reads them, so each stored frame
-is inverted and moved once.  Every flow runs one adaptive integrator
-(_integrate_adaptive): explicit DOP853 steps (_rk_step, coefficients in
-_dop853) while the solution moves, and L-stable ROS2 steps once it settles
-or turns stiff, from t0 on a start at rest (a soliton of the normalized
-flow).  The two step kinds differ only in their stages, their error
-estimates, the ceiling on their step growth (x10 for DOP853, x1000 for
-ROS2) and the rows they add to one continuous extension, Hairer's dense
-output from the cubic Hermite rows, under one step-size rule.  A run
-builds the ROS2 Jacobian at its first switch and at every settled one, and
-keeps it across a hand-back to DOP853.  A stop is a sample of that
-extension, not a step end, and a finite max_step adds a grid of stops
-instead of shortening the steps.
+that frame, whatever t_max.  The check keeps the brackets h.mu0 it moved
+and the cond(h) it decided on, thinned with their samples, and the trace
+reads them, so each stored frame is inverted, moved and decomposed by SVD
+once.  Every flow runs one adaptive integrator (_integrate_adaptive):
+explicit DOP853 steps (_rk_step, coefficients in _dop853) while the
+solution moves, and L-stable ROS2 steps once it settles or turns stiff,
+from t0 on a start at rest (a soliton of the normalized flow).  The two
+step kinds differ only in their stages, their error estimates, the ceiling
+on their step growth (x10 for DOP853, x1000 for ROS2) and the rows they
+add to one continuous extension, Hairer's dense output from the cubic
+Hermite rows, under one step-size rule.  A run builds the ROS2 Jacobian at
+its first switch and at every settled one, and keeps it across a hand-back
+to DOP853.  A stop is a sample of that extension, not a step end, and a
+finite max_step adds a grid of stops instead of shortening the steps.
 Every right side also takes a (B, N) stack of states and gives each lane
 the bits of its 1-D call, so the Jacobian's N forward differences are one
 call: the frame generator, which builds nearly every Jacobian, in batched
 kernels, the metric right side by one 1-D call per lane.
 Without its gauge (D = 0) the frame generator gives the companion frame
 h' = -(Ric + r I) h, the paper's h, which cointegrate_h integrates after a
-flow; one check (_frame_check) judges both frame runs, with SVDs only on a
-batch that ||h||_F ||h^{-1}||_F >= cond(h) does not clear.  The module also
+flow; one check (_frame_check) judges both frame runs, by one SVD per
+stored frame, whose cond(h) is also the trace's max_cond_h.  The module also
 integrates the inner-product (metric tensor) flow G' = -2 ric(G) - 2 r G,
 and checks the structural identities of the r = 0 flow.
 The metric flow's state is the factor of G = L L^T, as the strict lower part
@@ -132,6 +132,10 @@ _ROS_GAMMA = 1.0 + 1.0 / math.sqrt(2.0)
 # Past this many samples a trace is thinned (see FlowOpts).
 _MAX_SAMPLES = 8192
 _CHECK_EVERY = 32  # a check of the samples runs on batches of this many (see _integrate_adaptive)
+# times within _SAME_TIME * max(1, |t|) of each other are one time: a stop
+# relabels such a step end, _sample_grid adds no such grid time, and
+# verify_flow_identities differentiates only the first such sample
+_SAME_TIME = 1e-13
 # the error state every run holds for its whole step loop: an overflow or an
 # invalid operation raises, and the run turns it into NumericalFailure; the
 # right sides' inverses rely on it to raise for a singular h
@@ -316,9 +320,7 @@ def _thin(samples, steps, stride):
 def _stacked(parts, keep=None):
     """One tuple of arrays from the tuples a check returned per batch, each
     array stacked over the batches' samples (the rows where keep is true, if
-    given); None for a check that returns nothing."""
-    if parts[0] is None:
-        return None
+    given)."""
     cols = [col[0] if len(col) == 1 else np.concatenate(col) for col in zip(*parts)]
     return tuple(cols if keep is None else [col[keep] for col in cols])
 
@@ -332,8 +334,8 @@ def _check_end(t0, t_end):
 def _sample_grid(t0, t_end, max_step, stops):
     """The stops a finite max_step adds: the times t0 + k dt inside (t0,
     t_end), dt = max_step doubled until there are at most _MAX_SAMPLES // 2
-    of them, less those within the step loop's rounding of t0 or of a time in
-    stops (which holds t_end)."""
+    of them, less those within _SAME_TIME of t0 or of a time in stops (which
+    holds t_end)."""
     span, dt = t_end - t0, max_step
     while span / dt > _MAX_SAMPLES // 2:  # inf for a subnormal max_step
         dt *= 2.0
@@ -341,10 +343,10 @@ def _sample_grid(t0, t_end, max_step, stops):
     anchors = np.array(sorted(stops | {t0}))
     j = np.searchsorted(anchors, grid)
     gap = np.minimum(np.abs(grid - anchors[j - 1]), np.abs(anchors[np.minimum(j, len(anchors) - 1)] - grid))
-    return set(grid[gap > 1e-13 * np.maximum(1.0, np.abs(grid))].tolist())
+    return set(grid[gap > _SAME_TIME * np.maximum(1.0, np.abs(grid))].tolist())
 
 
-def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
+def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: ()):
     """Generic adaptive integrator with two step kinds.
 
     The explicit step is _rk_step, a step of DOP853, the 8th-order pair of
@@ -385,12 +387,12 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
     holding it, its rows built for the step's first stop: the cubic Hermite
     rows of (y, f(y), y_new, f(y_new)), alone for ROS2, and for DOP853 with
     its four rows of 7th order (_rk_extension), whose 3 evaluations a step
-    pays once; within rounding of a step end a stop relabels that sample.
+    pays once; within _SAME_TIME of a step end a stop relabels that sample.
     check(samples, i) judges the samples stored since its last call, from i
     on: every _CHECK_EVERY samples before any thinning, and at any run's end.
-    What it returns, a tuple of arrays with one row per sample it judged (or
-    None), the loop keeps beside the samples and thins with them: verdicts
-    is that tuple stacked over the kept samples (None if check returns None).
+    What it returns, a tuple of arrays (maybe ()) with one row per sample it
+    judged, the loop keeps beside the samples and thins with them: verdicts
+    is that tuple stacked over the kept samples.
     The loop runs under one error state, _RUN_ERRSTATE (over and invalid
     raise), entered once per run, not once per evaluation.  Raises
     ConfigError unless t_end is finite and >= t0, and StepSizeUnderflow when
@@ -468,7 +470,7 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: None):
                     if implicit:
                         stats["rosenbrock_steps"] += 1
                     t_new = t_end if h >= t_end - t else t + h
-                    near = 1e-13 * max(1.0, abs(t_new))
+                    near = _SAME_TIME * max(1.0, abs(t_new))
                     rows = None  # the step's continuous extension, built for its first stop
                     while stops[-1] < t_new - near:
                         s = stops.pop()
@@ -816,32 +818,23 @@ def _frame_check(b0, gauge):
     """check(samples, i) of a frame run from b0 (see _integrate_adaptive):
     NumericalFailure with the samples before it at the first stored frame
     with cond(h) > 1/sqrt(eps) or, if gauge, a skew defect of h.mu0 above
-    _MAX_SKEW_DEFECT.  One inverse per batch screens cond(h) by ||h||_F
-    ||h^{-1}||_F >= cond(h); SVDs decide only where that bound is not
-    finite, passes half of 1/sqrt(eps), or the inverse fails.  The ungauged
-    h of cointegrate_h degenerates like exp(-tD): cond(h) alone judges it,
-    and the check returns None.  The gauged check returns what it moved for
-    the batch it judged, (h.mu0, ||h.mu0||, skew defect), one row per frame,
-    which the step loop keeps beside the samples and _finish_trace builds
-    the trace from, so each stored frame is inverted and moved once."""
+    _MAX_SKEW_DEFECT.  One SVD per stored frame gives its cond(h), which
+    decides the bound and is the trace's max_cond_h.  The ungauged h of
+    cointegrate_h degenerates like exp(-tD): cond(h) alone judges it, and
+    the check returns ().  The gauged check returns what it decided on and
+    moved for the batch it judged, (h.mu0, ||h.mu0||, skew defect, cond(h)),
+    one row per frame, which the step loop keeps beside the samples and
+    _finish_trace builds the trace from, so each stored frame is inverted,
+    moved and decomposed once."""
     n = b0.n
 
     def check(samples, i):
         frames = np.array([y for _, y in samples[i:]]).reshape(-1, n, n)
-        try:
-            hinv = _inv(frames)
-            with np.errstate(over="ignore", invalid="ignore"):
-                screen = _norm(frames, 2) * _norm(hinv, 2)
-        except np.linalg.LinAlgError:
-            hinv, screen = None, math.inf
-        k = len(frames)
-        if not np.all(screen <= 0.5 * _MAX_COND_H):
-            cond = np.linalg.cond(frames)
-            k = _first_above(cond, _MAX_COND_H)
+        cond = np.linalg.cond(frames)
+        k = _first_above(cond, _MAX_COND_H)
         if gauge:
             # past the bound the inverse is noise
-            hinv = _inv(frames[:k]) if hinv is None else hinv[:k]
-            coeffs = _gl_action_coeffs(frames[:k], hinv, b0.coeffs)
+            coeffs = _gl_action_coeffs(frames[:k], _inv(frames[:k]), b0.coeffs)
             norms = _norm(coeffs)
             defect = _skew_defect(coeffs, norms)
             j = _first_above(defect, _MAX_SKEW_DEFECT)
@@ -852,7 +845,7 @@ def _frame_check(b0, gauge):
         if k < len(frames):
             msg = f"cond(h) = {cond[k]:.3e} at t={samples[i + k][0]:.6g} exceeds 1/sqrt(eps)"
             raise NumericalFailure(msg, trace=samples[: i + k])
-        return (coeffs, norms, defect) if gauge else None
+        return (coeffs, norms, defect, cond) if gauge else ()
 
     return check
 
@@ -861,19 +854,18 @@ def _finish_trace(samples, verdicts, stats, b0, r, jac):
     """FlowTrace of the frame samples of a flow of rate r from b0: array
     expressions over the stacked brackets h_i.mu0.  The step loop's check
     has judged the frames, so each is invertible, and moved them: verdicts
-    holds its (h.mu0, ||h.mu0||, skew defect) of each kept frame, and the
-    brackets are antisymmetrized exactly, block by block in that array (for
-    the scalar rate each frame is first rescaled onto ||mu|| = ||mu0||, and
-    r_values is the tr_ric2 column); the trace builds grad_norm and
-    jacobi_residual when they are first read, and keeps jac.  stats gain
-    the max_cond_h (by SVD) and max_skew_defect of the kept frames, before
-    any rescaling."""
+    holds its (h.mu0, ||h.mu0||, skew defect, cond(h)) of each kept frame,
+    and the brackets are antisymmetrized exactly, block by block in that
+    array (for the scalar rate each frame is first rescaled onto ||mu|| =
+    ||mu0||, and r_values is the tr_ric2 column); the trace builds grad_norm
+    and jacobi_residual when they are first read, and keeps jac.  stats gain
+    the max_cond_h and max_skew_defect of the kept frames, the check's
+    numbers, before any rescaling."""
     n, c0 = b0.n, b0.coeffs
     times = np.array([t for t, _ in samples])
     frames = np.array([y for _, y in samples]).reshape(-1, n, n)
-    coeffs, norms, defect = verdicts
-    stats = stats | {"max_cond_h": float(np.linalg.cond(frames).max()),
-                     "max_skew_defect": float(defect.max())}
+    coeffs, norms, defect, cond = verdicts
+    stats = stats | {"max_cond_h": float(cond.max()), "max_skew_defect": float(defect.max())}
     lams = None
     if isinstance(r, str):
         # (lambda h).mu0 = mu / lambda puts every sample back on ||mu|| = ||mu0||
@@ -1117,14 +1109,16 @@ def verify_flow_identities(trace: FlowTrace, tolerance: float = 1e-4) -> Identit
     differentiating the stored diagnostics; requires a dense enough trace.
     Each relative error divides by its rate, floored at 1e-12 of that rate's
     largest sample, so a bracket's small multiples are checked as strictly as
-    the bracket.  A trace with a nonzero rate anywhere, or a tolerance that is
-    not finite and > 0, raises ConfigError."""
+    the bracket.  Of samples within _SAME_TIME of each other only the first
+    counts, also for TooFewSamples.  A trace with a nonzero rate anywhere, or
+    a tolerance that is not finite and > 0, raises ConfigError."""
     _check_tol(tolerance, "tolerance")
     if np.any(trace.r_values):
         raise ConfigError("flow identities hold for the unnormalized flow (r = 0) only")
-    if len(trace) < 3:
-        raise TooFewSamples(f"need at least 3 samples, trace has {len(trace)}")
-    t = trace.times
+    keep = np.diff(trace.times, prepend=-np.inf) > _SAME_TIME * np.maximum(1.0, np.abs(trace.times))
+    t, tr_ric2 = trace.times[keep], trace.tr_ric2[keep]
+    if len(t) < 3:
+        raise TooFewSamples(f"need at least 3 samples at distinct times, trace has {len(t)}")
 
     def rel_err(derivative, rate):
         # a floor relative to the rate's own column: an absolute one passed
@@ -1133,8 +1127,8 @@ def verify_flow_identities(trace: FlowTrace, tolerance: float = 1e-4) -> Identit
         return float((np.abs(derivative - rate) / np.maximum(rate, floor)).max())
 
     return IdentityReport(
-        max_rel_err_scal=rel_err(_interior_derivative(t, trace.scal), 2.0 * trace.tr_ric2[1:-1]),
-        max_rel_err_energy=rel_err(-_interior_derivative(t, trace.tr_ric2), trace.grad_norm[1:-1] ** 2),
+        max_rel_err_scal=rel_err(_interior_derivative(t, trace.scal[keep]), 2.0 * tr_ric2[1:-1]),
+        max_rel_err_energy=rel_err(-_interior_derivative(t, tr_ric2), trace.grad_norm[keep][1:-1] ** 2),
         tolerance=tolerance,
     )
 

@@ -217,7 +217,7 @@ def _rotation(t, y):
     return 50.0 * np.array([y[1], -y[0]])
 
 
-def _rotation_run(t_end, opts, check=lambda samples, i: None):
+def _rotation_run(t_end, opts, check=lambda samples, i: ()):
     """The sample times and stats of _rotation's run from (1, 0) at t = 0."""
     samples, stats, _, _ = flow._integrate_adaptive(_rotation, 0.0, np.array([1.0, 0.0]), t_end, opts, check=check)
     return np.array([t for t, _ in samples]), stats
@@ -869,6 +869,24 @@ def test_identities_need_enough_samples(heis):
         verify_flow_identities(trace)
 
 
+@pytest.mark.parametrize(
+    "t_max, stops",
+    [(1.0, (1e-15,)), (1.0, (0.5, 0.5 + 1e-16)), (1.0, (1.0 - 1e-16,)), (0.1 + 0.2, (0.3,))],
+    ids=["next_to_t0", "two_stops_one_ulp_apart", "one_ulp_below_the_end", "at_the_end_after_rounding"],
+)
+def test_identities_differentiate_one_sample_per_time(heis, t_max, stops):
+    # samples within the step loop's rounding of each other are one time:
+    # the trace keeps them all, and the check differentiates one of them, so
+    # it reads what the run without those stops reads
+    trace = integrate_bracket_flow(heis, t_max, FlowOpts(max_step=0.01, stops=stops))
+    clean = integrate_bracket_flow(heis, t_max, FlowOpts(max_step=0.01))
+    assert len(trace) == len(clean) + 1
+    report, expected = verify_flow_identities(trace), verify_flow_identities(clean)
+    assert report.ok and expected.max_rel_err_scal < 1e-5
+    assert report.max_rel_err_scal == pytest.approx(expected.max_rel_err_scal, rel=1e-6)
+    assert report.max_rel_err_energy == pytest.approx(expected.max_rel_err_energy, rel=1e-6)
+
+
 def test_identities_reject_normalized_traces(heis_sphere):
     trace = integrate_normalized_flow(heis_sphere, 0.5)
     with pytest.raises(ValueError):
@@ -1114,6 +1132,7 @@ def test_check_judges_each_stored_sample_once_before_thinning(monkeypatch, cap_1
         assert {t for t, _ in samples[:i]} <= set(judged)
         calls.append(len(samples) - i)
         judged.extend(t for t, _ in samples[i:])
+        return ()
 
     def thin(samples, steps, stride):
         thinned.append({t for t, _ in samples})
@@ -1213,8 +1232,9 @@ def test_a_run_enters_its_error_state_once_not_per_evaluation(monkeypatch):
     monkeypatch.undo()
     stats = trace.stats
     batches = -(-len(trace) // flow._CHECK_EVERY)
-    # the run's state, the first step's, two per check batch, one per ROS2 W
-    bound = 2 + 2 * batches + stats["rosenbrock_steps"] + stats["rejected"]
+    # the run's state, the first step's, the inverse's of each check batch,
+    # one per ROS2 W
+    bound = 2 + batches + stats["rosenbrock_steps"] + stats["rejected"]
     assert entries.count(flow._RUN_ERRSTATE) == 1
     assert len(entries) <= bound < stats["nfev"] / 10
 
@@ -1639,37 +1659,28 @@ def test_scalar_normalized_innerproduct_flow(heis_sphere):
     assert innerproduct_scal(heis_sphere, g) == pytest.approx(-1.0, abs=1e-4)
 
 
-def test_the_companion_check_runs_its_svds_only_past_the_screen(heis, monkeypatch):
-    # ||h||_F ||h^{-1}||_F >= cond(h) clears a batch of well-conditioned frames
-    # without an SVD; a batch it does not clear, or whose inverse raises, is
-    # judged by the SVDs, with their message
+def test_the_companion_check_ends_at_the_first_frame_past_the_cond_bound(heis):
+    # the SVDs judge every frame: a well-conditioned batch passes, and an
+    # ill-conditioned or singular frame fails with its cond(h) and the samples
+    # before it
     check = flow._frame_check(heis, False)
-    svds = []
-    cond = np.linalg.cond
-    monkeypatch.setattr(np.linalg, "cond", lambda a: svds.append(len(a)) or cond(a))
     good = [(0.1 * i, np.diag([1.0, 2.0, 3.0 + i]).reshape(-1)) for i in range(4)]
     check(good, 0)
-    assert svds == []
     for bad, shown in ((np.diag([1.0, 1e-9, 1.0]), r"1\.000e\+09"), (np.zeros((3, 3)), r"(inf|nan)")):
         with pytest.raises(NumericalFailure, match=rf"cond\(h\) = {shown} at t=0\.5 exceeds") as info:
             check(good + [(0.5, bad.reshape(-1))], 0)
         assert len(info.value.trace) == 4
-    assert svds == [5, 5]
 
 
-def test_the_gauged_check_runs_no_svd_on_a_batch_its_screen_clears(heis, monkeypatch):
-    # one inverse of the batch feeds the screen and the move to h.mu0; the
-    # SVDs run only on a batch the screen does not clear
+def test_the_gauged_check_ends_at_the_first_frame_past_the_cond_bound(heis):
+    # the frames under the bound are moved to h.mu0; the first one past it
+    # ends the run with the cond(h) message
     check = flow._frame_check(heis, True)
-    svds = []
-    cond = np.linalg.cond
-    monkeypatch.setattr(np.linalg, "cond", lambda a: svds.append(len(a)) or cond(a))
     good = [(0.1 * i, np.diag([1.0, 2.0, 3.0 + i]).reshape(-1)) for i in range(4)]
     check(good, 0)
-    assert svds == []
     with pytest.raises(NumericalFailure, match=r"^cond\(h\) = 1\.000e\+09 at t=0\.5 exceeds 1/sqrt\(eps\)$") as info:
         check(good + [(0.5, np.diag([1.0, 1e-9, 1.0]).reshape(-1))], 0)
-    assert len(info.value.trace) == 4 and svds == [5]
+    assert len(info.value.trace) == 4
 
 
 @pytest.mark.parametrize(
@@ -1736,11 +1747,16 @@ def _count_frame_moves(monkeypatch, n):
 )
 def test_a_gauged_run_inverts_and_moves_each_stored_frame_once(start, run, t_max, monkeypatch):
     # the check moves each batch it judges, and the trace is built from what
-    # it moved: no second inverse or GL action of the stored frames
+    # it moved: no second inverse or GL action of the stored frames; one SVD
+    # per stored frame decides the cond(h) bound and gives max_cond_h
     b = start()
     counts = _count_frame_moves(monkeypatch, b.n)
+    svds = []
+    cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda a: svds.append(len(a)) or cond(a))
     trace = run(b, t_max)
     assert counts == {"inverted": len(trace), "moved": len(trace)}
+    assert sum(svds) == len(trace)
     if run is integrate_normalized_flow:
         assert trace.stats["rosenbrock_steps"] > 0  # the Jacobian's lanes were not counted
 
