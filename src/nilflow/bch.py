@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .algebra import Bracket, _as_array, _is_finite_number, _is_int, _is_real, _require_same_n
+from .algebra import _BLOCK, Bracket, _as_array, _is_finite_number, _is_int, _is_real, _require_same_n
 from .exceptions import BracketFormatError, ConfigError, DegreeTooHigh, DimensionMismatch
 
 # ---------------------------------------------------------------------------
@@ -318,12 +318,6 @@ def metric_field_fit(b: Bracket) -> MetricField:
     exponent and matrix arrays are read-only views of it, with no dict built.
     """
     return MetricField(b.n, max(0, 2 * (b.degree - 1)), *_metric_table(b))
-
-
-# entries of the coefficient matrix and of the values in one block of
-# derivative orders of metric_convergence_distance: 256 KB of floats, so a
-# block stays in the cache (2^20 and 2^13 are slower)
-_BLOCK = 2**15
 
 
 @lru_cache(maxsize=16)

@@ -17,6 +17,7 @@ input and every other library error, 3 numerical failure during integration
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
@@ -147,9 +148,12 @@ def _load_source(args) -> Bracket:
 
 
 def _write_json(path, payload) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2)
-    if path == "-":
-        print(text)
+    """JSON to the file path, or to the stream main put in place of "-".  RFC
+    8259 has no NaN or Infinity, so every non-finite float is written null."""
+    strict = json.loads(json.dumps(payload), parse_constant=lambda name: None)
+    text = json.dumps(strict, sort_keys=True, indent=2, allow_nan=False)
+    if not isinstance(path, str):
+        print(text, file=path)
     else:
         with open(path, "w") as fh:
             fh.write(text + "\n")
@@ -491,7 +495,13 @@ def main(argv=None) -> int:
         for dest, value in vars(args).items():
             if dest in ("tol", "check_tol"):
                 _check_tol(value, f"--{dest.replace('_', '-')}")
-        return args.func(args)
+        # with "-", stdout holds the document alone: the human-readable lines go to stderr
+        documents = {dest: sys.stdout for dest in ("out", "summary_out") if vars(args).get(dest) == "-"}
+        if not documents:
+            return args.func(args)
+        vars(args).update(documents)
+        with contextlib.redirect_stdout(sys.stderr):
+            return args.func(args)
     except (NumericalFailure, NotNilpotentError) as e:
         # a flow limit that left the nilpotent cone is a numerical failure
         print(f"numerical failure: {e}", file=sys.stderr)

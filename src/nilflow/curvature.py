@@ -55,12 +55,15 @@ def ricci_form(b: VTangent) -> Operator:
     return -0.5 * t1 + 0.25 * t2
 
 
-def scalar_curvature(b: VTangent) -> float:
-    """scal = -||mu||^2 / 4 (equals tr of the Ricci operator); +0.0 at mu = 0.
-    The square is a product, as numpy squares the trace's scal column: a
-    Python float's **2 calls libm pow, which can round it one ulp apart."""
-    nrm = b.norm
+def _scal(nrm):
+    """scal = -nrm^2 / 4 of a bracket of norm nrm (of each, for an array); +0.0 at 0.
+    nrm * nrm, as numpy squares an array: a float's **2 (libm pow) can be an ulp apart."""
     return 0.0 - 0.25 * (nrm * nrm)
+
+
+def scalar_curvature(b: VTangent) -> float:
+    """scal = -||mu||^2 / 4 (equals tr of the Ricci operator); +0.0 at mu = 0."""
+    return _scal(b.norm)
 
 
 def ricci_sign_check(b: VTangent) -> tuple:

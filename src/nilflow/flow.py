@@ -33,6 +33,8 @@ Hermite rows, under one step-size rule.  A run builds the ROS2 Jacobian at
 its first switch and at every settled one, and keeps it across a hand-back
 to DOP853.  A stop is a sample of that extension, not a step end, and a
 finite max_step adds a grid of stops instead of shortening the steps.
+Every lookup of a sample time runs one rule, _index_of_time's binary search
+on Python floats; an array of times maps through it element by element.
 Every right side also takes a (B, N) stack of states and gives each lane
 the bits of its 1-D call, so the Jacobian's N forward differences are one
 call: the frame generator, which builds nearly every Jacobian, in batched
@@ -81,6 +83,7 @@ import numpy as np
 
 from . import _dop853
 from .algebra import (
+    _BLOCK,
     Bracket,
     _as_array,
     _delta_coeffs,
@@ -95,7 +98,7 @@ from .algebra import (
     _norm,
     bracket_to_dict,
 )
-from .curvature import _ricci, _riemann, _tr_ric2
+from .curvature import _ricci, _riemann, _scal, _tr_ric2
 from .exceptions import (
     BadNormalization,
     BadRate,
@@ -534,24 +537,23 @@ _TRACE_COLUMNS = ("t", "mu_norm", "scal", "tr_ric2", "grad_norm", "r", "jacobi_r
 
 
 def _index_of_time(times, t):
-    """Index of the sample at time t, or an index array for an array of times:
-    the nearest of the increasing times, the earlier on a tie, by binary search.
-    A float t, the lookup of one time, runs the same rule on Python floats,
-    without the array expressions' per-call cost."""
-    if isinstance(t, float):
-        j = int(times.searchsorted(t))  # times[j - 1] < t <= times[j]
-        i = max(j - 1, 0)
-        if j < len(times) and not abs(times.item(i) - t) <= abs(times.item(j) - t):
-            i = j
-        # not >, so that a nan t fails too; an infinite t would pass the tolerance
-        if not (math.isfinite(t) and abs(times.item(i) - t) <= 1e-9 * max(1.0, abs(t))):
-            raise KeyError(f"time {t} is not a sample of this trace")
-        return i
-    j = np.searchsorted(times, t)  # times[j - 1] < t <= times[j]
-    lo, hi = np.maximum(j - 1, 0), np.minimum(j, len(times) - 1)
-    i = np.where(np.abs(times[lo] - t) <= np.abs(times[hi] - t), lo, hi)[()]
-    # <= fails on a nan t; an infinite t would pass with an infinite tolerance
-    if not np.all(np.isfinite(t) & (np.abs(times[i] - t) <= 1e-9 * np.maximum(1.0, np.abs(t)))):
+    """Index of the sample at time t: the nearest of the increasing times, the
+    earlier on a tie, by binary search on Python floats.  Another real scalar
+    (an int, a numpy float, a 0-d array) is looked up as float(t), and an
+    array element by element; a t that is not a sample raises KeyError."""
+    if not isinstance(t, float):
+        if np.ndim(t):
+            return np.array([_index_of_time(times, s) for s in np.ravel(t).tolist()], int).reshape(np.shape(t))
+        try:
+            t = float(t)
+        except OverflowError:  # an int past the float range
+            raise KeyError(f"time {t} is not a sample of this trace") from None
+    j = int(times.searchsorted(t))  # times[j - 1] < t <= times[j]
+    i = max(j - 1, 0)
+    if j < len(times) and not abs(times.item(i) - t) <= abs(times.item(j) - t):
+        i = j
+    # not >, so that a nan t fails too; an infinite t would pass the tolerance
+    if not (math.isfinite(t) and abs(times.item(i) - t) <= 1e-9 * max(1.0, abs(t))):
         raise KeyError(f"time {t} is not a sample of this trace")
     return i
 
@@ -793,13 +795,6 @@ def _first_above(values, bound):
     return int(bad[0]) if bad.size else len(values)
 
 
-# entries of one block of the passes over a trace's samples: 256 KB of floats,
-# so a block and its temporaries stay in the cache.  The Riemann norms of a
-# T = 50 decay trace take about half as long as with 2^16 at n = 7 and 8;
-# 2^14 is slower there, and faster at n = 6
-_BLOCK = 2**15
-
-
 def _blocks(m, entries):
     """Slices of range(m) of _BLOCK // entries samples each (at least one), for
     a pass with that many entries per sample."""
@@ -884,7 +879,7 @@ def _finish_trace(samples, verdicts, stats, b0, r, jac):
         frames=frames,
         r_values=np.full(len(times), rate),
         mu_norm=mu_norm,
-        scal=0.0 - 0.25 * mu_norm**2,  # +0.0 for the zero bracket, as scalar_curvature
+        scal=_scal(mu_norm),
         tr_ric2=tr_ric2,
         initial_bracket=b0,
         stats=stats,
@@ -980,7 +975,7 @@ def innerproduct_scal(b0: Bracket, g: np.ndarray):
     except np.linalg.LinAlgError:
         raise SingularMatrix("metric is not positive definite") from None
     c_nu = _gl_action_coeffs(h, _inv(h), b0.coeffs)
-    return 0.0 - 0.25 * _norm(c_nu) ** 2
+    return _scal(_norm(c_nu))
 
 
 # log of the smallest normal float: below it exp underflows and 1 / exp overflows

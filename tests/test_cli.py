@@ -147,14 +147,15 @@ def test_validate_report_file(tmp_path):
 
 def test_validate_document_keys(capsys):
     # the document is the ValidationReport's fields plus n and mu_norm
+    # with "-", stdout holds the document alone and the summary goes to stderr
     assert main(["validate", "filiform:n=5", "--out", "-"]) == 0
-    out = capsys.readouterr().out
-    doc = json.loads(out[out.index("{") :])
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
     assert sorted(doc) == [
         "degree", "jacobi_residual", "messages", "mu_norm", "n", "nilpotent", "series_dims",
     ]
     assert doc["series_dims"] == [5, 3, 2, 1, 0]
-    assert "series dims [5, 3, 2, 1, 0]" in out
+    assert "series dims [5, 3, 2, 1, 0]" in err
 
 
 @pytest.mark.parametrize(
@@ -526,6 +527,44 @@ def test_soliton_document_keys(tmp_path):
     ]
     assert sorted(doc["certificate"]) == ["D", "c", "is_soliton", "residual"]
     assert sorted(doc["invariants"]) == ["degree", "energy", "mu_norm", "ricci_spectrum", "series_dims"]
+
+
+def _strict_json(text):
+    """json.loads that refuses NaN and Infinity, as RFC 8259 and JSON.parse do."""
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_a_soliton_orbit_writes_its_undefined_decay_rate_null(capsys):
+    # H3's sphere is a soliton orbit, so the tail has no decay rate: nan in
+    # the report, null in the document, which used to read NaN
+    assert main(["soliton", "heisenberg:c=1", "--rescale", "2", "--t-max", "5", "--out", "-"]) == 0
+    doc = _strict_json(capsys.readouterr().out)
+    assert doc["decay_rate"] is None and doc["rate_gap"] is None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "filiform:n=5", "--out", "-"],
+        ["curvature", "filiform:n=4", "--out", "-"],
+        ["flow", "heisenberg:c=1", "--t-max", "1", "--summary-out", "-"],
+        ["soliton", "heisenberg:c=1", "--rescale", "2", "--t-max", "5", "--out", "-"],
+        ["equivalence", "heisenberg:c=1", "--t-max", "1", "--out", "-"],
+        ["sweep", "--n", "3", "--count", "2", "--t-max", "1", "--out", "-"],
+        ["metric-field", "heisenberg:c=1", "--out", "-"],
+    ],
+    ids=["validate", "curvature", "flow", "soliton", "equivalence", "sweep", "metric_field"],
+)
+def test_stdout_holds_the_document_alone(argv, capsys):
+    # the human-readable lines go to stderr, so a pipe reads one strict document
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert isinstance(_strict_json(out), dict)
+    assert err
 
 
 def test_soliton_prints_the_tail_rate(capsys):

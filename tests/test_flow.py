@@ -125,7 +125,10 @@ def test_non_finite_time_is_no_sample(heis, t):
 
 
 def _nearest_time_reference(times, t):
-    """The lookup by the full distance matrix: argmin over every sample."""
+    """The lookup by the full distance matrix: argmin over every sample, the
+    earlier on a tie, and KeyError beyond 1e-9 max(1, |t|) or for a
+    non-finite t."""
+    t = np.asarray(t, dtype=float)
     i = np.abs(np.subtract.outer(times, t)).argmin(axis=0)
     if not np.all(np.isfinite(t) & (np.abs(times[i] - t) <= 1e-9 * np.maximum(1.0, np.abs(t)))):
         raise KeyError(t)
@@ -170,12 +173,23 @@ def test_time_lookup_allocates_no_distance_matrix():
     assert peak < 2_000_000
 
 
+@pytest.mark.parametrize("t", [10**300, 10**400], ids=["int_in_float_range", "int_past_float_range"])
+def test_huge_int_time_is_no_sample(heis, t):
+    # 10**300 used to reach np.isfinite as an object array and raise TypeError;
+    # 10**400 has no float
+    for samples in (integrate_bracket_flow(heis, 1.0), integrate_innerproduct_flow(heis, 1.0)):
+        with pytest.raises(KeyError):
+            samples.index_of_time(t)
+
+
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=60, deadline=None)
-def test_float_time_lookup_is_the_array_lookup(seed):
-    # a float takes _index_of_time's float path: the index of its array path
-    # (a 0-d array), or its KeyError, on hits, near misses, ties, times
-    # outside the trace and non-finite times, through the trace's lookup too
+def test_time_lookup_is_the_nearest_time_by_argmin(seed):
+    # every kind of time takes _index_of_time's one rule: floats, numpy
+    # floats, ints and 0-d arrays get the index of argmin |times - t|, or
+    # KeyError, on hits, near misses, ties, times outside the trace and
+    # non-finite times, through the trace's lookup too; an array of times gets
+    # the index of each, and KeyError if any one is not a sample
     rng = np.random.default_rng(seed)
     scale = 10.0 ** int(rng.integers(-2, 6))
     # a dyadic cluster 2^-30 apart: its midpoints are exact ties within 1e-9
@@ -192,9 +206,11 @@ def test_float_time_lookup_is_the_array_lookup(seed):
         [times[0] - 1.0, times[-1] + 1.0, -1e300, 1e300, -math.inf, math.inf, math.nan],
     ])
     trace = InnerProductTrace(times=times, metrics=np.zeros((len(times), 1, 1)))
-    for t in (*queries.tolist(), *queries[::7]):  # floats and numpy floats
+    ints = [int(t) for t in queries.tolist() if math.isfinite(t)]
+    hits = []
+    for t in (*queries.tolist(), *queries[::7], *ints, *map(np.asarray, queries[::7])):
         try:
-            expected = flow._index_of_time(times, np.asarray(t))
+            expected = _nearest_time_reference(times, t)
         except KeyError:
             with pytest.raises(KeyError):
                 flow._index_of_time(times, t)
@@ -204,6 +220,10 @@ def test_float_time_lookup_is_the_array_lookup(seed):
             found = flow._index_of_time(times, t)
             assert found == expected and type(found) is int
             assert trace.index_of_time(t) == expected
+            hits.append(float(t))
+    assert np.array_equal(flow._index_of_time(times, np.array(hits)), _nearest_time_reference(times, np.array(hits)))
+    with pytest.raises(KeyError):  # queries holds misses, inf and nan among them
+        flow._index_of_time(times, queries)
 
 
 @pytest.fixture
