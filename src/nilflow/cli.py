@@ -441,8 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="verify a structural property of the trace (repeatable)",
     )
     p.add_argument("--check-tol", type=float, default=1e-4)
-    p.add_argument("--trace-out", help="write per-sample diagnostics as CSV")
-    p.add_argument("--brackets-out", help="write bracket snapshots as JSON")
+    p.add_argument("--trace-out", help="write per-sample diagnostics as CSV to a file")
+    p.add_argument("--brackets-out", help="write bracket snapshots as JSON to a file")
     p.add_argument("--summary-out", help="write a JSON summary ('-' for stdout)")
     p.set_defaults(func=cmd_flow)
 
@@ -495,6 +495,10 @@ def main(argv=None) -> int:
         for dest, value in vars(args).items():
             if dest in ("tol", "check_tol"):
                 _check_tol(value, f"--{dest.replace('_', '-')}")
+            # these write files; "-" would make one named "-"
+            if dest in ("trace_out", "brackets_out") and value == "-":
+                flag = f"--{dest.replace('_', '-')}"
+                raise ConfigError(f"{flag} needs a file path, not '-'; only JSON documents go to stdout")
         # with "-", stdout holds the document alone: the human-readable lines go to stderr
         documents = {dest: sys.stdout for dest in ("out", "summary_out") if vars(args).get(dest) == "-"}
         if not documents:

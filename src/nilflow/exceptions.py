@@ -49,14 +49,18 @@ class BadRate(NilflowError, TypeError, ValueError):
 class NumericalFailure(NilflowError, RuntimeError):
     """Integration failed; carries the partial trace when one exists.
 
-    The trace is the list of accepted (t, y) samples.  For the bracket flows
-    y is the flattened frame h with mu(t) = h.mu0, not the bracket itself;
+    The trace is the list of accepted (t, y) samples.  For the normalized
+    bracket flow y is the flattened frame h with mu(t) = h.mu0, not the
+    bracket itself, and for any other rate the normalized frame F with the
+    scale beta = log(||mu|| / ||mu0||) and the time t, mu = (F / e^beta).mu0
+    once F.mu0 is rescaled onto ||mu0||;
     for the metric flow it is the lower triangle of the factor L of
     G = L L^T, with log L_ii in place of L_ii.
-    Two guards, one frame check, cut it: when a frame's condition number
-    passes 1/sqrt(eps), or the skew defect max|c + c^T| / ||c|| of
-    c = h.mu0 passes 1e-8 (rounding damage to mu), the trace ends at the
-    last sample before the first such frame.  The companion frame of
+    The guards of one frame check cut it: when a frame's condition number
+    passes 1/sqrt(eps), the skew defect max|c + c^T| / ||c|| of c = h.mu0
+    passes 1e-8 (rounding damage to mu), or the scale ||mu|| / 2 of a run
+    with a clock leaves the float range, the trace ends at the last sample
+    before the first such frame.  The companion frame of
     cointegrate_h, which has no gauge and degenerates near a soliton, is cut
     by the first guard alone, and its messages start "the companion frame
     h became singular: ".  Every run holds one error state in which an

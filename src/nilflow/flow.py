@@ -5,24 +5,31 @@ r = 0 is the unnormalized flow, the negative gradient flow of tr(Ric^2) on
 V_n; r = tr(Ric^2), the rate "scalar", keeps ||mu|| = 2 (unit sphere of
 scalar curvature -1); a finite constant gives the other rescaled flows.
 One kernel, _shifted_ricci(mu0, r), checks r and forms X = Ric + r I for
-every flow, from mu0 halved and r I built once per flow (Der(mu0) is built
-once per bracket).  The rate alone decides the normalization: tr(Ric^2) is
-homogeneous, so with the scalar rate X is evaluated on the bracket rescaled
-to ||mu0||, and ||mu|| stays fixed by itself.
+the normalized frame flow and for the metric flow, from mu0 halved and r I
+built once per flow (Der(mu0) is built once per bracket).  The rate alone
+decides the normalization: tr(Ric^2) is homogeneous, so with the scalar
+rate X is evaluated on the bracket rescaled to ||mu0||, and ||mu|| stays
+fixed by itself.
 
 The bracket flows integrate the frame, not the bracket: the state is h(t),
 h(0) = I, with mu(t) = h(t).mu0, so mu(t) stays in the GL(n)-orbit of mu0,
 and nilpotent, by construction.  With D the projection of h^{-1} X h onto
 Der(mu0), h' = -(X - h D h^{-1}) h; h D h^{-1} is a derivation of mu(t), so
 mu' is exactly the bracket flow, and at a soliton X - h D h^{-1} -> 0, so h
-converges.  Each stored frame of a normalized run is rescaled once onto the
-sphere.  Traces are arrays read by batched kernels.  The step loop judges
-each stored frame, 32 at a time: cond(h) > 1/sqrt(eps), or a skew part of
-h.mu0 above 1e-8 of its norm (rounding damage), raises NumericalFailure at
-that frame, whatever t_max.  The check keeps the brackets h.mu0 it moved
-and the cond(h) it decided on, thinned with their samples, and the trace
-reads them, so each stored frame is inverted, moved and decomposed by SVD
-once.  Every flow runs one adaptive integrator (_integrate_adaptive):
+converges.  Every other rate is the normalized flow up to scale (Lauret's
+scaling): mu(t) = a(t) nu(tau(t)), tau' = a^2, so its run integrates the
+normalized frame F of nu with log a and the time t as a clock, in the
+flow's own time, where the self-similar decay of the unnormalized flow
+takes about a third of the evaluations it takes in t (_frame_generator);
+the stored frame is h = F / (a / a0), so mu = h.mu0 still.  Each stored
+frame is rescaled once onto the sphere.  Traces are arrays read by batched
+kernels.  The step loop judges each stored frame, 32 at a time:
+cond(h) > 1/sqrt(eps), or a skew part of h.mu0 above 1e-8 of its norm
+(rounding damage), or a scale a past the float range, raises
+NumericalFailure at that frame, whatever t_max.  The check keeps the
+brackets h.mu0 it moved and the cond(h) it decided on, thinned with their
+samples, and the trace reads them, so each stored frame is inverted, moved
+and decomposed by SVD once.  Every flow runs one adaptive integrator (_integrate_adaptive):
 explicit DOP853 steps (_rk_step, coefficients in _dop853) while the
 solution moves, and L-stable ROS2 steps once it settles or turns stiff,
 from t0 on a start at rest (a soliton of the normalized flow).  The two
@@ -32,7 +39,9 @@ add to one continuous extension, Hairer's dense output from the cubic
 Hermite rows, under one step-size rule.  A run builds the ROS2 Jacobian at
 its first switch and at every settled one, and keeps it across a hand-back
 to DOP853.  A stop is a sample of that extension, not a step end, and a
-finite max_step adds a grid of stops instead of shortening the steps.
+finite max_step adds a grid of stops instead of shortening the steps; a run
+with a clock finds its stops, and its end, on that extension by Newton's
+method on the clock's polynomial, and no step is shortened to its end.
 Every lookup of a sample time runs one rule, _index_of_time's binary search
 on Python floats; an array of times maps through it element by element.
 Every right side also takes a (B, N) stack of states and gives each lane
@@ -41,8 +50,9 @@ call: the frame generator, which builds nearly every Jacobian, in batched
 kernels, the metric right side by one 1-D call per lane.
 Without its gauge (D = 0) the frame generator gives the companion frame
 h' = -(Ric + r I) h, the paper's h, which cointegrate_h integrates after a
-flow; one check (_frame_check) judges both frame runs, by one SVD per
-stored frame, whose cond(h) is also the trace's max_cond_h.  The module also
+flow, with the same scale and clock for every rate but the scalar one; one
+check (_frame_check) judges both frame runs, by one SVD per stored frame,
+whose cond(h) is also the trace's max_cond_h.  The module also
 integrates the inner-product (metric tensor) flow G' = -2 ric(G) - 2 r G,
 and checks the structural identities of the r = 0 flow.
 The metric flow's state is the factor of G = L L^T, as the strict lower part
@@ -206,24 +216,26 @@ def _dop853_error_norm(q):
     return 0.0 if denom == 0.0 else s5 / math.sqrt(denom * e5.size)
 
 
-def _initial_step(f, t0, y0, f0, span, rtol, atol):
+def _initial_step(f, t0, y0, f0, span, rtol, atol, part=slice(None)):
     """The first step from (t0, y0), f0 = f(t0, y0), at most span: Hairer's
     hinit, with one evaluation f(t0 + h0, y0 + h0 f0) for the second
-    derivative.  Its exponent 1/5 is DOPRI5's 1/(order + 1); dop853's own
-    hinit takes 1/8.  1/5 stays: on the bench flows of seeds 91-92, 1/8 cost
-    the decay T = 50 flows 27 rejected steps (7,516 -> 7,681 evaluations)
-    and saved the soliton workload's flows 2.4% (10,895 -> 10,633)."""
-    scale = _scale(y0, y0, rtol, atol)
+    derivative, its norms read on the components in part.  Its exponent
+    1/5 is DOPRI5's 1/(order + 1); dop853's own hinit takes 1/8, which on
+    the bench flows of seeds 91-92 would save the decay T = 50 flows 2%
+    (2,356 -> 2,309 evaluations, with 11 rejected steps) and the soliton
+    workload's flows 2.4% (10,895 -> 10,633), and would change the steps
+    of every run."""
+    scale = _scale(y0, y0, rtol, atol)[part]
     # a derivative past the float range reads as infinitely fast: d1 = inf
     # gives h0 = 0, which the caller's step floor rejects, also from y0 = 0
     with np.errstate(over="ignore"):
-        d0 = float(np.sqrt(np.mean((y0 / scale) ** 2)))
-        d1 = float(np.sqrt(np.mean((f0 / scale) ** 2)))
+        d0 = float(np.sqrt(np.mean((y0[part] / scale) ** 2)))
+        d1 = float(np.sqrt(np.mean((f0[part] / scale) ** 2)))
     if d1 == math.inf:
         return 0.0
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
     f1 = f(t0 + h0, y0 + h0 * f0)
-    d2 = float(np.sqrt(np.mean(((f1 - f0) / scale) ** 2))) / h0
+    d2 = float(np.sqrt(np.mean(((f1 - f0)[part] / scale) ** 2))) / h0
     h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
     return min(100 * h0, h1, span)
 
@@ -274,13 +286,80 @@ def _dense(y, rows, theta):
     return y + np.array(ws).dot(rows)
 
 
+def _monomials(k):
+    """The (k, k + 1) matrix whose row j holds the coefficients of theta^0 ..
+    theta^k in the weight w_j = theta^(j // 2 + 1) (1 - theta)^((j + 1) // 2)
+    of _dense."""
+    m = np.zeros((k, k + 1))
+    for j in range(k):
+        for i in range((j + 1) // 2 + 1):
+            m[j, j // 2 + 1 + i] = math.comb((j + 1) // 2, i) * (-1) ** i
+    return m
+
+
+# the weights of the two continuous extensions, ROS2's cubic Hermite and DOP853's
+_MONOMIALS = {k: _monomials(k) for k in (3, 7)}
+# at most this many iterations locate a stop on a step's clock (see
+# _clock_thetas): bisection alone halves [0, 1] to below one ulp in 53
+_CLOCK_ITERATIONS = 60
+
+
+def _clock_thetas(y, rows, times):
+    """The points theta in [0, 1] of the continuous extension (y, rows) of a
+    step at which its clock, the last component, reads each of the
+    increasing times, which lie between its readings at 0 and 1.  The clock
+    is a polynomial in theta, evaluated by Horner's rule on its monomial
+    coefficients, and need not be monotone.  Each time is solved on its own
+    in Python floats, cheaper than array steps for the few stops of a step:
+    Newton's method from the linear guess, inside a bracket [lo, hi] on
+    which the clock crosses the time, bisecting the bracket wherever the
+    slope is not positive or a Newton step would leave it.  The first Newton
+    correction below 1e-7, which quadratic convergence leaves about 1e-14
+    off, ends the search, as does a bracket bisected to a point."""
+    c0, coef = y.item(-1), rows[:, -1].dot(_MONOMIALS[len(rows)]).tolist()
+    coef[0] += c0
+    coef.reverse()
+    span = rows.item(0, -1)  # rows[0] = y_new - y
+    thetas = []
+    for s in times:
+        lo, hi = 0.0, 1.0  # the clock reads below s at lo, and s or more at hi
+        theta = (s - c0) / span
+        for _ in range(_CLOCK_ITERATIONS):
+            clock, slope = coef[0], 0.0
+            for c in coef[1:]:
+                slope = slope * theta + clock
+                clock = clock * theta + c
+            if clock < s:
+                lo = theta
+            else:
+                hi = theta
+            move = (clock - s) / slope if slope > 0.0 else math.inf
+            if lo <= theta - move <= hi:
+                theta -= move
+                if abs(move) <= 1e-7:
+                    break
+            else:
+                theta = 0.5 * (lo + hi)
+                if theta in (lo, hi):
+                    break
+        thetas.append(theta)
+    return thetas
+
+
 def _stiff(h, K, y_new, y_last):
     """Hairer's stiffness test of an accepted DOP853 step, K[12] = f(t + h,
     y_new) and K[11] = f(t + h, y_last), the FSAL row and the step's last
     stage: h ||K[12] - K[11]|| / ||y_new - y_last|| estimates |h lambda|, and
-    past 6.1 the step sits at the edge of the method's stability region."""
+    past 6.1 the step sits at the edge of the method's stability region.
+    Where a squared norm overflows, as on a clock past 1e154, both
+    differences are first divided by their largest entry."""
     df, dy = K[12] - K[11], y_new - y_last
-    return h * math.sqrt(df.dot(df)) > 6.1 * math.sqrt(dy.dot(dy))
+    try:
+        return h * math.sqrt(df.dot(df)) > 6.1 * math.sqrt(dy.dot(dy))
+    except FloatingPointError:
+        big = max(np.abs(df).max(), np.abs(dy).max())
+        df, dy = df / big, dy / big
+        return h * math.sqrt(df.dot(df)) > 6.1 * math.sqrt(dy.dot(dy))
 
 
 def _jacobian(f, t, y, f0):
@@ -349,7 +428,7 @@ def _sample_grid(t0, t_end, max_step, stops):
     return set(grid[gap > _SAME_TIME * np.maximum(1.0, np.abs(grid))].tolist())
 
 
-def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: ()):
+def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: (), clock=False):
     """Generic adaptive integrator with two step kinds.
 
     The explicit step is _rk_step, a step of DOP853, the 8th-order pair of
@@ -376,6 +455,16 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: ()):
     that stays stiff while it moves builds J once, not at every switch.
     Runs whose steps all move by an increment of at least 1 and are not
     stiff never switch, and their steps are DOP853 steps alone.
+
+    With clock, the last component of the state is the run's clock, and
+    its values are the times: the loop steps in its own variable s from 0,
+    and t0, t_end, the stops, the max_step grid, the samples' times and the
+    failure messages' t are values of the clock, which must increase.  The
+    stops inside a step are located on its continuous extension by
+    _clock_thetas and sampled by _dense; no step is shortened to t_end,
+    and the run ends at the step whose extension reaches it, with t_end its
+    last sample.  The clock measures progress and always moves, so the first
+    step and the settled tests read the other components.
 
     Returns (samples, stats, jac, verdicts): samples is a list of (t, y) at
     t0, at every accepted step (the last ends on t_end) and at every stop; past
@@ -407,7 +496,8 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: ()):
     """
     _check_end(t0, t_end)
     opts = opts or FlowOpts()
-    t = float(t0)
+    # a run with a clock steps in its own variable, from 0
+    t = 0.0 if clock else float(t0)
     y = np.array(y0, dtype=float)
     stats = {
         "accepted": 0,
@@ -426,7 +516,7 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: ()):
     if opts.max_step < math.inf:
         stops |= _sample_grid(t0, t_end, opts.max_step, stops)
     stops = sorted(stops, reverse=True)  # popped in time order
-    samples = [(t, y)]
+    samples = [(float(t0), y)]
     steps = [0]  # accepted-step index of each sample; 0 for the start and the stops
     stride, judged = 1, 0  # check has judged samples[:judged]
     if t_end <= t0:
@@ -437,11 +527,15 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: ()):
         with np.errstate(**_RUN_ERRSTATE):
             K = np.empty((16, y.size))  # row 12 holds f(t + h, y_new)
             K[0] = f(t, y)
-            h = _initial_step(f, t, y, K[0], t_end - t0, opts.rtol, opts.atol)
+            # a clock always moves, and its span in s is unknown: the first
+            # step is Hairer's, read with the settled tests on the other components
+            moves = slice(-1 if clock else None)
+            h = _initial_step(f, t, y, K[0], math.inf if clock else t_end - t0, opts.rtol, opts.atol, moves)
             stats["nfev"] += 2
             # the loop's settled test on the start: a start at rest takes ROS2
             # steps (implicit) from t0
-            implicit = h < t_end - t and _rms(h * K[0] / _scale(y, y, opts.rtol, opts.atol)) < 1.0
+            longer = h * K[0][-1] < t_end - t0 if clock else h < t_end - t
+            implicit = longer and _rms((h * K[0] / _scale(y, y, opts.rtol, opts.atol))[moves]) < 1.0
             # the J of the ROS2 steps, built at the first switch and at every
             # settled one, and kept while explicit steps run in between
             jac = None
@@ -449,12 +543,14 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: ()):
                 jac = _jacobian(f, t, y, K[0])
                 stats["nfev"] += y.size
 
-            while t < t_end:
-                h = min(h, t_end - t)
+            while stops:
+                if not clock:
+                    h = min(h, t_end - t)
                 # not >=, so that a nan step (a nan derivative) underflows too;
-                # the step that ends the run is taken however short it is
-                if not (h >= 1e-14 * max(1.0, abs(t)) or h == t_end - t):
-                    raise StepSizeUnderflow(f"step size underflow at t={t:.6g} (h={h:.3e})")
+                # the step that ends a run without a clock is taken however short it is
+                if not (h >= 1e-14 * max(1.0, abs(t)) or (not clock and h == t_end - t)):
+                    at = y.item(-1) if clock else t
+                    raise StepSizeUnderflow(f"step size underflow at t={at:.6g} (h={h:.3e})")
                 ros = _ros2_step(f, t, y, h, K[0], jac) if implicit else None
                 if ros is None:
                     implicit = False  # a singular W hands the step back to the explicit steps
@@ -465,42 +561,51 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: ()):
                     stats["nfev"] += 1
                 scale = _scale(y, y_new, opts.rtol, opts.atol)
                 err = (_rms if implicit else _dop853_error_norm)(err_vec / scale)
-                increment = _rms((y_new - y) / scale)
+                increment = _rms(((y_new - y) / scale)[moves])
 
                 if err <= 1.0:
                     K[12] = f(t + h, y_new)
                     stats["nfev"] += 1
                     if implicit:
                         stats["rosenbrock_steps"] += 1
-                    t_new = t_end if h >= t_end - t else t + h
-                    near = _SAME_TIME * max(1.0, abs(t_new))
-                    rows = None  # the step's continuous extension, built for its first stop
-                    while stops[-1] < t_new - near:
-                        s = stops.pop()
-                        if rows is None:
-                            if implicit:
-                                rows = _hermite_rows(y, y_new, h, K[0], K[12])
-                            else:
-                                rows = _rk_extension(f, t, y, y_new, h, K)
-                                stats["nfev"] += 3
-                        samples.append((s, _dense(y, rows, (s - t) / h)))
-                        steps.append(0)
-                    at_stop = stops[-1] <= t_new + near
+                    # the step's end in the run's variable and its time
+                    if clock:
+                        t_new, time = t + h, y_new.item(-1)
+                    else:
+                        t_new = time = t_end if h >= t_end - t else t + h
+                    near = _SAME_TIME * max(1.0, abs(time))
+                    due = []  # the stops inside the step
+                    while stops and stops[-1] < time - near:
+                        due.append(stops.pop())
+                    if due:
+                        # the step's continuous extension
+                        if implicit:
+                            rows = _hermite_rows(y, y_new, h, K[0], K[12])
+                        else:
+                            rows = _rk_extension(f, t, y, y_new, h, K)
+                            stats["nfev"] += 3
+                        thetas = _clock_thetas(y, rows, due) if clock else [(s - t) / h for s in due]
+                        states = [_dense(y, rows, theta) for theta in thetas]
+                        samples.extend(zip(due, states))
+                        steps.extend([0] * len(due))
+                    at_stop = bool(stops) and stops[-1] <= time + near
                     if at_stop:
-                        t_new = stops.pop()
+                        time = stops.pop()
+                    # a clock's end may lie inside the step, whose end is then no sample
+                    ended = not stops
                     # the tests read this step's h and stages, so they run before h changes
-                    switch = not implicit and t_new < t_end and (
+                    switch = not implicit and not ended and (
                         increment < 1.0 or _stiff(h, K, y_new, y_last)
                     )
-                    t, y, K[0] = t_new, y_new, K[12]
+                    t, y, K[0] = t_new if clock else time, y_new, K[12]
                     stats["accepted"] += 1
                     step = 0 if at_stop else stats["accepted"]
-                    if step % stride == 0:
-                        samples.append((t, y))
+                    if (at_stop or not ended) and step % stride == 0:
+                        samples.append((time, y))
                         steps.append(step)
                     # a stride past the step count would drop nothing more
                     thin = len(samples) > _MAX_SAMPLES and stride <= stats["accepted"]
-                    if thin or t >= t_end or len(samples) - judged >= _CHECK_EVERY:
+                    if thin or ended or len(samples) - judged >= _CHECK_EVERY:
                         verdicts.append(check(samples, judged))
                         if thin:
                             stride *= 2
@@ -519,7 +624,8 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: ()):
                 e, ceiling = (0.5, _ROS_MAX_FACTOR) if ros is not None else (0.125, _MAX_FACTOR)
                 h *= min(ceiling, max(_MIN_FACTOR, _SAFETY * (err + 1e-300) ** -e))
     except FloatingPointError as exc:
-        failure = NumericalFailure(f"{exc} at t={t:.6g}", trace=samples)
+        at = y.item(-1) if clock else t  # the last accepted time
+        failure = NumericalFailure(f"{exc} at t={at:.6g}", trace=samples)
         check(samples, judged)
         raise failure from None
     except NumericalFailure as exc:
@@ -580,8 +686,9 @@ class FlowTrace(_Samples):
     its end, and the columns `grad_norm` (||delta_mu(Ric_mu)||) and
     `jacobi_residual` (the max-norm of the Jacobiator) are computed from
     `coeffs` on first access.  `jacobian`, kept out of the JSON `stats`, is
-    the integrator's J of the frame flow (see _integrate_adaptive): at a
-    settled normalized run, its linearization.
+    the integrator's J of the frame run (see _integrate_adaptive): at a
+    settled normalized run, its linearization; for any other rate, of its
+    state (F, beta, t) (see _frame_generator).
     """
 
     times: np.ndarray
@@ -659,7 +766,24 @@ def trace_from_csv(path) -> dict:
     return dict(zip(_TRACE_COLUMNS, cols))
 
 
-def _shifted_ricci(b0, r):
+def _rate_value(r):
+    """"scalar", or the value of a constant rate r (0.0 for None); BadRate
+    for anything else, a bool, a callable or a non-finite number included."""
+    if isinstance(r, str):
+        if r != "scalar":
+            raise BadRate(f"unknown rate {r!r}; the only string rate is 'scalar'")
+        return r
+    # True would run the constant rate 1.0
+    if r is not None and not _is_real(r):
+        raise BadRate(f"r must be None, a real number or 'scalar', got {r!r}")
+    value = 0.0 if r is None else float(r)
+    # a nan or infinite rate would make every step nan, and every step rejected
+    if not math.isfinite(value):
+        raise BadRate(f"a constant rate must be finite, got {r!r}")
+    return value
+
+
+def _shifted_ricci(b0, r, with_rate=False):
     """Kernel (h, hinv) -> X = Ric + r I of mu = h.mu0 (hinv is h^{-1}) for
     the frame and the metric flows.  r is None (zero), a finite real number
     or "scalar", tr(Ric^2); anything else, a bool or a callable included,
@@ -675,10 +799,10 @@ def _shifted_ricci(b0, r):
     overhead.  A (B, n, n) stack of h and hinv gives the stack of X from
     the batched kernels _gl_action_coeffs, _ricci and _tr_ric2 on the full
     mu0; halving is an exact scaling, so each lane has the bits of its 2-D
-    call."""
-    if isinstance(r, str):
-        if r != "scalar":
-            raise BadRate(f"unknown rate {r!r}; the only string rate is 'scalar'")
+    call.  With with_rate the scalar kernel gives (X, tr Ric^2), the rate it
+    adds (an array of them for a stack)."""
+    value = _rate_value(r)
+    if value == "scalar":
         drift = abs(b0.norm - 2.0)
         if drift > 1e-10:
             raise BadNormalization(
@@ -687,13 +811,6 @@ def _shifted_ricci(b0, r):
             )
         norm_sq, shift = 0.25 * np.vdot(b0.coeffs, b0.coeffs), None
     else:
-        # True would run the constant rate 1.0
-        if r is not None and not _is_real(r):
-            raise BadRate(f"r must be None, a real number or 'scalar', got {r!r}")
-        value = 0.0 if r is None else float(r)
-        # a nan or infinite rate would make every step nan, and every step rejected
-        if not math.isfinite(value):
-            raise BadRate(f"a constant rate must be finite, got {r!r}")
         norm_sq, shift = None, None if r is None else value * np.eye(b0.n)
     n = b0.n
     c0_rows = (0.5 * b0.coeffs).reshape(n, n * n)
@@ -709,7 +826,10 @@ def _shifted_ricci(b0, r):
             # the halved ones
             flat = c.reshape(len(c), -1)
             x *= ((4.0 * norm_sq) / np.vecdot(flat, flat))[:, None, None]
-            x[:, diag, diag] += _tr_ric2(x)[:, None]
+            rate = _tr_ric2(x)
+            x[:, diag, diag] += rate[:, None]
+            if with_rate:
+                return x, rate
         return x
 
     def kernel(h, hinv):
@@ -724,51 +844,145 @@ def _shifted_ricci(b0, r):
             x += shift
         elif norm_sq is not None:
             x *= norm_sq / np.vdot(c, c)
-            x.reshape(-1)[:: n + 1] += np.vdot(x, x)
+            rate = np.vdot(x, x)
+            x.reshape(-1)[:: n + 1] += rate
+            if with_rate:
+                return x, rate
         return x
 
     return kernel
 
 
 def _frame_generator(b0, r, gauge=True):
-    """Right side rhs(t, y) of the frame flow for mu = h.mu0, y = h flattened.
+    """Right side rhs(t, y) of the frame run of rate r from mu0 = b0.
 
+    The scalar rate integrates the frame itself: y = h flattened, mu = h.mu0.
     X is the _shifted_ricci kernel at (h, h^{-1}) and D is the projection of
     h^{-1} X h onto Der(mu0), whose basis B is orthonormal, so the projection
     is one product with the projector P = B^T B; B is built once per
     bracket, and the kernel, which checks the rate r, and P once per flow.  Then
-    h' = -(X - h D h^{-1}) h = -X h + h D.  For the scalar rate X is
-    evaluated on the sphere ||mu|| = ||mu0||; then
-    <mu', mu> = 0, and the flow of h commutes with rescaling h.  One call is
-    a few plain matrix products: the GL action, the two of Ricci, the
-    projection and h'.  y may also be a (B, n^2) stack of frames, which gives
-    the (B, n^2) stack of h', each lane with the bits of its 1-D call.  The
-    inverse is algebra._lapack_inv, without an error state of its own: the
-    run's _RUN_ERRSTATE, held around every evaluation, makes a singular h in
-    any lane, or an overflow, raise NumericalFailure "h is singular at t=...";
-    outside a run's error state a singular h gives nan and a warning.
-    gauge=False drops D: h' = -X h (cointegrate_h).
-    """
-    n = b0.n
-    shifted_ricci = _shifted_ricci(b0, r)
-    basis = b0._derivations.reshape(-1, n * n)
-    proj = basis.T @ basis
+    h' = G(h) = -(X - h D h^{-1}) h = -X h + h D.  X is evaluated on the
+    sphere ||mu|| = ||mu0||; then <mu', mu> = 0, and the flow of h commutes
+    with rescaling h.  One call is a few plain matrix products: the GL
+    action, the two of Ricci, the projection and h'.  gauge=False drops D:
+    h' = -X h (cointegrate_h).
 
-    def rhs(t, y):
-        stack = y.ndim > 1
-        h = y.reshape(-1, n, n) if stack else y.reshape(n, n)
+    Every other rate runs this normalized generator G in the flow's own
+    time.  mu(t) = a(t) nu(tau(t)), nu the normalized flow on ||nu|| = 2
+    from nu0 = mu0 / a0, a0 = ||mu0|| / 2, and tau' = a^2 (Lauret's
+    scaling), so the state is y = (F, beta, t): F the frame of nu = F.nu0,
+    beta = log(a / a0), and the clock t, whose values are the run's times
+    (see _integrate_adaptive).  With w = a^2 + |r| and kappa = a0^2 + |r|
+    the run's variable s has ds/dt = w / kappa, and
+
+        F_s = (kappa a^2 / w) G(F),  beta_s = kappa (r - a^2 rho) / w,  t_s = kappa / w,
+
+    rho = tr Ric^2 of F.nu0, the rate the kernel forms.  kappa makes s start
+    as t; r = None runs s = tau / a0^2.  The factors are Python floats of
+    b^2 = exp(2 beta) and kappa / w = 1 / (p b^2 + q), p = a0^2 / kappa and
+    q = |r| / kappa, so a bracket whose a0^2 underflows is still, as its
+    flow is to rounding, and a0 enters no other factor.  The frame h = F / b,
+    b = a / a0, has h.mu0 = mu: _finish_trace and cointegrate_h store it.  The
+    zero bracket has no nu0 and stays at mu = 0 for every rate: its gauge
+    takes up the whole rate, as Der(0) = gl(n), so only its clock moves, and
+    its ungauged frame is h = e^{-rt} I.  A kappa / w past the float range
+    raises NumericalFailure "the scale of mu left the float range at
+    t=<clock>".
+
+    y may also be a (B, N) stack of states, which gives the (B, N) stack of
+    y', each lane with the bits of its 1-D call.  The inverse is
+    algebra._lapack_inv, without an error state of its own: the run's
+    _RUN_ERRSTATE, held around every evaluation, makes a singular h or F in
+    any lane, or an overflow, raise NumericalFailure "h is singular at
+    t=..."; outside a run's error state a singular h gives nan and a warning.
+    """
+    n, nn = b0.n, b0.n * b0.n
+    rate = _rate_value(r)
+    clock = rate != "scalar"
+    if clock and b0.norm == 0.0:
+
+        def still(t, y):
+            dy = np.zeros(y.shape)
+            dy[..., nn] = 0.0 if gauge else rate
+            dy[..., -1] = 1.0
+            return dy
+
+        return still
+    kernel = _shifted_ricci(b0.scaled(2.0 / b0.norm) if clock else b0, "scalar", with_rate=True)
+    basis = b0._derivations.reshape(-1, nn)  # Der(nu0) = Der(mu0)
+    proj = basis.T @ basis
+    if clock:
+        # the entries of P at rounding level are zeros of the exact projector
+        # where Der(mu0) has structural zeros (H3: the derivations' entries
+        # that would move its center into e0, e1).  P moves the rate rho I of X
+        # into the gauge, and its rounding there would push the frame of H3 off
+        # its family by about 2 eps by T = 5; the scalar rate's runs keep P,
+        # and their results, as built
+        proj[np.abs(proj) <= 64.0 * np.finfo(float).eps * np.abs(proj).max()] = 0.0
+
+    def generator(t, h, stack):
+        """G(h) and rho at the frame h, a (B, n, n) stack or one (n, n) frame."""
         try:
             hinv = _lapack_inv(h)
-            xh = shifted_ricci(h, hinv) @ h if stack else shifted_ricci(h, hinv).dot(h)
+            x, rho = kernel(h, hinv)
+            xh = x @ h if stack else x.dot(h)
         except FloatingPointError:
             raise NumericalFailure(f"h is singular at t={t:.6g}") from None
         if not gauge:
-            return (-xh).reshape(y.shape)
+            return -xh, rho
         if stack:
-            d = (proj @ (hinv @ xh).reshape(-1, n * n, 1)).reshape(-1, n, n)
-            return (h @ d - xh).reshape(y.shape)
+            d = (proj @ (hinv @ xh).reshape(-1, nn, 1)).reshape(-1, n, n)
+            return h @ d - xh, rho
         d = proj.dot(hinv.dot(xh).reshape(-1)).reshape(n, n)
-        return (h.dot(d) - xh).reshape(-1)
+        return h.dot(d) - xh, rho
+
+    if not clock:
+
+        def rhs(t, y):
+            stack = y.ndim > 1
+            return generator(t, y.reshape(-1, n, n) if stack else y.reshape(n, n), stack)[0].reshape(y.shape)
+
+        return rhs
+
+    a2, r_abs = 0.25 * b0.norm * b0.norm, abs(rate)
+    if rate == 0.0:
+        p, q = 1.0, 0.0
+    elif a2 >= r_abs:
+        p = 1.0 / (1.0 + r_abs / a2)
+        q = r_abs / a2 * p
+    else:
+        q = 1.0 / (1.0 + a2 / r_abs)
+        p = a2 / r_abs * q
+
+    def factors(t, beta, rho):
+        """(kappa a^2 / w, beta_s, t_s) at one state, from exp(-2 |beta|),
+        which cannot overflow."""
+        try:
+            if beta > 0.0:
+                e = math.exp(-2.0 * beta)  # 1 / b^2
+                fa = a2 / (p + q * e)
+                ts = e / (p + q * e)
+            else:
+                b2 = math.exp(2.0 * beta)
+                ts = 1.0 / (p * b2 + q)
+                fa = a2 * (b2 * ts)
+        except ZeroDivisionError:  # kappa / w past the float range
+            raise NumericalFailure(f"the scale of mu left the float range at t={t:.6g}") from None
+        return fa, rate * ts - fa * rho, ts
+
+    def rhs(s, y):
+        dy = np.empty(y.shape)
+        if y.ndim > 1:
+            g, rho = generator(y.item(0, -1), y[:, :nn].reshape(-1, n, n), True)
+            lanes = np.array([factors(*state) for state in zip(y[:, -1].tolist(), y[:, nn].tolist(), rho.tolist())])
+            np.multiply(g.reshape(-1, nn), lanes[:, :1], out=dy[:, :nn])
+            dy[:, nn:] = lanes[:, 1:]
+            return dy
+        t = y.item(-1)
+        g, rho = generator(t, y[:nn].reshape(n, n), False)
+        fa, dy[nn], dy[nn + 1] = factors(t, y.item(nn), rho)
+        np.multiply(g.reshape(-1), fa, out=dy[:nn])
+        return dy
 
     return rhs
 
@@ -809,24 +1023,39 @@ def _by_blocks(kernel, coeffs):
     return np.concatenate([kernel(coeffs[s]) for s in _blocks(len(coeffs), coeffs.shape[-1] ** 4)])
 
 
-def _frame_check(b0, gauge):
+def _frame_check(b0, gauge, clock=False):
     """check(samples, i) of a frame run from b0 (see _integrate_adaptive):
     NumericalFailure with the samples before it at the first stored frame
     with cond(h) > 1/sqrt(eps) or, if gauge, a skew defect of h.mu0 above
     _MAX_SKEW_DEFECT.  One SVD per stored frame gives its cond(h), which
-    decides the bound and is the trace's max_cond_h.  The ungauged h of
-    cointegrate_h degenerates like exp(-tD): cond(h) alone judges it, and
-    the check returns ().  The gauged check returns what it decided on and
-    moved for the batch it judged, (h.mu0, ||h.mu0||, skew defect, cond(h)),
-    one row per frame, which the step loop keeps beside the samples and
-    _finish_trace builds the trace from, so each stored frame is inverted,
-    moved and decomposed once."""
+    decides the bound and is the trace's max_cond_h.  A clock state (F,
+    beta, t) of _frame_generator is judged by its frame F, whose cond is
+    that of h = F / b, and fails too where log a = log a0 + beta, or the log
+    of the largest entry of h, leaves [log tiny, -log tiny]: a = ||mu|| / 2
+    and h must be floats.  The ungauged
+    h of cointegrate_h degenerates like exp(-tD): cond(h) alone judges it,
+    and the check returns ().  The gauged check returns what it decided on
+    and moved for the batch it judged, (F.mu0, ||F.mu0||, skew defect,
+    cond(F)), one row per frame, which the step loop keeps beside the
+    samples and _finish_trace builds the trace from, so each stored frame is
+    inverted, moved and decomposed once."""
     n = b0.n
+    # the zero bracket has no scale: its frame's bound is the one that counts
+    log_a0 = (math.log(0.5 * b0.norm) if b0.norm > 0.0 else 0.0) if clock else None
 
     def check(samples, i):
-        frames = np.array([y for _, y in samples[i:]]).reshape(-1, n, n)
+        states = np.array([y for _, y in samples[i:]]).reshape(-1, samples[0][1].size)
+        frames = states[:, : n * n].reshape(-1, n, n)
         cond = np.linalg.cond(frames)
         k = _first_above(cond, _MAX_COND_H)
+        msg = f"cond(h) = {cond[k]:.3e} at t={samples[i + k][0]:.6g} exceeds 1/sqrt(eps)" if k < len(cond) else ""
+        if log_a0 is not None:
+            # log a, and the log of the largest entry of h = F / b
+            beta = states[:, n * n]
+            logs = np.maximum(np.abs(log_a0 + beta), np.abs(np.log(np.abs(frames).max(axis=(1, 2))) - beta))
+            m = _first_above(logs, -_LOG_TINY)
+            if m < k:
+                k, msg = m, f"the scale of mu left the float range at t={samples[i + m][0]:.6g}"
         if gauge:
             # past the bound the inverse is noise
             coeffs = _gl_action_coeffs(frames[:k], _inv(frames[:k]), b0.coeffs)
@@ -838,7 +1067,6 @@ def _frame_check(b0, gauge):
                        f"{_MAX_SKEW_DEFECT:g}: rounding has damaged mu")
                 raise NumericalFailure(msg, trace=samples[: i + j])
         if k < len(frames):
-            msg = f"cond(h) = {cond[k]:.3e} at t={samples[i + k][0]:.6g} exceeds 1/sqrt(eps)"
             raise NumericalFailure(msg, trace=samples[: i + k])
         return (coeffs, norms, defect, cond) if gauge else ()
 
@@ -849,30 +1077,36 @@ def _finish_trace(samples, verdicts, stats, b0, r, jac):
     """FlowTrace of the frame samples of a flow of rate r from b0: array
     expressions over the stacked brackets h_i.mu0.  The step loop's check
     has judged the frames, so each is invertible, and moved them: verdicts
-    holds its (h.mu0, ||h.mu0||, skew defect, cond(h)) of each kept frame,
-    and the brackets are antisymmetrized exactly, block by block in that
-    array (for the scalar rate each frame is first rescaled onto ||mu|| =
-    ||mu0||, and r_values is the tr_ric2 column); the trace builds grad_norm
-    and jacobi_residual when they are first read, and keeps jac.  stats gain
-    the max_cond_h and max_skew_defect of the kept frames, the check's
-    numbers, before any rescaling."""
+    holds its (F.mu0, ||F.mu0||, skew defect, cond(F)) of each kept frame F,
+    the state's frame (see _frame_generator).  Each F is rescaled onto the
+    sphere, F.mu0 onto ||mu0|| (for the zero bracket, which has none, F stays),
+    and for a rate other than the scalar one divided by its scale b = a / a0,
+    so h = lam F with lam = ||F.mu0|| / (||mu0|| b); the brackets h.mu0 =
+    F.mu0 / lam are antisymmetrized exactly, block by block in the array
+    of the check.  r_values is the tr_ric2 column for the scalar rate.  The
+    trace builds grad_norm and jacobi_residual when they are first read,
+    and keeps jac.  stats gain the max_cond_h and max_skew_defect of the
+    kept frames, the check's numbers, before any rescaling."""
     n, c0 = b0.n, b0.coeffs
     times = np.array([t for t, _ in samples])
-    frames = np.array([y for _, y in samples]).reshape(-1, n, n)
+    states = np.array([y for _, y in samples])
+    frames = states[:, : n * n].reshape(-1, n, n)
     coeffs, norms, defect, cond = verdicts
     stats = stats | {"max_cond_h": float(cond.max()), "max_skew_defect": float(defect.max())}
-    lams = None
-    if isinstance(r, str):
-        # (lambda h).mu0 = mu / lambda puts every sample back on ||mu|| = ||mu0||
-        lams = (norms / _norm(c0))[:, None, None]
-        frames = lams * frames
+    # (lam F).mu0 = F.mu0 / lam puts every sample back on ||F.mu0|| = ||mu0||
+    nrm0 = _norm(c0)
+    lams = norms / nrm0 if nrm0 > 0.0 else np.ones(len(norms))
+    if not isinstance(r, str):
+        lams *= np.exp(-states[:, n * n])
+    lams = lams[:, None, None]
+    frames = lams * frames
     for s in _blocks(len(coeffs), n**3):
-        c = coeffs[s] if lams is None else coeffs[s] / lams[s, None]
+        c = coeffs[s] / lams[s, None]
         np.multiply(c - c.swapaxes(1, 2), 0.5, out=coeffs[s])
     coeffs.flags.writeable = False  # the trace's brackets are views of it
     mu_norm = _norm(coeffs)
     tr_ric2 = _tr_ric2(_ricci(coeffs))
-    rate = tr_ric2 if isinstance(r, str) else 0.0 if r is None else float(r)
+    rate = tr_ric2 if isinstance(r, str) else _rate_value(r)
     return FlowTrace(
         times=times,
         coeffs=coeffs,
@@ -888,6 +1122,18 @@ def _finish_trace(samples, verdicts, stats, b0, r, jac):
     )
 
 
+def _frame_run(b0, r, gauge, t0, t_end, opts):
+    """_integrate_adaptive of the frame run of rate r from b0 (see
+    _frame_generator), judged by _frame_check: the scalar rate from h = I,
+    any other from the clock state (I, 0, t0)."""
+    rhs = _frame_generator(b0, r, gauge)
+    clock = not isinstance(r, str)
+    y0 = np.eye(b0.n).reshape(-1)
+    if clock:
+        y0 = np.concatenate((y0, [0.0, t0]))
+    return _integrate_adaptive(rhs, t0, y0, t_end, opts, _frame_check(b0, gauge, clock), clock)
+
+
 def integrate_bracket_flow(b0: Bracket, t_max: float, opts: FlowOpts | None = None, r=None) -> FlowTrace:
     """Flow mu' = delta_mu(Ric_mu) + r mu for any rate r.
 
@@ -897,14 +1143,14 @@ def integrate_bracket_flow(b0: Bracket, t_max: float, opts: FlowOpts | None = No
     ||mu_0|| = 2 to 1e-10 (else BadNormalization) and keeps every sample on
     that sphere to rounding.  Any other r, a callable included, raises
     BadRate.  The trace keeps r as `rate`, from which its `kind` follows,
-    and the rate at each sample in `r_values`.  The step loop judges every
-    stored frame, 32 at a time, by _frame_check, whatever t_max; stats keep
-    the largest cond(h) and skew defect of the kept frames (once a run thins
-    past 8192 samples, not of every frame judged).
+    and the rate at each sample in `r_values`.  Every rate but the scalar
+    one steps in the flow's own time, the normalized flow with a scale and a
+    clock (see _frame_generator).  The step loop judges every stored frame,
+    32 at a time, by _frame_check, whatever t_max; stats keep the largest
+    cond(h) and skew defect of the kept frames (once a run thins past 8192
+    samples, not of every frame judged).
     """
-    samples, stats, jac, verdicts = _integrate_adaptive(
-        _frame_generator(b0, r), 0.0, np.eye(b0.n).reshape(-1), t_max, opts, check=_frame_check(b0, True)
-    )
+    samples, stats, jac, verdicts = _frame_run(b0, r, True, 0.0, t_max, opts)
     return _finish_trace(samples, verdicts, stats, b0, r, jac)
 
 
@@ -924,7 +1170,9 @@ def cointegrate_h(trace: FlowTrace) -> np.ndarray:
     mu0 is the trace's start and r its rate, so h.mu0 runs the bracket flow
     a second time, apart from the trace's gauged frames: the ungauged frame
     generator and _frame_check, in one unthinned run with a stop at every
-    sample time.  Returns the (m, n, n) array of h(t_i).  A stored h with
+    sample time.  Every rate but the scalar one runs the ungauged normalized
+    frame H with its scale and clock (see _frame_generator), and h = H / b.
+    Returns the (m, n, n) array of h(t_i).  A stored h with
     cond(h) > 1/sqrt(eps), a singular h, or an overflow, the integrator's
     own included (the run holds _RUN_ERRSTATE, as every run does), raises
     NumericalFailure "the companion frame h became singular: ...", with the
@@ -933,17 +1181,17 @@ def cointegrate_h(trace: FlowTrace) -> np.ndarray:
     trace: its frames degenerate like exp(-tD), and their error reaches
     h.mu0 amplified by cond(h).
     """
-    b0 = trace.initial_bracket
+    b0, n = trace.initial_bracket, trace.initial_bracket.n
     opts = FlowOpts(rtol=1e-10, atol=1e-12, stops=tuple(trace.times[1:-1]))
-    rhs, check = _frame_generator(b0, trace.rate, gauge=False), _frame_check(b0, False)
-    y0, prefix = np.eye(b0.n).reshape(-1), "the companion frame h became singular: "
     try:
-        at = dict(_integrate_adaptive(rhs, trace.times[0], y0, trace.times[-1], opts, check)[0])
+        at = dict(_frame_run(b0, trace.rate, False, trace.times[0], trace.times[-1], opts)[0])
     except StepSizeUnderflow:
         raise
     except NumericalFailure as exc:  # from the right side, the check or the run's error state
-        raise NumericalFailure(prefix + str(exc), trace=exc.trace) from None
-    return np.array([at[t] for t in trace.times]).reshape(-1, b0.n, b0.n)
+        raise NumericalFailure("the companion frame h became singular: " + str(exc), trace=exc.trace) from None
+    states = np.array([at[t] for t in trace.times])
+    frames = states[:, : n * n].reshape(-1, n, n)
+    return frames if isinstance(trace.rate, str) else frames * np.exp(-states[:, n * n])[:, None, None]
 
 
 @dataclass

@@ -413,12 +413,18 @@ def test_non_finite_rate_exits_2(argv):
 
 
 def test_negative_rate_exits_3_at_the_condition_bound():
-    # cond(h) passes 1/sqrt(eps) at t = 9.09; judged after the run, the run
-    # went on and did not return, so a timeout turns a regression into a failure
+    # cond(h) passed 1/sqrt(eps) at t = 9.09 while the frame carried the
+    # decay of ||mu||; the normalized frame keeps cond(h) = 1, and the scale
+    # leaves the float range only at log a = -708.4, t = 236: T = 50 ends on
+    # ||mu||^2 = 2 / (1.5 e^{6t} - 0.5), and T = 300 exits 3; a timeout turns
+    # a run that does not return into a failure
     argv = ["nilflow", "flow", "heisenberg:c=1", "--rate", "-3", "--t-max", "50"]
     proc = subprocess.run(argv, capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 0 and "r flow to t = 50: |mu| = 8.28509e-66" in proc.stdout
+    proc = subprocess.run(argv[:-1] + ["300"], capture_output=True, text=True, timeout=20)
     assert proc.returncode == 3
-    assert proc.stderr.count("\n") == 1 and "cond(h) = 9.052e+07 at t=9.09296" in proc.stderr
+    assert proc.stderr.startswith("numerical failure: the scale of mu left the float range at t=")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_a_large_constant_rate_finishes():
@@ -491,6 +497,15 @@ def test_flow_summary_document_keys(tmp_path):
         "renormalizations", "rosenbrock_steps", "t_final",
     ]
     assert doc["stats"]["t_final"] == 1.0
+
+
+@pytest.mark.parametrize("flag", ["--trace-out", "--brackets-out"])
+def test_file_outputs_refuse_a_dash(flag, tmp_path, monkeypatch, capsys):
+    # every other "-" means stdout; these wrote a file named "-"
+    monkeypatch.chdir(tmp_path)
+    assert main(["flow", "heisenberg:c=1", "--t-max", "1", flag, "-"]) == 2
+    assert capsys.readouterr().err == f"error: {flag} needs a file path, not '-'; only JSON documents go to stdout\n"
+    assert not (tmp_path / "-").exists()
 
 
 def test_flow_to_a_time_below_the_step_floor(capsys):

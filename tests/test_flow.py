@@ -586,6 +586,76 @@ def test_runs_that_keep_moving_take_explicit_steps_only(n, monkeypatch):
     assert len(stats) == 12 and all(s["rosenbrock_steps"] == 0 for s in stats)
 
 
+def test_decay_runs_step_in_the_flows_own_time(monkeypatch):
+    # decay's n = 8 rotated start of case 4, seed 91: the normalized frame with
+    # a scale and a clock reaches T = 50 in 137 evaluations, not 482, and its
+    # companion of the T = 5 trace in 266, not 665
+    b = random_nilpotent(8, np.random.default_rng([91, 4]))
+    assert integrate_bracket_flow(b, 50.0).stats["nfev"] <= 160
+    frame = integrate_bracket_flow(b, 5.0)
+    stats = []
+    integrate = flow._integrate_adaptive
+
+    def recording(*args, **kwargs):
+        samples, run_stats, jac, verdicts = integrate(*args, **kwargs)
+        stats.append(run_stats)
+        return samples, run_stats, jac, verdicts
+
+    monkeypatch.setattr(flow, "_integrate_adaptive", recording)
+    cointegrate_h(frame)
+    assert len(stats) == 1 and stats[0]["nfev"] <= 280
+
+
+@pytest.mark.parametrize("key", [[91, 4], [92, 3]])
+def test_the_stops_of_a_clock_run_are_within_their_bound(key):
+    # decay's T = 5 frame grid: a stop samples the continuous extension of a
+    # step about 3x longer than in t, and reads 3.9e-9 and 5.8e-9 of ||mu||
+    # off an rtol = atol = 1e-12 run (the 30 steps in t read 2.2e-10)
+    b = random_nilpotent(8, np.random.default_rng(key))
+    grid = np.arange(1, 100) * 0.05
+    trace = integrate_bracket_flow(b, 5.0, FlowOpts(stops=tuple(grid)))
+    tight = integrate_bracket_flow(b, 5.0, FlowOpts(rtol=1e-12, atol=1e-12, stops=tuple(grid)))
+    i, j = flow._index_of_time(trace.times, grid), flow._index_of_time(tight.times, grid)
+    err = np.abs(trace.coeffs[i] - tight.coeffs[j]).max(axis=(1, 2, 3)) / tight.mu_norm[j]
+    assert err.max() <= 1e-8
+
+
+def test_a_stop_is_found_on_a_clock_that_is_not_monotone():
+    # the clock 2 th - 5 th^2 + 4 th^3 of a cubic Hermite extension from 0 to
+    # 1 falls on (0.35, 0.5) and has slope 0 at 0.5, the linear guess for
+    # the time 0.5: a Newton step there would divide by zero
+    y, rows = np.zeros(1), np.array([[1.0], [1.0], [-4.0]])
+    times = [0.255, 0.5, 0.9]
+    thetas = flow._clock_thetas(y, rows, times)
+    for theta, s in zip(thetas, times):
+        assert 0.0 <= theta <= 1.0 and flow._dense(y, rows, theta).item() == pytest.approx(s, abs=1e-14)
+
+
+def test_an_unnormalized_trace_is_the_normalized_flow_in_its_own_time():
+    # mu(t) = a(t) nu(tau(t)) with tau' = a^2 = ||mu||^2 / 4 (Lauret's
+    # scaling): the shape 2 mu / ||mu|| at T is the normalized flow at tau(T),
+    # tau by the trapezoid rule on a max_step = 1e-3 run (1.2e-7 off)
+    b = rescale_to_norm(random_nilpotent(5, np.random.default_rng(7)))
+    trace = integrate_bracket_flow(b, 2.0, FlowOpts(max_step=1e-3))
+    tau = np.trapezoid(trace.mu_norm**2 / 4.0, trace.times)
+    shape = 2.0 * trace.coeffs[-1] / trace.mu_norm[-1]
+    assert np.abs(shape - integrate_normalized_flow(b, tau).final_bracket.coeffs).max() <= 1e-6
+
+
+@pytest.mark.parametrize("r", [None, -2.0, 0.5])
+def test_the_zero_bracket_stays_at_zero_at_every_rate(r):
+    # the zero bracket has no nu0 = mu0 / a0: its frame run moves the clock
+    # alone, and its companion h = e^{-rt} I, whose h^T h is the metric flow's G
+    zero = Bracket.zero(3)
+    trace = integrate_bracket_flow(zero, 2.0, FlowOpts(max_step=0.1), r=r)
+    assert trace.times[-1] == 2.0 and not trace.coeffs.any() and not trace.mu_norm.any()
+    assert np.array_equal(trace.frames, np.broadcast_to(np.eye(3), trace.frames.shape))
+    rate = 0.0 if r is None else r
+    expected = np.exp(-rate * trace.times)[:, None, None] * np.eye(3)
+    np.testing.assert_allclose(cointegrate_h(trace), expected, rtol=1e-12, atol=0.0)
+    assert equivalence_report(zero, 2.0, r=r).ok(1e-12)
+
+
 @pytest.mark.parametrize("n", range(3, 8))
 def test_normalized_dense_starts_settle_on_ros2_steps(n):
     # once settled, Dormand-Prince crawled at its stability limit and left the
@@ -721,6 +791,30 @@ def _reference_generator(b0, r, h):
     return h @ d - x @ h, d
 
 
+def _clock_state(h, beta, t):
+    """The state (F, beta, t) of a frame run whose rate is not the scalar one."""
+    return np.concatenate((h.reshape(-1), [beta, t]))
+
+
+def _reference_clock_generator(b0, r, y):
+    """(y', |F D|) of a frame run of the constant rate r (None for 0) at the
+    state y = (F, beta, t), from public functions: with a0 = ||b0|| / 2,
+    a = a0 e^beta, w = a^2 + |r| and kappa = a0^2 + |r|, F' = (kappa a^2 / w)
+    G(F) for the normalized generator G on nu0 = b0 rescaled onto ||mu|| = 2,
+    beta' = kappa (r - a^2 rho) / w, rho = tr Ric^2 of F.nu0, and t' = kappa / w."""
+    n = b0.n
+    rate = 0.0 if r is None else r
+    nu0 = rescale_to_norm(b0)
+    h = y[: n * n].reshape(n, n)
+    g, d = _reference_generator(nu0, "scalar", h)
+    rho = ricci_energy(rescale_to_norm(gl_action(h, nu0)))
+    a0_sq = 0.25 * b0.norm**2
+    a_sq = a0_sq * math.exp(2.0 * y[n * n])
+    kappa, w = a0_sq + abs(rate), a_sq + abs(rate)
+    dy = np.concatenate(((kappa * a_sq / w) * g.reshape(-1), [kappa * (rate - a_sq * rho) / w, kappa / w]))
+    return dy, (kappa * a_sq / w) * np.abs(h @ d).max()
+
+
 def _assert_kernel_is_bitwise_the_stacked_path(b0, r, h):
     """The single-frame kernel of the right sides equals _gl_action_coeffs and
     _ricci, the kernels of stacked frames, bit for bit."""
@@ -747,10 +841,17 @@ def test_frame_generator_matches_public_functions(n, r):
             # cond(h) <= 4
             h = random_orthogonal(n, rng) @ np.diag(rng.uniform(0.5, 2.0, n)) @ random_orthogonal(n, rng)
             _assert_kernel_is_bitwise_the_stacked_path(b0, r, h)
-            dh = rhs(0.0, h.reshape(-1)).reshape(n, n)
-            ref_dh, ref_d = _reference_generator(b0, r, h)
-            # h' = h D - X h cancels at a soliton: compare relative to its terms
-            assert np.abs(dh - ref_dh).max() <= 1e-12 * np.abs(h @ ref_d).max()
+            if r == "scalar":
+                dh = rhs(0.0, h.reshape(-1)).reshape(n, n)
+                ref_dh, ref_d = _reference_generator(b0, r, h)
+                # h' = h D - X h cancels at a soliton: compare relative to its terms
+                assert np.abs(dh - ref_dh).max() <= 1e-12 * np.abs(h @ ref_d).max()
+                continue
+            y = _clock_state(h, rng.uniform(-2.0, 2.0), rng.uniform(0.0, 5.0))
+            dy = rhs(0.0, y)
+            ref, terms = _reference_clock_generator(b0, r, y)
+            assert np.abs(dy[: n * n] - ref[: n * n]).max() <= 1e-12 * terms
+            np.testing.assert_allclose(dy[n * n :], ref[n * n :], rtol=1e-12)
 
 
 @pytest.mark.parametrize("r", [None, 0.5, "scalar"], ids=["unnormalized", "constant", "scalar"])
@@ -1131,15 +1232,18 @@ def test_skew_defect_ends_a_rotated_run_before_a_wrong_limit(seed):
 
 
 def test_a_negative_rate_ends_at_the_condition_bound(heis):
-    # h grows without bound; judged after the run, T = 50 did not return (at
-    # t = 41.3 it advanced 3.7e-4 per 1,000 evaluations), and r = -1e6 stood
-    # at t = 1.3e-4 after 60,000 steps
-    with pytest.raises(NumericalFailure, match=re.escape("cond(h) = 9.052e+07 at t=9.09296 ")):
-        integrate_bracket_flow(heis, 50.0, r=-3.0)
-    with pytest.raises(NumericalFailure, match="cond") as info:
+    # the frame carried the decay of ||mu|| and passed the cond(h) bound at
+    # t = 9.09; the normalized frame keeps cond(h) = 1 and the scale a =
+    # ||mu|| / 2 carries the decay, so T = 50 ends on the closed form
+    # ||mu||^2 = 2 / (1.5 e^{6t} - 0.5) of H3 at r = -3
+    trace = integrate_bracket_flow(heis, 50.0, r=-3.0)
+    assert trace.stats["max_cond_h"] < 1.0 + 1e-12
+    assert trace.mu_norm[-1] == pytest.approx(math.sqrt(2.0 / (1.5 * math.exp(300.0) - 0.5)), rel=1e-8)
+    # at r = -1e6, log a = log(||mu0|| / 2) - 1e6 t passes log(tiny) = -708.4
+    # at t = 7.08e-4: the run ends at the first sample past it, here its end
+    with pytest.raises(NumericalFailure, match=re.escape("the scale of mu left the float range at t=0.001")) as info:
         integrate_bracket_flow(heis, 1e-3, r=-1e6)
-    # the last frame under the bound is one step before the crossing at t = 2.76e-5
-    assert info.value.trace[-1][0] == pytest.approx(2.6e-5, rel=0.02)
+    assert info.value.trace[-1][0] < 7.08e-4
 
 
 def test_check_judges_each_stored_sample_once_before_thinning(monkeypatch, cap_128):
@@ -1714,8 +1818,8 @@ def test_frame_stats_are_the_maxima_over_the_stored_frames(start, t_max, monkeyp
     judged = []
     frame_check = flow._frame_check
 
-    def recording(b0, gauge):
-        check = frame_check(b0, gauge)
+    def recording(b0, gauge, clock):
+        check = frame_check(b0, gauge, clock)
         return lambda samples, i: judged.extend(y for _, y in samples[i:]) or check(samples, i)
 
     monkeypatch.setattr(flow, "_frame_check", recording)
@@ -1782,18 +1886,37 @@ def test_a_gauged_run_inverts_and_moves_each_stored_frame_once(start, run, t_max
 
 
 def test_a_thinned_trace_is_the_move_of_its_kept_frames(monkeypatch):
-    # the moved brackets of the dropped samples go with them: 31 steps and 100
-    # stops thinned into at most 128 samples keep the rows of their own frames
+    # the moved brackets of the dropped samples go with them: 9 steps and 120
+    # stops thinned into at most 128 samples keep the rows of their own
+    # judged frames F, which the trace rescales into h = lam F, lam =
+    # ||F.mu0|| / (||mu0|| e^beta), and whose stats it reports
     monkeypatch.setattr(flow, "_MAX_SAMPLES", 128)
+    judged = {}
+    frame_check = flow._frame_check
+
+    def recording(b0, gauge, clock):
+        check = frame_check(b0, gauge, clock)
+        return lambda samples, i: judged.update(samples[i:]) or check(samples, i)
+
+    monkeypatch.setattr(flow, "_frame_check", recording)
     b = random_nilpotent(6, _rng(0))
-    stops = tuple(np.linspace(0.0, 50.0, 102)[1:-1])
+    stops = tuple(np.linspace(0.0, 50.0, 122)[1:-1])
     trace = integrate_bracket_flow(b, 50.0, FlowOpts(stops=stops))
-    assert len(trace) <= 128 < 1 + len(stops) + trace.stats["accepted"]
-    c = _gl_action_coeffs(trace.frames, np.linalg.inv(trace.frames), b.coeffs)
+    assert len(trace) <= 128 < 1 + len(stops) + trace.stats["accepted"] <= len(judged)
+    states = np.array([judged[t] for t in trace.times.tolist()])
+    frames = states[:, :36].reshape(-1, 6, 6)
+    c = _gl_action_coeffs(frames, np.linalg.inv(frames), b.coeffs)
+    norms = flow._norm(c)
+    assert trace.stats["max_cond_h"] == np.linalg.cond(frames).max()
+    assert trace.stats["max_skew_defect"] == (np.abs(c + c.swapaxes(1, 2)).max(axis=(1, 2, 3)) / norms).max()
+    lam = norms / flow._norm(b.coeffs)
+    lam *= np.exp(-states[:, 36])
+    assert np.array_equal(trace.frames, lam[:, None, None] * frames)
+    c /= lam[:, None, None, None]
     assert np.array_equal(trace.coeffs, 0.5 * (c - c.swapaxes(1, 2)))
-    defect = np.abs(c + c.swapaxes(1, 2)).max(axis=(1, 2, 3)) / flow._norm(c)
-    assert trace.stats["max_skew_defect"] == defect.max()
-    assert trace.stats["max_cond_h"] == np.linalg.cond(trace.frames).max()
+    # and the stored frames move to the trace's brackets, to rounding
+    c = _gl_action_coeffs(trace.frames, np.linalg.inv(trace.frames), b.coeffs)
+    assert np.all(np.abs(trace.coeffs - 0.5 * (c - c.swapaxes(1, 2))).max(axis=(1, 2, 3)) <= 1e-14 * trace.mu_norm)
 
 
 @pytest.mark.parametrize("r", [None, 0.5, "scalar"], ids=["unnormalized", "constant", "scalar"])
@@ -1818,13 +1941,31 @@ def test_right_sides_are_bitwise_their_matmul_forms(n, r):
         upper = np.linalg.qr(random_orthogonal(n, rng) @ np.diag(rng.uniform(0.5, 2.0, n)))[1]
         lmat = upper.T * np.sign(np.diag(upper))
         frames = (random_orthogonal(n, rng) @ lmat, lmat)
+        # a rate other than the scalar one runs the normalized generator on
+        # b0 rescaled onto ||mu|| = 2, with a scale and a clock: at r = None
+        # and beta > 0 its factors are a0^2, -a0^2 rho and exp(-2 beta), exactly
+        clock = r != "scalar"
+        moving = flow._shifted_ricci(b0.scaled(2.0 / b0.norm) if clock else b0, "scalar", with_rate=True)
+        a0_sq, beta = 0.25 * b0.norm * b0.norm, 0.3
+        proj = basis.T @ basis
+        if clock:  # its entries at rounding level are zeros
+            proj[np.abs(proj) <= 64.0 * np.finfo(float).eps * np.abs(proj).max()] = 0.0
+        states = []
         for h in frames:
             hinv = np.linalg.inv(h)
-            xh = kernel(h, hinv) @ h
-            d = ((basis.T @ basis) @ (hinv @ xh).reshape(-1)).reshape(n, n)
-            assert np.array_equal(frame(0.0, h.reshape(-1)), (h @ d - xh).reshape(-1))
-            assert np.array_equal(companion(0.0, h.reshape(-1)), -(kernel(h, hinv) @ h).reshape(-1))
-        stack = np.stack(frames).reshape(len(frames), -1)
+            x, rho = moving(h, hinv)
+            xh = x @ h
+            d = (proj @ (hinv @ xh).reshape(-1)).reshape(n, n)
+            y = _clock_state(h, beta, 0.7) if clock else h.reshape(-1)
+            states.append(y)
+            if not clock:
+                assert np.array_equal(frame(0.0, y), (h @ d - xh).reshape(-1))
+                assert np.array_equal(companion(0.0, y), -(kernel(h, hinv) @ h).reshape(-1))
+            elif r is None:
+                tail = [-(a0_sq * rho), math.exp(-2.0 * beta)]
+                assert np.array_equal(frame(0.0, y), np.concatenate(((h @ d - xh).reshape(-1) * a0_sq, tail)))
+                assert np.array_equal(companion(0.0, y), np.concatenate(((-xh).reshape(-1) * a0_sq, tail)))
+        stack = np.stack(states)
         for rhs in (frame, companion):
             assert np.array_equal(rhs(0.0, stack), [rhs(0.0, y) for y in stack])
         state = lmat.copy()
@@ -1858,8 +1999,9 @@ def test_the_jacobian_is_one_stacked_call_with_the_bits_of_its_columns(n):
     h = random_orthogonal(n, rng) @ np.diag(rng.uniform(0.5, 2.0, n)) @ random_orthogonal(n, rng)
     for b0 in dense_starts(n, 700 + n):
         b0 = rescale_to_norm(b0)
-        sides = [(flow._frame_generator(b0, r), h.reshape(-1)) for r in (None, 0.5, "scalar")]
-        sides += [(flow._frame_generator(b0, r, gauge=False), h.reshape(-1)) for r in (None, "scalar")]
+        states = {None: _clock_state(h, 0.3, 0.7), 0.5: _clock_state(h, -0.4, 2.0), "scalar": h.reshape(-1)}
+        sides = [(flow._frame_generator(b0, r), states[r]) for r in (None, 0.5, "scalar")]
+        sides += [(flow._frame_generator(b0, r, gauge=False), states[r]) for r in (None, "scalar")]
         sides.append((flow._metric_flow(b0, "scalar")[0], 0.3 * rng.standard_normal(n * (n + 1) // 2)))
         for rhs, y in sides:
             calls = []
