@@ -41,7 +41,9 @@ its first switch and at every settled one, and keeps it across a hand-back
 to DOP853.  A stop is a sample of that extension, not a step end, and a
 finite max_step adds a grid of stops instead of shortening the steps; a run
 with a clock finds its stops, and its end, on that extension by Newton's
-method on the clock's polynomial, and no step is shortened to its end.
+method on the clock's polynomial, and its steps are capped only so that,
+at the clock's slope at a step's start, none ends further past the run's
+end than the time left.
 Every lookup of a sample time runs one rule, _index_of_time's binary search
 on Python floats; an array of times maps through it element by element.
 Every right side also takes a (B, N) stack of states and gives each lane
@@ -57,7 +59,13 @@ integrates the inner-product (metric tensor) flow G' = -2 ric(G) - 2 r G,
 and checks the structural identities of the r = 0 flow.
 The metric flow's state is the factor of G = L L^T, as the strict lower part
 of L and log diag L, so G stays positive definite by construction and its
-right side needs no Cholesky factorization.
+right side needs no Cholesky factorization.  Every rate but the scalar one
+runs it in the flow's own time too, with the time t as a clock and
+ds/dt = (a^2 + |r|) / (a0^2 + |r|), a the scale of the pushed bracket, which
+the kernel hands back (_metric_flow): about a third of the evaluations on
+the unnormalized flow's decay.  It stays an integration of its own
+equation, not the frame's scaled form, so the equivalence report still
+checks the paper's theorem against it.
 The right sides and the step loop run once per evaluation or step on arrays
 of at most n^3 = 512 entries, so the call overhead of numpy counts: their
 products of single 2-D or 1-D arrays call ndarray.dot, which goes straight
@@ -463,8 +471,12 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: (), clo
     stops inside a step are located on its continuous extension by
     _clock_thetas and sampled by _dense; no step is shortened to t_end,
     and the run ends at the step whose extension reaches it, with t_end its
-    last sample.  The clock measures progress and always moves, so the first
-    step and the settled tests read the other components.
+    last sample.  But a step is capped at 2 (t_end - clock) / (the clock's
+    slope at its start), never below the step floor: on a clock that runs
+    linearly in s, such as a negative constant rate's, DOP853's steps grow
+    x10 each, and an uncapped last step put a stage so far past t_end that
+    the state overflowed.  The clock measures progress and always moves, so
+    the first step and the settled tests read the other components.
 
     Returns (samples, stats, jac, verdicts): samples is a list of (t, y) at
     t0, at every accepted step (the last ends on t_end) and at every stop; past
@@ -544,11 +556,16 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: (), clo
                 stats["nfev"] += y.size
 
             while stops:
+                floor = 1e-14 * max(1.0, abs(t))
                 if not clock:
                     h = min(h, t_end - t)
+                elif K[0].item(-1) > 0.0:
+                    # at the clock's slope at its start, a step moves the clock
+                    # by at most twice the time left; never below the floor
+                    h = min(h, max(2.0 * (t_end - y.item(-1)) / K[0].item(-1), floor))
                 # not >=, so that a nan step (a nan derivative) underflows too;
                 # the step that ends a run without a clock is taken however short it is
-                if not (h >= 1e-14 * max(1.0, abs(t)) or (not clock and h == t_end - t)):
+                if not (h >= floor or (not clock and h == t_end - t)):
                     at = y.item(-1) if clock else t
                     raise StepSizeUnderflow(f"step size underflow at t={at:.6g} (h={h:.3e})")
                 ros = _ros2_step(f, t, y, h, K[0], jac) if implicit else None
@@ -783,7 +800,7 @@ def _rate_value(r):
     return value
 
 
-def _shifted_ricci(b0, r, with_rate=False):
+def _shifted_ricci(b0, r, with_rate=False, with_norm=False):
     """Kernel (h, hinv) -> X = Ric + r I of mu = h.mu0 (hinv is h^{-1}) for
     the frame and the metric flows.  r is None (zero), a finite real number
     or "scalar", tr(Ric^2); anything else, a bool or a callable included,
@@ -800,7 +817,9 @@ def _shifted_ricci(b0, r, with_rate=False):
     the batched kernels _gl_action_coeffs, _ricci and _tr_ric2 on the full
     mu0; halving is an exact scaling, so each lane has the bits of its 2-D
     call.  With with_rate the scalar kernel gives (X, tr Ric^2), the rate it
-    adds (an array of them for a stack)."""
+    adds, and with with_norm the kernel of any other rate gives (X, a^2),
+    a^2 = ||mu||^2 / 4 the squared scale of the bracket it pushed (an array
+    of them for a stack): the metric flow's clock reads it."""
     value = _rate_value(r)
     if value == "scalar":
         drift = abs(b0.norm - 2.0)
@@ -819,18 +838,17 @@ def _shifted_ricci(b0, r, with_rate=False):
     def stacked(h, hinv):
         c = _gl_action_coeffs(h, hinv, b0.coeffs)
         x = _ricci(c)
-        if shift is not None:
-            x += shift
-        elif norm_sq is not None:
+        flat = c.reshape(len(c), -1)
+        if norm_sq is not None:
             # 4 norm_sq over <c, c> of the full c is the 2-D path's ratio of
             # the halved ones
-            flat = c.reshape(len(c), -1)
             x *= ((4.0 * norm_sq) / np.vecdot(flat, flat))[:, None, None]
             rate = _tr_ric2(x)
             x[:, diag, diag] += rate[:, None]
-            if with_rate:
-                return x, rate
-        return x
+            return (x, rate) if with_rate else x
+        if shift is not None:
+            x += shift
+        return (x, 0.25 * np.vecdot(flat, flat)) if with_norm else x
 
     def kernel(h, hinv):
         if h.ndim > 2:
@@ -840,15 +858,15 @@ def _shifted_ricci(b0, r, with_rate=False):
         x = rows.dot(rows.T)
         x *= -2.0
         x += c.T.dot(c)
-        if shift is not None:
-            x += shift
-        elif norm_sq is not None:
+        if norm_sq is not None:
             x *= norm_sq / np.vdot(c, c)
             rate = np.vdot(x, x)
             x.reshape(-1)[:: n + 1] += rate
-            if with_rate:
-                return x, rate
-        return x
+            return (x, rate) if with_rate else x
+        if shift is not None:
+            x += shift
+        # c is the push of mu0 halved: <c, c> = ||mu||^2 / 4
+        return (x, np.vdot(c, c)) if with_norm else x
 
     return kernel
 
@@ -1230,7 +1248,7 @@ def innerproduct_scal(b0: Bracket, g: np.ndarray):
 _LOG_TINY = math.log(np.finfo(float).tiny)
 
 
-def _metric_flow(b0, r):
+def _metric_flow(b0, r, clock=False):
     """The metric flow G' = -2 ric(G) - 2 r G on the factor of G = L L^T.
 
     The state y holds the lower triangle of L row by row, with log L_ii in
@@ -1242,29 +1260,48 @@ def _metric_flow(b0, r):
     (log L_ii)' = M_ii / 2.  rhs and factor also take a (B, n(n+1)/2)
     stack of states, rhs by one 1-D call per lane.  As
     L (Phi + Phi^T) L^T = L M L^T = -2 L ric_nu L^T - 2 r G, G follows the
-    metric flow for every rate; the scalar rate keeps scal(G) fixed.  A
-    factor with some L_ii = exp(y_i) below the normal range, where 1 / L_ii
+    metric flow for every rate; the scalar rate keeps scal(G) fixed.
+
+    With clock (for a rate other than the scalar one) the state ends in the
+    clock t (see _integrate_adaptive), and rhs is the same equation in the
+    flow's own time s: with a^2 = ||nu||^2 / 4, which the kernel hands back,
+    w = a^2 + |r| and kappa = a0^2 + |r| (a0 = a at L = I), ds/dt = w / kappa,
+    so y_s = (kappa / w) y' and t_s = kappa / w; s starts as t, and on the
+    unnormalized flow's self-similar decay, where a^2 ~ 1 / t, s grows like
+    log t.  kappa = 0, the zero bracket at r = 0 (or an a0^2 below the float
+    range), is still: there s = t.  A w of 0 with kappa > 0 would need a^2
+    to fall from a0^2 into the underflow, which at r = 0 takes a t past the
+    float range.  This is no scaled form, as the frame's is: the run
+    integrates the metric flow's own equation, which the equivalence report
+    checks the bracket flow against.
+
+    A factor with some L_ii = exp(y_i) below the normal range, where 1 / L_ii
     overflows, raises NumericalFailure.  The inverse of L^T is
     algebra._lapack_inv, under the error state of the run that evaluates rhs
     (_RUN_ERRSTATE), so an overflow there fails the run.
     """
     n = b0.n
+    size = n * (n + 1) // 2
     lower = np.flatnonzero(np.tri(n, dtype=bool))  # flat positions of the state in L
     logdiag = np.flatnonzero(lower % (n + 1) == 0)  # state entries holding log L_ii
     # Phi(M) = X * weights: -2 below the diagonal, -1 on it
     weights = -2.0 * np.tri(n)
     weights.reshape(-1)[:: n + 1] = -1.0
-    shifted_ricci = _shifted_ricci(b0, r)
+    shifted_ricci = _shifted_ricci(b0, r, with_norm=clock)
+    if clock:
+        # a^2 at L = I from the kernel itself, so that t_s(0) = 1 exactly
+        r_abs = abs(_rate_value(r))
+        kappa = float(shifted_ricci(np.eye(n), np.eye(n))[1]) + r_abs
 
     def factor(y):
         if y.ndim > 1:  # a stack of states gives the stack of factors
             lmat = np.zeros((len(y), n * n))
-            lmat[:, lower] = y
+            lmat[:, lower] = y[:, :size]
             diag = lmat[:, :: n + 1]
             np.exp(diag, out=diag)
             return lmat.reshape(-1, n, n)
         lmat = np.zeros(n * n)
-        lmat[lower] = y
+        lmat[lower] = y[:size]
         diag = lmat[:: n + 1]  # a view holding log L_ii
         np.exp(diag, out=diag)
         return lmat.reshape(n, n)
@@ -1272,6 +1309,8 @@ def _metric_flow(b0, r):
     def rhs(t, y):
         if y.ndim > 1:  # a stack of states, lane by lane
             return np.array([rhs(t, lane) for lane in y])
+        if clock:
+            t = y.item(-1)
         logs = y[logdiag]
         # numpy's min decides, after a cheaper screen by Python's min of the
         # same floats, which equals numpy's unless one is nan
@@ -1280,10 +1319,14 @@ def _metric_flow(b0, r):
         lmat = factor(y)
         h = lmat.mT
         phi = shifted_ricci(h, _lapack_inv(h))
+        if clock:
+            phi, a_sq = phi
+            ts = kappa / (float(a_sq) + r_abs) if kappa else 1.0
+            phi *= ts
         phi *= weights
         dy = lmat.dot(phi).reshape(-1)[lower]
         dy[logdiag] = phi.reshape(-1)[:: n + 1]
-        return dy
+        return np.append(dy, ts) if clock else dy
 
     return rhs, factor
 
@@ -1301,12 +1344,17 @@ def integrate_innerproduct_flow(
     scal(G, mu_0) = -1.  The state is the factor L of G = L L^T, as its
     strict lower part and log diag L, so `rtol` and `atol` apply to those
     entries, and every G is positive definite; `metrics` holds the symmetric
-    Gram matrices L L^T.  A factor that becomes numerically singular raises
-    NumericalFailure with the partial trace attached.
+    Gram matrices L L^T.  Every rate but the scalar one steps in the flow's
+    own time, with the time t as a clock (see _metric_flow), as the bracket
+    flows do; the scalar rate steps in t.  A factor that becomes
+    numerically singular raises NumericalFailure with the partial trace
+    attached.
     """
     n = b0.n
-    rhs, factor = _metric_flow(b0, r)
-    samples, stats, _, _ = _integrate_adaptive(rhs, 0.0, np.zeros(n * (n + 1) // 2), t_max, opts)
+    clock = _rate_value(r) != "scalar"
+    rhs, factor = _metric_flow(b0, r, clock)
+    # L(0) = I is the state 0, and the clock starts at t = 0
+    samples, stats, _, _ = _integrate_adaptive(rhs, 0.0, np.zeros(n * (n + 1) // 2 + clock), t_max, opts, clock=clock)
     times = np.array([t for t, _ in samples])
     lmat = factor(np.array([y for _, y in samples]))
     g = lmat @ lmat.mT

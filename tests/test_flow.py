@@ -588,10 +588,14 @@ def test_runs_that_keep_moving_take_explicit_steps_only(n, monkeypatch):
 
 def test_decay_runs_step_in_the_flows_own_time(monkeypatch):
     # decay's n = 8 rotated start of case 4, seed 91: the normalized frame with
-    # a scale and a clock reaches T = 50 in 137 evaluations, not 482, and its
-    # companion of the T = 5 trace in 266, not 665
+    # a scale and a clock reaches T = 50 in 137 evaluations, not 482, its
+    # companion of the T = 5 trace in 266, not 665, and its metric flow with
+    # a clock on decay's T = 5 grid in 140, not 452
     b = random_nilpotent(8, np.random.default_rng([91, 4]))
     assert integrate_bracket_flow(b, 50.0).stats["nfev"] <= 160
+    grid = np.linspace(0.0, 5.0, 26)
+    ip = integrate_innerproduct_flow(b, 5.0, FlowOpts(max_step=0.05, stops=tuple(grid[1:-1])))
+    assert ip.stats["nfev"] <= 160
     frame = integrate_bracket_flow(b, 5.0)
     stats = []
     integrate = flow._integrate_adaptive
@@ -610,13 +614,46 @@ def test_decay_runs_step_in_the_flows_own_time(monkeypatch):
 def test_the_stops_of_a_clock_run_are_within_their_bound(key):
     # decay's T = 5 frame grid: a stop samples the continuous extension of a
     # step about 3x longer than in t, and reads 3.9e-9 and 5.8e-9 of ||mu||
-    # off an rtol = atol = 1e-12 run (the 30 steps in t read 2.2e-10)
+    # off an rtol = atol = 1e-12 run (the 30 steps in t read 2.2e-10); the
+    # metric flow's stops read 1.8e-9 and 1.6e-9 of max|G| (4.6e-10 and
+    # 4.3e-10 in t)
     b = random_nilpotent(8, np.random.default_rng(key))
     grid = np.arange(1, 100) * 0.05
     trace = integrate_bracket_flow(b, 5.0, FlowOpts(stops=tuple(grid)))
     tight = integrate_bracket_flow(b, 5.0, FlowOpts(rtol=1e-12, atol=1e-12, stops=tuple(grid)))
     i, j = flow._index_of_time(trace.times, grid), flow._index_of_time(tight.times, grid)
     err = np.abs(trace.coeffs[i] - tight.coeffs[j]).max(axis=(1, 2, 3)) / tight.mu_norm[j]
+    assert err.max() <= 1e-8
+    ip = integrate_innerproduct_flow(b, 5.0, FlowOpts(stops=tuple(grid)))
+    tight = integrate_innerproduct_flow(b, 5.0, FlowOpts(rtol=1e-12, atol=1e-12, stops=tuple(grid)))
+    g, ref = ip.metrics[flow._index_of_time(ip.times, grid)], tight.metrics[flow._index_of_time(tight.times, grid)]
+    err = np.abs(g - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
+    assert err.max() <= 1e-8
+
+
+def _heisenberg_metric(times, r):
+    """The metric flow of heisenberg() at the rate r (None for 0): G =
+    e^{-2rt} diag(u^{1/3}, u^{1/3}, u^{-1/3}), u = 1 + 3 tau, tau = t for
+    r = 0 and (e^{2rt} - 1) / (2r) else."""
+    rate = 0.0 if r is None else r
+    tau = times if rate == 0.0 else np.expm1(2.0 * rate * times) / (2.0 * rate)
+    u = 1.0 + 3.0 * tau
+    g = np.zeros((len(times), 3, 3))
+    g[:, 0, 0] = g[:, 1, 1] = np.cbrt(u)
+    g[:, 2, 2] = 1.0 / np.cbrt(u)
+    return g * np.exp(-2.0 * rate * times)[:, None, None]
+
+
+@pytest.mark.parametrize("r, t_max, most", [(None, 1e12, 50), (-3.0, 50.0, 30)], ids=["unnormalized", "negative"])
+def test_the_heisenberg_metric_follows_its_closed_form(r, t_max, most):
+    # in the flow's own time the unnormalized run reaches T = 1e12 in 46
+    # steps (127 in t).  At r = -3 log L grows linearly in s, so DOP853's
+    # steps grow x10 each: without the cap on a clock run's last step a
+    # stage landed far past T and exp overflowed at t = 48.87
+    ip = integrate_innerproduct_flow(heisenberg(), t_max, r=r)
+    assert ip.times[-1] == t_max and ip.stats["accepted"] <= most
+    ref = _heisenberg_metric(ip.times, r)
+    err = np.abs(ip.metrics - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
     assert err.max() <= 1e-8
 
 
@@ -885,6 +922,26 @@ def test_metric_flow_matches_public_functions(n, r):
             ref = -2.0 * lmat @ ricci_operator(mu) @ lmat.T - 2.0 * rate * g
             dg = dl @ lmat.T + lmat @ dl.T
             assert np.abs(dg - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("r", [None, 0.5], ids=["unnormalized", "constant"])
+def test_the_kernel_hands_back_the_scale_of_the_pushed_bracket(r):
+    # the metric flow's clock reads a^2 = ||h.mu0||^2 / 4 off the kernel, with
+    # X unchanged, and each lane of a stack gets the bits of its 2-D call
+    rng = np.random.default_rng(450)
+    for b0 in dense_starts(5, 450):
+        plain, kernel = flow._shifted_ricci(b0, r), flow._shifted_ricci(b0, r, with_norm=True)
+        hs = np.stack([random_orthogonal(5, rng) @ np.diag(rng.uniform(0.5, 2.0, 5)) for _ in range(3)])
+        hinvs = np.linalg.inv(hs)
+        norms = []
+        for h, hinv in zip(hs, hinvs):
+            x, a_sq = kernel(h, hinv)
+            assert np.array_equal(x, plain(h, hinv))
+            assert a_sq == pytest.approx(0.25 * gl_action(h, b0).norm ** 2, rel=1e-14)
+            norms.append(a_sq)
+        x, a_sq = kernel(hs, hinvs)
+        assert np.array_equal(x, plain(hs, hinvs))
+        assert np.array_equal(a_sq, norms)
 
 
 def test_flow_stays_on_jacobi_variety():
@@ -1722,7 +1779,8 @@ def test_scalar_rate_metric_flow_stays_positive_definite(heis_sphere):
 
 def test_singular_metric_factor_carries_the_accepted_samples():
     # on the abelian bracket G = exp(-2rt) I; log L_ii = -rt passes
-    # log(tiny) = -708.4 at t = 0.708, where exp underflows and the factor is singular
+    # log(tiny) = -708.4 at t = 0.708, where exp underflows and the factor is
+    # singular; the state of a constant rate's run ends in its clock t
     abelian = Bracket(np.zeros((3, 3, 3)))
     with pytest.raises(NumericalFailure, match="metric factor became singular") as info:
         integrate_innerproduct_flow(abelian, 1.0, r=1000.0)
@@ -1730,7 +1788,7 @@ def test_singular_metric_factor_carries_the_accepted_samples():
     assert accepted is not None and len(accepted) > 1
     assert accepted[0][0] == 0.0 and accepted[-1][0] < 0.7084
     t, y = accepted[-1]
-    np.testing.assert_allclose(y, [-1000.0 * t, 0.0, -1000.0 * t, 0.0, 0.0, -1000.0 * t], rtol=1e-12)
+    np.testing.assert_allclose(y, [-1000.0 * t, 0.0, -1000.0 * t, 0.0, 0.0, -1000.0 * t, t], rtol=1e-12)
 
 
 def test_the_singular_factor_test_reads_log_diag_l_alone(heis_sphere):
