@@ -52,21 +52,22 @@ class NumericalFailure(NilflowError, RuntimeError):
     The trace is the list of accepted (t, y) samples.  For the normalized
     bracket flow y is the flattened frame h with mu(t) = h.mu0, not the
     bracket itself, and for any other rate the normalized frame F with the
-    scale beta = log(||mu|| / ||mu0||) and the time t, mu = (F / e^beta).mu0
-    once F.mu0 is rescaled onto ||mu0||;
+    scale beta = log(||mu|| / ||mu0||), the automorphism factor A and the
+    time t, mu = (F / e^beta).mu0 once F.mu0 is rescaled onto ||mu0||;
     for the metric flow it is the lower triangle of the factor L of
     G = L L^T, with log L_ii in place of L_ii.
     The guards of one frame check cut it: when a frame's condition number
     passes 1/sqrt(eps), the skew defect max|c + c^T| / ||c|| of c = h.mu0
     passes 1e-8 (rounding damage to mu), or the scale ||mu|| / 2 of a run
     with a clock leaves the float range, the trace ends at the last sample
-    before the first such frame.  The companion frame of
-    cointegrate_h, which has no gauge and degenerates near a soliton, is cut
-    by the first guard alone, and its messages start "the companion frame
-    h became singular: ".  Every run holds one error state in which an
-    overflow or an invalid operation raises; one in its step loop also ends
-    it in NumericalFailure, "... at t=...", with the samples accepted
-    before it.
+    before the first such frame.  The companion frame h of cointegrate_h,
+    the scalar rate's ungauged run or a clock trace's frames times their
+    automorphism factors, degenerates near a soliton and is cut by the
+    first guard alone; its messages start "the companion frame h became
+    singular: ", and a product's trace holds (t, h flattened).  Every run
+    holds one error state in which an overflow or an invalid operation
+    raises; one in its step loop also ends it in NumericalFailure, "... at
+    t=...", with the samples accepted before it.
     """
 
     def __init__(self, message, trace=None):

@@ -50,10 +50,16 @@ Every right side also takes a (B, N) stack of states and gives each lane
 the bits of its 1-D call, so the Jacobian's N forward differences are one
 call: the frame generator, which builds nearly every Jacobian, in batched
 kernels, the metric right side by one 1-D call per lane.
-Without its gauge (D = 0) the frame generator gives the companion frame
-h' = -(Ric + r I) h, the paper's h, which cointegrate_h integrates after a
-flow, with the same scale and clock for every rate but the scalar one; one
-check (_frame_check) judges both frame runs, by one SVD per stored frame,
+The paper's frame h' = -(Ric + r I) h is the gauged frame times an
+automorphism factor, h = f A with A' = -D A, so A stays in Aut(mu0).  Every
+rate but the scalar one carries A in its frame run's state, its error
+counted relative to A (_scale) and its Jacobian block in closed form
+(_jacobian), and cointegrate_h reads h = frames @ A off the trace, with no
+run; a scalar run settles onto ROS2 steps from t0, where A = exp(-tD) of
+the soliton derivation D would keep moving, so its trace carries no A, and
+cointegrate_h integrates its h after the flow, by the frame generator
+without its gauge (D = 0).  One
+check (_frame_check) judges every frame run, by one SVD per stored frame,
 whose cond(h) is also the trace's max_cond_h.  The module also
 integrates the inner-product (metric tensor) flow G' = -2 ric(G) - 2 r G,
 and checks the structural identities of the r = 0 flow.
@@ -161,6 +167,7 @@ _SAME_TIME = 1e-13
 # invalid operation raises, and the run turns it into NumericalFailure; the
 # right sides' inverses rely on it to raise for a singular h
 _RUN_ERRSTATE = {"over": "raise", "invalid": "raise"}
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -200,12 +207,32 @@ class FlowOpts:
             raise ConfigError(f"stops must be finite real numbers, got {self.stops!r:.80}")
 
 
-def _scale(y_old, y_new, rtol, atol):
-    """The error scale atol + rtol max(|y_old|, |y_new|), built in place."""
+def _scale(y_old, y_new, rtol, atol, factor=None):
+    """The error scale atol + rtol max(|y_old|, |y_new|), built in place.
+
+    factor, if given, is the slice of a run's state that holds a k x k
+    matrix A (see _integrate_adaptive), whose error counts relative: column j
+    of A gets e / max_l |(A^{-1})_jl| (A of y_old), so a scaled error q
+    bounds the right-relative error E = dA A^{-1} by |E_il| <= e sum_j
+    |q_ij|, and E moves A.mu0 by about |E| ||mu0|| whatever cond(A).  e is
+    rtol, or eps cond(A)^2 once that is larger: the rounding of A.mu0 at
+    cond(A) (see _MAX_COND_H), below which no step can resolve it; cond(A)
+    is read as max|A| max|A^{-1}|.  An A whose inverse leaves the float
+    range counts no more (its scale is inf).  Inside a run's error state
+    only."""
     scale = np.abs(y_old)
     np.maximum(scale, np.abs(y_new), out=scale)
     scale *= rtol
     scale += atol
+    if factor is not None:
+        k = math.isqrt(factor.stop - factor.start)
+        a = y_old[factor].reshape(k, k)
+        try:  # inside the run's error state, an A near the float range's end raises
+            rows = np.abs(_lapack_inv(a)).max(axis=1)
+            cond = float(np.abs(a).max() * rows.max())
+        except FloatingPointError:
+            cond = math.inf
+        scale[factor] = math.inf if cond == math.inf else np.tile(max(rtol, _EPS * cond * cond) / rows, k)
     return scale
 
 
@@ -224,7 +251,7 @@ def _dop853_error_norm(q):
     return 0.0 if denom == 0.0 else s5 / math.sqrt(denom * e5.size)
 
 
-def _initial_step(f, t0, y0, f0, span, rtol, atol, part=slice(None)):
+def _initial_step(f, t0, y0, f0, span, rtol, atol, part=slice(None), factor=None):
     """The first step from (t0, y0), f0 = f(t0, y0), at most span: Hairer's
     hinit, with one evaluation f(t0 + h0, y0 + h0 f0) for the second
     derivative, its norms read on the components in part.  Its exponent
@@ -232,8 +259,8 @@ def _initial_step(f, t0, y0, f0, span, rtol, atol, part=slice(None)):
     the bench flows of seeds 91-92 would save the decay T = 50 flows 2%
     (2,356 -> 2,309 evaluations, with 11 rejected steps) and the soliton
     workload's flows 2.4% (10,895 -> 10,633), and would change the steps
-    of every run."""
-    scale = _scale(y0, y0, rtol, atol)[part]
+    of every run.  factor goes to _scale."""
+    scale = _scale(y0, y0, rtol, atol, factor)[part]
     # a derivative past the float range reads as infinitely fast: d1 = inf
     # gives h0 = 0, which the caller's step floor rejects, also from y0 = 0
     with np.errstate(over="ignore"):
@@ -370,17 +397,35 @@ def _stiff(h, K, y_new, y_last):
         return h * math.sqrt(df.dot(df)) > 6.1 * math.sqrt(dy.dot(dy))
 
 
-def _jacobian(f, t, y, f0):
+def _jacobian(f, t, y, f0, factor=None):
     """Forward-difference Jacobian of f at (t, y), f0 = f(t, y), in y.size
     evaluations made by one call: f gets the C-ordered (N, N) stack whose
     row j is y with y_j moved by sqrt(eps max(|y_j|, 1e-5)), the increment
     of Hairer and Wanner's RADAU5, and column j of J is its difference
-    quotient.  J is the transpose of a C-ordered array."""
+    quotient.  J is the transpose of a C-ordered array.
+
+    With factor, the slice of y holding a k x k matrix A that f moves as
+    A' = M A, M free of A, and that no other component's derivative reads
+    (see _integrate_adaptive), only the other columns are differenced: A's
+    columns are the block kron(M, I) on A's rows, and M is f's A rows at
+    one more lane, y with A = I.  One call of N - k^2 + 1 lanes builds J."""
     delta = np.sqrt(np.finfo(float).eps * np.maximum(np.abs(y), 1e-5))
-    ys = np.tile(y, (y.size, 1))
-    diag = np.diag_indices(y.size)
-    ys[diag] += delta
-    return ((f(t, ys) - f0) / (ys[diag] - y)[:, None]).T
+    if factor is None:
+        ys = np.tile(y, (y.size, 1))
+        diag = np.diag_indices(y.size)
+        ys[diag] += delta
+        return ((f(t, ys) - f0) / (ys[diag] - y)[:, None]).T
+    k = math.isqrt(factor.stop - factor.start)
+    cols = np.r_[: factor.start, factor.stop : y.size]
+    lanes = np.arange(cols.size)
+    ys = np.tile(y, (cols.size + 1, 1))
+    ys[lanes, cols] += delta[cols]
+    ys[-1, factor] = np.eye(k).reshape(-1)
+    fs = f(t, ys)
+    jac = np.zeros((y.size, y.size))
+    jac[:, cols] = ((fs[:-1] - f0) / (ys[lanes, cols] - y[cols])[:, None]).T
+    jac[factor, factor] = np.kron(fs[-1, factor].reshape(k, k), np.eye(k))
+    return jac
 
 
 def _ros2_step(f, t, y, h, f0, jac):
@@ -436,7 +481,7 @@ def _sample_grid(t0, t_end, max_step, stops):
     return set(grid[gap > _SAME_TIME * np.maximum(1.0, np.abs(grid))].tolist())
 
 
-def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: (), clock=False):
+def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: (), clock=False, factor=None):
     """Generic adaptive integrator with two step kinds.
 
     The explicit step is _rk_step, a step of DOP853, the 8th-order pair of
@@ -477,6 +522,12 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: (), clo
     x10 each, and an uncapped last step put a stage so far past t_end that
     the state overflowed.  The clock measures progress and always moves, so
     the first step and the settled tests read the other components.
+
+    factor, if given, is the slice of the state that holds a k x k matrix
+    A which f moves as A' = M A, M free of A, and which no other
+    component's derivative reads: the frame run's automorphism factor (see
+    _frame_generator).  Its error counts relative to A (see _scale), and J
+    takes its columns in closed form (see _jacobian).
 
     Returns (samples, stats, jac, verdicts): samples is a list of (t, y) at
     t0, at every accepted step (the last ends on t_end) and at every stop; past
@@ -542,18 +593,19 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: (), clo
             # a clock always moves, and its span in s is unknown: the first
             # step is Hairer's, read with the settled tests on the other components
             moves = slice(-1 if clock else None)
-            h = _initial_step(f, t, y, K[0], math.inf if clock else t_end - t0, opts.rtol, opts.atol, moves)
+            h = _initial_step(f, t, y, K[0], math.inf if clock else t_end - t0, opts.rtol, opts.atol, moves, factor)
             stats["nfev"] += 2
             # the loop's settled test on the start: a start at rest takes ROS2
             # steps (implicit) from t0
             longer = h * K[0][-1] < t_end - t0 if clock else h < t_end - t
-            implicit = longer and _rms((h * K[0] / _scale(y, y, opts.rtol, opts.atol))[moves]) < 1.0
+            implicit = longer and _rms((h * K[0] / _scale(y, y, opts.rtol, opts.atol, factor))[moves]) < 1.0
             # the J of the ROS2 steps, built at the first switch and at every
             # settled one, and kept while explicit steps run in between
             jac = None
+            jac_cost = y.size if factor is None else y.size - (factor.stop - factor.start) + 1
             if implicit:
-                jac = _jacobian(f, t, y, K[0])
-                stats["nfev"] += y.size
+                jac = _jacobian(f, t, y, K[0], factor)
+                stats["nfev"] += jac_cost
 
             while stops:
                 floor = 1e-14 * max(1.0, abs(t))
@@ -576,7 +628,7 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: (), clo
                 else:
                     y_new, err_vec = ros
                     stats["nfev"] += 1
-                scale = _scale(y, y_new, opts.rtol, opts.atol)
+                scale = _scale(y, y_new, opts.rtol, opts.atol, factor)
                 err = (_rms if implicit else _dop853_error_norm)(err_vec / scale)
                 increment = _rms(((y_new - y) / scale)[moves])
 
@@ -632,8 +684,8 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: (), clo
                         judged = len(samples)
                     # a settled entry builds a fresh J; a stiff one reuses the kept J
                     if switch and (increment < 1.0 or jac is None):
-                        jac = _jacobian(f, t, y, K[0])
-                        stats["nfev"] += y.size
+                        jac = _jacobian(f, t, y, K[0], factor)
+                        stats["nfev"] += jac_cost
                     implicit = switch or (implicit and increment < 1.0)
                 else:
                     stats["rejected"] += 1
@@ -698,14 +750,17 @@ class FlowTrace(_Samples):
     `coeffs` (m, n, n, n) holds the structure constants of mu(times[i]) =
     frames[i].mu0, read-only and exactly skew, `frames` is (m, n, n), and
     each diagnostic is a length-m column.  `initial_bracket` is the start
-    mu0 itself, so its cached derivations serve every reader.  `brackets`, a
+    mu0 itself, so its cached derivations serve every reader.  For a rate
+    other than the scalar one, `_automorphisms` (m, n, n) holds the factor A
+    of the paper's frame h = frames[i] A[i] (see _frame_generator), which
+    cointegrate_h reads; it is None for the scalar rate.  `brackets`, a
     list of `Bracket` on views of `coeffs`, `final_bracket`, on a copy of
     its end, and the columns `grad_norm` (||delta_mu(Ric_mu)||) and
     `jacobi_residual` (the max-norm of the Jacobiator) are computed from
     `coeffs` on first access.  `jacobian`, kept out of the JSON `stats`, is
     the integrator's J of the frame run (see _integrate_adaptive): at a
     settled normalized run, its linearization; for any other rate, of its
-    state (F, beta, t) (see _frame_generator).
+    state (F, beta, A, t) (see _frame_generator).
     """
 
     times: np.ndarray
@@ -719,6 +774,7 @@ class FlowTrace(_Samples):
     stats: dict = field(default_factory=dict)
     rate: object = field(default=None, repr=False)  # the rate r as passed to the flow
     jacobian: np.ndarray | None = field(default=None, repr=False)
+    _automorphisms: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def kind(self) -> str:
@@ -883,29 +939,37 @@ def _frame_generator(b0, r, gauge=True):
     sphere ||mu|| = ||mu0||; then <mu', mu> = 0, and the flow of h commutes
     with rescaling h.  One call is a few plain matrix products: the GL
     action, the two of Ricci, the projection and h'.  gauge=False drops D:
-    h' = -X h (cointegrate_h).
+    h' = -X h, the scalar rate's companion (cointegrate_h); every other
+    rate is gauged whatever gauge says, as its A carries the rest of h.
 
     Every other rate runs this normalized generator G in the flow's own
     time.  mu(t) = a(t) nu(tau(t)), nu the normalized flow on ||nu|| = 2
     from nu0 = mu0 / a0, a0 = ||mu0|| / 2, and tau' = a^2 (Lauret's
-    scaling), so the state is y = (F, beta, t): F the frame of nu = F.nu0,
-    beta = log(a / a0), and the clock t, whose values are the run's times
-    (see _integrate_adaptive).  With w = a^2 + |r| and kappa = a0^2 + |r|
-    the run's variable s has ds/dt = w / kappa, and
+    scaling), so the state is y = (F, beta, A, t): F the frame of nu =
+    F.nu0, beta = log(a / a0), the automorphism factor A and the clock t,
+    whose values are the run's times (see _integrate_adaptive).  With w =
+    a^2 + |r| and kappa = a0^2 + |r| the run's variable s has ds/dt = w /
+    kappa, and
 
-        F_s = (kappa a^2 / w) G(F),  beta_s = kappa (r - a^2 rho) / w,  t_s = kappa / w,
+        F_s = (kappa a^2 / w) G(F),  beta_s = kappa (r - a^2 rho) / w,
+        A_s = -(kappa a^2 / w) D A,  t_s = kappa / w,
 
-    rho = tr Ric^2 of F.nu0, the rate the kernel forms.  kappa makes s start
-    as t; r = None runs s = tau / a0^2.  The factors are Python floats of
-    b^2 = exp(2 beta) and kappa / w = 1 / (p b^2 + q), p = a0^2 / kappa and
-    q = |r| / kappa, so a bracket whose a0^2 underflows is still, as its
-    flow is to rounding, and a0 enters no other factor.  The frame h = F / b,
-    b = a / a0, has h.mu0 = mu: _finish_trace and cointegrate_h store it.  The
-    zero bracket has no nu0 and stays at mu = 0 for every rate: its gauge
-    takes up the whole rate, as Der(0) = gl(n), so only its clock moves, and
-    its ungauged frame is h = e^{-rt} I.  A kappa / w past the float range
-    raises NumericalFailure "the scale of mu left the float range at
-    t=<clock>".
+    rho = tr Ric^2 of F.nu0, the rate the kernel forms, and D the gauge of
+    G(F), one more n x n product per evaluation.  D lies in Der(mu0), so A
+    stays in Aut(mu0), and H = F A solves the ungauged H_s = -(kappa a^2 /
+    w) X H: h = F A / b is the paper's frame (cointegrate_h).  A starts at
+    I, is the run's factor (see _integrate_adaptive: its error counts
+    relative to A, and J takes its block in closed form), and ends no run.
+    kappa makes s start as t; r = None runs s = tau / a0^2.  The factors
+    are Python floats of b^2 = exp(2 beta) and kappa / w = 1 / (p b^2 + q),
+    p = a0^2 / kappa and q = |r| / kappa, so a bracket whose a0^2
+    underflows is still, as its flow is to rounding, and a0 enters no other factor.  The frame h = F / b,
+    b = a / a0, has h.mu0 = mu: _finish_trace stores it.  The zero bracket
+    has no nu0 and stays at mu = 0 for every rate: its gauge takes up the
+    whole rate, as Der(0) = gl(n), so only its clock moves, and its A is
+    e^{-rt} I, which _finish_trace writes in closed form.  A kappa / w past
+    the float range raises NumericalFailure "the scale of mu left the float
+    range at t=<clock>".
 
     y may also be a (B, N) stack of states, which gives the (B, N) stack of
     y', each lane with the bits of its 1-D call.  The inverse is
@@ -917,11 +981,11 @@ def _frame_generator(b0, r, gauge=True):
     n, nn = b0.n, b0.n * b0.n
     rate = _rate_value(r)
     clock = rate != "scalar"
+    gauge = gauge or clock  # only the scalar rate has an ungauged run
     if clock and b0.norm == 0.0:
 
         def still(t, y):
             dy = np.zeros(y.shape)
-            dy[..., nn] = 0.0 if gauge else rate
             dy[..., -1] = 1.0
             return dy
 
@@ -939,7 +1003,8 @@ def _frame_generator(b0, r, gauge=True):
         proj[np.abs(proj) <= 64.0 * np.finfo(float).eps * np.abs(proj).max()] = 0.0
 
     def generator(t, h, stack):
-        """G(h) and rho at the frame h, a (B, n, n) stack or one (n, n) frame."""
+        """G(h), rho and D (None without the gauge) at the frame h, a (B, n,
+        n) stack or one (n, n) frame."""
         try:
             hinv = _lapack_inv(h)
             x, rho = kernel(h, hinv)
@@ -947,12 +1012,12 @@ def _frame_generator(b0, r, gauge=True):
         except FloatingPointError:
             raise NumericalFailure(f"h is singular at t={t:.6g}") from None
         if not gauge:
-            return -xh, rho
+            return -xh, rho, None
         if stack:
             d = (proj @ (hinv @ xh).reshape(-1, nn, 1)).reshape(-1, n, n)
-            return h @ d - xh, rho
+            return h @ d - xh, rho, d
         d = proj.dot(hinv.dot(xh).reshape(-1)).reshape(n, n)
-        return h.dot(d) - xh, rho
+        return h.dot(d) - xh, rho, d
 
     if not clock:
 
@@ -991,15 +1056,19 @@ def _frame_generator(b0, r, gauge=True):
     def rhs(s, y):
         dy = np.empty(y.shape)
         if y.ndim > 1:
-            g, rho = generator(y.item(0, -1), y[:, :nn].reshape(-1, n, n), True)
+            g, rho, d = generator(y.item(0, -1), y[:, :nn].reshape(-1, n, n), True)
             lanes = np.array([factors(*state) for state in zip(y[:, -1].tolist(), y[:, nn].tolist(), rho.tolist())])
             np.multiply(g.reshape(-1, nn), lanes[:, :1], out=dy[:, :nn])
-            dy[:, nn:] = lanes[:, 1:]
+            da = d @ y[:, nn + 1 : -1].reshape(-1, n, n)
+            np.multiply(da.reshape(-1, nn), -lanes[:, :1], out=dy[:, nn + 1 : -1])
+            dy[:, nn] = lanes[:, 1]
+            dy[:, -1] = lanes[:, 2]
             return dy
         t = y.item(-1)
-        g, rho = generator(t, y[:nn].reshape(n, n), False)
-        fa, dy[nn], dy[nn + 1] = factors(t, y.item(nn), rho)
+        g, rho, d = generator(t, y[:nn].reshape(n, n), False)
+        fa, dy[nn], dy[-1] = factors(t, y.item(nn), rho)
         np.multiply(g.reshape(-1), fa, out=dy[:nn])
+        np.multiply(d.dot(y[nn + 1 : -1].reshape(n, n)).reshape(-1), -fa, out=dy[nn + 1 : -1])
         return dy
 
     return rhs
@@ -1047,12 +1116,13 @@ def _frame_check(b0, gauge, clock=False):
     with cond(h) > 1/sqrt(eps) or, if gauge, a skew defect of h.mu0 above
     _MAX_SKEW_DEFECT.  One SVD per stored frame gives its cond(h), which
     decides the bound and is the trace's max_cond_h.  A clock state (F,
-    beta, t) of _frame_generator is judged by its frame F, whose cond is
+    beta, A, t) of _frame_generator is judged by its frame F, whose cond is
     that of h = F / b, and fails too where log a = log a0 + beta, or the log
     of the largest entry of h, leaves [log tiny, -log tiny]: a = ||mu|| / 2
-    and h must be floats.  The ungauged
-    h of cointegrate_h degenerates like exp(-tD): cond(h) alone judges it,
-    and the check returns ().  The gauged check returns what it decided on
+    and h must be floats; its A is not judged.  The ungauged h of
+    cointegrate_h, the scalar rate's run or a clock trace's frames @ A,
+    degenerates like exp(-tD): cond(h) alone judges it, and the check
+    returns ().  The gauged check returns what it decided on
     and moved for the batch it judged, (F.mu0, ||F.mu0||, skew defect,
     cond(F)), one row per frame, which the step loop keeps beside the
     samples and _finish_trace builds the trace from, so each stored frame is
@@ -1104,7 +1174,9 @@ def _finish_trace(samples, verdicts, stats, b0, r, jac):
     of the check.  r_values is the tr_ric2 column for the scalar rate.  The
     trace builds grad_norm and jacobi_residual when they are first read,
     and keeps jac.  stats gain the max_cond_h and max_skew_defect of the
-    kept frames, the check's numbers, before any rescaling."""
+    kept frames, the check's numbers, before any rescaling.  A rate other
+    than the scalar one keeps each sample's automorphism factor A of the
+    state; the zero bracket's is e^{-rt} I, in closed form."""
     n, c0 = b0.n, b0.coeffs
     times = np.array([t for t, _ in samples])
     states = np.array([y for _, y in samples])
@@ -1125,6 +1197,11 @@ def _finish_trace(samples, verdicts, stats, b0, r, jac):
     mu_norm = _norm(coeffs)
     tr_ric2 = _tr_ric2(_ricci(coeffs))
     rate = tr_ric2 if isinstance(r, str) else _rate_value(r)
+    automorphisms = None
+    if not isinstance(r, str):
+        automorphisms = states[:, n * n + 1 : -1].reshape(-1, n, n)
+        if nrm0 == 0.0:
+            automorphisms = np.exp(-rate * times)[:, None, None] * np.eye(n)
     return FlowTrace(
         times=times,
         coeffs=coeffs,
@@ -1137,19 +1214,23 @@ def _finish_trace(samples, verdicts, stats, b0, r, jac):
         stats=stats,
         rate=r,
         jacobian=jac,
+        _automorphisms=automorphisms,
     )
 
 
 def _frame_run(b0, r, gauge, t0, t_end, opts):
     """_integrate_adaptive of the frame run of rate r from b0 (see
     _frame_generator), judged by _frame_check: the scalar rate from h = I,
-    any other from the clock state (I, 0, t0)."""
+    ungauged for its companion, any other from the clock state (I, 0, I,
+    t0), gauged, with A as the run's factor."""
     rhs = _frame_generator(b0, r, gauge)
     clock = not isinstance(r, str)
     y0 = np.eye(b0.n).reshape(-1)
+    factor = None
     if clock:
-        y0 = np.concatenate((y0, [0.0, t0]))
-    return _integrate_adaptive(rhs, t0, y0, t_end, opts, _frame_check(b0, gauge, clock), clock)
+        y0 = np.concatenate((y0, [0.0], y0, [t0]))
+        factor = slice(y0.size - 1 - b0.n * b0.n, y0.size - 1)
+    return _integrate_adaptive(rhs, t0, y0, t_end, opts, _frame_check(b0, gauge or clock, clock), clock, factor)
 
 
 def integrate_bracket_flow(b0: Bracket, t_max: float, opts: FlowOpts | None = None, r=None) -> FlowTrace:
@@ -1185,31 +1266,36 @@ def integrate_normalized_flow(b0: Bracket, t_max: float, opts: FlowOpts | None =
 def cointegrate_h(trace: FlowTrace) -> np.ndarray:
     """Frames h(t) of h' = -(Ric_{h.mu0} + r I) h, h(0) = I, at the trace's times.
 
-    mu0 is the trace's start and r its rate, so h.mu0 runs the bracket flow
-    a second time, apart from the trace's gauged frames: the ungauged frame
-    generator and _frame_check, in one unthinned run with a stop at every
-    sample time.  Every rate but the scalar one runs the ungauged normalized
-    frame H with its scale and clock (see _frame_generator), and h = H / b.
-    Returns the (m, n, n) array of h(t_i).  A stored h with
-    cond(h) > 1/sqrt(eps), a singular h, or an overflow, the integrator's
-    own included (the run holds _RUN_ERRSTATE, as every run does), raises
-    NumericalFailure "the companion frame h became singular: ...", with the
-    samples the run accepted before it.
-    The run always uses rtol=1e-10, atol=1e-12, whatever options made the
-    trace: its frames degenerate like exp(-tD), and their error reaches
-    h.mu0 amplified by cond(h).
+    mu0 is the trace's start and r its rate.  For every rate but the scalar
+    one, h is the trace's gauged frame times the automorphism factor A that
+    its run carried (see _frame_generator), h = frames @ A, with no
+    integration: h follows the trace's own tolerances, A's error counted
+    relative to A, so cond(A) does not amplify it.  The scalar rate's
+    trace carries no A, so h.mu0 runs the bracket flow a second time, apart
+    from the trace's frames: the ungauged frame generator in one unthinned
+    run with a stop at every sample time, at rtol=1e-10, atol=1e-12,
+    whatever options made the trace, as its frames degenerate like
+    exp(-tD) and their error reaches h.mu0 amplified by cond(h).  Returns
+    the (m, n, n) array of h(t_i).  The ungauged _frame_check judges h
+    either way: a stored h with cond(h) > 1/sqrt(eps), a singular h, or an
+    overflow, the integrator's own included (the run holds _RUN_ERRSTATE, as
+    every run does), raises NumericalFailure "the companion frame h became
+    singular: ...", with the samples before it, (t, h flattened) for a
+    product.
     """
-    b0, n = trace.initial_bracket, trace.initial_bracket.n
-    opts = FlowOpts(rtol=1e-10, atol=1e-12, stops=tuple(trace.times[1:-1]))
+    b0 = trace.initial_bracket
     try:
-        at = dict(_frame_run(b0, trace.rate, False, trace.times[0], trace.times[-1], opts)[0])
+        if isinstance(trace.rate, str):
+            opts = FlowOpts(rtol=1e-10, atol=1e-12, stops=tuple(trace.times[1:-1]))
+            at = dict(_frame_run(b0, trace.rate, False, trace.times[0], trace.times[-1], opts)[0])
+            return np.array([at[t] for t in trace.times]).reshape(-1, b0.n, b0.n)
+        hs = trace.frames @ trace._automorphisms
+        _frame_check(b0, False)(list(zip(trace.times.tolist(), hs.reshape(len(hs), -1))), 0)
+        return hs
     except StepSizeUnderflow:
         raise
     except NumericalFailure as exc:  # from the right side, the check or the run's error state
         raise NumericalFailure("the companion frame h became singular: " + str(exc), trace=exc.trace) from None
-    states = np.array([at[t] for t in trace.times])
-    frames = states[:, : n * n].reshape(-1, n, n)
-    return frames if isinstance(trace.rate, str) else frames * np.exp(-states[:, n * n])[:, None, None]
 
 
 @dataclass
@@ -1292,6 +1378,11 @@ def _metric_flow(b0, r, clock=False):
         # a^2 at L = I from the kernel itself, so that t_s(0) = 1 exactly
         r_abs = abs(_rate_value(r))
         kappa = float(shifted_ricci(np.eye(n), np.eye(n))[1]) + r_abs
+    # L Phi lands in a flat buffer whose last slot, with a clock, holds t_s:
+    # one index gathers y', its clock included
+    flat = np.empty(n * n + clock)
+    product = flat[: n * n].reshape(n, n)
+    gather = np.append(lower, n * n) if clock else lower
 
     def factor(y):
         if y.ndim > 1:  # a stack of states gives the stack of factors
@@ -1321,12 +1412,15 @@ def _metric_flow(b0, r, clock=False):
         phi = shifted_ricci(h, _lapack_inv(h))
         if clock:
             phi, a_sq = phi
-            ts = kappa / (float(a_sq) + r_abs) if kappa else 1.0
-            phi *= ts
-        phi *= weights
-        dy = lmat.dot(phi).reshape(-1)[lower]
+            flat[-1] = ts = kappa / (float(a_sq) + r_abs) if kappa else 1.0
+            # the weights are 0, -1 and -2: one pass gives the bits of scaling by ts, then by them
+            phi *= ts * weights
+        else:
+            phi *= weights
+        lmat.dot(phi, out=product)
+        dy = flat[gather]
         dy[logdiag] = phi.reshape(-1)[:: n + 1]
-        return np.append(dy, ts) if clock else dy
+        return dy
 
     return rhs, factor
 
@@ -1482,6 +1576,12 @@ class EquivalenceReport:
     max_pullback_residual: sup_t ||mu(t) - h(t).mu_0|| / ||mu(t)||
     max_gram_residual:     sup_t ||G(t) - h(t)^T h(t)|| / ||G(t)||
     max_scal_mismatch:     sup_t |scal(G(t), mu_0) - scal(mu(t))| (relative)
+
+    h is cointegrate_h's.  For a rate other than the scalar one h = f A is
+    the trace's own frame f times its automorphism factor A, so the pullback
+    residual checks that A stays in Aut(mu0); for the scalar rate it compares
+    two runs.  The Gram residual compares h with the independent metric
+    flow, the check of the paper's theorem.
     """
 
     max_pullback_residual: float
@@ -1499,16 +1599,18 @@ def equivalence_report(
 ) -> EquivalenceReport:
     """Run the same geometry three ways and compare at shared checkpoints.
 
-    The inner-product flow (bracket fixed), the bracket flow and the
-    companion frame h(t) each run on their own, with the same rate r: any
-    rate the bracket flows accept, None for the unnormalized flow, a finite
-    constant, or "scalar" for the normalized flow on ||b0|| = 2.  The
-    checkpoints are an even grid of t = 0..t_max, whose interior replaces
-    opts.stops in the inner-product and bracket runs (the companion stops at
-    every sample of the bracket trace).  opts' tolerances set those two runs
-    only: the companion always runs at cointegrate_h's rtol=1e-10,
-    atol=1e-12.  t_max must be finite and >= 0, and
-    checkpoints an integer of at least 2 (else ConfigError).
+    The inner-product flow (bracket fixed) and the bracket flow run on
+    their own, with the same rate r: any rate the bracket flows accept, None
+    for the unnormalized flow, a finite constant, or "scalar" for the
+    normalized flow on ||b0|| = 2; the companion frame h(t) is
+    cointegrate_h's.  The checkpoints are an even grid of t = 0..t_max,
+    whose interior replaces opts.stops in the inner-product and bracket
+    runs.  opts' tolerances set those two runs, and with them h for every
+    rate but the scalar one, where h is the bracket run's frame times its
+    automorphism factor; the scalar rate's companion runs on its own, with a
+    stop at every sample of the bracket trace, at cointegrate_h's
+    rtol=1e-10, atol=1e-12.  t_max must be finite and >= 0, and checkpoints
+    an integer of at least 2 (else ConfigError).
     """
     if not _is_int(checkpoints, 2):
         raise ConfigError(f"checkpoints must be an int of at least 2, got {checkpoints!r}")

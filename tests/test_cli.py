@@ -464,6 +464,19 @@ def test_rate_that_overflows_the_step_exits_3(argv, capsys):
     assert "t=0 " in captured.err
 
 
+@pytest.mark.parametrize("t_max", ["10", "20"])
+def test_equivalence_at_a_positive_rate_holds_on_longer_horizons(t_max, capsys):
+    # h = frames @ A degenerates like e^{-tD} at a positive rate: by T = 20
+    # cond(h) passes 1e5, and an A whose small directions the step error
+    # counted at atol read a pullback residual of 4.6e-4 (exit 1); its error
+    # counts relative to A, and both horizons read about 1e-8
+    argv = ["equivalence", "random2step:n=5,seed=3", "--rate", "0.5", "--t-max", t_max, "--out", "-"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    report = json.loads(out[out.index("{"):])
+    assert report["max_pullback_residual"] < 1e-7 and report["max_gram_residual"] < 1e-7
+
+
 def test_flow_constant_rate_equilibrium(tmp_path):
     summary = tmp_path / "s.json"
     rc = main(

@@ -568,8 +568,9 @@ def test_a_large_constant_rate_settles_on_ros2_steps():
 @pytest.mark.parametrize("n", range(3, 9))
 def test_runs_that_keep_moving_take_explicit_steps_only(n, monkeypatch):
     # the unnormalized flow moves by more than the tolerance in every step,
-    # and no step meets DOP853's stiffness test, so its frame, companion and
-    # metric runs never switch to ROS2, with a finite max_step or without
+    # and no step meets DOP853's stiffness test, so its frame and metric runs
+    # never switch to ROS2, with a finite max_step or without; its companion
+    # is the T = 5 frame run's product, with no run of its own
     stats = []
     integrate = flow._integrate_adaptive
 
@@ -583,20 +584,19 @@ def test_runs_that_keep_moving_take_explicit_steps_only(n, monkeypatch):
         integrate_bracket_flow(b0, 50.0)
         cointegrate_h(integrate_bracket_flow(b0, 5.0, FlowOpts(max_step=0.05)))
         integrate_innerproduct_flow(b0, 5.0)
-    assert len(stats) == 12 and all(s["rosenbrock_steps"] == 0 for s in stats)
+    assert len(stats) == 9 and all(s["rosenbrock_steps"] == 0 for s in stats)
 
 
 def test_decay_runs_step_in_the_flows_own_time(monkeypatch):
-    # decay's n = 8 rotated start of case 4, seed 91: the normalized frame with
-    # a scale and a clock reaches T = 50 in 137 evaluations, not 482, its
-    # companion of the T = 5 trace in 266, not 665, and its metric flow with
-    # a clock on decay's T = 5 grid in 140, not 452
+    # decay's n = 8 rotated start of case 4, seed 91: its metric flow with a
+    # clock on decay's T = 5 grid takes 140 evaluations, not 452 in t, and
+    # the T = 5 chain of the frame run with its automorphism factor and
+    # cointegrate_h takes 137, where the frame run (101) and a companion run
+    # of its own (266) took 367
     b = random_nilpotent(8, np.random.default_rng([91, 4]))
-    assert integrate_bracket_flow(b, 50.0).stats["nfev"] <= 160
     grid = np.linspace(0.0, 5.0, 26)
     ip = integrate_innerproduct_flow(b, 5.0, FlowOpts(max_step=0.05, stops=tuple(grid[1:-1])))
     assert ip.stats["nfev"] <= 160
-    frame = integrate_bracket_flow(b, 5.0)
     stats = []
     integrate = flow._integrate_adaptive
 
@@ -606,8 +606,8 @@ def test_decay_runs_step_in_the_flows_own_time(monkeypatch):
         return samples, run_stats, jac, verdicts
 
     monkeypatch.setattr(flow, "_integrate_adaptive", recording)
-    cointegrate_h(frame)
-    assert len(stats) == 1 and stats[0]["nfev"] <= 280
+    cointegrate_h(integrate_bracket_flow(b, 5.0))
+    assert len(stats) == 1 and stats[0]["nfev"] <= 160
 
 
 @pytest.mark.parametrize("key", [[91, 4], [92, 3]])
@@ -709,9 +709,9 @@ def _recorded_jacobians(monkeypatch):
     times = []
     jacobian = flow._jacobian
 
-    def recording(f, t, y, f0):
+    def recording(f, t, y, f0, factor=None):
         times.append(t)
-        return jacobian(f, t, y, f0)
+        return jacobian(f, t, y, f0, factor)
 
     monkeypatch.setattr(flow, "_jacobian", recording)
     return times
@@ -828,28 +828,30 @@ def _reference_generator(b0, r, h):
     return h @ d - x @ h, d
 
 
-def _clock_state(h, beta, t):
-    """The state (F, beta, t) of a frame run whose rate is not the scalar one."""
-    return np.concatenate((h.reshape(-1), [beta, t]))
+def _clock_state(h, beta, a, t):
+    """The state (F, beta, A, t) of a frame run whose rate is not the scalar one."""
+    return np.concatenate((h.reshape(-1), [beta], a.reshape(-1), [t]))
 
 
 def _reference_clock_generator(b0, r, y):
-    """(y', |F D|) of a frame run of the constant rate r (None for 0) at the
-    state y = (F, beta, t), from public functions: with a0 = ||b0|| / 2,
-    a = a0 e^beta, w = a^2 + |r| and kappa = a0^2 + |r|, F' = (kappa a^2 / w)
-    G(F) for the normalized generator G on nu0 = b0 rescaled onto ||mu|| = 2,
-    beta' = kappa (r - a^2 rho) / w, rho = tr Ric^2 of F.nu0, and t' = kappa / w."""
+    """(y', |F D|, |D| |A|) of a frame run of the constant rate r (None for
+    0) at the state y = (F, beta, A, t), from public functions: with a0 =
+    ||b0|| / 2, a = a0 e^beta, w = a^2 + |r| and kappa = a0^2 + |r|, F' =
+    (kappa a^2 / w) G(F) for the normalized generator G on nu0 = b0 rescaled
+    onto ||mu|| = 2, with its gauge D, beta' = kappa (r - a^2 rho) / w, rho =
+    tr Ric^2 of F.nu0, A' = -(kappa a^2 / w) D A and t' = kappa / w."""
     n = b0.n
     rate = 0.0 if r is None else r
     nu0 = rescale_to_norm(b0)
-    h = y[: n * n].reshape(n, n)
+    h, a = y[: n * n].reshape(n, n), y[n * n + 1 : -1].reshape(n, n)
     g, d = _reference_generator(nu0, "scalar", h)
     rho = ricci_energy(rescale_to_norm(gl_action(h, nu0)))
     a0_sq = 0.25 * b0.norm**2
     a_sq = a0_sq * math.exp(2.0 * y[n * n])
     kappa, w = a0_sq + abs(rate), a_sq + abs(rate)
-    dy = np.concatenate(((kappa * a_sq / w) * g.reshape(-1), [kappa * (rate - a_sq * rho) / w, kappa / w]))
-    return dy, (kappa * a_sq / w) * np.abs(h @ d).max()
+    fa = kappa * a_sq / w
+    dy = np.concatenate((fa * g.reshape(-1), [kappa * (rate - a_sq * rho) / w], -fa * (d @ a).reshape(-1), [kappa / w]))
+    return dy, fa * np.abs(h @ d).max(), fa * np.abs(d).max() * np.abs(a).max()
 
 
 def _assert_kernel_is_bitwise_the_stacked_path(b0, r, h):
@@ -884,11 +886,13 @@ def test_frame_generator_matches_public_functions(n, r):
                 # h' = h D - X h cancels at a soliton: compare relative to its terms
                 assert np.abs(dh - ref_dh).max() <= 1e-12 * np.abs(h @ ref_d).max()
                 continue
-            y = _clock_state(h, rng.uniform(-2.0, 2.0), rng.uniform(0.0, 5.0))
+            a = random_orthogonal(n, rng) @ np.diag(rng.uniform(0.5, 2.0, n))
+            y = _clock_state(h, rng.uniform(-2.0, 2.0), a, rng.uniform(0.0, 5.0))
             dy = rhs(0.0, y)
-            ref, terms = _reference_clock_generator(b0, r, y)
-            assert np.abs(dy[: n * n] - ref[: n * n]).max() <= 1e-12 * terms
-            np.testing.assert_allclose(dy[n * n :], ref[n * n :], rtol=1e-12)
+            ref, frame_terms, factor_terms = _reference_clock_generator(b0, r, y)
+            assert np.abs(dy[: n * n] - ref[: n * n]).max() <= 1e-12 * frame_terms
+            assert np.abs(dy[n * n + 1 : -1] - ref[n * n + 1 : -1]).max() <= 1e-12 * factor_terms
+            np.testing.assert_allclose(dy[[n * n, -1]], ref[[n * n, -1]], rtol=1e-12)
 
 
 @pytest.mark.parametrize("r", [None, 0.5, "scalar"], ids=["unnormalized", "constant", "scalar"])
@@ -1376,8 +1380,10 @@ def test_an_overflow_in_a_run_is_a_numerical_failure_with_its_samples():
 
 
 def test_an_overflow_in_a_companion_or_metric_run_keeps_its_samples(monkeypatch):
+    # the companion run is the scalar rate's: every other rate's companion
+    # is a product of the trace, with no run
     b0 = rescale_to_norm(filiform(4))
-    trace = integrate_bracket_flow(b0, 5.0, FlowOpts(max_step=0.05))
+    trace = integrate_normalized_flow(b0, 5.0, FlowOpts(max_step=0.05))
     real_frame, real_metric = flow._frame_generator, flow._metric_flow
     monkeypatch.setattr(flow, "_frame_generator", lambda *args, **kw: _overflowing_after(real_frame(*args, **kw), 100))
     with pytest.raises(NumericalFailure) as companion:
@@ -1694,9 +1700,9 @@ def test_cointegrated_frame_solves_its_equation(normalized):
 
 
 def test_cointegrated_frame_takes_the_steps_its_tolerance_needs(monkeypatch):
-    # every sample time is a stop of the run, but stops no longer end steps:
-    # 502 samples used to cost 538 accepted steps
-    trace = integrate_bracket_flow(filiform(4), 5.0, FlowOpts(max_step=0.01))
+    # the scalar rate's companion run: every sample time is a stop of the
+    # run, but stops no longer end steps
+    trace = integrate_normalized_flow(rescale_to_norm(filiform(4)), 5.0, FlowOpts(max_step=0.01))
     accepted = []
     integrate = flow._integrate_adaptive
 
@@ -1709,6 +1715,47 @@ def test_cointegrated_frame_takes_the_steps_its_tolerance_needs(monkeypatch):
     hs = cointegrate_h(trace)
     assert len(trace) > 400 and len(hs) == len(trace)
     assert len(accepted) == 1 and accepted[0] < len(trace)
+
+
+@pytest.mark.parametrize("r", [None, 0.5], ids=["unnormalized", "constant"])
+def test_a_clock_trace_gives_its_companion_without_a_run(r, monkeypatch):
+    # the frame run carried the automorphism factor A: h = frames @ A, and
+    # the check still ends h at the first frame past the cond(h) bound
+    trace = integrate_bracket_flow(rescale_to_norm(filiform(4)), 5.0, FlowOpts(max_step=0.05), r=r)
+    runs = []
+    integrate = flow._integrate_adaptive
+    monkeypatch.setattr(flow, "_integrate_adaptive", lambda *args, **kw: runs.append(None) or integrate(*args, **kw))
+    assert np.array_equal(cointegrate_h(trace), trace.frames @ trace._automorphisms)
+    assert not runs
+    bad = trace._automorphisms.copy()
+    bad[7] = np.diag([1.0, 1e-9, 1.0, 1.0])
+    at = f"{trace.times[7]:.6g}"
+    match = rf"^the companion frame h became singular: cond\(h\) = \S+ at t={at} exceeds 1/sqrt\(eps\)$"
+    with pytest.raises(NumericalFailure, match=match) as info:
+        cointegrate_h(dataclasses.replace(trace, _automorphisms=bad))
+    assert [t for t, _ in info.value.trace] == trace.times[:7].tolist()
+
+
+@pytest.mark.parametrize("r", [None, 0.5], ids=["unnormalized", "constant"])
+@pytest.mark.parametrize("n", range(3, 9))
+def test_the_automorphism_factor_fixes_the_start(n, r):
+    # A' = -D A with D in Der(mu0) keeps A in Aut(mu0): A.mu0 = mu0 to
+    # 2.3e-8 (r = None) and 2.3e-7 (r = 0.5) at T = 5, where cond(A) <= 43
+    for b in dense_starts(n, 100 + n):
+        a = integrate_bracket_flow(b, 5.0, r=r)._automorphisms
+        c = _gl_action_coeffs(a, np.linalg.inv(a), b.coeffs)
+        assert (flow._norm(c - b.coeffs) / b.norm).max() <= 1e-6
+
+
+@pytest.mark.parametrize("r, t_max", [(None, 1e12), (-3.0, 50.0), (0.5, 5.0)], ids=["unnormalized", "negative", "constant"])
+def test_the_heisenberg_companion_gives_the_closed_form_metric(r, t_max):
+    # h^T h of the frame and its automorphism factor is the metric flow's
+    # closed form at every sample: 2.5e-10, 1.7e-10 and 1.3e-9 off
+    trace = integrate_bracket_flow(heisenberg(), t_max, r=r)
+    hs = cointegrate_h(trace)
+    ref = _heisenberg_metric(trace.times, r)
+    err = np.abs(hs.swapaxes(1, 2) @ hs - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
+    assert trace.times[-1] == t_max and err.max() <= 1e-8
 
 
 def test_gl_action_accepts_ill_conditioned_cointegrated_frames():
@@ -1982,7 +2029,8 @@ def test_a_thinned_trace_is_the_move_of_its_kept_frames(monkeypatch):
 def test_right_sides_are_bitwise_their_matmul_forms(n, r):
     # the frame, companion and metric right sides call ndarray.dot on single
     # 2-D and 1-D arrays; each must give the bits of its @ form, and each lane
-    # of a (B, N) stack of states the bits of its 1-D call
+    # of a (B, N) stack of states the bits of its 1-D call.  The companion
+    # runs at the scalar rate alone: every other frame run carries A
     rng = np.random.default_rng(800 + n)
     lower = np.tri(n, dtype=bool)
     on_diagonal = np.eye(n, dtype=bool)[lower]
@@ -1993,38 +2041,38 @@ def test_right_sides_are_bitwise_their_matmul_forms(n, r):
         kernel = flow._shifted_ricci(b0, r)
         frame = flow._frame_generator(b0, r)
         basis = b0._derivations.reshape(-1, n * n)
-        companion = flow._frame_generator(b0, r, gauge=False)
+        clock = r != "scalar"
+        companion = None if clock else flow._frame_generator(b0, r, gauge=False)
         metric, factor = flow._metric_flow(b0, r)
         # cond(h) <= 4; h is lower triangular with a positive diagonal, so it is also a metric factor
         upper = np.linalg.qr(random_orthogonal(n, rng) @ np.diag(rng.uniform(0.5, 2.0, n)))[1]
         lmat = upper.T * np.sign(np.diag(upper))
         frames = (random_orthogonal(n, rng) @ lmat, lmat)
         # a rate other than the scalar one runs the normalized generator on
-        # b0 rescaled onto ||mu|| = 2, with a scale and a clock: at r = None
-        # and beta > 0 its factors are a0^2, -a0^2 rho and exp(-2 beta), exactly
-        clock = r != "scalar"
+        # b0 rescaled onto ||mu|| = 2, with a scale, the factor A and a
+        # clock: at r = None and beta > 0 its factors are a0^2, -a0^2 rho and
+        # exp(-2 beta), exactly
         moving = flow._shifted_ricci(b0.scaled(2.0 / b0.norm) if clock else b0, "scalar", with_rate=True)
         a0_sq, beta = 0.25 * b0.norm * b0.norm, 0.3
         proj = basis.T @ basis
         if clock:  # its entries at rounding level are zeros
             proj[np.abs(proj) <= 64.0 * np.finfo(float).eps * np.abs(proj).max()] = 0.0
         states = []
-        for h in frames:
+        for h, a in zip(frames, frames[::-1]):
             hinv = np.linalg.inv(h)
             x, rho = moving(h, hinv)
             xh = x @ h
             d = (proj @ (hinv @ xh).reshape(-1)).reshape(n, n)
-            y = _clock_state(h, beta, 0.7) if clock else h.reshape(-1)
+            y = _clock_state(h, beta, a, 0.7) if clock else h.reshape(-1)
             states.append(y)
             if not clock:
                 assert np.array_equal(frame(0.0, y), (h @ d - xh).reshape(-1))
                 assert np.array_equal(companion(0.0, y), -(kernel(h, hinv) @ h).reshape(-1))
             elif r is None:
-                tail = [-(a0_sq * rho), math.exp(-2.0 * beta)]
-                assert np.array_equal(frame(0.0, y), np.concatenate(((h @ d - xh).reshape(-1) * a0_sq, tail)))
-                assert np.array_equal(companion(0.0, y), np.concatenate(((-xh).reshape(-1) * a0_sq, tail)))
+                parts = ((h @ d - xh).reshape(-1) * a0_sq, [-(a0_sq * rho)], (d @ a).reshape(-1) * -a0_sq)
+                assert np.array_equal(frame(0.0, y), np.concatenate((*parts, [math.exp(-2.0 * beta)])))
         stack = np.stack(states)
-        for rhs in (frame, companion):
+        for rhs in (frame,) if clock else (frame, companion):
             assert np.array_equal(rhs(0.0, stack), [rhs(0.0, y) for y in stack])
         state = lmat.copy()
         state[np.diag_indices(n)] = np.log(np.diag(lmat))
@@ -2057,9 +2105,9 @@ def test_the_jacobian_is_one_stacked_call_with_the_bits_of_its_columns(n):
     h = random_orthogonal(n, rng) @ np.diag(rng.uniform(0.5, 2.0, n)) @ random_orthogonal(n, rng)
     for b0 in dense_starts(n, 700 + n):
         b0 = rescale_to_norm(b0)
-        states = {None: _clock_state(h, 0.3, 0.7), 0.5: _clock_state(h, -0.4, 2.0), "scalar": h.reshape(-1)}
+        states = {None: _clock_state(h, 0.3, h.T, 0.7), 0.5: _clock_state(h, -0.4, h.T, 2.0), "scalar": h.reshape(-1)}
         sides = [(flow._frame_generator(b0, r), states[r]) for r in (None, 0.5, "scalar")]
-        sides += [(flow._frame_generator(b0, r, gauge=False), states[r]) for r in (None, "scalar")]
+        sides.append((flow._frame_generator(b0, "scalar", gauge=False), states["scalar"]))
         sides.append((flow._metric_flow(b0, "scalar")[0], 0.3 * rng.standard_normal(n * (n + 1) // 2)))
         for rhs, y in sides:
             calls = []
@@ -2073,6 +2121,44 @@ def test_the_jacobian_is_one_stacked_call_with_the_bits_of_its_columns(n):
             # one call, on the C-ordered stack of the N moved states
             assert len(calls) == 1 and calls[0].shape == (y.size, y.size) and calls[0].flags.c_contiguous
             assert np.array_equal(jac, _column_jacobian(rhs, 0.0, y, f0))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_the_frame_runs_jacobian_takes_its_automorphism_block_in_closed_form(n):
+    # A enters no derivative but its own, A' = M A with M = -(kappa a^2 / w) D:
+    # J differences only F, beta and the clock, and one more lane at A = I gives M
+    rng = np.random.default_rng(720 + n)
+    h = random_orthogonal(n, rng) @ np.diag(rng.uniform(0.5, 2.0, n)) @ random_orthogonal(n, rng)
+    a = random_orthogonal(n, rng) @ np.diag(rng.uniform(0.5, 2.0, n))
+    nn = n * n
+    factor = slice(nn + 1, 2 * nn + 1)
+    rest = np.r_[: nn + 1, 2 * nn + 1]
+    for b0 in dense_starts(n, 720 + n):
+        for r, y in ((None, _clock_state(h, 0.3, a, 0.7)), (0.5, _clock_state(h, -0.4, a, 2.0))):
+            rhs = flow._frame_generator(b0, r)
+            calls = []
+
+            def recording(t, states):
+                calls.append(states)
+                return rhs(t, states)
+
+            f0 = rhs(0.0, y)
+            jac = flow._jacobian(recording, 0.0, y, f0, factor)
+            assert len(calls) == 1 and calls[0].shape == (nn + 3, y.size)
+            columns = _column_jacobian(rhs, 0.0, y, f0)
+            assert np.array_equal(jac[:, rest], columns[:, rest])
+            m = rhs(0.0, _clock_state(h, y[nn], np.eye(n), y[-1]))[factor].reshape(n, n)
+            assert np.array_equal(jac[factor, factor], np.kron(m, np.eye(n)))
+            assert not jac[rest][:, factor].any()
+            # the closed form is the difference quotient's limit
+            np.testing.assert_allclose(jac[:, factor], columns[:, factor], rtol=0.0, atol=1e-6 * np.abs(m).max())
+
+
+def test_only_the_scalar_rate_has_an_ungauged_frame_run(heis_sphere):
+    y = _clock_state(np.eye(3) + 0.1 * np.ones((3, 3)), 0.2, np.eye(3), 0.5)
+    for r in (None, 0.5):
+        gauged, asked = flow._frame_generator(heis_sphere, r), flow._frame_generator(heis_sphere, r, gauge=False)
+        assert np.array_equal(asked(0.0, y), gauged(0.0, y))
 
 
 def test_a_singular_lane_raises_the_failure_of_its_1d_call(heis_sphere):
@@ -2168,12 +2254,12 @@ def test_equivalence_with_a_singular_frame_raises():
         equivalence_report(b, 120.0, r="scalar")
 
 
-def test_companion_overflow_outside_the_right_side_is_a_numerical_failure(heis, monkeypatch):
+def test_companion_overflow_outside_the_right_side_is_a_numerical_failure(heis_sphere, monkeypatch):
     # every run holds its error state around the whole integration, so an
     # overflow in the integrator's own arithmetic (here the error norm of the
-    # companion's DOP853 steps) raises FloatingPointError there, and must not
-    # end in a traceback
-    trace = integrate_bracket_flow(heis, 1.0)
+    # scalar rate's companion's DOP853 steps) raises FloatingPointError
+    # there, and must not end in a traceback
+    trace = integrate_normalized_flow(heis_sphere, 1.0)
     error_norm = flow._dop853_error_norm
     monkeypatch.setattr(flow, "_dop853_error_norm", lambda q: error_norm(1e300 * q))
     with pytest.raises(NumericalFailure, match="^the companion frame h became singular: overflow"):
