@@ -60,11 +60,11 @@ class NumericalFailure(NilflowError, RuntimeError):
     passes 1/sqrt(eps), the skew defect max|c + c^T| / ||c|| of c = h.mu0
     passes 1e-8 (rounding damage to mu), or the scale ||mu|| / 2 of a run
     with a clock leaves the float range, the trace ends at the last sample
-    before the first such frame.  The companion frame h of cointegrate_h,
-    the scalar rate's ungauged run or a clock trace's frames times their
-    automorphism factors, degenerates near a soliton and is cut by the
-    first guard alone; its messages start "the companion frame h became
-    singular: ", and a product's trace holds (t, h flattened).  Every run
+    before the first such frame.  The companion frame h = F A of
+    cointegrate_h, a gauged frame times its automorphism factor at every
+    rate, degenerates near a soliton and is cut by the first guard alone;
+    its messages start "the companion frame h became singular: ", and the
+    trace of that cut holds (t, h flattened).  Every run
     holds one error state in which an overflow or an invalid operation
     raises; one in its step loop also ends it in NumericalFailure, "... at
     t=...", with the samples accepted before it.

@@ -50,28 +50,24 @@ Every right side also takes a (B, N) stack of states and gives each lane
 the bits of its 1-D call, so the Jacobian's N forward differences are one
 call: the frame generator, which builds nearly every Jacobian, in batched
 kernels, the metric right side by one 1-D call per lane.
-The paper's frame h' = -(Ric + r I) h is the gauged frame times an
-automorphism factor, h = f A with A' = -D A, so A stays in Aut(mu0).  Every
-rate but the scalar one carries A in its frame run's state, its error
-counted relative to A (_scale) and its Jacobian block in closed form
-(_jacobian), and cointegrate_h reads h = frames @ A off the trace, with no
-run; a scalar run settles onto ROS2 steps from t0, where A = exp(-tD) of
-the soliton derivation D would keep moving, so its trace carries no A, and
-cointegrate_h integrates its h after the flow, by the frame generator
-without its gauge (D = 0).  One
-check (_frame_check) judges every frame run, by one SVD per stored frame,
-whose cond(h) is also the trace's max_cond_h.  The module also
+The paper's frame h' = -(Ric + r I) h is, at every rate, the gauged frame
+F times an automorphism factor A' = -D A in Aut(mu0): cointegrate_h gives
+h = F A, off the trace for every rate but the scalar one, whose run
+carries A (its error relative to A, _scale, and its Jacobian block in
+closed form, _jacobian), and for the scalar rate off the r = None frame
+run read in its own time (_frame_generator says why its trace has no A).
+One check (_frame_check) judges every frame run, by one SVD per stored
+frame, whose cond(h) is also the trace's max_cond_h.  The module also
 integrates the inner-product (metric tensor) flow G' = -2 ric(G) - 2 r G,
 and checks the structural identities of the r = 0 flow.
 The metric flow's state is the factor of G = L L^T, as the strict lower part
 of L and log diag L, so G stays positive definite by construction and its
-right side needs no Cholesky factorization.  Every rate but the scalar one
-runs it in the flow's own time too, with the time t as a clock and
-ds/dt = (a^2 + |r|) / (a0^2 + |r|), a the scale of the pushed bracket, which
-the kernel hands back (_metric_flow): about a third of the evaluations on
-the unnormalized flow's decay.  It stays an integration of its own
-equation, not the frame's scaled form, so the equivalence report still
-checks the paper's theorem against it.
+right side needs no Cholesky factorization.  Every rate runs it with the
+time t as a clock, in the flow's own time (_metric_flow), where the
+unnormalized flow's decay takes about a third of the evaluations; the
+scalar rate's own time is t.  It integrates its own equation, not the
+frame's scaled form, so the equivalence report checks the paper's
+theorem against it.
 The right sides and the step loop run once per evaluation or step on arrays
 of at most n^3 = 512 entries, so the call overhead of numpy counts: their
 products of single 2-D or 1-D arrays call ndarray.dot, which goes straight
@@ -521,7 +517,10 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: (), clo
     linearly in s, such as a negative constant rate's, DOP853's steps grow
     x10 each, and an uncapped last step put a stage so far past t_end that
     the state overflowed.  The clock measures progress and always moves, so
-    the first step and the settled tests read the other components.
+    the first step and the settled tests read the other components.  The
+    scalar rate's bracket run keeps the t mode: on a trivial clock the
+    soliton flows took 3-12% longer, and a settled n = 6 dense start's
+    interpolated end missed the soliton residual 1e-10 (4.4e-10).
 
     factor, if given, is the slice of the state that holds a k x k matrix
     A which f moves as A' = M A, M free of A, and which no other
@@ -856,7 +855,7 @@ def _rate_value(r):
     return value
 
 
-def _shifted_ricci(b0, r, with_rate=False, with_norm=False):
+def _shifted_ricci(b0, r):
     """Kernel (h, hinv) -> X = Ric + r I of mu = h.mu0 (hinv is h^{-1}) for
     the frame and the metric flows.  r is None (zero), a finite real number
     or "scalar", tr(Ric^2); anything else, a bool or a callable included,
@@ -872,10 +871,10 @@ def _shifted_ricci(b0, r, with_rate=False, with_norm=False):
     overhead.  A (B, n, n) stack of h and hinv gives the stack of X from
     the batched kernels _gl_action_coeffs, _ricci and _tr_ric2 on the full
     mu0; halving is an exact scaling, so each lane has the bits of its 2-D
-    call.  With with_rate the scalar kernel gives (X, tr Ric^2), the rate it
-    adds, and with with_norm the kernel of any other rate gives (X, a^2),
-    a^2 = ||mu||^2 / 4 the squared scale of the bracket it pushed (an array
-    of them for a stack): the metric flow's clock reads it."""
+    call.  The kernel returns (X, aux): for the scalar rate aux is tr Ric^2,
+    the rate it adds, which the frame run's scale reads; for any other rate
+    a^2 = ||mu||^2 / 4, the squared scale of the bracket it pushed, which
+    the metric flow's clock reads (an array of either for a stack)."""
     value = _rate_value(r)
     if value == "scalar":
         drift = abs(b0.norm - 2.0)
@@ -901,10 +900,10 @@ def _shifted_ricci(b0, r, with_rate=False, with_norm=False):
             x *= ((4.0 * norm_sq) / np.vecdot(flat, flat))[:, None, None]
             rate = _tr_ric2(x)
             x[:, diag, diag] += rate[:, None]
-            return (x, rate) if with_rate else x
+            return x, rate
         if shift is not None:
             x += shift
-        return (x, 0.25 * np.vecdot(flat, flat)) if with_norm else x
+        return x, 0.25 * np.vecdot(flat, flat)
 
     def kernel(h, hinv):
         if h.ndim > 2:
@@ -918,16 +917,16 @@ def _shifted_ricci(b0, r, with_rate=False, with_norm=False):
             x *= norm_sq / np.vdot(c, c)
             rate = np.vdot(x, x)
             x.reshape(-1)[:: n + 1] += rate
-            return (x, rate) if with_rate else x
+            return x, rate
         if shift is not None:
             x += shift
         # c is the push of mu0 halved: <c, c> = ||mu||^2 / 4
-        return (x, np.vdot(c, c)) if with_norm else x
+        return x, np.vdot(c, c)
 
     return kernel
 
 
-def _frame_generator(b0, r, gauge=True):
+def _frame_generator(b0, r):
     """Right side rhs(t, y) of the frame run of rate r from mu0 = b0.
 
     The scalar rate integrates the frame itself: y = h flattened, mu = h.mu0.
@@ -938,9 +937,10 @@ def _frame_generator(b0, r, gauge=True):
     h' = G(h) = -(X - h D h^{-1}) h = -X h + h D.  X is evaluated on the
     sphere ||mu|| = ||mu0||; then <mu', mu> = 0, and the flow of h commutes
     with rescaling h.  One call is a few plain matrix products: the GL
-    action, the two of Ricci, the projection and h'.  gauge=False drops D:
-    h' = -X h, the scalar rate's companion (cointegrate_h); every other
-    rate is gauged whatever gauge says, as its A carries the rest of h.
+    action, the two of Ricci, the projection and h'.  The scalar state carries
+    no automorphism factor: its ROS2 steps would resolve A = exp(-tD) of
+    the soliton derivation, which never rests, and the 72 soliton flows of
+    seeds 91-92 took 7.0x the evaluations with it (10,895 -> 76,441).
 
     Every other rate runs this normalized generator G in the flow's own
     time.  mu(t) = a(t) nu(tau(t)), nu the normalized flow on ||nu|| = 2
@@ -960,7 +960,9 @@ def _frame_generator(b0, r, gauge=True):
     w) X H: h = F A / b is the paper's frame (cointegrate_h).  A starts at
     I, is the run's factor (see _integrate_adaptive: its error counts
     relative to A, and J takes its block in closed form), and ends no run.
-    kappa makes s start as t; r = None runs s = tau / a0^2.  The factors
+    kappa makes s start as t; r = None runs s = tau / a0^2 (F_s = a0^2
+    G(F), A_s = -a0^2 D A): F A at s is the scalar rate's h at tau, which
+    cointegrate_h reads.  The factors
     are Python floats of b^2 = exp(2 beta) and kappa / w = 1 / (p b^2 + q),
     p = a0^2 / kappa and q = |r| / kappa, so a bracket whose a0^2
     underflows is still, as its flow is to rounding, and a0 enters no other factor.  The frame h = F / b,
@@ -981,7 +983,6 @@ def _frame_generator(b0, r, gauge=True):
     n, nn = b0.n, b0.n * b0.n
     rate = _rate_value(r)
     clock = rate != "scalar"
-    gauge = gauge or clock  # only the scalar rate has an ungauged run
     if clock and b0.norm == 0.0:
 
         def still(t, y):
@@ -990,7 +991,7 @@ def _frame_generator(b0, r, gauge=True):
             return dy
 
         return still
-    kernel = _shifted_ricci(b0.scaled(2.0 / b0.norm) if clock else b0, "scalar", with_rate=True)
+    kernel = _shifted_ricci(b0.scaled(2.0 / b0.norm) if clock else b0, "scalar")
     basis = b0._derivations.reshape(-1, nn)  # Der(nu0) = Der(mu0)
     proj = basis.T @ basis
     if clock:
@@ -1003,16 +1004,14 @@ def _frame_generator(b0, r, gauge=True):
         proj[np.abs(proj) <= 64.0 * np.finfo(float).eps * np.abs(proj).max()] = 0.0
 
     def generator(t, h, stack):
-        """G(h), rho and D (None without the gauge) at the frame h, a (B, n,
-        n) stack or one (n, n) frame."""
+        """G(h), rho and D at the frame h, a (B, n, n) stack or one (n, n)
+        frame."""
         try:
             hinv = _lapack_inv(h)
             x, rho = kernel(h, hinv)
             xh = x @ h if stack else x.dot(h)
         except FloatingPointError:
             raise NumericalFailure(f"h is singular at t={t:.6g}") from None
-        if not gauge:
-            return -xh, rho, None
         if stack:
             d = (proj @ (hinv @ xh).reshape(-1, nn, 1)).reshape(-1, n, n)
             return h @ d - xh, rho, d
@@ -1110,23 +1109,30 @@ def _by_blocks(kernel, coeffs):
     return np.concatenate([kernel(coeffs[s]) for s in _blocks(len(coeffs), coeffs.shape[-1] ** 4)])
 
 
-def _frame_check(b0, gauge, clock=False):
+def _cond_bound(frames, times):
+    """(cond, k, msg): each frame's cond(h) by its SVD, the index of the first
+    above 1/sqrt(eps) (nan counts; else len(frames)) and its failure message."""
+    cond = np.linalg.cond(frames)
+    k = _first_above(cond, _MAX_COND_H)
+    msg = f"cond(h) = {cond[k]:.3e} at t={times[k]:.6g} exceeds 1/sqrt(eps)" if k < len(cond) else ""
+    return cond, k, msg
+
+
+def _frame_check(b0, clock=False):
     """check(samples, i) of a frame run from b0 (see _integrate_adaptive):
     NumericalFailure with the samples before it at the first stored frame
-    with cond(h) > 1/sqrt(eps) or, if gauge, a skew defect of h.mu0 above
+    with cond(h) > 1/sqrt(eps) or a skew defect of h.mu0 above
     _MAX_SKEW_DEFECT.  One SVD per stored frame gives its cond(h), which
     decides the bound and is the trace's max_cond_h.  A clock state (F,
     beta, A, t) of _frame_generator is judged by its frame F, whose cond is
     that of h = F / b, and fails too where log a = log a0 + beta, or the log
     of the largest entry of h, leaves [log tiny, -log tiny]: a = ||mu|| / 2
-    and h must be floats; its A is not judged.  The ungauged h of
-    cointegrate_h, the scalar rate's run or a clock trace's frames @ A,
-    degenerates like exp(-tD): cond(h) alone judges it, and the check
-    returns ().  The gauged check returns what it decided on
-    and moved for the batch it judged, (F.mu0, ||F.mu0||, skew defect,
-    cond(F)), one row per frame, which the step loop keeps beside the
-    samples and _finish_trace builds the trace from, so each stored frame is
-    inverted, moved and decomposed once."""
+    and h must be floats; its A is not judged.  The check returns what it
+    decided on and moved for the batch it judged, (F.mu0, ||F.mu0||, skew
+    defect, cond(F)), one row per frame, which the step loop keeps beside
+    the samples and _finish_trace builds the trace from, so each stored
+    frame is inverted, moved and decomposed once.  cointegrate_h's h = F A
+    degenerates like exp(-tD): _cond_bound alone judges it."""
     n = b0.n
     # the zero bracket has no scale: its frame's bound is the one that counts
     log_a0 = (math.log(0.5 * b0.norm) if b0.norm > 0.0 else 0.0) if clock else None
@@ -1134,9 +1140,7 @@ def _frame_check(b0, gauge, clock=False):
     def check(samples, i):
         states = np.array([y for _, y in samples[i:]]).reshape(-1, samples[0][1].size)
         frames = states[:, : n * n].reshape(-1, n, n)
-        cond = np.linalg.cond(frames)
-        k = _first_above(cond, _MAX_COND_H)
-        msg = f"cond(h) = {cond[k]:.3e} at t={samples[i + k][0]:.6g} exceeds 1/sqrt(eps)" if k < len(cond) else ""
+        cond, k, msg = _cond_bound(frames, [t for t, _ in samples[i:]])
         if log_a0 is not None:
             # log a, and the log of the largest entry of h = F / b
             beta = states[:, n * n]
@@ -1144,19 +1148,18 @@ def _frame_check(b0, gauge, clock=False):
             m = _first_above(logs, -_LOG_TINY)
             if m < k:
                 k, msg = m, f"the scale of mu left the float range at t={samples[i + m][0]:.6g}"
-        if gauge:
-            # past the bound the inverse is noise
-            coeffs = _gl_action_coeffs(frames[:k], _inv(frames[:k]), b0.coeffs)
-            norms = _norm(coeffs)
-            defect = _skew_defect(coeffs, norms)
-            j = _first_above(defect, _MAX_SKEW_DEFECT)
-            if j < k:
-                msg = (f"skew defect {defect[j]:.3e} of h.mu0 at t={samples[i + j][0]:.6g} exceeds "
-                       f"{_MAX_SKEW_DEFECT:g}: rounding has damaged mu")
-                raise NumericalFailure(msg, trace=samples[: i + j])
+        # past the bound the inverse is noise
+        coeffs = _gl_action_coeffs(frames[:k], _inv(frames[:k]), b0.coeffs)
+        norms = _norm(coeffs)
+        defect = _skew_defect(coeffs, norms)
+        j = _first_above(defect, _MAX_SKEW_DEFECT)
+        if j < k:
+            msg = (f"skew defect {defect[j]:.3e} of h.mu0 at t={samples[i + j][0]:.6g} exceeds "
+                   f"{_MAX_SKEW_DEFECT:g}: rounding has damaged mu")
+            raise NumericalFailure(msg, trace=samples[: i + j])
         if k < len(frames):
             raise NumericalFailure(msg, trace=samples[: i + k])
-        return (coeffs, norms, defect, cond) if gauge else ()
+        return coeffs, norms, defect, cond
 
     return check
 
@@ -1218,19 +1221,14 @@ def _finish_trace(samples, verdicts, stats, b0, r, jac):
     )
 
 
-def _frame_run(b0, r, gauge, t0, t_end, opts):
-    """_integrate_adaptive of the frame run of rate r from b0 (see
-    _frame_generator), judged by _frame_check: the scalar rate from h = I,
-    ungauged for its companion, any other from the clock state (I, 0, I,
-    t0), gauged, with A as the run's factor."""
-    rhs = _frame_generator(b0, r, gauge)
-    clock = not isinstance(r, str)
-    y0 = np.eye(b0.n).reshape(-1)
-    factor = None
+def _frame_start(n, clock):
+    """(y0, factor) of a frame run (see _frame_generator): h = I, with no
+    factor, for the scalar rate, else the clock state (I, 0, I, 0), whose
+    factor is the slice of A."""
+    eye = np.eye(n).reshape(-1)
     if clock:
-        y0 = np.concatenate((y0, [0.0], y0, [t0]))
-        factor = slice(y0.size - 1 - b0.n * b0.n, y0.size - 1)
-    return _integrate_adaptive(rhs, t0, y0, t_end, opts, _frame_check(b0, gauge or clock, clock), clock, factor)
+        return np.concatenate((eye, [0.0], eye, [0.0])), slice(n * n + 1, 2 * n * n + 1)
+    return eye, None
 
 
 def integrate_bracket_flow(b0: Bracket, t_max: float, opts: FlowOpts | None = None, r=None) -> FlowTrace:
@@ -1249,7 +1247,10 @@ def integrate_bracket_flow(b0: Bracket, t_max: float, opts: FlowOpts | None = No
     cond(h) and skew defect of the kept frames (once a run thins past 8192
     samples, not of every frame judged).
     """
-    samples, stats, jac, verdicts = _frame_run(b0, r, True, 0.0, t_max, opts)
+    clock = not isinstance(r, str)
+    y0, factor = _frame_start(b0.n, clock)
+    samples, stats, jac, verdicts = _integrate_adaptive(
+        _frame_generator(b0, r), 0.0, y0, t_max, opts, _frame_check(b0, clock), clock, factor)
     return _finish_trace(samples, verdicts, stats, b0, r, jac)
 
 
@@ -1266,31 +1267,37 @@ def integrate_normalized_flow(b0: Bracket, t_max: float, opts: FlowOpts | None =
 def cointegrate_h(trace: FlowTrace) -> np.ndarray:
     """Frames h(t) of h' = -(Ric_{h.mu0} + r I) h, h(0) = I, at the trace's times.
 
-    mu0 is the trace's start and r its rate.  For every rate but the scalar
-    one, h is the trace's gauged frame times the automorphism factor A that
-    its run carried (see _frame_generator), h = frames @ A, with no
-    integration: h follows the trace's own tolerances, A's error counted
-    relative to A, so cond(A) does not amplify it.  The scalar rate's
-    trace carries no A, so h.mu0 runs the bracket flow a second time, apart
-    from the trace's frames: the ungauged frame generator in one unthinned
-    run with a stop at every sample time, at rtol=1e-10, atol=1e-12,
-    whatever options made the trace, as its frames degenerate like
-    exp(-tD) and their error reaches h.mu0 amplified by cond(h).  Returns
-    the (m, n, n) array of h(t_i).  The ungauged _frame_check judges h
-    either way: a stored h with cond(h) > 1/sqrt(eps), a singular h, or an
-    overflow, the integrator's own included (the run holds _RUN_ERRSTATE, as
-    every run does), raises NumericalFailure "the companion frame h became
-    singular: ...", with the samples before it, (t, h flattened) for a
-    product.
+    mu0 is the trace's start and r its rate.  At every rate h = F A, a
+    gauged frame F times its automorphism factor A (see _frame_generator).
+    Off the scalar rate they are the trace's frames and factor, with no
+    integration: h follows the trace's tolerances, A's error relative to
+    A.  The scalar rate's trace carries no A: its (F, A) come from one
+    r = None frame run, stepped in its run variable s with the integrator
+    blind to its clock, at s = t / a0^2, a0^2 = ||mu0||^2 / 4; unthinned,
+    at rtol=1e-10, atol=1e-12 whatever options made the trace, and judged
+    by _frame_check.  Returns the (m, n, n) array of h(t_i), judged by
+    _cond_bound at the trace's times: cond(h) > 1/sqrt(eps), a singular F,
+    or an overflow, the integrator's own included (the run holds
+    _RUN_ERRSTATE), raises NumericalFailure "the companion frame h became
+    singular: ...", with the samples before it: (t, h flattened), or the
+    run's (s, state).
     """
-    b0 = trace.initial_bracket
+    b0, times = trace.initial_bracket, trace.times
+    n = b0.n
     try:
         if isinstance(trace.rate, str):
-            opts = FlowOpts(rtol=1e-10, atol=1e-12, stops=tuple(trace.times[1:-1]))
-            at = dict(_frame_run(b0, trace.rate, False, trace.times[0], trace.times[-1], opts)[0])
-            return np.array([at[t] for t in trace.times]).reshape(-1, b0.n, b0.n)
-        hs = trace.frames @ trace._automorphisms
-        _frame_check(b0, False)(list(zip(trace.times.tolist(), hs.reshape(len(hs), -1))), 0)
+            stops = times / (0.25 * b0.norm * b0.norm)
+            y0, factor = _frame_start(n, True)
+            opts = FlowOpts(rtol=1e-10, atol=1e-12, stops=tuple(stops[1:-1]))
+            at = dict(_integrate_adaptive(_frame_generator(b0, None), 0.0, y0, stops[-1], opts,
+                                          _frame_check(b0, True), False, factor)[0])
+            states = np.array([at[s] for s in stops.tolist()])
+            hs = states[:, : n * n].reshape(-1, n, n) @ states[:, factor].reshape(-1, n, n)
+        else:
+            hs = trace.frames @ trace._automorphisms
+        _, k, msg = _cond_bound(hs, times)
+        if k < len(hs):
+            raise NumericalFailure(msg, trace=list(zip(times[:k].tolist(), hs[:k].reshape(k, -1))))
         return hs
     except StepSizeUnderflow:
         raise
@@ -1334,32 +1341,33 @@ def innerproduct_scal(b0: Bracket, g: np.ndarray):
 _LOG_TINY = math.log(np.finfo(float).tiny)
 
 
-def _metric_flow(b0, r, clock=False):
+def _metric_flow(b0, r):
     """The metric flow G' = -2 ric(G) - 2 r G on the factor of G = L L^T.
 
     The state y holds the lower triangle of L row by row, with log L_ii in
     place of L_ii, so L(0) = I is y = 0 and G stays positive definite.
-    Returns (rhs, factor): factor(y) is L, and rhs(t, y) is y' for
+    The state ends in the clock t (see _integrate_adaptive).  Returns
+    (rhs, factor): factor(y) is L, and rhs(s, y) is (kappa / w) y' and
+    t_s = kappa / w in the run's variable s (below), for
     L' = L Phi(M), where M = -2 X, X = ric_nu + r I is the _shifted_ricci
     kernel at h = L^T, for the pushed bracket nu = (L^T).mu_0, and Phi keeps
     the strict lower part of M and half its diagonal; then
-    (log L_ii)' = M_ii / 2.  rhs and factor also take a (B, n(n+1)/2)
+    (log L_ii)' = M_ii / 2.  rhs and factor also take a (B, n(n+1)/2 + 1)
     stack of states, rhs by one 1-D call per lane.  As
     L (Phi + Phi^T) L^T = L M L^T = -2 L ric_nu L^T - 2 r G, G follows the
     metric flow for every rate; the scalar rate keeps scal(G) fixed.
 
-    With clock (for a rate other than the scalar one) the state ends in the
-    clock t (see _integrate_adaptive), and rhs is the same equation in the
-    flow's own time s: with a^2 = ||nu||^2 / 4, which the kernel hands back,
-    w = a^2 + |r| and kappa = a0^2 + |r| (a0 = a at L = I), ds/dt = w / kappa,
-    so y_s = (kappa / w) y' and t_s = kappa / w; s starts as t, and on the
-    unnormalized flow's self-similar decay, where a^2 ~ 1 / t, s grows like
-    log t.  kappa = 0, the zero bracket at r = 0 (or an a0^2 below the float
-    range), is still: there s = t.  A w of 0 with kappa > 0 would need a^2
-    to fall from a0^2 into the underflow, which at r = 0 takes a t past the
-    float range.  This is no scaled form, as the frame's is: the run
-    integrates the metric flow's own equation, which the equivalence report
-    checks the bracket flow against.
+    s is the flow's own time: with a^2 = ||nu||^2 / 4, which the kernel
+    hands back, w = a^2 + |r| and kappa = a0^2 + |r| (a0 = a at L = I),
+    ds/dt = w / kappa; s starts as t, and on the unnormalized flow's
+    self-similar decay, where a^2 ~ 1 / t, s grows like log t.  kappa = 0
+    gives s = t, and y' bit for bit: the scalar rate, whose kernel hands
+    back its rate, not a^2, and the zero bracket at r = 0 (or an a0^2
+    below the float range), which is still.  A w of 0 with kappa > 0 would
+    need a^2 to fall from a0^2 into the underflow, which at r = 0 takes a
+    t past the float range.  This is no scaled form, as the frame's is:
+    the run integrates the metric flow's own equation, which the
+    equivalence report checks the bracket flow against.
 
     A factor with some L_ii = exp(y_i) below the normal range, where 1 / L_ii
     overflows, raises NumericalFailure.  The inverse of L^T is
@@ -1373,16 +1381,17 @@ def _metric_flow(b0, r, clock=False):
     # Phi(M) = X * weights: -2 below the diagonal, -1 on it
     weights = -2.0 * np.tri(n)
     weights.reshape(-1)[:: n + 1] = -1.0
-    shifted_ricci = _shifted_ricci(b0, r, with_norm=clock)
-    if clock:
-        # a^2 at L = I from the kernel itself, so that t_s(0) = 1 exactly
-        r_abs = abs(_rate_value(r))
-        kappa = float(shifted_ricci(np.eye(n), np.eye(n))[1]) + r_abs
-    # L Phi lands in a flat buffer whose last slot, with a clock, holds t_s:
-    # one index gathers y', its clock included
-    flat = np.empty(n * n + clock)
+    shifted_ricci = _shifted_ricci(b0, r)
+    rate = _rate_value(r)
+    r_abs = 0.0 if rate == "scalar" else abs(rate)
+    # a^2 at L = I from the kernel itself, so that t_s(0) = 1 exactly; the
+    # scalar kernel hands back its rate, not a^2, and kappa = 0 keeps s = t
+    kappa = 0.0 if rate == "scalar" else float(shifted_ricci(np.eye(n), np.eye(n))[1]) + r_abs
+    # L Phi lands in a flat buffer whose last slot holds t_s: one index
+    # gathers y', its clock included
+    flat = np.empty(n * n + 1)
     product = flat[: n * n].reshape(n, n)
-    gather = np.append(lower, n * n) if clock else lower
+    gather = np.append(lower, n * n)
 
     def factor(y):
         if y.ndim > 1:  # a stack of states gives the stack of factors
@@ -1400,8 +1409,7 @@ def _metric_flow(b0, r, clock=False):
     def rhs(t, y):
         if y.ndim > 1:  # a stack of states, lane by lane
             return np.array([rhs(t, lane) for lane in y])
-        if clock:
-            t = y.item(-1)
+        t = y.item(-1)
         logs = y[logdiag]
         # numpy's min decides, after a cheaper screen by Python's min of the
         # same floats, which equals numpy's unless one is nan
@@ -1409,14 +1417,10 @@ def _metric_flow(b0, r, clock=False):
             raise NumericalFailure(f"the metric factor became singular at t={t:.6g}")
         lmat = factor(y)
         h = lmat.mT
-        phi = shifted_ricci(h, _lapack_inv(h))
-        if clock:
-            phi, a_sq = phi
-            flat[-1] = ts = kappa / (float(a_sq) + r_abs) if kappa else 1.0
-            # the weights are 0, -1 and -2: one pass gives the bits of scaling by ts, then by them
-            phi *= ts * weights
-        else:
-            phi *= weights
+        phi, a_sq = shifted_ricci(h, _lapack_inv(h))
+        flat[-1] = ts = kappa / (float(a_sq) + r_abs) if kappa else 1.0
+        # the weights are 0, -1 and -2: one pass gives the bits of scaling by ts, then by them
+        phi *= ts * weights
         lmat.dot(phi, out=product)
         dy = flat[gather]
         dy[logdiag] = phi.reshape(-1)[:: n + 1]
@@ -1438,17 +1442,16 @@ def integrate_innerproduct_flow(
     scal(G, mu_0) = -1.  The state is the factor L of G = L L^T, as its
     strict lower part and log diag L, so `rtol` and `atol` apply to those
     entries, and every G is positive definite; `metrics` holds the symmetric
-    Gram matrices L L^T.  Every rate but the scalar one steps in the flow's
-    own time, with the time t as a clock (see _metric_flow), as the bracket
-    flows do; the scalar rate steps in t.  A factor that becomes
-    numerically singular raises NumericalFailure with the partial trace
-    attached.
+    Gram matrices L L^T.  Every rate steps with the time t as a clock (see
+    _metric_flow): every rate but the scalar one in the flow's own time, as
+    the bracket flows do, and the scalar rate with s = t.  A factor that
+    becomes numerically singular raises NumericalFailure with the partial
+    trace attached.
     """
     n = b0.n
-    clock = _rate_value(r) != "scalar"
-    rhs, factor = _metric_flow(b0, r, clock)
+    rhs, factor = _metric_flow(b0, r)
     # L(0) = I is the state 0, and the clock starts at t = 0
-    samples, stats, _, _ = _integrate_adaptive(rhs, 0.0, np.zeros(n * (n + 1) // 2 + clock), t_max, opts, clock=clock)
+    samples, stats, _, _ = _integrate_adaptive(rhs, 0.0, np.zeros(n * (n + 1) // 2 + 1), t_max, opts, clock=True)
     times = np.array([t for t, _ in samples])
     lmat = factor(np.array([y for _, y in samples]))
     g = lmat @ lmat.mT
@@ -1577,10 +1580,10 @@ class EquivalenceReport:
     max_gram_residual:     sup_t ||G(t) - h(t)^T h(t)|| / ||G(t)||
     max_scal_mismatch:     sup_t |scal(G(t), mu_0) - scal(mu(t))| (relative)
 
-    h is cointegrate_h's.  For a rate other than the scalar one h = f A is
-    the trace's own frame f times its automorphism factor A, so the pullback
-    residual checks that A stays in Aut(mu0); for the scalar rate it compares
-    two runs.  The Gram residual compares h with the independent metric
+    h = F A is cointegrate_h's.  Off the scalar rate F is the trace's own
+    frame, so the pullback residual checks that A stays in Aut(mu0); at the
+    scalar rate it compares the trace with the r = None frame run in its
+    own time.  The Gram residual compares h with the independent metric
     flow, the check of the paper's theorem.
     """
 
@@ -1607,10 +1610,10 @@ def equivalence_report(
     whose interior replaces opts.stops in the inner-product and bracket
     runs.  opts' tolerances set those two runs, and with them h for every
     rate but the scalar one, where h is the bracket run's frame times its
-    automorphism factor; the scalar rate's companion runs on its own, with a
-    stop at every sample of the bracket trace, at cointegrate_h's
-    rtol=1e-10, atol=1e-12.  t_max must be finite and >= 0, and checkpoints
-    an integer of at least 2 (else ConfigError).
+    automorphism factor; the scalar rate's comes from the r = None frame
+    run in its own time, at cointegrate_h's rtol=1e-10, atol=1e-12.  t_max
+    must be finite and >= 0, and checkpoints an integer of at least 2 (else
+    ConfigError).
     """
     if not _is_int(checkpoints, 2):
         raise ConfigError(f"checkpoints must be an int of at least 2, got {checkpoints!r}")

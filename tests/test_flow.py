@@ -855,17 +855,23 @@ def _reference_clock_generator(b0, r, y):
 
 
 def _assert_kernel_is_bitwise_the_stacked_path(b0, r, h):
-    """The single-frame kernel of the right sides equals _gl_action_coeffs and
-    _ricci, the kernels of stacked frames, bit for bit."""
+    """The X of the single-frame kernel of the right sides equals
+    _gl_action_coeffs and _ricci, the kernels of stacked frames, bit for
+    bit, and its aux is the scalar rate tr Ric^2 or, for any other rate,
+    a^2 = ||h.mu0||^2 / 4."""
     hinv = np.linalg.inv(h)
     c = _gl_action_coeffs(h, hinv, b0.coeffs)
     ref = _ricci(c)
     if r == "scalar":
         ref *= np.vdot(b0.coeffs, b0.coeffs) / np.vdot(c, c)
-        ref.reshape(-1)[:: b0.n + 1] += _tr_ric2(ref)
+        aux = _tr_ric2(ref)
+        ref.reshape(-1)[:: b0.n + 1] += aux
     else:
         ref.reshape(-1)[:: b0.n + 1] += 0.0 if r is None else r
-    assert np.array_equal(flow._shifted_ricci(b0, r)(h, hinv), ref)
+        aux = 0.25 * np.vdot(c, c)
+    x, got = flow._shifted_ricci(b0, r)(h, hinv)
+    assert np.array_equal(x, ref)
+    assert got == pytest.approx(aux, rel=1e-14)
 
 
 @pytest.mark.parametrize("r", [None, 0.7, "scalar"], ids=["unnormalized", "constant", "normalized"])
@@ -898,8 +904,10 @@ def test_frame_generator_matches_public_functions(n, r):
 @pytest.mark.parametrize("r", [None, 0.5, "scalar"], ids=["unnormalized", "constant", "scalar"])
 @pytest.mark.parametrize("n", range(3, 9))
 def test_metric_flow_matches_public_functions(n, r):
-    # the factor's right side, mapped to G' = L' L^T + L L'^T, is -2 ric(G) - 2 r G;
-    # the scalar rate evaluates ric and the rate on the pushed bracket rescaled to ||b0||
+    # the factor's right side in the run's variable s, mapped to G' = L' L^T +
+    # L L'^T and divided by t_s, is -2 ric(G) - 2 r G, and t_s = kappa / w,
+    # kappa = a0^2 + |r| and w = a^2 + |r|, or 1 at the scalar rate; the
+    # scalar rate evaluates ric and the rate on the pushed bracket rescaled to ||b0||
     rng = np.random.default_rng(400 + n)
     lower = np.tri(n, dtype=bool)
     for b0 in dense_starts(n, 500 + n):
@@ -913,12 +921,15 @@ def test_metric_flow_matches_public_functions(n, r):
             _assert_kernel_is_bitwise_the_stacked_path(b0, r, lmat.T)
             state = lmat.copy()
             state[np.diag_indices(n)] = np.log(np.diag(lmat))
-            state = state[lower]
+            state = np.append(state[lower], 0.7)  # the clock t
             np.testing.assert_allclose(factor(state), lmat, rtol=1e-14, atol=1e-15)
-            dl = np.zeros((n, n))
-            dl[lower] = rhs(0.0, state)
-            dl[np.diag_indices(n)] *= np.diag(lmat)
+            dy = rhs(0.0, state)
             mu = gl_action(lmat.T, b0)
+            ts = 1.0 if r == "scalar" else (0.25 * b0.norm**2 + abs(r or 0.0)) / (0.25 * mu.norm**2 + abs(r or 0.0))
+            assert dy[-1] == pytest.approx(ts, rel=1e-13)
+            dl = np.zeros((n, n))
+            dl[lower] = dy[:-1] / dy[-1]
+            dl[np.diag_indices(n)] *= np.diag(lmat)
             if r == "scalar":
                 mu = rescale_to_norm(mu, b0.norm)
             rate = 0.0 if r is None else ricci_energy(mu) if r == "scalar" else r
@@ -930,21 +941,21 @@ def test_metric_flow_matches_public_functions(n, r):
 
 @pytest.mark.parametrize("r", [None, 0.5], ids=["unnormalized", "constant"])
 def test_the_kernel_hands_back_the_scale_of_the_pushed_bracket(r):
-    # the metric flow's clock reads a^2 = ||h.mu0||^2 / 4 off the kernel, with
-    # X unchanged, and each lane of a stack gets the bits of its 2-D call
+    # the metric flow's clock reads a^2 = ||h.mu0||^2 / 4 off the kernel, and
+    # each lane of a stack gets the bits of its 2-D call, X and a^2
     rng = np.random.default_rng(450)
     for b0 in dense_starts(5, 450):
-        plain, kernel = flow._shifted_ricci(b0, r), flow._shifted_ricci(b0, r, with_norm=True)
+        kernel = flow._shifted_ricci(b0, r)
         hs = np.stack([random_orthogonal(5, rng) @ np.diag(rng.uniform(0.5, 2.0, 5)) for _ in range(3)])
         hinvs = np.linalg.inv(hs)
-        norms = []
+        xs, norms = [], []
         for h, hinv in zip(hs, hinvs):
             x, a_sq = kernel(h, hinv)
-            assert np.array_equal(x, plain(h, hinv))
             assert a_sq == pytest.approx(0.25 * gl_action(h, b0).norm ** 2, rel=1e-14)
+            xs.append(x)
             norms.append(a_sq)
         x, a_sq = kernel(hs, hinvs)
-        assert np.array_equal(x, plain(hs, hinvs))
+        assert np.array_equal(x, xs)
         assert np.array_equal(a_sq, norms)
 
 
@@ -1681,12 +1692,20 @@ def test_cointegrated_frame_pulls_the_bracket(normalized, max_step, cap, heis_sp
         assert rel < 1e-5, f"pullback residual {rel:.2e} at sample {i}"
 
 
-@pytest.mark.parametrize("normalized", [False, True])
-def test_cointegrated_frame_solves_its_equation(normalized):
+@pytest.mark.parametrize(
+    "normalized, start",
+    [
+        pytest.param(False, lambda: sphere_perturbation(rescale_to_norm(filiform(4)), _rng(1)), id="False"),
+        pytest.param(True, lambda: sphere_perturbation(rescale_to_norm(filiform(4)), _rng(1)), id="True"),
+        # a dense start, whose scalar companion crawled as a separate ungauged run
+        pytest.param(True, lambda: rescale_to_norm(dense_starts(5, 1)[0]), id="dense5"),
+    ],
+)
+def test_cointegrated_frame_solves_its_equation(normalized, start):
     # h' = -(Ric + r I) h by the three-point difference that is second order
     # on uneven spacing; a normalized trace needs the normalized generator
     # here too, or the repelling sphere shows by t = 10
-    b0 = sphere_perturbation(rescale_to_norm(filiform(4)), _rng(1))
+    b0 = start()
     flow = integrate_normalized_flow if normalized else integrate_bracket_flow
     trace = flow(b0, 10.0, FlowOpts(max_step=0.02))
     hs = cointegrate_h(trace)
@@ -1695,7 +1714,7 @@ def test_cointegrated_frame_solves_its_equation(normalized):
         a, b = t[i] - t[i - 1], t[i + 1] - t[i]
         dh = (a * a * (hs[i + 1] - hs[i]) + b * b * (hs[i] - hs[i - 1])) / (a * b * (a + b))
         ric = ricci_operator(trace.brackets[i])
-        rhs = -(ric + trace.r_values[i] * np.eye(4)) @ hs[i]
+        rhs = -(ric + trace.r_values[i] * np.eye(b0.n)) @ hs[i]
         assert np.linalg.norm(dh - rhs) / np.linalg.norm(rhs) < 1e-2
 
 
@@ -1715,6 +1734,36 @@ def test_cointegrated_frame_takes_the_steps_its_tolerance_needs(monkeypatch):
     hs = cointegrate_h(trace)
     assert len(trace) > 400 and len(hs) == len(trace)
     assert len(accepted) == 1 and accepted[0] < len(trace)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_the_scalar_companion_returns_in_a_few_thousand_evaluations(n, monkeypatch):
+    # as its own ungauged run, the companion of these normalized dense starts
+    # to T = 10 crawled for more than 20 s; read off the r = None frame run in
+    # its own time, it ends at the cond(h) bound (n = 4) or returns (n = 5),
+    # in about 1,000-1,400 evaluations, the Jacobian's lanes counted.  Past
+    # 20,000 the count fails the test at once instead of letting it crawl
+    trace = integrate_normalized_flow(rescale_to_norm(dense_starts(n, 1)[0]), 10.0)
+    evaluations = [0]
+    real = flow._frame_generator
+
+    def counting(*args):
+        rhs = real(*args)
+
+        def counted(t, y):
+            evaluations[0] += len(y) if y.ndim > 1 else 1
+            if evaluations[0] > 20000:
+                raise AssertionError("the companion took more than 20,000 evaluations")
+            return rhs(t, y)
+
+        return counted
+
+    monkeypatch.setattr(flow, "_frame_generator", counting)
+    try:
+        assert len(cointegrate_h(trace)) == len(trace)
+    except NumericalFailure as exc:
+        assert re.match(r"^the companion frame h became singular: cond\(h\) = \S+ at t=\S+ exceeds 1/sqrt\(eps\)$", str(exc))
+    assert evaluations[0] <= 5000
 
 
 @pytest.mark.parametrize("r", [None, 0.5], ids=["unnormalized", "constant"])
@@ -1769,7 +1818,7 @@ def test_gl_action_accepts_ill_conditioned_cointegrated_frames():
         # two independent runs agree to their tolerances, amplified by cond(h)
         assert np.linalg.norm(gl_action(h, b).coeffs - mu.coeffs) / mu.norm < 1e-6
     # the companion h degenerates like exp(-tD): its h.mu0 fails the gauged
-    # run's skew check, so the companion run keeps the cond(h) bound alone
+    # run's skew check, so cointegrate_h judges the product by cond(h) alone
     c = _gl_action_coeffs(hs[-1], np.linalg.inv(hs[-1]), b.coeffs)
     assert np.abs(c + c.swapaxes(0, 1)).max() / np.linalg.norm(c) > flow._MAX_SKEW_DEFECT
 
@@ -1840,13 +1889,14 @@ def test_singular_metric_factor_carries_the_accepted_samples():
 
 def test_the_singular_factor_test_reads_log_diag_l_alone(heis_sphere):
     metric, _ = flow._metric_flow(heis_sphere, "scalar")
-    # an entry below log(tiny) off the diagonal of L is no singular factor
-    low = np.zeros(6)
+    # an entry below log(tiny) off the diagonal of L is no singular factor;
+    # the states end in the clock t
+    low = np.zeros(7)
     low[1] = 2.0 * flow._LOG_TINY
     assert np.isfinite(metric(0.0, low)).all()
     assert np.isfinite(metric(0.0, np.stack([low, low]))).all()
     # and a nan there hides no singular one
-    bad = np.zeros(6)
+    bad = np.zeros(7)
     bad[1], bad[5] = np.nan, 2.0 * flow._LOG_TINY
     for y in (bad, np.stack([low, bad])):
         with pytest.raises(NumericalFailure, match="metric factor became singular"):
@@ -1889,22 +1939,26 @@ def test_scalar_normalized_innerproduct_flow(heis_sphere):
 
 
 def test_the_companion_check_ends_at_the_first_frame_past_the_cond_bound(heis):
-    # the SVDs judge every frame: a well-conditioned batch passes, and an
-    # ill-conditioned or singular frame fails with its cond(h) and the samples
-    # before it
-    check = flow._frame_check(heis, False)
-    good = [(0.1 * i, np.diag([1.0, 2.0, 3.0 + i]).reshape(-1)) for i in range(4)]
-    check(good, 0)
+    # cointegrate_h judges the product h = F A at the trace's times, one SVD
+    # per frame: well-conditioned frames pass, and an ill-conditioned or
+    # singular one fails with its cond(h) and the samples before it
+    times = np.array([0.0, 0.1, 0.2, 0.3, 0.5])
+    trace = dataclasses.replace(integrate_bracket_flow(heis, 1.0), times=times, frames=np.stack([np.eye(3)] * 5))
+    good = [np.diag([1.0, 2.0, 3.0 + i]) for i in range(4)]
+    fine = np.stack(good + [np.eye(3)])
+    assert np.array_equal(cointegrate_h(dataclasses.replace(trace, _automorphisms=fine)), fine)
     for bad, shown in ((np.diag([1.0, 1e-9, 1.0]), r"1\.000e\+09"), (np.zeros((3, 3)), r"(inf|nan)")):
-        with pytest.raises(NumericalFailure, match=rf"cond\(h\) = {shown} at t=0\.5 exceeds") as info:
-            check(good + [(0.5, bad.reshape(-1))], 0)
-        assert len(info.value.trace) == 4
+        match = rf"^the companion frame h became singular: cond\(h\) = {shown} at t=0\.5 exceeds 1/sqrt\(eps\)$"
+        with pytest.raises(NumericalFailure, match=match) as info:
+            cointegrate_h(dataclasses.replace(trace, _automorphisms=np.stack(good + [bad])))
+        assert [t for t, _ in info.value.trace] == times[:4].tolist()
+        assert np.array_equal([y for _, y in info.value.trace], np.stack(good).reshape(4, -1))
 
 
 def test_the_gauged_check_ends_at_the_first_frame_past_the_cond_bound(heis):
     # the frames under the bound are moved to h.mu0; the first one past it
     # ends the run with the cond(h) message
-    check = flow._frame_check(heis, True)
+    check = flow._frame_check(heis)
     good = [(0.1 * i, np.diag([1.0, 2.0, 3.0 + i]).reshape(-1)) for i in range(4)]
     check(good, 0)
     with pytest.raises(NumericalFailure, match=r"^cond\(h\) = 1\.000e\+09 at t=0\.5 exceeds 1/sqrt\(eps\)$") as info:
@@ -1923,8 +1977,8 @@ def test_frame_stats_are_the_maxima_over_the_stored_frames(start, t_max, monkeyp
     judged = []
     frame_check = flow._frame_check
 
-    def recording(b0, gauge, clock):
-        check = frame_check(b0, gauge, clock)
+    def recording(*args):
+        check = frame_check(*args)
         return lambda samples, i: judged.extend(y for _, y in samples[i:]) or check(samples, i)
 
     monkeypatch.setattr(flow, "_frame_check", recording)
@@ -1999,8 +2053,8 @@ def test_a_thinned_trace_is_the_move_of_its_kept_frames(monkeypatch):
     judged = {}
     frame_check = flow._frame_check
 
-    def recording(b0, gauge, clock):
-        check = frame_check(b0, gauge, clock)
+    def recording(*args):
+        check = frame_check(*args)
         return lambda samples, i: judged.update(samples[i:]) or check(samples, i)
 
     monkeypatch.setattr(flow, "_frame_check", recording)
@@ -2027,10 +2081,9 @@ def test_a_thinned_trace_is_the_move_of_its_kept_frames(monkeypatch):
 @pytest.mark.parametrize("r", [None, 0.5, "scalar"], ids=["unnormalized", "constant", "scalar"])
 @pytest.mark.parametrize("n", range(3, 9))
 def test_right_sides_are_bitwise_their_matmul_forms(n, r):
-    # the frame, companion and metric right sides call ndarray.dot on single
-    # 2-D and 1-D arrays; each must give the bits of its @ form, and each lane
-    # of a (B, N) stack of states the bits of its 1-D call.  The companion
-    # runs at the scalar rate alone: every other frame run carries A
+    # the frame and metric right sides call ndarray.dot on single 2-D and 1-D
+    # arrays; each must give the bits of its @ form, and each lane of a (B,
+    # N) stack of states the bits of its 1-D call
     rng = np.random.default_rng(800 + n)
     lower = np.tri(n, dtype=bool)
     on_diagonal = np.eye(n, dtype=bool)[lower]
@@ -2042,7 +2095,6 @@ def test_right_sides_are_bitwise_their_matmul_forms(n, r):
         frame = flow._frame_generator(b0, r)
         basis = b0._derivations.reshape(-1, n * n)
         clock = r != "scalar"
-        companion = None if clock else flow._frame_generator(b0, r, gauge=False)
         metric, factor = flow._metric_flow(b0, r)
         # cond(h) <= 4; h is lower triangular with a positive diagonal, so it is also a metric factor
         upper = np.linalg.qr(random_orthogonal(n, rng) @ np.diag(rng.uniform(0.5, 2.0, n)))[1]
@@ -2052,7 +2104,7 @@ def test_right_sides_are_bitwise_their_matmul_forms(n, r):
         # b0 rescaled onto ||mu|| = 2, with a scale, the factor A and a
         # clock: at r = None and beta > 0 its factors are a0^2, -a0^2 rho and
         # exp(-2 beta), exactly
-        moving = flow._shifted_ricci(b0.scaled(2.0 / b0.norm) if clock else b0, "scalar", with_rate=True)
+        moving = flow._shifted_ricci(b0.scaled(2.0 / b0.norm) if clock else b0, "scalar")
         a0_sq, beta = 0.25 * b0.norm * b0.norm, 0.3
         proj = basis.T @ basis
         if clock:  # its entries at rounding level are zeros
@@ -2067,21 +2119,25 @@ def test_right_sides_are_bitwise_their_matmul_forms(n, r):
             states.append(y)
             if not clock:
                 assert np.array_equal(frame(0.0, y), (h @ d - xh).reshape(-1))
-                assert np.array_equal(companion(0.0, y), -(kernel(h, hinv) @ h).reshape(-1))
             elif r is None:
                 parts = ((h @ d - xh).reshape(-1) * a0_sq, [-(a0_sq * rho)], (d @ a).reshape(-1) * -a0_sq)
                 assert np.array_equal(frame(0.0, y), np.concatenate((*parts, [math.exp(-2.0 * beta)])))
         stack = np.stack(states)
-        for rhs in (frame,) if clock else (frame, companion):
-            assert np.array_equal(rhs(0.0, stack), [rhs(0.0, y) for y in stack])
+        assert np.array_equal(frame(0.0, stack), [frame(0.0, y) for y in stack])
+        # the metric state ends in its clock, and y_s = t_s y': t_s = kappa /
+        # (a^2 + |r|), kappa = a0^2 + |r| from the kernel at L = I, and 1 at
+        # the scalar rate, whose kernel hands back its rate, not a^2
         state = lmat.copy()
         state[np.diag_indices(n)] = np.log(np.diag(lmat))
-        state = state[lower]
+        state = np.append(state[lower], 0.7)
         lmat = factor(state)  # exp(log L_ii) may differ from L_ii in the last bit
-        phi = kernel(lmat.T, np.linalg.inv(lmat.T)) * weights
+        x, a_sq = kernel(lmat.T, np.linalg.inv(lmat.T))
+        r_abs = 0.0 if r in (None, "scalar") else abs(r)
+        ts = 1.0 if r == "scalar" else (float(kernel(np.eye(n), np.eye(n))[1]) + r_abs) / (float(a_sq) + r_abs)
+        phi = x * (ts * weights)
         ref = (lmat @ phi)[lower]
         ref[on_diagonal] = np.diag(phi)
-        assert np.array_equal(metric(0.0, state), ref)
+        assert np.array_equal(metric(0.0, state), np.append(ref, ts))
         states = np.stack([state, 0.5 * state, -state])
         assert np.array_equal(metric(0.0, states), [metric(0.0, y) for y in states])
         assert np.array_equal(factor(states), [factor(y) for y in states])
@@ -2107,8 +2163,7 @@ def test_the_jacobian_is_one_stacked_call_with_the_bits_of_its_columns(n):
         b0 = rescale_to_norm(b0)
         states = {None: _clock_state(h, 0.3, h.T, 0.7), 0.5: _clock_state(h, -0.4, h.T, 2.0), "scalar": h.reshape(-1)}
         sides = [(flow._frame_generator(b0, r), states[r]) for r in (None, 0.5, "scalar")]
-        sides.append((flow._frame_generator(b0, "scalar", gauge=False), states["scalar"]))
-        sides.append((flow._metric_flow(b0, "scalar")[0], 0.3 * rng.standard_normal(n * (n + 1) // 2)))
+        sides.append((flow._metric_flow(b0, "scalar")[0], np.append(0.3 * rng.standard_normal(n * (n + 1) // 2), 0.7)))
         for rhs, y in sides:
             calls = []
 
@@ -2154,24 +2209,17 @@ def test_the_frame_runs_jacobian_takes_its_automorphism_block_in_closed_form(n):
             np.testing.assert_allclose(jac[:, factor], columns[:, factor], rtol=0.0, atol=1e-6 * np.abs(m).max())
 
 
-def test_only_the_scalar_rate_has_an_ungauged_frame_run(heis_sphere):
-    y = _clock_state(np.eye(3) + 0.1 * np.ones((3, 3)), 0.2, np.eye(3), 0.5)
-    for r in (None, 0.5):
-        gauged, asked = flow._frame_generator(heis_sphere, r), flow._frame_generator(heis_sphere, r, gauge=False)
-        assert np.array_equal(asked(0.0, y), gauged(0.0, y))
-
-
 def test_a_singular_lane_raises_the_failure_of_its_1d_call(heis_sphere):
     frame = flow._frame_generator(heis_sphere, "scalar")
-    companion = flow._frame_generator(heis_sphere, "scalar", gauge=False)
     metric, _ = flow._metric_flow(heis_sphere, "scalar")
-    tiny = np.zeros(6)
+    # the metric state ends in its clock, which the failure reports
+    clear = np.append(np.zeros(6), 2.5)
+    tiny = clear.copy()
     tiny[5] = 2.0 * flow._LOG_TINY  # L_33 below the normal range
     # a zero pivot of the frame's LU: the inverse raises FloatingPointError, the right side NumericalFailure
     singular = np.diag([1.0, 1.0, 0.0]).reshape(-1)
     for rhs, good, bad, message in ((frame, np.eye(3).reshape(-1), singular, "h is singular at t=2.5"),
-                                    (companion, np.eye(3).reshape(-1), singular, "h is singular at t=2.5"),
-                                    (metric, np.zeros(6), tiny, "the metric factor became singular at t=2.5")):
+                                    (metric, clear, tiny, "the metric factor became singular at t=2.5")):
         # the right sides are evaluated inside a run, whose error state makes
         # the inverse of a singular h raise
         with np.errstate(**flow._RUN_ERRSTATE):
@@ -2249,7 +2297,7 @@ def test_equivalence_with_a_singular_frame_raises():
     # its products overflowed (t = 116.605); the frame flow's cond(h) bound ends it
     # where h.mu0 stops meaning anything
     b = rescale_to_norm(random_two_step(5, np.random.default_rng(3)))
-    match = r"^the companion frame h became singular: cond\(h\) = 7\.818e\+07 at t=11\.8158 exceeds 1/sqrt\(eps\)$"
+    match = r"^the companion frame h became singular: cond\(h\) = 7\.819e\+07 at t=11\.8158 exceeds 1/sqrt\(eps\)$"
     with pytest.raises(NumericalFailure, match=match):
         equivalence_report(b, 120.0, r="scalar")
 
