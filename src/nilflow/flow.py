@@ -48,14 +48,15 @@ Every lookup of a sample time runs one rule, _index_of_time's binary search
 on Python floats; an array of times maps through it element by element.
 Every right side also takes a (B, N) stack of states and gives each lane
 the bits of its 1-D call, so the Jacobian's N forward differences are one
-call: the frame generator, which builds nearly every Jacobian, in batched
-kernels, the metric right side by one 1-D call per lane.
+call: the scalar rate's frame generator, which builds nearly every
+Jacobian, in batched kernels, the clock frame generator and the metric
+right side by one 1-D call per lane.
 The paper's frame h' = -(Ric + r I) h is, at every rate, the gauged frame
 F times an automorphism factor A' = -D A in Aut(mu0): cointegrate_h gives
 h = F A, off the trace for every rate but the scalar one, whose run
-carries A (its error relative to A, _scale, and its Jacobian block in
-closed form, _jacobian), and for the scalar rate off the r = None frame
-run read in its own time (_frame_generator says why its trace has no A).
+carries A (its error relative to A, _scale), and for the scalar rate off
+the r = None frame run read in its own time (_frame_generator says why
+its trace has no A).
 One check (_frame_check) judges every frame run, by one SVD per stored
 frame, whose cond(h) is also the trace's max_cond_h.  The module also
 integrates the inner-product (metric tensor) flow G' = -2 ric(G) - 2 r G,
@@ -393,35 +394,17 @@ def _stiff(h, K, y_new, y_last):
         return h * math.sqrt(df.dot(df)) > 6.1 * math.sqrt(dy.dot(dy))
 
 
-def _jacobian(f, t, y, f0, factor=None):
+def _jacobian(f, t, y, f0):
     """Forward-difference Jacobian of f at (t, y), f0 = f(t, y), in y.size
     evaluations made by one call: f gets the C-ordered (N, N) stack whose
     row j is y with y_j moved by sqrt(eps max(|y_j|, 1e-5)), the increment
     of Hairer and Wanner's RADAU5, and column j of J is its difference
-    quotient.  J is the transpose of a C-ordered array.
-
-    With factor, the slice of y holding a k x k matrix A that f moves as
-    A' = M A, M free of A, and that no other component's derivative reads
-    (see _integrate_adaptive), only the other columns are differenced: A's
-    columns are the block kron(M, I) on A's rows, and M is f's A rows at
-    one more lane, y with A = I.  One call of N - k^2 + 1 lanes builds J."""
+    quotient.  J is the transpose of a C-ordered array."""
     delta = np.sqrt(np.finfo(float).eps * np.maximum(np.abs(y), 1e-5))
-    if factor is None:
-        ys = np.tile(y, (y.size, 1))
-        diag = np.diag_indices(y.size)
-        ys[diag] += delta
-        return ((f(t, ys) - f0) / (ys[diag] - y)[:, None]).T
-    k = math.isqrt(factor.stop - factor.start)
-    cols = np.r_[: factor.start, factor.stop : y.size]
-    lanes = np.arange(cols.size)
-    ys = np.tile(y, (cols.size + 1, 1))
-    ys[lanes, cols] += delta[cols]
-    ys[-1, factor] = np.eye(k).reshape(-1)
-    fs = f(t, ys)
-    jac = np.zeros((y.size, y.size))
-    jac[:, cols] = ((fs[:-1] - f0) / (ys[lanes, cols] - y[cols])[:, None]).T
-    jac[factor, factor] = np.kron(fs[-1, factor].reshape(k, k), np.eye(k))
-    return jac
+    ys = np.tile(y, (y.size, 1))
+    diag = np.diag_indices(y.size)
+    ys[diag] += delta
+    return ((f(t, ys) - f0) / (ys[diag] - y)[:, None]).T
 
 
 def _ros2_step(f, t, y, h, f0, jac):
@@ -523,10 +506,9 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: (), clo
     interpolated end missed the soliton residual 1e-10 (4.4e-10).
 
     factor, if given, is the slice of the state that holds a k x k matrix
-    A which f moves as A' = M A, M free of A, and which no other
-    component's derivative reads: the frame run's automorphism factor (see
-    _frame_generator).  Its error counts relative to A (see _scale), and J
-    takes its columns in closed form (see _jacobian).
+    A, the frame run's automorphism factor (see _frame_generator), whose
+    error counts relative to A (see _scale and _initial_step).  J differences
+    its columns as it does every other (see _jacobian).
 
     Returns (samples, stats, jac, verdicts): samples is a list of (t, y) at
     t0, at every accepted step (the last ends on t_end) and at every stop; past
@@ -601,10 +583,9 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: (), clo
             # the J of the ROS2 steps, built at the first switch and at every
             # settled one, and kept while explicit steps run in between
             jac = None
-            jac_cost = y.size if factor is None else y.size - (factor.stop - factor.start) + 1
             if implicit:
-                jac = _jacobian(f, t, y, K[0], factor)
-                stats["nfev"] += jac_cost
+                jac = _jacobian(f, t, y, K[0])
+                stats["nfev"] += y.size
 
             while stops:
                 floor = 1e-14 * max(1.0, abs(t))
@@ -683,8 +664,8 @@ def _integrate_adaptive(f, t0, y0, t_end, opts, check=lambda samples, i: (), clo
                         judged = len(samples)
                     # a settled entry builds a fresh J; a stiff one reuses the kept J
                     if switch and (increment < 1.0 or jac is None):
-                        jac = _jacobian(f, t, y, K[0], factor)
-                        stats["nfev"] += jac_cost
+                        jac = _jacobian(f, t, y, K[0])
+                        stats["nfev"] += y.size
                     implicit = switch or (implicit and increment < 1.0)
                 else:
                     stats["rejected"] += 1
@@ -868,13 +849,15 @@ def _shifted_ricci(b0, r):
     _ricci, so X is bit-identical to theirs without the batch-axis handling
     of a stack: the GL action of _gl_action_frame, then Ricci's two products
     as ndarray.dot, a direct BLAS call with the bits of @ and less call
-    overhead.  A (B, n, n) stack of h and hinv gives the stack of X from
-    the batched kernels _gl_action_coeffs, _ricci and _tr_ric2 on the full
-    mu0; halving is an exact scaling, so each lane has the bits of its 2-D
-    call.  The kernel returns (X, aux): for the scalar rate aux is tr Ric^2,
-    the rate it adds, which the frame run's scale reads; for any other rate
-    a^2 = ||mu||^2 / 4, the squared scale of the bracket it pushed, which
-    the metric flow's clock reads (an array of either for a stack)."""
+    overhead.  At the scalar rate alone, whose frame generator is the one
+    right side that takes a stack whole, a (B, n, n) stack of h and hinv
+    gives the stack of X from the batched kernels _gl_action_coeffs, _ricci
+    and _tr_ric2 on the full mu0; halving is an exact scaling, so each lane
+    has the bits of its 2-D call.  The kernel returns (X, aux): for the
+    scalar rate aux is tr Ric^2, the rate it adds, which the frame run's
+    scale reads (an array of them for a stack); for any other rate a^2 =
+    ||mu||^2 / 4, the squared scale of the bracket it pushed, which the
+    metric flow's clock reads."""
     value = _rate_value(r)
     if value == "scalar":
         drift = abs(b0.norm - 2.0)
@@ -894,16 +877,12 @@ def _shifted_ricci(b0, r):
         c = _gl_action_coeffs(h, hinv, b0.coeffs)
         x = _ricci(c)
         flat = c.reshape(len(c), -1)
-        if norm_sq is not None:
-            # 4 norm_sq over <c, c> of the full c is the 2-D path's ratio of
-            # the halved ones
-            x *= ((4.0 * norm_sq) / np.vecdot(flat, flat))[:, None, None]
-            rate = _tr_ric2(x)
-            x[:, diag, diag] += rate[:, None]
-            return x, rate
-        if shift is not None:
-            x += shift
-        return x, 0.25 * np.vecdot(flat, flat)
+        # 4 norm_sq over <c, c> of the full c is the 2-D path's ratio of the
+        # halved ones
+        x *= ((4.0 * norm_sq) / np.vecdot(flat, flat))[:, None, None]
+        rate = _tr_ric2(x)
+        x[:, diag, diag] += rate[:, None]
+        return x, rate
 
     def kernel(h, hinv):
         if h.ndim > 2:
@@ -932,8 +911,9 @@ def _frame_generator(b0, r):
     The scalar rate integrates the frame itself: y = h flattened, mu = h.mu0.
     X is the _shifted_ricci kernel at (h, h^{-1}) and D is the projection of
     h^{-1} X h onto Der(mu0), whose basis B is orthonormal, so the projection
-    is one product with the projector P = B^T B; B is built once per
-    bracket, and the kernel, which checks the rate r, and P once per flow.  Then
+    is one product with the projector P = B^T B, its entries at rounding
+    level zeroed for every rate; B is built once per bracket, and the
+    kernel, which checks the rate r, and P once per flow.  Then
     h' = G(h) = -(X - h D h^{-1}) h = -X h + h D.  X is evaluated on the
     sphere ||mu|| = ||mu0||; then <mu', mu> = 0, and the flow of h commutes
     with rescaling h.  One call is a few plain matrix products: the GL
@@ -959,7 +939,7 @@ def _frame_generator(b0, r):
     stays in Aut(mu0), and H = F A solves the ungauged H_s = -(kappa a^2 /
     w) X H: h = F A / b is the paper's frame (cointegrate_h).  A starts at
     I, is the run's factor (see _integrate_adaptive: its error counts
-    relative to A, and J takes its block in closed form), and ends no run.
+    relative to A), and ends no run.
     kappa makes s start as t; r = None runs s = tau / a0^2 (F_s = a0^2
     G(F), A_s = -a0^2 D A): F A at s is the scalar rate's h at tau, which
     cointegrate_h reads.  The factors
@@ -974,7 +954,9 @@ def _frame_generator(b0, r):
     range at t=<clock>".
 
     y may also be a (B, N) stack of states, which gives the (B, N) stack of
-    y', each lane with the bits of its 1-D call.  The inverse is
+    y', each lane with the bits of its 1-D call: the scalar rate's by the
+    batched kernels, every other rate's lane by lane, as the runs that
+    build a Jacobian of its state are the few stiff ones.  The inverse is
     algebra._lapack_inv, without an error state of its own: the run's
     _RUN_ERRSTATE, held around every evaluation, makes a singular h or F in
     any lane, or an overflow, raise NumericalFailure "h is singular at
@@ -994,14 +976,12 @@ def _frame_generator(b0, r):
     kernel = _shifted_ricci(b0.scaled(2.0 / b0.norm) if clock else b0, "scalar")
     basis = b0._derivations.reshape(-1, nn)  # Der(nu0) = Der(mu0)
     proj = basis.T @ basis
-    if clock:
-        # the entries of P at rounding level are zeros of the exact projector
-        # where Der(mu0) has structural zeros (H3: the derivations' entries
-        # that would move its center into e0, e1).  P moves the rate rho I of X
-        # into the gauge, and its rounding there would push the frame of H3 off
-        # its family by about 2 eps by T = 5; the scalar rate's runs keep P,
-        # and their results, as built
-        proj[np.abs(proj) <= 64.0 * np.finfo(float).eps * np.abs(proj).max()] = 0.0
+    # the entries of P at rounding level are zeros of the exact projector
+    # where Der(mu0) has structural zeros (H3: the derivations' entries that
+    # would move its center into e0, e1).  P moves the rate rho I of X into
+    # the gauge, and its rounding there would push the frame of H3 off its
+    # family: by about 2 eps by T = 5, and normalized H3 by 1e-13 by T = 60
+    proj[np.abs(proj) <= 64.0 * _EPS * np.abs(proj).max()] = 0.0
 
     def generator(t, h, stack):
         """G(h), rho and D at the frame h, a (B, n, n) stack or one (n, n)
@@ -1036,9 +1016,12 @@ def _frame_generator(b0, r):
         q = 1.0 / (1.0 + a2 / r_abs)
         p = a2 / r_abs * q
 
-    def factors(t, beta, rho):
-        """(kappa a^2 / w, beta_s, t_s) at one state, from exp(-2 |beta|),
-        which cannot overflow."""
+    def rhs(s, y):
+        if y.ndim > 1:  # a stack of states, lane by lane
+            return np.array([rhs(s, lane) for lane in y])
+        t, beta = y.item(-1), y.item(nn)
+        g, rho, d = generator(t, y[:nn].reshape(n, n), False)
+        # kappa a^2 / w and t_s from exp(-2 |beta|), which cannot overflow
         try:
             if beta > 0.0:
                 e = math.exp(-2.0 * beta)  # 1 / b^2
@@ -1050,23 +1033,9 @@ def _frame_generator(b0, r):
                 fa = a2 * (b2 * ts)
         except ZeroDivisionError:  # kappa / w past the float range
             raise NumericalFailure(f"the scale of mu left the float range at t={t:.6g}") from None
-        return fa, rate * ts - fa * rho, ts
-
-    def rhs(s, y):
-        dy = np.empty(y.shape)
-        if y.ndim > 1:
-            g, rho, d = generator(y.item(0, -1), y[:, :nn].reshape(-1, n, n), True)
-            lanes = np.array([factors(*state) for state in zip(y[:, -1].tolist(), y[:, nn].tolist(), rho.tolist())])
-            np.multiply(g.reshape(-1, nn), lanes[:, :1], out=dy[:, :nn])
-            da = d @ y[:, nn + 1 : -1].reshape(-1, n, n)
-            np.multiply(da.reshape(-1, nn), -lanes[:, :1], out=dy[:, nn + 1 : -1])
-            dy[:, nn] = lanes[:, 1]
-            dy[:, -1] = lanes[:, 2]
-            return dy
-        t = y.item(-1)
-        g, rho, d = generator(t, y[:nn].reshape(n, n), False)
-        fa, dy[nn], dy[-1] = factors(t, y.item(nn), rho)
+        dy = np.empty(y.size)
         np.multiply(g.reshape(-1), fa, out=dy[:nn])
+        dy[nn], dy[-1] = rate * ts - fa * rho, ts
         np.multiply(d.dot(y[nn + 1 : -1].reshape(n, n)).reshape(-1), -fa, out=dy[nn + 1 : -1])
         return dy
 

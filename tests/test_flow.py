@@ -78,14 +78,17 @@ def test_heisenberg_exact_solution(heis):
         assert b.coeffs[0, 1, 2] ** 2 == pytest.approx(1.0 / (1.0 + 3.0 * t), rel=1e-8)
 
 
-def test_heisenberg_form_is_preserved(heis):
-    trace = integrate_bracket_flow(heis, 5.0)
-    final = trace.final_bracket.coeffs.copy()
-    final[0, 1, 2] = 0.0
-    final[1, 0, 2] = 0.0
-    # mu = h.mu0 is computed from the frame, so off-family entries are rounding
-    bound = np.finfo(float).eps * trace.final_bracket.norm
-    assert np.abs(final).max() <= bound, "flow left the one-parameter Heisenberg family"
+def test_heisenberg_form_is_preserved(heis, heis_sphere):
+    # mu = h.mu0 is computed from the frame, so off-family entries are
+    # rounding; the normalized run to T = 60 stays within eps only because
+    # the projector's rounding-level entries are zeros (kept, they put it
+    # 1.0e-13 off)
+    for trace in (integrate_bracket_flow(heis, 5.0), integrate_normalized_flow(heis_sphere, 60.0)):
+        final = trace.final_bracket.coeffs.copy()
+        final[0, 1, 2] = 0.0
+        final[1, 0, 2] = 0.0
+        bound = np.finfo(float).eps * trace.final_bracket.norm
+        assert np.abs(final).max() <= bound, "flow left the one-parameter Heisenberg family"
 
 
 def test_norm_decays_and_scal_rises(rng):
@@ -709,9 +712,9 @@ def _recorded_jacobians(monkeypatch):
     times = []
     jacobian = flow._jacobian
 
-    def recording(f, t, y, f0, factor=None):
+    def recording(f, t, y, f0):
         times.append(t)
-        return jacobian(f, t, y, f0, factor)
+        return jacobian(f, t, y, f0)
 
     monkeypatch.setattr(flow, "_jacobian", recording)
     return times
@@ -808,6 +811,42 @@ def test_a_run_that_stays_stiff_keeps_its_jacobian_across_hand_backs(monkeypatch
     assert stretches >= 3 and len(switches) <= 3
     assert trace.stats["nfev"] < 1577
     assert trace.tr_ric2[-1] == pytest.approx(15 / 22, abs=1e-5)
+
+
+def test_nfev_counts_every_lane_the_right_sides_evaluate(heis_sphere, monkeypatch):
+    # a single state is one evaluation and a (B, N) stack B, so a J is
+    # y.size evaluations: on normalized H3, whose J is built at t0, on DL8,
+    # which switches later and more than once, on the stiff clock run of H3
+    # at r = 1e6, and on the metric run of H3 at r = 1e3, whose decay turns
+    # stiff
+    lanes = []
+
+    def counted(rhs):
+        def wrapped(t, y):
+            lanes.append(len(y) if y.ndim > 1 else 1)
+            return rhs(t, y)
+
+        return wrapped
+
+    frame, metric = flow._frame_generator, flow._metric_flow
+
+    def counted_metric(b0, r):
+        rhs, factor = metric(b0, r)
+        return counted(rhs), factor
+
+    monkeypatch.setattr(flow, "_frame_generator", lambda b0, r: counted(frame(b0, r)))
+    monkeypatch.setattr(flow, "_metric_flow", counted_metric)
+    runs = (
+        lambda: integrate_normalized_flow(heis_sphere, 60.0),
+        lambda: integrate_normalized_flow(rescale_to_norm(dixmier_lister()), 20.0),
+        lambda: integrate_bracket_flow(heis_sphere, 0.0102, r=1e6),
+        lambda: integrate_innerproduct_flow(heis_sphere, 0.03, r=1e3),
+    )
+    for run in runs:
+        lanes.clear()
+        stats = run().stats
+        assert max(lanes) > 1 and stats["rosenbrock_steps"] > 0
+        assert sum(lanes) == stats["nfev"]
 
 
 def _reference_generator(b0, r, h):
@@ -941,22 +980,14 @@ def test_metric_flow_matches_public_functions(n, r):
 
 @pytest.mark.parametrize("r", [None, 0.5], ids=["unnormalized", "constant"])
 def test_the_kernel_hands_back_the_scale_of_the_pushed_bracket(r):
-    # the metric flow's clock reads a^2 = ||h.mu0||^2 / 4 off the kernel, and
-    # each lane of a stack gets the bits of its 2-D call, X and a^2
+    # the metric flow's clock reads a^2 = ||h.mu0||^2 / 4 off the kernel
     rng = np.random.default_rng(450)
     for b0 in dense_starts(5, 450):
         kernel = flow._shifted_ricci(b0, r)
-        hs = np.stack([random_orthogonal(5, rng) @ np.diag(rng.uniform(0.5, 2.0, 5)) for _ in range(3)])
-        hinvs = np.linalg.inv(hs)
-        xs, norms = [], []
-        for h, hinv in zip(hs, hinvs):
-            x, a_sq = kernel(h, hinv)
+        for _ in range(3):
+            h = random_orthogonal(5, rng) @ np.diag(rng.uniform(0.5, 2.0, 5))
+            _, a_sq = kernel(h, np.linalg.inv(h))
             assert a_sq == pytest.approx(0.25 * gl_action(h, b0).norm ** 2, rel=1e-14)
-            xs.append(x)
-            norms.append(a_sq)
-        x, a_sq = kernel(hs, hinvs)
-        assert np.array_equal(x, xs)
-        assert np.array_equal(a_sq, norms)
 
 
 def test_flow_stays_on_jacobi_variety():
@@ -2107,8 +2138,8 @@ def test_right_sides_are_bitwise_their_matmul_forms(n, r):
         moving = flow._shifted_ricci(b0.scaled(2.0 / b0.norm) if clock else b0, "scalar")
         a0_sq, beta = 0.25 * b0.norm * b0.norm, 0.3
         proj = basis.T @ basis
-        if clock:  # its entries at rounding level are zeros
-            proj[np.abs(proj) <= 64.0 * np.finfo(float).eps * np.abs(proj).max()] = 0.0
+        # its entries at rounding level are zeros, at every rate
+        proj[np.abs(proj) <= 64.0 * np.finfo(float).eps * np.abs(proj).max()] = 0.0
         states = []
         for h, a in zip(frames, frames[::-1]):
             hinv = np.linalg.inv(h)
@@ -2176,37 +2207,6 @@ def test_the_jacobian_is_one_stacked_call_with_the_bits_of_its_columns(n):
             # one call, on the C-ordered stack of the N moved states
             assert len(calls) == 1 and calls[0].shape == (y.size, y.size) and calls[0].flags.c_contiguous
             assert np.array_equal(jac, _column_jacobian(rhs, 0.0, y, f0))
-
-
-@pytest.mark.parametrize("n", range(3, 9))
-def test_the_frame_runs_jacobian_takes_its_automorphism_block_in_closed_form(n):
-    # A enters no derivative but its own, A' = M A with M = -(kappa a^2 / w) D:
-    # J differences only F, beta and the clock, and one more lane at A = I gives M
-    rng = np.random.default_rng(720 + n)
-    h = random_orthogonal(n, rng) @ np.diag(rng.uniform(0.5, 2.0, n)) @ random_orthogonal(n, rng)
-    a = random_orthogonal(n, rng) @ np.diag(rng.uniform(0.5, 2.0, n))
-    nn = n * n
-    factor = slice(nn + 1, 2 * nn + 1)
-    rest = np.r_[: nn + 1, 2 * nn + 1]
-    for b0 in dense_starts(n, 720 + n):
-        for r, y in ((None, _clock_state(h, 0.3, a, 0.7)), (0.5, _clock_state(h, -0.4, a, 2.0))):
-            rhs = flow._frame_generator(b0, r)
-            calls = []
-
-            def recording(t, states):
-                calls.append(states)
-                return rhs(t, states)
-
-            f0 = rhs(0.0, y)
-            jac = flow._jacobian(recording, 0.0, y, f0, factor)
-            assert len(calls) == 1 and calls[0].shape == (nn + 3, y.size)
-            columns = _column_jacobian(rhs, 0.0, y, f0)
-            assert np.array_equal(jac[:, rest], columns[:, rest])
-            m = rhs(0.0, _clock_state(h, y[nn], np.eye(n), y[-1]))[factor].reshape(n, n)
-            assert np.array_equal(jac[factor, factor], np.kron(m, np.eye(n)))
-            assert not jac[rest][:, factor].any()
-            # the closed form is the difference quotient's limit
-            np.testing.assert_allclose(jac[:, factor], columns[:, factor], rtol=0.0, atol=1e-6 * np.abs(m).max())
 
 
 def test_a_singular_lane_raises_the_failure_of_its_1d_call(heis_sphere):
